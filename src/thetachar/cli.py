@@ -355,13 +355,10 @@ def cmd_verify(args):
     else:
         raise UsageError("--suite must be one of %s or all"
                          % (", ".join(SUITE_NAMES),))
-    if args.jobs is not None and args.jobs < 1:
-        raise UsageError("--jobs must be a positive integer")
     cfg = SuiteConfig(q_order=parse_q_order(args.q_order),
                       tol=parse_tol(args.tol),
                       dps=parse_precision(args.precision))
-    reports = [run_suite(name, cfg, max_workers=args.jobs)
-               for name in names]
+    reports = [run_suite(name, cfg) for name in names]
     if args.format == "json":
         print(dumps_canonical(
             {"reports": [r.to_json_dict() for r in reports]}))
@@ -380,7 +377,7 @@ def cmd_transform(args):
     if which not in ("S", "T"):
         raise UsageError("--which must be S or T")
     tol = parse_tol(args.tol)
-    mp.dps = parse_precision(args.precision)
+    dps = parse_precision(args.precision)
     members = family_members(args.M, args.statement)
     count = args.points if args.points else 3 * len(members)
     if count < 2 * len(members):
@@ -389,7 +386,8 @@ def cmd_transform(args):
                                            len(members)))
     pts = default_points(count, diagonal=True, seed=args.seed)
     try:
-        cert = span_closure(args.M, args.statement, which, pts)
+        with mp.workdps(dps):
+            cert = span_closure(args.M, args.statement, which, pts)
     except IllConditionedError as exc:
         print("error: %s" % exc, file=sys.stderr)
         print("advice: the sample matrix is numerically rank-deficient at "
@@ -464,9 +462,6 @@ def build_parser():
                    help="working precision in decimal digits (default %d)"
                         % DEFAULT_DPS)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="max concurrent cases (default: suite size, "
-                        "capped at 8)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("transform",

@@ -27,8 +27,9 @@ quietly, while a retained-spectrum condition number above
 COND_THRESHOLD raises IllConditionedError: that signals bad point
 selection, not a failed identity.
 
-All evaluations use the ambient mpmath precision; set mp.dps before
-calling (and before spawning worker threads).
+All evaluations use the ambient mpmath precision; callers scope it
+with mp.workdps.  span_closure opens one theta_numeric memo per sample
+point, so the thetas its members share there are evaluated once.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from mpmath import mp
 from .characters import denominator_label, sector_eps_prime, sign_eps
 from .mockpsi import (HALF, PoleProximityError, PsiParams, _guard_pole,
                       _mpc_any, _mpfrac, psi_numeric)
-from .theta import THETA_LABELS, theta_numeric
+from .theta import THETA_LABELS, numeric_memo, theta_numeric
 
 IM_TAU_FLOOR = 0.3
 COND_THRESHOLD = 1e8
@@ -386,9 +387,11 @@ def span_closure(M, statement, transform, points, tol=None):
         else:
             tau2, z2 = tau + 1, z
             factor = mp.mpc(1)
-        for c, mem in enumerate(members):
-            A[r, c] = character_member_numeric(M, mem, tau, z)
-            B[r, c] = character_member_numeric(M, mem, tau2, z2) / factor
+        with numeric_memo():
+            for c, mem in enumerate(members):
+                A[r, c] = character_member_numeric(M, mem, tau, z)
+                B[r, c] = (character_member_numeric(M, mem, tau2, z2)
+                           / factor)
     C, resid = _lstsq_min_norm(A, B)
     coeff_rows = tuple(tuple(complex(C[j, i]) for j in range(n))
                        for i in range(n))

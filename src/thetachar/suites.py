@@ -3,13 +3,12 @@
 A suite is an ordered tuple of (case id, callable) pairs.  Cases take
 the SuiteConfig and return a detail string; they fail by raising
 (CaseFailure for a checked property, anything else counts too) and may
-raise SkipCase.  run_suite fans the cases out over a thread pool and
-assembles the results in registry order, so reports are deterministic.
+raise SkipCase.  run_suite runs the cases one after another in registry
+order, so reports are deterministic.
 """
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -971,22 +970,17 @@ def _run_case(fn, config):
         return ("fail", "%s: %s" % (type(exc).__name__, exc))
 
 
-def run_suite(name, config=None, max_workers=None):
+def run_suite(name, config=None):
     """Run a named suite and return its SuiteReport.
 
-    The mpmath precision is set once, before the pool starts; cases
-    must not change it.
+    The cases run at the config's mpmath precision, scoped to this call;
+    cases must not change it.
     """
     config = config or SuiteConfig()
     cases = suite_cases(name)
-    mp.dps = config.dps
     start = time.perf_counter()
-    results = []
-    workers = max_workers or min(8, max(1, len(cases)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_case, fn, config) for _, fn in cases]
-        for (case_id, _), fut in zip(cases, futures):
-            status, detail = fut.result()
-            results.append(CaseResult(case_id, status, detail))
+    with mp.workdps(config.dps):
+        results = [CaseResult(case_id, *_run_case(fn, config))
+                   for case_id, fn in cases]
     wall = time.perf_counter() - start
     return SuiteReport(name, tuple(results), wall, config.echo())

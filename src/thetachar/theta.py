@@ -23,12 +23,19 @@ kept as an independent cross-check (theta_sum).
 
 Numerics use mpmath at the caller's working precision: direct lattice
 summation with an explicit geometric tail bound, so every returned value
-is accurate to the requested absolute error.
+is accurate to the requested absolute error.  The sum walks outward by
+recurrence: each term is the previous one times a running ratio, and
+each ratio gains a factor q^2 = e^{2 pi i tau} per step, so a call costs
+a handful of exponentials rather than several per term.  Inside a
+numeric_memo() scope (span_closure opens one per sample point),
+theta_numeric and eta_numeric evaluate each distinct argument once.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
 
@@ -45,6 +52,10 @@ THETA_LABELS = ("00", "01", "10", "11")
 # theta values under rescaled arguments reach magnitudes around e^30, so
 # double precision is not enough for 1e-9 residual targets
 DEFAULT_DPS = 40
+
+
+# the open per-point memo of numeric_memo(), or None outside any scope
+_MEMO = ContextVar("thetachar_numeric_memo", default=None)
 
 
 class TailBoundError(ArithmeticError):
@@ -236,52 +247,103 @@ def theta_shifted(label, q_order, tau_scale=1, z_scale=1, r_tau=Fraction(0),
 # validated numerics
 # ---------------------------------------------------------------------
 
+@contextmanager
+def numeric_memo():
+    """Open a per-point memo for theta_numeric and eta_numeric.
+
+    While the scope is open, a repeated argument is answered from a dict
+    keyed by the argument, the requested error and mp.prec, so a value
+    is never reused at another precision.  The memo belongs to the
+    current context (thread), is closed with the scope, and nothing
+    outlives it.
+    """
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def _memoized(key, compute):
+    memo = _MEMO.get()
+    if memo is None:
+        return compute()
+    key += (mp.prec,)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = compute()
+    return value
+
+
 def theta_numeric(label, tau, z, abs_err=None):
     """theta_label(tau, z) by direct lattice summation.
 
     Terms are added symmetrically outward until a geometric majorant
     bounds both remaining tails below abs_err (default 10^-(dps-5) at
     the working precision).  Raises TailBoundError when the bound cannot
-    be met within a fixed term budget.
+    be met within a fixed term budget.  Inside numeric_memo() a repeated
+    argument is answered from the memo.
     """
     _check_label(label)
     tau = mp.mpc(tau)
     z = mp.mpc(z)
-    y = mp.im(tau)
-    if y <= 0:
+    if mp.im(tau) <= 0:
         raise ValueError("tau must lie in the upper half plane")
     if abs_err is None:
         abs_err = mp.mpf(10) ** (-(mp.dps - 5))
+    return _memoized((label, tau, z, abs_err),
+                     lambda: _theta_lattice_sum(label, tau, z, abs_err))
+
+
+def _theta_lattice_sum(label, tau, z, abs_err):
     a, b = int(label[0]), int(label[1])
     pit = mp.pi * 1j * tau
     w = 2j * mp.pi * (z + mp.mpf(b) / 2)
+    y = mp.im(tau)
     u = mp.im(z)
-
-    def term(h):
-        return mp.exp(pit * h * h + w * h)
+    h0 = mp.mpf(a) / 2
 
     def mag(h):
         return mp.exp(-mp.pi * y * h * h - 2 * mp.pi * u * h)
 
-    half_a = mp.mpf(a) / 2
+    # term(h) = exp(pi i tau h^2 + w h); a step outward multiplies a term
+    # by its ratio to the next one, and every ratio by q^2 = e^{2 pi i tau}
+    q2 = mp.exp(2 * pit)
+    t_pos = mp.exp(pit * h0 * h0 + w * h0)       # term(h0)
+    r_pos = mp.exp(pit * (2 * h0 + 1) + w)        # term(h0 + 1) / term(h0)
+    r_neg = mp.exp(pit * (1 - 2 * h0) - w)        # term(h0 - 1) / term(h0)
+    t_neg = t_pos * r_neg                         # term(h0 - 1)
+    r_neg *= q2
+    # the same for |term(h)| at the first unsummed h on each side, and the
+    # ratios to the next magnitude outward, which shrink by e^{-2 pi y}
+    g = mp.exp(-2 * mp.pi * y)
+    m_pos = mag(h0 + 1)
+    s_pos = mag(h0 + 2) / m_pos
+    m_neg = mag(h0 - 2)
+    s_neg = mag(h0 - 3) / m_neg
+
+    gate = mp.mpf("0.9")
     total = mp.mpc(0)
     n = 0
     n_cap = 100000
     while True:
-        total += term(n + half_a)
-        total += term(-n - 1 + half_a)
-        hp = n + 1 + half_a        # first unsummed h on each side
-        hn = -n - 2 + half_a
-        tp, tn = mag(hp), mag(hn)
-        rp = mag(hp + 1) / tp      # ratios shrink monotonically outward
-        rn = mag(hn - 1) / tn
-        if rp < mp.mpf("0.9") and rn < mp.mpf("0.9"):
-            if tp / (1 - rp) + tn / (1 - rn) < abs_err:
+        total += t_pos              # h = n + h0
+        total += t_neg              # h = -n - 1 + h0
+        if s_pos < gate and s_neg < gate:
+            if m_pos / (1 - s_pos) + m_neg / (1 - s_neg) < abs_err:
                 break
         n += 1
         if n > n_cap:
             raise TailBoundError("theta tail bound %s not reached within "
                                  "%d terms" % (abs_err, n_cap))
+        t_pos *= r_pos
+        r_pos *= q2
+        t_neg *= r_neg
+        r_neg *= q2
+        m_pos *= s_pos
+        s_pos *= g
+        m_neg *= s_neg
+        s_neg *= g
     return total
 
 
@@ -290,5 +352,9 @@ def eta_numeric(tau):
     tau = mp.mpc(tau)
     if mp.im(tau) <= 0:
         raise ValueError("tau must lie in the upper half plane")
+    return _memoized(("eta", tau), lambda: _eta_product(tau))
+
+
+def _eta_product(tau):
     q = mp.exp(2j * mp.pi * tau)
     return mp.exp(2j * mp.pi * tau / 24) * mp.qp(q)

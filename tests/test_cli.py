@@ -7,10 +7,11 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from mpmath import mp
 
-from thetachar import cli
+from thetachar import cli, suites, theta
 from thetachar.modular import IllConditionedError
-from thetachar.suites import CaseResult, SuiteReport
+from thetachar.suites import CaseResult, SuiteConfig, SuiteReport
 
 EXPAND_M1_TEXT = (
     b"# expand M=1 j=1/2 sector=NS sign=+\n"
@@ -222,9 +223,25 @@ class TestVerify:
         assert cp.returncode == 2
         assert b"--suite must be one of" in cp.stderr
 
-    def test_bad_jobs(self, tmp_path):
-        cp = run_cli(["verify", "--suite", "theta", "--jobs", "0"], tmp_path)
-        assert cp.returncode == 2
+    def test_suite_builds_each_series_once(self, capsys):
+        # cases share the lru-cached builders; run in order, each
+        # series is built once
+        theta.theta_shifted.cache_clear()
+        assert cli.main(["verify", "--suite", "characters"]) == 0
+        assert "0 fail" in capsys.readouterr().out
+        info = theta.theta_shifted.cache_info()
+        assert info.currsize > 0
+        assert info.misses == info.currsize
+
+    def test_run_suite_scopes_precision(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(suites, "suite_cases", lambda name: (
+            ("probe", lambda cfg: seen.append(mp.dps)),))
+        mp.dps = 17
+        report = suites.run_suite("theta", SuiteConfig(dps=30))
+        assert report.ok
+        assert seen == [30]
+        assert mp.dps == 17
 
     def test_failing_case_exits_one(self, monkeypatch, capsys):
         failing = SuiteReport(
@@ -233,7 +250,7 @@ class TestVerify:
             wall_time=0.01,
             config={"q_order": "3", "tol": 1e-9, "precision_dps": 40})
         monkeypatch.setattr(cli, "run_suite",
-                            lambda name, cfg, max_workers=None: failing)
+                            lambda name, cfg: failing)
         code = cli.main(["verify", "--suite", "theta"])
         out = capsys.readouterr().out
         assert code == 1
@@ -270,6 +287,17 @@ class TestTransform:
         assert b"exceeds tolerance" in cp.stderr
         # the certificate is still printed for inspection
         assert json.loads(cp.stdout)["residual"] > 0
+
+    def test_precision_is_scoped(self, capsys):
+        mp.dps = 17
+        code = cli.main(["transform", "--M", "1", "--which", "T",
+                         "--statement", "2", "--precision", "30"])
+        assert code == 0
+        assert mp.dps == 17
+        with mp.workdps(30):
+            want_bits = mp.prec
+        cert = json.loads(capsys.readouterr().out)
+        assert cert["precision_bits"] == want_bits
 
     def test_too_few_points(self, tmp_path):
         cp = run_cli(["transform", "--M", "1", "--which", "S",

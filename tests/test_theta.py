@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpc
 
 from thetachar.qseries import (
@@ -22,9 +23,11 @@ from thetachar.qseries import (
 )
 from thetachar.theta import (
     DEFAULT_DPS,
+    TailBoundError,
     eta,
     eta_numeric,
     eta_pow3_scaled,
+    numeric_memo,
     theta_numeric,
     theta_product,
     theta_shifted,
@@ -156,6 +159,86 @@ class TestNumericOracles:
         tau = mpc("0.11", "1.5")
         got = eval_numeric(eta(10), tau, 0)
         assert abs(got - eta_numeric(tau)) < mp.mpf("1e-28")
+
+
+JTHETA = {"00": (3, 1), "01": (4, 1), "10": (2, 1), "11": (1, -1)}
+
+theta_args = dict(
+    label=st.sampled_from(LABELS),
+    re_tau=st.floats(-0.9, 0.9),
+    im_tau=st.floats(0.3, 5),
+    re_z=st.floats(-1, 1),
+    im_z=st.floats(-1.5, 1.5),
+)
+
+
+class TestRecurrenceSum:
+    @settings(deadline=None, max_examples=80)
+    @given(**theta_args)
+    def test_matches_mpmath_jtheta(self, label, re_tau, im_tau, re_z, im_z):
+        mp.dps = 30
+        tau, z = mpc(re_tau, im_tau), mpc(re_z, im_z)
+        idx, sign = JTHETA[label]
+        want = sign * mp.jtheta(idx, mp.pi * z, mp.exp(1j * mp.pi * tau))
+        # rounding scales with the largest term, exp(pi Im(z)^2 / Im(tau))
+        big = max(1, mp.exp(mp.pi * im_z * im_z / im_tau))
+        assert abs(theta_numeric(label, tau, z) - want) < mp.mpf("1e-22") * big
+
+    @settings(deadline=None, max_examples=40)
+    @given(**theta_args)
+    def test_tail_bound_holds_at_a_loose_error(self, label, re_tau, im_tau,
+                                               re_z, im_z):
+        mp.dps = 30
+        tau, z = mpc(re_tau, im_tau), mpc(re_z, im_z)
+        loose = mp.mpf("1e-8")
+        assert abs(theta_numeric(label, tau, z, loose)
+                   - theta_numeric(label, tau, z)) < loose
+
+    def test_term_cap_raises(self):
+        mp.dps = 30
+        with pytest.raises(TailBoundError):
+            theta_numeric("00", mpc(0, "1e-9"), 0)
+
+
+class TestNumericMemo:
+    @settings(deadline=None, max_examples=30)
+    @given(**theta_args)
+    def test_same_values_inside_and_outside(self, label, re_tau, im_tau,
+                                            re_z, im_z):
+        mp.dps = DEFAULT_DPS
+        tau, z = mpc(re_tau, im_tau), mpc(re_z, im_z)
+        outside = theta_numeric(label, tau, z)
+        eta_outside = eta_numeric(tau)
+        with numeric_memo():
+            first = theta_numeric(label, tau, z)
+            again = theta_numeric(label, complex(tau), complex(z))
+            eta_first = eta_numeric(tau)
+            eta_again = eta_numeric(tau)
+        assert first == outside and again is first
+        assert eta_first == eta_outside and eta_again is eta_first
+
+    def test_precision_change_is_not_served_stale(self):
+        tau, z = mpc("0.1", "0.7"), mpc("0.2", "0.05")
+        with numeric_memo():
+            mp.dps = 15
+            low = theta_numeric("11", tau, z)
+            mp.dps = DEFAULT_DPS
+            high = theta_numeric("11", tau, z)
+        assert high is not low
+        assert high == theta_numeric("11", tau, z)
+        assert abs(high - low) > 0
+
+    def test_no_memo_after_the_scope(self):
+        tau, z = mpc("0.1", "0.7"), mpc("0.2", "0.05")
+        with pytest.raises(KeyError):
+            with numeric_memo():
+                theta_numeric("00", tau, z)
+                raise KeyError("leave the scope by an exception")
+        for _ in range(2):
+            with numeric_memo():
+                pass
+        assert theta_numeric("00", tau, z) is not theta_numeric("00", tau, z)
+        assert eta_numeric(tau) is not eta_numeric(tau)
 
 
 # ---------------------------------------------------------------------
