@@ -21,7 +21,6 @@ from .theta import (
     eta,
     eta_numeric,
     theta_numeric,
-    theta_product,
     theta_shifted,
     theta_sum,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "eta",
     "eta_numeric",
     "theta_numeric",
-    "theta_product",
     "theta_shifted",
     "theta_sum",
     "PoleProximityError",

@@ -35,9 +35,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .mockpsi import HALF, PsiParams, psi_diag_ratio, psi_pair_ratio
-from .qseries import (GaussianRational, SeriesRatio, UntrustedOrderError,
-                      mul, product, restrict_window, scale_monomial)
-from .theta import THETA_LABELS, eta_pow3_scaled, theta_product, theta_shifted
+from .qseries import (GaussianRational, SeriesRatio, mul, product,
+                      restrict_window, scale_monomial)
+from .theta import THETA_LABELS, eta_pow_scaled, theta_shifted
 
 SECTORS = ("NS", "R")
 SIGNS = ("+", "-")
@@ -124,20 +124,20 @@ def denominator_label(sign, sector):
 
 def _denominator_eta_form(sign, sector, q_order):
     c = GaussianRational(0, -1 if sign == "+" else 1)
-    num = mul(eta_pow3_scaled(1, q_order),
+    num = mul(eta_pow_scaled(1, 3, q_order),
               theta_shifted("11", q_order, 1, 2, Fraction(0), Fraction(0)))
     num = scale_monomial(num, 0, 0, c)
-    d = theta_product(denominator_label(sign, sector), q_order)
+    d = theta_shifted(denominator_label(sign, sector), q_order, 1, 1, 0, 0)
     return SeriesRatio(num, mul(d, d))
 
 
 def _denominator_theta_form(sign, sector, q_order):
     c = GaussianRational(0, -1 if sign == "+" else 1)
     d = denominator_label(sign, sector)
-    num = product([theta_product(lab, q_order)
+    num = product([theta_shifted(lab, q_order, 1, 1, 0, 0)
                    for lab in THETA_LABELS if lab != d])
     num = scale_monomial(num, 0, 0, c)
-    return SeriesRatio(num, theta_product(d, q_order))
+    return SeriesRatio(num, theta_shifted(d, q_order, 1, 1, 0, 0))
 
 
 @functools.lru_cache(maxsize=None)
@@ -196,11 +196,12 @@ def character_ratio(spec, q_order):
     build = q_order + j * j / M
     num_factors = [theta_shifted(lab, build, M, 1, j, Fraction(0))
                    for lab in kept]
-    num_factors.append(theta_product(plain_num, build))
+    num_factors.append(theta_shifted(plain_num, build, 1, 1, 0, 0))
     num = product(num_factors)
     num = scale_monomial(num, j * j / M, 2 * j / M, face * sgn(j))
     den_factors = [theta_shifted(moved, build, M, 1, j, Fraction(0))]
-    den_factors.extend(theta_product(lab, build) for lab in plain_den)
+    den_factors.extend(theta_shifted(lab, build, 1, 1, 0, 0)
+                       for lab in plain_den)
     return SeriesRatio(num, product(den_factors))
 
 
@@ -208,8 +209,11 @@ def character_series(spec, q_order, x_window=None):
     """q-expansion of the character in the descending-x convention.
 
     The window defaults to (s - 4, s + 2) around the leading x-exponent
-    s.  The lowest trusted q-exponent is asserted to equal
-    -c/24 + h before the window is restricted to the request.
+    s.  The ratio is built at q_order; when its expansion order falls
+    short of the request (negative valuations cost trust), it is rebuilt
+    once with that shortfall added, then inverted once.  The lowest
+    trusted q-exponent is asserted to equal -c/24 + h before the window
+    is restricted to the request.
     """
     q_order = Fraction(q_order)
     h, s = h_s_values(spec)
@@ -220,18 +224,11 @@ def character_series(spec, q_order, x_window=None):
     if lo > hi:
         raise ValueError("empty x window")
     hull = (min(lo, s), max(hi, s))
-    extra = Fraction(0)
-    last = None
-    for _ in range(8):
-        try:
-            ratio = character_ratio(spec, q_order + extra)
-            ser = ratio.as_series(q_order, hull)
-            break
-        except UntrustedOrderError as exc:
-            last = exc
-            extra = extra * 2 if extra else Fraction(1)
-    else:
-        raise last
+    ratio = character_ratio(spec, q_order)
+    short = q_order - ratio.expansion_order()
+    if short > 0:
+        ratio = character_ratio(spec, q_order + short)
+    ser = ratio.as_series(q_order, hull)
     stored = ser.terms()
     if stored:
         low = min(qe for qe, _xe, _c in stored)
@@ -343,14 +340,21 @@ def nice_param_to_j(M, k1, heart, twisted):
     return j
 
 
-# (heart, sign, twisted) -> overall sign of the Psi block; the indices
+# (heart, sign, twisted) -> overall sign of the Psi block, shared by the
+# diagonal (nice) and the general (k1, k2) numerator rows; the indices
 # and half-characteristics follow from the row
-_NICE_SIGNS = {
+BLOCK_SIGNS = {
     ("I", "+", False): 1, ("III", "+", False): -1,
     ("I", "-", False): -1, ("III", "-", False): 1,
     ("I", "+", True): -1, ("III", "+", True): 1,
     ("I", "-", True): -1, ("III", "-", True): 1,
 }
+
+
+def _signed(ratio, heart, sign, twisted):
+    if BLOCK_SIGNS[(heart, sign, twisted)] == 1:
+        return ratio
+    return ratio.scale(GaussianRational(-1, 0))
 
 
 def nice_numerator(M, k1, heart, sign, twisted, q_order):
@@ -361,10 +365,7 @@ def nice_numerator(M, k1, heart, sign, twisted, q_order):
     eps = sign_eps(sign)
     eps_prime = HALF if not twisted else Fraction(0)
     ratio = psi_diag_ratio(PsiParams(M, j, j, eps, eps_prime), q_order)
-    face = _NICE_SIGNS[(heart, sign, twisted)]
-    if face == 1:
-        return ratio
-    return ratio.scale(GaussianRational(-1, 0))
+    return _signed(ratio, heart, sign, twisted)
 
 
 def dd_indices(M, k1, k2, heart, twisted):
@@ -380,14 +381,6 @@ def dd_indices(M, k1, k2, heart, twisted):
     return (Fraction(k1 + 1), Fraction(M - (k1 + k2)))
 
 
-_DD_SIGNS = {
-    ("I", "+", False): 1, ("III", "+", False): -1,
-    ("I", "-", False): -1, ("III", "-", False): 1,
-    ("I", "+", True): -1, ("III", "+", True): 1,
-    ("I", "-", True): -1, ("III", "-", True): 1,
-}
-
-
 def dd_numerator(M, k1, k2, heart, sign, twisted, q_order):
     """Signed off-diagonal Psi block (denominator x character) for a
     general in-range (k1, k2); reduces to nice_numerator when
@@ -398,7 +391,4 @@ def dd_numerator(M, k1, k2, heart, sign, twisted, q_order):
     eps = sign_eps(sign)
     eps_prime = HALF if not twisted else Fraction(0)
     ratio = psi_pair_ratio(PsiParams(M, j, k, eps, eps_prime), q_order)
-    face = _DD_SIGNS[(heart, sign, twisted)]
-    if face == 1:
-        return ratio
-    return ratio.scale(GaussianRational(-1, 0))
+    return _signed(ratio, heart, sign, twisted)

@@ -48,7 +48,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from .qseries import GaussianRational, SeriesRatio, mul, scale_monomial
-from .theta import (TailBoundError, eta_numeric, eta_pow3_scaled,
+from .theta import (TailBoundError, eta_numeric, eta_pow_scaled,
                     theta_numeric, theta_shifted)
 
 HALF = Fraction(1, 2)
@@ -176,7 +176,7 @@ def psi_pair_ratio(params, q_order):
     q_order = Fraction(q_order)
     jk = p.j + p.k
     build = q_order + (p.j * p.j + p.k * p.k) / p.M
-    num = mul(eta_pow3_scaled(p.M, build),
+    num = mul(eta_pow_scaled(p.M, 3, build),
               theta_shifted("11", build, p.M, 2, jk, 0))
     num = scale_monomial(num, p.j * p.k / p.M, jk / p.M,
                          GaussianRational(0, -1))

@@ -266,14 +266,14 @@ def character_member_numeric(M, member, tau, z):
 def character_numeric(M, k1, k2, heart, sign, twisted, p):
     """Numeric character of the reduced module: the signed Psi
     numerator over the matching denominator, no series inversion."""
-    from .characters import _DD_SIGNS, dd_indices
+    from .characters import BLOCK_SIGNS, dd_indices
     if not p.is_diagonal:
         raise ValueError("character evaluation needs z1 = z2 and t = 0")
     j, k = dd_indices(M, k1, k2, heart, twisted)
     eps = sign_eps(sign)
     eps_p = HALF if not twisted else Fraction(0)
     sector = "NS" if not twisted else "R"
-    face = _DD_SIGNS[(heart, sign, twisted)]
+    face = BLOCK_SIGNS[(heart, sign, twisted)]
     params = PsiParams(M, j, k, eps, eps_p)
     tau = _mpc_any(p.tau)
     z = _mpc_any(p.z1)

@@ -406,84 +406,6 @@ def subst_scale_z(a, m):
     return JacobiSeries(a.q_den, a.x_den, a.order_n, terms, win)
 
 
-def subst_negate_z(a):
-    """z -> -z: exact; the window reflects."""
-    terms = {(qn, -xn): v for (qn, xn), v in a.c.items()}
-    win = None
-    if a.window_n is not None:
-        win = (-a.window_n[1], -a.window_n[0])
-    return JacobiSeries(a.q_den, a.x_den, a.order_n, terms, win)
-
-
-def subst_shift_z(a, r_tau, r_one):
-    """z -> z + r_tau*tau + r_one.
-
-    The term c q^e x^f becomes c i^(4 r_one f) q^(e + r_tau f) x^f, so
-    r_one must be a multiple of 1/4 and every 4 r_one f must be an
-    integer, otherwise the phase leaves the coefficient ring and
-    CoefficientRingError is raised.
-
-    Stored terms at or above the trusted order are discarded before the
-    remap: such terms carry partial values, and a tau-proportional shift
-    can pull them below the returned bound, so letting them migrate
-    would corrupt trusted coefficients.
-
-    Trust rule: the returned q_order is
-
-        q_order - |r_tau| * (max(0, D) + 1/x_den)
-
-    where D is the trusted x-extreme in the pull direction (-min x-exp
-    for r_tau > 0, +max x-exp for r_tau < 0).  Soundness: missing terms
-    inside that x-range land at or above the new bound; a term one
-    lattice step beyond the extreme must sit at or above q_order
-    (otherwise it would be stored below it), so it lands at or above the
-    new bound too.  Terms k >= 2 steps beyond the extreme are assumed to
-    first appear at q-levels at least q_order + |r_tau| (k-1)/x_den.
-    That is a PRECONDITION on the input: its x-support beyond the
-    trusted extreme must recede in q at slope at least |r_tau| per
-    lattice step.  Callers shifting series that cannot promise it (for
-    example theta-type products at large tau rescalings) must bound the
-    trusted order themselves from the actual support geometry.
-    """
-    r_tau = Fraction(r_tau)
-    r_one = Fraction(r_one)
-    if (4 * r_one).denominator != 1:
-        raise CoefficientRingError(
-            "z-shift constant %s is not a multiple of 1/4" % (r_one,))
-    if a.window_n is not None:
-        raise ValueError("z-shift of a windowed series is not supported")
-    kept = {k: v for k, v in a.c.items() if k[0] < a.order_n}
-    if not kept:
-        return JacobiSeries(a.q_den, a.x_den, a.order_n, {})
-    # new exponents q + r_tau*x live on a finer q lattice
-    q_den = _lcm(a.q_den, (r_tau / a.x_den).denominator)
-    kq = q_den // a.q_den
-    terms = {}
-    for (qn, xn), v in kept.items():
-        phase4 = 4 * r_one * xn / a.x_den
-        if phase4.denominator != 1:
-            raise CoefficientRingError(
-                "phase exp(2 pi i %s) is not a power of i" %
-                (r_one * Fraction(xn, a.x_den),))
-        qq = qn * kq + r_tau * xn * q_den // a.x_den
-        if qq.denominator != 1:
-            raise AssertionError("lattice misalignment in subst_shift_z")
-        key = (int(qq), xn)
-        w = v.times_i_power(int(phase4))
-        prev = terms.get(key)
-        terms[key] = w if prev is None else prev + w
-    xs = [xn for (_, xn) in kept]
-    if r_tau > 0:
-        drop = max(0, -min(xs)) + 1
-    elif r_tau < 0:
-        drop = max(0, max(xs)) + 1
-    else:
-        drop = 0
-    loss = abs(r_tau) * Fraction(drop, a.x_den)
-    order_n = a.order_n * kq - math.ceil(loss * q_den)
-    return JacobiSeries(q_den, a.x_den, order_n, terms)
-
-
 def truncate(a, q_order):
     """Restrict trust to q_order <= current q_order, dropping terms."""
     q_order = Fraction(q_order)
@@ -767,6 +689,16 @@ class SeriesRatio:
         lhs = _mul_order_pub(self.num, other.den)
         rhs = _mul_order_pub(other.num, self.den)
         return min(lhs, rhs)
+
+    def expansion_order(self):
+        """A lower bound on the q_order that as_series() reaches, found
+        without inverting: the inverse of den has valuation -vd and is
+        trusted below Qd - 2 vd, so mul's trust rule gives
+        min(Qn, Qd - 2 vd, Qn - vd, Qd - 2 vd + vn)."""
+        qn, qd = self.num.q_order, self.den.q_order
+        vn = self.num.q_valuation_bound()
+        vd = self.den.q_valuation_bound()
+        return min(qn, qd - 2 * vd, qn - vd, qd - 2 * vd + vn)
 
     def as_series(self, q_order, x_window):
         """num * invert_directed(den, suitable window), trimmed to

@@ -15,9 +15,10 @@ from fractions import Fraction
 from mpmath import mp
 
 from .qseries import (GaussianRational, JacobiSeries, SeriesRatio,
-                      equal_to_order, mul, product, scale_monomial,
-                      subst_scale_tau, truncate, add, eval_numeric)
-from .theta import DEFAULT_DPS, eta, theta_product, theta_shifted, theta_sum
+                      equal_to_order, mul, product, scale_monomial, add,
+                      eval_numeric)
+from .theta import (DEFAULT_DPS, eta, eta_pow_scaled, theta_shifted,
+                    theta_sum)
 from .mockpsi import (HALF, PsiParams, phi1_numeric, phi_a11_numeric,
                       psi_diag_ratio, psi_numeric)
 from .characters import (CharacterSpec, ReductionParams, central_charge,
@@ -108,37 +109,27 @@ def _require(cond, msg):
         raise CaseFailure(msg)
 
 
-def ratio_pair_equal(build_a, build_b, q_order, max_attempts=7):
+def ratio_pair_equal(build_a, build_b, q_order):
     """Cross-multiplied equality of two ratio builders below q_order.
 
     Negative valuations can leave the cross products trusted short of
-    the request, so both sides are rebuilt with growing padding until
-    the cross order covers it.
+    the request.  Both sides are built at q_order; if their cross order
+    falls short, they are rebuilt once with the shortfall added, and a
+    cross order still short of the request is a CaseFailure.
     """
     q_order = Fraction(q_order)
-    extra = Fraction(0)
-    for _ in range(max_attempts):
-        ra = build_a(q_order + extra)
-        rb = build_b(q_order + extra)
-        if ra.cross_order(rb) >= q_order:
-            return ra.equals(rb, q_order)
-        extra = extra * 2 if extra else Fraction(2)
-    raise CaseFailure("cross order never reached %s" % q_order)
+    ra, rb = build_a(q_order), build_b(q_order)
+    short = q_order - ra.cross_order(rb)
+    if short > 0:
+        ra, rb = build_a(q_order + short), build_b(q_order + short)
+        if ra.cross_order(rb) < q_order:
+            raise CaseFailure("cross order never reached %s" % q_order)
+    return ra.equals(rb, q_order)
 
 
 def _one_ratio(q_order):
     one = JacobiSeries.one(q_order)
     return SeriesRatio(one, one)
-
-
-def eta_scaled_pow(m, power, q_order):
-    """eta(m tau)**power as an exact series trusted below q_order."""
-    q_order = Fraction(q_order)
-    base = eta(Fraction(max(1, math.ceil(q_order / m))))
-    s = base
-    for _ in range(power - 1):
-        s = mul(s, base)
-    return truncate(subst_scale_tau(s, m), q_order)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +139,7 @@ def eta_scaled_pow(m, power, q_order):
 def _case_sum_vs_product(label):
     def run(cfg):
         q = Fraction(cfg.q_order)
-        _require(equal_to_order(theta_product(label, q),
+        _require(equal_to_order(theta_shifted(label, q, 1, 1, 0, 0),
                                 theta_sum(label, q), q),
                  "product and sum forms of theta_%s disagree" % label)
         return "exact below q^%s" % q
@@ -169,7 +160,7 @@ def _case_tau_half_shift(label):
         q = Fraction(cfg.q_order)
         lhs = theta_shifted(label, q, 1, 1, HALF, 0)
         other, c = _TAU_HALF_MAP[label]
-        rhs = scale_monomial(theta_product(other, q + 1),
+        rhs = scale_monomial(theta_shifted(other, q + 1, 1, 1, 0, 0),
                              Fraction(-1, 8), -HALF, c)
         _require(equal_to_order(lhs, rhs, q),
                  "tau/2 shift of theta_%s mismatches theta_%s"
@@ -185,15 +176,16 @@ def _case_tau_shift_pair(sigma):
         q = Fraction(cfg.q_order)
         p = q + 1
         e1 = eta(p)
-        e2sq = eta_scaled_pow(2, 2, p)
+        e2sq = eta_pow_scaled(2, 2, p)
         r = HALF * sigma
         rows = (("00", "10", "00", GaussianRational(1)),
                 ("01", "11", "01", GaussianRational(0, -sigma)))
         for la, lb, tgt, c in rows:
             lhs = product((theta_shifted(la, p, 2, 1, r, 0),
                            theta_shifted(lb, p, 2, 1, r, 0), e1))
-            rhs = scale_monomial(mul(e2sq, theta_product(tgt, p)),
-                                 Fraction(-1, 8), -sigma * HALF, c)
+            rhs = scale_monomial(
+                mul(e2sq, theta_shifted(tgt, p, 1, 1, 0, 0)),
+                Fraction(-1, 8), -sigma * HALF, c)
             _require(equal_to_order(lhs, rhs, q),
                      "pair %s*%s at shift %s*tau/2 mismatches theta_%s"
                      % (la, lb, sigma, tgt))
@@ -206,10 +198,11 @@ def _case_doubling(cfg):
     # theta_10 theta_11 -> theta_11(2tau, 2z)
     q = Fraction(cfg.q_order)
     p = q + 1
-    e1sq = eta_scaled_pow(1, 2, p)
-    e2 = eta_scaled_pow(2, 1, p)
+    e1sq = eta_pow_scaled(1, 2, p)
+    e2 = eta_pow_scaled(2, 1, p)
     for la, lb, tgt in (("00", "01", "01"), ("10", "11", "11")):
-        lhs = product((theta_product(la, p), theta_product(lb, p), e2))
+        lhs = product((theta_shifted(la, p, 1, 1, 0, 0),
+                       theta_shifted(lb, p, 1, 1, 0, 0), e2))
         rhs = mul(e1sq, theta_shifted(tgt, p, 2, 2, 0, 0))
         _require(equal_to_order(lhs, rhs, q),
                  "doubling of %s*%s mismatches theta_%s(2tau, 2z)"
@@ -223,11 +216,11 @@ def _case_scaled_pair(cfg):
     q = Fraction(cfg.q_order)
     p = q + 1
     e1 = eta(p)
-    e2sq = eta_scaled_pow(2, 2, p)
+    e2sq = eta_pow_scaled(2, 2, p)
     for la, lb, tgt in (("00", "10", "10"), ("01", "11", "11")):
         lhs = product((theta_shifted(la, p, 2, 1, 0, 0),
                        theta_shifted(lb, p, 2, 1, 0, 0), e1))
-        rhs = mul(e2sq, theta_product(tgt, p))
+        rhs = mul(e2sq, theta_shifted(tgt, p, 1, 1, 0, 0))
         _require(equal_to_order(lhs, rhs, q),
                  "scaled pair %s*%s mismatches theta_%s" % (la, lb, tgt))
     return "both rows exact below q^%s" % q
@@ -253,8 +246,8 @@ def _case_quadruple(cfg):
     # eta^3 theta_11(tau, 2z) = theta_00 theta_01 theta_10 theta_11
     q = Fraction(cfg.q_order)
     p = q + 1
-    lhs = mul(eta_scaled_pow(1, 3, p), theta_shifted("11", p, 1, 2, 0, 0))
-    rhs = product(tuple(theta_product(lab, p)
+    lhs = mul(eta_pow_scaled(1, 3, p), theta_shifted("11", p, 1, 2, 0, 0))
+    rhs = product(tuple(theta_shifted(lab, p, 1, 1, 0, 0)
                         for lab in ("00", "01", "10", "11")))
     _require(equal_to_order(lhs, rhs, q), "quadruple product violated")
     return "exact below q^%s" % q
@@ -265,7 +258,7 @@ def _case_half_shift(sigma):
     def run(cfg):
         q = Fraction(cfg.q_order)
         lhs = theta_shifted("11", q, 1, 1, 0, sigma * HALF)
-        rhs = scale_monomial(theta_product("10", q), 0, 0,
+        rhs = scale_monomial(theta_shifted("10", q, 1, 1, 0, 0), 0, 0,
                              GaussianRational(-sigma))
         _require(equal_to_order(lhs, rhs, q),
                  "half shift by %s/2 violated" % sigma)
@@ -329,72 +322,40 @@ def _max_residual(values):
     return max(values) if values else 0.0
 
 
-def _case_psi_periodicity(M):
+# (name, seed offset, index map, argument map, sign): the block at the
+# mapped arguments equals sign(eps) times the block at the mapped
+# indices; each case checks the four characteristic blocks at t = 0
+_PSI_SYMMETRIES = (
     # index shift by (M, 0) costs the phase e^{2 pi i eps}
-    def run(cfg):
-        pts = _zero_t(default_points(5, seed=M))
-        worst = []
-        for pr in _characteristic_blocks(M):
-            shifted = PsiParams(M, pr.j + M, pr.k, pr.eps, pr.eps_prime)
-            phase = 1 if pr.eps == 0 else -1
-            for p in pts:
-                lhs = psi_numeric(shifted, p.tau, p.z1, p.z2, p.t)
-                rhs = phase * psi_numeric(pr, p.tau, p.z1, p.z2, p.t)
-                worst.append(float(abs(lhs - rhs)))
-        r = _max_residual(worst)
-        _require(r < cfg.tol, "periodicity residual %.3e" % r)
-        return "max residual %.1e over %d evaluations" % (r, len(worst))
-    return run
-
-
-def _case_psi_reflect_swap(M):
+    ("periodicity", 0, lambda M, j, k: (j + M, k),
+     lambda z1, z2: (z1, z2), lambda eps: 1 if eps == 0 else -1),
     # negating both z and swapping them maps (j, k) to (-k, -j) with a
     # global minus sign
-    def run(cfg):
-        pts = _zero_t(default_points(5, seed=M + 20))
-        worst = []
-        for pr in _characteristic_blocks(M):
-            mirror = PsiParams(M, -pr.k, -pr.j, pr.eps, pr.eps_prime)
-            for p in pts:
-                lhs = psi_numeric(pr, p.tau, -p.z1, -p.z2, 0)
-                rhs = -psi_numeric(mirror, p.tau, p.z2, p.z1, 0)
-                worst.append(float(abs(lhs - rhs)))
-        r = _max_residual(worst)
-        _require(r < cfg.tol, "reflect-swap residual %.3e" % r)
-        return "max residual %.1e over %d evaluations" % (r, len(worst))
-    return run
-
-
-def _case_psi_swap(M):
+    ("reflect-swap", 20, lambda M, j, k: (-k, -j),
+     lambda z1, z2: (-z2, -z1), lambda eps: -1),
     # swapping z1, z2 swaps the indices
-    def run(cfg):
-        pts = _zero_t(default_points(5, seed=M + 40))
-        worst = []
-        for pr in _characteristic_blocks(M):
-            swapped = PsiParams(M, pr.k, pr.j, pr.eps, pr.eps_prime)
-            for p in pts:
-                lhs = psi_numeric(pr, p.tau, p.z2, p.z1, 0)
-                rhs = psi_numeric(swapped, p.tau, p.z1, p.z2, 0)
-                worst.append(float(abs(lhs - rhs)))
-        r = _max_residual(worst)
-        _require(r < cfg.tol, "swap residual %.3e" % r)
-        return "max residual %.1e over %d evaluations" % (r, len(worst))
-    return run
-
-
-def _case_psi_reflect(M):
+    ("swap", 40, lambda M, j, k: (k, j),
+     lambda z1, z2: (z2, z1), lambda eps: 1),
     # negating both z negates the block at (-j, -k)
+    ("reflect", 60, lambda M, j, k: (-j, -k),
+     lambda z1, z2: (-z1, -z2), lambda eps: -1),
+)
+
+
+def _case_psi_symmetry(M, name, offset, index_map, arg_map, sign):
     def run(cfg):
-        pts = _zero_t(default_points(5, seed=M + 60))
+        pts = _zero_t(default_points(5, seed=M + offset))
         worst = []
         for pr in _characteristic_blocks(M):
-            mirror = PsiParams(M, -pr.j, -pr.k, pr.eps, pr.eps_prime)
+            mapped = PsiParams(M, *index_map(M, pr.j, pr.k), pr.eps,
+                               pr.eps_prime)
             for p in pts:
-                lhs = psi_numeric(pr, p.tau, -p.z1, -p.z2, 0)
-                rhs = -psi_numeric(mirror, p.tau, p.z1, p.z2, 0)
+                lhs = psi_numeric(pr, p.tau, *arg_map(p.z1, p.z2), p.t)
+                rhs = sign(pr.eps) * psi_numeric(mapped, p.tau, p.z1, p.z2,
+                                                 p.t)
                 worst.append(float(abs(lhs - rhs)))
         r = _max_residual(worst)
-        _require(r < cfg.tol, "reflection residual %.3e" % r)
+        _require(r < cfg.tol, "%s residual %.3e" % (name, r))
         return "max residual %.1e over %d evaluations" % (r, len(worst))
     return run
 
@@ -467,14 +428,10 @@ def _case_appell_prefactor(cfg):
 
 def _psi_cases():
     cases = []
-    for M in (1, 2, 3, 4):
-        cases.append(("psi/periodicity/M%d" % M, _case_psi_periodicity(M)))
-    for M in (1, 2, 3, 4):
-        cases.append(("psi/reflect-swap/M%d" % M, _case_psi_reflect_swap(M)))
-    for M in (1, 2, 3, 4):
-        cases.append(("psi/swap/M%d" % M, _case_psi_swap(M)))
-    for M in (1, 2, 3, 4):
-        cases.append(("psi/reflect/M%d" % M, _case_psi_reflect(M)))
+    for row in _PSI_SYMMETRIES:
+        for M in (1, 2, 3, 4):
+            cases.append(("psi/%s/M%d" % (row[0], M),
+                          _case_psi_symmetry(M, *row)))
     for M in (1, 2, 3, 4):
         cases.append(("psi/diagonal-ratio/M%d" % M, _case_psi_diag_ratio(M)))
     cases.append(("psi/m1-collapse", _case_psi_m1_collapse))
@@ -534,8 +491,8 @@ def _case_nice_consistency(M):
 def _m2_closed_ratio(sector, j, sign, q_order):
     """The eta/theta-quotient closed form of one M = 2 character."""
     p = Fraction(q_order)
-    e2 = eta_scaled_pow(2, 3, p)
-    e1 = eta_scaled_pow(1, 3, p)
+    e2 = eta_pow_scaled(2, 3, p)
+    e1 = eta_pow_scaled(1, 3, p)
 
     def th(lab, ts, zs, rt):
         return theta_shifted(lab, p, ts, zs, rt, 0)
@@ -695,33 +652,15 @@ def _characters_cases():
 # reduction suite
 
 
-def _closed_nice_hs(M, k1, heart, twisted):
-    """(h, s) of the nice module from the direct character values."""
-    if not twisted:
-        j = k1 + HALF if heart == "I" else -(k1 + HALF)
-        h = j * j / M + Fraction(1, 4 * M) - HALF
-        s = 2 * j / Fraction(M) - 1
-    else:
-        j = Fraction(-k1) if heart == "I" else Fraction(k1 + 1)
-        h = j * j / M + Fraction(1, 4 * M) - Fraction(1, 4)
-        s = 2 * j / Fraction(M)
-    return h, s
-
-
 def _case_nice_specialization(M):
+    # nice_param_to_j asserts that the reduction tables at m = 1, m2 = 0
+    # give the direct character (h, s) at the returned j
     def run(cfg):
         n = 0
         for twisted in (False, True):
             for heart in ("I", "III"):
                 for k1 in nice_k1_values(M, heart):
-                    params = ReductionParams(M, 1, 0, k1, M - 1 - 2 * k1,
-                                             heart, twisted)
-                    got = reduction_hs(params)
-                    want = _closed_nice_hs(M, k1, heart, twisted)
-                    _require(got == want,
-                             "(h, s) = %s, closed form %s at k1=%d "
-                             "heart=%s twisted=%s"
-                             % (got, want, k1, heart, twisted))
+                    nice_param_to_j(M, k1, heart, twisted)
                     n += 1
         return "%d parameter tuples exact" % n
     return run
@@ -832,19 +771,11 @@ def _reduction_cases():
 # modular suite
 
 
-def _modular_blocks(M):
-    out = []
-    for eps in (Fraction(0), HALF):
-        for eps_p in (Fraction(0), HALF):
-            out.append(PsiParams(M, eps_p + 1, eps_p, eps, eps_p))
-    return out
-
-
 def _case_psi_s_law(M):
     def run(cfg):
         pts = default_points(5, seed=M + 100)
         worst = []
-        for pr in _modular_blocks(M):
+        for pr in _characteristic_blocks(M):
             for p in pts:
                 worst.append(psi_s_residual(pr, p))
         r = _max_residual(worst)
@@ -857,7 +788,7 @@ def _case_psi_t_law(M):
     def run(cfg):
         pts = default_points(5, seed=M + 120)
         worst = []
-        for pr in _modular_blocks(M):
+        for pr in _characteristic_blocks(M):
             for p in pts:
                 worst.append(psi_t_residual(pr, p))
         r = _max_residual(worst)

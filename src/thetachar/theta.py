@@ -42,8 +42,8 @@ from functools import lru_cache
 from mpmath import mp
 
 from .qseries import (
-    CoefficientRingError, JacobiSeries, GaussianRational, I_UNIT, add, mul,
-    product, scale_monomial, subst_scale_tau, truncate,
+    CoefficientRingError, JacobiSeries, GaussianRational, add, mul, product,
+    scale_monomial, subst_scale_tau, truncate,
 )
 
 THETA_LABELS = ("00", "01", "10", "11")
@@ -66,47 +66,6 @@ def _check_label(label):
     if label not in THETA_LABELS:
         raise ValueError("unknown theta label %r, want one of %s"
                          % (label, THETA_LABELS))
-
-
-@lru_cache(maxsize=None)
-def theta_product(label, q_order):
-    """Product-form theta_label as an exact series trusted below q_order."""
-    _check_label(label)
-    q_order = Fraction(q_order)
-    a, b = int(label[0]), int(label[1])
-    sx = -1 if b else 1
-
-    def two_term(qe2, xe2, c2):
-        return add(JacobiSeries.one(q_order),
-                   JacobiSeries.monomial(qe2, xe2, c2, q_order))
-
-    s = JacobiSeries.one(q_order)
-    n = 1
-    while True:
-        live = False
-        if n < q_order:
-            s = mul(s, two_term(n, 0, -1))
-            live = True
-        if a == 0:
-            e = Fraction(2 * n - 1, 2)
-            if e < q_order:
-                s = mul(s, two_term(e, 1, sx))
-                s = mul(s, two_term(e, -1, sx))
-                live = True
-        else:
-            if n < q_order:
-                s = mul(s, two_term(n, 1, sx))
-                live = True
-            if n - 1 < q_order:
-                s = mul(s, two_term(n - 1, -1, sx))
-                live = True
-        if not live:
-            break
-        n += 1
-    if a == 1:
-        coeff = I_UNIT if b == 1 else GaussianRational(1)
-        s = scale_monomial(s, Fraction(1, 8), Fraction(1, 2), coeff)
-    return s
 
 
 @lru_cache(maxsize=None)
@@ -143,13 +102,15 @@ def eta(q_order):
 
 
 @lru_cache(maxsize=None)
-def eta_pow3_scaled(m, q_order):
-    """eta(m tau)^3 trusted below q_order, for positive integer m."""
+def eta_pow_scaled(m, power, q_order):
+    """eta(m tau)**power trusted below q_order, for positive integers m
+    and power."""
     q_order = Fraction(q_order)
-    base_order = Fraction(math.ceil(q_order / m))
-    e = eta(base_order)
-    e3 = mul(mul(e, e), e)
-    return truncate(subst_scale_tau(e3, m), q_order)
+    base = eta(Fraction(max(1, math.ceil(q_order / m))))
+    s = base
+    for _ in range(power - 1):
+        s = mul(s, base)
+    return truncate(subst_scale_tau(s, m), q_order)
 
 
 @lru_cache(maxsize=None)
@@ -159,12 +120,13 @@ def theta_shifted(label, q_order, tau_scale=1, z_scale=1, r_tau=Fraction(0),
     exact series trusted below q_order.
 
     Built straight from the product form with the shifted argument
-    absorbed into every two-term factor, so the trust bound needs no
-    assumption about the support: once each factor of q-exponent below W
-    is multiplied in, the omitted tail is 1 + O(q^W) and only touches
-    exponents at or above W plus the partial product's valuation.  W is
-    raised until that sound bound covers the request, then the result is
-    truncated to exactly q_order.
+    absorbed into every two-term factor (1 + c x^k q^e).  Leaving out
+    every factor with e >= W leaves a tail 1 + O(q^W), so the finite
+    product P is exact below W + v(P), and its valuation v(P) is at
+    least the sum of min(0, e) over its factors.  Every factor with
+    e < 0 is in P once W > 0, so that sum is known before P is built: W
+    is set to cover q_order with it, P is multiplied out once, trusted
+    to W, and truncated to exactly q_order.
 
     With x' = e^{2 pi i (z_scale*z + r_tau*tau + r_one)} the factor
     (1 + s x' q^{tau_scale e}) becomes
@@ -189,6 +151,7 @@ def theta_shifted(label, q_order, tau_scale=1, z_scale=1, r_tau=Fraction(0),
     sx = -1 if b else 1
     c_fwd = GaussianRational(sx).times_i_power(k4)
     c_bwd = GaussianRational(sx).times_i_power(-k4)
+    c_pure = GaussianRational(-1)
     if a == 1:
         if k4 % 2:
             raise CoefficientRingError(
@@ -202,45 +165,31 @@ def theta_shifted(label, q_order, tau_scale=1, z_scale=1, r_tau=Fraction(0),
         pre_x = Fraction(0)
         pre_c = GaussianRational(1)
 
-    work = max(Fraction(1), q_order - pre_q)
-    for _ in range(64):
-        factors = []
+    def factors(work):
+        """(e, k, c) of every factor with q-exponent e below work."""
+        out = []
         n = 1
         while True:
-            live = False
-            if ts * n < work:
-                factors.append((Fraction(ts * n), 0, GaussianRational(-1)))
-                live = True
             if a == 0:
-                e_half = Fraction(ts * (2 * n - 1), 2)
-                if e_half + r_tau < work:
-                    factors.append((e_half + r_tau, zs, c_fwd))
-                    live = True
-                if e_half - r_tau < work:
-                    factors.append((e_half - r_tau, -zs, c_bwd))
-                    live = True
+                e_fwd = e_bwd = Fraction(ts * (2 * n - 1), 2)
             else:
-                if ts * n + r_tau < work:
-                    factors.append((ts * n + r_tau, zs, c_fwd))
-                    live = True
-                if ts * (n - 1) - r_tau < work:
-                    factors.append((ts * (n - 1) - r_tau, -zs, c_bwd))
-                    live = True
+                e_fwd, e_bwd = Fraction(ts * n), Fraction(ts * (n - 1))
+            row = ((ts * n, 0, c_pure), (e_fwd + r_tau, zs, c_fwd),
+                   (e_bwd - r_tau, -zs, c_bwd))
+            live = [f for f in row if f[0] < work]
             if not live:
-                break
+                return out
+            out.extend(live)
             n += 1
-        big = work + sum(max(Fraction(0), -e) for e, _, _ in factors) + 1
-        s = product([add(JacobiSeries.one(big),
-                         JacobiSeries.monomial(e, xe, cf, big))
-                     for e, xe, cf in factors], seed_order=big)
-        achieved = min(s.q_order, work + s.q_valuation_bound()) + pre_q
-        if achieved >= q_order:
-            if pre_q or pre_x or pre_c != 1:
-                s = scale_monomial(s, pre_q, pre_x, pre_c)
-            return truncate(s, q_order)
-        work += max(Fraction(1), q_order - achieved)
-    raise RuntimeError("no work order reached %s for theta_%s at scale %d, "
-                       "shift (%s, %s)" % (q_order, label, ts, r_tau, r_one))
+
+    low = sum(min(0, e) for e, _, _ in factors(1))
+    work = max(Fraction(1), q_order - pre_q - low)
+    s = product([add(JacobiSeries.one(work),
+                     JacobiSeries.monomial(e, k, c, work))
+                 for e, k, c in factors(work)], seed_order=work)
+    if pre_q or pre_x or pre_c != 1:
+        s = scale_monomial(s, pre_q, pre_x, pre_c)
+    return truncate(s, q_order)
 
 
 # ---------------------------------------------------------------------
@@ -281,8 +230,9 @@ def theta_numeric(label, tau, z, abs_err=None):
     Terms are added symmetrically outward until a geometric majorant
     bounds both remaining tails below abs_err (default 10^-(dps-5) at
     the working precision).  Raises TailBoundError when the bound cannot
-    be met within a fixed term budget.  Inside numeric_memo() a repeated
-    argument is answered from the memo.
+    be met within a fixed term budget, before summing when the ratio
+    gate alone would need more terms than that.  Inside numeric_memo() a
+    repeated argument is answered from the memo.
     """
     _check_label(label)
     tau = mp.mpc(tau)
@@ -323,9 +273,18 @@ def _theta_lattice_sum(label, tau, z, abs_err):
     s_neg = mag(h0 - 3) / m_neg
 
     gate = mp.mpf("0.9")
+    n_cap = 100000
+
+    def too_long():
+        return TailBoundError("theta tail bound %s not reached within %d "
+                              "terms" % (abs_err, n_cap))
+
+    # the ratios fall below the gate after log(s / gate) / (2 pi y) steps
+    steep = max(s_pos, s_neg)
+    if steep >= gate and mp.log(steep / gate) / (2 * mp.pi * y) >= n_cap:
+        raise too_long()
     total = mp.mpc(0)
     n = 0
-    n_cap = 100000
     while True:
         total += t_pos              # h = n + h0
         total += t_neg              # h = -n - 1 + h0
@@ -334,8 +293,7 @@ def _theta_lattice_sum(label, tau, z, abs_err):
                 break
         n += 1
         if n > n_cap:
-            raise TailBoundError("theta tail bound %s not reached within "
-                                 "%d terms" % (abs_err, n_cap))
+            raise too_long()
         t_pos *= r_pos
         r_pos *= q2
         t_neg *= r_neg

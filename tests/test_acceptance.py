@@ -43,7 +43,7 @@ from thetachar.suites import (
     ratio_pair_equal,
     run_suite,
 )
-from thetachar.theta import DEFAULT_DPS, theta_product, theta_sum
+from thetachar.theta import DEFAULT_DPS, theta_shifted, theta_sum
 
 
 def acceptance(n):
@@ -93,8 +93,8 @@ def test_acceptance_02_theta_identity_suite():
 def test_acceptance_03_theta_sum_vs_product():
     q = F(20)
     for label in ("00", "01", "10", "11"):
-        assert equal_to_order(theta_product(label, q), theta_sum(label, q),
-                              q), label
+        assert equal_to_order(theta_shifted(label, q, 1, 1, 0, 0),
+                              theta_sum(label, q), q), label
     return "sum and product theta forms identical below q^20, all labels"
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import thetachar.qseries as qseries
 from thetachar.characters import (
     CharacterSpec,
     ReductionParams,
@@ -139,6 +140,25 @@ class TestSeriesControls:
             h, _ = h_s_values(spec)
             lead = -central_charge(3) / 24 + h
             assert min(qe for qe, _, _ in ser.terms()) == lead
+
+
+    @pytest.mark.parametrize("M,j,sector", [
+        (2, HALF, "NS"), (3, F(0), "R"), (4, F(0), "R"), (4, HALF, "NS"),
+    ])
+    def test_expansion_inverts_once(self, monkeypatch, M, j, sector):
+        # these ratios fall short of the request when built at it (by
+        # 3/8 up to 5/4), so the padding must be right the first time
+        inversions = []
+        real = qseries.invert_directed
+
+        def counting(*args, **kwargs):
+            inversions.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(qseries, "invert_directed", counting)
+        ser = character_series(CharacterSpec(M, j, sector, "+"), F(2))
+        assert ser.q_order == F(2)
+        assert len(inversions) == 1
 
 
 class TestDenominator:

@@ -28,10 +28,8 @@ from thetachar.qseries import (
     restrict_window,
     scale_monomial,
     sub,
-    subst_negate_z,
     subst_scale_tau,
     subst_scale_z,
-    subst_shift_z,
     to_json_dict,
     truncate,
 )
@@ -270,52 +268,6 @@ class TestSubstitutions:
         assert t.terms() == [(F(1), F(1), GaussianRational(1))]
         assert t.q_order == F(4)
 
-    def test_negate_z_is_involution(self):
-        s = poly(5, (0, -2, 1), (1, 1, GaussianRational(0, 1)))
-        t = subst_negate_z(subst_negate_z(s))
-        assert _same(s, t)
-        assert subst_negate_z(s).coefficient(0, 2) == 1
-
-    def test_negate_z_flips_window(self):
-        s = restrict_window(poly(5, (0, 1, 1)), (F(-3), F(1)))
-        assert subst_negate_z(s).x_window == (F(-1), F(3))
-
-    def test_shift_z_moves_exponents(self):
-        # x -> x q^r sends q^a x^b to q^(a + r b) x^b
-        s = poly(10, (0, 2, 1), (1, -1, 2))
-        t = subst_shift_z(s, F(1, 2), 0)
-        assert t.coefficient(F(1), F(2)) == 1
-        assert t.coefficient(F(1, 2), F(-1)) == 2
-
-    def test_shift_z_trust_from_support_geometry(self):
-        # min x-exponent -2, x_den 1, r = 1: each column one step below
-        # the minimum costs one unit of q, so trust drops to Q - 3
-        s = poly(9, (0, -2, 1), (0, 2, 1))
-        t = subst_shift_z(s, 1, 0)
-        assert t.q_order == F(9) - 3
-
-    def test_shift_z_roundtrip(self):
-        s = poly(12, (0, -1, 1), (0, 1, 1), (2, 0, 5))
-        rt = subst_shift_z(subst_shift_z(s, F(3, 2), 0), F(-3, 2), 0)
-        assert first_difference(s, rt, rt.q_order) is None
-
-    def test_shift_z_phase_powers_of_i(self):
-        s = poly(6, (0, 1, 1), (0, 2, 1))
-        t = subst_shift_z(s, 0, F(1, 4))        # x -> i x
-        assert t.coefficient(0, 1) == I_UNIT
-        assert t.coefficient(0, 2) == -1
-        u = subst_shift_z(s, 0, F(1, 2))        # x -> -x
-        assert u.coefficient(0, 1) == -1
-        assert u.coefficient(0, 2) == 1
-
-    def test_shift_z_rejects_other_roots_of_unity(self):
-        s = poly(6, (0, 1, 1))
-        with pytest.raises(CoefficientRingError):
-            subst_shift_z(s, 0, F(1, 3))
-        half_int = poly(6, (0, F(1, 2), 1))
-        with pytest.raises(CoefficientRingError):
-            subst_shift_z(half_int, 0, F(1, 4))
-
     def test_scale_monomial(self):
         s = poly(5, (1, 0, 1), (2, 1, 3))
         t = scale_monomial(s, F(1, 2), F(-1), GaussianRational(0, 2))
@@ -408,6 +360,18 @@ class TestInversion:
         s = r.as_series(5, (F(-6), F(2)))
         recon = mul(s, den)
         assert first_difference(recon, num, F(3)) is None
+
+    def test_series_ratio_expansion_order_is_reached(self):
+        # den has valuation 1, so its inverse is trusted only below
+        # 6 - 2; the bound is found without inverting and is exact
+        num = poly(6, (0, 1, 1), (0, 0, 1))
+        den = poly(6, (1, 0, 1), (2, 1, -1))
+        r = SeriesRatio(num, den)
+        assert r.expansion_order() == F(4)
+        s = r.as_series(4, (F(-6), F(2)))
+        assert first_difference(mul(s, den), num, F(4)) is None
+        with pytest.raises(UntrustedOrderError):
+            r.as_series(F(4) + F(1, 2), (F(-6), F(2)))
 
     def test_series_ratio_scale_and_mul(self):
         one = JacobiSeries.one(6)

@@ -1,10 +1,13 @@
 """Unit tests for theta and eta builders, exact and numeric."""
 
+import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp, mpc
+
+import thetachar.theta as theta_module
 
 from thetachar.qseries import (
     CoefficientRingError,
@@ -26,10 +29,9 @@ from thetachar.theta import (
     TailBoundError,
     eta,
     eta_numeric,
-    eta_pow3_scaled,
+    eta_pow_scaled,
     numeric_memo,
     theta_numeric,
-    theta_product,
     theta_shifted,
     theta_sum,
 )
@@ -64,7 +66,7 @@ def shifted_sum_oracle(label, q_order, ts, zs, rt, ro):
 
 class TestExactSeries:
     def test_theta_00_low_order_literal(self):
-        s = theta_product("00", 2)
+        s = theta_shifted("00", 2, 1, 1, 0, 0)
         assert s.terms() == [
             (F(0), F(0), GaussianRational(1)),
             (HALF, F(-1), GaussianRational(1)),
@@ -72,7 +74,7 @@ class TestExactSeries:
         ]
 
     def test_theta_11_low_order_literal(self):
-        s = theta_product("11", 2)
+        s = theta_shifted("11", 2, 1, 1, 0, 0)
         want = {
             (F(1, 8), HALF): I_UNIT,
             (F(1, 8), -HALF): -I_UNIT,
@@ -82,24 +84,29 @@ class TestExactSeries:
         assert {(qe, xe): c for (qe, xe, c) in s.terms()} == want
 
     def test_theta_01_signs(self):
-        s = theta_product("01", 3)
+        s = theta_shifted("01", 3, 1, 1, 0, 0)
         assert s.coefficient(HALF, 1) == -1
         assert s.coefficient(2, 2) == 1
 
     def test_theta_10_prefactor_trust(self):
-        s = theta_product("10", 3)
-        assert s.q_order == F(3) + F(1, 8)
+        # the q^{1/8} prefactor costs no trust: the build is truncated to
+        # exactly the requested order, with every term below it present
+        s = theta_shifted("10", 3, 1, 1, 0, 0)
+        assert s.q_order == F(3)
         assert s.coefficient(F(1, 8), HALF) == 1
         assert s.coefficient(F(1, 8), -HALF) == 1
+        assert s.coefficient(F(9, 8), F(3, 2)) == 1
+        assert s.coefficient(F(9, 8), F(-3, 2)) == 1
 
     @pytest.mark.parametrize("label", LABELS)
     def test_product_equals_sum(self, label):
         q = F(12)
-        assert equal_to_order(theta_product(label, q), theta_sum(label, q), q)
+        assert equal_to_order(theta_shifted(label, q, 1, 1, 0, 0),
+                              theta_sum(label, q), q)
 
     def test_bad_label_rejected(self):
         with pytest.raises(ValueError):
-            theta_product("12", 4)
+            theta_shifted("12", 4, 1, 1, 0, 0)
         with pytest.raises(ValueError):
             theta_sum("0", 4)
 
@@ -113,7 +120,7 @@ class TestEta:
             assert s.coefficient(n + adj, 0) == expected.get(n, 0)
 
     def test_eta_cubed_scaled(self):
-        s = eta_pow3_scaled(2, 9)
+        s = eta_pow_scaled(2, 3, 9)
         # eta^3 = sum (-1)^m (2m+1) q^{m(m+1)/2 + 1/8}, here at 2*tau
         assert s.coefficient(F(2, 8), 0) == 1
         assert s.coefficient(2 + F(2, 8), 0) == -3
@@ -150,7 +157,7 @@ class TestNumericOracles:
         mp.dps = 35
         tau = mpc("0.07", "1.3")
         z = mpc("0.21", "0.12")
-        s = theta_product(label, 12)
+        s = theta_shifted(label, 12, 1, 1, 0, 0)
         got = eval_numeric(s, tau, z)
         assert abs(got - theta_numeric(label, tau, z)) < mp.mpf("1e-28")
 
@@ -195,9 +202,13 @@ class TestRecurrenceSum:
                    - theta_numeric(label, tau, z)) < loose
 
     def test_term_cap_raises(self):
+        # the ratio gate alone needs about 1.7e7 terms here, so the cap
+        # is known to be out of reach before the sum starts
         mp.dps = 30
+        start = time.perf_counter()
         with pytest.raises(TailBoundError):
             theta_numeric("00", mpc(0, "1e-9"), 0)
+        assert time.perf_counter() - start < 0.2
 
 
 class TestNumericMemo:
@@ -250,28 +261,28 @@ class TestThetaShifted:
     @pytest.mark.parametrize("label", LABELS)
     def test_unshifted_matches_product_form(self, label):
         a = theta_shifted(label, 7)
-        b = theta_product(label, 7)
+        b = theta_sum(label, 7)
         assert equal_to_order(a, b, 7)
 
     def test_pure_tau_scale_matches_substitution(self, label="01"):
         direct = theta_shifted(label, 10, 3, 1, 0, 0)
-        via_subst = truncate(subst_scale_tau(theta_product(label, 4), 3), 10)
+        via_subst = truncate(subst_scale_tau(theta_sum(label, 4), 3), 10)
         assert first_difference(direct, via_subst, 10) is None
 
     def test_pure_z_scale_matches_substitution(self):
         direct = theta_shifted("00", 6, 1, 3, 0, 0)
-        via_subst = subst_scale_z(theta_product("00", 6), 3)
+        via_subst = subst_scale_z(theta_sum("00", 6), 3)
         assert first_difference(direct, via_subst, 6) is None
 
     def test_half_period_shift_swaps_labels(self):
         # theta_00(tau, z + 1/2) = theta_01(tau, z)
         a = theta_shifted("00", 8, 1, 1, 0, HALF)
-        assert equal_to_order(a, theta_product("01", 8), 8)
+        assert equal_to_order(a, theta_sum("01", 8), 8)
 
     def test_tau_half_shift_conjugates(self):
         # theta_00(tau, z + tau/2) = q^{-1/8} x^{-1/2} theta_10(tau, z)
         a = theta_shifted("00", 5, 1, 1, HALF, 0)
-        b = scale_monomial(theta_product("10", 5), -F(1, 8), -HALF, 1)
+        b = scale_monomial(theta_sum("10", 6), -F(1, 8), -HALF, 1)
         assert equal_to_order(a, b, 5)
 
     @pytest.mark.parametrize("label,q,ts,zs,rt,ro", [
@@ -302,6 +313,41 @@ class TestThetaShifted:
         # and a rebuild at higher order truncates back to the same series
         deeper = truncate(theta_shifted("11", F(89, 8), 4, 2, 3, 0), F(57, 8))
         assert first_difference(got, deeper, F(57, 8)) is None
+
+    def test_one_product_per_cache_miss(self, monkeypatch):
+        # the padding is computed, so each build multiplies out exactly
+        # one product, deep shifts included
+        products = []
+        real = theta_module.product
+
+        def counting(*args, **kwargs):
+            products.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(theta_module, "product", counting)
+        theta_shifted.cache_clear()
+        for args in [("00", F(6), 1, 1, HALF, 0), ("11", F(57, 8), 4, 2, 3, 0),
+                     ("10", F(31, 4), 5, 1, 4, 0), ("01", F(7), 2, 1, -2, 0),
+                     ("11", F(9), 2, 2, F(5, 2), HALF)]:
+            theta_shifted(*args)
+            theta_shifted(*args)
+        assert len(products) == theta_shifted.cache_info().misses == 5
+
+    @settings(deadline=None, max_examples=60)
+    @given(label=st.sampled_from(LABELS), ts=st.integers(1, 4),
+           zs=st.integers(1, 2), rt2=st.integers(-16, 16),
+           ro4=st.integers(0, 3), q2=st.integers(1, 12))
+    def test_truncates_from_a_deeper_build(self, label, ts, zs, rt2, ro4,
+                                           q2):
+        # an under-padded build would lose terms that the deeper build
+        # keeps, whatever rule chose the padding
+        assume(abs(rt2) <= 4 * ts)
+        assume(label[0] == "0" or ro4 % 2 == 0)
+        rt, ro, q = F(rt2, 2), F(ro4, 4), F(q2, 2)
+        got = theta_shifted(label, q, ts, zs, rt, ro)
+        deeper = truncate(theta_shifted(label, q + 2, ts, zs, rt, ro), q)
+        assert got.q_order == q
+        assert got.terms() == deeper.terms()
 
     def test_numeric_semantics(self):
         mp.dps = 35
