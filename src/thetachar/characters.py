@@ -15,8 +15,8 @@ resp. 0, and
     d = (1 - 2 eps', 1 - 2 eps).
 
 The quadruple product turns that into the equivalent three-thetas-over-
-one form; denominator() can return either and asserts their agreement
-once per (sign, sector, order).
+one form, denominator_theta_form(); the characters suite checks the two
+forms against each other.
 
 The reduction bookkeeping (hearts I-IV, levels (k1, k2), weights m,
 m2) carries the conformal weight and spin tables, the equivalences
@@ -29,7 +29,6 @@ cross-multiplied identities.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -122,7 +121,14 @@ def denominator_label(sign, sector):
     return "%d%d" % (a, b)
 
 
-def _denominator_eta_form(sign, sector, q_order):
+def denominator(sign, sector, q_order):
+    """Exact SeriesRatio (+/- i eta^3 theta_11(tau, 2z), theta_d^2) for
+    R^{(eps)}_{eps'}."""
+    _check_sign(sign)
+    _check_sector(sector)
+    q_order = Fraction(q_order)
+    if q_order <= 0:
+        raise ValueError("q_order must be positive")
     c = GaussianRational(0, -1 if sign == "+" else 1)
     num = mul(eta_pow_scaled(1, 3, q_order),
               theta_shifted("11", q_order, 1, 2, Fraction(0), Fraction(0)))
@@ -131,42 +137,15 @@ def _denominator_eta_form(sign, sector, q_order):
     return SeriesRatio(num, mul(d, d))
 
 
-def _denominator_theta_form(sign, sector, q_order):
+def denominator_theta_form(sign, sector, q_order):
+    """The same denominator as three thetas over theta_d, by the
+    quadruple product: the oracle denominator() is checked against."""
     c = GaussianRational(0, -1 if sign == "+" else 1)
     d = denominator_label(sign, sector)
     num = product([theta_shifted(lab, q_order, 1, 1, 0, 0)
                    for lab in THETA_LABELS if lab != d])
     num = scale_monomial(num, 0, 0, c)
     return SeriesRatio(num, theta_shifted(d, q_order, 1, 1, 0, 0))
-
-
-@functools.lru_cache(maxsize=None)
-def _denominator_forms_agree(sign, sector, q_order):
-    lhs = _denominator_eta_form(sign, sector, q_order)
-    rhs = _denominator_theta_form(sign, sector, q_order)
-    return lhs.equals(rhs, q_order)
-
-
-def denominator(sign, sector, q_order, form="eta"):
-    """Exact SeriesRatio for R^{(eps)}_{eps'}.
-
-    form "eta" returns (+/- i eta^3 theta_11(2z), theta_d^2); form
-    "theta" multiplies out to the three-thetas-over-one shape and
-    asserts (once per argument triple) that the two agree.
-    """
-    _check_sign(sign)
-    _check_sector(sector)
-    q_order = Fraction(q_order)
-    if q_order <= 0:
-        raise ValueError("q_order must be positive")
-    if form == "eta":
-        return _denominator_eta_form(sign, sector, q_order)
-    if form == "theta":
-        if not _denominator_forms_agree(sign, sector, q_order):
-            raise AssertionError(
-                "denominator forms disagree for %s %s" % (sign, sector))
-        return _denominator_theta_form(sign, sector, q_order)
-    raise ValueError("form must be 'eta' or 'theta'")
 
 
 # (sector, sign) -> (overall factor on sgn(j), rescaled numerator
@@ -308,11 +287,17 @@ def vanishes(params):
             and p.m2 == p.m)
 
 
+def nice_k1_values(M, heart):
+    """Valid k1 for the closed-form (nice) parameters at heart I or III:
+    0 <= 2k1 <= M - 1 at heart I, and k2 = M - 1 - 2k1 >= 1 at III."""
+    top = M - 1 if heart == "I" else M - 2
+    return tuple(range(top // 2 + 1))
+
+
 def _check_nice_range(M, k1, heart):
     if heart not in ("I", "III"):
         raise ValueError("nice parameters exist only for hearts I and III")
-    top = M - 1 if heart == "I" else M - 2
-    if not 0 <= 2 * k1 <= top:
+    if k1 not in nice_k1_values(M, heart):
         raise ValueError("k1 = %d out of the nice range for heart %s at "
                          "M = %d" % (k1, heart, M))
 

@@ -37,7 +37,8 @@ from mpmath import mp
 
 from . import __version__
 from .characters import (CharacterSpec, central_charge, character_series,
-                         h_s_values, index_set, nice_param_to_j)
+                         h_s_values, index_set, nice_k1_values,
+                         nice_param_to_j)
 from .modular import (IllConditionedError, default_points, family_members,
                       span_closure)
 from .qseries import dumps_canonical, from_json_dict, to_json_dict
@@ -326,10 +327,10 @@ def cmd_table(args):
     rows = []
     for M in range(lo, hi + 1):
         c = central_charge(M)
-        for k1 in range((M - 1) // 2 + 1):
+        for k1 in nice_k1_values(M, "I"):
             k2 = M - 1 - 2 * k1
             for heart in ("I", "III"):
-                if heart == "III" and k2 < 1:
+                if k1 not in nice_k1_values(M, heart):
                     continue
                 j = nice_param_to_j(M, k1, heart, twisted)
                 h, s = h_s_values(CharacterSpec(M, j, sector, "+"))

@@ -1,31 +1,51 @@
 """Named verification suites behind the `verify` command.
 
-A suite is an ordered tuple of (case id, callable) pairs.  Cases take
-the SuiteConfig and return a detail string; they fail by raising
-(CaseFailure for a checked property, anything else counts too) and may
-raise SkipCase.  run_suite runs the cases one after another in registry
-order, so reports are deterministic.
+A suite is an ordered tuple of (case id, callable) rows.  A case takes
+the SuiteConfig and returns a detail string; it fails by raising
+(CaseFailure for a checked property, anything else counts too).  Most
+rows hand a function of q = cfg.q_order to one of three runners:
+
+    _exact     it yields (lhs, rhs) series equal below q;
+    _ratio     it yields (build_a, build_b) SeriesRatio builders whose
+               cross products agree below q (ratio_pair_equal);
+    _residual  it yields numeric differences, all under cfg.tol.
+
+The checks that are one of a kind (M = 2 leading rows, nice
+specialization, equivalence pairs, the vanishing scan, index sets, span
+closure and T phases) are case functions of their own.
+
+Rows build their series at fixed orders, so cases share the lru-cached
+builders in theta.  The span and t-phases rows of the modular suite
+share certificates through one dict that each suite_cases("modular")
+call makes, keyed by (M, statement, transform, mp.prec); it lives as
+long as that tuple of cases, which run_suite drops when it returns.
+run_suite runs the cases one after another in registry order, so
+reports are deterministic.
 """
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import product as iproduct
 
 from mpmath import mp
 
-from .qseries import (GaussianRational, JacobiSeries, SeriesRatio,
-                      equal_to_order, mul, product, scale_monomial, add,
-                      eval_numeric)
-from .theta import (DEFAULT_DPS, eta, eta_pow_scaled, theta_shifted,
-                    theta_sum)
+from .qseries import (GaussianRational, JacobiSeries, SeriesRatio, add,
+                      equal_to_order, eval_numeric, mul, product,
+                      scale_monomial)
+from .theta import (DEFAULT_DPS, THETA_LABELS, eta, eta_pow_scaled,
+                    theta_shifted, theta_sum)
 from .mockpsi import (HALF, PsiParams, phi1_numeric, phi_a11_numeric,
                       psi_diag_ratio, psi_numeric)
-from .characters import (CharacterSpec, ReductionParams, central_charge,
-                         character_ratio, character_series, dd_numerator,
-                         denominator, h_s_values, index_set, nice_numerator,
-                         nice_param_to_j, reduction_hs, vanishes)
-from .modular import (NumericPoint, default_points,
+from .characters import (HEARTS, SECTORS, SIGNS, CharacterSpec,
+                         ReductionParams, central_charge, character_ratio,
+                         character_series, dd_numerator, denominator,
+                         denominator_theta_form, h_s_values, index_set,
+                         nice_k1_values, nice_numerator, nice_param_to_j,
+                         reduction_hs, vanishes)
+from .modular import (default_points,
                       denominator_transform_residual, family_members,
                       predicted_t_matrix, psi_s_residual, psi_t_residual,
                       span_closure)
@@ -33,10 +53,6 @@ from .modular import (NumericPoint, default_points,
 
 class CaseFailure(AssertionError):
     """A suite case found a violated property."""
-
-
-class SkipCase(Exception):
-    """A suite case does not apply under the given configuration."""
 
 
 @dataclass(frozen=True)
@@ -133,19 +149,50 @@ def _one_ratio(q_order):
 
 
 # ---------------------------------------------------------------------------
-# theta suite
+# row runners
 
 
-def _case_sum_vs_product(label):
+def _pair_row(equal, pairs):
+    """Row runner: equal(a, b, q) holds for each pair that pairs(q)
+    yields."""
     def run(cfg):
         q = Fraction(cfg.q_order)
-        _require(equal_to_order(theta_shifted(label, q, 1, 1, 0, 0),
-                                theta_sum(label, q), q),
-                 "product and sum forms of theta_%s disagree" % label)
-        return "exact below q^%s" % q
+        n = 0
+        for n, (a, b) in enumerate(pairs(q), 1):
+            _require(equal(a, b, q), "pair %d differs below q^%s" % (n, q))
+        _require(n > 0, "no pairs to compare")
+        return "exact below q^%s over %d pair(s)" % (q, n)
     return run
 
 
+_exact = partial(_pair_row, equal_to_order)
+_ratio = partial(_pair_row, ratio_pair_equal)
+
+
+def _residual(residuals):
+    """Row runner: each numeric difference that residuals(q) yields
+    stays under cfg.tol in modulus."""
+    def run(cfg):
+        worst = [float(abs(r)) for r in residuals(Fraction(cfg.q_order))]
+        _require(worst, "no residuals to bound")
+        r = max(worst)
+        _require(r < cfg.tol, "max residual %.3e over %d evaluations"
+                 % (r, len(worst)))
+        return "max residual %.1e over %d evaluations" % (r, len(worst))
+    return run
+
+
+# ---------------------------------------------------------------------------
+# theta suite: exact rows
+
+
+def _th(label, q, tau_scale=1, z_scale=1, r_tau=0, r_one=0):
+    # every argument positional, so equal calls share one cache entry
+    return theta_shifted(label, q, tau_scale, z_scale, r_tau, r_one)
+
+
+# label -> (label, phase) of the theta that a shift by half the period
+# in tau turns it into
 _TAU_HALF_MAP = {
     "00": ("10", GaussianRational(1)),
     "01": ("11", GaussianRational(0, -1)),
@@ -154,177 +201,89 @@ _TAU_HALF_MAP = {
 }
 
 
-def _case_tau_half_shift(label):
-    # theta_ab(tau, z + tau/2) = c q^{-1/8} x^{-1/2} theta_a'b'(tau, z)
-    def run(cfg):
-        q = Fraction(cfg.q_order)
-        lhs = theta_shifted(label, q, 1, 1, HALF, 0)
-        other, c = _TAU_HALF_MAP[label]
-        rhs = scale_monomial(theta_shifted(other, q + 1, 1, 1, 0, 0),
-                             Fraction(-1, 8), -HALF, c)
-        _require(equal_to_order(lhs, rhs, q),
-                 "tau/2 shift of theta_%s mismatches theta_%s"
-                 % (label, other))
-        return "exact below q^%s" % q
-    return run
+def _half_period_shift(s, label, q):
+    # theta_ab(s tau, z + s tau/2) = c q^{-s/8} x^{-1/2} theta_a'b'(s tau, z)
+    other, c = _TAU_HALF_MAP[label]
+    return [(_th(label, q, s, 1, HALF * s),
+             scale_monomial(_th(other, q + 1, s), Fraction(-s, 8), -HALF, c))]
 
 
-def _case_tau_shift_pair(sigma):
-    # theta_00 theta_10 and theta_01 theta_11 at (2tau, z +- tau/2)
-    # collapse to single thetas at (tau, z) times eta(2tau)^2/eta(tau)
-    def run(cfg):
-        q = Fraction(cfg.q_order)
-        p = q + 1
-        e1 = eta(p)
-        e2sq = eta_pow_scaled(2, 2, p)
-        r = HALF * sigma
-        rows = (("00", "10", "00", GaussianRational(1)),
-                ("01", "11", "01", GaussianRational(0, -sigma)))
-        for la, lb, tgt, c in rows:
-            lhs = product((theta_shifted(la, p, 2, 1, r, 0),
-                           theta_shifted(lb, p, 2, 1, r, 0), e1))
-            rhs = scale_monomial(
-                mul(e2sq, theta_shifted(tgt, p, 1, 1, 0, 0)),
-                Fraction(-1, 8), -sigma * HALF, c)
-            _require(equal_to_order(lhs, rhs, q),
-                     "pair %s*%s at shift %s*tau/2 mismatches theta_%s"
-                     % (la, lb, sigma, tgt))
-        return "both rows exact below q^%s" % q
-    return run
-
-
-def _case_doubling(cfg):
-    # theta_00 theta_01 = eta^2/eta(2tau) theta_01(2tau, 2z), same for
-    # theta_10 theta_11 -> theta_11(2tau, 2z)
-    q = Fraction(cfg.q_order)
-    p = q + 1
-    e1sq = eta_pow_scaled(1, 2, p)
-    e2 = eta_pow_scaled(2, 1, p)
-    for la, lb, tgt in (("00", "01", "01"), ("10", "11", "11")):
-        lhs = product((theta_shifted(la, p, 1, 1, 0, 0),
-                       theta_shifted(lb, p, 1, 1, 0, 0), e2))
-        rhs = mul(e1sq, theta_shifted(tgt, p, 2, 2, 0, 0))
-        _require(equal_to_order(lhs, rhs, q),
-                 "doubling of %s*%s mismatches theta_%s(2tau, 2z)"
-                 % (la, lb, tgt))
-    return "both rows exact below q^%s" % q
-
-
-def _case_scaled_pair(cfg):
-    # theta_00 theta_10 and theta_01 theta_11 at (2tau, z) collapse to
-    # theta_10, theta_11 at (tau, z) times eta(2tau)^2/eta(tau)
-    q = Fraction(cfg.q_order)
-    p = q + 1
-    e1 = eta(p)
-    e2sq = eta_pow_scaled(2, 2, p)
-    for la, lb, tgt in (("00", "10", "10"), ("01", "11", "11")):
-        lhs = product((theta_shifted(la, p, 2, 1, 0, 0),
-                       theta_shifted(lb, p, 2, 1, 0, 0), e1))
-        rhs = mul(e2sq, theta_shifted(tgt, p, 1, 1, 0, 0))
-        _require(equal_to_order(lhs, rhs, q),
-                 "scaled pair %s*%s mismatches theta_%s" % (la, lb, tgt))
-    return "both rows exact below q^%s" % q
-
-
-def _case_full_tau_shift(label):
-    # theta_ab(2tau, z + tau) = c q^{-1/4} x^{-1/2} theta_a'b'(2tau, z)
-    def run(cfg):
-        q = Fraction(cfg.q_order)
-        p = q + 1
-        lhs = theta_shifted(label, q, 2, 1, 1, 0)
-        other, c = _TAU_HALF_MAP[label]
-        rhs = scale_monomial(theta_shifted(other, p, 2, 1, 0, 0),
-                             Fraction(-1, 4), -HALF, c)
-        _require(equal_to_order(lhs, rhs, q),
-                 "tau shift of theta_%s(2tau, .) mismatches theta_%s"
-                 % (label, other))
-        return "exact below q^%s" % q
-    return run
-
-
-def _case_quadruple(cfg):
-    # eta^3 theta_11(tau, 2z) = theta_00 theta_01 theta_10 theta_11
-    q = Fraction(cfg.q_order)
-    p = q + 1
-    lhs = mul(eta_pow_scaled(1, 3, p), theta_shifted("11", p, 1, 2, 0, 0))
-    rhs = product(tuple(theta_shifted(lab, p, 1, 1, 0, 0)
-                        for lab in ("00", "01", "10", "11")))
-    _require(equal_to_order(lhs, rhs, q), "quadruple product violated")
-    return "exact below q^%s" % q
-
-
-def _case_half_shift(sigma):
-    # theta_11(tau, z +- 1/2) = -+ theta_10(tau, z)
-    def run(cfg):
-        q = Fraction(cfg.q_order)
-        lhs = theta_shifted("11", q, 1, 1, 0, sigma * HALF)
-        rhs = scale_monomial(theta_shifted("10", q, 1, 1, 0, 0), 0, 0,
-                             GaussianRational(-sigma))
-        _require(equal_to_order(lhs, rhs, q),
-                 "half shift by %s/2 violated" % sigma)
-        return "exact below q^%s" % q
-    return run
-
-
-def _case_eta_pentagonal(cfg):
+def _eta_pentagonal(q):
     # eta = q^{1/24} sum_k (-1)^k q^{k(3k-1)/2}
-    q = Fraction(cfg.q_order)
     s = JacobiSeries.zero(q)
     k_max = math.isqrt(int(q) + 2) + 2
     for k in range(-k_max, k_max + 1):
         e = Fraction(k * (3 * k - 1), 2) + Fraction(1, 24)
         if e < q:
             s = add(s, JacobiSeries.monomial(e, 0, (-1) ** (k % 2), q))
-    _require(equal_to_order(eta(q), s, q),
-             "eta disagrees with the pentagonal number expansion")
-    return "exact below q^%s" % q
+    return [(eta(q), s)]
 
 
 def _theta_cases():
-    cases = []
-    for lab in ("00", "01", "10", "11"):
-        cases.append(("theta/sum-vs-product/%s" % lab,
-                      _case_sum_vs_product(lab)))
-    for lab in ("00", "01", "10", "11"):
-        cases.append(("theta/tau-half-shift/%s" % lab,
-                      _case_tau_half_shift(lab)))
-    cases.append(("theta/tau-shift-pair/up", _case_tau_shift_pair(1)))
-    cases.append(("theta/tau-shift-pair/down", _case_tau_shift_pair(-1)))
-    cases.append(("theta/doubling", _case_doubling))
-    cases.append(("theta/scaled-pair", _case_scaled_pair))
-    for lab in ("00", "01", "10", "11"):
-        cases.append(("theta/full-tau-shift/%s" % lab,
-                      _case_full_tau_shift(lab)))
-    cases.append(("theta/quadruple-product", _case_quadruple))
-    cases.append(("theta/half-shift/plus", _case_half_shift(1)))
-    cases.append(("theta/half-shift/minus", _case_half_shift(-1)))
-    cases.append(("theta/eta-pentagonal", _case_eta_pentagonal))
-    return tuple(cases)
+    # the product form of theta_ab agrees with its lattice sum
+    rows = [("sum-vs-product/" + a,
+             lambda q, a=a: [(_th(a, q), theta_sum(a, q))])
+            for a in THETA_LABELS]
+    rows += [("tau-half-shift/" + a, partial(_half_period_shift, 1, a))
+             for a in THETA_LABELS]
+    # theta_00 theta_10 and theta_01 theta_11 at (2tau, z +- tau/2)
+    # collapse to single thetas at (tau, z) times eta(2tau)^2/eta(tau)
+    rows += [("tau-shift-pair/" + name, lambda q, sg=sg: [
+        (product((_th(la, q + 1, 2, 1, sg * HALF),
+                  _th(lb, q + 1, 2, 1, sg * HALF), eta(q + 1))),
+         scale_monomial(mul(eta_pow_scaled(2, 2, q + 1), _th(tgt, q + 1)),
+                        Fraction(-1, 8), -sg * HALF, c))
+        for la, lb, tgt, c in (("00", "10", "00", GaussianRational(1)),
+                               ("01", "11", "01", GaussianRational(0, -sg)))])
+        for name, sg in (("up", 1), ("down", -1))]
+    rows += [
+        # theta_00 theta_01 = eta^2/eta(2tau) theta_01(2tau, 2z), same for
+        # theta_10 theta_11 -> theta_11(2tau, 2z)
+        ("doubling", lambda q: [
+            (product((_th(la, q + 1), _th(lb, q + 1),
+                      eta_pow_scaled(2, 1, q + 1))),
+             mul(eta_pow_scaled(1, 2, q + 1), _th(tgt, q + 1, 2, 2)))
+            for la, lb, tgt in (("00", "01", "01"), ("10", "11", "11"))]),
+        # theta_00 theta_10 and theta_01 theta_11 at (2tau, z) collapse to
+        # theta_10, theta_11 at (tau, z) times eta(2tau)^2/eta(tau)
+        ("scaled-pair", lambda q: [
+            (product((_th(la, q + 1, 2), _th(lb, q + 1, 2), eta(q + 1))),
+             mul(eta_pow_scaled(2, 2, q + 1), _th(tgt, q + 1)))
+            for la, lb, tgt in (("00", "10", "10"), ("01", "11", "11"))]),
+    ]
+    rows += [("full-tau-shift/" + a, partial(_half_period_shift, 2, a))
+             for a in THETA_LABELS]
+    rows += [
+        # eta^3 theta_11(tau, 2z) = theta_00 theta_01 theta_10 theta_11
+        ("quadruple-product", lambda q: [
+            (mul(eta_pow_scaled(1, 3, q + 1), _th("11", q + 1, 1, 2)),
+             product([_th(a, q + 1) for a in THETA_LABELS]))]),
+    ]
+    # theta_11(tau, z +- 1/2) = -+ theta_10(tau, z)
+    rows += [("half-shift/" + name, lambda q, sg=sg: [
+        (_th("11", q, 1, 1, 0, sg * HALF),
+         scale_monomial(_th("10", q), 0, 0, GaussianRational(-sg)))])
+        for name, sg in (("plus", 1), ("minus", -1))]
+    rows.append(("eta-pentagonal", _eta_pentagonal))
+    return tuple(("theta/" + cid, _exact(pairs)) for cid, pairs in rows)
 
 
 # ---------------------------------------------------------------------------
-# psi suite
+# psi suite: residual rows
 
 
-def _zero_t(points):
-    return [NumericPoint(p.tau, p.z1, p.z2, 0) for p in points]
-
-
-def _characteristic_blocks(M):
-    blocks = []
-    for eps in (Fraction(0), HALF):
-        for eps_p in (Fraction(0), HALF):
-            blocks.append(PsiParams(M, eps_p + 1, eps_p, eps, eps_p))
-    return blocks
-
-
-def _max_residual(values):
-    return max(values) if values else 0.0
+def _block_residuals(residual, offset, M, q):
+    # residual(block, point) over the four characteristic blocks at five
+    # generic points of seed M + offset
+    pts = default_points(5, seed=M + offset)
+    return [residual(PsiParams(M, eps_p + 1, eps_p, eps, eps_p), p)
+            for eps in (Fraction(0), HALF) for eps_p in (Fraction(0), HALF)
+            for p in pts]
 
 
 # (name, seed offset, index map, argument map, sign): the block at the
 # mapped arguments equals sign(eps) times the block at the mapped
-# indices; each case checks the four characteristic blocks at t = 0
+# indices, at t = 0
 _PSI_SYMMETRIES = (
     # index shift by (M, 0) costs the phase e^{2 pi i eps}
     ("periodicity", 0, lambda M, j, k: (j + M, k),
@@ -342,405 +301,239 @@ _PSI_SYMMETRIES = (
 )
 
 
-def _case_psi_symmetry(M, name, offset, index_map, arg_map, sign):
-    def run(cfg):
-        pts = _zero_t(default_points(5, seed=M + offset))
-        worst = []
-        for pr in _characteristic_blocks(M):
-            mapped = PsiParams(M, *index_map(M, pr.j, pr.k), pr.eps,
-                               pr.eps_prime)
-            for p in pts:
-                lhs = psi_numeric(pr, p.tau, *arg_map(p.z1, p.z2), p.t)
-                rhs = sign(pr.eps) * psi_numeric(mapped, p.tau, p.z1, p.z2,
-                                                 p.t)
-                worst.append(float(abs(lhs - rhs)))
-        r = _max_residual(worst)
-        _require(r < cfg.tol, "%s residual %.3e" % (name, r))
-        return "max residual %.1e over %d evaluations" % (r, len(worst))
-    return run
+def _psi_symmetry(index_map, arg_map, sign, pr, p):
+    mapped = PsiParams(pr.M, *index_map(pr.M, pr.j, pr.k), pr.eps,
+                       pr.eps_prime)
+    return (psi_numeric(pr, p.tau, *arg_map(p.z1, p.z2), 0)
+            - sign(pr.eps) * psi_numeric(mapped, p.tau, p.z1, p.z2, 0))
 
 
-def _case_psi_diag_ratio(M):
+def _psi_diag_ratio(M, q):
     # the single-variable theta-quotient form of the diagonal block
     # agrees with the closed form numerically
-    def run(cfg):
-        q = Fraction(cfg.q_order)
-        pts = default_points(5, diagonal=True, seed=M + 80)
-        worst = []
-        for eps in (Fraction(0), HALF):
-            for eps_p in (Fraction(0), HALF):
-                pr = PsiParams(M, eps_p + 1, eps_p + 1, eps, eps_p)
-                ratio = psi_diag_ratio(pr, q)
-                for p in pts:
-                    got = (eval_numeric(ratio.num, p.tau, p.z1)
-                           / eval_numeric(ratio.den, p.tau, p.z1))
-                    want = psi_numeric(pr, p.tau, p.z1, p.z1, 0)
-                    worst.append(float(abs(got - want)))
-        r = _max_residual(worst)
-        _require(r < cfg.tol, "diagonal ratio residual %.3e" % r)
-        return "max residual %.1e over %d evaluations" % (r, len(worst))
-    return run
-
-
-def _case_psi_m1_collapse(cfg):
-    # at M = 1 the (0,0) block is the closed eta-theta quotient
-    pts = default_points(5, seed=7)
-    pr = PsiParams(1, 0, 0, 0, 0)
-    worst = []
-    for p in pts:
-        lhs = psi_numeric(pr, p.tau, p.z1, p.z2, p.t)
-        rhs = phi1_numeric(0, p.tau, p.z1, p.z2, p.t)
-        worst.append(float(abs(lhs - rhs)))
-    r = _max_residual(worst)
-    _require(r < cfg.tol, "collapse residual %.3e" % r)
-    return "max residual %.1e over %d points" % (r, len(pts))
-
-
-def _case_appell_stability(cfg):
-    # the summation cutoff is certified by the tail bound: growing it
-    # must not move the value
-    pts = default_points(3, seed=11)
-    worst = []
-    for m, s in ((1, Fraction(0)), (1, HALF), (2, 1)):
+    pts = default_points(5, diagonal=True, seed=M + 80)
+    for eps, eps_p in iproduct((Fraction(0), HALF), repeat=2):
+        pr = PsiParams(M, eps_p + 1, eps_p + 1, eps, eps_p)
+        ratio = psi_diag_ratio(pr, q)
         for p in pts:
-            v1 = phi_a11_numeric(m, s, p.tau, p.z1, p.z2, p.t)
-            v2 = phi_a11_numeric(m, s, p.tau, p.z1, p.z2, p.t, j_cutoff=60)
-            worst.append(float(abs(v1 - v2)))
-    r = _max_residual(worst)
-    _require(r < cfg.tol, "cutoff instability %.3e" % r)
-    return "max cutoff drift %.1e" % r
-
-
-def _case_appell_prefactor(cfg):
-    # the t dependence is the exact prefactor e^{-2 pi i m t}
-    pts = default_points(3, seed=13)
-    worst = []
-    for m in (1, 2):
-        for p in pts:
-            v1 = phi_a11_numeric(m, 1, p.tau, p.z1, p.z2, p.t)
-            v0 = phi_a11_numeric(m, 1, p.tau, p.z1, p.z2, 0)
-            pref = mp.exp(-2j * mp.pi * m * mp.mpc(p.t))
-            worst.append(float(abs(v1 - pref * v0)))
-    r = _max_residual(worst)
-    _require(r < cfg.tol, "prefactor residual %.3e" % r)
-    return "max residual %.1e" % r
+            yield (eval_numeric(ratio.num, p.tau, p.z1)
+                   / eval_numeric(ratio.den, p.tau, p.z1)
+                   - psi_numeric(pr, p.tau, p.z1, p.z1, 0))
 
 
 def _psi_cases():
-    cases = []
-    for row in _PSI_SYMMETRIES:
-        for M in (1, 2, 3, 4):
-            cases.append(("psi/%s/M%d" % (row[0], M),
-                          _case_psi_symmetry(M, *row)))
-    for M in (1, 2, 3, 4):
-        cases.append(("psi/diagonal-ratio/M%d" % M, _case_psi_diag_ratio(M)))
-    cases.append(("psi/m1-collapse", _case_psi_m1_collapse))
-    cases.append(("psi/appell-cutoff", _case_appell_stability))
-    cases.append(("psi/appell-prefactor", _case_appell_prefactor))
-    return tuple(cases)
+    rows = [("%s/M%d" % (name, M), partial(
+        _block_residuals, partial(_psi_symmetry, *maps), offset, M))
+        for name, offset, *maps in _PSI_SYMMETRIES for M in (1, 2, 3, 4)]
+    rows += [("diagonal-ratio/M%d" % M, partial(_psi_diag_ratio, M))
+             for M in (1, 2, 3, 4)]
+    rows += [
+        # at M = 1 the (0,0) block is the closed eta-theta quotient
+        ("m1-collapse", lambda q: [
+            psi_numeric(PsiParams(1, 0, 0, 0, 0), p.tau, p.z1, p.z2, p.t)
+            - phi1_numeric(0, p.tau, p.z1, p.z2, p.t)
+            for p in default_points(5, seed=7)]),
+        # the summation cutoff is certified by the tail bound: growing it
+        # must not move the value
+        ("appell-cutoff", lambda q: [
+            phi_a11_numeric(m, s, p.tau, p.z1, p.z2, p.t)
+            - phi_a11_numeric(m, s, p.tau, p.z1, p.z2, p.t, j_cutoff=60)
+            for m, s in ((1, Fraction(0)), (1, HALF), (2, 1))
+            for p in default_points(3, seed=11)]),
+        # the t dependence is the exact prefactor e^{-2 pi i m t}
+        ("appell-prefactor", lambda q: [
+            phi_a11_numeric(m, 1, p.tau, p.z1, p.z2, p.t)
+            - mp.exp(-2j * mp.pi * m * mp.mpc(p.t))
+            * phi_a11_numeric(m, 1, p.tau, p.z1, p.z2, 0)
+            for m in (1, 2) for p in default_points(3, seed=13)]),
+    ]
+    return tuple(("psi/" + cid, _residual(fn)) for cid, fn in rows)
 
 
 # ---------------------------------------------------------------------------
-# characters suite
+# characters suite: ratio rows and the M = 2 leading rows
 
 
-def nice_k1_values(M, heart):
-    """Valid k1 for the closed-form (nice) parameters at heart I or III."""
-    top = M - 1 if heart == "I" else M - 2
-    if top < 0:
-        return ()
-    return tuple(k1 for k1 in range(top // 2 + 1))
+def _nice_params(M):
+    """(twisted, heart, k1) of every nice reduced module at level M."""
+    for twisted in (False, True):
+        for heart in ("I", "III"):
+            for k1 in nice_k1_values(M, heart):
+                yield twisted, heart, k1
 
 
-def _case_m1_constant(sector, sign):
-    def run(cfg):
-        q = Fraction(cfg.q_order)
-        j = index_set(1, sector)[0]
-        spec = CharacterSpec(1, j, sector, sign)
-        _require(ratio_pair_equal(lambda p: character_ratio(spec, p),
-                                  _one_ratio, q),
-                 "M=1 character is not the constant 1")
-        return "equals 1 below q^%s" % q
-    return run
-
-
-def _case_nice_consistency(M):
+def _nice_consistency(M, q):
     # the theta-quotient numerator matches denominator times character
-    def run(cfg):
-        q = Fraction(cfg.q_order)
-        n = 0
-        for twisted in (False, True):
-            sector = "R" if twisted else "NS"
-            for heart in ("I", "III"):
-                for k1 in nice_k1_values(M, heart):
-                    j = nice_param_to_j(M, k1, heart, twisted)
-                    for sign in ("+", "-"):
-                        spec = CharacterSpec(M, j, sector, sign)
-                        ok = ratio_pair_equal(
-                            lambda p: nice_numerator(M, k1, heart, sign,
-                                                     twisted, p),
-                            lambda p: character_ratio(spec, p)
-                            * denominator(sign, sector, p), q)
-                        _require(ok, "mismatch at k1=%d heart=%s sign=%s "
-                                 "twisted=%s" % (k1, heart, sign, twisted))
-                        n += 1
-        return "%d numerators exact below q^%s" % (n, q)
-    return run
+    for twisted, heart, k1 in _nice_params(M):
+        j = nice_param_to_j(M, k1, heart, twisted)
+        for sign in SIGNS:
+            spec = CharacterSpec(M, j, "R" if twisted else "NS", sign)
+            yield (partial(nice_numerator, M, k1, heart, sign, twisted),
+                   lambda p, spec=spec: character_ratio(spec, p)
+                   * denominator(spec.sign, spec.sector, p))
+
+
+# (sector, j, sign) -> (constant c, labels a, b over d, e) of the M = 2
+# closed form  c eta(2tau)^3 theta_a(2tau, z + r tau) theta_b(tau, z)
+# / (eta^3 theta_d(2tau, z + r tau) theta_e(2tau, 2z)), r = j in NS
+# and 0 in R
+_M2_CLOSED = {
+    ("NS", HALF, "+"): ((0, 1), "00", "00", "10", "11"),
+    ("NS", -HALF, "+"): ((0, 1), "00", "00", "10", "11"),
+    ("NS", HALF, "-"): ((1, 0), "01", "01", "11", "11"),
+    ("NS", -HALF, "-"): ((-1, 0), "01", "01", "11", "11"),
+    ("R", 0, "+"): ((1, 0), "00", "10", "10", "01"),
+    ("R", 0, "-"): ((1, 0), "01", "11", "11", "01"),
+    ("R", 1, "+"): ((1, 0), "10", "10", "00", "01"),
+    ("R", 1, "-"): ((-1, 0), "11", "11", "01", "01"),
+}
 
 
 def _m2_closed_ratio(sector, j, sign, q_order):
     """The eta/theta-quotient closed form of one M = 2 character."""
     p = Fraction(q_order)
-    e2 = eta_pow_scaled(2, 3, p)
-    e1 = eta_pow_scaled(1, 3, p)
-
-    def th(lab, ts, zs, rt):
-        return theta_shifted(lab, p, ts, zs, rt, 0)
-
-    if sector == "NS":
-        sig = 1 if j > 0 else -1
-        r = HALF * sig
-        if sign == "+":
-            c = GaussianRational(0, 1)
-            num = product((e2, th("00", 2, 1, r), th("00", 1, 1, 0)))
-            den = product((e1, th("10", 2, 1, r), th("11", 2, 2, 0)))
-        else:
-            c = GaussianRational(sig)
-            num = product((e2, th("01", 2, 1, r), th("01", 1, 1, 0)))
-            den = product((e1, th("11", 2, 1, r), th("11", 2, 2, 0)))
-    elif j == 0:
-        c = GaussianRational(1)
-        if sign == "+":
-            num = product((e2, th("00", 2, 1, 0), th("10", 1, 1, 0)))
-            den = product((e1, th("10", 2, 1, 0), th("01", 2, 2, 0)))
-        else:
-            num = product((e2, th("01", 2, 1, 0), th("11", 1, 1, 0)))
-            den = product((e1, th("11", 2, 1, 0), th("01", 2, 2, 0)))
-    else:
-        if sign == "+":
-            c = GaussianRational(1)
-            num = product((e2, th("10", 2, 1, 0), th("10", 1, 1, 0)))
-            den = product((e1, th("00", 2, 1, 0), th("01", 2, 2, 0)))
-        else:
-            c = GaussianRational(-1)
-            num = product((e2, th("11", 2, 1, 0), th("11", 1, 1, 0)))
-            den = product((e1, th("01", 2, 1, 0), th("01", 2, 2, 0)))
-    return SeriesRatio(scale_monomial(num, 0, 0, c), den)
+    c, a, b, d, e = _M2_CLOSED[(sector, j, sign)]
+    r = j if sector == "NS" else 0
+    num = product((eta_pow_scaled(2, 3, p), _th(a, p, 2, 1, r), _th(b, p)))
+    den = product((eta_pow_scaled(1, 3, p), _th(d, p, 2, 1, r),
+                   _th(e, p, 2, 2)))
+    return SeriesRatio(scale_monomial(num, 0, 0, GaussianRational(*c)), den)
 
 
-def _case_m2_closed(sector, j, sign):
-    def run(cfg):
-        q = Fraction(cfg.q_order)
-        spec = CharacterSpec(2, j, sector, sign)
-        ok = ratio_pair_equal(
-            lambda p: _m2_closed_ratio(sector, j, sign, p),
-            lambda p: character_ratio(spec, p), q)
-        _require(ok, "closed form deviates from the character")
-        return "exact below q^%s" % q
-    return run
-
-
-# (sector, j) -> window and, per sign, the exact lowest-q row
+# (sector, j, sign) -> the exact lowest-q row {x-exponent: coefficient}
 _M2_LEADING = {
-    ("NS", Fraction(1, 2)): {
-        "+": {Fraction(-1, 2): 1, Fraction(-5, 2): 1, Fraction(-9, 2): 1},
-        "-": {Fraction(-1, 2): 1, Fraction(-5, 2): 1, Fraction(-9, 2): 1},
-    },
-    ("NS", Fraction(-1, 2)): {
-        "+": {Fraction(-3, 2): 1, Fraction(-7, 2): 1, Fraction(-11, 2): 1},
-        "-": {Fraction(-3, 2): 1, Fraction(-7, 2): 1, Fraction(-11, 2): 1},
-    },
-    ("R", Fraction(0)): {
-        "+": {Fraction(0): 1},
-        "-": {Fraction(0): 1},
-    },
-    ("R", Fraction(1)): {
-        "+": {Fraction(1): 1, Fraction(0): 2, Fraction(-1): 1},
-        "-": {Fraction(1): 1, Fraction(0): -2, Fraction(-1): 1},
-    },
+    ("NS", HALF, "+"): {-HALF: 1, Fraction(-5, 2): 1, Fraction(-9, 2): 1},
+    ("NS", HALF, "-"): {-HALF: 1, Fraction(-5, 2): 1, Fraction(-9, 2): 1},
+    ("NS", -HALF, "+"): {Fraction(-3, 2): 1, Fraction(-7, 2): 1,
+                         Fraction(-11, 2): 1},
+    ("NS", -HALF, "-"): {Fraction(-3, 2): 1, Fraction(-7, 2): 1,
+                         Fraction(-11, 2): 1},
+    ("R", 0, "+"): {0: 1},
+    ("R", 0, "-"): {0: 1},
+    ("R", 1, "+"): {1: 1, 0: 2, -1: 1},
+    ("R", 1, "-"): {1: 1, 0: -2, -1: 1},
 }
+_M2_LABELS = (("NS", HALF), ("NS", -HALF), ("R", Fraction(0)),
+              ("R", Fraction(1)))
 
 
-def _case_m2_leading(sector, j):
-    def run(cfg):
-        lead_rows = _M2_LEADING[(sector, j)]
-        for sign in ("+", "-"):
-            spec = CharacterSpec(2, j, sector, sign)
-            h, s = h_s_values(spec)
-            lead = -central_charge(2) / 24 + h
-            window = (s - 5, s + 3)
-            ser = character_series(spec, lead + 1, window)
-            got = {}
-            for qe, xe, c in ser.terms():
-                if qe == lead:
-                    _require(c.im == 0, "non-real leading coefficient")
-                    got[xe] = c.re
-            want = {k: Fraction(v) for k, v in lead_rows[sign].items()}
-            _require(got == want,
-                     "sign %s leading row %s, expected %s"
-                     % (sign, got, want))
-        lead = (-central_charge(2) / 24
-                + h_s_values(CharacterSpec(2, j, sector, "+"))[0])
-        return "lowest q-exponent %s, x-rows exact, both signs" % lead
-    return run
-
-
-def _case_denominator_forms(sign, sector):
-    def run(cfg):
-        q = Fraction(cfg.q_order)
-        ok = ratio_pair_equal(
-            lambda p: denominator(sign, sector, p, form="eta"),
-            lambda p: denominator(sign, sector, p, form="theta"), q)
-        _require(ok, "eta and theta forms disagree")
-        return "both forms agree below q^%s" % q
-    return run
-
-
-def _case_dd_reduces_to_nice(M):
-    # at 2k1 + k2 = M - 1 the two-index numerator is the diagonal one
-    def run(cfg):
-        q = Fraction(cfg.q_order)
-        n = 0
-        for twisted in (False, True):
-            for heart in ("I", "III"):
-                for k1 in nice_k1_values(M, heart):
-                    k2 = M - 1 - 2 * k1
-                    for sign in ("+", "-"):
-                        ok = ratio_pair_equal(
-                            lambda p: dd_numerator(M, k1, k2, heart, sign,
-                                                   twisted, p),
-                            lambda p: nice_numerator(M, k1, heart, sign,
-                                                     twisted, p), q)
-                        _require(ok, "mismatch at k1=%d heart=%s sign=%s "
-                                 "twisted=%s" % (k1, heart, sign, twisted))
-                        n += 1
-        return "%d reductions exact below q^%s" % (n, q)
-    return run
+def _case_m2_leading(sector, j, cfg):
+    for sign in SIGNS:
+        spec = CharacterSpec(2, j, sector, sign)
+        h, s = h_s_values(spec)
+        lead = -central_charge(2) / 24 + h
+        ser = character_series(spec, lead + 1, (s - 5, s + 3))
+        got = {}
+        for qe, xe, c in ser.terms():
+            if qe == lead:
+                _require(c.im == 0, "non-real leading coefficient")
+                got[xe] = c.re
+        want = _M2_LEADING[(sector, j, sign)]
+        _require(got == want, "sign %s leading row %s, expected %s"
+                 % (sign, got, want))
+    return "lowest q-exponent %s, x-rows exact, both signs" % lead
 
 
 def _characters_cases():
-    cases = []
-    for sector in ("NS", "R"):
-        for sign in ("+", "-"):
-            cases.append(("characters/m1-constant/%s%s" % (sector, sign),
-                          _case_m1_constant(sector, sign)))
-    for M in (2, 3, 4, 5):
-        cases.append(("characters/nice-consistency/M%d" % M,
-                      _case_nice_consistency(M)))
-    for sector, j in (("NS", Fraction(1, 2)), ("NS", Fraction(-1, 2)),
-                      ("R", Fraction(0)), ("R", Fraction(1))):
-        for sign in ("+", "-"):
-            cases.append(("characters/m2-closed/%s/j=%s/%s"
-                          % (sector, j, sign),
-                          _case_m2_closed(sector, j, sign)))
-    for sector, j in (("NS", Fraction(1, 2)), ("NS", Fraction(-1, 2)),
-                      ("R", Fraction(0)), ("R", Fraction(1))):
-        cases.append(("characters/m2-leading/%s/j=%s" % (sector, j),
-                      _case_m2_leading(sector, j)))
-    for sign in ("+", "-"):
-        for sector in ("NS", "R"):
-            cases.append(("characters/denominator-forms/%s%s"
-                          % (sector, sign),
-                          _case_denominator_forms(sign, sector)))
-    for M in (2, 3, 4):
-        cases.append(("characters/dd-reduces-to-nice/M%d" % M,
-                      _case_dd_reduces_to_nice(M)))
-    return tuple(cases)
+    # every M = 1 character is the constant 1
+    cases = [("m1-constant/%s%s" % (sector, sign), _ratio(
+        lambda q, sector=sector, sign=sign: [(partial(
+            character_ratio, CharacterSpec(1, index_set(1, sector)[0],
+                                           sector, sign)), _one_ratio)]))
+        for sector in SECTORS for sign in SIGNS]
+    cases += [("nice-consistency/M%d" % M,
+               _ratio(partial(_nice_consistency, M))) for M in (2, 3, 4, 5)]
+    # the closed form equals the character
+    cases += [("m2-closed/%s/j=%s/%s" % (sector, j, sign), _ratio(
+        lambda q, sector=sector, j=j, sign=sign: [
+            (partial(_m2_closed_ratio, sector, j, sign),
+             partial(character_ratio, CharacterSpec(2, j, sector, sign)))]))
+        for sector, j in _M2_LABELS for sign in SIGNS]
+    cases += [("m2-leading/%s/j=%s" % (sector, j),
+               partial(_case_m2_leading, sector, j))
+              for sector, j in _M2_LABELS]
+    # eta^3 theta_11(tau, 2z) / theta_d^2 is three thetas over theta_d
+    cases += [("denominator-forms/%s%s" % (sector, sign), _ratio(
+        lambda q, sector=sector, sign=sign: [
+            (partial(denominator, sign, sector),
+             partial(denominator_theta_form, sign, sector))]))
+        for sign in SIGNS for sector in SECTORS]
+    # at 2k1 + k2 = M - 1 the two-index numerator is the diagonal one
+    cases += [("dd-reduces-to-nice/M%d" % M, _ratio(lambda q, M=M: [
+        (partial(dd_numerator, M, k1, M - 1 - 2 * k1, heart, sign, tw),
+         partial(nice_numerator, M, k1, heart, sign, tw))
+        for tw, heart, k1 in _nice_params(M) for sign in SIGNS]))
+        for M in (2, 3, 4)]
+    return tuple(("characters/" + cid, case) for cid, case in cases)
 
 
 # ---------------------------------------------------------------------------
 # reduction suite
 
 
-def _case_nice_specialization(M):
+def _case_nice_specialization(M, cfg):
     # nice_param_to_j asserts that the reduction tables at m = 1, m2 = 0
     # give the direct character (h, s) at the returned j
-    def run(cfg):
-        n = 0
-        for twisted in (False, True):
-            for heart in ("I", "III"):
-                for k1 in nice_k1_values(M, heart):
-                    nice_param_to_j(M, k1, heart, twisted)
-                    n += 1
-        return "%d parameter tuples exact" % n
-    return run
+    n = 0
+    for twisted, heart, k1 in _nice_params(M):
+        nice_param_to_j(M, k1, heart, twisted)
+        n += 1
+    return "%d parameter tuples exact" % n
 
 
-def _try_params(M, m, m2, k1, k2, heart, twisted):
-    try:
-        return ReductionParams(M, m, m2, k1, k2, heart, twisted)
-    except ValueError:
-        return None
-
-
-def _case_equivalences(M):
-    # hearts I and IV (shift k1 by one) describe the same module, as do
-    # III and II; their (h, s) must agree
-    def run(cfg):
-        n = 0
-        for m in (1, 2, 3):
-            for m2 in range(m + 1):
-                for twisted in (False, True):
-                    for k1 in range(M + 2):
-                        for k2 in range(M + 2):
-                            pa = _try_params(M, m, m2, k1, k2, "I", twisted)
-                            pb = _try_params(M, m, m2, k1 + 1, k2, "IV",
-                                             twisted)
-                            if pa and pb:
-                                _require(
-                                    reduction_hs(pa) == reduction_hs(pb),
-                                    "I/IV pair differs at %s vs %s"
-                                    % (pa, pb))
-                                n += 1
-                            pa = _try_params(M, m, m2, k1, k2, "III",
-                                             twisted)
-                            pb = _try_params(M, m, m2, k1 + 1, k2, "II",
-                                             twisted)
-                            if pa and pb:
-                                _require(
-                                    reduction_hs(pa) == reduction_hs(pb),
-                                    "III/II pair differs at %s vs %s"
-                                    % (pa, pb))
-                                n += 1
-        if M == 1:
-            # hearts II and IV need 2k1 + k2 <= M with k1 >= 1
-            _require(n == 0, "unexpected pairs at M = 1")
-            return "vacuous: no I/IV or III/II pairs exist at M = 1"
-        _require(n > 0, "no valid equivalence pairs found")
-        return "%d pairs agree exactly" % n
-    return run
-
-
-def _case_vanishing_scan(M):
-    def run(cfg):
-        n = 0
-        for m in (1, 2, 3):
-            if math.gcd(m, M) != 1:
+def _reduction_params(M, ms):
+    """Every in-range ReductionParams at level M with m in ms and
+    0 <= k1, k2 <= M + 1."""
+    for m in ms:
+        for m2, twisted, heart, k1, k2 in iproduct(
+                range(m + 1), (False, True), HEARTS, range(M + 2),
+                range(M + 2)):
+            try:
+                params = ReductionParams(M, m, m2, k1, k2, heart, twisted)
+            except ValueError:
                 continue
-            for m2 in range(m + 1):
-                for twisted in (False, True):
-                    for heart in ("I", "II", "III", "IV"):
-                        for k1 in range(M + 2):
-                            for k2 in range(M + 2):
-                                params = _try_params(M, m, m2, k1, k2,
-                                                     heart, twisted)
-                                if params is None:
-                                    continue
-                                want = (heart in ("I", "III")
-                                        and 2 * k1 + k2 + 1 == M
-                                        and m2 == m)
-                                _require(vanishes(params) == want,
-                                         "vanishing disagrees at %s"
-                                         % (params,))
-                                n += 1
-        _require(n > 0, "no valid parameters scanned")
-        return "%d parameter tuples checked" % n
-    return run
+            yield params
+
+
+# hearts I and IV (k1 shifted by one) describe the same module, as do
+# III and II; their (h, s) must agree
+_EQUIVALENT_HEARTS = {"I": "IV", "III": "II"}
+
+
+def _case_equivalences(M, cfg):
+    scan = {astuple(p): p for p in _reduction_params(M, (1, 2, 3))}
+    n = 0
+    for pa in scan.values():
+        other = _EQUIVALENT_HEARTS.get(pa.heart)
+        pb = scan.get((M, pa.m, pa.m2, pa.k1 + 1, pa.k2, other, pa.twisted))
+        if pb is not None:
+            _require(reduction_hs(pa) == reduction_hs(pb),
+                     "%s/%s pair differs at %s vs %s"
+                     % (pa.heart, other, pa, pb))
+            n += 1
+    if M == 1:
+        # hearts II and IV need 2k1 + k2 <= M with k1 >= 1
+        _require(n == 0, "unexpected pairs at M = 1")
+        return "vacuous: no I/IV or III/II pairs exist at M = 1"
+    _require(n > 0, "no valid equivalence pairs found")
+    return "%d pairs agree exactly" % n
+
+
+def _case_vanishing_scan(M, cfg):
+    n = 0
+    coprime = [m for m in (1, 2, 3) if math.gcd(m, M) == 1]
+    for p in _reduction_params(M, coprime):
+        want = (p.heart in ("I", "III") and 2 * p.k1 + p.k2 + 1 == M
+                and p.m2 == p.m)
+        _require(vanishes(p) == want, "vanishing disagrees at %s" % (p,))
+        n += 1
+    _require(n > 0, "no valid parameters scanned")
+    return "%d parameter tuples checked" % n
 
 
 def _case_index_sets(cfg):
     for M in range(1, 9):
-        for sector in ("NS", "R"):
+        for sector in SECTORS:
             js = index_set(M, sector)
             _require(len(js) == M, "index set size %d at M=%d" % (len(js), M))
             lo, hi = -Fraction(M - 1, 2), Fraction(M, 2)
@@ -753,114 +546,70 @@ def _case_index_sets(cfg):
 
 
 def _reduction_cases():
-    cases = []
-    for M in range(1, 10):
-        cases.append(("reduction/nice-specialization/M%d" % M,
-                      _case_nice_specialization(M)))
-    for M in range(1, 8):
-        cases.append(("reduction/equivalence-pairs/M%d" % M,
-                      _case_equivalences(M)))
-    for M in range(1, 7):
-        cases.append(("reduction/vanishing-scan/M%d" % M,
-                      _case_vanishing_scan(M)))
-    cases.append(("reduction/index-sets", _case_index_sets))
-    return tuple(cases)
+    cases = [("nice-specialization/M%d" % M,
+              partial(_case_nice_specialization, M)) for M in range(1, 10)]
+    cases += [("equivalence-pairs/M%d" % M, partial(_case_equivalences, M))
+              for M in range(1, 8)]
+    cases += [("vanishing-scan/M%d" % M, partial(_case_vanishing_scan, M))
+              for M in range(1, 7)]
+    cases.append(("index-sets", _case_index_sets))
+    return tuple(("reduction/" + cid, case) for cid, case in cases)
 
 
 # ---------------------------------------------------------------------------
-# modular suite
+# modular suite: residual rows and span certificates
 
 
-def _case_psi_s_law(M):
-    def run(cfg):
-        pts = default_points(5, seed=M + 100)
-        worst = []
-        for pr in _characteristic_blocks(M):
-            for p in pts:
-                worst.append(psi_s_residual(pr, p))
-        r = _max_residual(worst)
-        _require(r < cfg.tol, "S-law residual %.3e" % r)
-        return "max residual %.1e over %d evaluations" % (r, len(worst))
-    return run
-
-
-def _case_psi_t_law(M):
-    def run(cfg):
-        pts = default_points(5, seed=M + 120)
-        worst = []
-        for pr in _characteristic_blocks(M):
-            for p in pts:
-                worst.append(psi_t_residual(pr, p))
-        r = _max_residual(worst)
-        _require(r < cfg.tol, "T-law residual %.3e" % r)
-        return "max residual %.1e over %d evaluations" % (r, len(worst))
-    return run
-
-
-def _case_denominator_transform(which):
-    def run(cfg):
-        pts = default_points(5, diagonal=True, seed=140)
-        worst = []
-        for sign in ("+", "-"):
-            for sector in ("NS", "R"):
-                for p in pts:
-                    worst.append(denominator_transform_residual(
-                        sign, sector, which, p))
-        r = _max_residual(worst)
-        _require(r < cfg.tol, "%s residual %.3e" % (which, r))
-        return "max residual %.1e over %d evaluations" % (r, len(worst))
-    return run
-
-
-def _case_span(M, statement, transform):
-    def run(cfg):
+def _certificate(certs, M, statement, transform):
+    """The span certificate of one family at 3n points of seed 0, made
+    once per certs dict and working precision."""
+    key = (M, statement, transform, mp.prec)
+    if key not in certs:
         n = len(family_members(M, statement))
-        pts = default_points(3 * n, diagonal=True, seed=0)
-        cert = span_closure(M, statement, transform, pts)
-        _require(cert.residual < cfg.tol,
-                 "span residual %.3e" % cert.residual)
-        return ("family of %d, residual %.1e at %d points"
-                % (n, cert.residual, 3 * n))
-    return run
+        certs[key] = span_closure(M, statement, transform,
+                                  default_points(3 * n, diagonal=True,
+                                                 seed=0))
+    return certs[key]
 
 
-def _case_t_phases(M, statement):
+def _case_span(certs, M, statement, transform, cfg):
+    cert = _certificate(certs, M, statement, transform)
+    _require(cert.residual < cfg.tol, "span residual %.3e" % cert.residual)
+    return ("family of %d, residual %.1e at %d points"
+            % (len(cert.family), cert.residual, len(cert.points)))
+
+
+def _case_t_phases(certs, M, statement, cfg):
     # the fitted T matrix must be the predicted permutation of phases
-    def run(cfg):
-        if M == 1:
-            raise SkipCase("family is rank deficient at M = 1")
-        n = len(family_members(M, statement))
-        pts = default_points(3 * n, diagonal=True, seed=0)
-        cert = span_closure(M, statement, "T", pts)
-        pred = predicted_t_matrix(M, statement)
-        dev = 0.0
-        for i in range(n):
-            for jj in range(n):
-                dev = max(dev, abs(cert.coefficients[i][jj] - pred[i][jj]))
-        _require(dev < 1e-6, "fitted T matrix off by %.3e" % dev)
-        return "fit matches predicted phases to %.1e" % dev
-    return run
+    cert = _certificate(certs, M, statement, "T")
+    dev = max(abs(c - w) for row, want in zip(cert.coefficients,
+                                              predicted_t_matrix(M, statement))
+              for c, w in zip(row, want))
+    _require(dev < 1e-6, "fitted T matrix off by %.3e" % dev)
+    return "fit matches predicted phases to %.1e" % dev
 
 
 def _modular_cases():
-    cases = []
-    for M in (1, 2, 3):
-        cases.append(("modular/psi-s-law/M%d" % M, _case_psi_s_law(M)))
-    for M in (1, 2, 3):
-        cases.append(("modular/psi-t-law/M%d" % M, _case_psi_t_law(M)))
-    cases.append(("modular/denominator-s", _case_denominator_transform("S")))
-    cases.append(("modular/denominator-t", _case_denominator_transform("T")))
-    for M in (1, 2, 3):
-        for statement in (1, 2):
-            for transform in ("S", "T"):
-                cases.append(("modular/span/%s/statement%d/M%d"
-                              % (transform, statement, M),
-                              _case_span(M, statement, transform)))
-    for M in (2, 3):
-        for statement in (1, 2):
-            cases.append(("modular/t-phases/statement%d/M%d"
-                          % (statement, M), _case_t_phases(M, statement)))
-    return tuple(cases)
+    certs = {}
+    # the S and T laws of the characteristic blocks
+    cases = [("psi-%s-law/M%d" % (w, M),
+              _residual(partial(_block_residuals, law, offset, M)))
+             for w, law, offset in (("s", psi_s_residual, 100),
+                                    ("t", psi_t_residual, 120))
+             for M in (1, 2, 3)]
+    # the S and T laws of the four denominators
+    cases += [("denominator-" + w.lower(), _residual(lambda q, w=w: [
+        denominator_transform_residual(sign, sector, w, p)
+        for sign in SIGNS for sector in SECTORS
+        for p in default_points(5, diagonal=True, seed=140)]))
+        for w in "ST"]
+    cases += [("span/%s/statement%d/M%d" % (t, s, M),
+               partial(_case_span, certs, M, s, t))
+              for M in (1, 2, 3) for s in (1, 2) for t in "ST"]
+    cases += [("t-phases/statement%d/M%d" % (s, M),
+               partial(_case_t_phases, certs, M, s))
+              for M in (2, 3) for s in (1, 2)]
+    return tuple(("modular/" + cid, case) for cid, case in cases)
 
 
 # ---------------------------------------------------------------------------
@@ -895,8 +644,6 @@ def _run_case(fn, config):
     try:
         detail = fn(config)
         return ("pass", detail or "")
-    except SkipCase as exc:
-        return ("skip", str(exc))
     except Exception as exc:
         return ("fail", "%s: %s" % (type(exc).__name__, exc))
 

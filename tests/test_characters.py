@@ -14,6 +14,7 @@ from thetachar.characters import (
     dd_indices,
     dd_numerator,
     denominator,
+    denominator_theta_form,
     h_s_values,
     index_set,
     nice_numerator,
@@ -165,14 +166,10 @@ class TestDenominator:
     @pytest.mark.parametrize("sign", ["+", "-"])
     @pytest.mark.parametrize("sector", ["NS", "R"])
     def test_eta_and_theta_forms_agree(self, sign, sector):
-        a = denominator(sign, sector, F(6), form="eta")
-        b = denominator(sign, sector, F(6), form="theta")
+        a = denominator(sign, sector, F(6))
+        b = denominator_theta_form(sign, sector, F(6))
         assert a.cross_order(b) >= F(6)
         assert a.equals(b, F(6))
-
-    def test_unknown_form_rejected(self):
-        with pytest.raises(ValueError):
-            denominator("+", "NS", 4, form="czech")
 
 
 class TestNumerators:

@@ -1,0 +1,100 @@
+"""Tests of the suite registry and its row runners."""
+
+import hashlib
+from fractions import Fraction as F
+from functools import partial
+from types import SimpleNamespace
+
+import pytest
+
+from thetachar import suites
+from thetachar.characters import denominator
+from thetachar.modular import family_members, predicted_t_matrix
+from thetachar.qseries import GaussianRational
+from thetachar.suites import SuiteConfig, run_suite, suite_cases
+from thetachar.theta import theta_shifted
+
+# count and sha256 of the newline-joined case ids of each suite; the ids
+# and their order are the interface of `verify` reports
+REGISTRY = {
+    "theta": (20, "428b90bc81ed7ec3557bc389aff5890e"
+                  "1c53fd9222e0f998d8745c6d52de2eb0"),
+    "psi": (23, "3c7ecca4752364b791798fdae67b5313"
+                "a1622cb2a02f41992cfcf982cce61a50"),
+    "characters": (27, "35ade49fe4696cd6352a36b64304d07b"
+                       "5ccccdf5658eaabf66256b3770af6a66"),
+    "reduction": (23, "7ff2b91a348d3a9b6d1669c487c058be"
+                      "61ffbc726b8eaccc59da300a716cf9b6"),
+    "modular": (24, "46ed04e75499ca45d7e010e8f0ad913a"
+                    "9aed3a948ef2d7ad397ed04763cf68b7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_case_registry_is_pinned(name):
+    ids = [cid for cid, _ in suite_cases(name)]
+    count, digest = REGISTRY[name]
+    assert len(ids) == count
+    assert hashlib.sha256("\n".join(ids).encode()).hexdigest() == digest
+
+
+def _run_rows(monkeypatch, rows):
+    monkeypatch.setattr(suites, "suite_cases", lambda name: tuple(rows))
+    report = run_suite("theta", SuiteConfig(q_order=F(4), tol=1e-9, dps=20))
+    return {c.case_id: (c.status, c.detail) for c in report.cases}
+
+
+def _theta(label, q):
+    return theta_shifted(label, q, 1, 1, 0, 0)
+
+
+def _negated(build, q):
+    return build(q).scale(GaussianRational(-1))
+
+
+def test_every_runner_can_fail(monkeypatch):
+    ratio = partial(denominator, "+", "NS")
+    statuses = _run_rows(monkeypatch, [
+        ("exact/true", suites._exact(
+            lambda q: [(_theta("00", q), _theta("00", q))])),
+        ("exact/false", suites._exact(
+            lambda q: [(_theta("00", q), _theta("01", q))])),
+        ("ratio/true", suites._ratio(lambda q: [(ratio, ratio)])),
+        ("ratio/false", suites._ratio(
+            lambda q: [(ratio, partial(_negated, ratio))])),
+        ("residual/true", suites._residual(lambda q: [0.0, 1e-12j])),
+        ("residual/false", suites._residual(lambda q: [0.0, 1e-6])),
+        ("exact/empty", suites._exact(lambda q: [])),
+        ("residual/empty", suites._residual(lambda q: [])),
+    ])
+    assert {cid: st for cid, (st, _) in statuses.items()} == {
+        "exact/true": "pass", "exact/false": "fail",
+        "ratio/true": "pass", "ratio/false": "fail",
+        "residual/true": "pass", "residual/false": "fail",
+        "exact/empty": "fail", "residual/empty": "fail",
+    }
+    # each false row fails its check, not by an error on the way, and a
+    # row that checks nothing fails too
+    for cid in ("exact/false", "ratio/false", "residual/false",
+                "exact/empty", "residual/empty"):
+        assert statuses[cid][1].startswith("CaseFailure: ")
+
+
+def test_t_certificates_are_shared(monkeypatch):
+    # the t-phases rows read the T certificates the span rows computed
+    calls = []
+
+    def fake_span_closure(M, statement, transform, points):
+        calls.append((M, statement, transform))
+        return SimpleNamespace(family=family_members(M, statement),
+                               points=tuple(points), residual=0.0,
+                               coefficients=predicted_t_matrix(M, statement))
+
+    monkeypatch.setattr(suites, "span_closure", fake_span_closure)
+    rows = [row for row in suite_cases("modular")
+            if row[0].startswith(("modular/span/", "modular/t-phases/"))]
+    assert len(rows) == 16
+    statuses = _run_rows(monkeypatch, rows)
+    assert {st for st, _ in statuses.values()} == {"pass"}
+    assert len(calls) == 12
+    assert len(set(calls)) == 12
