@@ -34,9 +34,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .mockpsi import HALF, PsiParams, psi_diag_ratio, psi_pair_ratio
-from .qseries import (GaussianRational, SeriesRatio, mul, product,
-                      restrict_window, scale_monomial)
-from .theta import THETA_LABELS, eta_pow_scaled, theta_shifted
+from .qseries import (GaussianRational, SeriesRatio, expansion_order, mul,
+                      product, restrict_window, scale_monomial)
+from .theta import (THETA_LABELS, eta_pow_scaled, theta_shifted,
+                    theta_valuation)
 
 SECTORS = ("NS", "R")
 SIGNS = ("+", "-")
@@ -131,9 +132,9 @@ def denominator(sign, sector, q_order):
         raise ValueError("q_order must be positive")
     c = GaussianRational(0, -1 if sign == "+" else 1)
     num = mul(eta_pow_scaled(1, 3, q_order),
-              theta_shifted("11", q_order, 1, 2, Fraction(0), Fraction(0)))
+              theta_shifted("11", q_order, 1, 2))
     num = scale_monomial(num, 0, 0, c)
-    d = theta_shifted(denominator_label(sign, sector), q_order, 1, 1, 0, 0)
+    d = theta_shifted(denominator_label(sign, sector), q_order)
     return SeriesRatio(num, mul(d, d))
 
 
@@ -142,10 +143,10 @@ def denominator_theta_form(sign, sector, q_order):
     quadruple product: the oracle denominator() is checked against."""
     c = GaussianRational(0, -1 if sign == "+" else 1)
     d = denominator_label(sign, sector)
-    num = product([theta_shifted(lab, q_order, 1, 1, 0, 0)
+    num = product([theta_shifted(lab, q_order)
                    for lab in THETA_LABELS if lab != d])
     num = scale_monomial(num, 0, 0, c)
-    return SeriesRatio(num, theta_shifted(d, q_order, 1, 1, 0, 0))
+    return SeriesRatio(num, theta_shifted(d, q_order))
 
 
 # (sector, sign) -> (overall factor on sgn(j), rescaled numerator
@@ -164,33 +165,61 @@ def sgn(j):
     return 1 if j > 0 else -1
 
 
+def _character_thetas(spec):
+    """(face, numerator thetas, denominator thetas) of the character
+    ratio, each theta as (label, tau_scale, r_tau) at z_scale 1, r_one 0."""
+    M, j = spec.M, spec.j
+    face, kept, moved, plain_num, plain_den = \
+        _CHARACTER_TABLE[(spec.sector, spec.sign)]
+    num = [(lab, M, j) for lab in kept] + [(plain_num, 1, 0)]
+    den = [(moved, M, j)] + [(lab, 1, 0) for lab in plain_den]
+    return face, num, den
+
+
 def character_ratio(spec, q_order):
     """Exact SeriesRatio for the character of the labelled module."""
     q_order = Fraction(q_order)
     if q_order <= 0:
         raise ValueError("q_order must be positive")
     M, j = spec.M, spec.j
-    face, kept, moved, plain_num, plain_den = \
-        _CHARACTER_TABLE[(spec.sector, spec.sign)]
+    face, num_thetas, den_thetas = _character_thetas(spec)
     build = q_order + j * j / M
-    num_factors = [theta_shifted(lab, build, M, 1, j, Fraction(0))
-                   for lab in kept]
-    num_factors.append(theta_shifted(plain_num, build, 1, 1, 0, 0))
-    num = product(num_factors)
+    num = product([theta_shifted(lab, build, ts, 1, r)
+                   for lab, ts, r in num_thetas])
     num = scale_monomial(num, j * j / M, 2 * j / M, face * sgn(j))
-    den_factors = [theta_shifted(moved, build, M, 1, j, Fraction(0))]
-    den_factors.extend(theta_shifted(lab, build, 1, 1, 0, 0)
-                       for lab in plain_den)
-    return SeriesRatio(num, product(den_factors))
+    den = product([theta_shifted(lab, build, ts, 1, r)
+                   for lab, ts, r in den_thetas])
+    return SeriesRatio(num, den)
+
+
+def _ratio_shortfall(spec):
+    """How far the expansion order of character_ratio(spec, q) falls
+    below q, found from the thetas' valuations before anything is built.
+
+    Every theta is trusted below q + s (s = j^2/M).  By mul's trust rule
+    a product of factors trusted below B is trusted below B plus the sum
+    of min(0, v) over its factors, whatever the order of the fold; the
+    monomial q^s shifts the numerator's trust and valuation by s.  The
+    order reached is q plus expansion_order() of these at q = 0.
+    """
+    M, j = spec.M, spec.j
+    s = j * j / M
+    _, num_thetas, den_thetas = _character_thetas(spec)
+    vn = [theta_valuation(lab, ts, 1, r) for lab, ts, r in num_thetas]
+    vd = [theta_valuation(lab, ts, 1, r) for lab, ts, r in den_thetas]
+    reach = expansion_order(2 * s + sum(min(0, v) for v in vn),
+                            s + sum(min(0, v) for v in vd),
+                            sum(vn) + s, sum(vd))
+    return max(Fraction(0), -reach)
 
 
 def character_series(spec, q_order, x_window=None):
     """q-expansion of the character in the descending-x convention.
 
     The window defaults to (s - 4, s + 2) around the leading x-exponent
-    s.  The ratio is built at q_order; when its expansion order falls
-    short of the request (negative valuations cost trust), it is rebuilt
-    once with that shortfall added, then inverted once.  The lowest
+    s.  Negative valuations cost trust, so the ratio is built once, at
+    q_order plus the shortfall its thetas' valuations predict
+    (_ratio_shortfall), and inverted once.  The lowest
     trusted q-exponent is asserted to equal -c/24 + h before the window
     is restricted to the request.
     """
@@ -203,10 +232,7 @@ def character_series(spec, q_order, x_window=None):
     if lo > hi:
         raise ValueError("empty x window")
     hull = (min(lo, s), max(hi, s))
-    ratio = character_ratio(spec, q_order)
-    short = q_order - ratio.expansion_order()
-    if short > 0:
-        ratio = character_ratio(spec, q_order + short)
+    ratio = character_ratio(spec, q_order + _ratio_shortfall(spec))
     ser = ratio.as_series(q_order, hull)
     stored = ser.terms()
     if stored:

@@ -160,12 +160,12 @@ def psi_diag_ratio(params, q_order):
     else:
         moved, sign = "11", -1
     kept = "11" if moved == "10" else "10"
-    factors = [theta_shifted(lab, build, p.M, 1, p.j, 0)
+    factors = [theta_shifted(lab, build, p.M, 1, p.j)
                for lab in ("00", "01", kept)]
     num = mul(mul(factors[0], factors[1]), factors[2])
     num = scale_monomial(num, p.j * p.j / p.M, 2 * p.j / p.M,
                          GaussianRational(0, sign))
-    den = theta_shifted(moved, build, p.M, 1, p.j, 0)
+    den = theta_shifted(moved, build, p.M, 1, p.j)
     return SeriesRatio(num, den)
 
 
@@ -177,7 +177,7 @@ def psi_pair_ratio(params, q_order):
     jk = p.j + p.k
     build = q_order + (p.j * p.j + p.k * p.k) / p.M
     num = mul(eta_pow_scaled(p.M, 3, build),
-              theta_shifted("11", build, p.M, 2, jk, 0))
+              theta_shifted("11", build, p.M, 2, jk))
     num = scale_monomial(num, p.j * p.k / p.M, jk / p.M,
                          GaussianRational(0, -1))
     den = mul(theta_shifted("11", build, p.M, 1, p.j, p.eps),

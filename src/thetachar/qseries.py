@@ -8,6 +8,13 @@ arise as phases when z is shifted by quarter periods; any operation that
 would need a root of unity outside {1, i, -1, -i} raises
 CoefficientRingError instead of approximating.
 
+Each part a, b is a Python int when it is integral and a Fraction only
+otherwise, and the only division is GaussianRational.inverse().  Theta
+products have Gaussian integer coefficients and unit leading terms, so
+their products and inverses stay in Z[i] and the kernel loops (mul, and
+the level products of invert_directed) run on ints; rational inputs take
+the same loops, since Python mixes the two exactly.
+
 Fractional powers are defined through the exponential, never through a
 branch choice on q itself: q^e means exp(2 pi i tau e) and x^f means
 exp(2 pi i z f).
@@ -47,14 +54,29 @@ def _lcm(a, b):
     return a // gcd(a, b) * b
 
 
+def _exact(v):
+    """v as an exact rational: an int when integral, else a Fraction."""
+    if not isinstance(v, Fraction):
+        v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
 class GaussianRational:
-    """A Gaussian rational a + b*i with exact Fraction parts."""
+    """A Gaussian rational a + b*i with exact parts.
+
+    Each part is stored as an int when it is integral and as a Fraction
+    otherwise, so Gaussian integers, which are all the coefficients the
+    theta products and their unit-led inverses produce, never touch
+    Fraction arithmetic.  Python mixes the two exactly, and int and
+    Fraction parts of equal value hash and compare alike.  Only
+    inverse() divides.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = re if type(re) is int else _exact(re)
+        self.im = im if type(im) is int else _exact(im)
 
     @staticmethod
     def coerce(v):
@@ -91,7 +113,7 @@ class GaussianRational:
         n = self.re * self.re + self.im * self.im
         if n == 0:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational(self.re / n, -self.im / n)
+        return GaussianRational(Fraction(self.re, n), Fraction(-self.im, n))
 
     def __truediv__(self, other):
         return self * GaussianRational.coerce(other).inverse()
@@ -325,34 +347,43 @@ def mul(a, b):
         else:
             win = a.window_n
 
-    # group by q-level, ascending, so the inner loop can stop early
-    la = {}
-    for (qn, xn), v in a.c.items():
-        la.setdefault(qn, []).append((xn, v))
-    lb = {}
-    for (qn, xn), v in b.c.items():
-        lb.setdefault(qn, []).append((xn, v))
-    qa_sorted = sorted(la)
+    # group by q-level, ascending, so the inner loop can stop early;
+    # each term is unpacked once into (x, re, im)
+    la = _levels(a.c)
+    lb = _levels(b.c)
     qb_sorted = sorted(lb)
 
-    terms = {}
-    for qa in qa_sorted:
+    sums = {}
+    for qa in sorted(la):
         rem = order_n - qa
         pa = la[qa]
         for qb in qb_sorted:
             if qb >= rem:
                 break
-            q = qa + qb
-            for xa, va_ in pa:
-                for xb, vb_ in lb[qb]:
+            row = sums.setdefault(qa + qb, {})
+            for xa, ar, ai in pa:
+                for xb, br, bi in lb[qb]:
                     x = xa + xb
                     if win is not None and not win[0] <= x <= win[1]:
                         continue
-                    key = (q, x)
-                    w = terms.get(key)
-                    p = va_ * vb_
-                    terms[key] = p if w is None else w + p
+                    acc = row.get(x)
+                    if acc is None:
+                        row[x] = [ar * br - ai * bi, ar * bi + ai * br]
+                    else:
+                        acc[0] += ar * br - ai * bi
+                        acc[1] += ar * bi + ai * br
+    terms = {(q, x): GaussianRational(re, im)
+             for q, row in sums.items() for x, (re, im) in row.items()
+             if re or im}
     return JacobiSeries(a.q_den, a.x_den, order_n, terms, win)
+
+
+def _levels(c):
+    """{qn: [(xn, re, im), ...]} of a coefficient dict."""
+    out = {}
+    for (qn, xn), v in c.items():
+        out.setdefault(qn, []).append((xn, v.re, v.im))
+    return out
 
 
 def product(factors, seed_order=None):
@@ -392,18 +423,6 @@ def subst_scale_tau(a, m):
         raise ValueError("tau scale must be a positive integer")
     terms = {(qn * m, xn): v for (qn, xn), v in a.c.items()}
     return JacobiSeries(a.q_den, a.x_den, a.order_n * m, terms, a.window_n)
-
-
-def subst_scale_z(a, m):
-    """z -> m*z for a positive integer m: exact, window endpoints scale."""
-    m = int(m)
-    if m < 1:
-        raise ValueError("z scale must be a positive integer")
-    terms = {(qn, xn * m): v for (qn, xn), v in a.c.items()}
-    win = None
-    if a.window_n is not None:
-        win = (a.window_n[0] * m, a.window_n[1] * m)
-    return JacobiSeries(a.q_den, a.x_den, a.order_n, terms, win)
 
 
 def truncate(a, q_order):
@@ -489,16 +508,22 @@ def invert_directed(a, x_window):
         return {x: v for x, v in poly.items() if x >= floor_ and not v.is_zero()}
 
     def pmul(p1, p2, floor_):
-        out = {}
+        t2 = [(x2, v2.re, v2.im) for x2, v2 in p2.items()]
+        sums = {}
         for x1, v1 in p1.items():
-            for x2, v2 in p2.items():
+            ar, ai = v1.re, v1.im
+            for x2, br, bi in t2:
                 x = x1 + x2
                 if x < floor_:
                     continue
-                w = out.get(x)
-                pv = v1 * v2
-                out[x] = pv if w is None else w + pv
-        return {x: v for x, v in out.items() if not v.is_zero()}
+                acc = sums.get(x)
+                if acc is None:
+                    sums[x] = [ar * br - ai * bi, ar * bi + ai * br]
+                else:
+                    acc[0] += ar * br - ai * bi
+                    acc[1] += ar * bi + ai * br
+        return {x: GaussianRational(re, im)
+                for x, (re, im) in sums.items() if re or im}
 
     # T0 = A0^{-1} descending: c0^{-1} x^{-e0} * sum_k (-u)^k
     c0inv = c0.inverse()
@@ -570,25 +595,6 @@ def equal_to_order(a, b, q_order):
         if a.c.get(key, zero) != b.c.get(key, zero):
             return False
     return True
-
-
-def first_difference(a, b, q_order):
-    """Smallest (q_exp, x_exp) where the two differ below q_order, or
-    None when equal; useful for failure reporting."""
-    q_order = Fraction(q_order)
-    a, b = JacobiSeries._aligned(a, b)
-    bound = q_order * a.q_den
-    zero = GaussianRational(0)
-    diffs = []
-    for key in set(a.c) | set(b.c):
-        if key[0] >= bound:
-            continue
-        if a.c.get(key, zero) != b.c.get(key, zero):
-            diffs.append(key)
-    if not diffs:
-        return None
-    qn, xn = min(diffs)
-    return (Fraction(qn, a.q_den), Fraction(xn, a.x_den))
 
 
 # ---------------------------------------------------------------------
@@ -690,16 +696,6 @@ class SeriesRatio:
         rhs = _mul_order_pub(other.num, self.den)
         return min(lhs, rhs)
 
-    def expansion_order(self):
-        """A lower bound on the q_order that as_series() reaches, found
-        without inverting: the inverse of den has valuation -vd and is
-        trusted below Qd - 2 vd, so mul's trust rule gives
-        min(Qn, Qd - 2 vd, Qn - vd, Qd - 2 vd + vn)."""
-        qn, qd = self.num.q_order, self.den.q_order
-        vn = self.num.q_valuation_bound()
-        vd = self.den.q_valuation_bound()
-        return min(qn, qd - 2 * vd, qn - vd, qd - 2 * vd + vn)
-
     def as_series(self, q_order, x_window):
         """num * invert_directed(den, suitable window), trimmed to
         x_window and truncated to q_order."""
@@ -714,6 +710,15 @@ class SeriesRatio:
                 "ratio expansion trusted only below %s < %s"
                 % (out.q_order, Fraction(q_order)))
         return truncate(out, q_order)
+
+
+def expansion_order(qn, qd, vn, vd):
+    """A lower bound on the q_order that SeriesRatio(num, den).as_series()
+    reaches, for num and den trusted below qn and qd with valuations vn
+    and vd, found without inverting: the inverse of den has valuation
+    -vd and is trusted below qd - 2 vd, so mul's trust rule gives
+    min(qn, qd - 2 vd, qn - vd, qd - 2 vd + vn)."""
+    return min(qn, qd - 2 * vd, qn - vd, qd - 2 * vd + vn)
 
 
 def _mul_order_pub(a, b):

@@ -186,11 +186,6 @@ def _residual(residuals):
 # theta suite: exact rows
 
 
-def _th(label, q, tau_scale=1, z_scale=1, r_tau=0, r_one=0):
-    # every argument positional, so equal calls share one cache entry
-    return theta_shifted(label, q, tau_scale, z_scale, r_tau, r_one)
-
-
 # label -> (label, phase) of the theta that a shift by half the period
 # in tau turns it into
 _TAU_HALF_MAP = {
@@ -204,8 +199,9 @@ _TAU_HALF_MAP = {
 def _half_period_shift(s, label, q):
     # theta_ab(s tau, z + s tau/2) = c q^{-s/8} x^{-1/2} theta_a'b'(s tau, z)
     other, c = _TAU_HALF_MAP[label]
-    return [(_th(label, q, s, 1, HALF * s),
-             scale_monomial(_th(other, q + 1, s), Fraction(-s, 8), -HALF, c))]
+    return [(theta_shifted(label, q, s, 1, HALF * s),
+             scale_monomial(theta_shifted(other, q + 1, s), Fraction(-s, 8),
+                            -HALF, c))]
 
 
 def _eta_pentagonal(q):
@@ -222,16 +218,17 @@ def _eta_pentagonal(q):
 def _theta_cases():
     # the product form of theta_ab agrees with its lattice sum
     rows = [("sum-vs-product/" + a,
-             lambda q, a=a: [(_th(a, q), theta_sum(a, q))])
+             lambda q, a=a: [(theta_shifted(a, q), theta_sum(a, q))])
             for a in THETA_LABELS]
     rows += [("tau-half-shift/" + a, partial(_half_period_shift, 1, a))
              for a in THETA_LABELS]
     # theta_00 theta_10 and theta_01 theta_11 at (2tau, z +- tau/2)
     # collapse to single thetas at (tau, z) times eta(2tau)^2/eta(tau)
     rows += [("tau-shift-pair/" + name, lambda q, sg=sg: [
-        (product((_th(la, q + 1, 2, 1, sg * HALF),
-                  _th(lb, q + 1, 2, 1, sg * HALF), eta(q + 1))),
-         scale_monomial(mul(eta_pow_scaled(2, 2, q + 1), _th(tgt, q + 1)),
+        (product((theta_shifted(la, q + 1, 2, 1, sg * HALF),
+                  theta_shifted(lb, q + 1, 2, 1, sg * HALF), eta(q + 1))),
+         scale_monomial(mul(eta_pow_scaled(2, 2, q + 1),
+                            theta_shifted(tgt, q + 1)),
                         Fraction(-1, 8), -sg * HALF, c))
         for la, lb, tgt, c in (("00", "10", "00", GaussianRational(1)),
                                ("01", "11", "01", GaussianRational(0, -sg)))])
@@ -240,15 +237,17 @@ def _theta_cases():
         # theta_00 theta_01 = eta^2/eta(2tau) theta_01(2tau, 2z), same for
         # theta_10 theta_11 -> theta_11(2tau, 2z)
         ("doubling", lambda q: [
-            (product((_th(la, q + 1), _th(lb, q + 1),
+            (product((theta_shifted(la, q + 1), theta_shifted(lb, q + 1),
                       eta_pow_scaled(2, 1, q + 1))),
-             mul(eta_pow_scaled(1, 2, q + 1), _th(tgt, q + 1, 2, 2)))
+             mul(eta_pow_scaled(1, 2, q + 1),
+                 theta_shifted(tgt, q + 1, 2, 2)))
             for la, lb, tgt in (("00", "01", "01"), ("10", "11", "11"))]),
         # theta_00 theta_10 and theta_01 theta_11 at (2tau, z) collapse to
         # theta_10, theta_11 at (tau, z) times eta(2tau)^2/eta(tau)
         ("scaled-pair", lambda q: [
-            (product((_th(la, q + 1, 2), _th(lb, q + 1, 2), eta(q + 1))),
-             mul(eta_pow_scaled(2, 2, q + 1), _th(tgt, q + 1)))
+            (product((theta_shifted(la, q + 1, 2), theta_shifted(lb, q + 1, 2),
+                      eta(q + 1))),
+             mul(eta_pow_scaled(2, 2, q + 1), theta_shifted(tgt, q + 1)))
             for la, lb, tgt in (("00", "10", "10"), ("01", "11", "11"))]),
     ]
     rows += [("full-tau-shift/" + a, partial(_half_period_shift, 2, a))
@@ -256,13 +255,14 @@ def _theta_cases():
     rows += [
         # eta^3 theta_11(tau, 2z) = theta_00 theta_01 theta_10 theta_11
         ("quadruple-product", lambda q: [
-            (mul(eta_pow_scaled(1, 3, q + 1), _th("11", q + 1, 1, 2)),
-             product([_th(a, q + 1) for a in THETA_LABELS]))]),
+            (mul(eta_pow_scaled(1, 3, q + 1),
+                 theta_shifted("11", q + 1, 1, 2)),
+             product([theta_shifted(a, q + 1) for a in THETA_LABELS]))]),
     ]
     # theta_11(tau, z +- 1/2) = -+ theta_10(tau, z)
     rows += [("half-shift/" + name, lambda q, sg=sg: [
-        (_th("11", q, 1, 1, 0, sg * HALF),
-         scale_monomial(_th("10", q), 0, 0, GaussianRational(-sg)))])
+        (theta_shifted("11", q, 1, 1, 0, sg * HALF),
+         scale_monomial(theta_shifted("10", q), 0, 0, GaussianRational(-sg)))])
         for name, sg in (("plus", 1), ("minus", -1))]
     rows.append(("eta-pentagonal", _eta_pentagonal))
     return tuple(("theta/" + cid, _exact(pairs)) for cid, pairs in rows)
@@ -394,9 +394,10 @@ def _m2_closed_ratio(sector, j, sign, q_order):
     p = Fraction(q_order)
     c, a, b, d, e = _M2_CLOSED[(sector, j, sign)]
     r = j if sector == "NS" else 0
-    num = product((eta_pow_scaled(2, 3, p), _th(a, p, 2, 1, r), _th(b, p)))
-    den = product((eta_pow_scaled(1, 3, p), _th(d, p, 2, 1, r),
-                   _th(e, p, 2, 2)))
+    num = product((eta_pow_scaled(2, 3, p), theta_shifted(a, p, 2, 1, r),
+                   theta_shifted(b, p)))
+    den = product((eta_pow_scaled(1, 3, p), theta_shifted(d, p, 2, 1, r),
+                   theta_shifted(e, p, 2, 2)))
     return SeriesRatio(scale_monomial(num, 0, 0, GaussianRational(*c)), den)
 
 

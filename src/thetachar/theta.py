@@ -113,17 +113,15 @@ def eta_pow_scaled(m, power, q_order):
     return truncate(subst_scale_tau(s, m), q_order)
 
 
-@lru_cache(maxsize=None)
-def theta_shifted(label, q_order, tau_scale=1, z_scale=1, r_tau=Fraction(0),
-                  r_one=Fraction(0)):
+def theta_shifted(label, q_order, tau_scale=1, z_scale=1, r_tau=0, r_one=0):
     """theta_label(tau_scale*tau, z_scale*z + r_tau*tau + r_one) as an
     exact series trusted below q_order.
 
     Built straight from the product form with the shifted argument
     absorbed into every two-term factor (1 + c x^k q^e).  Leaving out
     every factor with e >= W leaves a tail 1 + O(q^W), so the finite
-    product P is exact below W + v(P), and its valuation v(P) is at
-    least the sum of min(0, e) over its factors.  Every factor with
+    product P is exact below W + v(P), and its valuation v(P) is the sum
+    of min(0, e) over its factors (theta_valuation).  Every factor with
     e < 0 is in P once W > 0, so that sum is known before P is built: W
     is set to cover q_order with it, P is multiplied out once, trusted
     to W, and truncated to exactly q_order.
@@ -134,15 +132,53 @@ def theta_shifted(label, q_order, tau_scale=1, z_scale=1, r_tau=Fraction(0),
     zeta = e^{2 pi i r_one}, which must be a power of i (and for the
     half-characteristic prefactor x'^{1/2}, a power of -1), otherwise
     CoefficientRingError is raised.
+
+    The arguments are normalized (orders and shifts to Fraction, scales
+    to int) before the cached build, so every spelling of one series is
+    one cache entry; cache_info() and cache_clear() reach that cache.
     """
+    return _theta_shifted(label, Fraction(q_order), int(tau_scale),
+                          int(z_scale), Fraction(r_tau), Fraction(r_one))
+
+
+@lru_cache(maxsize=None)
+def _theta_shifted(label, q_order, ts, zs, r_tau, r_one):
+    pre_q, pre_x, pre_c, factors = _theta_shape(label, ts, zs, r_tau, r_one)
+    work = max(Fraction(1),
+               q_order - theta_valuation(label, ts, zs, r_tau, r_one))
+    s = product([add(JacobiSeries.one(work),
+                     JacobiSeries.monomial(e, k, c, work))
+                 for e, k, c in factors(work)], seed_order=work)
+    if pre_q or pre_x or pre_c != 1:
+        s = scale_monomial(s, pre_q, pre_x, pre_c)
+    return truncate(s, q_order)
+
+
+theta_shifted.cache_info = _theta_shifted.cache_info
+theta_shifted.cache_clear = _theta_shifted.cache_clear
+
+
+def theta_valuation(label, tau_scale=1, z_scale=1, r_tau=0, r_one=0):
+    """The q-valuation of theta_shifted(label, q, tau_scale, z_scale,
+    r_tau, r_one) at every q above it, found without building it.
+
+    It is the prefactor's q-exponent plus the sum of min(0, e) over the
+    two-term factors, and it is exact: the q^v coefficient is the
+    product of the lowest terms of the factors, a nonzero Laurent
+    polynomial in x.
+    """
+    pre_q, _, _, factors = _theta_shape(label, int(tau_scale), int(z_scale),
+                                        Fraction(r_tau), Fraction(r_one))
+    return pre_q + sum(min(0, e) for e, _, _ in factors(1))
+
+
+def _theta_shape(label, ts, zs, r_tau, r_one):
+    """(pre_q, pre_x, pre_c, factors) of the shifted theta: the prefactor
+    pre_c q^pre_q x^pre_x, and factors(work), the (e, k, c) of every
+    two-term factor (1 + c x^k q^e) with e below work."""
     _check_label(label)
-    q_order = Fraction(q_order)
-    ts = int(tau_scale)
-    zs = int(z_scale)
     if ts < 1 or zs < 1:
         raise ValueError("tau_scale and z_scale must be positive integers")
-    r_tau = Fraction(r_tau)
-    r_one = Fraction(r_one)
     if (4 * r_one).denominator != 1:
         raise CoefficientRingError(
             "z-shift constant %s is not a multiple of 1/4" % (r_one,))
@@ -166,7 +202,6 @@ def theta_shifted(label, q_order, tau_scale=1, z_scale=1, r_tau=Fraction(0),
         pre_c = GaussianRational(1)
 
     def factors(work):
-        """(e, k, c) of every factor with q-exponent e below work."""
         out = []
         n = 1
         while True:
@@ -182,14 +217,7 @@ def theta_shifted(label, q_order, tau_scale=1, z_scale=1, r_tau=Fraction(0),
             out.extend(live)
             n += 1
 
-    low = sum(min(0, e) for e, _, _ in factors(1))
-    work = max(Fraction(1), q_order - pre_q - low)
-    s = product([add(JacobiSeries.one(work),
-                     JacobiSeries.monomial(e, k, c, work))
-                 for e, k, c in factors(work)], seed_order=work)
-    if pre_q or pre_x or pre_c != 1:
-        s = scale_monomial(s, pre_q, pre_x, pre_c)
-    return truncate(s, q_order)
+    return pre_q, pre_x, pre_c, factors
 
 
 # ---------------------------------------------------------------------

@@ -4,8 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
+import thetachar.characters as characters
 import thetachar.qseries as qseries
 from thetachar.characters import (
+    SECTORS,
+    SIGNS,
     CharacterSpec,
     ReductionParams,
     central_charge,
@@ -160,6 +163,30 @@ class TestSeriesControls:
         ser = character_series(CharacterSpec(M, j, sector, "+"), F(2))
         assert ser.q_order == F(2)
         assert len(inversions) == 1
+
+
+    def test_each_ratio_is_built_once(self, monkeypatch):
+        # the shortfall comes from the thetas' valuations, so no label
+        # builds its ratio a second time
+        built = []
+        real = characters.character_ratio
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(characters, "character_ratio", counting)
+        n = 0
+        for M in range(1, 5):
+            for sector in SECTORS:
+                for sign in SIGNS:
+                    for j in index_set(M, sector):
+                        for q in (2, 4, 8):
+                            ser = character_series(
+                                CharacterSpec(M, j, sector, sign), q)
+                            assert ser.q_order == q
+                            n += 1
+        assert n == 120 and len(built) == n
 
 
 class TestDenominator:

@@ -19,7 +19,7 @@ from thetachar.qseries import (
     dumps_canonical,
     equal_to_order,
     eval_numeric,
-    first_difference,
+    expansion_order,
     from_json_dict,
     invert_directed,
     mul,
@@ -29,10 +29,14 @@ from thetachar.qseries import (
     scale_monomial,
     sub,
     subst_scale_tau,
-    subst_scale_z,
     to_json_dict,
     truncate,
 )
+
+from thetachar.characters import (SECTORS, SIGNS, CharacterSpec,
+                                  character_series, index_set)
+
+from oracles import first_difference, subst_scale_z
 
 
 def mono(qe, xe, coeff, order):
@@ -98,6 +102,26 @@ class TestGaussianRational:
     def test_complex_conversion(self):
         z = complex(GaussianRational(F(1, 2), F(-1, 4)))
         assert z == 0.5 - 0.25j
+
+    def test_integral_parts_are_ints(self):
+        a = GaussianRational(F(4, 2), F(-3, 1))
+        assert type(a.re) is int and a.re == 2
+        assert type(a.im) is int and a.im == -3
+        half = GaussianRational(F(1, 2), F(1, 2)) + GaussianRational(F(1, 2))
+        assert type(half.re) is int and type(half.im) is F
+
+    def test_inverse_of_integers_is_exact(self):
+        inv = GaussianRational(3, 4).inverse()
+        assert type(inv.re) is F and type(inv.im) is F
+        assert (inv.re, inv.im) == (F(3, 25), F(-4, 25))
+
+    def test_int_and_fraction_parts_hash_and_compare_alike(self):
+        a = GaussianRational(2, -1)
+        b = GaussianRational.__new__(GaussianRational)
+        b.re, b.im = F(2), F(-1)
+        assert a == b and hash(a) == hash(b) == hash((F(2), F(-1)))
+        assert GaussianRational(2) == F(2) and GaussianRational(F(2)) == 2
+        assert {a: 1}[b] == 1
 
 
 # ---------------------------------------------------------------------
@@ -167,6 +191,82 @@ def _series(draw):
 def _same(a, b):
     bound = min(a.q_order, b.q_order)
     return equal_to_order(a, b, bound)
+
+
+# Gaussian coefficients with int, Fraction and mixed parts
+_mixed_parts = st.one_of(
+    st.integers(min_value=-5, max_value=5),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4))
+# leading coefficients for inversion: units, and non-units that send the
+# inverse through Fractions
+_leads = st.sampled_from([GaussianRational(1), GaussianRational(0, -1),
+                          GaussianRational(3, 4), GaussianRational(F(1, 2), 2),
+                          GaussianRational(-2)])
+
+
+@st.composite
+def _laurent(draw):
+    """A series on q_den 2, x in [-2, 2], trusted below q^3, whose q^0
+    level has its top x-power at x^2 with a drawn leading coefficient."""
+    terms = {(0, 2): draw(_leads)}
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        qn = draw(st.integers(min_value=0, max_value=5))
+        xn = draw(st.integers(min_value=-2, max_value=1 if qn == 0 else 2))
+        terms[(qn, xn)] = GaussianRational(draw(_mixed_parts),
+                                           draw(_mixed_parts))
+    return JacobiSeries(2, 1, 6, terms)
+
+
+def naive_product(a, b, q_order, x_window):
+    """All-Fraction double loop over the stored terms of a and b: the
+    terms of a*b below q_order and inside x_window (or everywhere)."""
+    out = {}
+    for qa, xa, ca in a.terms():
+        for qb, xb, cb in b.terms():
+            q, x = qa + qb, xa + xb
+            if q >= q_order:
+                continue
+            if x_window is not None and not x_window[0] <= x <= x_window[1]:
+                continue
+            ar, ai, br, bi = F(ca.re), F(ca.im), F(cb.re), F(cb.im)
+            re, im = out.get((q, x), (F(0), F(0)))
+            out[(q, x)] = (re + ar * br - ai * bi, im + ar * bi + ai * br)
+    return {k: v for k, v in out.items() if v != (0, 0)}
+
+
+def as_pairs(s):
+    return {(q, x): (c.re, c.im) for q, x, c in s.terms()}
+
+
+class TestKernelAgainstNaiveLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(_laurent(), _laurent())
+    def test_mul(self, a, b):
+        got = mul(a, b)
+        assert as_pairs(got) == naive_product(a, b, got.q_order, None)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_laurent())
+    def test_times_directed_inverse(self, a):
+        inv = invert_directed(a, (-6, 6))
+        got = mul(a, inv)
+        want = naive_product(a, inv, got.q_order, got.x_window)
+        assert as_pairs(got) == want
+        assert want == {(F(0), F(0)): (1, 0)}
+
+
+def test_character_coefficients_stay_gaussian_integers():
+    # the kernel's fast path: every coefficient the characters produce
+    # is a Gaussian integer, stored with int parts
+    for M in range(1, 5):
+        for sector in SECTORS:
+            for sign in SIGNS:
+                for j in index_set(M, sector):
+                    ser = character_series(CharacterSpec(M, j, sector, sign),
+                                           4)
+                    assert ser.c, (M, j, sector, sign)
+                    assert all(type(v.re) is int and type(v.im) is int
+                               for v in ser.c.values()), (M, j, sector, sign)
 
 
 class TestRingAxioms:
@@ -367,7 +467,9 @@ class TestInversion:
         num = poly(6, (0, 1, 1), (0, 0, 1))
         den = poly(6, (1, 0, 1), (2, 1, -1))
         r = SeriesRatio(num, den)
-        assert r.expansion_order() == F(4)
+        assert expansion_order(num.q_order, den.q_order,
+                               num.q_valuation_bound(),
+                               den.q_valuation_bound()) == F(4)
         s = r.as_series(4, (F(-6), F(2)))
         assert first_difference(mul(s, den), num, F(4)) is None
         with pytest.raises(UntrustedOrderError):

@@ -17,11 +17,9 @@ from thetachar.qseries import (
     add,
     equal_to_order,
     eval_numeric,
-    first_difference,
     mul,
     scale_monomial,
     subst_scale_tau,
-    subst_scale_z,
     truncate,
 )
 from thetachar.theta import (
@@ -34,7 +32,10 @@ from thetachar.theta import (
     theta_numeric,
     theta_shifted,
     theta_sum,
+    theta_valuation,
 )
+
+from oracles import first_difference, subst_scale_z
 
 HALF = F(1, 2)
 LABELS = ("00", "01", "10", "11")
@@ -348,6 +349,27 @@ class TestThetaShifted:
         deeper = truncate(theta_shifted(label, q + 2, ts, zs, rt, ro), q)
         assert got.q_order == q
         assert got.terms() == deeper.terms()
+
+    @settings(deadline=None, max_examples=60)
+    @given(label=st.sampled_from(LABELS), ts=st.integers(1, 4),
+           zs=st.integers(1, 2), rt2=st.integers(-16, 16),
+           ro4=st.integers(0, 3))
+    def test_valuation_is_exact(self, label, ts, zs, rt2, ro4):
+        # the helper character_series pads with never builds the series
+        assume(label[0] == "0" or ro4 % 2 == 0)
+        rt, ro = F(rt2, 2), F(ro4, 4)
+        built = theta_shifted(label, 3, ts, zs, rt, ro)
+        assert (theta_valuation(label, ts, zs, rt, ro)
+                == built.q_valuation_bound())
+
+    def test_cache_key_is_the_value(self):
+        # three spellings of one series are one cache entry
+        theta_shifted.cache_clear()
+        a = theta_shifted("00", F(4))
+        b = theta_shifted("00", F(4), 1, 1, 0, 0)
+        c = theta_shifted("00", 4, tau_scale=1)
+        assert a is b is c
+        assert theta_shifted.cache_info().misses == 1
 
     def test_numeric_semantics(self):
         mp.dps = 35
