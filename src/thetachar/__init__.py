@@ -27,7 +27,6 @@ from .theta import (
 from .mockpsi import (
     PoleProximityError,
     PsiParams,
-    phi1_numeric,
     phi_a11_numeric,
     psi_diag_ratio,
     psi_numeric,
@@ -71,7 +70,6 @@ __all__ = [
     "theta_sum",
     "PoleProximityError",
     "PsiParams",
-    "phi1_numeric",
     "phi_a11_numeric",
     "psi_diag_ratio",
     "psi_numeric",

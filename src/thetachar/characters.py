@@ -1,11 +1,13 @@
 """N=4 superconformal denominators, characters, and parameter tables.
 
-Characters ch^{(+/-)} in the NS and Ramond sectors are assembled as
-exact SeriesRatio objects: a prefactor sgn(j) q^{j^2/M} x^{2j/M}, three
-rescaled thetas at (M tau, z + j tau) over the fourth, and one plain
-theta at (tau, z) over the other three.  The sign convention sets
-sgn(j) = 1 for j > 0 and -1 for j <= 0, which matters exactly once, at
-Ramond j = 0.
+Characters ch^{(+/-)} in the NS and Ramond sectors are quotients: a
+prefactor sgn(j) q^{j^2/M} x^{2j/M}, three rescaled thetas at
+(M tau, z + j tau) over the fourth, and one plain theta at (tau, z)
+over the other three.  character_ratio keeps them as exact SeriesRatio
+objects for cross-multiplied checks; character_series expands them by
+dividing the numerator by the denominator thetas' product factors.
+The sign convention sets sgn(j) = 1 for j > 0 and -1 for j <= 0, which
+matters exactly once, at Ramond j = 0.
 
 The denominators R^{(eps)}_{eps'} live in the same four-way grid: sign
 +/- corresponds to eps = 1/2 resp. 0 and sector NS/R to eps' = 1/2
@@ -34,10 +36,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .mockpsi import HALF, PsiParams, psi_diag_ratio, psi_pair_ratio
-from .qseries import (GaussianRational, SeriesRatio, expansion_order, mul,
-                      product, restrict_window, scale_monomial)
-from .theta import (THETA_LABELS, eta_pow_scaled, theta_shifted,
-                    theta_valuation)
+from .qseries import (GaussianRational, SeriesRatio, divide, mul, product,
+                      restrict_window, scale_monomial)
+from .theta import (THETA_LABELS, eta_pow_scaled, theta_factors,
+                    theta_shifted, theta_valuation)
 
 SECTORS = ("NS", "R")
 SIGNS = ("+", "-")
@@ -176,54 +178,44 @@ def _character_thetas(spec):
     return face, num, den
 
 
+def _numerator(spec, build):
+    """The character's numerator, from thetas trusted below build."""
+    M, j = spec.M, spec.j
+    face, num_thetas, _ = _character_thetas(spec)
+    num = product([theta_shifted(lab, build, ts, 1, r)
+                   for lab, ts, r in num_thetas])
+    return scale_monomial(num, j * j / M, 2 * j / M, face * sgn(j))
+
+
 def character_ratio(spec, q_order):
     """Exact SeriesRatio for the character of the labelled module."""
     q_order = Fraction(q_order)
     if q_order <= 0:
         raise ValueError("q_order must be positive")
-    M, j = spec.M, spec.j
-    face, num_thetas, den_thetas = _character_thetas(spec)
-    build = q_order + j * j / M
-    num = product([theta_shifted(lab, build, ts, 1, r)
-                   for lab, ts, r in num_thetas])
-    num = scale_monomial(num, j * j / M, 2 * j / M, face * sgn(j))
-    den = product([theta_shifted(lab, build, ts, 1, r)
-                   for lab, ts, r in den_thetas])
-    return SeriesRatio(num, den)
-
-
-def _ratio_shortfall(spec):
-    """How far the expansion order of character_ratio(spec, q) falls
-    below q, found from the thetas' valuations before anything is built.
-
-    Every theta is trusted below q + s (s = j^2/M).  By mul's trust rule
-    a product of factors trusted below B is trusted below B plus the sum
-    of min(0, v) over its factors, whatever the order of the fold; the
-    monomial q^s shifts the numerator's trust and valuation by s.  The
-    order reached is q plus expansion_order() of these at q = 0.
-    """
-    M, j = spec.M, spec.j
-    s = j * j / M
-    _, num_thetas, den_thetas = _character_thetas(spec)
-    vn = [theta_valuation(lab, ts, 1, r) for lab, ts, r in num_thetas]
-    vd = [theta_valuation(lab, ts, 1, r) for lab, ts, r in den_thetas]
-    reach = expansion_order(2 * s + sum(min(0, v) for v in vn),
-                            s + sum(min(0, v) for v in vd),
-                            sum(vn) + s, sum(vd))
-    return max(Fraction(0), -reach)
+    build = q_order + spec.j * spec.j / spec.M
+    _, _, den_thetas = _character_thetas(spec)
+    return SeriesRatio(_numerator(spec, build),
+                       product([theta_shifted(lab, build, ts, 1, r)
+                                for lab, ts, r in den_thetas]))
 
 
 def character_series(spec, q_order, x_window=None):
     """q-expansion of the character in the descending-x convention.
 
     The window defaults to (s - 4, s + 2) around the leading x-exponent
-    s.  Negative valuations cost trust, so the ratio is built once, at
-    q_order plus the shortfall its thetas' valuations predict
-    (_ratio_shortfall), and inverted once.  The lowest
-    trusted q-exponent is asserted to equal -c/24 + h before the window
-    is restricted to the request.
+    s.  Only the numerator thetas are built: the numerator is divided
+    by the denominator thetas' prefactors and two-term factors
+    (theta_factors, qseries.divide), so no denominator series is ever
+    multiplied out.  The valuations v_num and v_den of both sides are
+    exact (theta_valuation), so the numerator is built trusted below
+    q_order + v_den and the factors are listed up to
+    q_order - (v_num - v_den).  The lowest trusted q-exponent is
+    asserted to equal -c/24 + h before the window is restricted to the
+    request.
     """
     q_order = Fraction(q_order)
+    if q_order <= 0:
+        raise ValueError("q_order must be positive")
     h, s = h_s_values(spec)
     lead_q = -central_charge(spec.M) / 24 + h
     if x_window is None:
@@ -231,9 +223,24 @@ def character_series(spec, q_order, x_window=None):
     lo, hi = Fraction(x_window[0]), Fraction(x_window[1])
     if lo > hi:
         raise ValueError("empty x window")
-    hull = (min(lo, s), max(hi, s))
-    ratio = character_ratio(spec, q_order + _ratio_shortfall(spec))
-    ser = ratio.as_series(q_order, hull)
+    _, num_thetas, den_thetas = _character_thetas(spec)
+    shift = spec.j * spec.j / spec.M
+    v_num = [theta_valuation(lab, ts, 1, r) for lab, ts, r in num_thetas]
+    v_den = sum(theta_valuation(lab, ts, 1, r) for lab, ts, r in den_thetas)
+    v_out = sum(v_num) + shift - v_den
+    # by mul's trust rule a product of factors trusted below B is
+    # trusted below B plus the sum of min(0, v) over its factors
+    num = _numerator(spec, q_order + v_den - shift
+                     - sum(min(0, v) for v in v_num))
+    # a positive bound also lists every factor with e < 0, which the
+    # valuation v_den counts
+    below = max(1, q_order - v_out)
+    lead, factors = (0, 0, GaussianRational(1)), []
+    for lab, ts, r in den_thetas:
+        (e, k, c), more = theta_factors(lab, below, ts, 1, r)
+        lead = (lead[0] + e, lead[1] + k, lead[2] * c)
+        factors += more
+    ser = divide(num, lead, factors, q_order, (min(lo, s), max(hi, s)))
     stored = ser.terms()
     if stored:
         low = min(qe for qe, _xe, _c in stored)

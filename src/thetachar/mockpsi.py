@@ -30,8 +30,7 @@ every constituent series s satisfies q_order(s) >= requested and
 q_order(s) + valuation(s) >= requested; cross-multiplied comparisons
 at the requested order then stay inside trusted territory.
 
-phi1_numeric is the underlying M = 1 block and phi_a11_numeric the
-two-variable Appell-type sum
+phi_a11_numeric is the two-variable Appell-type sum
 
     Phi1(tau, z1, z2, t) = e^{-2 pi i m t} sum_{j in Z}
         e^{2 pi i m j (z1 + z2) + 2 pi i s z1} q^{m j^2 + s j}
@@ -104,24 +103,6 @@ def _mpc_any(v):
     if isinstance(v, Fraction):
         return mp.mpc(_mpfrac(v))
     return mp.mpc(v)
-
-
-def phi1_numeric(s_int, tau, z1, z2, t):
-    """The M = 1 block: -i e^{-2 pi i t} eta^3 theta_11(z1+z2)
-    / (theta_11(z1) theta_11(z2)).
-
-    The integer shift label s_int is accepted for interface symmetry;
-    the value does not depend on it.
-    """
-    if int(s_int) != s_int:
-        raise ValueError("shift label must be an integer")
-    tau = _mpc_any(tau)
-    z1 = _mpc_any(z1)
-    z2 = _mpc_any(z2)
-    num = eta_numeric(tau) ** 3 * theta_numeric("11", tau, z1 + z2)
-    den = (_guard_pole(theta_numeric("11", tau, z1), "theta_11(z1)")
-           * _guard_pole(theta_numeric("11", tau, z2), "theta_11(z2)"))
-    return -1j * mp.exp(-2j * mp.pi * _mpc_any(t)) * num / den
 
 
 def psi_numeric(params, tau, z1, z2, t):

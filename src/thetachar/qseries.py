@@ -9,11 +9,12 @@ would need a root of unity outside {1, i, -1, -i} raises
 CoefficientRingError instead of approximating.
 
 Each part a, b is a Python int when it is integral and a Fraction only
-otherwise, and the only division is GaussianRational.inverse().  Theta
-products have Gaussian integer coefficients and unit leading terms, so
-their products and inverses stay in Z[i] and the kernel loops (mul, and
-the level products of invert_directed) run on ints; rational inputs take
-the same loops, since Python mixes the two exactly.
+otherwise, and the kernel never divides two coefficients: divide()
+multiplies by the conjugates of powers of i and rejects any other
+divisor.  Theta products have Gaussian integer coefficients and unit
+leading terms, so their products and quotients stay in Z[i] and the
+kernel loops (mul and the passes of divide) run on ints; rational
+inputs take the same loops, since Python mixes the two exactly.
 
 Fractional powers are defined through the exponential, never through a
 branch choice on q itself: q^e means exp(2 pi i tau e) and x^f means
@@ -28,7 +29,8 @@ than the minimum of the operand bounds.
 
 A series may in addition carry an x_window, a closed interval of
 x-exponents outside of which terms are unknown.  Windows appear when a
-series is inverted in the direction of descending x-powers and then
+series is divided in the direction of descending x-powers (divide),
+which computes only the terms that can reach the window, and then
 follow the usual interval arithmetic: products shift the window,
 sums intersect, and comparisons are restricted to the window overlap.
 """
@@ -66,10 +68,11 @@ class GaussianRational:
 
     Each part is stored as an int when it is integral and as a Fraction
     otherwise, so Gaussian integers, which are all the coefficients the
-    theta products and their unit-led inverses produce, never touch
-    Fraction arithmetic.  Python mixes the two exactly, and int and
-    Fraction parts of equal value hash and compare alike.  Only
-    inverse() divides.
+    theta products and their quotients by unit-led factors produce,
+    never touch Fraction arithmetic.  Python mixes the two exactly, and
+    int and Fraction parts of equal value hash and compare alike.
+    Nothing divides: the only inverses taken are of powers of i, which
+    are their conjugates (divide).
     """
 
     __slots__ = ("re", "im")
@@ -108,15 +111,6 @@ class GaussianRational:
                                 self.re * other.im + self.im * other.re)
 
     __rmul__ = __mul__
-
-    def inverse(self):
-        n = self.re * self.re + self.im * self.im
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational(Fraction(self.re, n), Fraction(-self.im, n))
-
-    def __truediv__(self, other):
-        return self * GaussianRational.coerce(other).inverse()
 
     def times_i_power(self, k):
         """Multiply by i^k for integer k."""
@@ -450,118 +444,145 @@ def restrict_window(a, x_window):
     return JacobiSeries(s.q_den, x_den, s.order_n, s.c, (wlo, whi))
 
 
-def invert_directed(a, x_window):
-    """Inverse of a series organized in descending powers of x.
+def _unit_inverse(c):
+    """The inverse of a power of i, which is its conjugate."""
+    if (c.re, c.im) not in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        raise CoefficientRingError(
+            "cannot divide by %r: not a power of i" % (c,))
+    return GaussianRational(c.re, -c.im)
 
-    The series is split into q-levels above its valuation; the lowest
-    level A0, a Laurent polynomial in x, must have a nonzero coefficient
-    on its highest x-power.  Its inverse is the descending geometric
-    expansion in 1/x, and higher levels follow by the usual recursion
-    for inverting a series with invertible lowest term.  The result is
-    truncated to the requested inclusive x_window and carries it.
 
-    The returned q_order is q_order(a) - 2 v where v is the q-valuation
-    of a.  Internally the recursion works on a window widened by the
-    worst-case climb of x-support per q-level so that every reported
-    coefficient receives all of its contributions.
+def divide(a, lead, factors, q_order, x_window):
+    """a / (c q^e x^k * prod (1 + c_i x^k_i q^e_i)) for lead = (e, k, c)
+    and factors (e_i, k_i, c_i), expanded q-adically and, within each
+    power of q, in descending powers of x; trusted below q_order on the
+    inclusive x_window, which the result carries.
+
+    A factor with e_i < 0, or e_i = 0 < k_i, is written
+    c_i x^k_i q^e_i (1 + u) and its monomial joins the lead, which must
+    be a power of i (else CoefficientRingError), so every remaining
+    factor is small in q (e > 0) or in 1/x (e = 0, k < 0).  One pass per
+    factor then applies out[q, x] = acc[q, x] - c out[q - e, x - k] in
+    (q ascending, x descending) order.  The caller lists every factor
+    with e_i < q_order - v, v the valuation of the quotient (those left
+    out are 1 + O(q^e_i)); a must be trusted below q_order plus the
+    divisor's valuation, else UntrustedOrderError is raised.
+
+    The factors from pass i on move a term at level q at most
+    (q_order - q) * rise up and (q_order - q) * fall down in x, with
+    rise the largest k/e for k > 0 and fall the largest -k/e for k < 0
+    (unbounded while a factor with e = 0 remains), so pass i keeps, at
+    each level, only the x-range from which the window can still be
+    reached.  Factors with e = 0 run first, then the rising ones, then
+    the rest, each steepest first, so that these ranges narrow pass by
+    pass.
     """
     if a.window_n is not None:
-        raise ValueError("cannot invert a windowed series")
-    if not a.c:
-        raise ZeroDivisionError("cannot invert a series with no stored terms")
-    lo = Fraction(x_window[0])
-    hi = Fraction(x_window[1])
-    x_den = _lcm(a.x_den, _lcm(lo.denominator, hi.denominator))
-    s = a._with_lattice(a.q_den, x_den)
-    wlo = math.ceil(lo * x_den)
-    whi = math.floor(hi * x_den)
+        raise ValueError("cannot divide a windowed series")
+    lead_q, lead_x = Fraction(lead[0]), Fraction(lead[1])
+    lead_c = GaussianRational.coerce(lead[2])
+    kept = []
+    for e, k, c in factors:
+        e, k, c = Fraction(e), Fraction(k), GaussianRational.coerce(c)
+        if e < 0 or (e == 0 and k > 0):
+            lead_q, lead_x, lead_c = lead_q + e, lead_x + k, lead_c * c
+            e, k, c = -e, -k, _unit_inverse(c)
+        elif e == 0 and k == 0:
+            raise ValueError("constant factor 1 + %r has no directed "
+                             "expansion" % (c,))
+        kept.append((e, k, c))
+    q_order = Fraction(q_order)
+    lo, hi = Fraction(x_window[0]), Fraction(x_window[1])
+    s = scale_monomial(a, -lead_q, -lead_x, _unit_inverse(lead_c))
+    if s.q_order < q_order:
+        raise UntrustedOrderError("numerator trusted only below %s < %s"
+                                  % (a.q_order, q_order + lead_q))
+    q_den = _lcm(s.q_den, q_order.denominator)
+    x_den = _lcm(s.x_den, _lcm(lo.denominator, hi.denominator))
+    for e, k, _ in kept:
+        q_den, x_den = _lcm(q_den, e.denominator), _lcm(x_den, k.denominator)
+    s = s._with_lattice(q_den, x_den)
+    order_n = int(q_order * q_den)
+    window = (int(lo * x_den), int(hi * x_den))
 
-    v_lat = min(qn for (qn, _) in s.c)
-    n_levels = s.order_n - v_lat
-    if n_levels <= 0:
-        raise UntrustedOrderError("series has no trusted terms to invert")
+    # in lattice units from here on; slopes[i] = (rise, fall) of the
+    # factors from pass i on
+    kept = sorted(((int(e * q_den), int(k * x_den), c) for e, k, c in kept),
+                  key=_pass_order)
+    slopes = []
+    rise = fall = Fraction(0)
+    for e, k, _ in reversed(kept):
+        if k > 0:
+            rise = max(rise, Fraction(k, e))
+        elif k < 0 and fall is not None:
+            fall = max(fall, Fraction(-k, e)) if e else None
+        slopes.insert(0, (rise, fall))
+    acc = {}
+    for (qn, xn), v in s.c.items():
+        if qn < order_n:
+            acc.setdefault(qn, {})[xn] = (v.re, v.im)
+    for factor, (rise, fall) in zip(kept, slopes):
+        acc = _divide_pass(acc, factor, order_n, window, rise, fall)
+    terms = {(qn, xn): GaussianRational(re, im)
+             for qn, row in acc.items() for xn, (re, im) in row.items()
+             if window[0] <= xn <= window[1]}
+    return JacobiSeries(q_den, x_den, order_n, terms, window)
 
-    levels = {}
-    for (qn, xn), cv in s.c.items():
-        levels.setdefault(qn - v_lat, {})[xn] = cv
-    a0 = levels[0]
-    e0 = max(a0)
-    c0 = a0[e0]
 
-    # worst-case climb of the x-top per q-level, in lattice units
-    climb = Fraction(0)
-    for lam, poly in levels.items():
-        if lam == 0:
-            continue
-        rise = max(poly) - e0
-        if rise > 0:
-            climb = max(climb, Fraction(rise, lam))
-    pad = int(math.ceil(climb * max(n_levels - 1, 0)))
-    work_lo = wlo - pad
-    t0_lo = work_lo - pad
-    # the level products feeding each T_lambda must retain everything
-    # that can still reach the working floor after the final multiply
-    # by T0, whose top x-power is -e0
-    acc_lo = work_lo + e0 - pad
+def _pass_order(factor):
+    """Factors with e = 0 first, then the rising ones, then the others,
+    each group steepest first."""
+    e, k, _ = factor
+    if e == 0:
+        return (0, 0)
+    return (1, -Fraction(k, e)) if k > 0 else (2, Fraction(k, e))
 
-    def trim(poly, floor_):
-        return {x: v for x, v in poly.items() if x >= floor_ and not v.is_zero()}
 
-    def pmul(p1, p2, floor_):
-        t2 = [(x2, v2.re, v2.im) for x2, v2 in p2.items()]
-        sums = {}
-        for x1, v1 in p1.items():
-            ar, ai = v1.re, v1.im
-            for x2, br, bi in t2:
-                x = x1 + x2
-                if x < floor_:
-                    continue
-                acc = sums.get(x)
-                if acc is None:
-                    sums[x] = [ar * br - ai * bi, ar * bi + ai * br]
-                else:
-                    acc[0] += ar * br - ai * bi
-                    acc[1] += ar * bi + ai * br
-        return {x: GaussianRational(re, im)
-                for x, (re, im) in sums.items() if re or im}
-
-    # T0 = A0^{-1} descending: c0^{-1} x^{-e0} * sum_k (-u)^k
-    c0inv = c0.inverse()
-    u = {x - e0: v * c0inv for x, v in a0.items() if x != e0}
-    t0 = {-e0: c0inv}
-    powk = {0: ONE}
-    while True:
-        powk = pmul(powk, {x: -v for x, v in u.items()}, t0_lo + e0)
-        if not powk:
-            break
-        for x, v in powk.items():
-            key = x - e0
-            if key < t0_lo:
+def _divide_pass(acc, factor, order_n, window, rise, fall):
+    """acc / (1 + c x^k q^e) on {level: {x: (re, im)}} in lattice units,
+    below order_n.  Levels that no term e levels lower reaches pass
+    unchanged; elsewhere only the x-range that can still reach the
+    window, moving at most rise up and fall down (None: without bound)
+    per level, is kept."""
+    e, k, c = factor
+    cr, ci = -c.re, -c.im
+    out = {}
+    levels = {y for qn in acc for y in range(qn, order_n, e)} if e else acc
+    for qn in sorted(levels):
+        row = acc.get(qn, {})
+        d = order_n - qn
+        floor = window[0] + (-d * rise.numerator // rise.denominator)
+        top = (math.inf if fall is None
+               else window[1] - (-d * fall.numerator // fall.denominator))
+        new = {}
+        if e:
+            src = out.get(qn - e)
+            if src is None:
+                if row:
+                    out[qn] = row
                 continue
-            w = t0.get(key)
-            t0[key] = v * c0inv if w is None else w + v * c0inv
-        t0 = trim(t0, t0_lo)
-
-    tlev = {0: trim(dict(t0), work_lo)}
-    for lam in range(1, n_levels):
-        acc = {}
-        for dlt, adelta in levels.items():
-            if dlt == 0 or dlt > lam:
+            reach = {x + k for x in src}
+        else:
+            # 1/(1 + c x^k) with k < 0 runs down from every term
+            src = new
+            reach = {y for x in row for y in range(x + k, floor - 1, k)}
+        reach.update(row)
+        # x descending, so out[qn - e, x - k] is known when x is reached
+        for x in sorted(reach, reverse=True):
+            if x > top:
                 continue
-            part = pmul(adelta, tlev.get(lam - dlt, {}), acc_lo)
-            for x, v in part.items():
-                w = acc.get(x)
-                acc[x] = v if w is None else w + v
-        tlev[lam] = trim(pmul(t0, {x: -v for x, v in acc.items()}, work_lo),
-                         work_lo)
-
-    terms = {}
-    for lam, poly in tlev.items():
-        for xn, v in poly.items():
-            if wlo <= xn <= whi:
-                terms[(-v_lat + lam, xn)] = v
-    order_n = s.order_n - 2 * v_lat
-    return JacobiSeries(s.q_den, x_den, order_n, terms, (wlo, whi))
+            if x < floor:
+                break
+            re, im = row.get(x, (0, 0))
+            prev = src.get(x - k)
+            if prev is not None:
+                re += cr * prev[0] - ci * prev[1]
+                im += cr * prev[1] + ci * prev[0]
+            if re or im:
+                new[x] = (re, im)
+        if new:
+            out[qn] = new
+    return out
 
 
 def equal_to_order(a, b, q_order):
@@ -695,30 +716,6 @@ class SeriesRatio:
         lhs = _mul_order_pub(self.num, other.den)
         rhs = _mul_order_pub(other.num, self.den)
         return min(lhs, rhs)
-
-    def as_series(self, q_order, x_window):
-        """num * invert_directed(den, suitable window), trimmed to
-        x_window and truncated to q_order."""
-        lo = Fraction(x_window[0])
-        hi = Fraction(x_window[1])
-        sup = self.num.x_support() or (Fraction(0), Fraction(0))
-        inv = invert_directed(self.den, (lo - sup[1], hi - sup[0]))
-        out = mul(self.num, inv)
-        out = restrict_window(out, (lo, hi))
-        if out.q_order < q_order:
-            raise UntrustedOrderError(
-                "ratio expansion trusted only below %s < %s"
-                % (out.q_order, Fraction(q_order)))
-        return truncate(out, q_order)
-
-
-def expansion_order(qn, qd, vn, vd):
-    """A lower bound on the q_order that SeriesRatio(num, den).as_series()
-    reaches, for num and den trusted below qn and qd with valuations vn
-    and vd, found without inverting: the inverse of den has valuation
-    -vd and is trusted below qd - 2 vd, so mul's trust rule gives
-    min(qn, qd - 2 vd, qn - vd, qd - 2 vd + vn)."""
-    return min(qn, qd - 2 * vd, qn - vd, qd - 2 * vd + vn)
 
 
 def _mul_order_pub(a, b):

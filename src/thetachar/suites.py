@@ -37,8 +37,8 @@ from .qseries import (GaussianRational, JacobiSeries, SeriesRatio, add,
                       scale_monomial)
 from .theta import (DEFAULT_DPS, THETA_LABELS, eta, eta_pow_scaled,
                     theta_shifted, theta_sum)
-from .mockpsi import (HALF, PsiParams, phi1_numeric, phi_a11_numeric,
-                      psi_diag_ratio, psi_numeric)
+from .mockpsi import (HALF, PsiParams, phi_a11_numeric, psi_diag_ratio,
+                      psi_numeric)
 from .characters import (HEARTS, SECTORS, SIGNS, CharacterSpec,
                          ReductionParams, central_charge, character_ratio,
                          character_series, dd_numerator, denominator,
@@ -308,17 +308,22 @@ def _psi_symmetry(index_map, arg_map, sign, pr, p):
             - sign(pr.eps) * psi_numeric(mapped, p.tau, p.z1, p.z2, 0))
 
 
+def _diag_residuals(pr, q, pts):
+    # the exact four-theta series of the diagonal block, evaluated,
+    # against the closed form at each point
+    ratio = psi_diag_ratio(pr, q)
+    return [eval_numeric(ratio.num, p.tau, p.z1)
+            / eval_numeric(ratio.den, p.tau, p.z1)
+            - psi_numeric(pr, p.tau, p.z1, p.z1, 0) for p in pts]
+
+
 def _psi_diag_ratio(M, q):
     # the single-variable theta-quotient form of the diagonal block
     # agrees with the closed form numerically
     pts = default_points(5, diagonal=True, seed=M + 80)
     for eps, eps_p in iproduct((Fraction(0), HALF), repeat=2):
-        pr = PsiParams(M, eps_p + 1, eps_p + 1, eps, eps_p)
-        ratio = psi_diag_ratio(pr, q)
-        for p in pts:
-            yield (eval_numeric(ratio.num, p.tau, p.z1)
-                   / eval_numeric(ratio.den, p.tau, p.z1)
-                   - psi_numeric(pr, p.tau, p.z1, p.z1, 0))
+        yield from _diag_residuals(PsiParams(M, eps_p + 1, eps_p + 1, eps,
+                                             eps_p), q, pts)
 
 
 def _psi_cases():
@@ -328,11 +333,11 @@ def _psi_cases():
     rows += [("diagonal-ratio/M%d" % M, partial(_psi_diag_ratio, M))
              for M in (1, 2, 3, 4)]
     rows += [
-        # at M = 1 the (0,0) block is the closed eta-theta quotient
-        ("m1-collapse", lambda q: [
-            psi_numeric(PsiParams(1, 0, 0, 0, 0), p.tau, p.z1, p.z2, p.t)
-            - phi1_numeric(0, p.tau, p.z1, p.z2, p.t)
-            for p in default_points(5, seed=7)]),
+        # at M = 1 the (0,0) block -i eta^3 theta_11(2z) / theta_11(z)^2
+        # collapses to the exact series -i th00 th01 th10 / th11
+        ("m1-collapse", lambda q: _diag_residuals(
+            PsiParams(1, 0, 0, 0, 0), q, default_points(5, diagonal=True,
+                                                        seed=7))),
         # the summation cutoff is certified by the tail bound: growing it
         # must not move the value
         ("appell-cutoff", lambda q: [

@@ -143,12 +143,13 @@ def theta_shifted(label, q_order, tau_scale=1, z_scale=1, r_tau=0, r_one=0):
 
 @lru_cache(maxsize=None)
 def _theta_shifted(label, q_order, ts, zs, r_tau, r_one):
-    pre_q, pre_x, pre_c, factors = _theta_shape(label, ts, zs, r_tau, r_one)
     work = max(Fraction(1),
                q_order - theta_valuation(label, ts, zs, r_tau, r_one))
+    (pre_q, pre_x, pre_c), factors = theta_factors(label, work, ts, zs,
+                                                   r_tau, r_one)
     s = product([add(JacobiSeries.one(work),
                      JacobiSeries.monomial(e, k, c, work))
-                 for e, k, c in factors(work)], seed_order=work)
+                 for e, k, c in factors], seed_order=work)
     if pre_q or pre_x or pre_c != 1:
         s = scale_monomial(s, pre_q, pre_x, pre_c)
     return truncate(s, q_order)
@@ -167,16 +168,20 @@ def theta_valuation(label, tau_scale=1, z_scale=1, r_tau=0, r_one=0):
     product of the lowest terms of the factors, a nonzero Laurent
     polynomial in x.
     """
-    pre_q, _, _, factors = _theta_shape(label, int(tau_scale), int(z_scale),
-                                        Fraction(r_tau), Fraction(r_one))
-    return pre_q + sum(min(0, e) for e, _, _ in factors(1))
+    (pre_q, _, _), factors = theta_factors(label, 1, tau_scale, z_scale,
+                                           r_tau, r_one)
+    return pre_q + sum(min(0, e) for e, _, _ in factors)
 
 
-def _theta_shape(label, ts, zs, r_tau, r_one):
-    """(pre_q, pre_x, pre_c, factors) of the shifted theta: the prefactor
-    pre_c q^pre_q x^pre_x, and factors(work), the (e, k, c) of every
-    two-term factor (1 + c x^k q^e) with e below work."""
+def theta_factors(label, below, tau_scale=1, z_scale=1, r_tau=0, r_one=0):
+    """The Jacobi triple product of theta_shifted(label, ., tau_scale,
+    z_scale, r_tau, r_one) as ((pre_q, pre_x, pre_c), factors): the
+    prefactor pre_c q^pre_q x^pre_x, and the (e, k, c) of every two-term
+    factor (1 + c x^k q^e) with e < below.  Every factor with e < 0 is
+    listed once below > 0.  Each pre_c and c is a power of i."""
     _check_label(label)
+    ts, zs = int(tau_scale), int(z_scale)
+    r_tau, r_one = Fraction(r_tau), Fraction(r_one)
     if ts < 1 or zs < 1:
         raise ValueError("tau_scale and z_scale must be positive integers")
     if (4 * r_one).denominator != 1:
@@ -201,23 +206,22 @@ def _theta_shape(label, ts, zs, r_tau, r_one):
         pre_x = Fraction(0)
         pre_c = GaussianRational(1)
 
-    def factors(work):
-        out = []
-        n = 1
-        while True:
-            if a == 0:
-                e_fwd = e_bwd = Fraction(ts * (2 * n - 1), 2)
-            else:
-                e_fwd, e_bwd = Fraction(ts * n), Fraction(ts * (n - 1))
-            row = ((ts * n, 0, c_pure), (e_fwd + r_tau, zs, c_fwd),
-                   (e_bwd - r_tau, -zs, c_bwd))
-            live = [f for f in row if f[0] < work]
-            if not live:
-                return out
-            out.extend(live)
-            n += 1
-
-    return pre_q, pre_x, pre_c, factors
+    # every exponent grows with n, so the first row with nothing below
+    # the bound ends the list
+    factors = []
+    n = 1
+    while True:
+        if a == 0:
+            e_fwd = e_bwd = Fraction(ts * (2 * n - 1), 2)
+        else:
+            e_fwd, e_bwd = Fraction(ts * n), Fraction(ts * (n - 1))
+        row = ((ts * n, 0, c_pure), (e_fwd + r_tau, zs, c_fwd),
+               (e_bwd - r_tau, -zs, c_bwd))
+        live = [f for f in row if f[0] < below]
+        if not live:
+            return (pre_q, pre_x, pre_c), factors
+        factors.extend(live)
+        n += 1
 
 
 # ---------------------------------------------------------------------

@@ -1,9 +1,20 @@
 """Series helpers kept only as test oracles: nothing in the package
-calls them."""
+calls them.
 
+invert_directed and as_series are the generic inverse that the package
+used before it divided by a denominator's product factors (qseries.
+divide): a padded level recursion on the whole denominator series, with
+a window widened by the worst-case climb of its x-support.  They share
+no code with divide, which is why they are the oracle it is checked
+against.
+"""
+
+import math
 from fractions import Fraction
 
-from thetachar.qseries import GaussianRational, JacobiSeries
+from thetachar.qseries import (ONE, GaussianRational, JacobiSeries,
+                               UntrustedOrderError, _lcm, mul,
+                               restrict_window, truncate)
 
 
 def subst_scale_z(a, m):
@@ -35,3 +46,133 @@ def first_difference(a, b, q_order):
         return None
     qn, xn = min(diffs)
     return (Fraction(qn, a.q_den), Fraction(xn, a.x_den))
+
+
+def gaussian_inverse(c):
+    """1/c for a nonzero Gaussian rational, with Fraction parts."""
+    n = c.re * c.re + c.im * c.im
+    if n == 0:
+        raise ZeroDivisionError("inverse of zero Gaussian rational")
+    return GaussianRational(Fraction(c.re, n), Fraction(-c.im, n))
+
+
+def invert_directed(a, x_window):
+    """Inverse of a series organized in descending powers of x.
+
+    The series is split into q-levels above its valuation; the lowest
+    level A0, a Laurent polynomial in x, must have a nonzero coefficient
+    on its highest x-power.  Its inverse is the descending geometric
+    expansion in 1/x, and higher levels follow by the usual recursion
+    for inverting a series with invertible lowest term.  The result is
+    truncated to the requested inclusive x_window and carries it.
+
+    The returned q_order is q_order(a) - 2 v where v is the q-valuation
+    of a.  Internally the recursion works on a window widened by the
+    worst-case climb of x-support per q-level so that every reported
+    coefficient receives all of its contributions.
+    """
+    if a.window_n is not None:
+        raise ValueError("cannot invert a windowed series")
+    if not a.c:
+        raise ZeroDivisionError("cannot invert a series with no stored terms")
+    lo = Fraction(x_window[0])
+    hi = Fraction(x_window[1])
+    x_den = _lcm(a.x_den, _lcm(lo.denominator, hi.denominator))
+    s = a._with_lattice(a.q_den, x_den)
+    wlo = math.ceil(lo * x_den)
+    whi = math.floor(hi * x_den)
+
+    v_lat = min(qn for (qn, _) in s.c)
+    n_levels = s.order_n - v_lat
+    if n_levels <= 0:
+        raise UntrustedOrderError("series has no trusted terms to invert")
+
+    levels = {}
+    for (qn, xn), cv in s.c.items():
+        levels.setdefault(qn - v_lat, {})[xn] = cv
+    a0 = levels[0]
+    e0 = max(a0)
+    c0 = a0[e0]
+
+    # worst-case climb of the x-top per q-level, in lattice units
+    climb = Fraction(0)
+    for lam, poly in levels.items():
+        if lam == 0:
+            continue
+        rise = max(poly) - e0
+        if rise > 0:
+            climb = max(climb, Fraction(rise, lam))
+    pad = int(math.ceil(climb * max(n_levels - 1, 0)))
+    work_lo = wlo - pad
+    t0_lo = work_lo - pad
+    # the level products feeding each T_lambda must retain everything
+    # that can still reach the working floor after the final multiply
+    # by T0, whose top x-power is -e0
+    acc_lo = work_lo + e0 - pad
+
+    def trim(poly, floor_):
+        return {x: v for x, v in poly.items()
+                if x >= floor_ and not v.is_zero()}
+
+    def pmul(p1, p2, floor_):
+        out = {}
+        for x1, v1 in p1.items():
+            for x2, v2 in p2.items():
+                x = x1 + x2
+                if x >= floor_:
+                    out[x] = out.get(x, GaussianRational(0)) + v1 * v2
+        return trim(out, floor_)
+
+    # T0 = A0^{-1} descending: c0^{-1} x^{-e0} * sum_k (-u)^k
+    c0inv = gaussian_inverse(c0)
+    u = {x - e0: v * c0inv for x, v in a0.items() if x != e0}
+    t0 = {-e0: c0inv}
+    powk = {0: ONE}
+    while True:
+        powk = pmul(powk, {x: -v for x, v in u.items()}, t0_lo + e0)
+        if not powk:
+            break
+        for x, v in powk.items():
+            key = x - e0
+            if key < t0_lo:
+                continue
+            w = t0.get(key)
+            t0[key] = v * c0inv if w is None else w + v * c0inv
+        t0 = trim(t0, t0_lo)
+
+    tlev = {0: trim(dict(t0), work_lo)}
+    for lam in range(1, n_levels):
+        acc = {}
+        for dlt, adelta in levels.items():
+            if dlt == 0 or dlt > lam:
+                continue
+            part = pmul(adelta, tlev.get(lam - dlt, {}), acc_lo)
+            for x, v in part.items():
+                w = acc.get(x)
+                acc[x] = v if w is None else w + v
+        tlev[lam] = trim(pmul(t0, {x: -v for x, v in acc.items()}, work_lo),
+                         work_lo)
+
+    terms = {}
+    for lam, poly in tlev.items():
+        for xn, v in poly.items():
+            if wlo <= xn <= whi:
+                terms[(-v_lat + lam, xn)] = v
+    order_n = s.order_n - 2 * v_lat
+    return JacobiSeries(s.q_den, x_den, order_n, terms, (wlo, whi))
+
+
+def as_series(ratio, q_order, x_window):
+    """ratio.num * invert_directed(ratio.den, suitable window), trimmed
+    to x_window and truncated to q_order; UntrustedOrderError when the
+    product is not trusted that far."""
+    lo = Fraction(x_window[0])
+    hi = Fraction(x_window[1])
+    sup = ratio.num.x_support() or (Fraction(0), Fraction(0))
+    inv = invert_directed(ratio.den, (lo - sup[1], hi - sup[0]))
+    out = restrict_window(mul(ratio.num, inv), (lo, hi))
+    if out.q_order < q_order:
+        raise UntrustedOrderError(
+            "ratio expansion trusted only below %s < %s"
+            % (out.q_order, Fraction(q_order)))
+    return truncate(out, q_order)

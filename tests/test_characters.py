@@ -5,7 +5,6 @@ from fractions import Fraction as F
 import pytest
 
 import thetachar.characters as characters
-import thetachar.qseries as qseries
 from thetachar.characters import (
     SECTORS,
     SIGNS,
@@ -150,43 +149,68 @@ class TestSeriesControls:
         (2, HALF, "NS"), (3, F(0), "R"), (4, F(0), "R"), (4, HALF, "NS"),
     ])
     def test_expansion_inverts_once(self, monkeypatch, M, j, sector):
-        # these ratios fall short of the request when built at it (by
-        # 3/8 up to 5/4), so the padding must be right the first time
-        inversions = []
-        real = qseries.invert_directed
+        # these labels have negative valuations on both sides (their
+        # ratios fell short by 3/8 up to 5/4 when built at the request),
+        # and the denominator is still divided out in one call
+        divisions = []
+        real = characters.divide
 
         def counting(*args, **kwargs):
-            inversions.append(args)
+            divisions.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(qseries, "invert_directed", counting)
+        monkeypatch.setattr(characters, "divide", counting)
         ser = character_series(CharacterSpec(M, j, sector, "+"), F(2))
         assert ser.q_order == F(2)
-        assert len(inversions) == 1
-
+        assert len(divisions) == 1
 
     def test_each_ratio_is_built_once(self, monkeypatch):
-        # the shortfall comes from the thetas' valuations, so no label
-        # builds its ratio a second time
+        # the numerator's four thetas are built once each and the
+        # denominator's never: it is divided out factor by factor
         built = []
-        real = characters.character_ratio
+        real = characters.theta_shifted
 
-        def counting(*args, **kwargs):
-            built.append(args)
-            return real(*args, **kwargs)
+        def counting(label, q_order, *args):
+            built.append((label,) + args)
+            return real(label, q_order, *args)
 
-        monkeypatch.setattr(characters, "character_ratio", counting)
+        monkeypatch.setattr(characters, "theta_shifted", counting)
         n = 0
         for M in range(1, 5):
             for sector in SECTORS:
                 for sign in SIGNS:
                     for j in index_set(M, sector):
                         for q in (2, 4, 8):
-                            ser = character_series(
-                                CharacterSpec(M, j, sector, sign), q)
+                            spec = CharacterSpec(M, j, sector, sign)
+                            start = len(built)
+                            ser = character_series(spec, q)
                             assert ser.q_order == q
+                            _, num, _ = characters._character_thetas(spec)
+                            assert built[start:] == [(lab, ts, 1, r)
+                                                     for lab, ts, r in num]
                             n += 1
-        assert n == 120 and len(built) == n
+        assert n == 120 and len(built) == 4 * n
+
+    def test_cached_thetas_are_left_unchanged(self, monkeypatch):
+        # character_series reads the shared theta_shifted series and
+        # must not write to them
+        seen = []
+        real = characters.theta_shifted
+
+        def recording(*args):
+            ser = real(*args)
+            seen.append((ser, dict(ser.c), ser.order_n, ser.window_n))
+            return ser
+
+        monkeypatch.setattr(characters, "theta_shifted", recording)
+        for M in (1, 2, 4):
+            for sector in SECTORS:
+                for j in index_set(M, sector):
+                    character_series(CharacterSpec(M, j, sector, "+"), 4)
+        assert len(seen) == 4 * 14
+        for ser, c, order_n, window_n in seen:
+            assert (ser.c, ser.order_n, ser.window_n) == (c, order_n,
+                                                          window_n)
 
 
 class TestDenominator:

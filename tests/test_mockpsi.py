@@ -9,7 +9,6 @@ from thetachar.mockpsi import (
     HALF,
     PoleProximityError,
     PsiParams,
-    phi1_numeric,
     phi_a11_numeric,
     psi_diag_ratio,
     psi_numeric,
@@ -74,12 +73,17 @@ class TestSymmetryLaws:
             assert abs(lhs - rhs) < mp.mpf("1e-20")
 
     def test_level_one_collapses_to_closed_quotient(self):
+        # -i eta^3 th11(2z) / th11(z)^2 = -i th00 th01 th10 / th11 at
+        # (tau, z), the latter as exact series; their tail at q^12 is
+        # below 1e-20 at these points
         mp.dps = 40
         pr = PsiParams(1, 0, 0, 0, 0)
-        for p in _points(2, seed=7):
-            lhs = psi_numeric(pr, p.tau, p.z1, p.z2, p.t)
-            rhs = phi1_numeric(0, p.tau, p.z1, p.z2, p.t)
-            assert abs(lhs - rhs) < mp.mpf("1e-25")
+        ratio = psi_diag_ratio(pr, F(12))
+        for p in _points(2, seed=7, diagonal=True):
+            lhs = psi_numeric(pr, p.tau, p.z1, p.z1, 0)
+            rhs = (eval_numeric(ratio.num, p.tau, p.z1)
+                   / eval_numeric(ratio.den, p.tau, p.z1))
+            assert abs(lhs - rhs) < mp.mpf("1e-20")
 
 
 class TestExactRatios:
@@ -157,11 +161,6 @@ class TestAppellSum:
 
 
 class TestPoleGuards:
-    def test_phi1_near_lattice_zero_raises(self):
-        mp.dps = 40
-        with pytest.raises(PoleProximityError):
-            phi1_numeric(0, mpc(0, 1), mpc("1e-9", 0), mpc("0.2", "0.1"), 0)
-
     def test_psi_near_lattice_zero_raises(self):
         mp.dps = 40
         pr = PsiParams(1, 0, 0, 0, 0)
@@ -172,8 +171,3 @@ class TestPoleGuards:
         mp.dps = 40
         with pytest.raises(PoleProximityError):
             phi_a11_numeric(1, 0, mpc(0, 1), 0, mpc("0.2", "0.1"), 0)
-
-    def test_phi1_shift_label_must_be_integral(self):
-        with pytest.raises(ValueError):
-            phi1_numeric(0.5, mpc(0, 1), mpc("0.2", "0.1"),
-                         mpc("0.3", "0.2"), 0)

@@ -17,11 +17,10 @@ from thetachar.qseries import (
     UntrustedOrderError,
     add,
     dumps_canonical,
+    divide,
     equal_to_order,
     eval_numeric,
-    expansion_order,
     from_json_dict,
-    invert_directed,
     mul,
     negate,
     product,
@@ -36,7 +35,8 @@ from thetachar.qseries import (
 from thetachar.characters import (SECTORS, SIGNS, CharacterSpec,
                                   character_series, index_set)
 
-from oracles import first_difference, subst_scale_z
+from oracles import (as_series, first_difference, gaussian_inverse,
+                     invert_directed, subst_scale_z)
 
 
 def mono(qe, xe, coeff, order):
@@ -67,14 +67,15 @@ class TestGaussianRational:
         assert a - b == GaussianRational(F(-3, 2), F(-7, 4))
         assert a * b == GaussianRational(F(7, 4), -1)
         assert -a == GaussianRational(F(-1, 2), F(3, 4))
-        assert (a * b) / b == a
+        assert (a * b) * gaussian_inverse(b) == a
 
     def test_inverse(self):
+        # the oracle inversion's coefficient inverse
         a = GaussianRational(3, 4)
-        inv = a.inverse()
+        inv = gaussian_inverse(a)
         assert a * inv == 1
         with pytest.raises(ZeroDivisionError):
-            GaussianRational(0).inverse()
+            gaussian_inverse(GaussianRational(0))
 
     def test_times_i_power_cycles(self):
         a = GaussianRational(F(2, 3), F(5, 7))
@@ -111,7 +112,7 @@ class TestGaussianRational:
         assert type(half.re) is int and type(half.im) is F
 
     def test_inverse_of_integers_is_exact(self):
-        inv = GaussianRational(3, 4).inverse()
+        inv = gaussian_inverse(GaussianRational(3, 4))
         assert type(inv.re) is F and type(inv.im) is F
         assert (inv.re, inv.im) == (F(3, 25), F(-4, 25))
 
@@ -457,29 +458,127 @@ class TestInversion:
         num = poly(6, (0, 1, 1), (0, 0, 1))
         den = poly(6, (0, 0, 1), (1, 2, -1))
         r = SeriesRatio(num, den)
-        s = r.as_series(5, (F(-6), F(2)))
+        s = as_series(r, 5, (F(-6), F(2)))
         recon = mul(s, den)
         assert first_difference(recon, num, F(3)) is None
 
     def test_series_ratio_expansion_order_is_reached(self):
         # den has valuation 1, so its inverse is trusted only below
-        # 6 - 2; the bound is found without inverting and is exact
+        # 6 - 2, and the expansion exactly that far
         num = poly(6, (0, 1, 1), (0, 0, 1))
         den = poly(6, (1, 0, 1), (2, 1, -1))
         r = SeriesRatio(num, den)
-        assert expansion_order(num.q_order, den.q_order,
-                               num.q_valuation_bound(),
-                               den.q_valuation_bound()) == F(4)
-        s = r.as_series(4, (F(-6), F(2)))
+        s = as_series(r, 4, (F(-6), F(2)))
         assert first_difference(mul(s, den), num, F(4)) is None
         with pytest.raises(UntrustedOrderError):
-            r.as_series(F(4) + F(1, 2), (F(-6), F(2)))
+            as_series(r, F(4) + F(1, 2), (F(-6), F(2)))
 
     def test_series_ratio_scale_and_mul(self):
         one = JacobiSeries.one(6)
         r = SeriesRatio(poly(6, (0, 0, 1)), one)
         s = r.scale(GaussianRational(0, 1)) * r
         assert s.num.coefficient(0, 0) == I_UNIT
+
+
+_UNITS = (GaussianRational(1), GaussianRational(-1), GaussianRational(0, 1),
+          GaussianRational(0, -1))
+# exponents of the factors (1 + c x^k q^e): every sign of e, fractional
+# e, half-integer k (so x_den = 2), and (e, k) = (0, 0) left out
+_factor_e = st.sampled_from([F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(3, 2),
+                             F(2)])
+_factor_k = st.sampled_from([F(-2), F(-3, 2), F(-1), F(-1, 2), F(0),
+                             F(1, 2), F(1), F(2)])
+
+
+@st.composite
+def _factor(draw):
+    e, k = draw(_factor_e), draw(_factor_k)
+    if e == 0 and k == 0:
+        k = F(-1)
+    moved = e < 0 or (e == 0 and k > 0)
+    # a factor that stays (1 + c u) needs no unit c
+    pool = _UNITS if moved else _UNITS + (GaussianRational(2),
+                                          GaussianRational(1, 1))
+    return (e, k, draw(st.sampled_from(pool)))
+
+
+def _multiplied_out(lead, factors, order):
+    """lead * prod (1 + c x^k q^e) multiplied out, trusted below order
+    plus its valuation."""
+    e, k, c = lead
+    den = mono(e, k, c, order)
+    for e, k, c in factors:
+        den = mul(den, add(JacobiSeries.one(order), mono(e, k, c, order)))
+    return den
+
+
+@st.composite
+def _numerator(draw):
+    """Up to six terms at q^0 .. q^2 and x^-3 .. x^3, trusted below q^3,
+    so that terms above a window can fall into it at higher levels."""
+    q_den, x_den = draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2]))
+    terms = {}
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        qn = draw(st.integers(min_value=0, max_value=2 * q_den))
+        xn = draw(st.integers(min_value=-3 * x_den, max_value=3 * x_den))
+        terms[(qn, xn)] = draw(_coeffs)
+    return JacobiSeries(q_den, x_den, 3 * q_den, terms)
+
+
+class TestDivide:
+    @settings(max_examples=80, deadline=None)
+    @given(_numerator(), st.lists(_factor(), min_size=1, max_size=4),
+           st.sampled_from([F(-1, 2), F(0), F(1, 4)]),
+           st.sampled_from([F(-1), F(0), F(1, 2)]),
+           st.sampled_from(_UNITS),
+           st.fractions(min_value=-3, max_value=0, max_denominator=4),
+           st.fractions(min_value=0, max_value=3, max_denominator=4))
+    def test_equals_the_generic_inverse(self, num, factors, le, lk, lc,
+                                        lo, width):
+        lead = (le, lk, lc)
+        den = _multiplied_out(lead, factors, 6)
+        window = (lo, lo + width)
+        # as far as the numerator's trust carries the quotient
+        v_den = le + sum(min(0, e) for e, _, _ in factors)
+        q = min(num.q_order, num.q_order - v_den)
+        got = divide(num, lead, factors, q, window)
+        want = as_series(SeriesRatio(num, den), q, window)
+        assert got.terms() == want.terms()
+        assert (got.q_order, got.x_window) == (q, window)
+
+    def test_descending_geometric(self):
+        # 1/(1 - x) = -x^-1 / (1 - x^-1) = -x^-1 - x^-2 - ...
+        got = divide(JacobiSeries.one(4), (0, 0, 1), [(0, 1, -1)], 4,
+                     (F(-5), F(0)))
+        assert got.terms() == [(0, F(-k), GaussianRational(-1))
+                               for k in range(5, 0, -1)]
+
+    def test_leading_coefficient_must_be_a_unit(self):
+        num = poly(4, (0, 0, 1), (1, 1, 1))
+        with pytest.raises(CoefficientRingError):
+            divide(num, (0, 0, GaussianRational(2)), [], 2, (-2, 2))
+        # a factor whose term leads is moved into the leading monomial
+        with pytest.raises(CoefficientRingError):
+            divide(num, (0, 0, 1), [(F(-1, 2), 1, GaussianRational(2))], 2,
+                   (-2, 2))
+        # the same coefficient on a factor that stays needs no inverse
+        divide(num, (0, 0, 1), [(F(1, 2), 1, GaussianRational(2))], 2,
+               (-2, 2))
+
+    def test_constant_factor_and_windowed_numerator_rejected(self):
+        with pytest.raises(ValueError):
+            divide(JacobiSeries.one(4), (0, 0, 1), [(0, 0, 1)], 2, (-2, 2))
+        with pytest.raises(ValueError):
+            divide(restrict_window(JacobiSeries.one(4), (-1, 1)), (0, 0, 1),
+                   [(1, 1, 1)], 2, (-2, 2))
+
+    def test_numerator_trust_is_checked(self):
+        # the divisor has valuation 1, so a numerator trusted below 4
+        # gives a quotient trusted below 3, not 7/2
+        num = poly(4, (0, 0, 1))
+        divide(num, (1, 0, 1), [(1, 1, 1)], 3, (-2, 2))
+        with pytest.raises(UntrustedOrderError):
+            divide(num, (1, 0, 1), [(1, 1, 1)], F(7, 2), (-2, 2))
 
 
 # ---------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from thetachar import suites
 from thetachar.characters import denominator
+from thetachar.mockpsi import HALF, PsiParams
 from thetachar.modular import family_members, predicted_t_matrix
 from thetachar.qseries import GaussianRational
 from thetachar.suites import SuiteConfig, run_suite, suite_cases
@@ -38,9 +39,10 @@ def test_case_registry_is_pinned(name):
     assert hashlib.sha256("\n".join(ids).encode()).hexdigest() == digest
 
 
-def _run_rows(monkeypatch, rows):
+def _run_rows(monkeypatch, rows, q_order=F(4)):
     monkeypatch.setattr(suites, "suite_cases", lambda name: tuple(rows))
-    report = run_suite("theta", SuiteConfig(q_order=F(4), tol=1e-9, dps=20))
+    report = run_suite("theta", SuiteConfig(q_order=q_order, tol=1e-9,
+                                            dps=20))
     return {c.case_id: (c.status, c.detail) for c in report.cases}
 
 
@@ -98,3 +100,23 @@ def test_t_certificates_are_shared(monkeypatch):
     assert {st for st, _ in statuses.values()} == {"pass"}
     assert len(calls) == 12
     assert len(set(calls)) == 12
+
+
+def test_m1_collapse_can_fail(monkeypatch):
+    # the row checks psi_numeric against the exact diagonal series; the
+    # negated series and the block of the other eps must fail it
+    row = dict(suite_cases("psi"))["psi/m1-collapse"]
+    real = suites.psi_diag_ratio
+    damages = {
+        "negated": lambda pr, q: real(pr, q).scale(GaussianRational(-1)),
+        "other-eps": lambda pr, q: real(
+            PsiParams(pr.M, pr.j, pr.k, HALF - pr.eps, pr.eps_prime), q),
+    }
+    # at the default order of the psi suite, where the tail is small
+    q = SuiteConfig().q_order
+    assert _run_rows(monkeypatch, [("m1/true", row)], q)["m1/true"][0] == \
+        "pass"
+    for name, damaged in damages.items():
+        monkeypatch.setattr(suites, "psi_diag_ratio", damaged)
+        status, detail = _run_rows(monkeypatch, [(name, row)], q)[name]
+        assert status == "fail" and detail.startswith("CaseFailure: "), name

@@ -3,18 +3,27 @@
     git archive <parent-rev> | tar -x -C /tmp/parent
     python3 tools/bench_pairs.py --parent /tmp/parent --change . \
         --pairs expand=10 verify=3 transform=3 --seed 1 \
-        --traced expand --out BENCH_6.json
+        --traced expand --out BENCH_7.json
 
 Each pair runs `perfbench/run.py --workload W --seed S --seconds N
 --trace 0` once in each checkout, one after the other, with the side
 that goes first alternating from pair to pair so host drift lands on
 both.  Pair k of a workload uses seed S + k on both sides.  For every
 end-to-end metric the file holds each side's runs, median and quartiles,
-and how many pairs the change won (lower is better for all of them;
-ties count for neither side).  `--traced W` adds one `--trace 1` run per
-side of workload W at seed S, with its per-layer metrics.  Runs are
-strictly sequential: two at once would share the host's cores and
-measure each other.
+how many pairs the change won (lower is better for all of them; ties
+count for neither side), and a verdict read against the metric's bound
+in BENCHMARK.json:
+
+    held        every change run beats every parent run, or the spread
+                is within the bound and the change's median is no worse
+                than the parent's by more than the bound;
+    unresolved  either side's interquartile range, relative to its
+                median, is wider than the bound;
+    regressed   the change's median is worse by more than the bound.
+
+`--traced W` adds one `--trace 1` run per side of workload W at seed S,
+with its per-layer metrics.  Runs are strictly sequential: two at once
+would share the host's cores and measure each other.
 """
 
 import argparse
@@ -26,7 +35,6 @@ import subprocess
 import sys
 import time
 
-END_TO_END = ("setup_s", "run_s", "req_p50_ms", "peak_rss_mb")
 SIDES = ("parent", "change")
 
 
@@ -49,7 +57,29 @@ def summary(values):
     return {"runs": values, "median": q2, "q1": q1, "q3": q3}
 
 
-def measure_pairs(dirs, workload, pairs, seed, seconds):
+def load_bounds(checkout):
+    """{metric: bound} of the end-to-end metrics in BENCHMARK.json."""
+    with open(os.path.join(checkout, "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
+    if any(m["better"] != "lower" for m in spec["end_to_end"]):
+        raise SystemExit("bench_pairs: verdicts assume lower is better")
+    return {m["name"]: m["bound"] for m in spec["end_to_end"]}
+
+
+def verdict(entry, bound):
+    """held, unresolved or regressed, for a lower-is-better metric."""
+    parent, change = entry["parent"], entry["change"]
+    if max(change["runs"]) < min(parent["runs"]):
+        return "held"
+    if any((side["q3"] - side["q1"]) > bound * side["median"]
+           for side in (parent, change)):
+        return "unresolved"
+    if change["median"] > (1 + bound) * parent["median"]:
+        return "regressed"
+    return "held"
+
+
+def measure_pairs(dirs, bounds, workload, pairs, seed, seconds):
     runs = {side: [] for side in SIDES}
     for k in range(pairs):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
@@ -59,13 +89,13 @@ def measure_pairs(dirs, workload, pairs, seed, seconds):
             print("%s pair %d %s: %s" % (
                 workload, k, side,
                 " ".join("%s=%.4g" % (m, res["metrics"][m]["value"])
-                         for m in END_TO_END)), file=sys.stderr, flush=True)
+                         for m in bounds)), file=sys.stderr, flush=True)
     out = {"pairs": pairs, "seeds": [seed, seed + pairs - 1],
            "attempted": {s: sum(r["attempted"] for r in runs[s])
                          for s in SIDES},
            "failed": {s: sum(r["failed"] for r in runs[s]) for s in SIDES},
            "metrics": {}}
-    for m in END_TO_END:
+    for m, bound in bounds.items():
         vals = {s: [r["metrics"][m]["value"] for r in runs[s]] for s in SIDES}
         entry = {s: summary(vals[s]) for s in SIDES}
         entry["unit"] = runs["parent"][0]["metrics"][m]["unit"]
@@ -73,6 +103,8 @@ def measure_pairs(dirs, workload, pairs, seed, seconds):
                                    zip(vals["parent"], vals["change"]))
         entry["ratio_of_medians"] = (entry["change"]["median"]
                                      / entry["parent"]["median"])
+        entry["bound"] = bound
+        entry["verdict"] = verdict(entry, bound)
         out["metrics"][m] = entry
     out["reference_loop"] = {s: [r["info"][-1] for r in runs[s]]
                              for s in SIDES}
@@ -107,9 +139,10 @@ def main(argv=None):
         "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "workloads": {}, "traced": {},
     }
+    bounds = load_bounds(dirs["parent"])
     for workload, n in parse_pairs(args.pairs).items():
         report["workloads"][workload] = measure_pairs(
-            dirs, workload, n, args.seed, args.seconds)
+            dirs, bounds, workload, n, args.seed, args.seconds)
     for workload in args.traced:
         report["traced"][workload] = {
             side: run_bench(dirs[side], workload, args.seed, args.seconds, 1)
