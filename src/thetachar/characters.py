@@ -4,8 +4,9 @@ Characters ch^{(+/-)} in the NS and Ramond sectors are quotients: a
 prefactor sgn(j) q^{j^2/M} x^{2j/M}, three rescaled thetas at
 (M tau, z + j tau) over the fourth, and one plain theta at (tau, z)
 over the other three.  character_ratio keeps them as exact SeriesRatio
-objects for cross-multiplied checks; character_series expands them by
-dividing the numerator by the denominator thetas' product factors.
+objects for cross-multiplied checks; character_series expands each one
+from its thetas' prefactors and two-term factors (qseries.expand),
+multiplying the numerator's and dividing by the denominator's.
 The sign convention sets sgn(j) = 1 for j > 0 and -1 for j <= 0, which
 matters exactly once, at Ramond j = 0.
 
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .mockpsi import HALF, PsiParams, psi_diag_ratio, psi_pair_ratio
-from .qseries import (GaussianRational, SeriesRatio, divide, mul, product,
+from .qseries import (GaussianRational, SeriesRatio, expand, mul, product,
                       restrict_window, scale_monomial)
 from .theta import (THETA_LABELS, eta_pow_scaled, theta_factors,
                     theta_shifted, theta_valuation)
@@ -178,23 +179,18 @@ def _character_thetas(spec):
     return face, num, den
 
 
-def _numerator(spec, build):
-    """The character's numerator, from thetas trusted below build."""
-    M, j = spec.M, spec.j
-    face, num_thetas, _ = _character_thetas(spec)
-    num = product([theta_shifted(lab, build, ts, 1, r)
-                   for lab, ts, r in num_thetas])
-    return scale_monomial(num, j * j / M, 2 * j / M, face * sgn(j))
-
-
 def character_ratio(spec, q_order):
     """Exact SeriesRatio for the character of the labelled module."""
     q_order = Fraction(q_order)
     if q_order <= 0:
         raise ValueError("q_order must be positive")
-    build = q_order + spec.j * spec.j / spec.M
-    _, _, den_thetas = _character_thetas(spec)
-    return SeriesRatio(_numerator(spec, build),
+    M, j = spec.M, spec.j
+    build = q_order + j * j / M
+    face, num_thetas, den_thetas = _character_thetas(spec)
+    num = product([theta_shifted(lab, build, ts, 1, r)
+                   for lab, ts, r in num_thetas])
+    return SeriesRatio(scale_monomial(num, j * j / M, 2 * j / M,
+                                      face * sgn(j)),
                        product([theta_shifted(lab, build, ts, 1, r)
                                 for lab, ts, r in den_thetas]))
 
@@ -203,44 +199,39 @@ def character_series(spec, q_order, x_window=None):
     """q-expansion of the character in the descending-x convention.
 
     The window defaults to (s - 4, s + 2) around the leading x-exponent
-    s.  Only the numerator thetas are built: the numerator is divided
-    by the denominator thetas' prefactors and two-term factors
-    (theta_factors, qseries.divide), so no denominator series is ever
-    multiplied out.  The valuations v_num and v_den of both sides are
-    exact (theta_valuation), so the numerator is built trusted below
-    q_order + v_den and the factors are listed up to
-    q_order - (v_num - v_den).  The lowest trusted q-exponent is
+    s.  The character is one qseries.expand: its monomial, the numerator
+    thetas' prefactors and two-term factors (theta_factors) multiplied,
+    the denominator thetas' divided, so no theta series is built.  The
+    valuation v of the character is exact (theta_valuation), so the
+    factors are listed up to q_order - v.  The lowest q-exponent is
     asserted to equal -c/24 + h before the window is restricted to the
     request.
     """
     q_order = Fraction(q_order)
     if q_order <= 0:
         raise ValueError("q_order must be positive")
+    M, j = spec.M, spec.j
     h, s = h_s_values(spec)
-    lead_q = -central_charge(spec.M) / 24 + h
+    lead_q = -central_charge(M) / 24 + h
     if x_window is None:
         x_window = (s - 4, s + 2)
     lo, hi = Fraction(x_window[0]), Fraction(x_window[1])
     if lo > hi:
         raise ValueError("empty x window")
-    _, num_thetas, den_thetas = _character_thetas(spec)
-    shift = spec.j * spec.j / spec.M
-    v_num = [theta_valuation(lab, ts, 1, r) for lab, ts, r in num_thetas]
-    v_den = sum(theta_valuation(lab, ts, 1, r) for lab, ts, r in den_thetas)
-    v_out = sum(v_num) + shift - v_den
-    # by mul's trust rule a product of factors trusted below B is
-    # trusted below B plus the sum of min(0, v) over its factors
-    num = _numerator(spec, q_order + v_den - shift
-                     - sum(min(0, v) for v in v_num))
-    # a positive bound also lists every factor with e < 0, which the
-    # valuation v_den counts
-    below = max(1, q_order - v_out)
-    lead, factors = (0, 0, GaussianRational(1)), []
-    for lab, ts, r in den_thetas:
-        (e, k, c), more = theta_factors(lab, below, ts, 1, r)
-        lead = (lead[0] + e, lead[1] + k, lead[2] * c)
-        factors += more
-    ser = divide(num, lead, factors, q_order, (min(lo, s), max(hi, s)))
+    face, num_thetas, den_thetas = _character_thetas(spec)
+    v = (j * j / M
+         + sum(theta_valuation(lab, ts, 1, r) for lab, ts, r in num_thetas)
+         - sum(theta_valuation(lab, ts, 1, r) for lab, ts, r in den_thetas))
+    # a positive bound also lists every factor with e < 0
+    below = max(1, q_order - v)
+    monomials = [(j * j / M, 2 * j / M, face * sgn(j), 1)]
+    factors = []
+    for thetas, p in ((num_thetas, 1), (den_thetas, -1)):
+        for lab, ts, r in thetas:
+            pre, more = theta_factors(lab, below, ts, 1, r)
+            monomials.append(pre + (p,))
+            factors += [f + (p,) for f in more]
+    ser = expand(monomials, factors, q_order, (min(lo, s), max(hi, s)))
     stored = ser.terms()
     if stored:
         low = min(qe for qe, _xe, _c in stored)

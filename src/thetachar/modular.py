@@ -356,13 +356,10 @@ def _lstsq_min_norm(A, B):
     return C, resid
 
 
-def span_closure(M, statement, transform, points, tol=None):
+def span_closure(M, statement, transform, points):
     """Fit each transformed family member inside the family and return
     the SpanCertificate.  The S side divides out the elliptic factor
     e^{2 pi i (1/M - 1) z^2 / tau} first; T transforms tau -> tau + 1.
-
-    tol is advisory: it is not stored, callers compare it against the
-    certificate residual.
     """
     if transform not in ("S", "T"):
         raise ValueError("transform must be 'S' or 'T'")

@@ -9,12 +9,16 @@ would need a root of unity outside {1, i, -1, -i} raises
 CoefficientRingError instead of approximating.
 
 Each part a, b is a Python int when it is integral and a Fraction only
-otherwise, and the kernel never divides two coefficients: divide()
+otherwise, and the kernel never divides two coefficients: expand()
 multiplies by the conjugates of powers of i and rejects any other
 divisor.  Theta products have Gaussian integer coefficients and unit
 leading terms, so their products and quotients stay in Z[i] and the
-kernel loops (mul and the passes of divide) run on ints; rational
+kernel loops (mul and the passes of expand) run on ints; rational
 inputs take the same loops, since Python mixes the two exactly.
+
+Every theta series, eta power and character the package expands is a
+monomial times two-term factors (1 + c x^k q^e)^{+-1}, and expand()
+builds each of them from that list in one call.
 
 Fractional powers are defined through the exponential, never through a
 branch choice on q itself: q^e means exp(2 pi i tau e) and x^f means
@@ -28,8 +32,8 @@ which for products of series with negative q-valuation can be smaller
 than the minimum of the operand bounds.
 
 A series may in addition carry an x_window, a closed interval of
-x-exponents outside of which terms are unknown.  Windows appear when a
-series is divided in the direction of descending x-powers (divide),
+x-exponents outside of which terms are unknown.  Windows appear when
+factors are divided in the direction of descending x-powers (expand),
 which computes only the terms that can reach the window, and then
 follow the usual interval arithmetic: products shift the window,
 sums intersect, and comparisons are restricted to the window overlap.
@@ -37,6 +41,7 @@ sums intersect, and comparisons are restricted to the window overlap.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from fractions import Fraction
@@ -72,7 +77,7 @@ class GaussianRational:
     never touch Fraction arithmetic.  Python mixes the two exactly, and
     int and Fraction parts of equal value hash and compare alike.
     Nothing divides: the only inverses taken are of powers of i, which
-    are their conjugates (divide).
+    are their conjugates (expand).
     """
 
     __slots__ = ("re", "im")
@@ -380,17 +385,10 @@ def _levels(c):
     return out
 
 
-def product(factors, seed_order=None):
-    """Fold a product smallest-first to keep intermediates compact."""
-    factors = sorted(factors, key=lambda s: len(s.c))
-    if not factors:
-        if seed_order is None:
-            raise ValueError("empty product needs seed_order")
-        return JacobiSeries.one(seed_order)
-    acc = factors[0]
-    for f in factors[1:]:
-        acc = mul(acc, f)
-    return acc
+def product(factors):
+    """Fold a nonempty product smallest-first to keep intermediates
+    compact."""
+    return functools.reduce(mul, sorted(factors, key=lambda s: len(s.c)))
 
 
 def scale_monomial(a, a_q, a_x, coeff=1):
@@ -408,15 +406,6 @@ def scale_monomial(a, a_q, a_x, coeff=1):
     if s.window_n is not None:
         win = (s.window_n[0] + dx, s.window_n[1] + dx)
     return JacobiSeries(q_den, x_den, s.order_n + dq, terms, win)
-
-
-def subst_scale_tau(a, m):
-    """tau -> m*tau for a positive integer m: exact, q_order scales by m."""
-    m = int(m)
-    if m < 1:
-        raise ValueError("tau scale must be a positive integer")
-    terms = {(qn * m, xn): v for (qn, xn), v in a.c.items()}
-    return JacobiSeries(a.q_den, a.x_den, a.order_n * m, terms, a.window_n)
 
 
 def truncate(a, q_order):
@@ -452,81 +441,113 @@ def _unit_inverse(c):
     return GaussianRational(c.re, -c.im)
 
 
-def divide(a, lead, factors, q_order, x_window):
-    """a / (c q^e x^k * prod (1 + c_i x^k_i q^e_i)) for lead = (e, k, c)
-    and factors (e_i, k_i, c_i), expanded q-adically and, within each
-    power of q, in descending powers of x; trusted below q_order on the
-    inclusive x_window, which the result carries.
+def expand(monomials, factors, q_order, x_window=None):
+    """prod (c q^e x^k)^p * prod (1 + c x^k q^e)^p over the (e, k, c, p)
+    of monomials and factors, p = 1 (multiply) or -1 (divide), expanded
+    q-adically and, within each power of q, in descending powers of x;
+    trusted below q_order.
 
-    A factor with e_i < 0, or e_i = 0 < k_i, is written
-    c_i x^k_i q^e_i (1 + u) and its monomial joins the lead, which must
-    be a power of i (else CoefficientRingError), so every remaining
-    factor is small in q (e > 0) or in 1/x (e = 0, k < 0).  One pass per
-    factor then applies out[q, x] = acc[q, x] - c out[q - e, x - k] in
-    (q ascending, x descending) order.  The caller lists every factor
-    with e_i < q_order - v, v the valuation of the quotient (those left
-    out are 1 + O(q^e_i)); a must be trusted below q_order plus the
-    divisor's valuation, else UntrustedOrderError is raised.
+    A factor with e < 0, or e = 0 < k, is written c x^k q^e (1 + u) and
+    its monomial joins the monomials with the same p; its c must be a
+    power of i (else CoefficientRingError), as must the c of a divided
+    monomial.  Every remaining factor is then small in q (e > 0) or in
+    1/x (e = 0, k < 0), so the monomials' product, the lead, carries the
+    exact valuation v of the result, and the result is exact below
+    q_order when the caller lists every factor with e < q_order - v
+    (those left out are 1 + O(q^e)).
 
-    The factors from pass i on move a term at level q at most
-    (q_order - q) * rise up and (q_order - q) * fall down in x, with
-    rise the largest k/e for k > 0 and fall the largest -k/e for k < 0
-    (unbounded while a factor with e = 0 remains), so pass i keeps, at
-    each level, only the x-range from which the window can still be
-    reached.  Factors with e = 0 run first, then the rising ones, then
-    the rest, each steepest first, so that these ranges narrow pass by
-    pass.
+    The expansion starts from 1 and runs one pass per factor below
+    q_order - v: first every multiplied factor, adding c x^k q^e times
+    the series it is given, then every divided one, applying
+    out[q, x] = acc[q, x] - c out[q - e, x - k] in (q ascending,
+    x descending) order.  Divided factors need the inclusive x_window,
+    which the result then carries: the divided factors from pass i on
+    move a term at level q at most (q_order - q) * rise up and
+    (q_order - q) * fall down in x, with rise the largest k/e for k > 0
+    and fall the largest -k/e for k < 0 (unbounded while a factor with
+    e = 0 remains), so pass i keeps, at each level, only the x-range
+    from which the window can still be reached.  Divided factors with
+    e = 0 run first, then the rising ones, then the rest, each steepest
+    first, so that these ranges narrow pass by pass.
+
+    The lattice is the lcm of the denominators of every exponent given:
+    each monomial's, each factor's, q_order's and the window's.
     """
-    if a.window_n is not None:
-        raise ValueError("cannot divide a windowed series")
-    lead_q, lead_x = Fraction(lead[0]), Fraction(lead[1])
-    lead_c = GaussianRational.coerce(lead[2])
+    q_order = Fraction(q_order)
+    lead = [(Fraction(e), Fraction(k), GaussianRational.coerce(c), p)
+            for e, k, c, p in monomials]
     kept = []
-    for e, k, c in factors:
+    for e, k, c, p in factors:
         e, k, c = Fraction(e), Fraction(k), GaussianRational.coerce(c)
         if e < 0 or (e == 0 and k > 0):
-            lead_q, lead_x, lead_c = lead_q + e, lead_x + k, lead_c * c
+            lead.append((e, k, c, p))
             e, k, c = -e, -k, _unit_inverse(c)
         elif e == 0 and k == 0:
             raise ValueError("constant factor 1 + %r has no directed "
                              "expansion" % (c,))
-        kept.append((e, k, c))
-    q_order = Fraction(q_order)
-    lo, hi = Fraction(x_window[0]), Fraction(x_window[1])
-    s = scale_monomial(a, -lead_q, -lead_x, _unit_inverse(lead_c))
-    if s.q_order < q_order:
-        raise UntrustedOrderError("numerator trusted only below %s < %s"
-                                  % (a.q_order, q_order + lead_q))
-    q_den = _lcm(s.q_den, q_order.denominator)
-    x_den = _lcm(s.x_den, _lcm(lo.denominator, hi.denominator))
-    for e, k, _ in kept:
+        kept.append((e, k, c, p))
+    ends = [Fraction(end) for end in x_window or ()]
+    if not ends and any(p < 0 for *_, p in kept):
+        raise ValueError("divided factors need an x_window")
+    q_den, x_den = q_order.denominator, 1
+    for e, k, _, _ in lead + kept:
         q_den, x_den = _lcm(q_den, e.denominator), _lcm(x_den, k.denominator)
-    s = s._with_lattice(q_den, x_den)
-    order_n = int(q_order * q_den)
-    window = (int(lo * x_den), int(hi * x_den))
+    for end in ends:
+        x_den = _lcm(x_den, end.denominator)
 
-    # in lattice units from here on; slopes[i] = (rise, fall) of the
-    # factors from pass i on
-    kept = sorted(((int(e * q_den), int(k * x_den), c) for e, k, c in kept),
-                  key=_pass_order)
+    # in lattice units from here on; the passes run relative to the lead
+    lead_q = sum(p * int(e * q_den) for e, _, _, p in lead)
+    lead_x = sum(p * int(k * x_den) for _, k, _, p in lead)
+    lead_c = ONE
+    for _, _, c, p in lead:
+        lead_c = lead_c * (c if p > 0 else _unit_inverse(c))
+    order_n = int(q_order * q_den)
+    top = order_n - lead_q
+    window = tuple(int(end * x_den) for end in ends) or None
+    seen = window and (window[0] - lead_x, window[1] - lead_x)
+    kept = [(int(e * q_den), int(k * x_den), c, p) for e, k, c, p in kept]
+    acc = {0: {0: (1, 0)}} if top > 0 else {}
+    for e, k, c, p in kept:
+        if p > 0:
+            _times_pass(acc, (e, k, c), top)
+    divided = sorted(((e, k, c) for e, k, c, p in kept if p < 0),
+                     key=_pass_order)
+    # slopes[i] = (rise, fall) of the divided factors from pass i on
     slopes = []
     rise = fall = Fraction(0)
-    for e, k, _ in reversed(kept):
+    for e, k, _ in reversed(divided):
         if k > 0:
             rise = max(rise, Fraction(k, e))
         elif k < 0 and fall is not None:
             fall = max(fall, Fraction(-k, e)) if e else None
         slopes.insert(0, (rise, fall))
-    acc = {}
-    for (qn, xn), v in s.c.items():
-        if qn < order_n:
-            acc.setdefault(qn, {})[xn] = (v.re, v.im)
-    for factor, (rise, fall) in zip(kept, slopes):
-        acc = _divide_pass(acc, factor, order_n, window, rise, fall)
-    terms = {(qn, xn): GaussianRational(re, im)
+    for factor, (rise, fall) in zip(divided, slopes):
+        acc = _divide_pass(acc, factor, top, seen, rise, fall)
+    cr, ci = lead_c.re, lead_c.im
+    terms = {(qn + lead_q, xn + lead_x):
+             GaussianRational(cr * re - ci * im, cr * im + ci * re)
              for qn, row in acc.items() for xn, (re, im) in row.items()
-             if window[0] <= xn <= window[1]}
+             if (re or im) and (seen is None or seen[0] <= xn <= seen[1])}
     return JacobiSeries(q_den, x_den, order_n, terms, window)
+
+
+def _times_pass(acc, factor, order_n):
+    """acc * (1 + c x^k q^e) in place on {level: {x: (re, im)}} in
+    lattice units, below order_n.  Levels are visited from the top, and
+    each adds into a level at or above it, which it has already read
+    (a factor with e = 0 adds into its own level, read first)."""
+    e, k, c = factor
+    cr, ci = c.re, c.im
+    for qn in sorted(acc, reverse=True):
+        if qn + e >= order_n:
+            continue
+        dst = acc.setdefault(qn + e, {})
+        for x, (re, im) in list(acc[qn].items()):
+            re, im = cr * re - ci * im, cr * im + ci * re
+            prev = dst.get(x + k)
+            if prev is not None:
+                re, im = re + prev[0], im + prev[1]
+            dst[x + k] = (re, im)
 
 
 def _pass_order(factor):

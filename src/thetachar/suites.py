@@ -35,8 +35,8 @@ from mpmath import mp
 from .qseries import (GaussianRational, JacobiSeries, SeriesRatio, add,
                       equal_to_order, eval_numeric, mul, product,
                       scale_monomial)
-from .theta import (DEFAULT_DPS, THETA_LABELS, eta, eta_pow_scaled,
-                    theta_shifted, theta_sum)
+from .theta import (DEFAULT_DPS, THETA_LABELS, eta_pow_scaled, theta_shifted,
+                    theta_sum)
 from .mockpsi import (HALF, PsiParams, phi_a11_numeric, psi_diag_ratio,
                       psi_numeric)
 from .characters import (HEARTS, SECTORS, SIGNS, CharacterSpec,
@@ -212,7 +212,7 @@ def _eta_pentagonal(q):
         e = Fraction(k * (3 * k - 1), 2) + Fraction(1, 24)
         if e < q:
             s = add(s, JacobiSeries.monomial(e, 0, (-1) ** (k % 2), q))
-    return [(eta(q), s)]
+    return [(eta_pow_scaled(1, 1, q), s)]
 
 
 def _theta_cases():
@@ -226,7 +226,8 @@ def _theta_cases():
     # collapse to single thetas at (tau, z) times eta(2tau)^2/eta(tau)
     rows += [("tau-shift-pair/" + name, lambda q, sg=sg: [
         (product((theta_shifted(la, q + 1, 2, 1, sg * HALF),
-                  theta_shifted(lb, q + 1, 2, 1, sg * HALF), eta(q + 1))),
+                  theta_shifted(lb, q + 1, 2, 1, sg * HALF),
+                  eta_pow_scaled(1, 1, q + 1))),
          scale_monomial(mul(eta_pow_scaled(2, 2, q + 1),
                             theta_shifted(tgt, q + 1)),
                         Fraction(-1, 8), -sg * HALF, c))
@@ -246,7 +247,7 @@ def _theta_cases():
         # theta_10, theta_11 at (tau, z) times eta(2tau)^2/eta(tau)
         ("scaled-pair", lambda q: [
             (product((theta_shifted(la, q + 1, 2), theta_shifted(lb, q + 1, 2),
-                      eta(q + 1))),
+                      eta_pow_scaled(1, 1, q + 1))),
              mul(eta_pow_scaled(2, 2, q + 1), theta_shifted(tgt, q + 1)))
             for la, lb, tgt in (("00", "10", "10"), ("01", "11", "11"))]),
     ]

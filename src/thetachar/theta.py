@@ -18,8 +18,10 @@ Normative series construction is by the convergent products
     theta_10 = q^{1/8} x^{1/2} prod (1 - q^n)(1 + x q^n)(1 + x^{-1} q^{n-1})
     theta_11 = i q^{1/8} x^{1/2} prod (1 - q^n)(1 - x q^n)(1 - x^{-1} q^{n-1})
 
-with n >= 1, and eta = q^{1/24} prod (1 - q^n).  The lattice sums are
-kept as an independent cross-check (theta_sum).
+with n >= 1, and eta = q^{1/24} prod (1 - q^n): each exact theta series
+and eta power is one qseries.expand of its prefactor and two-term
+factors.  The lattice sums are kept as an independent cross-check
+(theta_sum).
 
 Numerics use mpmath at the caller's working precision: direct lattice
 summation with an explicit geometric tail bound, so every returned value
@@ -41,10 +43,8 @@ from functools import lru_cache
 
 from mpmath import mp
 
-from .qseries import (
-    CoefficientRingError, JacobiSeries, GaussianRational, add, mul, product,
-    scale_monomial, subst_scale_tau, truncate,
-)
+from .qseries import (CoefficientRingError, JacobiSeries, GaussianRational,
+                      expand)
 
 THETA_LABELS = ("00", "01", "10", "11")
 
@@ -89,42 +89,25 @@ def theta_sum(label, q_order):
 
 
 @lru_cache(maxsize=None)
-def eta(q_order):
-    """Dedekind eta = q^{1/24} prod (1 - q^n), trusted below q_order."""
-    q_order = Fraction(q_order)
-    s = JacobiSeries.one(q_order)
-    n = 1
-    while n < q_order:
-        s = mul(s, add(JacobiSeries.one(q_order),
-                       JacobiSeries.monomial(n, 0, -1, q_order)))
-        n += 1
-    return scale_monomial(s, Fraction(1, 24), 0, 1)
-
-
-@lru_cache(maxsize=None)
 def eta_pow_scaled(m, power, q_order):
-    """eta(m tau)**power trusted below q_order, for positive integers m
-    and power."""
-    q_order = Fraction(q_order)
-    base = eta(Fraction(max(1, math.ceil(q_order / m))))
-    s = base
-    for _ in range(power - 1):
-        s = mul(s, base)
-    return truncate(subst_scale_tau(s, m), q_order)
+    """eta(m tau)**power = q^{m power/24} prod (1 - q^{m n})^power,
+    trusted below q_order, for positive integers m and power."""
+    pre = Fraction(m * power, 24)
+    factors = [(m * n, 0, -1, 1)
+               for n in range(1, math.ceil((Fraction(q_order) - pre) / m))
+               for _ in range(power)]
+    return expand([(pre, 0, 1, 1)], factors, q_order)
 
 
 def theta_shifted(label, q_order, tau_scale=1, z_scale=1, r_tau=0, r_one=0):
     """theta_label(tau_scale*tau, z_scale*z + r_tau*tau + r_one) as an
     exact series trusted below q_order.
 
-    Built straight from the product form with the shifted argument
-    absorbed into every two-term factor (1 + c x^k q^e).  Leaving out
-    every factor with e >= W leaves a tail 1 + O(q^W), so the finite
-    product P is exact below W + v(P), and its valuation v(P) is the sum
-    of min(0, e) over its factors (theta_valuation).  Every factor with
-    e < 0 is in P once W > 0, so that sum is known before P is built: W
-    is set to cover q_order with it, P is multiplied out once, trusted
-    to W, and truncated to exactly q_order.
+    One qseries.expand of the product form (theta_factors), with the
+    shifted argument absorbed into every two-term factor
+    (1 + c x^k q^e).  The valuation v is known before the build
+    (theta_valuation), so every factor with e < q_order - v is listed
+    and each one left out is 1 + O(q^{q_order - v}).
 
     With x' = e^{2 pi i (z_scale*z + r_tau*tau + r_one)} the factor
     (1 + s x' q^{tau_scale e}) becomes
@@ -143,16 +126,9 @@ def theta_shifted(label, q_order, tau_scale=1, z_scale=1, r_tau=0, r_one=0):
 
 @lru_cache(maxsize=None)
 def _theta_shifted(label, q_order, ts, zs, r_tau, r_one):
-    work = max(Fraction(1),
-               q_order - theta_valuation(label, ts, zs, r_tau, r_one))
-    (pre_q, pre_x, pre_c), factors = theta_factors(label, work, ts, zs,
-                                                   r_tau, r_one)
-    s = product([add(JacobiSeries.one(work),
-                     JacobiSeries.monomial(e, k, c, work))
-                 for e, k, c in factors], seed_order=work)
-    if pre_q or pre_x or pre_c != 1:
-        s = scale_monomial(s, pre_q, pre_x, pre_c)
-    return truncate(s, q_order)
+    below = max(1, q_order - theta_valuation(label, ts, zs, r_tau, r_one))
+    pre, factors = theta_factors(label, below, ts, zs, r_tau, r_one)
+    return expand([pre + (1,)], [f + (1,) for f in factors], q_order)
 
 
 theta_shifted.cache_info = _theta_shifted.cache_info

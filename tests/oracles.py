@@ -3,18 +3,29 @@ calls them.
 
 invert_directed and as_series are the generic inverse that the package
 used before it divided by a denominator's product factors (qseries.
-divide): a padded level recursion on the whole denominator series, with
+expand): a padded level recursion on the whole denominator series, with
 a window widened by the worst-case climb of its x-support.  They share
-no code with divide, which is why they are the oracle it is checked
-against.
+no code with expand, which is why they are the oracle it is checked
+against.  shifted_theta_sum sums a shifted theta over its index lattice,
+with no product form, for the same reason.
 """
 
 import math
 from fractions import Fraction
 
-from thetachar.qseries import (ONE, GaussianRational, JacobiSeries,
+from thetachar.qseries import (ONE, CoefficientRingError,
+                               GaussianRational, JacobiSeries,
                                UntrustedOrderError, _lcm, mul,
                                restrict_window, truncate)
+
+
+def subst_scale_tau(a, m):
+    """tau -> m*tau for a positive integer m: exact, q_order scales by m."""
+    m = int(m)
+    if m < 1:
+        raise ValueError("tau scale must be a positive integer")
+    terms = {(qn * m, xn): v for (qn, xn), v in a.c.items()}
+    return JacobiSeries(a.q_den, a.x_den, a.order_n * m, terms, a.window_n)
 
 
 def subst_scale_z(a, m):
@@ -27,6 +38,40 @@ def subst_scale_z(a, m):
     if a.window_n is not None:
         win = (a.window_n[0] * m, a.window_n[1] * m)
     return JacobiSeries(a.q_den, a.x_den, a.order_n, terms, win)
+
+
+def shifted_theta_sum(label, q_order, ts, zs, r_tau, r_one):
+    """theta_label(ts*tau, zs*z + r_tau*tau + r_one) trusted below
+    q_order, summed directly over h = n + a/2:
+
+        sum q^{ts h^2/2 + r_tau h} x^{zs h} e^{pi i (b + 2 r_one) h}.
+
+    Raises CoefficientRingError when a phase is not a power of i."""
+    a, b = int(label[0]), int(label[1])
+    q_order, r_tau, r_one = Fraction(q_order), Fraction(r_tau), Fraction(r_one)
+    # e^{pi i t} = i^{2t}, and 2t = turns * h is an integer at every
+    # h = n + a/2 exactly when it is at h = 1 and at h = a/2
+    turns = 2 * (b + 2 * r_one)
+    if (turns.denominator, (turns * a / 2).denominator) != (1, 1):
+        raise CoefficientRingError("phase exp(pi i %s h) is not a power of "
+                                   "i at h = %d/2" % (turns / 2, a))
+    # ts h^2/2 + r_tau h < q_order needs
+    # |h + r_tau/ts| < sqrt(2 q_order/ts + (r_tau/ts)^2)
+    n_max = int(2 * abs(r_tau) / ts) + math.isqrt(int(2 * abs(q_order) / ts)
+                                                  + 1) + 2
+    terms = {}
+    for n in range(-n_max, n_max + 1):
+        h = n + Fraction(a, 2)
+        e = ts * h * h / 2 + r_tau * h
+        if e < q_order:
+            terms[(e, zs * h)] = GaussianRational(1).times_i_power(turns * h)
+    q_den = x_den = 1
+    for e, k in terms:
+        q_den, x_den = _lcm(q_den, e.denominator), _lcm(x_den, k.denominator)
+    q_den = _lcm(q_den, q_order.denominator)
+    return JacobiSeries(q_den, x_den, q_order * q_den,
+                        {(e * q_den, k * x_den): c
+                         for (e, k), c in terms.items()})
 
 
 def first_difference(a, b, q_order):

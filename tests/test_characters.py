@@ -24,7 +24,9 @@ from thetachar.characters import (
     reduction_hs,
     vanishes,
 )
+from thetachar.qseries import GaussianRational
 from thetachar.suites import _m2_closed_ratio, _one_ratio, ratio_pair_equal
+from thetachar.theta import theta_shifted
 
 HALF = F(1, 2)
 
@@ -151,49 +153,39 @@ class TestSeriesControls:
     def test_expansion_inverts_once(self, monkeypatch, M, j, sector):
         # these labels have negative valuations on both sides (their
         # ratios fell short by 3/8 up to 5/4 when built at the request),
-        # and the denominator is still divided out in one call
-        divisions = []
-        real = characters.divide
+        # and the character is still one factor expansion
+        expansions = []
+        real = characters.expand
 
         def counting(*args, **kwargs):
-            divisions.append(args)
+            expansions.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(characters, "divide", counting)
+        monkeypatch.setattr(characters, "expand", counting)
         ser = character_series(CharacterSpec(M, j, sector, "+"), F(2))
         assert ser.q_order == F(2)
-        assert len(divisions) == 1
+        assert len(expansions) == 1
 
-    def test_each_ratio_is_built_once(self, monkeypatch):
-        # the numerator's four thetas are built once each and the
-        # denominator's never: it is divided out factor by factor
-        built = []
-        real = characters.theta_shifted
-
-        def counting(label, q_order, *args):
-            built.append((label,) + args)
-            return real(label, q_order, *args)
-
-        monkeypatch.setattr(characters, "theta_shifted", counting)
+    def test_each_ratio_is_built_once(self):
+        # the character is expanded from its thetas' factors, so no theta
+        # series is built, nor read from the cache
+        theta_shifted.cache_clear()
         n = 0
         for M in range(1, 5):
             for sector in SECTORS:
                 for sign in SIGNS:
                     for j in index_set(M, sector):
                         for q in (2, 4, 8):
-                            spec = CharacterSpec(M, j, sector, sign)
-                            start = len(built)
-                            ser = character_series(spec, q)
+                            ser = character_series(
+                                CharacterSpec(M, j, sector, sign), q)
                             assert ser.q_order == q
-                            _, num, _ = characters._character_thetas(spec)
-                            assert built[start:] == [(lab, ts, 1, r)
-                                                     for lab, ts, r in num]
                             n += 1
-        assert n == 120 and len(built) == 4 * n
+        info = theta_shifted.cache_info()
+        assert n == 120 and (info.hits, info.misses) == (0, 0)
 
     def test_cached_thetas_are_left_unchanged(self, monkeypatch):
-        # character_series reads the shared theta_shifted series and
-        # must not write to them
+        # character_ratio reads the shared theta_shifted series and must
+        # not write to them
         seen = []
         real = characters.theta_shifted
 
@@ -206,11 +198,29 @@ class TestSeriesControls:
         for M in (1, 2, 4):
             for sector in SECTORS:
                 for j in index_set(M, sector):
-                    character_series(CharacterSpec(M, j, sector, "+"), 4)
-        assert len(seen) == 4 * 14
+                    ratio = character_ratio(CharacterSpec(M, j, sector, "+"),
+                                            4)
+                    ratio.scale(GaussianRational(0, 1)) * ratio
+        assert len(seen) == 8 * 14
         for ser, c, order_n, window_n in seen:
             assert (ser.c, ser.order_n, ser.window_n) == (c, order_n,
                                                           window_n)
+
+    @pytest.mark.parametrize("q", [F(1, 8), F(1, 4), F(3, 8), F(1, 2),
+                                   F(5, 8), F(1)])
+    def test_small_orders_answer(self, q):
+        # below and just above the lowest exponent h - c/24: the trust
+        # of the expansion is its order, whatever the valuations
+        for M in range(1, 8):
+            for sector in SECTORS:
+                for sign in SIGNS:
+                    for j in index_set(M, sector):
+                        spec = CharacterSpec(M, j, sector, sign)
+                        lead = -central_charge(M) / 24 + h_s_values(spec)[0]
+                        ser = character_series(spec, q)
+                        assert ser.q_order == q
+                        got = {qe for qe, _, _ in ser.terms()}
+                        assert (min(got) == lead) if lead < q else not got
 
 
 class TestDenominator:

@@ -87,6 +87,13 @@ class TestExpand:
         assert lowest == F(-1, 8)
         assert F(d["q_order"]) == F(5, 8)
 
+    def test_order_at_or_below_the_lead_gives_no_terms(self, tmp_path):
+        # the lowest exponent of this character is h - c/24 = 1/4
+        cp = run_cli(["expand", "--M", "2", "--j", "1", "--sector", "R",
+                      "--sign", "+", "--q-order", "1/4"], tmp_path)
+        assert cp.returncode == 0
+        assert b'"terms":[]' in cp.stdout
+
     def test_default_q_order_is_eight(self, tmp_path):
         cp = run_cli(["expand", "--M", "1", "--j", "1/2", "--sector", "NS",
                       "--sign", "+"], tmp_path)

@@ -17,8 +17,8 @@ from thetachar.qseries import (
     UntrustedOrderError,
     add,
     dumps_canonical,
-    divide,
     equal_to_order,
+    expand,
     eval_numeric,
     from_json_dict,
     mul,
@@ -27,7 +27,6 @@ from thetachar.qseries import (
     restrict_window,
     scale_monomial,
     sub,
-    subst_scale_tau,
     to_json_dict,
     truncate,
 )
@@ -36,7 +35,7 @@ from thetachar.characters import (SECTORS, SIGNS, CharacterSpec,
                                   character_series, index_set)
 
 from oracles import (as_series, first_difference, gaussian_inverse,
-                     invert_directed, subst_scale_z)
+                     invert_directed, subst_scale_tau, subst_scale_z)
 
 
 def mono(qe, xe, coeff, order):
@@ -334,8 +333,6 @@ class TestTrustPropagation:
         p = product(fs)
         assert p.q_order == F(9)
         assert p.coefficient(2, 2) == 3
-        assert product([], seed_order=F(5)).terms() == \
-            [(F(0), F(0), GaussianRational(1))]
 
     def test_windowed_times_windowed_rejected(self):
         a = restrict_window(poly(5, (0, 0, 1)), (F(-1), F(1)))
@@ -492,6 +489,7 @@ _factor_k = st.sampled_from([F(-2), F(-3, 2), F(-1), F(-1, 2), F(0),
 
 @st.composite
 def _factor(draw):
+    """(e, k, c, p) of a factor (1 + c x^k q^e)^p."""
     e, k = draw(_factor_e), draw(_factor_k)
     if e == 0 and k == 0:
         k = F(-1)
@@ -499,86 +497,89 @@ def _factor(draw):
     # a factor that stays (1 + c u) needs no unit c
     pool = _UNITS if moved else _UNITS + (GaussianRational(2),
                                           GaussianRational(1, 1))
-    return (e, k, draw(st.sampled_from(pool)))
-
-
-def _multiplied_out(lead, factors, order):
-    """lead * prod (1 + c x^k q^e) multiplied out, trusted below order
-    plus its valuation."""
-    e, k, c = lead
-    den = mono(e, k, c, order)
-    for e, k, c in factors:
-        den = mul(den, add(JacobiSeries.one(order), mono(e, k, c, order)))
-    return den
+    return (e, k, draw(st.sampled_from(pool)), draw(st.sampled_from([1, -1])))
 
 
 @st.composite
-def _numerator(draw):
-    """Up to six terms at q^0 .. q^2 and x^-3 .. x^3, trusted below q^3,
-    so that terms above a window can fall into it at higher levels."""
-    q_den, x_den = draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2]))
-    terms = {}
-    for _ in range(draw(st.integers(min_value=1, max_value=6))):
-        qn = draw(st.integers(min_value=0, max_value=2 * q_den))
-        xn = draw(st.integers(min_value=-3 * x_den, max_value=3 * x_den))
-        terms[(qn, xn)] = draw(_coeffs)
-    return JacobiSeries(q_den, x_den, 3 * q_den, terms)
+def _monomial(draw):
+    """(e, k, c, p) of a monomial (c q^e x^k)^p: only a divided one
+    needs a unit c."""
+    p = draw(st.sampled_from([1, -1]))
+    pool = _UNITS if p < 0 else _UNITS + (GaussianRational(2, -1),)
+    return (draw(st.sampled_from([F(-1, 2), F(0), F(1, 4)])),
+            draw(st.sampled_from([F(-1), F(0), F(1, 2)])),
+            draw(st.sampled_from(pool)), p)
 
 
-class TestDivide:
+def _multiplied_out(monomials, factors, p, order):
+    """The monomials and factors of power p multiplied out, trusted below
+    order plus the product's valuation."""
+    out = JacobiSeries.one(order)
+    for e, k, c, fp in monomials:
+        if fp == p:
+            out = mul(out, mono(e, k, c, order))
+    for e, k, c, fp in factors:
+        if fp == p:
+            out = mul(out, add(JacobiSeries.one(order), mono(e, k, c, order)))
+    return out
+
+
+class TestExpand:
     @settings(max_examples=80, deadline=None)
-    @given(_numerator(), st.lists(_factor(), min_size=1, max_size=4),
-           st.sampled_from([F(-1, 2), F(0), F(1, 4)]),
-           st.sampled_from([F(-1), F(0), F(1, 2)]),
-           st.sampled_from(_UNITS),
-           st.fractions(min_value=-3, max_value=0, max_denominator=4),
-           st.fractions(min_value=0, max_value=3, max_denominator=4))
-    def test_equals_the_generic_inverse(self, num, factors, le, lk, lc,
-                                        lo, width):
-        lead = (le, lk, lc)
-        den = _multiplied_out(lead, factors, 6)
-        window = (lo, lo + width)
-        # as far as the numerator's trust carries the quotient
-        v_den = le + sum(min(0, e) for e, _, _ in factors)
-        q = min(num.q_order, num.q_order - v_den)
-        got = divide(num, lead, factors, q, window)
-        want = as_series(SeriesRatio(num, den), q, window)
+    @given(st.lists(_monomial(), max_size=2),
+           st.lists(_factor(), min_size=1, max_size=5),
+           st.sampled_from([F(5, 2), F(3, 4), F(2), F(-1, 2)]),
+           st.sampled_from([F(-2), F(-1, 2), F(-3), F(0)]),
+           st.sampled_from([F(3), F(5, 2), F(4), F(0)]))
+    def test_equals_the_generic_inverse(self, monomials, factors, dq, dlo,
+                                        width):
+        # the order and window are drawn around the quotient's lead
+        # monomial, so that most draws have terms in the window
+        lead = monomials + [f for f in factors
+                            if f[0] < 0 or (f[0] == 0 and f[1] > 0)]
+        v = {p: sum(e for e, _, _, fp in lead if fp == p) for p in (1, -1)}
+        lo = dlo + sum(p * k for _, k, _, p in lead)
+        q, window = v[1] - v[-1] + dq, (lo, lo + width)
+        # each side multiplied out far enough that the generic inverse
+        # of the divided side is trusted past q
+        order = q - min(v[1], -v[-1], v[1] - v[-1]) + 1
+        ratio = SeriesRatio(_multiplied_out(monomials, factors, 1, order),
+                            _multiplied_out(monomials, factors, -1, order))
+        got = expand(monomials, factors, q, window)
+        want = as_series(ratio, q, window)
         assert got.terms() == want.terms()
         assert (got.q_order, got.x_window) == (q, window)
 
     def test_descending_geometric(self):
         # 1/(1 - x) = -x^-1 / (1 - x^-1) = -x^-1 - x^-2 - ...
-        got = divide(JacobiSeries.one(4), (0, 0, 1), [(0, 1, -1)], 4,
-                     (F(-5), F(0)))
+        got = expand([], [(0, 1, -1, -1)], 4, (F(-5), F(0)))
         assert got.terms() == [(0, F(-k), GaussianRational(-1))
                                for k in range(5, 0, -1)]
 
     def test_leading_coefficient_must_be_a_unit(self):
-        num = poly(4, (0, 0, 1), (1, 1, 1))
+        two = GaussianRational(2)
+        # a factor whose term leads is moved into the leading monomial,
+        # and what stays of it is (1 + u/c), whichever its power
+        for p in (1, -1):
+            with pytest.raises(CoefficientRingError):
+                expand([], [(F(-1, 2), 1, two, p)], 2, (-2, 2))
         with pytest.raises(CoefficientRingError):
-            divide(num, (0, 0, GaussianRational(2)), [], 2, (-2, 2))
-        # a factor whose term leads is moved into the leading monomial
-        with pytest.raises(CoefficientRingError):
-            divide(num, (0, 0, 1), [(F(-1, 2), 1, GaussianRational(2))], 2,
-                   (-2, 2))
-        # the same coefficient on a factor that stays needs no inverse
-        divide(num, (0, 0, 1), [(F(1, 2), 1, GaussianRational(2))], 2,
-               (-2, 2))
+            expand([(0, 0, two, -1)], [], 2, (-2, 2))
+        # the same coefficient on a factor that stays, or on a multiplied
+        # monomial, needs no inverse
+        got = expand([(0, 0, two, 1)], [(F(1, 2), 1, two, -1)], 1,
+                     (-2, 2))
+        assert got.terms() == [(0, 0, two),
+                               (F(1, 2), 1, GaussianRational(-4))]
 
-    def test_constant_factor_and_windowed_numerator_rejected(self):
+    def test_constant_factor_and_windowless_division_rejected(self):
         with pytest.raises(ValueError):
-            divide(JacobiSeries.one(4), (0, 0, 1), [(0, 0, 1)], 2, (-2, 2))
+            expand([], [(0, 0, 1, 1)], 2)
         with pytest.raises(ValueError):
-            divide(restrict_window(JacobiSeries.one(4), (-1, 1)), (0, 0, 1),
-                   [(1, 1, 1)], 2, (-2, 2))
-
-    def test_numerator_trust_is_checked(self):
-        # the divisor has valuation 1, so a numerator trusted below 4
-        # gives a quotient trusted below 3, not 7/2
-        num = poly(4, (0, 0, 1))
-        divide(num, (1, 0, 1), [(1, 1, 1)], 3, (-2, 2))
-        with pytest.raises(UntrustedOrderError):
-            divide(num, (1, 0, 1), [(1, 1, 1)], F(7, 2), (-2, 2))
+            expand([], [(1, 1, 1, -1)], 2)
+        # a product needs no window
+        assert expand([], [(1, 1, 1, 1)], 2).terms() == [
+            (0, 0, GaussianRational(1)), (1, 1, GaussianRational(1))]
 
 
 # ---------------------------------------------------------------------

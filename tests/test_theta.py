@@ -13,19 +13,15 @@ from thetachar.qseries import (
     CoefficientRingError,
     GaussianRational,
     I_UNIT,
-    JacobiSeries,
-    add,
     equal_to_order,
     eval_numeric,
     mul,
     scale_monomial,
-    subst_scale_tau,
     truncate,
 )
 from thetachar.theta import (
     DEFAULT_DPS,
     TailBoundError,
-    eta,
     eta_numeric,
     eta_pow_scaled,
     numeric_memo,
@@ -35,29 +31,11 @@ from thetachar.theta import (
     theta_valuation,
 )
 
-from oracles import first_difference, subst_scale_z
+from oracles import (first_difference, shifted_theta_sum, subst_scale_tau,
+                     subst_scale_z)
 
 HALF = F(1, 2)
 LABELS = ("00", "01", "10", "11")
-
-
-def shifted_sum_oracle(label, q_order, ts, zs, rt, ro):
-    """theta_label(ts*tau, zs*z + rt*tau + ro) summed directly over the
-    index lattice: an oracle independent of the product-form builder."""
-    a, b = int(label[0]), int(label[1])
-    q_order = F(q_order)
-    rt, ro = F(rt), F(ro)
-    out = JacobiSeries.zero(q_order)
-    for m in range(-120, 121):
-        h = F(2 * m + a, 2)
-        e = F(ts) * h * h / 2 + rt * h
-        if e >= q_order:
-            continue
-        k = h * (2 * b + 4 * ro)
-        assert k.denominator == 1, "oracle called outside the exact ring"
-        c = GaussianRational(1).times_i_power(int(k))
-        out = add(out, JacobiSeries.monomial(e, zs * h, c, q_order))
-    return out
 
 
 # ---------------------------------------------------------------------
@@ -114,7 +92,7 @@ class TestExactSeries:
 
 class TestEta:
     def test_pentagonal_coefficients(self):
-        s = eta(13)
+        s = eta_pow_scaled(1, 1, 13)
         adj = F(1, 24)
         expected = {0: 1, 1: -1, 2: -1, 5: 1, 7: 1, 12: -1}
         for n in range(13):
@@ -126,7 +104,7 @@ class TestEta:
         assert s.coefficient(F(2, 8), 0) == 1
         assert s.coefficient(2 + F(2, 8), 0) == -3
         assert s.coefficient(6 + F(2, 8), 0) == 5
-        e = eta(F(9, 2))
+        e = eta_pow_scaled(1, 1, F(9, 2))
         manual = truncate(subst_scale_tau(mul(mul(e, e), e), 2), 9)
         assert first_difference(s, manual, 9) is None
 
@@ -165,7 +143,7 @@ class TestNumericOracles:
     def test_eta_series_evaluates_to_numeric_eta(self):
         mp.dps = 35
         tau = mpc("0.11", "1.5")
-        got = eval_numeric(eta(10), tau, 0)
+        got = eval_numeric(eta_pow_scaled(1, 1, 10), tau, 0)
         assert abs(got - eta_numeric(tau)) < mp.mpf("1e-28")
 
 
@@ -299,7 +277,7 @@ class TestThetaShifted:
     ])
     def test_matches_lattice_sum_oracle_exactly(self, label, q, ts, zs, rt, ro):
         got = theta_shifted(label, q, ts, zs, rt, ro)
-        want = shifted_sum_oracle(label, q, ts, zs, rt, ro)
+        want = shifted_theta_sum(label, q, ts, zs, rt, ro)
         assert got.q_order >= q
         assert first_difference(got, want, q) is None
 
@@ -309,30 +287,48 @@ class TestThetaShifted:
         # truncation boundary, so any support-extrapolation shortcut
         # misses real terms around q^5 -- build and compare exactly
         got = theta_shifted("11", F(57, 8), 4, 2, 3, 0)
-        want = shifted_sum_oracle("11", F(57, 8), 4, 2, 3, 0)
+        want = shifted_theta_sum("11", F(57, 8), 4, 2, 3, 0)
         assert first_difference(got, want, F(57, 8)) is None
         # and a rebuild at higher order truncates back to the same series
         deeper = truncate(theta_shifted("11", F(89, 8), 4, 2, 3, 0), F(57, 8))
         assert first_difference(got, deeper, F(57, 8)) is None
 
     def test_one_product_per_cache_miss(self, monkeypatch):
-        # the padding is computed, so each build multiplies out exactly
-        # one product, deep shifts included
-        products = []
-        real = theta_module.product
+        # the valuation is known before the build, so each build is
+        # exactly one factor expansion, deep shifts included
+        expansions = []
+        real = theta_module.expand
 
         def counting(*args, **kwargs):
-            products.append(args)
+            expansions.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(theta_module, "product", counting)
+        monkeypatch.setattr(theta_module, "expand", counting)
         theta_shifted.cache_clear()
         for args in [("00", F(6), 1, 1, HALF, 0), ("11", F(57, 8), 4, 2, 3, 0),
                      ("10", F(31, 4), 5, 1, 4, 0), ("01", F(7), 2, 1, -2, 0),
                      ("11", F(9), 2, 2, F(5, 2), HALF)]:
             theta_shifted(*args)
             theta_shifted(*args)
-        assert len(products) == theta_shifted.cache_info().misses == 5
+        assert len(expansions) == theta_shifted.cache_info().misses == 5
+
+    @settings(deadline=None, max_examples=100)
+    @given(label=st.sampled_from(LABELS), ts=st.integers(1, 4),
+           zs=st.integers(1, 2), rt2=st.integers(-16, 16),
+           ro4=st.integers(0, 3), q4=st.integers(1, 40))
+    def test_matches_shifted_lattice_sum(self, label, ts, zs, rt2, ro4, q4):
+        # every label, scale and shift, against a sum over the index
+        # lattice that shares no code with the product form
+        rt, ro, q = F(rt2, 2), F(ro4, 4), F(q4, 4)
+        try:
+            want = shifted_theta_sum(label, q, ts, zs, rt, ro)
+        except CoefficientRingError:
+            with pytest.raises(CoefficientRingError):
+                theta_shifted(label, q, ts, zs, rt, ro)
+            return
+        got = theta_shifted(label, q, ts, zs, rt, ro)
+        assert got.q_order == q
+        assert got.terms() == want.terms()
 
     @settings(deadline=None, max_examples=60)
     @given(label=st.sampled_from(LABELS), ts=st.integers(1, 4),
