@@ -40,7 +40,7 @@ from .mockpsi import HALF, PsiParams, psi_diag_ratio, psi_pair_ratio
 from .qseries import (GaussianRational, SeriesRatio, expand, mul, product,
                       restrict_window, scale_monomial)
 from .theta import (THETA_LABELS, eta_pow_scaled, theta_factors,
-                    theta_shifted, theta_valuation)
+                    theta_shifted)
 
 SECTORS = ("NS", "R")
 SIGNS = ("+", "-")
@@ -202,10 +202,11 @@ def character_series(spec, q_order, x_window=None):
     s.  The character is one qseries.expand: its monomial, the numerator
     thetas' prefactors and two-term factors (theta_factors) multiplied,
     the denominator thetas' divided, so no theta series is built.  The
-    valuation v of the character is exact (theta_valuation), so the
-    factors are listed up to q_order - v.  The lowest q-exponent is
-    asserted to equal -c/24 + h before the window is restricted to the
-    request.
+    valuation v of the character is -c/24 + h, so each theta's factors
+    are listed once, up to q_order - v.  That listing also holds every
+    factor with e < 0, which gives v exactly (as theta_valuation does);
+    v and the lowest q-exponent of the expansion are both asserted to
+    equal -c/24 + h before the window is restricted to the request.
     """
     q_order = Fraction(q_order)
     if q_order <= 0:
@@ -219,18 +220,20 @@ def character_series(spec, q_order, x_window=None):
     if lo > hi:
         raise ValueError("empty x window")
     face, num_thetas, den_thetas = _character_thetas(spec)
-    v = (j * j / M
-         + sum(theta_valuation(lab, ts, 1, r) for lab, ts, r in num_thetas)
-         - sum(theta_valuation(lab, ts, 1, r) for lab, ts, r in den_thetas))
     # a positive bound also lists every factor with e < 0
-    below = max(1, q_order - v)
+    below = max(1, q_order - lead_q)
     monomials = [(j * j / M, 2 * j / M, face * sgn(j), 1)]
     factors = []
+    v = j * j / M
     for thetas, p in ((num_thetas, 1), (den_thetas, -1)):
         for lab, ts, r in thetas:
             pre, more = theta_factors(lab, below, ts, 1, r)
             monomials.append(pre + (p,))
             factors += [f + (p,) for f in more]
+            v += p * (pre[0] + sum(min(0, e) for e, _, _ in more))
+    if v != lead_q:
+        raise AssertionError("character valuation %s, expected -c/24+h = %s"
+                             % (v, lead_q))
     ser = expand(monomials, factors, q_order, (min(lo, s), max(hi, s)))
     stored = ser.terms()
     if stored:

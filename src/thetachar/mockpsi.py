@@ -116,9 +116,8 @@ def psi_numeric(params, tau, z1, z2, t):
     j = _mpfrac(p.j)
     k = _mpfrac(p.k)
     eps = _mpfrac(p.eps)
-    pref = (-1j * mp.exp(-2j * mp.pi * t / p.M)
-            * mp.exp(2j * mp.pi * tau * j * k / p.M)
-            * mp.exp(2j * mp.pi * (k * z1 + j * z2) / p.M))
+    pref = -1j * mp.exp(2j * mp.pi * (tau * j * k + k * z1 + j * z2 - t)
+                        / p.M)
     num = (eta_numeric(Mtau) ** 3
            * theta_numeric("11", Mtau, z1 + z2 + (j + k) * tau))
     den = (_guard_pole(theta_numeric("11", Mtau, z1 + j * tau + eps),

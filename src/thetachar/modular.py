@@ -28,8 +28,9 @@ COND_THRESHOLD raises IllConditionedError: that signals bad point
 selection, not a failed identity.
 
 All evaluations use the ambient mpmath precision; callers scope it
-with mp.workdps.  span_closure opens one theta_numeric memo per sample
-point, so the thetas its members share there are evaluated once.
+with mp.workdps.  span_closure opens one numeric_memo per sample point,
+so the thetas, nome powers and denominator quotients its members share
+there are each evaluated once.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from mpmath import mp
 from .characters import denominator_label, sector_eps_prime, sign_eps
 from .mockpsi import (HALF, PoleProximityError, PsiParams, _guard_pole,
                       _mpc_any, _mpfrac, psi_numeric)
-from .theta import THETA_LABELS, numeric_memo, theta_numeric
+from .theta import THETA_LABELS, memoized, numeric_memo, theta_numeric
 
 IM_TAU_FLOOR = 0.3
 COND_THRESHOLD = 1e8
@@ -166,9 +167,15 @@ def psi_t_residual(params, p):
 
 
 def denominator_numeric(sign, sector, tau, z):
-    """R^{(eps)}_{eps'}(tau, z) as the three-thetas-over-one quotient."""
+    """R^{(eps)}_{eps'}(tau, z) as the three-thetas-over-one quotient;
+    inside numeric_memo() each (sign, sector, tau, z) is evaluated once."""
     tau = _mpc_any(tau)
     z = _mpc_any(z)
+    return memoized(("den", sign, sector, tau._mpc_, z._mpc_),
+                    lambda: _denominator_quotient(sign, sector, tau, z))
+
+
+def _denominator_quotient(sign, sector, tau, z):
     d = denominator_label(sign, sector)
     num = mp.mpc(0, -1 if sign == "+" else 1)
     for lab in THETA_LABELS:

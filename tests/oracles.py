@@ -7,11 +7,15 @@ expand): a padded level recursion on the whole denominator series, with
 a window widened by the worst-case climb of its x-support.  They share
 no code with expand, which is why they are the oracle it is checked
 against.  shifted_theta_sum sums a shifted theta over its index lattice,
-with no product form, for the same reason.
+with no product form, for the same reason.  mpf_stop_step is the stop
+rule that theta's lattice sum ran in mpf arithmetic before it found its
+step count from float logs, kept as the oracle of that count.
 """
 
 import math
 from fractions import Fraction
+
+from mpmath import mp
 
 from thetachar.qseries import (ONE, CoefficientRingError,
                                GaussianRational, JacobiSeries,
@@ -72,6 +76,42 @@ def shifted_theta_sum(label, q_order, ts, zs, r_tau, r_one):
     return JacobiSeries(q_den, x_den, q_order * q_den,
                         {(e * q_den, k * x_den): c
                          for (e, k), c in terms.items()})
+
+
+def mpf_stop_step(label, tau, z, abs_err):
+    """The step n at which the mpf lattice sum of theta_label(tau, z)
+    stopped, or None where it raised for want of terms: walk outward
+    from h0 = a/2, carrying the magnitude m of the first unsummed term
+    on each side and its ratio s to the next one out, and stop once both
+    s lie below 0.9 and m_pos/(1 - s_pos) + m_neg/(1 - s_neg) < abs_err.
+    """
+    a = int(label[0])
+    y, u, h0 = mp.im(tau), mp.im(z), mp.mpf(a) / 2
+
+    def mag(h):
+        return mp.exp(-mp.pi * y * h * h - 2 * mp.pi * u * h)
+
+    g = mp.exp(-2 * mp.pi * y)
+    m_pos = mag(h0 + 1)
+    s_pos = mag(h0 + 2) / m_pos
+    m_neg = mag(h0 - 2)
+    s_neg = mag(h0 - 3) / m_neg
+    gate, n_cap = mp.mpf("0.9"), 100000
+    steep = max(s_pos, s_neg)
+    if steep >= gate and mp.log(steep / gate) / (2 * mp.pi * y) >= n_cap:
+        return None
+    n = 0
+    while True:
+        if s_pos < gate and s_neg < gate:
+            if m_pos / (1 - s_pos) + m_neg / (1 - s_neg) < abs_err:
+                return n
+        n += 1
+        if n > n_cap:
+            return None
+        m_pos *= s_pos
+        s_pos *= g
+        m_neg *= s_neg
+        s_neg *= g
 
 
 def first_difference(a, b, q_order):

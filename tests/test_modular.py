@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from mpmath import mp
 
+import thetachar.modular as modular_module
 from thetachar.characters import CharacterSpec, character_ratio
 from thetachar.mockpsi import HALF, PsiParams
 from thetachar.modular import (
@@ -14,6 +15,7 @@ from thetachar.modular import (
     _lstsq_min_norm,
     character_numeric,
     default_points,
+    denominator_numeric,
     denominator_transform_residual,
     family_members,
     member_id,
@@ -23,6 +25,7 @@ from thetachar.modular import (
     span_closure,
 )
 from thetachar.qseries import dumps_canonical, eval_numeric
+from thetachar.theta import numeric_memo
 
 
 class TestNumericPoint:
@@ -95,6 +98,33 @@ class TestDenominatorTransforms:
         p = default_points(1)[0]
         with pytest.raises(ValueError):
             denominator_transform_residual("+", "NS", "U", p)
+
+
+class TestDenominatorMemo:
+    def test_each_point_is_evaluated_once(self, monkeypatch):
+        quotient = modular_module._denominator_quotient
+        seen = []
+
+        def counted(*args):
+            seen.append(args)
+            return quotient(*args)
+
+        monkeypatch.setattr(modular_module, "_denominator_quotient", counted)
+        mp.dps = 40
+        points = [(0.1 + 1.1j, 0.13 + 0.01j), (-0.2 + 0.9j, 0.07 - 0.005j)]
+        keys = [(sign, sector, tau, z) for sign in ("+", "-")
+                for sector in ("NS", "R") for tau, z in points]
+        with numeric_memo():
+            for _ in range(3):
+                for sign, sector, tau, z in keys:
+                    first = denominator_numeric(sign, sector, tau, z)
+                    again = denominator_numeric(sign, sector, mp.mpc(tau),
+                                                mp.mpc(z))
+                    assert again is first
+        assert len(seen) == len(keys)
+        outside = [denominator_numeric(*keys[0]) for _ in range(2)]
+        assert len(seen) == len(keys) + 2
+        assert outside[0] == outside[1]
 
 
 class TestFamilies:

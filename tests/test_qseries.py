@@ -541,8 +541,9 @@ class TestExpand:
         lo = dlo + sum(p * k for _, k, _, p in lead)
         q, window = v[1] - v[-1] + dq, (lo, lo + width)
         # each side multiplied out far enough that the generic inverse
-        # of the divided side is trusted past q
-        order = q - min(v[1], -v[-1], v[1] - v[-1]) + 1
+        # of the divided side is trusted past q, and the divided side
+        # keeps its lead term
+        order = max(q - min(v[1], -v[-1], v[1] - v[-1]), v[-1]) + 1
         ratio = SeriesRatio(_multiplied_out(monomials, factors, 1, order),
                             _multiplied_out(monomials, factors, -1, order))
         got = expand(monomials, factors, q, window)

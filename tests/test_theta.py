@@ -31,8 +31,8 @@ from thetachar.theta import (
     theta_valuation,
 )
 
-from oracles import (first_difference, shifted_theta_sum, subst_scale_tau,
-                     subst_scale_z)
+from oracles import (first_difference, mpf_stop_step, shifted_theta_sum,
+                     subst_scale_tau, subst_scale_z)
 
 HALF = F(1, 2)
 LABELS = ("00", "01", "10", "11")
@@ -158,17 +158,56 @@ theta_args = dict(
 )
 
 
+# the thetas that psi_numeric evaluates: theta_11 at (M tau, z + (j + k) tau)
+# with (j + k)/M = jk/2 in [0, 2], so Im z reaches 2 Im(M tau) and terms
+# reach about e^{4 pi M Im tau}; Re(M tau) is drawn directly, inside the
+# range where mp.jtheta's principal nome root is the right one
+psi_theta_args = dict(
+    label=st.sampled_from(LABELS),
+    M=st.integers(1, 4),
+    re_tau=st.floats(-0.9, 0.9),
+    im_tau=st.floats(0.3, 1.2),
+    re_z=st.floats(-0.5, 0.5),
+    im_z=st.floats(-0.1, 0.1),
+    jk=st.integers(0, 4),
+)
+
+
+def _psi_theta_point(M, re_tau, im_tau, re_z, im_z, jk):
+    tau = mpc(re_tau, M * im_tau)
+    return tau, mpc(re_z, im_z) + F(jk, 2) * tau
+
+
+def rounding_excess(label, tau, z):
+    """|theta_numeric - mp.jtheta at twice the precision| over the
+    documented error bound abs_err + 2^-prec (|theta| + max(1, T)),
+    T = e^{pi Im(z)^2 / Im(tau)}."""
+    prec = mp.prec
+    got = theta_numeric(label, tau, z)
+    abs_err = mp.mpf(10) ** (-(mp.dps - 5))
+    idx, sign = JTHETA[label]
+    with mp.workprec(2 * prec):
+        want = sign * mp.jtheta(idx, mp.pi * z, mp.exp(1j * mp.pi * tau))
+        big = max(1, mp.exp(mp.pi * mp.im(z) ** 2 / mp.im(tau)))
+        return abs(got - want) / (abs_err + mp.ldexp(abs(want) + big, -prec))
+
+
+def check_stop_step(label, tau, z, abs_err):
+    """The float step count is never below the mpf stop rule's."""
+    abs_err = mp.mpf(abs_err)
+    want = mpf_stop_step(label, tau, z, abs_err)
+    got = theta_module._stop_step(int(label[0]), float(tau.imag),
+                                  float(z.imag), float(mp.log(abs_err)))
+    assert want is not None and got >= want
+
+
 class TestRecurrenceSum:
     @settings(deadline=None, max_examples=80)
     @given(**theta_args)
     def test_matches_mpmath_jtheta(self, label, re_tau, im_tau, re_z, im_z):
         mp.dps = 30
-        tau, z = mpc(re_tau, im_tau), mpc(re_z, im_z)
-        idx, sign = JTHETA[label]
-        want = sign * mp.jtheta(idx, mp.pi * z, mp.exp(1j * mp.pi * tau))
-        # rounding scales with the largest term, exp(pi Im(z)^2 / Im(tau))
-        big = max(1, mp.exp(mp.pi * im_z * im_z / im_tau))
-        assert abs(theta_numeric(label, tau, z) - want) < mp.mpf("1e-22") * big
+        assert rounding_excess(label, mpc(re_tau, im_tau),
+                               mpc(re_z, im_z)) < 1
 
     @settings(deadline=None, max_examples=40)
     @given(**theta_args)
@@ -179,6 +218,54 @@ class TestRecurrenceSum:
         loose = mp.mpf("1e-8")
         assert abs(theta_numeric(label, tau, z, loose)
                    - theta_numeric(label, tau, z)) < loose
+
+    @settings(deadline=None, max_examples=60)
+    @given(**psi_theta_args)
+    def test_matches_mpmath_jtheta_at_psi_arguments(self, label, M, re_tau,
+                                                    im_tau, re_z, im_z, jk):
+        mp.dps = DEFAULT_DPS
+        tau, z = _psi_theta_point(M, re_tau, im_tau, re_z, im_z, jk)
+        assert rounding_excess(label, tau, z) < 1
+
+    def test_damaged_kernel_breaks_the_bound(self, monkeypatch):
+        mp.dps = 30
+        small = [("00", mpc("0.1", "1.2"), mpc("0.31", "0.07")),
+                 ("11", mpc("-0.2", "0.8"), mpc("-0.11", "0.23")),
+                 ("10", mpc("0.3", "0.5"), mpc("0.2", "-0.4")),
+                 ("01", mpc("0.05", "2"), mpc("0.4", "0.6"))]
+        # terms up to e^{49} here
+        large = ("11", mpc("0.8", "4"), mpc("0.1", "7.9"))
+        for point in small + [large]:
+            assert rounding_excess(*point) < 1
+        stop = theta_module._stop_step
+        monkeypatch.setattr(theta_module, "_stop_step",
+                            lambda *args: stop(*args) - 1)
+        for point in small:
+            assert rounding_excess(*point) > 1
+        monkeypatch.setattr(theta_module, "_stop_step", stop)
+        monkeypatch.setattr(theta_module, "_guard_bits", lambda *args: 0)
+        assert rounding_excess(*large) > 1
+
+    @settings(deadline=None, max_examples=80)
+    @given(abs_err=st.sampled_from(["1e-8", "1e-35", "1e-60"]), **theta_args)
+    def test_stop_step_never_below_the_mpf_rule(self, abs_err, label, re_tau,
+                                                im_tau, re_z, im_z):
+        mp.dps = DEFAULT_DPS
+        check_stop_step(label, mpc(re_tau, im_tau), mpc(re_z, im_z), abs_err)
+
+    @settings(deadline=None, max_examples=80)
+    @given(abs_err=st.sampled_from(["1e-8", "1e-35", "1e-60"]),
+           **psi_theta_args)
+    def test_stop_step_never_below_the_mpf_rule_at_psi_arguments(
+            self, abs_err, label, M, re_tau, im_tau, re_z, im_z, jk):
+        mp.dps = DEFAULT_DPS
+        tau, z = _psi_theta_point(M, re_tau, im_tau, re_z, im_z, jk)
+        check_stop_step(label, tau, z, abs_err)
+
+    def test_error_must_be_positive(self):
+        for abs_err in (0, "-1e-10"):
+            with pytest.raises(ValueError):
+                theta_numeric("00", mpc(0, 1), 0, abs_err)
 
     def test_term_cap_raises(self):
         # the ratio gate alone needs about 1.7e7 terms here, so the cap
@@ -217,6 +304,18 @@ class TestNumericMemo:
         assert high is not low
         assert high == theta_numeric("11", tau, z)
         assert abs(high - low) > 0
+
+    def test_one_nome_entry_per_tau(self):
+        mp.dps = DEFAULT_DPS
+        taus = [mpc("0.1", "0.7"), mpc("-0.3", "1.1")]
+        with numeric_memo():
+            for tau in taus:
+                for z in (mpc("0.2", "0.05"), mpc("0.1", "2.5")):
+                    for label in LABELS:
+                        theta_numeric(label, tau, z)
+            nome = [key for key in theta_module._MEMO.get()
+                    if key[0] == "nome"]
+        assert nome == [("nome", tau._mpc_) for tau in taus]
 
     def test_no_memo_after_the_scope(self):
         tau, z = mpc("0.1", "0.7"), mpc("0.2", "0.05")
