@@ -28,9 +28,12 @@ COND_THRESHOLD raises IllConditionedError: that signals bad point
 selection, not a failed identity.
 
 All evaluations use the ambient mpmath precision; callers scope it
-with mp.workdps.  span_closure opens one numeric_memo per sample point,
-so the thetas, nome powers and denominator quotients its members share
-there are each evaluated once.
+with mp.workdps.  span_closure evaluates the whole family at each
+sample point and each side of the transform in one theta.ThetaPass
+(family_values): every theta, eta and prefactor of its members comes
+from the point's shared exponentials, each distinct lattice sum is
+walked once, and denominator_numeric and character_member_numeric are
+the one-block case.
 """
 
 from __future__ import annotations
@@ -42,9 +45,9 @@ from fractions import Fraction
 from mpmath import mp
 
 from .characters import denominator_label, sector_eps_prime, sign_eps
-from .mockpsi import (HALF, PoleProximityError, PsiParams, _guard_pole,
-                      _mpc_any, _mpfrac, psi_numeric)
-from .theta import THETA_LABELS, memoized, numeric_memo, theta_numeric
+from .mockpsi import (HALF, PsiParams, _guard_pole, _mpc_any, _mpfrac,
+                      psi_numeric, psi_requests, psi_value)
+from .theta import THETA_LABELS, ThetaPass
 
 IM_TAU_FLOOR = 0.3
 COND_THRESHOLD = 1e8
@@ -167,22 +170,23 @@ def psi_t_residual(params, p):
 
 
 def denominator_numeric(sign, sector, tau, z):
-    """R^{(eps)}_{eps'}(tau, z) as the three-thetas-over-one quotient;
-    inside numeric_memo() each (sign, sector, tau, z) is evaluated once."""
-    tau = _mpc_any(tau)
-    z = _mpc_any(z)
-    return memoized(("den", sign, sector, tau._mpc_, z._mpc_),
-                    lambda: _denominator_quotient(sign, sector, tau, z))
+    """R^{(eps)}_{eps'}(tau, z) as the three-thetas-over-one quotient, the
+    one-denominator ThetaPass."""
+    tp = ThetaPass((_mpc_any(tau), _mpc_any(z)), _DEN_REQUESTS)
+    return tp.to_mpc(_den_value(tp, sign, sector))
 
 
-def _denominator_quotient(sign, sector, tau, z):
+# the ThetaPass requests of theta_ab(tau, z) at coordinates (tau, z)
+_DEN_REQUESTS = tuple((int(lab[0]), int(lab[1]), 1, (0, 1), 0)
+                      for lab in THETA_LABELS)
+
+
+def _den_value(tp, sign, sector):
     d = denominator_label(sign, sector)
-    num = mp.mpc(0, -1 if sign == "+" else 1)
-    for lab in THETA_LABELS:
-        if lab != d:
-            num *= theta_numeric(lab, tau, z)
-    den = _guard_pole(theta_numeric(d, tau, z), "theta_%s" % d)
-    return num / den
+    thetas = dict(zip(THETA_LABELS, map(tp.theta, _DEN_REQUESTS)))
+    den = _guard_pole(thetas.pop(d), "theta_%s" % d)
+    re, im, e = tp.div(tp.mul(*thetas.values()), den)
+    return (im, -re, e) if sign == "+" else (-im, re, e)
 
 
 def _swap_sign_sector(sign, sector):
@@ -263,11 +267,24 @@ def _block_sign_sector(block):
 
 def character_member_numeric(M, member, tau, z):
     """One family member Psi_{j1,j2}/R at a diagonal point."""
-    (eps, eps_p), (j1, j2) = member
-    params = PsiParams(M, j1, j2, eps, eps_p)
-    sign, sector = _block_sign_sector(block=(eps, eps_p))
-    return (psi_numeric(params, tau, z, z, 0)
-            / denominator_numeric(sign, sector, tau, z))
+    return family_values(M, [member], _mpc_any(tau), _mpc_any(z))[0]
+
+
+def family_values(M, members, tau, z):
+    """The members Psi_{j1,j2}/R at the diagonal point (tau, z), from one
+    ThetaPass planned with every theta, eta and denominator they take."""
+    blocks = [(PsiParams(M, j1, j2, *block), _block_sign_sector(block))
+              for block, (j1, j2) in members]
+    requests = [r for p, _ in blocks for r in psi_requests(p, (1,), (1,))]
+    tp = ThetaPass((tau, z), requests + list(_DEN_REQUESTS))
+    dens = {}
+    out = []
+    for p, key in blocks:
+        psi = psi_value(tp, p, (1,), (1,))
+        if key not in dens:
+            dens[key] = _den_value(tp, *key)
+        out.append(tp.to_mpc(tp.div(psi, dens[key])))
+    return out
 
 
 def character_numeric(M, k1, k2, heart, sign, twisted, p):
@@ -277,22 +294,18 @@ def character_numeric(M, k1, k2, heart, sign, twisted, p):
     if not p.is_diagonal:
         raise ValueError("character evaluation needs z1 = z2 and t = 0")
     j, k = dd_indices(M, k1, k2, heart, twisted)
-    eps = sign_eps(sign)
-    eps_p = HALF if not twisted else Fraction(0)
-    sector = "NS" if not twisted else "R"
+    block = (sign_eps(sign), HALF if not twisted else Fraction(0))
     face = BLOCK_SIGNS[(heart, sign, twisted)]
-    params = PsiParams(M, j, k, eps, eps_p)
-    tau = _mpc_any(p.tau)
-    z = _mpc_any(p.z1)
-    val = (psi_numeric(params, tau, z, z, 0)
-           / denominator_numeric(sign, sector, tau, z))
+    val, = family_values(M, [(block, (j, k))], _mpc_any(p.tau),
+                         _mpc_any(p.z1))
     return face * val
 
 
 @dataclass(frozen=True)
 class SpanCertificate:
     """Least-squares evidence that a transform maps the family span
-    into itself: per-member coefficient rows and the max residual."""
+    into itself: per-member coefficient rows and the max residual, with
+    the fit's retained rank and condition number (not serialized)."""
     transform: str
     M: int
     statement: int
@@ -301,6 +314,8 @@ class SpanCertificate:
     residual: float
     points: tuple
     precision_bits: int
+    rank: int
+    condition: float
 
     def to_json_dict(self):
         return {
@@ -322,7 +337,8 @@ def _lstsq_min_norm(A, B):
     Columns of A are scaled to unit max modulus, the Gram matrix is
     diagonalized (Hermitian), eigenvalues below RANK_CUTOFF^2 relative
     are dropped, and the retained condition number is checked.
-    Returns (C, max entrywise |A C - B|).
+    Returns (C, max entrywise |A C - B|, retained rank, retained
+    condition number).
     """
     rows, cols = A.rows, A.cols
     scale = []
@@ -360,7 +376,7 @@ def _lstsq_min_norm(A, B):
     for i in range(cols):
         for c in range(Cs.cols):
             C[i, c] = Cs[i, c] / scale[i]
-    return C, resid
+    return C, resid, len(kept), cond
 
 
 def span_closure(M, statement, transform, points):
@@ -391,12 +407,11 @@ def span_closure(M, statement, transform, points):
         else:
             tau2, z2 = tau + 1, z
             factor = mp.mpc(1)
-        with numeric_memo():
-            for c, mem in enumerate(members):
-                A[r, c] = character_member_numeric(M, mem, tau, z)
-                B[r, c] = (character_member_numeric(M, mem, tau2, z2)
-                           / factor)
-    C, resid = _lstsq_min_norm(A, B)
+        for c, value in enumerate(family_values(M, members, tau, z)):
+            A[r, c] = value
+        for c, value in enumerate(family_values(M, members, tau2, z2)):
+            B[r, c] = value / factor
+    C, resid, rank, cond = _lstsq_min_norm(A, B)
     coeff_rows = tuple(tuple(complex(C[j, i]) for j in range(n))
                        for i in range(n))
     return SpanCertificate(
@@ -406,6 +421,8 @@ def span_closure(M, statement, transform, points):
         residual=float(resid),
         points=tuple(pts),
         precision_bits=mp.prec,
+        rank=rank,
+        condition=float(cond),
     )
 
 

@@ -37,8 +37,8 @@ from .qseries import (GaussianRational, JacobiSeries, SeriesRatio, add,
                       scale_monomial)
 from .theta import (DEFAULT_DPS, THETA_LABELS, eta_pow_scaled, theta_shifted,
                     theta_sum)
-from .mockpsi import (HALF, PsiParams, phi_a11_numeric, psi_diag_ratio,
-                      psi_numeric)
+from .mockpsi import (HALF, PsiParams, appell_tail, phi_a11_numeric,
+                      psi_diag_ratio, psi_numeric)
 from .characters import (HEARTS, SECTORS, SIGNS, CharacterSpec,
                          ReductionParams, central_charge, character_ratio,
                          character_series, dd_numerator, denominator,
@@ -339,13 +339,6 @@ def _psi_cases():
         ("m1-collapse", lambda q: _diag_residuals(
             PsiParams(1, 0, 0, 0, 0), q, default_points(5, diagonal=True,
                                                         seed=7))),
-        # the summation cutoff is certified by the tail bound: growing it
-        # must not move the value
-        ("appell-cutoff", lambda q: [
-            phi_a11_numeric(m, s, p.tau, p.z1, p.z2, p.t)
-            - phi_a11_numeric(m, s, p.tau, p.z1, p.z2, p.t, j_cutoff=60)
-            for m, s in ((1, Fraction(0)), (1, HALF), (2, 1))
-            for p in default_points(3, seed=11)]),
         # the t dependence is the exact prefactor e^{-2 pi i m t}
         ("appell-prefactor", lambda q: [
             phi_a11_numeric(m, 1, p.tau, p.z1, p.z2, p.t)
@@ -353,7 +346,28 @@ def _psi_cases():
             * phi_a11_numeric(m, 1, p.tau, p.z1, p.z2, 0)
             for m in (1, 2) for p in default_points(3, seed=13)]),
     ]
-    return tuple(("psi/" + cid, _residual(fn)) for cid, fn in rows)
+    rows = [("psi/" + cid, _residual(fn)) for cid, fn in rows]
+    rows.insert(-1, ("psi/appell-cutoff", _appell_cutoff))
+    return tuple(rows)
+
+
+def _appell_cutoff(cfg):
+    # the tail majorant at cutoff 1 must cover all that cutoff 60 adds;
+    # at these points the terms past cutoff 1 lie between 1e-20 and
+    # 1e-7, far above rounding, while past cutoff 8 they would be below
+    # it and the check could not fail
+    worst, n = 0.0, 0
+    for m, s in ((1, Fraction(0)), (1, HALF), (2, 1)):
+        for p in default_points(3, seed=11):
+            args = (m, s, mp.mpc(p.tau), mp.mpc(p.z1), mp.mpc(p.z2), p.t)
+            diff = abs(phi_a11_numeric(*args, j_cutoff=1, tail_tol=1)
+                       - phi_a11_numeric(*args, j_cutoff=60))
+            bound = appell_tail(*args[:5], j_cutoff=1)
+            _require(diff <= bound, "cutoff-1 difference %.3e above its tail "
+                     "majorant %.3e" % (diff, bound))
+            worst, n = max(worst, float(diff / bound)), n + 1
+    return ("cutoff-1 difference at most %.3f of its tail majorant over %d "
+            "evaluations" % (worst, n))
 
 
 # ---------------------------------------------------------------------------

@@ -32,25 +32,24 @@ relative to T, not to the requested error.  The step count and the
 guard bits are found from float logs of the term magnitudes before
 anything is summed.  The sum walks outward by recurrence on fixed-point
 ints: each term is the previous one times a running ratio, and each
-ratio gains a factor q^2 = e^{2 pi i tau} per step, so a call costs one
-exponential besides the powers of its nome.  Inside a numeric_memo()
-scope (span_closure opens one per sample point), theta_numeric,
-eta_numeric and the nome powers are evaluated once per distinct
-argument.
+ratio gains a factor q = e^{2 pi i tau} per step.  A ThetaPass
+evaluates every theta of one sample point this way from the point's
+shared exponentials: e^{+-pi i z}, e^{+-pi i tau/2} and the nome roots,
+multiplied on ints, with the walks' inputs as accurate as if each had
+been rounded once, so both bounds hold for arguments built as products.
+theta_numeric and eta_numeric (the pentagonal series, walked as
+theta_01(3 tau, -tau/2)) are its one-theta case.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from mpmath import mp
-from mpmath.libmp import (fone, from_man_exp, fzero, mpc_div, mpc_exp,
-                          mpc_mul, mpc_square, mpf_mul, mpf_neg, mpf_pi,
-                          mpf_shift, round_nearest, to_fixed, to_float)
+from mpmath.libmp import (from_man_exp, from_rational, mpc_exp, mpf_mul,
+                          mpf_neg, mpf_pi, round_nearest, to_float)
 
 from .qseries import (CoefficientRingError, JacobiSeries, GaussianRational,
                       expand)
@@ -61,10 +60,6 @@ THETA_LABELS = ("00", "01", "10", "11")
 # theta values under rescaled arguments reach magnitudes around e^30, so
 # double precision is not enough for 1e-9 residual targets
 DEFAULT_DPS = 40
-
-
-# the open per-point memo of numeric_memo(), or None outside any scope
-_MEMO = ContextVar("thetachar_numeric_memo", default=None)
 
 
 class TailBoundError(ArithmeticError):
@@ -213,77 +208,43 @@ def theta_factors(label, below, tau_scale=1, z_scale=1, r_tau=0, r_one=0):
 # validated numerics
 # ---------------------------------------------------------------------
 
-@contextmanager
-def numeric_memo():
-    """Open a per-point memo for the numeric layer.
-
-    While the scope is open, theta_numeric, eta_numeric and
-    modular.denominator_numeric answer a repeated argument from a dict
-    keyed by the raw mpmath tuples of the argument, the requested error
-    and mp.prec, so a value is never reused at another precision; each
-    tau also keeps one entry of its nome powers for the lattice sums.
-    The memo belongs to the current context (thread), is closed with
-    the scope, and nothing outlives it.
-    """
-    token = _MEMO.set({})
-    try:
-        yield
-    finally:
-        _MEMO.reset(token)
-
-
-def memoized(key, compute):
-    """compute(), answered from the open numeric_memo() under key and
-    the working precision when one is open."""
-    memo = _MEMO.get()
-    if memo is None:
-        return compute()
-    key += (mp.prec,)
-    value = memo.get(key)
-    if value is None:
-        value = memo[key] = compute()
-    return value
-
-
-@lru_cache(maxsize=None)
-def _default_abs_err(prec):
-    """10^-(dps-5) at the working precision prec, and its natural log."""
-    with mp.workprec(prec):
-        abs_err = mp.mpf(10) ** (-(mp.dps - 5))
-        return abs_err, float(mp.log(abs_err))
-
-
 def theta_numeric(label, tau, z, abs_err=None):
     """theta_label(tau, z) by direct lattice summation.
 
     Terms are added symmetrically outward until a geometric majorant
-    bounds both remaining tails below abs_err (default 10^-(dps-5) at
-    the working precision).  Raises TailBoundError when the bound cannot
-    be met within a fixed term budget, before summing.  The returned
-    value carries two errors:
+    bounds both remaining tails below abs_err (default 2^-prec, the
+    rounding level of the working precision).  Raises TailBoundError
+    when the bound cannot be met within a fixed term budget, before
+    summing.  The returned value carries two errors:
 
         tail       below abs_err;
         rounding   at most 2^-prec (|theta| + max(1, T)), where
                    T = e^{pi Im(z)^2 / Im(tau)} bounds every term.
 
     Rounding scales with the largest term, so a large theta value is
-    not accurate to abs_err.  Inside numeric_memo() a repeated argument
-    is answered from the memo.
+    not accurate to abs_err.  This is the one-theta ThetaPass: one
+    exponential e^{pi i z}, taken with its reciprocal, besides the nome.
     """
     _check_label(label)
-    tau = mp.mpc(tau)
-    z = mp.mpc(z)
-    if tau.imag <= 0:
-        raise ValueError("tau must lie in the upper half plane")
-    if abs_err is None:
-        abs_err, log_err = _default_abs_err(mp.prec)
-    else:
-        abs_err = mp.mpf(abs_err)
-        if abs_err <= 0:
-            raise ValueError("abs_err must be positive")
-        log_err = float(mp.log(abs_err))
-    return memoized((label, tau._mpc_, z._mpc_, abs_err._mpf_),
-                    lambda: _theta_lattice_sum(label, tau, z, log_err))
+    request = (int(label[0]), int(label[1]), 1, (0, 1), 0)
+    tp = ThetaPass((mp.mpc(tau), mp.mpc(z)), [request], abs_err)
+    return tp.to_mpc(tp.theta(request))
+
+
+def eta_numeric(tau):
+    """Dedekind eta by its pentagonal series
+    q^{1/24} sum_n (-1)^n q^{n(3n-1)/2}, which is
+    e^{pi i tau/12} theta_01(3 tau, -tau/2) and is walked as that
+    lattice sum, with the same tail and rounding bounds."""
+    tp = ThetaPass((mp.mpc(tau),), [eta_request(1, 0)])
+    return tp.to_mpc(tp.mul(tp.power((0, 1, 12), 1),
+                            tp.theta(eta_request(1, 0))))
+
+
+def eta_request(m, zs):
+    """The ThetaPass request of theta_01(3 m tau, -m tau/2), which is
+    e^{-pi i m tau/12} eta(m tau), at a point with zs z-coordinates."""
+    return (0, 1, 3 * m, (-m,) + (0,) * zs, 0)
 
 
 # the ratio gate and the term budget of the lattice sum's stop rule
@@ -346,7 +307,8 @@ def _guard_bits(a, y, u, n):
     most T / |t0| (T = e^{pi u^2 / y} bounds every term), every step adds
     one, and q^2 enters term n to the power n(n-1)/2, so with
     g = log2(max(1, T) / min(1, |t0|)) + 3 log2(n + 2) + 8 the whole
-    fixed-point rounding stays below 2^-prec max(1, T) / 4.
+    fixed-point rounding stays below 2^-prec max(1, T) / 4, for inputs
+    rounded once at prec + g bits.
     """
     h0 = a / 2
     first = min(0.0, -math.pi * y * h0 * h0 - 2 * math.pi * u * h0,
@@ -355,84 +317,218 @@ def _guard_bits(a, y, u, n):
     return int(spread / math.log(2)) + 3 * (n + 2).bit_length() + 8
 
 
-def _nome_powers(tau, wp):
-    """q^{1/8}, q^{1/2} and q^2 for q = e^{2 pi i tau} as mpc tuples of
-    at least wp bits.  Inside numeric_memo() each tau keeps one entry,
-    recomputed only when a sum needs more bits than it holds."""
-    memo = _MEMO.get()
-    key = ("nome", tau._mpc_)
-    got = memo.get(key) if memo is not None else None
-    if got is None or got[0] < wp:
-        re, im = tau._mpc_
-        pi4 = mpf_shift(mpf_pi(wp), -2)
-        q8 = mpc_exp((mpf_neg(mpf_mul(pi4, im, wp)), mpf_mul(pi4, re, wp)),
-                     wp)
-        p = mpc_square(mpc_square(q8, wp), wp)
-        got = (wp, q8, p, mpc_square(p, wp))
-        if memo is not None:
-            memo[key] = got
-    return got[1:]
+# A value (re, im, e) stands for (re + i im) 2^e with int re, im: complex
+# floating point on ints, kept to wp bits by _mul, so every product and
+# quotient costs a relative rounding of at most 2^(2 - wp).
+ONE = (1, 0, 0)
 
 
-def _fixed(c, wp):
-    return to_fixed(c[0], wp), to_fixed(c[1], wp)
+def _mul(x, y, wp):
+    a, b, e = x
+    c, d, f = y
+    re, im = a * c - b * d, a * d + b * c
+    k = (abs(re) | abs(im)).bit_length() - wp
+    if k > 0:
+        return re >> k, im >> k, e + f + k
+    return re, im, e + f
 
 
-def _theta_lattice_sum(label, tau, z, log_err):
-    """sum_h e^{pi i tau h^2 + 2 pi i (z + b/2) h} over h in a/2 + Z.
+def _div(x, y, wp):
+    a, b, e = x
+    c, d, f = y
+    den = c * c + d * d
+    re, im = a * c + b * d, b * c - a * d
+    k = max(0, wp + den.bit_length() - (abs(re) | abs(im)).bit_length())
+    return (re << k) // den, (im << k) // den, e - f - k
 
-    The sum walks outward from h0 = a/2 on both sides by a running
-    product: a term times its ratio r to the next one out, and each r
-    times q^2 per step.  The step count (_stop_step) and the guard bits
-    (_guard_bits) come from float log-magnitudes before anything is
-    summed; the sum itself runs on fixed-point ints at wp = prec + g
-    bits, as mp.jtheta does.  Besides the nome powers of tau, it costs
-    one exponential E = e^{pi i (z + b/2)}: r = q^{1/2} E^2 (a = 0) or
-    q^2 E^2 (a = 1) outward, q^2 / r inward, and term(h0) = 1 or q^{1/8} E.
+
+def _from_mpc(c, wp):
+    (sr, mr, er, _), (si, mi, ei, _) = c
+    e = min(er if mr else ei, ei if mi else er)
+    re = (-mr if sr else mr) << (er - e) if mr else 0
+    im = (-mi if si else mi) << (ei - e) if mi else 0
+    return _mul((re, im, e), ONE, wp)
+
+
+def _fixed(x, wp):
+    """x as a pair of fixed-point ints with wp fraction bits."""
+    re, im, e = x
+    s = e + wp
+    if s >= 0:
+        return re << s, im << s
+    return re >> -s, im >> -s
+
+
+def _walk(n, t_pos, r_pos, t_neg, r_neg, q2, wp):
+    """The n + 1 terms on each side of a lattice sum, by running products
+    on fixed-point ints with wp fraction bits.
+
+    t_pos = term(h0) and t_neg = term(h0 - 1) start the two sides, r_pos
+    and r_neg are their ratios to the next term out, and every ratio
+    gains the factor q2 per step.  Returns the partial sums over the
+    terms with h - h0 even and with h - h0 odd, as int pairs.
     """
-    a, b = int(label[0]), int(label[1])
-    y = to_float(tau._mpc_[1])
-    u = to_float(z._mpc_[1])
-    n = _stop_step(a, y, u, log_err)
-    wp = mp.prec + _guard_bits(a, y, u, n)
-    q8, p, q2 = _nome_powers(tau, wp)
-    re, im = z._mpc_
-    pi = mpf_pi(wp)
-    e = mpc_exp((mpf_neg(mpf_mul(pi, im, wp)), mpf_mul(pi, re, wp)), wp)
-    if b:
-        e = (mpf_neg(e[1]), e[0])
-    r_pos = mpc_mul(q2 if a else p, mpc_square(e, wp), wp)
-    r_neg = mpc_div(q2, r_pos, wp)                # term(h0 - 1) / term(h0)
-    t_pos = mpc_mul(q8, e, wp) if a else (fone, fzero)
-    t_neg = mpc_mul(t_pos, r_neg, wp)             # term(h0 - 1)
-    tpr, tpi = _fixed(t_pos, wp)
-    tnr, tni = _fixed(t_neg, wp)
-    rpr, rpi = _fixed(r_pos, wp)
-    rnr, rni = _fixed(mpc_mul(r_neg, q2, wp), wp)
-    qr, qi = _fixed(q2, wp)
-    sr = si = 0
+    tpr, tpi = t_pos
+    rpr, rpi = r_pos
+    tnr, tni = t_neg
+    rnr, rni = r_neg
+    qr, qi = q2
+    # (ar, ai) collects the parity of the current outward term, (br, bi)
+    # the other one; the two swap at every step
+    ar = ai = br = bi = 0
     for _ in range(n):
-        sr += tpr + tnr
-        si += tpi + tni
+        ar, ai, br, bi = br + tnr, bi + tni, ar + tpr, ai + tpi
         tpr, tpi = (tpr * rpr - tpi * rpi) >> wp, (tpr * rpi + tpi * rpr) >> wp
         rpr, rpi = (rpr * qr - rpi * qi) >> wp, (rpr * qi + rpi * qr) >> wp
         tnr, tni = (tnr * rnr - tni * rni) >> wp, (tnr * rni + tni * rnr) >> wp
         rnr, rni = (rnr * qr - rni * qi) >> wp, (rnr * qi + rni * qr) >> wp
-    sr += tpr + tnr
-    si += tpi + tni
-    prec = mp.prec
-    return mp.make_mpc((from_man_exp(sr, -wp, prec, round_nearest),
-                        from_man_exp(si, -wp, prec, round_nearest)))
+    ar, ai, br, bi = ar + tpr, ai + tpi, br + tnr, bi + tni
+    if n % 2:
+        return (br, bi), (ar, ai)
+    return (ar, ai), (br, bi)
 
 
-def eta_numeric(tau):
-    """Dedekind eta via the q-Pochhammer product at working precision."""
-    tau = mp.mpc(tau)
-    if tau.imag <= 0:
-        raise ValueError("tau must lie in the upper half plane")
-    return memoized(("eta", tau._mpc_), lambda: _eta_product(tau))
+class ThetaPass:
+    """The thetas of one sample point, all from its shared exponentials.
+
+    coords is (tau, z_1, .., z_k) as mpc, and each request (a, b, m, w, e)
+    asks for theta_ab(m tau, v + e/2) with
+    v = w[0] tau/2 + w[1] z_1 + .. + w[k] z_k, for integers m >= 1, w
+    and e.  A lattice sum depends on (a, m, w) only: the phase
+    i^(b + e) of its exponential E = e^{pi i (v + (b + e)/2)} turns the
+    terms with h - a/2 odd by -1 and all of them by i^a (b + e) times, so
+    one walk per (a, m, w) gives every b and e from its even and odd
+    partial sums.
+
+    All requests are planned first: each walk takes _stop_step's count
+    and _guard_bits' g, and the pass runs at wp = prec + max g + c bits,
+    c = bitlen(32 L) for the largest chain L defined below.  The walk
+    inputs are then products of the bases e^{+-pi i c x} (power): the
+    nome roots e^{pi i m tau/4}, e^{+-pi i tau/2} and e^{+-pi i z_j}.
+    Each base is one exponential, within 2^(2 - wp) relative, or its
+    reciprocal, within 2^(3 - wp), and they are multiplied on ints as
+    complex floating point (ONE, _mul), each product rounding by at most
+    2^(2 - wp) relative.  An input that takes L bases in all
+    (L <= 12 + 2 sum |w|) is so within L 2^(5 - wp) of its value
+    relative, and within 2^(1 - wp) more absolute once it is made fixed
+    point: within 2^(1 - prec - g) max(1, |x|), as accurate as an input
+    rounded once at prec + g bits, which is what g assumes.  No quotient
+    is ever taken in fixed point, where a tiny divisor would lose its
+    digits.  So every theta carries the tail and rounding errors stated
+    in theta_numeric, whatever product built its argument.  Products of
+    the results (mul, div) round by 2^(2 - wp) relative.
+    """
+
+    def __init__(self, coords, requests, abs_err=None):
+        tau = coords[0]
+        if tau.imag <= 0:
+            raise ValueError("tau must lie in the upper half plane")
+        if abs_err is None:
+            log_err = -mp.prec * math.log(2)
+        else:
+            abs_err = mp.mpf(abs_err)
+            if abs_err <= 0:
+                raise ValueError("abs_err must be positive")
+            log_err = float(mp.log(abs_err))
+        self.coords = coords
+        self.prec = mp.prec
+        y = to_float(tau._mpc_[1])
+        ims = [y / 2] + [to_float(z._mpc_[1]) for z in coords[1:]]
+        steps = {}
+        guard = chain = 0
+        for a, _, m, w, _ in requests:
+            if (a, m, w) not in steps:
+                u = math.fsum(k * v for k, v in zip(w, ims))
+                n = steps[a, m, w] = _stop_step(a, m * y, u, log_err)
+                guard = max(guard, _guard_bits(a, m * y, u, n))
+                chain = max(chain, 12 + 2 * sum(map(abs, w)))
+        self.wp = self.prec + guard + (32 * chain).bit_length()
+        self._powers = {}
+        self._sums = {key: self._lattice_sums(key, n)
+                      for key, n in steps.items()}
+
+    def _lattice_sums(self, key, n):
+        a, m, w = key
+        # E = e^{pi i v} from e^{pi i tau/2} and e^{pi i z_j}
+        bases = [((i, 1, 2 if i == 0 else 1), k) for i, k in enumerate(w) if k]
+        e_pos = self.mul(*(self.power(base, k) for base, k in bases))
+        e_neg = self.mul(*(self.power(base, -k) for base, k in bases))
+        # term(h) = N^{h^2} E^{2h} with the nome N = q8^4 of m tau
+        q8 = partial(self.power, (0, m, 4))
+        if a:
+            inputs = (self.mul(q8(1), e_pos),
+                      self.mul(q8(8), e_pos, e_pos),
+                      self.mul(q8(1), e_neg),
+                      self.mul(q8(8), e_neg, e_neg))
+        else:
+            inputs = (ONE, self.mul(q8(4), e_pos, e_pos),
+                      self.mul(q8(4), e_neg, e_neg),
+                      self.mul(q8(12), e_neg, e_neg))
+        wp = self.wp
+        return _walk(n, *(_fixed(x, wp) for x in inputs + (q8(8),)), wp)
+
+    def theta(self, request):
+        """theta_ab(m tau, v + e/2) of a planned request (a, b, m, w, e)."""
+        a, b, m, w, e = request
+        (er, ei), (odd_r, odd_i) = self._sums[a, m, w]
+        p = (b + e) % 4
+        if p % 2:
+            re, im = er - odd_r, ei - odd_i
+        else:
+            re, im = er + odd_r, ei + odd_i
+        for _ in range(a * p):
+            re, im = -im, re
+        return re, im, -self.wp
+
+    def power(self, base, n):
+        """e^{pi i n c x} for base = (i, p, d), x = coords[i], c = p/d and
+        an int n: |n| factors of e^{pi i c x} (one exponential) or of its
+        reciprocal, by binary powering; each is kept."""
+        got = self._powers.get((base, n))
+        if got is None:
+            m = abs(n)
+            if n == 1:
+                i, p, d = base
+                x = self.coords[i]._mpc_
+                wq = self.wp + 20
+                pc = mpf_mul(mpf_pi(wq), from_rational(p, d, wq), wq)
+                got = _from_mpc(mpc_exp((mpf_neg(mpf_mul(pc, x[1], wq)),
+                                         mpf_mul(pc, x[0], wq)), self.wp),
+                                self.wp)
+            elif n == -1:
+                got = _div(ONE, self.power(base, 1), self.wp)
+            elif m == 0:
+                got = ONE
+            else:
+                unit = 1 if n > 0 else -1
+                half = self.power(base, unit * (m // 2))
+                got = _mul(half, half, self.wp)
+                if m % 2:
+                    got = _mul(got, self.power(base, unit), self.wp)
+            self._powers[base, n] = got
+        return got
+
+    def mul(self, *factors):
+        """The product of values, ONE for none."""
+        if not factors:
+            return ONE
+        out = factors[0]
+        for x in factors[1:]:
+            out = _mul(out, x, self.wp)
+        return out
+
+    def div(self, x, y):
+        return _div(x, y, self.wp)
+
+    def to_mpc(self, x):
+        """x as an mpc rounded to the working precision."""
+        re, im, e = x
+        return mp.make_mpc((from_man_exp(re, e, self.prec, round_nearest),
+                            from_man_exp(im, e, self.prec, round_nearest)))
 
 
-def _eta_product(tau):
-    q = mp.exp(2j * mp.pi * tau)
-    return mp.exp(2j * mp.pi * tau / 24) * mp.qp(q)
+def modulus(x):
+    """|x| of a ThetaPass value as a float (0.0 below its range)."""
+    re, im, e = x
+    k = max(0, (abs(re) | abs(im)).bit_length() - 60)
+    return math.ldexp(math.hypot(re >> k, im >> k), e + k)

@@ -9,6 +9,7 @@ from thetachar.mockpsi import (
     HALF,
     PoleProximityError,
     PsiParams,
+    appell_tail,
     phi_a11_numeric,
     psi_diag_ratio,
     psi_numeric,
@@ -147,6 +148,17 @@ class TestAppellSum:
         v1 = phi_a11_numeric(1, HALF, p.tau, p.z1, p.z2, p.t)
         v2 = phi_a11_numeric(1, HALF, p.tau, p.z1, p.z2, p.t, j_cutoff=70)
         assert abs(v1 - v2) < mp.mpf("1e-25")
+
+    def test_tail_majorant_covers_the_omitted_terms(self):
+        mp.dps = 40
+        # past cutoff 1 the terms stay far above rounding here, and the
+        # first omitted one dominates the rest
+        for m, s in ((1, 0), (1, HALF), (2, 1), (2, F(-1, 2))):
+            for p in _points(2, seed=17):
+                args = (m, s, mpc(p.tau), mpc(p.z1), mpc(p.z2))
+                diff = abs(phi_a11_numeric(*args, 0, j_cutoff=1, tail_tol=1)
+                           - phi_a11_numeric(*args, 0))
+                assert diff <= appell_tail(*args, 1) < 2 * diff
 
     def test_uncertified_tail_raises(self):
         mp.dps = 40

@@ -5,17 +5,16 @@ from fractions import Fraction as F
 import pytest
 from mpmath import mp
 
-import thetachar.modular as modular_module
 from thetachar.characters import CharacterSpec, character_ratio
-from thetachar.mockpsi import HALF, PsiParams
+from thetachar.mockpsi import HALF, PoleProximityError, PsiParams
 from thetachar.modular import (
     IM_TAU_FLOOR,
     IllConditionedError,
     NumericPoint,
     _lstsq_min_norm,
+    character_member_numeric,
     character_numeric,
     default_points,
-    denominator_numeric,
     denominator_transform_residual,
     family_members,
     member_id,
@@ -25,7 +24,6 @@ from thetachar.modular import (
     span_closure,
 )
 from thetachar.qseries import dumps_canonical, eval_numeric
-from thetachar.theta import numeric_memo
 
 
 class TestNumericPoint:
@@ -100,33 +98,6 @@ class TestDenominatorTransforms:
             denominator_transform_residual("+", "NS", "U", p)
 
 
-class TestDenominatorMemo:
-    def test_each_point_is_evaluated_once(self, monkeypatch):
-        quotient = modular_module._denominator_quotient
-        seen = []
-
-        def counted(*args):
-            seen.append(args)
-            return quotient(*args)
-
-        monkeypatch.setattr(modular_module, "_denominator_quotient", counted)
-        mp.dps = 40
-        points = [(0.1 + 1.1j, 0.13 + 0.01j), (-0.2 + 0.9j, 0.07 - 0.005j)]
-        keys = [(sign, sector, tau, z) for sign in ("+", "-")
-                for sector in ("NS", "R") for tau, z in points]
-        with numeric_memo():
-            for _ in range(3):
-                for sign, sector, tau, z in keys:
-                    first = denominator_numeric(sign, sector, tau, z)
-                    again = denominator_numeric(sign, sector, mp.mpc(tau),
-                                                mp.mpc(z))
-                    assert again is first
-        assert len(seen) == len(keys)
-        outside = [denominator_numeric(*keys[0]) for _ in range(2)]
-        assert len(seen) == len(keys) + 2
-        assert outside[0] == outside[1]
-
-
 class TestFamilies:
     @pytest.mark.parametrize("M,n1,n2", [(1, 3, 1), (2, 9, 3), (3, 18, 6)])
     def test_family_sizes(self, M, n1, n2):
@@ -173,6 +144,24 @@ class TestSpanClosure:
             for g, w in zip(got_row, want_row):
                 assert abs(g - w) < 1e-8
 
+    def test_rank_deficient_family_reports_its_rank(self):
+        # every M = 1 character is the constant 1: three members, rank 1
+        mp.dps = 40
+        cert = span_closure(1, 1, "T", default_points(6, diagonal=True,
+                                                      seed=2))
+        assert len(cert.family) == 3 and cert.rank == 1
+        assert 1 <= cert.condition < 1e8
+        assert "rank" not in cert.to_json_dict()
+
+    def test_point_on_a_theta_zero_raises(self):
+        # theta_11(2 tau, z + tau) vanishes at z = -tau
+        mp.dps = 40
+        tau = mp.mpc("0.1", "1.1")
+        member = ((F(0), F(0)), (F(1), F(2)))
+        with pytest.raises(PoleProximityError,
+                           match=r"theta_11\(z1 \+ j tau \+ eps\)"):
+            character_member_numeric(2, member, tau, -tau)
+
     def test_certificate_serializes(self):
         mp.dps = 30
         pts = default_points(2, diagonal=True, seed=6)
@@ -188,8 +177,8 @@ class TestLeastSquares:
         mp.dps = 40
         A = mp.matrix([[1, 2], [3, 5], [7, 11], [13, 17]])
         C0 = mp.matrix([[2], [-3]])
-        C, resid = _lstsq_min_norm(A, A * C0)
-        assert resid < mp.mpf("1e-30")
+        C, resid, rank, _ = _lstsq_min_norm(A, A * C0)
+        assert resid < mp.mpf("1e-30") and rank == 2
         assert abs(C[0, 0] - 2) < mp.mpf("1e-30")
         assert abs(C[1, 0] + 3) < mp.mpf("1e-30")
 
@@ -209,8 +198,8 @@ class TestLeastSquares:
         mp.dps = 40
         A = mp.matrix([[1, 1], [2, 2], [3, 3], [4, 4]])
         B = mp.matrix([[1], [2], [3], [4]])
-        C, resid = _lstsq_min_norm(A, B)
-        assert resid < mp.mpf("1e-30")
+        C, resid, rank, _ = _lstsq_min_norm(A, B)
+        assert resid < mp.mpf("1e-30") and rank == 1
 
 
 class TestCharacterNumeric:

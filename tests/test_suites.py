@@ -120,3 +120,15 @@ def test_m1_collapse_can_fail(monkeypatch):
         monkeypatch.setattr(suites, "psi_diag_ratio", damaged)
         status, detail = _run_rows(monkeypatch, [(name, row)], q)[name]
         assert status == "fail" and detail.startswith("CaseFailure: "), name
+
+
+def test_appell_cutoff_can_fail(monkeypatch):
+    # the row holds the cutoff-1 difference to its tail majorant; a
+    # majorant a million times too small must fail it
+    row = dict(suite_cases("psi"))["psi/appell-cutoff"]
+    assert _run_rows(monkeypatch, [("true", row)])["true"][0] == "pass"
+    real = suites.appell_tail
+    monkeypatch.setattr(suites, "appell_tail",
+                        lambda *args, **kw: real(*args, **kw) / 10 ** 6)
+    status, detail = _run_rows(monkeypatch, [("damaged", row)])["damaged"]
+    assert status == "fail" and detail.startswith("CaseFailure: ")

@@ -19,12 +19,15 @@ from thetachar.qseries import (
     scale_monomial,
     truncate,
 )
+from thetachar.mockpsi import HALF, PsiParams, psi_numeric, psi_requests
+from thetachar.modular import (default_points, denominator_numeric,
+                               family_members, family_values)
 from thetachar.theta import (
     DEFAULT_DPS,
     TailBoundError,
+    ThetaPass,
     eta_numeric,
     eta_pow_scaled,
-    numeric_memo,
     theta_numeric,
     theta_shifted,
     theta_sum,
@@ -34,7 +37,6 @@ from thetachar.theta import (
 from oracles import (first_difference, mpf_stop_step, shifted_theta_sum,
                      subst_scale_tau, subst_scale_z)
 
-HALF = F(1, 2)
 LABELS = ("00", "01", "10", "11")
 
 
@@ -181,10 +183,10 @@ def _psi_theta_point(M, re_tau, im_tau, re_z, im_z, jk):
 def rounding_excess(label, tau, z):
     """|theta_numeric - mp.jtheta at twice the precision| over the
     documented error bound abs_err + 2^-prec (|theta| + max(1, T)),
-    T = e^{pi Im(z)^2 / Im(tau)}."""
+    T = e^{pi Im(z)^2 / Im(tau)}, at the default abs_err 2^-prec."""
     prec = mp.prec
     got = theta_numeric(label, tau, z)
-    abs_err = mp.mpf(10) ** (-(mp.dps - 5))
+    abs_err = mp.ldexp(1, -prec)
     idx, sign = JTHETA[label]
     with mp.workprec(2 * prec):
         want = sign * mp.jtheta(idx, mp.pi * z, mp.exp(1j * mp.pi * tau))
@@ -277,57 +279,157 @@ class TestRecurrenceSum:
         assert time.perf_counter() - start < 0.2
 
 
-class TestNumericMemo:
-    @settings(deadline=None, max_examples=30)
-    @given(**theta_args)
-    def test_same_values_inside_and_outside(self, label, re_tau, im_tau,
-                                            re_z, im_z):
+def jtheta_ab(a, b, tau, v):
+    """theta_ab(tau, v) by mp.jtheta, whose q^{1/4} for a = 1 is the
+    principal root of e^{pi i tau}: turned back to e^{pi i tau/4}."""
+    idx, sign = JTHETA["%d%d" % (a, b)]
+    nome = mp.exp(1j * mp.pi * tau)
+    value = sign * mp.jtheta(idx, mp.pi * v, nome)
+    if a:
+        value *= mp.exp(1j * mp.pi * tau / 4) / mp.nthroot(nome, 4)
+    return value
+
+
+def pass_excess(tp, request, prec):
+    """For one ThetaPass request: the excess of its value over the
+    documented bound 2^-prec (1 + |theta| + max(1, T)) against
+    mp.jtheta at twice the precision (tail bound 2^-prec), and its
+    distance to theta_numeric over twice that bound plus what rounding
+    m tau and the argument to prec bits, as theta_numeric does, moves
+    the value."""
+    a, b, m, w, e = request
+    got = tp.to_mpc(tp.theta(request))
+    with mp.workprec(2 * prec):
+        tau = tp.coords[0]
+        v = (w[0] * tau / 2 + sum(k * z for k, z in zip(w[1:], tp.coords[1:]))
+             + mp.mpf(e) / 2)
+        want = jtheta_ab(a, b, m * tau, v)
+        big = max(1, mp.exp(mp.pi * mp.im(v) ** 2 / mp.im(m * tau)))
+        bound = mp.ldexp(1 + abs(want) + big, -prec)
+    with mp.workprec(prec):
+        single = theta_numeric("%d%d" % (a, b), m * tau, v)
+        rounded = mp.mpc(m * tau), mp.mpc(v)
+    with mp.workprec(2 * prec):
+        moved = abs(jtheta_ab(a, b, *rounded) - want)
+        return (abs(got - want) / bound,
+                abs(got - single) / (2 * bound + moved))
+
+
+def check_pass(tp, requests):
+    for request in set(requests):
+        to_oracle, to_single = pass_excess(tp, request, mp.prec)
+        assert to_oracle < 1, request
+        assert to_single < 1, request
+
+
+class TestThetaPass:
+    @settings(deadline=None, max_examples=25)
+    @given(M=st.integers(1, 6), statement=st.sampled_from([1, 2]),
+           seed=st.integers(0, 200), image=st.sampled_from(["", "S", "T"]))
+    def test_family_thetas_match_single_path_and_jtheta(self, M, statement,
+                                                         seed, image):
+        # every theta, eta and denominator walk a span point side plans
         mp.dps = DEFAULT_DPS
-        tau, z = mpc(re_tau, im_tau), mpc(re_z, im_z)
-        outside = theta_numeric(label, tau, z)
-        eta_outside = eta_numeric(tau)
-        with numeric_memo():
-            first = theta_numeric(label, tau, z)
-            again = theta_numeric(label, complex(tau), complex(z))
-            eta_first = eta_numeric(tau)
-            eta_again = eta_numeric(tau)
-        assert first == outside and again is first
-        assert eta_first == eta_outside and eta_again is eta_first
+        p = default_points(1, diagonal=True, seed=seed)[0]
+        tau, z = mpc(p.tau), mpc(p.z1)
+        tau, z = {"": (tau, z), "S": (-1 / tau, z / tau),
+                  "T": (tau + 1, z)}[image]
+        requests = [r for (eps, eps_p), (j1, j2)
+                    in family_members(M, statement)
+                    for r in psi_requests(PsiParams(M, j1, j2, eps, eps_p),
+                                          (1,), (1,))]
+        requests += [(int(lab[0]), int(lab[1]), 1, (0, 1), 0)
+                     for lab in LABELS]
+        check_pass(ThetaPass((tau, z), requests), requests)
 
-    def test_precision_change_is_not_served_stale(self):
-        tau, z = mpc("0.1", "0.7"), mpc("0.2", "0.05")
-        with numeric_memo():
-            mp.dps = 15
-            low = theta_numeric("11", tau, z)
-            mp.dps = DEFAULT_DPS
-            high = theta_numeric("11", tau, z)
-        assert high is not low
-        assert high == theta_numeric("11", tau, z)
-        assert abs(high - low) > 0
-
-    def test_one_nome_entry_per_tau(self):
+    @settings(deadline=None, max_examples=40)
+    @given(M=st.integers(1, 6), eps=st.sampled_from([F(0), HALF]),
+           eps_p=st.sampled_from([F(0), HALF]), j=st.integers(-6, 6),
+           k=st.integers(-6, 6), seed=st.integers(0, 200))
+    def test_block_thetas_at_general_arguments(self, M, eps, eps_p, j, k,
+                                               seed):
         mp.dps = DEFAULT_DPS
-        taus = [mpc("0.1", "0.7"), mpc("-0.3", "1.1")]
-        with numeric_memo():
-            for tau in taus:
-                for z in (mpc("0.2", "0.05"), mpc("0.1", "2.5")):
-                    for label in LABELS:
-                        theta_numeric(label, tau, z)
-            nome = [key for key in theta_module._MEMO.get()
-                    if key[0] == "nome"]
-        assert nome == [("nome", tau._mpc_) for tau in taus]
+        p = default_points(1, seed=seed)[0]
+        params = PsiParams(M, eps_p + j, eps_p + k, eps, eps_p)
+        requests = psi_requests(params, (1, 0), (0, 1))
+        coords = (mpc(p.tau), mpc(p.z1), mpc(p.z2))
+        check_pass(ThetaPass(coords, requests), requests)
+        # the block itself, t included, against the closed form on
+        # mp.jtheta and mp.qp at twice the precision
+        got = psi_numeric(params, p.tau, p.z1, p.z2, p.t)
+        with mp.workprec(2 * mp.prec):
+            tau, z1, z2, t = (mpc(v) for v in (p.tau, p.z1, p.z2, p.t))
+            jj, kk, e = (mp.mpf(f.numerator) / f.denominator
+                         for f in (params.j, params.k, params.eps))
 
-    def test_no_memo_after_the_scope(self):
-        tau, z = mpc("0.1", "0.7"), mpc("0.2", "0.05")
-        with pytest.raises(KeyError):
-            with numeric_memo():
-                theta_numeric("00", tau, z)
-                raise KeyError("leave the scope by an exception")
-        for _ in range(2):
-            with numeric_memo():
-                pass
-        assert theta_numeric("00", tau, z) is not theta_numeric("00", tau, z)
-        assert eta_numeric(tau) is not eta_numeric(tau)
+            def th11(v):
+                return jtheta_ab(1, 1, M * tau, v)
+
+            eta = (mp.exp(2j * mp.pi * M * tau / 24)
+                   * mp.qp(mp.exp(2j * mp.pi * M * tau)))
+            want = (-1j * mp.exp(2j * mp.pi * (tau * jj * kk + kk * z1
+                                               + jj * z2 - t) / M)
+                    * eta ** 3 * th11(z1 + z2 + (jj + kk) * tau)
+                    / (th11(z1 + jj * tau + e) * th11(z2 + kk * tau - e)))
+        # each theta is within 2^-prec (2 + 2T) of its value
+        rel = 0
+        for r in requests[:3]:
+            a, b, m, w, _ = r
+            v = w[0] * coords[0] / 2 + w[1] * coords[1] + w[2] * coords[2]
+            big = max(1, mp.exp(mp.pi * mp.im(v) ** 2 / mp.im(m * coords[0])))
+            rel += 2 * big / abs(th11(v))
+        assert abs(got - want) < abs(want) * mp.ldexp(rel + 16, -mp.prec)
+
+    def test_damaged_kernel_breaks_the_bound(self, monkeypatch):
+        # the inward ratio as a fixed-point quotient of the tiny outward
+        # one, |r_pos| about 2^-120 here, loses its digits
+        mp.dps = DEFAULT_DPS
+        tau, z = mpc("0.1", "1.2"), mpc("0.13", "0.004")
+        request = (1, 1, 6, (10, 1), 0)        # theta_11(6 tau, z + 5 tau)
+        assert pass_excess(ThetaPass((tau, z), [request]), request,
+                           mp.prec)[0] < 1
+        walk = theta_module._walk
+
+        def quotient_walk(n, t_pos, r_pos, t_neg, r_neg, q2, wp):
+            def mul(x, y):
+                return ((x[0] * y[0] - x[1] * y[1]) >> wp,
+                        (x[0] * y[1] + x[1] * y[0]) >> wp)
+            den = r_pos[0] ** 2 + r_pos[1] ** 2
+            inward = (((q2[0] * r_pos[0] + q2[1] * r_pos[1]) << wp) // den,
+                      ((q2[1] * r_pos[0] - q2[0] * r_pos[1]) << wp) // den)
+            return walk(n, t_pos, r_pos, mul(t_pos, inward),
+                        mul(inward, q2), q2, wp)
+
+        monkeypatch.setattr(theta_module, "_walk", quotient_walk)
+        assert pass_excess(ThetaPass((tau, z), [request]), request,
+                           mp.prec)[0] > 1
+
+    def test_each_distinct_theta_is_walked_once(self, monkeypatch):
+        # one walk per (a, m, w): the four theta_ab(tau, z) take two, the
+        # shifts by eps and the two denominators of a block share theirs
+        walk = theta_module._walk
+        walked = []
+
+        def counted(*args):
+            walked.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(theta_module, "_walk", counted)
+        mp.dps = DEFAULT_DPS
+        tau, z = mpc("0.1", "1.1"), mpc("0.13", "0.01")
+        members = family_members(3, 1)
+        family_values(3, members, tau, z)
+        sums = {j1 + j2 for _, (j1, j2) in members}
+        singles = {j for _, pair in members for j in pair}
+        # theta_0b and theta_1b (tau, z), eta, the numerators, and the
+        # denominators
+        assert len(walked) == 3 + len(sums) + len(singles) == 15
+        walked.clear()
+        denominator_numeric("+", "NS", tau, z)
+        assert len(walked) == 2
+        walked.clear()
+        psi_numeric(PsiParams(2, 1, 1, 0, 0), tau, z, z, 0)
+        assert len(walked) == 3
 
 
 # ---------------------------------------------------------------------

@@ -24,6 +24,12 @@ in BENCHMARK.json:
 `--traced W` adds one `--trace 1` run per side of workload W at seed S,
 with its per-layer metrics.  Runs are strictly sequential: two at once
 would share the host's cores and measure each other.
+
+`--compare PREV.json` then prints, for each workload and end-to-end
+metric, the change median of the `--out` file next to the change median
+in PREV.json.  Without `--pairs` it only compares, reading `--out`:
+
+    python3 tools/bench_pairs.py --out BENCH_9.json --compare BENCH_8.json
 """
 
 import argparse
@@ -111,6 +117,25 @@ def measure_pairs(dirs, bounds, workload, pairs, seed, seconds):
     return out
 
 
+def compare(new, prev):
+    """Table lines: each workload's end-to-end change medians in `new`
+    next to those in `prev`, with their ratio."""
+    lines = ["%-10s %-12s %12s %12s %7s" % ("workload", "metric", "previous",
+                                             "new", "ratio")]
+    for workload, entry in sorted(new["workloads"].items()):
+        before = prev["workloads"].get(workload, {}).get("metrics", {})
+        for metric, stats in sorted(entry["metrics"].items()):
+            now = stats["change"]["median"]
+            if metric in before:
+                was = before[metric]["change"]["median"]
+                lines.append("%-10s %-12s %12.4g %12.4g %7.3f" % (
+                    workload, metric, was, now, now / was))
+            else:
+                lines.append("%-10s %-12s %12s %12.4g %7s" % (
+                    workload, metric, "-", now, "-"))
+    return lines
+
+
 def parse_pairs(items):
     out = {}
     for item in items:
@@ -121,15 +146,29 @@ def parse_pairs(items):
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--parent", required=True, help="checkout of the parent")
-    p.add_argument("--change", required=True, help="checkout of the change")
-    p.add_argument("--pairs", nargs="+", required=True,
-                   metavar="WORKLOAD=N")
+    p.add_argument("--parent", help="checkout of the parent")
+    p.add_argument("--change", help="checkout of the change")
+    p.add_argument("--pairs", nargs="+", metavar="WORKLOAD=N")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--seconds", type=float, default=35)
     p.add_argument("--traced", nargs="*", default=[], metavar="WORKLOAD")
     p.add_argument("--out", required=True)
+    p.add_argument("--compare", metavar="PREV.json",
+                   help="print --out's change medians next to PREV's")
     args = p.parse_args(argv)
+    if args.pairs:
+        if not (args.parent and args.change):
+            p.error("--pairs needs --parent and --change")
+        run_pairs(args)
+    elif not args.compare:
+        p.error("give --pairs to measure or --compare to compare")
+    if args.compare:
+        with open(args.out) as fh, open(args.compare) as prev:
+            print("\n".join(compare(json.load(fh), json.load(prev))))
+    return 0
+
+
+def run_pairs(args):
     dirs = {"parent": os.path.abspath(args.parent),
             "change": os.path.abspath(args.change)}
     report = {
@@ -150,7 +189,6 @@ def main(argv=None):
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    return 0
 
 
 if __name__ == "__main__":
