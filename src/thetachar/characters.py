@@ -3,10 +3,9 @@
 Characters ch^{(+/-)} in the NS and Ramond sectors are quotients: a
 prefactor sgn(j) q^{j^2/M} x^{2j/M}, three rescaled thetas at
 (M tau, z + j tau) over the fourth, and one plain theta at (tau, z)
-over the other three.  character_ratio keeps them as exact SeriesRatio
-objects for cross-multiplied checks; character_series expands each one
-from its thetas' prefactors and two-term factors (qseries.expand),
-multiplying the numerator's and dividing by the denominator's.
+over the other three.  character_ratio is that theta.ThetaQuotient,
+the one object behind both the cross-multiplied checks (equals) and
+the expansion (character_series, its expand).
 The sign convention sets sgn(j) = 1 for j > 0 and -1 for j <= 0, which
 matters exactly once, at Ramond j = 0.
 
@@ -27,7 +26,9 @@ between hearts, the vanishing predicate, and the translation from nice
 parameters (2k1 + k2 = M - 1) to the character label j.  The numerator
 builders return the signed Psi blocks whose quotients by R reproduce
 the characters; that consistency is enforced by the test suite through
-cross-multiplied identities.
+cross-multiplied identities.  Every builder here returns a
+ThetaQuotient and takes no order: the orders are computed when the
+quotient is compared or expanded.
 """
 
 from __future__ import annotations
@@ -37,10 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .mockpsi import HALF, PsiParams, psi_diag_ratio, psi_pair_ratio
-from .qseries import (GaussianRational, SeriesRatio, expand, mul, product,
-                      restrict_window, scale_monomial)
-from .theta import (THETA_LABELS, eta_pow_scaled, theta_factors,
-                    theta_shifted)
+from .qseries import restrict_window
+from .theta import THETA_LABELS, ThetaQuotient, theta_key
 
 SECTORS = ("NS", "R")
 SIGNS = ("+", "-")
@@ -125,31 +124,28 @@ def denominator_label(sign, sector):
     return "%d%d" % (a, b)
 
 
-def denominator(sign, sector, q_order):
-    """Exact SeriesRatio (+/- i eta^3 theta_11(tau, 2z), theta_d^2) for
+def _unit(sign, sector):
+    """The lead of the constant -i (sign +) or +i (sign -) of
     R^{(eps)}_{eps'}."""
     _check_sign(sign)
     _check_sector(sector)
-    q_order = Fraction(q_order)
-    if q_order <= 0:
-        raise ValueError("q_order must be positive")
-    c = GaussianRational(0, -1 if sign == "+" else 1)
-    num = mul(eta_pow_scaled(1, 3, q_order),
-              theta_shifted("11", q_order, 1, 2))
-    num = scale_monomial(num, 0, 0, c)
-    d = theta_shifted(denominator_label(sign, sector), q_order)
-    return SeriesRatio(num, mul(d, d))
+    return (0, 0, 3 if sign == "+" else 1)
 
 
-def denominator_theta_form(sign, sector, q_order):
+def denominator(sign, sector):
+    """R^{(eps)}_{eps'} = -/+ i eta^3 theta_11(tau, 2z) / theta_d^2."""
+    d = theta_key(denominator_label(sign, sector))
+    return ThetaQuotient.eta(1, 3) * ThetaQuotient(
+        _unit(sign, sector), [theta_key("11", 1, 2)], [d, d])
+
+
+def denominator_theta_form(sign, sector):
     """The same denominator as three thetas over theta_d, by the
     quadruple product: the oracle denominator() is checked against."""
-    c = GaussianRational(0, -1 if sign == "+" else 1)
     d = denominator_label(sign, sector)
-    num = product([theta_shifted(lab, q_order)
-                   for lab in THETA_LABELS if lab != d])
-    num = scale_monomial(num, 0, 0, c)
-    return SeriesRatio(num, theta_shifted(d, q_order))
+    return ThetaQuotient(_unit(sign, sector),
+                         [theta_key(lab) for lab in THETA_LABELS if lab != d],
+                         [theta_key(d)])
 
 
 # (sector, sign) -> (overall factor on sgn(j), rescaled numerator
@@ -168,80 +164,44 @@ def sgn(j):
     return 1 if j > 0 else -1
 
 
-def _character_thetas(spec):
-    """(face, numerator thetas, denominator thetas) of the character
-    ratio, each theta as (label, tau_scale, r_tau) at z_scale 1, r_one 0."""
+def character_ratio(spec):
+    """The character of the labelled module as a ThetaQuotient."""
     M, j = spec.M, spec.j
     face, kept, moved, plain_num, plain_den = \
         _CHARACTER_TABLE[(spec.sector, spec.sign)]
-    num = [(lab, M, j) for lab in kept] + [(plain_num, 1, 0)]
-    den = [(moved, M, j)] + [(lab, 1, 0) for lab in plain_den]
-    return face, num, den
-
-
-def character_ratio(spec, q_order):
-    """Exact SeriesRatio for the character of the labelled module."""
-    q_order = Fraction(q_order)
-    if q_order <= 0:
-        raise ValueError("q_order must be positive")
-    M, j = spec.M, spec.j
-    build = q_order + j * j / M
-    face, num_thetas, den_thetas = _character_thetas(spec)
-    num = product([theta_shifted(lab, build, ts, 1, r)
-                   for lab, ts, r in num_thetas])
-    return SeriesRatio(scale_monomial(num, j * j / M, 2 * j / M,
-                                      face * sgn(j)),
-                       product([theta_shifted(lab, build, ts, 1, r)
-                                for lab, ts, r in den_thetas]))
+    # the sign s = face sgn(j) is i^(1 - s)
+    return ThetaQuotient(
+        (j * j / M, 2 * j / M, 1 - face * sgn(j)),
+        [theta_key(lab, M, 1, j) for lab in kept] + [theta_key(plain_num)],
+        [theta_key(moved, M, 1, j)] + [theta_key(lab) for lab in plain_den])
 
 
 def character_series(spec, q_order, x_window=None):
     """q-expansion of the character in the descending-x convention.
 
     The window defaults to (s - 4, s + 2) around the leading x-exponent
-    s.  The character is one qseries.expand: its monomial, the numerator
-    thetas' prefactors and two-term factors (theta_factors) multiplied,
-    the denominator thetas' divided, so no theta series is built.  The
-    valuation v of the character is -c/24 + h, so each theta's factors
-    are listed once, up to q_order - v.  That listing also holds every
-    factor with e < 0, which gives v exactly (as theta_valuation does);
-    v and the lowest q-exponent of the expansion are both asserted to
-    equal -c/24 + h before the window is restricted to the request.
+    s.  The character is its quotient's expand: one qseries.expand of
+    the numerator thetas' factors multiplied and the denominator thetas'
+    divided, so no theta series is built.  The quotient's valuation is
+    asserted to equal -c/24 + h, and expand asserts that the expansion
+    starts there, before the window is restricted to the request.
     """
     q_order = Fraction(q_order)
     if q_order <= 0:
         raise ValueError("q_order must be positive")
-    M, j = spec.M, spec.j
     h, s = h_s_values(spec)
-    lead_q = -central_charge(M) / 24 + h
+    lead_q = -central_charge(spec.M) / 24 + h
     if x_window is None:
         x_window = (s - 4, s + 2)
     lo, hi = Fraction(x_window[0]), Fraction(x_window[1])
     if lo > hi:
         raise ValueError("empty x window")
-    face, num_thetas, den_thetas = _character_thetas(spec)
-    # a positive bound also lists every factor with e < 0
-    below = max(1, q_order - lead_q)
-    monomials = [(j * j / M, 2 * j / M, face * sgn(j), 1)]
-    factors = []
-    v = j * j / M
-    for thetas, p in ((num_thetas, 1), (den_thetas, -1)):
-        for lab, ts, r in thetas:
-            pre, more = theta_factors(lab, below, ts, 1, r)
-            monomials.append(pre + (p,))
-            factors += [f + (p,) for f in more]
-            v += p * (pre[0] + sum(min(0, e) for e, _, _ in more))
+    quotient = character_ratio(spec)
+    v = quotient.valuation()
     if v != lead_q:
         raise AssertionError("character valuation %s, expected -c/24+h = %s"
                              % (v, lead_q))
-    ser = expand(monomials, factors, q_order, (min(lo, s), max(hi, s)))
-    stored = ser.terms()
-    if stored:
-        low = min(qe for qe, _xe, _c in stored)
-        if low != lead_q:
-            raise AssertionError(
-                "character expansion starts at q^%s, expected -c/24+h = %s"
-                % (low, lead_q))
+    ser = quotient.expand(q_order, (min(lo, s), max(hi, s)))
     return restrict_window(ser, (lo, hi))
 
 
@@ -352,9 +312,10 @@ def nice_param_to_j(M, k1, heart, twisted):
     return j
 
 
-# (heart, sign, twisted) -> overall sign of the Psi block, shared by the
-# diagonal (nice) and the general (k1, k2) numerator rows; the indices
-# and half-characteristics follow from the row
+# (heart, sign, twisted) -> overall sign s of the Psi block, shared by
+# the diagonal (nice) and the general (k1, k2) numerator rows, which
+# put it in the lead as i^(1 - s); the indices and half-characteristics
+# follow from the row
 BLOCK_SIGNS = {
     ("I", "+", False): 1, ("III", "+", False): -1,
     ("I", "-", False): -1, ("III", "-", False): 1,
@@ -363,21 +324,15 @@ BLOCK_SIGNS = {
 }
 
 
-def _signed(ratio, heart, sign, twisted):
-    if BLOCK_SIGNS[(heart, sign, twisted)] == 1:
-        return ratio
-    return ratio.scale(GaussianRational(-1, 0))
-
-
-def nice_numerator(M, k1, heart, sign, twisted, q_order):
+def nice_numerator(M, k1, heart, sign, twisted):
     """Signed diagonal Psi block equal to (denominator x character) for
     the nice reduced module."""
     _check_sign(sign)
     j = nice_param_to_j(M, k1, heart, twisted)
     eps = sign_eps(sign)
     eps_prime = HALF if not twisted else Fraction(0)
-    ratio = psi_diag_ratio(PsiParams(M, j, j, eps, eps_prime), q_order)
-    return _signed(ratio, heart, sign, twisted)
+    face = ThetaQuotient((0, 0, 1 - BLOCK_SIGNS[(heart, sign, twisted)]))
+    return psi_diag_ratio(PsiParams(M, j, j, eps, eps_prime)) * face
 
 
 def dd_indices(M, k1, k2, heart, twisted):
@@ -393,7 +348,7 @@ def dd_indices(M, k1, k2, heart, twisted):
     return (Fraction(k1 + 1), Fraction(M - (k1 + k2)))
 
 
-def dd_numerator(M, k1, k2, heart, sign, twisted, q_order):
+def dd_numerator(M, k1, k2, heart, sign, twisted):
     """Signed off-diagonal Psi block (denominator x character) for a
     general in-range (k1, k2); reduces to nice_numerator when
     2k1 + k2 = M - 1 by index periodicity."""
@@ -402,5 +357,5 @@ def dd_numerator(M, k1, k2, heart, sign, twisted, q_order):
     j, k = dd_indices(M, k1, k2, heart, twisted)
     eps = sign_eps(sign)
     eps_prime = HALF if not twisted else Fraction(0)
-    ratio = psi_pair_ratio(PsiParams(M, j, k, eps, eps_prime), q_order)
-    return _signed(ratio, heart, sign, twisted)
+    face = ThetaQuotient((0, 0, 1 - BLOCK_SIGNS[(heart, sign, twisted)]))
+    return psi_pair_ratio(PsiParams(M, j, k, eps, eps_prime)) * face

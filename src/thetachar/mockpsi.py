@@ -20,21 +20,17 @@ common argument z + j tau:
         -i q^{j^2/M} x^{2j/M} [th00 th01 th10 / th11](M tau, z + j tau)
         for eps = 0,
 
-independent of eps'.  psi_diag_ratio builds that four-theta form;
-psi_pair_ratio builds the general (j, k) quotient straight from the
-closed form.  Their agreement at j = k is a nontrivial internal
-cross-check exercised by the test suite.
+independent of eps'.  psi_diag_ratio builds that four-theta form and
+psi_pair_ratio the general (j, k) quotient straight from the closed
+form, both as theta.ThetaQuotient.  Their agreement at j = k is a
+nontrivial internal cross-check exercised by the test suite.
 
-Both exact builders pad their internal construction orders so that
-every constituent series s satisfies q_order(s) >= requested and
-q_order(s) + valuation(s) >= requested; cross-multiplied comparisons
-at the requested order then stay inside trusted territory.
-
-psi_numeric evaluates the closed form as the one-block case of a
-theta.ThetaPass (psi_requests, psi_value): the three theta_11, eta(M tau)
-and the prefactor, a product of integer powers of e^{pi i tau/(2M)},
-e^{pi i z/M} and the nome root e^{pi i M tau/4}, all come from the
-point's shared exponentials.
+psi_values evaluates the closed form of several blocks at one point in
+one theta.ThetaPass (psi_requests, psi_value): their theta_11,
+eta(M tau) and prefactors, products of integer powers of
+e^{pi i tau/(2M)}, e^{pi i z/M} and the nome root e^{pi i M tau/4}, all
+come from the point's shared exponentials.  psi_numeric is its
+one-block case.
 
 phi_a11_numeric is the two-variable Appell-type sum
 
@@ -53,9 +49,8 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .qseries import GaussianRational, SeriesRatio, mul, scale_monomial
-from .theta import (TailBoundError, ThetaPass, eta_pow_scaled, eta_request,
-                    modulus, theta_shifted)
+from .theta import (TailBoundError, ThetaPass, ThetaQuotient, eta_request,
+                    modulus, theta_key)
 
 HALF = Fraction(1, 2)
 
@@ -114,21 +109,25 @@ def _mpc_any(v):
 
 
 def psi_numeric(params, tau, z1, z2, t):
-    """Psi^{[M,1;eps]}_{j,k;eps'}(tau, z1, z2, t) from the closed form,
-    as the one-block ThetaPass at (tau, z1, z2).  Each of its thetas, and
-    eta(M tau), carries theta_numeric's tail and rounding errors, its
-    argument being a product of the pass's bases; the prefactor and the
-    quotient add a relative rounding of a few units of 2^-prec."""
+    """Psi^{[M,1;eps]}_{j,k;eps'}(tau, z1, z2, t) from the closed form:
+    the one-block psi_values."""
+    return psi_values([params], tau, z1, z2, t)[0]
+
+
+def psi_values(blocks, tau, z1, z2, t):
+    """The blocks, all of one level M, at (tau, z1, z2, t) from one
+    ThetaPass at (tau, z1, z2).  Each of their thetas, and eta(M tau),
+    carries theta_numeric's tail and rounding errors, its argument being
+    a product of the pass's bases; the prefactor and the quotient add a
+    relative rounding of a few units of 2^-prec."""
     tau, z1, z2, t = (_mpc_any(v) for v in (tau, z1, z2, t))
     if z1 == z2:
         coords, zw = (tau, z1), ((1,), (1,))
     else:
         coords, zw = (tau, z1, z2), ((1, 0), (0, 1))
-    tp = ThetaPass(coords, psi_requests(params, *zw))
-    value = tp.to_mpc(psi_value(tp, params, *zw))
-    if t:
-        value *= mp.exp(-2j * mp.pi * t / params.M)
-    return value
+    tp = ThetaPass(coords, [r for p in blocks for r in psi_requests(p, *zw)])
+    phase = mp.exp(-2j * mp.pi * t / blocks[0].M) if t else 1
+    return [phase * tp.to_mpc(psi_value(tp, p, *zw)) for p in blocks]
 
 
 def psi_requests(p, zw1, zw2):
@@ -162,42 +161,30 @@ def psi_value(tp, p, zw1, zw2):
     return im, -re, e
 
 
-def psi_diag_ratio(params, q_order):
-    """Exact SeriesRatio for Psi at j = k on the diagonal z1 = z2 = z,
-    t = 0, in the four-theta form at the common argument z + j tau."""
+def psi_diag_ratio(params):
+    """Psi at j = k on the diagonal z1 = z2 = z, t = 0, in the
+    four-theta form at the common argument z + j tau, as a
+    ThetaQuotient."""
     p = params
     if p.j != p.k:
         raise ValueError("diagonal form needs j == k")
-    q_order = Fraction(q_order)
-    build = q_order + p.j * p.j / p.M
-    if p.eps == HALF:
-        moved, sign = "10", 1
-    else:
-        moved, sign = "11", -1
-    kept = "11" if moved == "10" else "10"
-    factors = [theta_shifted(lab, build, p.M, 1, p.j)
-               for lab in ("00", "01", kept)]
-    num = mul(mul(factors[0], factors[1]), factors[2])
-    num = scale_monomial(num, p.j * p.j / p.M, 2 * p.j / p.M,
-                         GaussianRational(0, sign))
-    den = theta_shifted(moved, build, p.M, 1, p.j)
-    return SeriesRatio(num, den)
+    # +i th00 th01 th11 / th10 for eps = 1/2, -i th00 th01 th10 / th11
+    kept, moved, unit = ("11", "10", 1) if p.eps == HALF else ("10", "11", 3)
+    return ThetaQuotient((p.j * p.j / p.M, 2 * p.j / p.M, unit),
+                         [theta_key(lab, p.M, 1, p.j)
+                          for lab in ("00", "01", kept)],
+                         [theta_key(moved, p.M, 1, p.j)])
 
 
-def psi_pair_ratio(params, q_order):
-    """Exact SeriesRatio for Psi at general (j, k) on the diagonal
-    z1 = z2 = z, t = 0, straight from the closed form."""
+def psi_pair_ratio(params):
+    """Psi at general (j, k) on the diagonal z1 = z2 = z, t = 0,
+    straight from the closed form, as a ThetaQuotient."""
     p = params
-    q_order = Fraction(q_order)
     jk = p.j + p.k
-    build = q_order + (p.j * p.j + p.k * p.k) / p.M
-    num = mul(eta_pow_scaled(p.M, 3, build),
-              theta_shifted("11", build, p.M, 2, jk))
-    num = scale_monomial(num, p.j * p.k / p.M, jk / p.M,
-                         GaussianRational(0, -1))
-    den = mul(theta_shifted("11", build, p.M, 1, p.j, p.eps),
-              theta_shifted("11", build, p.M, 1, p.k, -p.eps))
-    return SeriesRatio(num, den)
+    return ThetaQuotient.eta(p.M, 3) * ThetaQuotient(
+        (p.j * p.k / p.M, jk / p.M, 3), [theta_key("11", p.M, 2, jk)],
+        [theta_key("11", p.M, 1, p.j, p.eps),
+         theta_key("11", p.M, 1, p.k, -p.eps)])
 
 
 def phi_a11_numeric(m, s, tau, z1, z2, t, j_cutoff=40, tail_tol=1e-12):

@@ -46,7 +46,7 @@ from mpmath import mp
 
 from .characters import denominator_label, sector_eps_prime, sign_eps
 from .mockpsi import (HALF, PsiParams, _guard_pole, _mpc_any, _mpfrac,
-                      psi_numeric, psi_requests, psi_value)
+                      psi_numeric, psi_requests, psi_value, psi_values)
 from .theta import THETA_LABELS, ThetaPass
 
 IM_TAU_FLOOR = 0.3
@@ -131,7 +131,7 @@ def psi_s_residual(params, p):
     """|LHS - RHS| of the S-law for one Psi block at one point: the
     block at (-1/tau, z1/tau, z2/tau, t) against (tau/M) times the
     elliptic factor times the M^2-fold phase-weighted sum of swapped
-    blocks at (tau, z1, z2, t)."""
+    blocks at (tau, z1, z2, t), all M^2 of them from one ThetaPass."""
     pr = params
     tau = _mpc_any(p.tau)
     z1 = _mpc_any(p.z1)
@@ -140,15 +140,12 @@ def psi_s_residual(params, p):
     lhs = psi_numeric(pr, -1 / tau, z1 / tau, z2 / tau, t)
     j = _mpfrac(pr.j)
     k = _mpfrac(pr.k)
+    blocks = [PsiParams(pr.M, pr.eps + na, pr.eps + nb, pr.eps_prime, pr.eps)
+              for na in range(pr.M) for nb in range(pr.M)]
     acc = mp.mpc(0)
-    for na in range(pr.M):
-        for nb in range(pr.M):
-            a = pr.eps + na
-            b = pr.eps + nb
-            blk = PsiParams(pr.M, a, b, pr.eps_prime, pr.eps)
-            phase = mp.exp(-2j * mp.pi * (_mpfrac(a) * k + _mpfrac(b) * j)
-                           / pr.M)
-            acc += phase * psi_numeric(blk, tau, z1, z2, t)
+    for blk, value in zip(blocks, psi_values(blocks, tau, z1, z2, t)):
+        acc += value * mp.exp(-2j * mp.pi * (_mpfrac(blk.j) * k
+                                             + _mpfrac(blk.k) * j) / pr.M)
     rhs = (tau / pr.M) * mp.exp(2j * mp.pi * z1 * z2 / (pr.M * tau)) * acc
     return float(abs(lhs - rhs))
 
@@ -285,20 +282,6 @@ def family_values(M, members, tau, z):
             dens[key] = _den_value(tp, *key)
         out.append(tp.to_mpc(tp.div(psi, dens[key])))
     return out
-
-
-def character_numeric(M, k1, k2, heart, sign, twisted, p):
-    """Numeric character of the reduced module: the signed Psi
-    numerator over the matching denominator, no series inversion."""
-    from .characters import BLOCK_SIGNS, dd_indices
-    if not p.is_diagonal:
-        raise ValueError("character evaluation needs z1 = z2 and t = 0")
-    j, k = dd_indices(M, k1, k2, heart, twisted)
-    block = (sign_eps(sign), HALF if not twisted else Fraction(0))
-    face = BLOCK_SIGNS[(heart, sign, twisted)]
-    val, = family_values(M, [(block, (j, k))], _mpc_any(p.tau),
-                         _mpc_any(p.z1))
-    return face * val
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,7 @@ import json
 import math
 from fractions import Fraction
 from math import gcd
+from types import MappingProxyType
 
 
 class CoefficientRingError(ArithmeticError):
@@ -160,7 +161,9 @@ class JacobiSeries:
     Internally exponents are stored in lattice units: the term keyed by
     (qn, xn) is the monomial q^(qn/q_den) x^(xn/x_den).  order_n is the
     strict trust bound in q lattice units.  window_n is None or an
-    inclusive pair (lo, hi) in x lattice units.
+    inclusive pair (lo, hi) in x lattice units.  The coefficients c are
+    a read-only mapping, so a cached series cannot be changed by the
+    callers it is shared with.
     """
 
     __slots__ = ("q_den", "x_den", "order_n", "window_n", "c")
@@ -181,7 +184,7 @@ class JacobiSeries:
             if window_n is not None and not window_n[0] <= xi <= window_n[1]:
                 continue
             c[(qi, xi)] = v
-        self.c = c
+        self.c = MappingProxyType(c)
 
     # -- constructors -------------------------------------------------
 
@@ -205,10 +208,9 @@ class JacobiSeries:
 
     @staticmethod
     def one(q_order, q_den=1, x_den=1):
-        s = JacobiSeries.zero(q_order, q_den, x_den)
-        if s.order_n > 0:
-            s.c[(0, 0)] = ONE
-        return s
+        q_order = Fraction(q_order)
+        q_den = _lcm(q_den, q_order.denominator)
+        return JacobiSeries(q_den, x_den, q_order * q_den, {(0, 0): ONE})
 
     # -- views --------------------------------------------------------
 
@@ -240,20 +242,6 @@ class JacobiSeries:
 
     def is_zero(self):
         return not self.c
-
-    def q_valuation_bound(self):
-        """A lower bound on the q-valuation of the untruncated series:
-        the smallest stored exponent, or q_order if nothing is stored."""
-        if not self.c:
-            return self.q_order
-        return Fraction(min(qn for (qn, _) in self.c), self.q_den)
-
-    def x_support(self):
-        """(min, max) stored x-exponents as Fractions, or None."""
-        if not self.c:
-            return None
-        xs = [xn for (_, xn) in self.c]
-        return (Fraction(min(xs), self.x_den), Fraction(max(xs), self.x_den))
 
     def __repr__(self):
         head = sorted(self.c)[:4]
@@ -303,15 +291,6 @@ def add(a, b):
         w = terms.get(key)
         terms[key] = v if w is None else w + v
     return JacobiSeries(a.q_den, a.x_den, order_n, terms, win)
-
-
-def negate(a):
-    return JacobiSeries(a.q_den, a.x_den, a.order_n,
-                        {k: -v for k, v in a.c.items()}, a.window_n)
-
-
-def sub(a, b):
-    return add(a, negate(b))
 
 
 def _mul_order(a, b):
@@ -406,17 +385,6 @@ def scale_monomial(a, a_q, a_x, coeff=1):
     if s.window_n is not None:
         win = (s.window_n[0] + dx, s.window_n[1] + dx)
     return JacobiSeries(q_den, x_den, s.order_n + dq, terms, win)
-
-
-def truncate(a, q_order):
-    """Restrict trust to q_order <= current q_order, dropping terms."""
-    q_order = Fraction(q_order)
-    if q_order > a.q_order:
-        raise UntrustedOrderError(
-            "cannot raise q_order from %s to %s" % (a.q_order, q_order))
-    q_den = _lcm(a.q_den, q_order.denominator)
-    s = a._with_lattice(q_den, a.x_den)
-    return JacobiSeries(q_den, a.x_den, int(q_order * q_den), s.c, s.window_n)
 
 
 def restrict_window(a, x_window):
@@ -705,40 +673,3 @@ def dumps_canonical(obj):
     """Deterministic JSON bytes: fixed key order as built, no whitespace."""
     return json.dumps(obj, separators=(",", ":"), allow_nan=False)
 
-
-class SeriesRatio:
-    """A formal quotient num/den of JacobiSeries.
-
-    Ratios are compared without dividing: a/b equals c/d below q_order
-    when a*d and c*b agree there.  Multiplication is componentwise.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den):
-        self.num = num
-        self.den = den
-
-    def __mul__(self, other):
-        if isinstance(other, SeriesRatio):
-            return SeriesRatio(mul(self.num, other.num),
-                               mul(self.den, other.den))
-        return SeriesRatio(mul(self.num, other), self.den)
-
-    def scale(self, coeff):
-        return SeriesRatio(scale_monomial(self.num, 0, 0, coeff), self.den)
-
-    def equals(self, other, q_order):
-        return equal_to_order(mul(self.num, other.den),
-                              mul(other.num, self.den), q_order)
-
-    def cross_order(self, other):
-        """Largest q_order to which equals() may be asked."""
-        lhs = _mul_order_pub(self.num, other.den)
-        rhs = _mul_order_pub(other.num, self.den)
-        return min(lhs, rhs)
-
-
-def _mul_order_pub(a, b):
-    a2, b2 = JacobiSeries._aligned(a, b)
-    return Fraction(_mul_order(a2, b2), a2.q_den)

@@ -3,24 +3,24 @@
 A suite is an ordered tuple of (case id, callable) rows.  A case takes
 the SuiteConfig and returns a detail string; it fails by raising
 (CaseFailure for a checked property, anything else counts too).  Most
-rows hand a function of q = cfg.q_order to one of three runners:
+rows hand a function to one of three runners, with q = cfg.q_order:
 
-    _exact     it yields (lhs, rhs) series equal below q;
-    _ratio     it yields (build_a, build_b) SeriesRatio builders whose
-               cross products agree below q (ratio_pair_equal);
-    _residual  it yields numeric differences, all under cfg.tol.
+    _exact     it yields, given q, (lhs, rhs) series equal below q;
+    _quotient  it yields (a, b) theta.ThetaQuotient pairs, equal below q
+               cross-multiplied (ThetaQuotient.equals);
+    _residual  it yields, given q, numeric differences under cfg.tol.
 
 The checks that are one of a kind (M = 2 leading rows, nice
 specialization, equivalence pairs, the vanishing scan, index sets, span
 closure and T phases) are case functions of their own.
 
-Rows build their series at fixed orders, so cases share the lru-cached
-builders in theta.  The span and t-phases rows of the modular suite
-share certificates through one dict that each suite_cases("modular")
-call makes, keyed by (M, statement, transform, mp.prec); it lives as
-long as that tuple of cases, which run_suite drops when it returns.
-run_suite runs the cases one after another in registry order, so
-reports are deterministic.
+Quotient rows build their series at orders computed from q and the
+exact valuations, and all rows share the lru-cached builders in theta.
+The span and t-phases rows of the modular suite share certificates
+through one dict that each suite_cases("modular") call makes, keyed by
+(M, statement, transform, mp.prec); it lives as long as that tuple of
+cases, which run_suite drops when it returns.  run_suite runs the cases
+one after another in registry order, so reports are deterministic.
 """
 
 import math
@@ -32,11 +32,9 @@ from itertools import product as iproduct
 
 from mpmath import mp
 
-from .qseries import (GaussianRational, JacobiSeries, SeriesRatio, add,
-                      equal_to_order, eval_numeric, mul, product,
-                      scale_monomial)
-from .theta import (DEFAULT_DPS, THETA_LABELS, eta_pow_scaled, theta_shifted,
-                    theta_sum)
+from .qseries import JacobiSeries, add, equal_to_order, eval_numeric
+from .theta import (DEFAULT_DPS, THETA_LABELS, ThetaQuotient, eta_pow_scaled,
+                    theta_shifted, theta_sum)
 from .mockpsi import (HALF, PsiParams, appell_tail, phi_a11_numeric,
                       psi_diag_ratio, psi_numeric)
 from .characters import (HEARTS, SECTORS, SIGNS, CharacterSpec,
@@ -125,29 +123,6 @@ def _require(cond, msg):
         raise CaseFailure(msg)
 
 
-def ratio_pair_equal(build_a, build_b, q_order):
-    """Cross-multiplied equality of two ratio builders below q_order.
-
-    Negative valuations can leave the cross products trusted short of
-    the request.  Both sides are built at q_order; if their cross order
-    falls short, they are rebuilt once with the shortfall added, and a
-    cross order still short of the request is a CaseFailure.
-    """
-    q_order = Fraction(q_order)
-    ra, rb = build_a(q_order), build_b(q_order)
-    short = q_order - ra.cross_order(rb)
-    if short > 0:
-        ra, rb = build_a(q_order + short), build_b(q_order + short)
-        if ra.cross_order(rb) < q_order:
-            raise CaseFailure("cross order never reached %s" % q_order)
-    return ra.equals(rb, q_order)
-
-
-def _one_ratio(q_order):
-    one = JacobiSeries.one(q_order)
-    return SeriesRatio(one, one)
-
-
 # ---------------------------------------------------------------------------
 # row runners
 
@@ -166,7 +141,12 @@ def _pair_row(equal, pairs):
 
 
 _exact = partial(_pair_row, equal_to_order)
-_ratio = partial(_pair_row, ratio_pair_equal)
+
+
+def _quotient(pairs):
+    """Row runner: each ThetaQuotient pair that pairs() yields is equal
+    below q."""
+    return _pair_row(ThetaQuotient.equals, lambda q: pairs())
 
 
 def _residual(residuals):
@@ -183,25 +163,22 @@ def _residual(residuals):
 
 
 # ---------------------------------------------------------------------------
-# theta suite: exact rows
+# theta suite: exact and quotient rows
 
 
-# label -> (label, phase) of the theta that a shift by half the period
-# in tau turns it into
-_TAU_HALF_MAP = {
-    "00": ("10", GaussianRational(1)),
-    "01": ("11", GaussianRational(0, -1)),
-    "10": ("00", GaussianRational(1)),
-    "11": ("01", GaussianRational(0, -1)),
-}
+th, eta = ThetaQuotient.theta, ThetaQuotient.eta
+
+# label -> (label, i-power of the phase) of the theta that a shift by
+# half the period in tau turns it into
+_TAU_HALF_MAP = {"00": ("10", 0), "01": ("11", 3), "10": ("00", 0),
+                 "11": ("01", 3)}
 
 
-def _half_period_shift(s, label, q):
+def _half_period_shift(s, label):
     # theta_ab(s tau, z + s tau/2) = c q^{-s/8} x^{-1/2} theta_a'b'(s tau, z)
-    other, c = _TAU_HALF_MAP[label]
-    return [(theta_shifted(label, q, s, 1, HALF * s),
-             scale_monomial(theta_shifted(other, q + 1, s), Fraction(-s, 8),
-                            -HALF, c))]
+    other, k = _TAU_HALF_MAP[label]
+    return [(th(label, s, 1, HALF * s),
+             ThetaQuotient((Fraction(-s, 8), -HALF, k)) * th(other, s))]
 
 
 def _eta_pentagonal(q):
@@ -217,56 +194,45 @@ def _eta_pentagonal(q):
 
 def _theta_cases():
     # the product form of theta_ab agrees with its lattice sum
-    rows = [("sum-vs-product/" + a,
-             lambda q, a=a: [(theta_shifted(a, q), theta_sum(a, q))])
-            for a in THETA_LABELS]
-    rows += [("tau-half-shift/" + a, partial(_half_period_shift, 1, a))
-             for a in THETA_LABELS]
+    rows = [("sum-vs-product/" + a, _exact(
+        lambda q, a=a: [(theta_shifted(a, q), theta_sum(a, q))]))
+        for a in THETA_LABELS]
+    rows += [("tau-half-shift/" + a, _quotient(
+        partial(_half_period_shift, 1, a))) for a in THETA_LABELS]
     # theta_00 theta_10 and theta_01 theta_11 at (2tau, z +- tau/2)
     # collapse to single thetas at (tau, z) times eta(2tau)^2/eta(tau)
-    rows += [("tau-shift-pair/" + name, lambda q, sg=sg: [
-        (product((theta_shifted(la, q + 1, 2, 1, sg * HALF),
-                  theta_shifted(lb, q + 1, 2, 1, sg * HALF),
-                  eta_pow_scaled(1, 1, q + 1))),
-         scale_monomial(mul(eta_pow_scaled(2, 2, q + 1),
-                            theta_shifted(tgt, q + 1)),
-                        Fraction(-1, 8), -sg * HALF, c))
-        for la, lb, tgt, c in (("00", "10", "00", GaussianRational(1)),
-                               ("01", "11", "01", GaussianRational(0, -sg)))])
+    rows += [("tau-shift-pair/" + name, _quotient(lambda sg=sg: [
+        (th(la, 2, 1, sg * HALF) * th(lb, 2, 1, sg * HALF) * eta(1),
+         ThetaQuotient((Fraction(-1, 8), -sg * HALF, k)) * eta(2, 2)
+         * th(tgt))
+        for la, lb, tgt, k in (("00", "10", "00", 0),
+                               ("01", "11", "01", 2 + sg))]))
         for name, sg in (("up", 1), ("down", -1))]
     rows += [
         # theta_00 theta_01 = eta^2/eta(2tau) theta_01(2tau, 2z), same for
         # theta_10 theta_11 -> theta_11(2tau, 2z)
-        ("doubling", lambda q: [
-            (product((theta_shifted(la, q + 1), theta_shifted(lb, q + 1),
-                      eta_pow_scaled(2, 1, q + 1))),
-             mul(eta_pow_scaled(1, 2, q + 1),
-                 theta_shifted(tgt, q + 1, 2, 2)))
-            for la, lb, tgt in (("00", "01", "01"), ("10", "11", "11"))]),
+        ("doubling", _quotient(lambda: [
+            (th(la) * th(lb) * eta(2), eta(1, 2) * th(tgt, 2, 2))
+            for la, lb, tgt in (("00", "01", "01"), ("10", "11", "11"))])),
         # theta_00 theta_10 and theta_01 theta_11 at (2tau, z) collapse to
         # theta_10, theta_11 at (tau, z) times eta(2tau)^2/eta(tau)
-        ("scaled-pair", lambda q: [
-            (product((theta_shifted(la, q + 1, 2), theta_shifted(lb, q + 1, 2),
-                      eta_pow_scaled(1, 1, q + 1))),
-             mul(eta_pow_scaled(2, 2, q + 1), theta_shifted(tgt, q + 1)))
-            for la, lb, tgt in (("00", "10", "10"), ("01", "11", "11"))]),
+        ("scaled-pair", _quotient(lambda: [
+            (th(la, 2) * th(lb, 2) * eta(1), eta(2, 2) * th(tgt))
+            for la, lb, tgt in (("00", "10", "10"), ("01", "11", "11"))])),
     ]
-    rows += [("full-tau-shift/" + a, partial(_half_period_shift, 2, a))
-             for a in THETA_LABELS]
-    rows += [
-        # eta^3 theta_11(tau, 2z) = theta_00 theta_01 theta_10 theta_11
-        ("quadruple-product", lambda q: [
-            (mul(eta_pow_scaled(1, 3, q + 1),
-                 theta_shifted("11", q + 1, 1, 2)),
-             product([theta_shifted(a, q + 1) for a in THETA_LABELS]))]),
-    ]
+    rows += [("full-tau-shift/" + a, _quotient(
+        partial(_half_period_shift, 2, a))) for a in THETA_LABELS]
+    # eta^3 theta_11(tau, 2z) = theta_00 theta_01 theta_10 theta_11
+    rows.append(("quadruple-product", _quotient(lambda: [
+        (eta(1, 3) * th("11", 1, 2),
+         th("00") * th("01") * th("10") * th("11"))])))
     # theta_11(tau, z +- 1/2) = -+ theta_10(tau, z)
-    rows += [("half-shift/" + name, lambda q, sg=sg: [
-        (theta_shifted("11", q, 1, 1, 0, sg * HALF),
-         scale_monomial(theta_shifted("10", q), 0, 0, GaussianRational(-sg)))])
+    rows += [("half-shift/" + name, _quotient(lambda sg=sg: [
+        (th("11", 1, 1, 0, sg * HALF),
+         ThetaQuotient((0, 0, 1 + sg)) * th("10"))]))
         for name, sg in (("plus", 1), ("minus", -1))]
-    rows.append(("eta-pentagonal", _eta_pentagonal))
-    return tuple(("theta/" + cid, _exact(pairs)) for cid, pairs in rows)
+    rows.append(("eta-pentagonal", _exact(_eta_pentagonal)))
+    return tuple(("theta/" + cid, case) for cid, case in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +278,8 @@ def _psi_symmetry(index_map, arg_map, sign, pr, p):
 def _diag_residuals(pr, q, pts):
     # the exact four-theta series of the diagonal block, evaluated,
     # against the closed form at each point
-    ratio = psi_diag_ratio(pr, q)
-    return [eval_numeric(ratio.num, p.tau, p.z1)
-            / eval_numeric(ratio.den, p.tau, p.z1)
+    top, bottom = (part.series(q) for part in psi_diag_ratio(pr).parts())
+    return [eval_numeric(top, p.tau, p.z1) / eval_numeric(bottom, p.tau, p.z1)
             - psi_numeric(pr, p.tau, p.z1, p.z1, 0) for p in pts]
 
 
@@ -371,7 +336,7 @@ def _appell_cutoff(cfg):
 
 
 # ---------------------------------------------------------------------------
-# characters suite: ratio rows and the M = 2 leading rows
+# characters suite: quotient rows and the M = 2 leading rows
 
 
 def _nice_params(M):
@@ -382,43 +347,38 @@ def _nice_params(M):
                 yield twisted, heart, k1
 
 
-def _nice_consistency(M, q):
+def _nice_consistency(M):
     # the theta-quotient numerator matches denominator times character
     for twisted, heart, k1 in _nice_params(M):
         j = nice_param_to_j(M, k1, heart, twisted)
         for sign in SIGNS:
             spec = CharacterSpec(M, j, "R" if twisted else "NS", sign)
-            yield (partial(nice_numerator, M, k1, heart, sign, twisted),
-                   lambda p, spec=spec: character_ratio(spec, p)
-                   * denominator(spec.sign, spec.sector, p))
+            yield (nice_numerator(M, k1, heart, sign, twisted),
+                   character_ratio(spec) * denominator(sign, spec.sector))
 
 
-# (sector, j, sign) -> (constant c, labels a, b over d, e) of the M = 2
-# closed form  c eta(2tau)^3 theta_a(2tau, z + r tau) theta_b(tau, z)
-# / (eta^3 theta_d(2tau, z + r tau) theta_e(2tau, 2z)), r = j in NS
-# and 0 in R
+# (sector, j, sign) -> (constant i^k, labels a, b over d, e) of the
+# M = 2 closed form  i^k eta(2tau)^3 theta_a(2tau, z + r tau)
+# theta_b(tau, z) / (eta^3 theta_d(2tau, z + r tau) theta_e(2tau, 2z)),
+# r = j in NS and 0 in R
 _M2_CLOSED = {
-    ("NS", HALF, "+"): ((0, 1), "00", "00", "10", "11"),
-    ("NS", -HALF, "+"): ((0, 1), "00", "00", "10", "11"),
-    ("NS", HALF, "-"): ((1, 0), "01", "01", "11", "11"),
-    ("NS", -HALF, "-"): ((-1, 0), "01", "01", "11", "11"),
-    ("R", 0, "+"): ((1, 0), "00", "10", "10", "01"),
-    ("R", 0, "-"): ((1, 0), "01", "11", "11", "01"),
-    ("R", 1, "+"): ((1, 0), "10", "10", "00", "01"),
-    ("R", 1, "-"): ((-1, 0), "11", "11", "01", "01"),
+    ("NS", HALF, "+"): (1, "00", "00", "10", "11"),
+    ("NS", -HALF, "+"): (1, "00", "00", "10", "11"),
+    ("NS", HALF, "-"): (0, "01", "01", "11", "11"),
+    ("NS", -HALF, "-"): (2, "01", "01", "11", "11"),
+    ("R", 0, "+"): (0, "00", "10", "10", "01"),
+    ("R", 0, "-"): (0, "01", "11", "11", "01"),
+    ("R", 1, "+"): (0, "10", "10", "00", "01"),
+    ("R", 1, "-"): (2, "11", "11", "01", "01"),
 }
 
 
-def _m2_closed_ratio(sector, j, sign, q_order):
+def _m2_closed_ratio(sector, j, sign):
     """The eta/theta-quotient closed form of one M = 2 character."""
-    p = Fraction(q_order)
-    c, a, b, d, e = _M2_CLOSED[(sector, j, sign)]
+    k, a, b, d, e = _M2_CLOSED[(sector, j, sign)]
     r = j if sector == "NS" else 0
-    num = product((eta_pow_scaled(2, 3, p), theta_shifted(a, p, 2, 1, r),
-                   theta_shifted(b, p)))
-    den = product((eta_pow_scaled(1, 3, p), theta_shifted(d, p, 2, 1, r),
-                   theta_shifted(e, p, 2, 2)))
-    return SeriesRatio(scale_monomial(num, 0, 0, GaussianRational(*c)), den)
+    return (ThetaQuotient((0, 0, k)) * eta(2, 3) * th(a, 2, 1, r) * th(b)
+            / (eta(1, 3) * th(d, 2, 1, r) * th(e, 2, 2)))
 
 
 # (sector, j, sign) -> the exact lowest-q row {x-exponent: coefficient}
@@ -457,32 +417,31 @@ def _case_m2_leading(sector, j, cfg):
 
 def _characters_cases():
     # every M = 1 character is the constant 1
-    cases = [("m1-constant/%s%s" % (sector, sign), _ratio(
-        lambda q, sector=sector, sign=sign: [(partial(
-            character_ratio, CharacterSpec(1, index_set(1, sector)[0],
-                                           sector, sign)), _one_ratio)]))
+    cases = [("m1-constant/%s%s" % (sector, sign), _quotient(
+        lambda sector=sector, sign=sign: [(character_ratio(CharacterSpec(
+            1, index_set(1, sector)[0], sector, sign)), ThetaQuotient())]))
         for sector in SECTORS for sign in SIGNS]
     cases += [("nice-consistency/M%d" % M,
-               _ratio(partial(_nice_consistency, M))) for M in (2, 3, 4, 5)]
+               _quotient(partial(_nice_consistency, M))) for M in (2, 3, 4, 5)]
     # the closed form equals the character
-    cases += [("m2-closed/%s/j=%s/%s" % (sector, j, sign), _ratio(
-        lambda q, sector=sector, j=j, sign=sign: [
-            (partial(_m2_closed_ratio, sector, j, sign),
-             partial(character_ratio, CharacterSpec(2, j, sector, sign)))]))
+    cases += [("m2-closed/%s/j=%s/%s" % (sector, j, sign), _quotient(
+        lambda sector=sector, j=j, sign=sign: [
+            (_m2_closed_ratio(sector, j, sign),
+             character_ratio(CharacterSpec(2, j, sector, sign)))]))
         for sector, j in _M2_LABELS for sign in SIGNS]
     cases += [("m2-leading/%s/j=%s" % (sector, j),
                partial(_case_m2_leading, sector, j))
               for sector, j in _M2_LABELS]
     # eta^3 theta_11(tau, 2z) / theta_d^2 is three thetas over theta_d
-    cases += [("denominator-forms/%s%s" % (sector, sign), _ratio(
-        lambda q, sector=sector, sign=sign: [
-            (partial(denominator, sign, sector),
-             partial(denominator_theta_form, sign, sector))]))
+    cases += [("denominator-forms/%s%s" % (sector, sign), _quotient(
+        lambda sector=sector, sign=sign: [
+            (denominator(sign, sector),
+             denominator_theta_form(sign, sector))]))
         for sign in SIGNS for sector in SECTORS]
     # at 2k1 + k2 = M - 1 the two-index numerator is the diagonal one
-    cases += [("dd-reduces-to-nice/M%d" % M, _ratio(lambda q, M=M: [
-        (partial(dd_numerator, M, k1, M - 1 - 2 * k1, heart, sign, tw),
-         partial(nice_numerator, M, k1, heart, sign, tw))
+    cases += [("dd-reduces-to-nice/M%d" % M, _quotient(lambda M=M: [
+        (dd_numerator(M, k1, M - 1 - 2 * k1, heart, sign, tw),
+         nice_numerator(M, k1, heart, sign, tw))
         for tw, heart, k1 in _nice_params(M) for sign in SIGNS]))
         for M in (2, 3, 4)]
     return tuple(("characters/" + cid, case) for cid, case in cases)

@@ -18,9 +18,15 @@ Normative series construction is by the convergent products
     theta_10 = q^{1/8} x^{1/2} prod (1 - q^n)(1 + x q^n)(1 + x^{-1} q^{n-1})
     theta_11 = i q^{1/8} x^{1/2} prod (1 - q^n)(1 - x q^n)(1 - x^{-1} q^{n-1})
 
-with n >= 1, and eta = q^{1/24} prod (1 - q^n): each exact theta series
-and eta power is one qseries.expand of its prefactor and two-term
-factors.  The lattice sums are kept as an independent cross-check
+with n >= 1, and eta = q^{1/24} prod (1 - q^n).  Every exact quotient
+the package states, a character, a Psi block, a denominator or a theta
+identity, is a ThetaQuotient: a monomial times a quotient of shifted
+thetas and eta powers.  Its expand is the one qseries.expand of its
+prefactors and two-term factors; each theta series (theta_shifted) and
+eta power (eta_pow_scaled) is the cached expand of a one-factor
+quotient.  Identities are compared cross-multiplied (equals), each side
+a product of cached factors built at orders computed from their exact
+valuations.  The lattice sums are kept as an independent cross-check
 (theta_sum).
 
 Numerics use mpmath at the caller's working precision prec: direct
@@ -44,6 +50,7 @@ theta_01(3 tau, -tau/2)) are its one-theta case.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -51,8 +58,8 @@ from mpmath import mp
 from mpmath.libmp import (from_man_exp, from_rational, mpc_exp, mpf_mul,
                           mpf_neg, mpf_pi, round_nearest, to_float)
 
-from .qseries import (CoefficientRingError, JacobiSeries, GaussianRational,
-                      expand)
+from .qseries import (CoefficientRingError, GaussianRational, JacobiSeries,
+                      equal_to_order, expand, product, scale_monomial)
 
 THETA_LABELS = ("00", "01", "10", "11")
 
@@ -92,47 +99,39 @@ def theta_sum(label, q_order):
     return JacobiSeries(8, 2, int(Fraction(q_order) * 8), terms)
 
 
+def theta_key(label, tau_scale=1, z_scale=1, r_tau=0, r_one=0):
+    """The ThetaQuotient factor key (label, tau_scale, z_scale, r_tau,
+    r_one) of theta_label(tau_scale tau, z_scale z + r_tau tau + r_one):
+    scales as ints, shifts as Fractions, so every spelling of one theta
+    is one key."""
+    _check_label(label)
+    ts, zs = int(tau_scale), int(z_scale)
+    if ts < 1 or zs < 1:
+        raise ValueError("tau_scale and z_scale must be positive integers")
+    return (label, ts, zs, Fraction(r_tau), Fraction(r_one))
+
+
 @lru_cache(maxsize=None)
 def eta_pow_scaled(m, power, q_order):
     """eta(m tau)**power = q^{m power/24} prod (1 - q^{m n})^power,
     trusted below q_order, for positive integers m and power."""
-    pre = Fraction(m * power, 24)
-    factors = [(m * n, 0, -1, 1)
-               for n in range(1, math.ceil((Fraction(q_order) - pre) / m))
-               for _ in range(power)]
-    return expand([(pre, 0, 1, 1)], factors, q_order)
+    return ThetaQuotient.eta(m, power).expand(q_order)
 
 
 def theta_shifted(label, q_order, tau_scale=1, z_scale=1, r_tau=0, r_one=0):
     """theta_label(tau_scale*tau, z_scale*z + r_tau*tau + r_one) as an
-    exact series trusted below q_order.
-
-    One qseries.expand of the product form (theta_factors), with the
-    shifted argument absorbed into every two-term factor
-    (1 + c x^k q^e).  The valuation v is known before the build
-    (theta_valuation), so every factor with e < q_order - v is listed
-    and each one left out is 1 + O(q^{q_order - v}).
-
-    With x' = e^{2 pi i (z_scale*z + r_tau*tau + r_one)} the factor
-    (1 + s x' q^{tau_scale e}) becomes
-    (1 + s zeta x^{z_scale} q^{tau_scale e + r_tau}) for the phase
-    zeta = e^{2 pi i r_one}, which must be a power of i (and for the
-    half-characteristic prefactor x'^{1/2}, a power of -1), otherwise
-    CoefficientRingError is raised.
-
-    The arguments are normalized (orders and shifts to Fraction, scales
-    to int) before the cached build, so every spelling of one series is
-    one cache entry; cache_info() and cache_clear() reach that cache.
+    exact series trusted below q_order: the cached expand of the
+    one-theta ThetaQuotient.  The arguments are normalized (theta_key)
+    first, so every spelling of one series is one cache entry;
+    cache_info() and cache_clear() reach that cache.
     """
-    return _theta_shifted(label, Fraction(q_order), int(tau_scale),
-                          int(z_scale), Fraction(r_tau), Fraction(r_one))
+    return _theta_shifted(Fraction(q_order),
+                          theta_key(label, tau_scale, z_scale, r_tau, r_one))
 
 
 @lru_cache(maxsize=None)
-def _theta_shifted(label, q_order, ts, zs, r_tau, r_one):
-    below = max(1, q_order - theta_valuation(label, ts, zs, r_tau, r_one))
-    pre, factors = theta_factors(label, below, ts, zs, r_tau, r_one)
-    return expand([pre + (1,)], [f + (1,) for f in factors], q_order)
+def _theta_shifted(q_order, key):
+    return ThetaQuotient(num={key: 1}).expand(q_order)
 
 
 theta_shifted.cache_info = _theta_shifted.cache_info
@@ -144,13 +143,26 @@ def theta_valuation(label, tau_scale=1, z_scale=1, r_tau=0, r_one=0):
     r_tau, r_one) at every q above it, found without building it.
 
     It is the prefactor's q-exponent plus the sum of min(0, e) over the
-    two-term factors, and it is exact: the q^v coefficient is the
-    product of the lowest terms of the factors, a nonzero Laurent
-    polynomial in x.
+    two-term factors of theta_factors, in closed form, and it is exact:
+    the q^v coefficient is the product of the lowest terms of the
+    factors, a nonzero Laurent polynomial in x.
     """
-    (pre_q, _, _), factors = theta_factors(label, 1, tau_scale, z_scale,
-                                           r_tau, r_one)
-    return pre_q + sum(min(0, e) for e, _, _ in factors)
+    label, ts, _, r_tau, _ = theta_key(label, tau_scale, z_scale, r_tau,
+                                       r_one)
+    # in units of 1/(8d), d the denominator of r_tau: the prefactor's
+    # exponent is a (ts/8 + r_tau/2), and the two-term factors' e are
+    # ts n + r_tau - h and ts n - ts + h - r_tau, n >= 1, h = (1 - a) ts/2
+    a, d, r = int(label[0]), r_tau.denominator, r_tau.numerator
+    step, h = 8 * d * ts, 4 * d * ts * (1 - a)
+    return Fraction(a * (d * ts + 4 * r) + _negative_sum(step, 8 * r - h)
+                    + _negative_sum(step, h - step - 8 * r), 8 * d)
+
+
+def _negative_sum(step, start):
+    """The sum over n >= 1 of min(0, step n + start), for ints step > 0
+    and start: its terms are negative for the n below -start/step."""
+    n = max(0, -(start // step) - 1)
+    return step * n * (n + 1) // 2 + start * n
 
 
 def theta_factors(label, below, tau_scale=1, z_scale=1, r_tau=0, r_one=0):
@@ -158,12 +170,17 @@ def theta_factors(label, below, tau_scale=1, z_scale=1, r_tau=0, r_one=0):
     z_scale, r_tau, r_one) as ((pre_q, pre_x, pre_c), factors): the
     prefactor pre_c q^pre_q x^pre_x, and the (e, k, c) of every two-term
     factor (1 + c x^k q^e) with e < below.  Every factor with e < 0 is
-    listed once below > 0.  Each pre_c and c is a power of i."""
-    _check_label(label)
-    ts, zs = int(tau_scale), int(z_scale)
-    r_tau, r_one = Fraction(r_tau), Fraction(r_one)
-    if ts < 1 or zs < 1:
-        raise ValueError("tau_scale and z_scale must be positive integers")
+    listed once below > 0.
+
+    With x' = e^{2 pi i (z_scale*z + r_tau*tau + r_one)} the factor
+    (1 + s x' q^{tau_scale e}) becomes
+    (1 + s zeta x^{z_scale} q^{tau_scale e + r_tau}) for the phase
+    zeta = e^{2 pi i r_one}, which must be a power of i (and for the
+    half-characteristic prefactor x'^{1/2}, a power of -1), otherwise
+    CoefficientRingError is raised; so each pre_c and c is a power of i.
+    """
+    label, ts, zs, r_tau, r_one = theta_key(label, tau_scale, z_scale,
+                                             r_tau, r_one)
     if (4 * r_one).denominator != 1:
         raise CoefficientRingError(
             "z-shift constant %s is not a multiple of 1/4" % (r_one,))
@@ -202,6 +219,161 @@ def theta_factors(label, below, tau_scale=1, z_scale=1, r_tau=0, r_one=0):
             return (pre_q, pre_x, pre_c), factors
         factors.extend(live)
         n += 1
+
+
+# ---------------------------------------------------------------------
+# exact theta quotients
+# ---------------------------------------------------------------------
+
+def _listing(key, below):
+    """The prefactor and the two-term factors (e < below) of a factor
+    key: a theta's (theta_factors) or eta(m tau)'s."""
+    if key[0] == "eta":
+        m = key[1]
+        return ((Fraction(m, 24), 0, 1),
+                [(m * n, 0, -1) for n in range(1, math.ceil(below / m))])
+    return theta_factors(key[0], below, *key[1:])
+
+
+@lru_cache(maxsize=1024)
+def _key_valuation(key):
+    """The exact q-valuation of a factor key."""
+    return Fraction(key[1], 24) if key[0] == "eta" else theta_valuation(*key)
+
+
+class ThetaQuotient:
+    """The exact quotient i^k q^a x^b prod num / prod den, lead = (a, b, k).
+
+    num and den are Counters of the power of each factor key, built from
+    a mapping of keys to powers or from a list of keys: a shifted theta
+    (theta_key) or ("eta", m) for eta(m tau).  A product adds the powers
+    within num and within den and never cancels, so a comparison
+    multiplies the series its two sides name.  Every valuation is exact
+    (theta_valuation; m/24 for eta(m tau)), so the order each factor is
+    built at is computed before anything is built, and nothing retries.
+    """
+
+    __slots__ = ("lead", "num", "den")
+
+    def __init__(self, lead=(0, 0, 0), num=None, den=None):
+        a, b, k = lead
+        self.lead = (Fraction(a), Fraction(b), int(k) % 4)
+        self.num = Counter(num)
+        self.den = Counter(den)
+
+    @staticmethod
+    def theta(label, tau_scale=1, z_scale=1, r_tau=0, r_one=0):
+        """theta_label(tau_scale tau, z_scale z + r_tau tau + r_one)."""
+        return ThetaQuotient(num=[theta_key(label, tau_scale, z_scale,
+                                            r_tau, r_one)])
+
+    @staticmethod
+    def eta(m, power=1):
+        """eta(m tau)**power."""
+        return ThetaQuotient(num={("eta", int(m)): int(power)})
+
+    def __mul__(self, other):
+        (a, b, k), (c, d, n) = self.lead, other.lead
+        return ThetaQuotient((a + c, b + d, k + n), self.num + other.num,
+                             self.den + other.den)
+
+    def __truediv__(self, other):
+        a, b, k = other.lead
+        return self * ThetaQuotient((-a, -b, -k), other.den, other.num)
+
+    def parts(self):
+        """(lead times num, den), each a quotient with no denominator."""
+        return ThetaQuotient(self.lead, self.num), ThetaQuotient(num=self.den)
+
+    def valuation(self):
+        """The exact q-valuation."""
+        v = self.lead[0]
+        for part, p in ((self.num, 1), (self.den, -1)):
+            for key, n in part.items():
+                v += p * n * _key_valuation(key)
+        return v
+
+    def _orders(self, q_order):
+        """{key: order} each factor of series(q_order) is built below.
+
+        A product is trusted below min(Qa + min(0, vb), Qb + min(0, va))
+        (qseries.mul).  So with S the sum of min(0, v) over the factors
+        (a theta once per power; an eta power is one series, v >= 0),
+        each factor built below q' - a - S + min(0, v) leaves the
+        product times q^a trusted below q' = max(q_order, a + S), and
+        below a + S it has no term.
+        """
+        dips = {key: 0 if key[0] == "eta" else min(0, _key_valuation(key))
+                for key in self.num}
+        deficit = sum(n * dips[key] for key, n in self.num.items())
+        top = max(q_order - self.lead[0], deficit) - deficit
+        return {key: top + dip for key, dip in dips.items()}
+
+    def series(self, q_order, orders=None):
+        """The quotient, which must have no denominator, as a series
+        trusted below q_order: the cached factors, each built once below
+        its order (_orders; equals passes the larger orders of its two
+        sides), multiplied.  Its trust and its lowest exponent
+        (valuation()) are checked."""
+        if self.den:
+            raise ValueError("series() needs a quotient with no "
+                             "denominator: compare with equals()")
+        q_order = Fraction(q_order)
+        orders = orders or self._orders(q_order)
+        factors = []
+        for key, n in self.num.items():
+            if key[0] == "eta":
+                factors.append(eta_pow_scaled(key[1], n, orders[key]))
+            else:
+                factors += [theta_shifted(key[0], orders[key], *key[1:])] * n
+        a, b, k = self.lead
+        out = product(factors) if factors else JacobiSeries.one(q_order)
+        out = scale_monomial(out, a, b, GaussianRational(1).times_i_power(k))
+        v = self.valuation()
+        low = Fraction(min(out.c)[0], out.q_den) if out.c else None
+        if out.q_order < q_order or low != (v if v < out.q_order else None):
+            raise AssertionError("product trusted below %s < %s, or starts "
+                                 "at q^%s, not at its valuation %s"
+                                 % (out.q_order, q_order, low, v))
+        return out
+
+    def equals(self, other, q_order):
+        """self == other below q_order, cross-multiplied:
+        lead num other.den against other.lead other.num den.  A factor
+        on both sides is built once, below the larger of its orders."""
+        q_order = Fraction(q_order)
+        lhs = ThetaQuotient(self.lead, self.num + other.den)
+        rhs = ThetaQuotient(other.lead, other.num + self.den)
+        orders = lhs._orders(q_order)
+        for key, o in rhs._orders(q_order).items():
+            orders[key] = max(o, orders.get(key, o))
+        return equal_to_order(lhs.series(q_order, orders),
+                              rhs.series(q_order, orders), q_order)
+
+    def expand(self, q_order, x_window=None):
+        """The quotient as one qseries.expand, trusted below q_order: the
+        lead and every factor's prefactor and two-term factors,
+        multiplied for num and divided for den (which needs x_window).
+        With v = valuation(), each factor is listed below
+        max(1, q_order - v), which lists every factor with e < 0 too;
+        a stored result must start at q^v."""
+        q_order = Fraction(q_order)
+        v = self.valuation()
+        below = max(1, q_order - v)
+        a, b, k = self.lead
+        monomials = [(a, b, GaussianRational(1).times_i_power(k), 1)]
+        factors = []
+        for part, p in ((self.num, 1), (self.den, -1)):
+            for key, n in part.items():
+                pre, more = _listing(key, below)
+                monomials += [pre + (p,)] * n
+                factors += [f + (p,) for f in more] * n
+        ser = expand(monomials, factors, q_order, x_window)
+        low = Fraction(min(ser.c)[0], ser.q_den) if ser.c else v
+        if low != v:
+            raise AssertionError("expansion starts at q^%s, not at its "
+                                 "valuation %s" % (low, v))
+        return ser
 
 
 # ---------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Series helpers kept only as test oracles: nothing in the package
-calls them.
+"""Helpers kept only as test oracles: nothing in the package calls
+them.
 
 invert_directed and as_series are the generic inverse that the package
 used before it divided by a denominator's product factors (qseries.
@@ -10,6 +10,8 @@ against.  shifted_theta_sum sums a shifted theta over its index lattice,
 with no product form, for the same reason.  mpf_stop_step is the stop
 rule that theta's lattice sum ran in mpf arithmetic before it found its
 step count from float logs, kept as the oracle of that count.
+truncate, q_valuation_bound, x_support and character_numeric are views
+that only the tests read.
 """
 
 import math
@@ -17,10 +19,52 @@ from fractions import Fraction
 
 from mpmath import mp
 
+from thetachar.characters import BLOCK_SIGNS, dd_indices, sign_eps
+from thetachar.mockpsi import HALF
+from thetachar.modular import _mpc_any, family_values
 from thetachar.qseries import (ONE, CoefficientRingError,
                                GaussianRational, JacobiSeries,
                                UntrustedOrderError, _lcm, mul,
-                               restrict_window, truncate)
+                               restrict_window)
+
+
+def truncate(a, q_order):
+    """Restrict trust to q_order <= current q_order, dropping terms."""
+    q_order = Fraction(q_order)
+    if q_order > a.q_order:
+        raise UntrustedOrderError(
+            "cannot raise q_order from %s to %s" % (a.q_order, q_order))
+    q_den = _lcm(a.q_den, q_order.denominator)
+    s = a._with_lattice(q_den, a.x_den)
+    return JacobiSeries(q_den, a.x_den, int(q_order * q_den), s.c, s.window_n)
+
+
+def q_valuation_bound(a):
+    """A lower bound on the q-valuation of the untruncated series: the
+    smallest stored exponent, or q_order if nothing is stored."""
+    if not a.c:
+        return a.q_order
+    return Fraction(min(qn for (qn, _) in a.c), a.q_den)
+
+
+def x_support(a):
+    """(min, max) stored x-exponents as Fractions, or None."""
+    if not a.c:
+        return None
+    xs = [xn for (_, xn) in a.c]
+    return (Fraction(min(xs), a.x_den), Fraction(max(xs), a.x_den))
+
+
+def character_numeric(M, k1, k2, heart, sign, twisted, p):
+    """Numeric character of the reduced module: the signed Psi
+    numerator over the matching denominator, no series inversion."""
+    if not p.is_diagonal:
+        raise ValueError("character evaluation needs z1 = z2 and t = 0")
+    j, k = dd_indices(M, k1, k2, heart, twisted)
+    block = (sign_eps(sign), HALF if not twisted else Fraction(0))
+    val, = family_values(M, [(block, (j, k))], _mpc_any(p.tau),
+                         _mpc_any(p.z1))
+    return BLOCK_SIGNS[(heart, sign, twisted)] * val
 
 
 def subst_scale_tau(a, m):
@@ -247,15 +291,15 @@ def invert_directed(a, x_window):
     return JacobiSeries(s.q_den, x_den, order_n, terms, (wlo, whi))
 
 
-def as_series(ratio, q_order, x_window):
-    """ratio.num * invert_directed(ratio.den, suitable window), trimmed
-    to x_window and truncated to q_order; UntrustedOrderError when the
-    product is not trusted that far."""
+def as_series(num, den, q_order, x_window):
+    """num * invert_directed(den, suitable window), trimmed to x_window
+    and truncated to q_order; UntrustedOrderError when the product is
+    not trusted that far."""
     lo = Fraction(x_window[0])
     hi = Fraction(x_window[1])
-    sup = ratio.num.x_support() or (Fraction(0), Fraction(0))
-    inv = invert_directed(ratio.den, (lo - sup[1], hi - sup[0]))
-    out = restrict_window(mul(ratio.num, inv), (lo, hi))
+    sup = x_support(num) or (Fraction(0), Fraction(0))
+    inv = invert_directed(den, (lo - sup[1], hi - sup[0]))
+    out = restrict_window(mul(num, inv), (lo, hi))
     if out.q_order < q_order:
         raise UntrustedOrderError(
             "ratio expansion trusted only below %s < %s"

@@ -38,12 +38,11 @@ from thetachar.qseries import equal_to_order, eval_numeric
 from thetachar.suites import (
     SuiteConfig,
     _m2_closed_ratio,
-    _one_ratio,
     nice_k1_values,
-    ratio_pair_equal,
     run_suite,
 )
-from thetachar.theta import DEFAULT_DPS, theta_shifted, theta_sum
+from thetachar.theta import (DEFAULT_DPS, ThetaQuotient, theta_shifted,
+                             theta_sum)
 
 
 def acceptance(n):
@@ -77,8 +76,8 @@ def test_acceptance_01_trivial_module_characters():
     for sector, sign in iproduct(("NS", "R"), ("+", "-")):
         (j,) = index_set(1, sector)
         spec = CharacterSpec(1, j, sector, sign)
-        assert ratio_pair_equal(lambda p: character_ratio(spec, p),
-                                _one_ratio, q), (sector, sign)
+        assert character_ratio(spec).equals(ThetaQuotient(), q), \
+            (sector, sign)
     return "all four M=1 characters equal 1 exactly below q^20"
 
 
@@ -153,11 +152,10 @@ def test_acceptance_06_numerators_match_characters():
                     j = nice_param_to_j(M, k1, heart, twisted)
                     for sign in ("+", "-"):
                         spec = CharacterSpec(M, j, sector, sign)
-                        ok = ratio_pair_equal(
-                            lambda p: nice_numerator(M, k1, heart, sign,
-                                                     twisted, p),
-                            lambda p: character_ratio(spec, p)
-                            * denominator(sign, sector, p), q)
+                        ok = nice_numerator(M, k1, heart, sign,
+                                            twisted).equals(
+                            character_ratio(spec)
+                            * denominator(sign, sector), q)
                         assert ok, (M, k1, heart, sign, twisted)
                         n += 1
     assert n == 60, "expected 60 parameter tuples, saw %d" % n
@@ -173,9 +171,8 @@ def test_acceptance_07_level_two_closed_forms():
         for j in index_set(2, sector):
             for sign in ("+", "-"):
                 spec = CharacterSpec(2, j, sector, sign)
-                assert ratio_pair_equal(
-                    lambda p: _m2_closed_ratio(sector, j, sign, p),
-                    lambda p: character_ratio(spec, p), q), (sector, j, sign)
+                assert _m2_closed_ratio(sector, j, sign).equals(
+                    character_ratio(spec), q), (sector, j, sign)
                 n += 1
     return "all %d M=2 closed quotient forms exact below q^10" % n
 
@@ -188,10 +185,11 @@ def test_acceptance_08_psi_layer():
     for M in range(1, 5):
         for eps, eps_p in iproduct((F(0), HALF), (F(0), HALF)):
             pr = PsiParams(M, eps_p + 1, eps_p + 1, eps, eps_p)
-            ratio = psi_diag_ratio(pr, F(6))
+            num, den = (part.series(F(6))
+                        for part in psi_diag_ratio(pr).parts())
             for p in default_points(5, diagonal=True, seed=M):
-                got = (eval_numeric(ratio.num, p.tau, p.z1)
-                       / eval_numeric(ratio.den, p.tau, p.z1))
+                got = (eval_numeric(num, p.tau, p.z1)
+                       / eval_numeric(den, p.tau, p.z1))
                 want = psi_numeric(pr, p.tau, p.z1, p.z1, 0)
                 worst = max(worst, float(abs(got - want)))
     assert worst < 1e-10, "diagonal ratio residual %.3e" % worst

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-import thetachar.characters as characters
+import thetachar.theta as theta
 from thetachar.characters import (
     SECTORS,
     SIGNS,
@@ -24,9 +24,8 @@ from thetachar.characters import (
     reduction_hs,
     vanishes,
 )
-from thetachar.qseries import GaussianRational
-from thetachar.suites import _m2_closed_ratio, _one_ratio, ratio_pair_equal
-from thetachar.theta import theta_shifted
+from thetachar.suites import _m2_closed_ratio
+from thetachar.theta import ThetaQuotient, theta_shifted
 
 HALF = F(1, 2)
 
@@ -86,8 +85,7 @@ class TestLevelOneAndTwo:
     def test_level_one_characters_are_constant(self, sector, sign):
         j = index_set(1, sector)[0]
         spec = CharacterSpec(1, j, sector, sign)
-        assert ratio_pair_equal(lambda p: character_ratio(spec, p),
-                                _one_ratio, F(8))
+        assert character_ratio(spec).equals(ThetaQuotient(), F(8))
 
     # (sector, j) -> per-sign lowest-q x-rows of the expansion
     _LEADING = {
@@ -118,9 +116,8 @@ class TestLevelOneAndTwo:
     @pytest.mark.parametrize("sign", ["+", "-"])
     def test_level_two_closed_forms(self, sector, j, sign):
         spec = CharacterSpec(2, j, sector, sign)
-        assert ratio_pair_equal(
-            lambda p: _m2_closed_ratio(sector, j, sign, p),
-            lambda p: character_ratio(spec, p), F(6))
+        assert _m2_closed_ratio(sector, j, sign).equals(
+            character_ratio(spec), F(6))
 
 
 class TestSeriesControls:
@@ -155,13 +152,13 @@ class TestSeriesControls:
         # ratios fell short by 3/8 up to 5/4 when built at the request),
         # and the character is still one factor expansion
         expansions = []
-        real = characters.expand
+        real = theta.expand
 
         def counting(*args, **kwargs):
             expansions.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(characters, "expand", counting)
+        monkeypatch.setattr(theta, "expand", counting)
         ser = character_series(CharacterSpec(M, j, sector, "+"), F(2))
         assert ser.q_order == F(2)
         assert len(expansions) == 1
@@ -184,24 +181,25 @@ class TestSeriesControls:
         assert n == 120 and (info.hits, info.misses) == (0, 0)
 
     def test_cached_thetas_are_left_unchanged(self, monkeypatch):
-        # character_ratio reads the shared theta_shifted series and must
-        # not write to them
+        # comparing character quotients reads the shared theta_shifted
+        # series and must not write to them
         seen = []
-        real = characters.theta_shifted
+        real = theta.theta_shifted
 
         def recording(*args):
             ser = real(*args)
             seen.append((ser, dict(ser.c), ser.order_n, ser.window_n))
             return ser
 
-        monkeypatch.setattr(characters, "theta_shifted", recording)
+        monkeypatch.setattr(theta, "theta_shifted", recording)
+        unit = ThetaQuotient((0, 0, 1))
         for M in (1, 2, 4):
             for sector in SECTORS:
                 for j in index_set(M, sector):
-                    ratio = character_ratio(CharacterSpec(M, j, sector, "+"),
-                                            4)
-                    ratio.scale(GaussianRational(0, 1)) * ratio
-        assert len(seen) == 8 * 14
+                    ratio = character_ratio(CharacterSpec(M, j, sector, "+"))
+                    assert (unit * ratio).equals(ratio * unit, 4)
+                    assert not ratio.equals(ratio * unit * unit, 4)
+        assert len(seen) > 8 * 14
         for ser, c, order_n, window_n in seen:
             assert (ser.c, ser.order_n, ser.window_n) == (c, order_n,
                                                           window_n)
@@ -227,35 +225,30 @@ class TestDenominator:
     @pytest.mark.parametrize("sign", ["+", "-"])
     @pytest.mark.parametrize("sector", ["NS", "R"])
     def test_eta_and_theta_forms_agree(self, sign, sector):
-        a = denominator(sign, sector, F(6))
-        b = denominator_theta_form(sign, sector, F(6))
-        assert a.cross_order(b) >= F(6)
+        a = denominator(sign, sector)
+        b = denominator_theta_form(sign, sector)
         assert a.equals(b, F(6))
+        assert not a.equals(b * ThetaQuotient((0, 0, 2)), F(6))
 
 
 class TestNumerators:
     def test_nice_numerator_is_denominator_times_character(self):
         j = nice_param_to_j(3, 1, "I", False)
         spec = CharacterSpec(3, j, "NS", "+")
-        assert ratio_pair_equal(
-            lambda p: nice_numerator(3, 1, "I", "+", False, p),
-            lambda p: character_ratio(spec, p) * denominator("+", "NS", p),
-            F(6))
+        assert nice_numerator(3, 1, "I", "+", False).equals(
+            character_ratio(spec) * denominator("+", "NS"), F(6))
 
     def test_twisted_nice_numerator(self):
         j = nice_param_to_j(2, 0, "III", True)
         spec = CharacterSpec(2, j, "R", "-")
-        assert ratio_pair_equal(
-            lambda p: nice_numerator(2, 0, "III", "-", True, p),
-            lambda p: character_ratio(spec, p) * denominator("-", "R", p),
-            F(6))
+        assert nice_numerator(2, 0, "III", "-", True).equals(
+            character_ratio(spec) * denominator("-", "R"), F(6))
 
     def test_dd_reduces_to_nice_at_boundary(self):
         # level 4, k1 = 1, k2 = 1 puts both block indices at 3/2: the
         # deepest rescale/shift combination the pair form reaches here
-        assert ratio_pair_equal(
-            lambda p: dd_numerator(4, 1, 1, "I", "+", False, p),
-            lambda p: nice_numerator(4, 1, "I", "+", False, p), F(6))
+        assert dd_numerator(4, 1, 1, "I", "+", False).equals(
+            nice_numerator(4, 1, "I", "+", False), F(6))
 
     def test_dd_indices_pinned(self):
         assert dd_indices(4, 1, 1, "I", False) == (F(3, 2), F(3, 2))

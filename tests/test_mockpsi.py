@@ -17,7 +17,6 @@ from thetachar.mockpsi import (
 )
 from thetachar.modular import default_points
 from thetachar.qseries import eval_numeric
-from thetachar.suites import ratio_pair_equal
 from thetachar.theta import TailBoundError
 
 mp.dps = 40
@@ -79,11 +78,11 @@ class TestSymmetryLaws:
         # below 1e-20 at these points
         mp.dps = 40
         pr = PsiParams(1, 0, 0, 0, 0)
-        ratio = psi_diag_ratio(pr, F(12))
+        num, den = (part.series(F(12)) for part in psi_diag_ratio(pr).parts())
         for p in _points(2, seed=7, diagonal=True):
             lhs = psi_numeric(pr, p.tau, p.z1, p.z1, 0)
-            rhs = (eval_numeric(ratio.num, p.tau, p.z1)
-                   / eval_numeric(ratio.den, p.tau, p.z1))
+            rhs = (eval_numeric(num, p.tau, p.z1)
+                   / eval_numeric(den, p.tau, p.z1))
             assert abs(lhs - rhs) < mp.mpf("1e-20")
 
 
@@ -96,40 +95,37 @@ class TestExactRatios:
     ])
     def test_pair_form_equals_diagonal_form(self, M, jk, eps, eps_p):
         pr = PsiParams(M, jk, jk, eps, eps_p)
-        ok = ratio_pair_equal(lambda p: psi_pair_ratio(pr, p),
-                              lambda p: psi_diag_ratio(pr, p), F(4))
-        assert ok
+        assert psi_pair_ratio(pr).equals(psi_diag_ratio(pr), F(4))
 
     def test_deep_level_regression_pair_vs_diag(self):
         # level 4 with half-integer indices drives theta_11(4 tau, 2w)
         # through the deepest internal shifts; keep it exact
         pr = PsiParams(4, F(3, 2), F(3, 2), F(0), HALF)
-        assert ratio_pair_equal(lambda p: psi_pair_ratio(pr, p),
-                                lambda p: psi_diag_ratio(pr, p), F(5))
+        assert psi_pair_ratio(pr).equals(psi_diag_ratio(pr), F(5))
 
     def test_diag_ratio_evaluates_to_psi(self):
         mp.dps = 40
         pr = PsiParams(4, F(3, 2), F(3, 2), HALF, HALF)
-        ratio = psi_diag_ratio(pr, F(6))
+        num, den = (part.series(F(6)) for part in psi_diag_ratio(pr).parts())
         for p in _points(3, seed=31, diagonal=True):
-            got = (eval_numeric(ratio.num, p.tau, p.z1)
-                   / eval_numeric(ratio.den, p.tau, p.z1))
+            got = (eval_numeric(num, p.tau, p.z1)
+                   / eval_numeric(den, p.tau, p.z1))
             want = psi_numeric(pr, p.tau, p.z1, p.z1, 0)
             assert abs(got - want) < mp.mpf("1e-10")
 
     def test_pair_ratio_evaluates_to_psi_off_diagonal_indices(self):
         mp.dps = 40
         pr = PsiParams(3, F(1, 2), F(3, 2), F(0), HALF)
-        ratio = psi_pair_ratio(pr, F(6))
+        num, den = (part.series(F(6)) for part in psi_pair_ratio(pr).parts())
         for p in _points(3, seed=33, diagonal=True):
-            got = (eval_numeric(ratio.num, p.tau, p.z1)
-                   / eval_numeric(ratio.den, p.tau, p.z1))
+            got = (eval_numeric(num, p.tau, p.z1)
+                   / eval_numeric(den, p.tau, p.z1))
             want = psi_numeric(pr, p.tau, p.z1, p.z1, 0)
             assert abs(got - want) < mp.mpf("1e-10")
 
     def test_diag_ratio_requires_equal_indices(self):
         with pytest.raises(ValueError):
-            psi_diag_ratio(PsiParams(2, 1, 2, 0, 0), 4)
+            psi_diag_ratio(PsiParams(2, 1, 2, 0, 0))
 
 
 class TestAppellSum:

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from mpmath import mp
 
+import thetachar.mockpsi as mockpsi
 from thetachar.characters import CharacterSpec, character_ratio
 from thetachar.mockpsi import HALF, PoleProximityError, PsiParams
 from thetachar.modular import (
@@ -13,7 +14,6 @@ from thetachar.modular import (
     NumericPoint,
     _lstsq_min_norm,
     character_member_numeric,
-    character_numeric,
     default_points,
     denominator_transform_residual,
     family_members,
@@ -24,6 +24,8 @@ from thetachar.modular import (
     span_closure,
 )
 from thetachar.qseries import dumps_canonical, eval_numeric
+
+from oracles import character_numeric
 
 
 class TestNumericPoint:
@@ -74,6 +76,22 @@ class TestPsiTransformLaws:
             pr = PsiParams(M, eps_p + 1, eps_p, eps, eps_p)
             for p in default_points(2, seed=M):
                 assert psi_s_residual(pr, p) < 1e-9
+
+    def test_s_law_takes_one_pass_per_side(self, monkeypatch):
+        # the M^2 blocks of the right-hand side share one ThetaPass at
+        # (tau, z1, z2); the left-hand side is the other one
+        mp.dps = 40
+        passes = []
+
+        class Counting(mockpsi.ThetaPass):
+            def __init__(self, coords, requests, abs_err=None):
+                passes.append(len(requests))
+                super().__init__(coords, requests, abs_err)
+
+        monkeypatch.setattr(mockpsi, "ThetaPass", Counting)
+        pr = PsiParams(3, HALF + 1, HALF, F(0), HALF)
+        assert psi_s_residual(pr, default_points(1, seed=53)[0]) < 1e-9
+        assert passes == [4, 4 * 9]
 
     def test_t_law_residuals(self):
         mp.dps = 40
@@ -206,10 +224,11 @@ class TestCharacterNumeric:
     def test_matches_exact_series(self):
         mp.dps = 40
         spec = CharacterSpec(2, HALF, "NS", "+")
-        ratio = character_ratio(spec, F(8))
+        num, den = (part.series(F(8))
+                    for part in character_ratio(spec).parts())
         p = default_points(1, diagonal=True, seed=12)[0]
-        want = (eval_numeric(ratio.num, p.tau, p.z1)
-                / eval_numeric(ratio.den, p.tau, p.z1))
+        want = (eval_numeric(num, p.tau, p.z1)
+                / eval_numeric(den, p.tau, p.z1))
         got = character_numeric(2, 0, 1, "I", "+", False, p)
         assert abs(got - want) < 1e-9
 

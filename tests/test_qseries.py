@@ -13,7 +13,6 @@ from thetachar.qseries import (
     GaussianRational,
     I_UNIT,
     JacobiSeries,
-    SeriesRatio,
     UntrustedOrderError,
     add,
     dumps_canonical,
@@ -22,20 +21,18 @@ from thetachar.qseries import (
     eval_numeric,
     from_json_dict,
     mul,
-    negate,
     product,
     restrict_window,
     scale_monomial,
-    sub,
     to_json_dict,
-    truncate,
 )
 
 from thetachar.characters import (SECTORS, SIGNS, CharacterSpec,
                                   character_series, index_set)
 
 from oracles import (as_series, first_difference, gaussian_inverse,
-                     invert_directed, subst_scale_tau, subst_scale_z)
+                     invert_directed, q_valuation_bound, subst_scale_tau,
+                     subst_scale_z, truncate, x_support)
 
 
 def mono(qe, xe, coeff, order):
@@ -148,14 +145,14 @@ class TestConstruction:
         assert s.q_order == F(4)
         assert s.coefficient(F(3, 2), F(-1, 2)) == I_UNIT
         assert s.coefficient(F(3, 2), F(1, 3)) == 0
-        assert s.x_support() == (F(-1, 2), F(-1, 2))
-        assert s.q_valuation_bound() == F(3, 2)
+        assert x_support(s) == (F(-1, 2), F(-1, 2))
+        assert q_valuation_bound(s) == F(3, 2)
 
     def test_empty_series_views(self):
         z = JacobiSeries.zero(F(5, 2))
         assert z.is_zero()
-        assert z.x_support() is None
-        assert z.q_valuation_bound() == F(5, 2)
+        assert x_support(z) is None
+        assert q_valuation_bound(z) == F(5, 2)
 
     def test_one(self):
         s = JacobiSeries.one(6)
@@ -302,12 +299,6 @@ class TestRingAxioms:
     def test_one_is_identity(self, a):
         assert _same(mul(a, JacobiSeries.one(a.q_order)), a)
 
-    @settings(max_examples=50, deadline=None)
-    @given(_series())
-    def test_negate_cancels(self, a):
-        assert sub(a, a).is_zero()
-        assert add(a, negate(a)).is_zero()
-
 
 class TestTrustPropagation:
     def test_mul_order_rule(self):
@@ -441,21 +432,10 @@ class TestInversion:
         with pytest.raises(ZeroDivisionError):
             invert_directed(JacobiSeries.zero(4), (F(-2), F(0)))
 
-    def test_series_ratio_equals_and_cross_order(self):
-        num = poly(8, (0, 1, 1), (1, 0, 2))
-        den = poly(8, (0, 0, 1), (1, 1, 1))
-        r = SeriesRatio(num, den)
-        doubled = SeriesRatio(scale_monomial(num, 0, 0, 2),
-                              scale_monomial(den, 0, 0, 2))
-        assert r.cross_order(doubled) == F(8)
-        assert r.equals(doubled, 8)
-        assert r.cross_order(SeriesRatio(poly(3, (0, 0, 1)), den)) == F(3)
-
     def test_series_ratio_as_series(self):
         num = poly(6, (0, 1, 1), (0, 0, 1))
         den = poly(6, (0, 0, 1), (1, 2, -1))
-        r = SeriesRatio(num, den)
-        s = as_series(r, 5, (F(-6), F(2)))
+        s = as_series(num, den, 5, (F(-6), F(2)))
         recon = mul(s, den)
         assert first_difference(recon, num, F(3)) is None
 
@@ -464,17 +444,10 @@ class TestInversion:
         # 6 - 2, and the expansion exactly that far
         num = poly(6, (0, 1, 1), (0, 0, 1))
         den = poly(6, (1, 0, 1), (2, 1, -1))
-        r = SeriesRatio(num, den)
-        s = as_series(r, 4, (F(-6), F(2)))
+        s = as_series(num, den, 4, (F(-6), F(2)))
         assert first_difference(mul(s, den), num, F(4)) is None
         with pytest.raises(UntrustedOrderError):
-            as_series(r, F(4) + F(1, 2), (F(-6), F(2)))
-
-    def test_series_ratio_scale_and_mul(self):
-        one = JacobiSeries.one(6)
-        r = SeriesRatio(poly(6, (0, 0, 1)), one)
-        s = r.scale(GaussianRational(0, 1)) * r
-        assert s.num.coefficient(0, 0) == I_UNIT
+            as_series(num, den, F(4) + F(1, 2), (F(-6), F(2)))
 
 
 _UNITS = (GaussianRational(1), GaussianRational(-1), GaussianRational(0, 1),
@@ -544,10 +517,10 @@ class TestExpand:
         # of the divided side is trusted past q, and the divided side
         # keeps its lead term
         order = max(q - min(v[1], -v[-1], v[1] - v[-1]), v[-1]) + 1
-        ratio = SeriesRatio(_multiplied_out(monomials, factors, 1, order),
-                            _multiplied_out(monomials, factors, -1, order))
         got = expand(monomials, factors, q, window)
-        want = as_series(ratio, q, window)
+        want = as_series(_multiplied_out(monomials, factors, 1, order),
+                         _multiplied_out(monomials, factors, -1, order),
+                         q, window)
         assert got.terms() == want.terms()
         assert (got.q_order, got.x_window) == (q, window)
 

@@ -2,7 +2,6 @@
 
 import hashlib
 from fractions import Fraction as F
-from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -11,9 +10,10 @@ from thetachar import suites
 from thetachar.characters import denominator
 from thetachar.mockpsi import HALF, PsiParams
 from thetachar.modular import family_members, predicted_t_matrix
-from thetachar.qseries import GaussianRational
 from thetachar.suites import SuiteConfig, run_suite, suite_cases
-from thetachar.theta import theta_shifted
+from thetachar.theta import ThetaQuotient, theta_shifted
+
+MINUS = ThetaQuotient((0, 0, 2))
 
 # count and sha256 of the newline-joined case ids of each suite; the ids
 # and their order are the interface of `verify` reports
@@ -50,20 +50,15 @@ def _theta(label, q):
     return theta_shifted(label, q, 1, 1, 0, 0)
 
 
-def _negated(build, q):
-    return build(q).scale(GaussianRational(-1))
-
-
 def test_every_runner_can_fail(monkeypatch):
-    ratio = partial(denominator, "+", "NS")
+    ratio = denominator("+", "NS")
     statuses = _run_rows(monkeypatch, [
         ("exact/true", suites._exact(
             lambda q: [(_theta("00", q), _theta("00", q))])),
         ("exact/false", suites._exact(
             lambda q: [(_theta("00", q), _theta("01", q))])),
-        ("ratio/true", suites._ratio(lambda q: [(ratio, ratio)])),
-        ("ratio/false", suites._ratio(
-            lambda q: [(ratio, partial(_negated, ratio))])),
+        ("ratio/true", suites._quotient(lambda: [(ratio, ratio)])),
+        ("ratio/false", suites._quotient(lambda: [(ratio, ratio * MINUS)])),
         ("residual/true", suites._residual(lambda q: [0.0, 1e-12j])),
         ("residual/false", suites._residual(lambda q: [0.0, 1e-6])),
         ("exact/empty", suites._exact(lambda q: [])),
@@ -108,9 +103,9 @@ def test_m1_collapse_can_fail(monkeypatch):
     row = dict(suite_cases("psi"))["psi/m1-collapse"]
     real = suites.psi_diag_ratio
     damages = {
-        "negated": lambda pr, q: real(pr, q).scale(GaussianRational(-1)),
-        "other-eps": lambda pr, q: real(
-            PsiParams(pr.M, pr.j, pr.k, HALF - pr.eps, pr.eps_prime), q),
+        "negated": lambda pr: real(pr) * MINUS,
+        "other-eps": lambda pr: real(
+            PsiParams(pr.M, pr.j, pr.k, HALF - pr.eps, pr.eps_prime)),
     }
     # at the default order of the psi suite, where the tail is small
     q = SuiteConfig().q_order

@@ -9,23 +9,29 @@ from mpmath import mp, mpc
 
 import thetachar.theta as theta_module
 
+from thetachar.characters import (CharacterSpec, character_ratio,
+                                  dd_numerator, denominator,
+                                  denominator_theta_form, nice_numerator)
 from thetachar.qseries import (
     CoefficientRingError,
     GaussianRational,
     I_UNIT,
+    JacobiSeries,
     equal_to_order,
     eval_numeric,
     mul,
+    product,
     scale_monomial,
-    truncate,
 )
 from thetachar.mockpsi import HALF, PsiParams, psi_numeric, psi_requests
 from thetachar.modular import (default_points, denominator_numeric,
                                family_members, family_values)
+from thetachar.suites import _m2_closed_ratio
 from thetachar.theta import (
     DEFAULT_DPS,
     TailBoundError,
     ThetaPass,
+    ThetaQuotient,
     eta_numeric,
     eta_pow_scaled,
     theta_numeric,
@@ -34,8 +40,9 @@ from thetachar.theta import (
     theta_valuation,
 )
 
-from oracles import (first_difference, mpf_stop_step, shifted_theta_sum,
-                     subst_scale_tau, subst_scale_z)
+from oracles import (first_difference, mpf_stop_step, q_valuation_bound,
+                     shifted_theta_sum, subst_scale_tau, subst_scale_z,
+                     truncate)
 
 LABELS = ("00", "01", "10", "11")
 
@@ -109,6 +116,145 @@ class TestEta:
         e = eta_pow_scaled(1, 1, F(9, 2))
         manual = truncate(subst_scale_tau(mul(mul(e, e), e), 2), 9)
         assert first_difference(s, manual, 9) is None
+
+
+# ---------------------------------------------------------------------
+# exact theta quotients
+# ---------------------------------------------------------------------
+
+
+@st.composite
+def _quotient_factor(draw):
+    """A theta with small shifts (valuation at least -1/2), or an eta
+    power, to the power 1 or 2."""
+    if draw(st.booleans()):
+        factor = ThetaQuotient.eta(draw(st.integers(1, 3)),
+                                   draw(st.integers(1, 2)))
+    else:
+        label = draw(st.sampled_from(LABELS))
+        r_one = draw(st.sampled_from([F(0), HALF] if label[0] == "1"
+                                     else [F(0), F(1, 4), HALF]))
+        factor = ThetaQuotient.theta(
+            label, draw(st.integers(1, 2)), draw(st.integers(1, 2)),
+            F(draw(st.integers(-2, 2)), 2), r_one)
+        if draw(st.booleans()):
+            factor = factor * factor
+    return factor
+
+
+def _reference(quotient, order):
+    """The den-free quotient multiplied out from factors built at order."""
+    factors = []
+    for key, n in quotient.num.items():
+        if key[0] == "eta":
+            factors.append(eta_pow_scaled(key[1], n, order))
+        else:
+            factors += [theta_shifted(key[0], order, *key[1:])] * n
+    a, b, k = quotient.lead
+    return scale_monomial(product(factors), a, b,
+                          GaussianRational(1).times_i_power(k))
+
+
+class TestThetaQuotient:
+    @settings(deadline=None, max_examples=60)
+    @given(factors=st.lists(_quotient_factor(), min_size=1, max_size=3),
+           a=st.sampled_from([F(-1, 2), F(0), F(3, 8)]),
+           b=st.sampled_from([F(-1), F(0), HALF]), k=st.integers(0, 3),
+           q=st.sampled_from([F(1, 4), F(1), F(2), F(7, 2)]))
+    def test_series_is_trusted_and_exact(self, factors, a, b, k, q):
+        quotient = ThetaQuotient((a, b, k))
+        for factor in factors:
+            quotient = quotient * factor
+        got = quotient.series(q)
+        assert got.q_order >= q
+        # every factor of the reference is trusted 3 past any shortfall
+        # the (at most six) valuations down to -1/2 can cause
+        want = _reference(quotient, q - a + 3)
+        assert want.q_order >= q
+        assert first_difference(got, want, q) is None
+        v = quotient.valuation()
+        low = min((qe for qe, _, _ in want.terms()), default=None)
+        assert low == v or (v >= q and (low is None or low >= q))
+        # and the quotient's one factor expansion agrees with the product
+        assert equal_to_order(quotient.expand(q), got, q)
+
+    def test_cross_multiplies(self):
+        th = ThetaQuotient.theta
+        minus = ThetaQuotient((0, 0, 2))
+        # theta_11(tau, z + 1/2) = -theta_10(tau, z), read both ways
+        assert th("11", 1, 1, 0, HALF).equals(minus * th("10"), 6)
+        assert (th("10") / th("11", 1, 1, 0, HALF)).equals(minus, 6)
+        assert not th("11", 1, 1, 0, HALF).equals(th("10"), 6)
+        with pytest.raises(ValueError):
+            (th("10") / th("11")).series(4)
+
+    @pytest.mark.parametrize("label, pair", [
+        ("11", lambda: (denominator("+", "NS"),
+                        denominator_theta_form("+", "NS"))),
+        ("10", lambda: (nice_numerator(3, 1, "I", "+", False),
+                        character_ratio(CharacterSpec(3, F(3, 2), "NS", "+"))
+                        * denominator("+", "NS"))),
+    ])
+    def test_wrong_valuation_raises(self, monkeypatch, label, pair):
+        # a valuation 1/8 too high on one label misplaces every order the
+        # comparison computes; it must raise, never compare
+        real = theta_module.theta_valuation
+        compared = []
+        monkeypatch.setattr(
+            theta_module, "theta_valuation",
+            lambda lab, *args: real(lab, *args) + (F(1, 8) if lab == label
+                                                   else 0))
+        monkeypatch.setattr(theta_module, "equal_to_order",
+                            lambda *args: compared.append(args))
+        theta_module._key_valuation.cache_clear()
+        theta_shifted.cache_clear()
+        try:
+            lhs, rhs = pair()
+            with pytest.raises(AssertionError):
+                lhs.equals(rhs, F(6))
+        finally:
+            theta_module._key_valuation.cache_clear()
+            theta_shifted.cache_clear()
+        assert compared == []
+
+    def test_each_theta_is_built_at_one_order_per_comparison(self,
+                                                            monkeypatch):
+        built = []
+        real = theta_module.theta_shifted
+
+        def recording(label, order, *key):
+            built.append(((label,) + key, order))
+            return real(label, order, *key)
+
+        monkeypatch.setattr(theta_module, "theta_shifted", recording)
+        # in these comparisons some theta is on both sides, and the two
+        # sides would build it at different orders
+        pairs = [(_m2_closed_ratio(c, j, s),
+                  character_ratio(CharacterSpec(2, j, c, s)))
+                 for c, j in (("NS", HALF), ("NS", -HALF), ("R", F(1)))
+                 for s in "+-"]
+        pairs += [(dd_numerator(M, k1, M - 1 - 2 * k1, heart, "-", tw),
+                   nice_numerator(M, k1, heart, "-", tw))
+                  for M, k1, heart, tw in [(2, 0, "I", False),
+                                           (2, 0, "III", True),
+                                           (3, 1, "I", False)]]
+        for lhs, rhs in pairs:
+            built.clear()
+            assert lhs.equals(rhs, F(8))
+            orders = {}
+            for key, order in built:
+                orders.setdefault(key, set()).add(order)
+            assert orders and all(len(o) == 1 for o in orders.values())
+
+    def test_cached_series_are_read_only(self):
+        for ser in (theta_shifted("11", 4, 2, 1, HALF),
+                    eta_pow_scaled(2, 3, 5), theta_sum("00", 4),
+                    JacobiSeries.one(3)):
+            key = next(iter(ser.c))
+            with pytest.raises(TypeError):
+                ser.c[key] = GaussianRational(7)
+            with pytest.raises(TypeError):
+                del ser.c[key]
 
 
 # ---------------------------------------------------------------------
@@ -557,7 +703,7 @@ class TestThetaShifted:
         rt, ro = F(rt2, 2), F(ro4, 4)
         built = theta_shifted(label, 3, ts, zs, rt, ro)
         assert (theta_valuation(label, ts, zs, rt, ro)
-                == built.q_valuation_bound())
+                == q_valuation_bound(built))
 
     def test_cache_key_is_the_value(self):
         # three spellings of one series are one cache entry
