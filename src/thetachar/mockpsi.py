@@ -38,8 +38,25 @@ phi_a11_numeric is the two-variable Appell-type sum
         e^{2 pi i m j (z1 + z2) + 2 pi i s z1} q^{m j^2 + s j}
         / (1 - e^{2 pi i z1} q^j)^2
 
-kept as an independent numeric backend, its truncation bounded by the
-majorant appell_tail.
+truncated at |j| <= J.  Its value carries two errors:
+
+    tail       at most appell_tail(m, s, tau, z1, z2, J), a majorant of
+               the omitted terms;
+    rounding   at most 2^(2 - prec) |e^{-2 pi i m t}| sum_{|j| <= J}
+               |term_j|.
+
+It walks the sum on theta's int complex floating point (ONE, _mul,
+_div), where every product and quotient rounds by at most 2^(2 - wp)
+relative and each of its eight bases is one exponential, as accurate.
+A numerator of |j| <= J carries at most (J + 1)^2 such roundings and
+an edge x1 q^j at most 2J + 1.  The pole check keeps
+|1 - x1 q^j| >= POLE_THRESHOLD |x1 q^j|, so the cancellation in
+1 - x1 q^j magnifies the edge's error by at most
+1/POLE_THRESHOLD < 2^20, and each term is within
+K = (J + 1)^2 + (4J + 3) 2^20 roundings, a count that also covers the
+2J + 1 truncations of the fixed-point sum.  At wp = prec + bitlen(K) + 4 the
+truncated sum is so within 2^(-2 - prec) sum |term_j|; rounding it to
+prec bits and the factor e^{-2 pi i m t} add the rest.
 """
 
 from __future__ import annotations
@@ -49,8 +66,8 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .theta import (TailBoundError, ThetaPass, ThetaQuotient, eta_request,
-                    modulus, theta_key)
+from .theta import (ONE, TailBoundError, ThetaPass, ThetaQuotient, _div,
+                    _fixed, _from_mpc, _mul, eta_request, modulus, theta_key)
 
 HALF = Fraction(1, 2)
 
@@ -189,40 +206,69 @@ def psi_pair_ratio(params):
 
 def phi_a11_numeric(m, s, tau, z1, z2, t, j_cutoff=40, tail_tol=1e-12):
     """Appell-type sum Phi1 with level m and rational shift s, truncated
-    at |j| <= j_cutoff.
+    at |j| <= J = j_cutoff, on theta's int complex floating point.
 
-    The quadratic exponent q^{m j^2 + s j} makes the sum converge like a
-    theta series.  All exponentials are built directly from tau, so
-    rational s never touches a branch choice.  The terms left out are
-    bounded by appell_tail; TailBoundError is raised when that majorant
-    exceeds tail_tol (raise j_cutoff in that case).
+    Each side of the sum is walked outward, from j = 0 and from j = -1,
+    by running products: the numerator e^{2 pi i (m j (z1 + z2) + s z1)}
+    q^{m j^2 + s j} times a ratio that gains q^{2m} per step, and the
+    edge x1 q^j times q or 1/q.  The eight bases are one exponential
+    each, at wp = prec + bitlen(K) + 4 bits for
+    K = (J + 1)^2 + (4J + 3) 2^20, and the factor e^{-2 pi i m t} is one
+    more: the module docstring states the rounding this leaves.  Raises
+    PoleProximityError where |1 - x1 q^j| < POLE_THRESHOLD
+    max(1, |x1 q^j|), and TailBoundError when appell_tail exceeds
+    tail_tol (raise j_cutoff in that case).
     """
     if m < 1 or int(m) != m:
         raise ValueError("level m must be a positive integer")
-    s = Fraction(s)
-    tau = _mpc_any(tau)
-    z1 = _mpc_any(z1)
-    z2 = _mpc_any(z2)
-    t = _mpc_any(t)
-    s_mp = _mpfrac(s)
-
-    def term(j):
-        edge = mp.exp(2j * mp.pi * (z1 + j * tau))
-        den = 1 - edge
-        if abs(den) < POLE_THRESHOLD * max(1, abs(edge)):
-            raise PoleProximityError(
-                "Appell denominator (1 - x1 q^%d) too close to zero" % j)
-        expo = m * j * (z1 + z2) + s_mp * z1 + tau * (m * j * j + s_mp * j)
-        return mp.exp(2j * mp.pi * expo) / den ** 2
-
-    total = mp.mpc(0)
-    for j in range(-j_cutoff, j_cutoff + 1):
-        total += term(j)
-    tail = appell_tail(m, s, tau, z1, z2, j_cutoff)
+    m, s, n = int(m), Fraction(s), int(j_cutoff)
+    tau, z1, z2, t = (_mpc_any(v) for v in (tau, z1, z2, t))
+    wp = mp.prec + ((n + 1) ** 2 + (4 * n + 3) * 2 ** 20).bit_length() + 4
+    with mp.workprec(wp + 10):
+        s_mp, mz = _mpfrac(s), m * (z1 + z2)
+        n0, r_pos, r_neg, q2m, x1, q, x1_q, q_inv = (
+            _from_mpc(mp.exp(2j * mp.pi * v)._mpc_, wp) for v in (
+                s_mp * z1, mz + (m + s_mp) * tau, (m - s_mp) * tau - mz,
+                2 * m * tau, z1, tau, z1 - tau, -tau))
+    # (numerator, its ratio to the next, edge x1 q^j, the edge's step)
+    # at the first j of each side
+    sides = ((range(n + 1), n0, r_pos, x1, q),
+             (range(-1, -n - 1, -1), _mul(n0, r_neg, wp),
+              _mul(r_neg, q2m, wp), x1_q, q_inv))
+    terms = []
+    for js, num, ratio, edge, step in sides:
+        for j in js:
+            den = _one_minus(edge, j, wp)
+            terms.append(_div(num, _mul(den, den, wp), wp))
+            num, ratio = _mul(num, ratio, wp), _mul(ratio, q2m, wp)
+            edge = _mul(edge, step, wp)
+    tail = appell_tail(m, s, tau, z1, z2, n)
     if tail > tail_tol:
         raise TailBoundError("Appell tail majorant %.3g above %g; raise "
                              "j_cutoff" % (float(tail), tail_tol))
-    return mp.exp(-2j * mp.pi * m * t) * total
+    # summed in fixed point, wp bits below the largest term's top bit
+    low = max((abs(re) | abs(im)).bit_length() + e
+              for re, im, e in terms) - wp
+    parts = [_fixed(x, -low) for x in terms]
+    total = mp.mpc(mp.ldexp(sum(re for re, _ in parts), low),
+                   mp.ldexp(sum(im for _, im in parts), low))
+    return mp.exp(-2j * mp.pi * m * t) * total if t else total
+
+
+def _one_minus(edge, j, wp):
+    """1 - edge to wp bits for the edge x1 q^j, or PoleProximityError
+    where |1 - edge| < POLE_THRESHOLD max(1, |edge|), which
+    |edge| >= 4 rules out."""
+    re, im, e = edge
+    if e >= 0:
+        out = _mul((1 - (re << e), -(im << e), 0), ONE, wp)
+    else:
+        out = _mul(((1 << -e) - re, -im, e), ONE, wp)
+    if ((abs(re) | abs(im)).bit_length() + e <= 2
+            and modulus(out) < POLE_THRESHOLD * max(1, modulus(edge))):
+        raise PoleProximityError(
+            "Appell denominator (1 - x1 q^%d) too close to zero" % j)
+    return out
 
 
 def appell_tail(m, s, tau, z1, z2, j_cutoff):

@@ -612,22 +612,56 @@ def equal_to_order(a, b, q_order):
 # ---------------------------------------------------------------------
 
 def eval_numeric(a, tau, z):
-    """Evaluate at numeric (tau, z) with mpmath at the ambient precision.
+    """The stored terms summed at numeric (tau, z), an mpmath complex at
+    the ambient precision prec; the discarded tail is
+    O(|exp(2 pi i tau)|^q_order).
 
-    Returns the truncated sum as an mpmath complex number; the discarded
-    tail is O(|exp(2 pi i tau)|^q_order).
+    It takes two exponentials, Q = e^{2 pi i tau/q_den} and
+    X = e^{2 pi i z/x_den}, each within 2 roundings of 2^(1 - wp)
+    relative, and builds the powers of each that the terms use by
+    repeated squaring (_power_table), so Q^k and X^k are within 4 |k|
+    roundings.  With N terms and B the largest |exponent| on the
+    lattice, a term's coefficient, its products and the sums row by row
+    of q add N + 3 more, and at wp = prec + bitlen(16 B + 2 N + 6) + 1
+    the returned value is within 2^(1 - prec) sum |c q^e x^f| of the sum
+    of the stored terms.
     """
     from mpmath import mp
-    tau = mp.mpc(tau)
-    z = mp.mpc(z)
-    two_pi_i = 2j * mp.pi
-    total = mp.mpc(0)
+    rows, xs = {}, set()
     for (qn, xn), v in a.c.items():
-        w = two_pi_i * (tau * qn / a.q_den + z * xn / a.x_den)
-        cv = (mp.mpf(v.re.numerator) / v.re.denominator
-              + 1j * mp.mpf(v.im.numerator) / v.im.denominator)
-        total += cv * mp.exp(w)
-    return total
+        rows.setdefault(qn, []).append((xn, v))
+        xs.add(xn)
+    span = max(map(abs, [*rows, *xs]), default=0)
+    with mp.workprec(mp.prec + (16 * span + 2 * len(a.c) + 6).bit_length()
+                     + 1):
+        q_pow = _power_table(mp.expjpi(2 * mp.mpc(tau) / a.q_den), rows)
+        x_pow = _power_table(mp.expjpi(2 * mp.mpc(z) / a.x_den), xs)
+        total = mp.mpc(0)
+        for qn, row in rows.items():
+            total += q_pow[qn] * sum(
+                mp.mpc(mp.mpf(v.re.numerator) / v.re.denominator,
+                       mp.mpf(v.im.numerator) / v.im.denominator) * x_pow[xn]
+                for xn, v in row)
+    return +total
+
+
+def _power_table(w, ks):
+    """{k: w^k} for the ints ks, and the halves that repeated squaring
+    needs on the way: w^k for k < 0 is a power of 1/w.  Each squaring
+    doubles the relative error of its half and adds one rounding, so
+    with w and 1/w within e roundings, w^k is within (e + 1) |k| - 1."""
+    table = {0: 1, 1: w, -1: 1 / w}
+
+    def power(k):
+        if k not in table:
+            unit = 1 if k > 0 else -1
+            half = power(unit * (abs(k) // 2))
+            table[k] = half * half * table[unit] if k % 2 else half * half
+        return table[k]
+
+    for k in ks:
+        power(k)
+    return table
 
 
 def _frac_str(f):

@@ -25,7 +25,7 @@ one after another in registry order, so reports are deterministic.
 
 import math
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product as iproduct
@@ -36,7 +36,7 @@ from .qseries import JacobiSeries, add, equal_to_order, eval_numeric
 from .theta import (DEFAULT_DPS, THETA_LABELS, ThetaQuotient, eta_pow_scaled,
                     theta_shifted, theta_sum)
 from .mockpsi import (HALF, PsiParams, appell_tail, phi_a11_numeric,
-                      psi_diag_ratio, psi_numeric)
+                      psi_diag_ratio, psi_values)
 from .characters import (HEARTS, SECTORS, SIGNS, CharacterSpec,
                          ReductionParams, central_charge, character_ratio,
                          character_series, dd_numerator, denominator,
@@ -239,13 +239,18 @@ def _theta_cases():
 # psi suite: residual rows
 
 
-def _block_residuals(residual, offset, M, q):
-    # residual(block, point) over the four characteristic blocks at five
-    # generic points of seed M + offset
-    pts = default_points(5, seed=M + offset)
-    return [residual(PsiParams(M, eps_p + 1, eps_p, eps, eps_p), p)
-            for eps in (Fraction(0), HALF) for eps_p in (Fraction(0), HALF)
-            for p in pts]
+def _block_residuals(residuals, offset, M, q):
+    # residuals(blocks, point) of the four characteristic blocks at each
+    # of five generic points of seed M + offset
+    blocks = [PsiParams(M, eps_p + 1, eps_p, eps, eps_p)
+              for eps in (Fraction(0), HALF) for eps_p in (Fraction(0), HALF)]
+    return [r for p in default_points(5, seed=M + offset)
+            for r in residuals(blocks, p)]
+
+
+def _each(residual, blocks, p):
+    # a one-block residual over the blocks
+    return [residual(pr, p) for pr in blocks]
 
 
 # (name, seed offset, index map, argument map, sign): the block at the
@@ -268,28 +273,35 @@ _PSI_SYMMETRIES = (
 )
 
 
-def _psi_symmetry(index_map, arg_map, sign, pr, p):
-    mapped = PsiParams(pr.M, *index_map(pr.M, pr.j, pr.k), pr.eps,
-                       pr.eps_prime)
-    return (psi_numeric(pr, p.tau, *arg_map(p.z1, p.z2), 0)
-            - sign(pr.eps) * psi_numeric(mapped, p.tau, p.z1, p.z2, 0))
+def _psi_symmetry(index_map, arg_map, sign, blocks, p):
+    # the blocks at the mapped arguments from one pass, the blocks at the
+    # mapped indices from another
+    mapped = [PsiParams(pr.M, *index_map(pr.M, pr.j, pr.k), pr.eps,
+                        pr.eps_prime) for pr in blocks]
+    lhs = psi_values(blocks, p.tau, *arg_map(p.z1, p.z2), 0)
+    rhs = psi_values(mapped, p.tau, p.z1, p.z2, 0)
+    return [a - sign(pr.eps) * b for pr, a, b in zip(blocks, lhs, rhs)]
 
 
-def _diag_residuals(pr, q, pts):
-    # the exact four-theta series of the diagonal block, evaluated,
-    # against the closed form at each point
-    top, bottom = (part.series(q) for part in psi_diag_ratio(pr).parts())
+def _diag_residuals(blocks, q, pts):
+    # the exact four-theta series of each diagonal block, evaluated,
+    # against the closed forms of all of them from one pass per point
+    parts = [[part.series(q) for part in psi_diag_ratio(pr).parts()]
+             for pr in blocks]
     return [eval_numeric(top, p.tau, p.z1) / eval_numeric(bottom, p.tau, p.z1)
-            - psi_numeric(pr, p.tau, p.z1, p.z1, 0) for p in pts]
+            - closed
+            for p in pts
+            for (top, bottom), closed in zip(
+                parts, psi_values(blocks, p.tau, p.z1, p.z1, 0))]
 
 
 def _psi_diag_ratio(M, q):
     # the single-variable theta-quotient form of the diagonal block
     # agrees with the closed form numerically
-    pts = default_points(5, diagonal=True, seed=M + 80)
-    for eps, eps_p in iproduct((Fraction(0), HALF), repeat=2):
-        yield from _diag_residuals(PsiParams(M, eps_p + 1, eps_p + 1, eps,
-                                             eps_p), q, pts)
+    return _diag_residuals(
+        [PsiParams(M, eps_p + 1, eps_p + 1, eps, eps_p)
+         for eps, eps_p in iproduct((Fraction(0), HALF), repeat=2)],
+        q, default_points(5, diagonal=True, seed=M + 80))
 
 
 def _psi_cases():
@@ -302,8 +314,8 @@ def _psi_cases():
         # at M = 1 the (0,0) block -i eta^3 theta_11(2z) / theta_11(z)^2
         # collapses to the exact series -i th00 th01 th10 / th11
         ("m1-collapse", lambda q: _diag_residuals(
-            PsiParams(1, 0, 0, 0, 0), q, default_points(5, diagonal=True,
-                                                        seed=7))),
+            [PsiParams(1, 0, 0, 0, 0)], q, default_points(5, diagonal=True,
+                                                          seed=7))),
         # the t dependence is the exact prefactor e^{-2 pi i m t}
         ("appell-prefactor", lambda q: [
             phi_a11_numeric(m, 1, p.tau, p.z1, p.z2, p.t)
@@ -481,7 +493,8 @@ _EQUIVALENT_HEARTS = {"I": "IV", "III": "II"}
 
 
 def _case_equivalences(M, cfg):
-    scan = {astuple(p): p for p in _reduction_params(M, (1, 2, 3))}
+    scan = {(p.M, p.m, p.m2, p.k1, p.k2, p.heart, p.twisted): p
+            for p in _reduction_params(M, (1, 2, 3))}
     n = 0
     for pa in scan.values():
         other = _EQUIVALENT_HEARTS.get(pa.heart)
@@ -573,7 +586,8 @@ def _modular_cases():
     certs = {}
     # the S and T laws of the characteristic blocks
     cases = [("psi-%s-law/M%d" % (w, M),
-              _residual(partial(_block_residuals, law, offset, M)))
+              _residual(partial(_block_residuals, partial(_each, law),
+                                offset, M)))
              for w, law, offset in (("s", psi_s_residual, 100),
                                     ("t", psi_t_residual, 120))
              for M in (1, 2, 3)]

@@ -43,8 +43,8 @@ evaluates every theta of one sample point this way from the point's
 shared exponentials: e^{+-pi i z}, e^{+-pi i tau/2} and the nome roots,
 multiplied on ints, with the walks' inputs as accurate as if each had
 been rounded once, so both bounds hold for arguments built as products.
-theta_numeric and eta_numeric (the pentagonal series, walked as
-theta_01(3 tau, -tau/2)) are its one-theta case.
+theta_numeric is its one-theta case, and eta(m tau) (the pentagonal
+series) is walked as theta_01(3m tau, -m tau/2) (eta_request).
 """
 
 from __future__ import annotations
@@ -401,16 +401,6 @@ def theta_numeric(label, tau, z, abs_err=None):
     request = (int(label[0]), int(label[1]), 1, (0, 1), 0)
     tp = ThetaPass((mp.mpc(tau), mp.mpc(z)), [request], abs_err)
     return tp.to_mpc(tp.theta(request))
-
-
-def eta_numeric(tau):
-    """Dedekind eta by its pentagonal series
-    q^{1/24} sum_n (-1)^n q^{n(3n-1)/2}, which is
-    e^{pi i tau/12} theta_01(3 tau, -tau/2) and is walked as that
-    lattice sum, with the same tail and rounding bounds."""
-    tp = ThetaPass((mp.mpc(tau),), [eta_request(1, 0)])
-    return tp.to_mpc(tp.mul(tp.power((0, 1, 12), 1),
-                            tp.theta(eta_request(1, 0))))
 
 
 def eta_request(m, zs):

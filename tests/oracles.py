@@ -11,7 +11,14 @@ with no product form, for the same reason.  mpf_stop_step is the stop
 rule that theta's lattice sum ran in mpf arithmetic before it found its
 step count from float logs, kept as the oracle of that count.
 truncate, q_valuation_bound, x_support and character_numeric are views
-that only the tests read.
+that only the tests read, and eta_numeric a one-theta ThetaPass that
+only they call.
+
+appell_terms and eval_numeric_per_term are the mpmath loops that
+mockpsi.phi_a11_numeric and qseries.eval_numeric ran before they took
+their exponentials once per call: two exponentials per Appell term, one
+per series term.  They share no running product with the package, so
+they are the oracles those are checked against.
 """
 
 import math
@@ -20,12 +27,14 @@ from fractions import Fraction
 from mpmath import mp
 
 from thetachar.characters import BLOCK_SIGNS, dd_indices, sign_eps
-from thetachar.mockpsi import HALF
+from thetachar.mockpsi import (HALF, POLE_THRESHOLD, PoleProximityError,
+                               _mpfrac)
 from thetachar.modular import _mpc_any, family_values
 from thetachar.qseries import (ONE, CoefficientRingError,
                                GaussianRational, JacobiSeries,
                                UntrustedOrderError, _lcm, mul,
                                restrict_window)
+from thetachar.theta import ThetaPass, eta_request
 
 
 def truncate(a, q_order):
@@ -65,6 +74,47 @@ def character_numeric(M, k1, k2, heart, sign, twisted, p):
     val, = family_values(M, [(block, (j, k))], _mpc_any(p.tau),
                          _mpc_any(p.z1))
     return BLOCK_SIGNS[(heart, sign, twisted)] * val
+
+
+def eta_numeric(tau):
+    """Dedekind eta by its pentagonal series
+    q^{1/24} sum_n (-1)^n q^{n(3n-1)/2}, which is
+    e^{pi i tau/12} theta_01(3 tau, -tau/2) and is walked as that
+    lattice sum, with theta_numeric's tail and rounding bounds."""
+    tp = ThetaPass((mp.mpc(tau),), [eta_request(1, 0)])
+    return tp.to_mpc(tp.mul(tp.power((0, 1, 12), 1),
+                            tp.theta(eta_request(1, 0))))
+
+
+def appell_terms(m, s, tau, z1, z2, j_cutoff):
+    """The terms j = -j_cutoff .. j_cutoff of the Appell sum Phi1 at
+    t = 0, each e^{2 pi i (m j (z1 + z2) + s z1)} q^{m j^2 + s j}
+    / (1 - x1 q^j)^2 from two exponentials at the working precision.
+    Raises PoleProximityError where
+    |1 - x1 q^j| < POLE_THRESHOLD max(1, |x1 q^j|)."""
+    tau, z1, z2 = (mp.mpc(v) for v in (tau, z1, z2))
+    s = _mpfrac(Fraction(s))
+    out = []
+    for j in range(-j_cutoff, j_cutoff + 1):
+        edge = mp.exp(2j * mp.pi * (z1 + j * tau))
+        den = 1 - edge
+        if abs(den) < POLE_THRESHOLD * max(1, abs(edge)):
+            raise PoleProximityError(
+                "Appell denominator (1 - x1 q^%d) too close to zero" % j)
+        expo = m * j * (z1 + z2) + s * z1 + tau * (m * j * j + s * j)
+        out.append(mp.exp(2j * mp.pi * expo) / den ** 2)
+    return out
+
+
+def eval_numeric_per_term(a, tau, z):
+    """The series summed with one exponential per term."""
+    tau, z = mp.mpc(tau), mp.mpc(z)
+    total = mp.mpc(0)
+    for (qn, xn), v in a.c.items():
+        w = 2j * mp.pi * (tau * qn / a.q_den + z * xn / a.x_den)
+        total += (_mpfrac(Fraction(v.re)) + 1j * _mpfrac(Fraction(v.im))) \
+            * mp.exp(w)
+    return total
 
 
 def subst_scale_tau(a, m):

@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp, mpc
 
 from thetachar.mockpsi import (
@@ -18,6 +19,8 @@ from thetachar.mockpsi import (
 from thetachar.modular import default_points
 from thetachar.qseries import eval_numeric
 from thetachar.theta import TailBoundError
+
+from oracles import appell_terms
 
 mp.dps = 40
 
@@ -156,6 +159,37 @@ class TestAppellSum:
                            - phi_a11_numeric(*args, 0))
                 assert diff <= appell_tail(*args, 1) < 2 * diff
 
+    @settings(max_examples=30, deadline=None)
+    @given(m=st.sampled_from([1, 2]),
+           s=st.sampled_from([F(0), HALF, F(1)]),
+           cutoff=st.integers(1, 40),
+           tau=st.tuples(st.floats(-0.5, 0.5), st.floats(0.4, 1.5)),
+           z1=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.3, 0.3)),
+           z2=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.3, 0.3)),
+           t=st.floats(-0.2, 0.2))
+    def test_within_tail_and_rounding_of_the_mpmath_sum(self, m, s, cutoff,
+                                                        tau, z1, z2, t):
+        # the walk on ints against the two-exponentials-per-term sum to
+        # cutoff 2J at twice the precision: at most the tail majorant
+        # past J plus the stated 2^(2 - prec) |e^{-2 pi i m t}| times
+        # the terms' moduli, plus the oracle's own tail past 2J
+        mp.dps = 40
+        args = (m, s, mpc(*tau), mpc(*z1), mpc(*z2))
+        try:
+            tail = appell_tail(*args, cutoff)
+            far = appell_tail(*args, 2 * cutoff)
+            got = phi_a11_numeric(*args, t, j_cutoff=cutoff, tail_tol=1)
+        except (TailBoundError, PoleProximityError):
+            assume(False)
+        prec = mp.prec
+        with mp.workprec(2 * prec):
+            terms = appell_terms(*args, 2 * cutoff)
+            phase = mp.exp(-2j * mp.pi * m * t)
+            want = phase * mp.fsum(terms)
+            size = mp.fsum(abs(x) for x in terms[cutoff:3 * cutoff + 1])
+        bound = abs(phase) * (tail + far + mp.mpf(2) ** (2 - prec) * size)
+        assert abs(got - want) <= bound
+
     def test_uncertified_tail_raises(self):
         mp.dps = 40
         tau = mpc("0.1", "0.5")
@@ -179,3 +213,20 @@ class TestPoleGuards:
         mp.dps = 40
         with pytest.raises(PoleProximityError):
             phi_a11_numeric(1, 0, mpc(0, 1), 0, mpc("0.2", "0.1"), 0)
+
+    @pytest.mark.parametrize("shift", [0, -1, 2])
+    @pytest.mark.parametrize("offset", ["0", "1.5e-7", "1.7e-7", "1e-6"])
+    def test_appell_pole_check_matches_the_oracle(self, shift, offset):
+        # |1 - x1 q^j| crosses POLE_THRESHOLD at |2 pi offset| = 1e-6,
+        # between the second and third offsets; the walk and the oracle
+        # raise at the same points, on either side of the sum
+        mp.dps = 40
+        tau = mpc("0.1", "0.9")
+        args = (1, HALF, tau, mpc(offset) - shift * tau, mpc("0.2", "0.1"))
+        try:
+            appell_terms(*args, 40)
+        except PoleProximityError:
+            with pytest.raises(PoleProximityError):
+                phi_a11_numeric(*args, 0)
+        else:
+            phi_a11_numeric(*args, 0)

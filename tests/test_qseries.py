@@ -30,9 +30,9 @@ from thetachar.qseries import (
 from thetachar.characters import (SECTORS, SIGNS, CharacterSpec,
                                   character_series, index_set)
 
-from oracles import (as_series, first_difference, gaussian_inverse,
-                     invert_directed, q_valuation_bound, subst_scale_tau,
-                     subst_scale_z, truncate, x_support)
+from oracles import (as_series, eval_numeric_per_term, first_difference,
+                     gaussian_inverse, invert_directed, q_valuation_bound,
+                     subst_scale_tau, subst_scale_z, truncate, x_support)
 
 
 def mono(qe, xe, coeff, order):
@@ -582,6 +582,39 @@ class TestEvalNumeric:
         va, vb = eval_numeric(a, tau, z), eval_numeric(b, tau, z)
         assert abs(eval_numeric(mul(a, b), tau, z) - va * vb) < mp.mpf("1e-28")
         assert abs(eval_numeric(add(a, b), tau, z) - (va + vb)) < mp.mpf("1e-28")
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(q_den=st.sampled_from([1, 2, 8, 24]),
+           x_den=st.sampled_from([1, 2, 6]),
+           terms=st.dictionaries(
+               st.tuples(st.integers(-12, 200), st.integers(-40, 40)),
+               st.tuples(st.fractions(-9, 9, max_denominator=7),
+                         st.integers(-3, 3)),
+               min_size=1, max_size=30),
+           window=st.none() | st.tuples(st.integers(-40, 0),
+                                        st.integers(0, 40)),
+           tau=st.tuples(st.floats(-0.5, 0.5), st.floats(0.3, 1.5)),
+           z=st.tuples(st.floats(-0.5, 0.5), st.floats(-1.5, 1.5)))
+    def test_matches_the_per_term_oracle(self, q_den, x_den, terms, window,
+                                         tau, z):
+        # within the stated 2^(1 - prec) sum |c q^e x^f| of the sum that
+        # takes one exponential per term, run at twice the precision
+        mp.dps = 40
+        s = JacobiSeries(q_den, x_den, 200,
+                         {k: GaussianRational(*v) for k, v in terms.items()},
+                         window)
+        tau, z = mpc(*tau), mpc(*z)
+        got = eval_numeric(s, tau, z)
+        with mp.workprec(2 * mp.prec):
+            want = eval_numeric_per_term(s, tau, z)
+            size = sum(abs(complex(v.re, v.im)) * abs(mp.exp(
+                2j * mp.pi * (tau * qn / q_den + z * xn / x_den)))
+                for (qn, xn), v in s.c.items())
+        assert abs(got - want) <= mp.mpf(2) ** (1 - mp.prec) * size
+
+    def test_empty_series_is_zero(self):
+        assert eval_numeric(JacobiSeries.zero(3), mpc(0, 1), 0) == 0
 
 
 class TestSerialization:

@@ -11,7 +11,7 @@ from thetachar.characters import denominator
 from thetachar.mockpsi import HALF, PsiParams
 from thetachar.modular import family_members, predicted_t_matrix
 from thetachar.suites import SuiteConfig, run_suite, suite_cases
-from thetachar.theta import ThetaQuotient, theta_shifted
+from thetachar.theta import ThetaPass, ThetaQuotient, theta_shifted
 
 MINUS = ThetaQuotient((0, 0, 2))
 
@@ -127,3 +127,42 @@ def test_appell_cutoff_can_fail(monkeypatch):
                         lambda *args, **kw: real(*args, **kw) / 10 ** 6)
     status, detail = _run_rows(monkeypatch, [("damaged", row)])["damaged"]
     assert status == "fail" and detail.startswith("CaseFailure: ")
+
+
+def test_batched_blocks_stay_paired(monkeypatch):
+    # each psi_values call evaluates the four characteristic blocks of a
+    # point; a batch that hands back the eps = 0 and eps = 1/2 blocks
+    # (results 0 and 2) swapped must fail the rows that read it
+    cases = dict(suite_cases("psi"))
+    rows = [(cid, cases[cid])
+            for cid in ("psi/periodicity/M2", "psi/diagonal-ratio/M2")]
+    q = SuiteConfig().q_order
+    assert {st for st, _ in _run_rows(monkeypatch, rows, q).values()} == \
+        {"pass"}
+    real = suites.psi_values
+
+    def swapped(blocks, *args):
+        out = real(blocks, *args)
+        out[0], out[2] = out[2], out[0]
+        return out
+
+    monkeypatch.setattr(suites, "psi_values", swapped)
+    for cid, (status, detail) in _run_rows(monkeypatch, rows, q).items():
+        assert status == "fail" and detail.startswith("CaseFailure: "), cid
+
+
+def test_psi_suite_takes_one_pass_per_point_and_side(monkeypatch):
+    # the symmetry rows take two passes per point, the diagonal rows one
+    # for their closed forms: 16 x 5 x 2 + 4 x 5 + 5, and the Appell
+    # rows none
+    passes = []
+    real = ThetaPass.__init__
+
+    def counting(self, *args, **kw):
+        passes.append(1)
+        real(self, *args, **kw)
+
+    monkeypatch.setattr(ThetaPass, "__init__", counting)
+    report = run_suite("psi")
+    assert report.ok
+    assert len(passes) <= 185

@@ -32,7 +32,6 @@ from thetachar.theta import (
     TailBoundError,
     ThetaPass,
     ThetaQuotient,
-    eta_numeric,
     eta_pow_scaled,
     theta_numeric,
     theta_shifted,
@@ -40,9 +39,9 @@ from thetachar.theta import (
     theta_valuation,
 )
 
-from oracles import (first_difference, mpf_stop_step, q_valuation_bound,
-                     shifted_theta_sum, subst_scale_tau, subst_scale_z,
-                     truncate)
+from oracles import (eta_numeric, first_difference, mpf_stop_step,
+                     q_valuation_bound, shifted_theta_sum, subst_scale_tau,
+                     subst_scale_z, truncate)
 
 LABELS = ("00", "01", "10", "11")
 

@@ -14,6 +14,9 @@ how many pairs the change won (lower is better for all of them; ties
 count for neither side), and a verdict read against the metric's bound
 in BENCHMARK.json:
 
+    improved    the change won at least nine tenths of the pairs, and its
+                median is lower than the parent's by more than the
+                parent's interquartile range;
     held        every change run beats every parent run, or the spread
                 is within the bound and the change's median is no worse
                 than the parent's by more than the bound;
@@ -73,8 +76,13 @@ def load_bounds(checkout):
 
 
 def verdict(entry, bound):
-    """held, unresolved or regressed, for a lower-is-better metric."""
+    """improved, held, unresolved or regressed, for a lower-is-better
+    metric."""
     parent, change = entry["parent"], entry["change"]
+    if (10 * entry["change_wins"] >= 9 * len(parent["runs"])
+            and parent["median"] - change["median"]
+            > parent["q3"] - parent["q1"]):
+        return "improved"
     if max(change["runs"]) < min(parent["runs"]):
         return "held"
     if any((side["q3"] - side["q1"]) > bound * side["median"]
