@@ -26,11 +26,11 @@ form, both as theta.ThetaQuotient.  Their agreement at j = k is a
 nontrivial internal cross-check exercised by the test suite.
 
 psi_values evaluates the closed form of several blocks at one point in
-one theta.ThetaPass (psi_requests, psi_value): their theta_11,
+one theta.ThetaPass (psi_plan, psi_value): their theta_11,
 eta(M tau) and prefactors, products of integer powers of
 e^{pi i tau/(2M)}, e^{pi i z/M} and the nome root e^{pi i M tau/4}, all
-come from the point's shared exponentials.  psi_numeric is its
-one-block case.
+come from the pass's power tables of its shared exponentials.
+psi_numeric is its one-block case.
 
 phi_a11_numeric is the two-variable Appell-type sum
 
@@ -66,8 +66,9 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .theta import (ONE, TailBoundError, ThetaPass, ThetaQuotient, _div,
-                    _fixed, _from_mpc, _mul, eta_request, modulus, theta_key)
+from .theta import (ONE, PassPlan, TailBoundError, ThetaPass, ThetaQuotient,
+                    _div, _fixed, _from_mpc, _mul, eta_request, modulus,
+                    theta_key, to_mpc)
 
 HALF = Fraction(1, 2)
 
@@ -142,36 +143,41 @@ def psi_values(blocks, tau, z1, z2, t):
         coords, zw = (tau, z1), ((1,), (1,))
     else:
         coords, zw = (tau, z1, z2), ((1, 0), (0, 1))
-    tp = ThetaPass(coords, [r for p in blocks for r in psi_requests(p, *zw)])
+    plans = [psi_plan(p, *zw) for p in blocks]
+    tp = ThetaPass(coords, PassPlan(
+        [r for requests, _ in plans for r in requests],
+        [x for _, powers in plans for x in powers]))
     phase = mp.exp(-2j * mp.pi * t / blocks[0].M) if t else 1
-    return [phase * tp.to_mpc(psi_value(tp, p, *zw)) for p in blocks]
+    return [phase * to_mpc(psi_value(tp, *plan)) for plan in plans]
 
 
-def psi_requests(p, zw1, zw2):
-    """The ThetaPass requests of block p: theta_11(M tau, .) at
-    z1 + z2 + (j + k) tau, z1 + j tau + eps and z2 + k tau - eps, and
-    eta(M tau); zw1 and zw2 give z1 and z2 over the pass's z-coordinates."""
+def psi_plan(p, zw1, zw2):
+    """(requests, powers) of block p, found once for every point: its
+    ThetaPass requests, theta_11(M tau, .) at z1 + z2 + (j + k) tau,
+    z1 + j tau + eps and z2 + k tau - eps, and eta(M tau); and the
+    nonzero powers (base, n) whose product is its prefactor
+    e^{2 pi i (tau jk + k z1 + j z2)/M} e^{pi i M tau/4}.  zw1 and zw2
+    give z1 and z2 over the pass's z-coordinates."""
     j2, k2, e2 = int(2 * p.j), int(2 * p.k), int(2 * p.eps)
     both = tuple(a + b for a, b in zip(zw1, zw2))
-    return ((1, 1, p.M, (j2 + k2,) + both, 0),
-            (1, 1, p.M, (j2,) + zw1, e2),
-            (1, 1, p.M, (k2,) + zw2, -e2),
-            eta_request(p.M, len(zw1)))
+    requests = ((1, 1, p.M, (j2 + k2,) + both, 0),
+                (1, 1, p.M, (j2,) + zw1, e2),
+                (1, 1, p.M, (k2,) + zw2, -e2),
+                eta_request(p.M, len(zw1)))
+    powers = [((0, 1, 2 * p.M), j2 * k2), ((0, p.M, 4), 1)]
+    powers += [((i, 1, p.M), k2 * a + j2 * b)
+               for i, (a, b) in enumerate(zip(zw1, zw2), 1)]
+    return requests, tuple((b, n) for b, n in powers if n)
 
 
-def psi_value(tp, p, zw1, zw2):
-    """Block p at t = 0 from a ThetaPass planned with its requests: the
-    prefactor -i e^{2 pi i (tau jk + k z1 + j z2)/M} e^{pi i M tau/4}
-    from integer powers of the pass's bases, times the cube of the eta
+def psi_value(tp, requests, powers):
+    """A block at t = 0 from a ThetaPass planned with its psi_plan: -i
+    times its prefactor powers of the pass's bases, the cube of the eta
     walk and the theta quotient."""
-    num, den1, den2, eta = (tp.theta(r) for r in psi_requests(p, zw1, zw2))
+    num, den1, den2, eta = (tp.theta(r) for r in requests)
     _guard_pole(den1, "theta_11(z1 + j tau + eps)")
     _guard_pole(den2, "theta_11(z2 + k tau - eps)")
-    j2, k2 = int(2 * p.j), int(2 * p.k)
-    ratio = tp.div(tp.mul(tp.power((0, 1, 2 * p.M), j2 * k2),
-                          tp.power((0, p.M, 4), 1),
-                          *(tp.power((i, 1, p.M), k2 * a + j2 * b)
-                            for i, (a, b) in enumerate(zip(zw1, zw2), 1)),
+    ratio = tp.div(tp.mul(*(tp.power(b, n) for b, n in powers),
                           eta, eta, eta, num),
                    tp.mul(den1, den2))
     re, im, e = ratio

@@ -18,9 +18,11 @@ block is symmetric in its indices.  Statement 1 spans the blocks
 sets are closed under the S swap (eps <-> eps') and the T map
 (eps -> eps + eps' mod 1).
 
-Fitting runs over mpmath: the sample matrix is column-scaled, the
-normal equations are diagonalized with a Hermitian eigensolver, and
-small eigenvalues are truncated, giving the minimum-norm least-squares
+Fitting (_lstsq_min_norm) runs on the passes' values: the sample
+matrix is column-scaled and every product of the normal equations is
+an int sum on fixed-point complex ints, with its rounding stated; only
+the small Hermitian eigensolve runs on mpmath (mp.eighe).  Small
+eigenvalues are truncated, giving the minimum-norm least-squares
 solution.  Rank deficiency of a family (exactly degenerate members,
 e.g. every M = 1 character is the constant 1) is therefore handled
 quietly, while a retained-spectrum condition number above
@@ -28,12 +30,15 @@ COND_THRESHOLD raises IllConditionedError: that signals bad point
 selection, not a failed identity.
 
 All evaluations use the ambient mpmath precision; callers scope it
-with mp.workdps.  span_closure evaluates the whole family at each
-sample point and each side of the transform in one theta.ThetaPass
-(family_values): every theta, eta and prefactor of its members comes
-from the point's shared exponentials, each distinct lattice sum is
-walked once, and denominator_numeric and character_member_numeric are
-the one-block case.
+with mp.workdps.  span_closure plans its family once (FamilyPlan: the
+blocks, their requests, distinct lattice sums and prefactor powers) and
+evaluates it at each sample point and each side of the transform in one
+theta.ThetaPass at that side's own coordinates: every theta, eta and
+prefactor of its members comes from the pass's own exponentials, one
+per coordinate, each distinct lattice sum is walked once, and the S
+side divides out its elliptic factor as one pass value.
+family_values, denominator_numeric and character_member_numeric are
+the same evaluation converted to mpmath.
 """
 
 from __future__ import annotations
@@ -46,8 +51,9 @@ from mpmath import mp
 
 from .characters import denominator_label, sector_eps_prime, sign_eps
 from .mockpsi import (HALF, PsiParams, _guard_pole, _mpc_any, _mpfrac,
-                      psi_numeric, psi_requests, psi_value, psi_values)
-from .theta import THETA_LABELS, ThetaPass
+                      psi_plan, psi_value, psi_values)
+from .theta import (ONE, THETA_LABELS, PassPlan, ThetaPass, _fixed,
+                    _from_mpc, modulus, to_mpc)
 
 IM_TAU_FLOOR = 0.3
 COND_THRESHOLD = 1e8
@@ -127,50 +133,51 @@ def default_points(count, diagonal=False, seed=0):
     return pts
 
 
-def psi_s_residual(params, p):
-    """|LHS - RHS| of the S-law for one Psi block at one point: the
-    block at (-1/tau, z1/tau, z2/tau, t) against (tau/M) times the
-    elliptic factor times the M^2-fold phase-weighted sum of swapped
-    blocks at (tau, z1, z2, t), all M^2 of them from one ThetaPass."""
-    pr = params
-    tau = _mpc_any(p.tau)
-    z1 = _mpc_any(p.z1)
-    z2 = _mpc_any(p.z2)
-    t = _mpc_any(p.t)
-    lhs = psi_numeric(pr, -1 / tau, z1 / tau, z2 / tau, t)
-    j = _mpfrac(pr.j)
-    k = _mpfrac(pr.k)
-    blocks = [PsiParams(pr.M, pr.eps + na, pr.eps + nb, pr.eps_prime, pr.eps)
-              for na in range(pr.M) for nb in range(pr.M)]
-    acc = mp.mpc(0)
-    for blk, value in zip(blocks, psi_values(blocks, tau, z1, z2, t)):
-        acc += value * mp.exp(-2j * mp.pi * (_mpfrac(blk.j) * k
-                                             + _mpfrac(blk.k) * j) / pr.M)
-    rhs = (tau / pr.M) * mp.exp(2j * mp.pi * z1 * z2 / (pr.M * tau)) * acc
-    return float(abs(lhs - rhs))
+def psi_s_residual(blocks, p):
+    """|LHS - RHS| of the S-law for each Psi block of one level at one
+    point: the blocks at (-1/tau, z1/tau, z2/tau, t) from one ThetaPass,
+    against (tau/M) times the elliptic factor times the M^2-fold
+    phase-weighted sum of swapped blocks at (tau, z1, z2, t), those of
+    all the blocks from another."""
+    tau, z1, z2, t = (_mpc_any(v) for v in (p.tau, p.z1, p.z2, p.t))
+    M = blocks[0].M
+    lhs = psi_values(blocks, -1 / tau, z1 / tau, z2 / tau, t)
+    swapped = [[PsiParams(M, pr.eps + na, pr.eps + nb, pr.eps_prime, pr.eps)
+                for na in range(M) for nb in range(M)] for pr in blocks]
+    values = iter(psi_values([b for row in swapped for b in row],
+                             tau, z1, z2, t))
+    factor = (tau / M) * mp.exp(2j * mp.pi * z1 * z2 / (M * tau))
+    out = []
+    for pr, row, left in zip(blocks, swapped, lhs):
+        j, k = _mpfrac(pr.j), _mpfrac(pr.k)
+        acc = mp.mpc(0)
+        for blk in row:
+            acc += next(values) * mp.exp(-2j * mp.pi * (_mpfrac(blk.j) * k
+                                                        + _mpfrac(blk.k) * j)
+                                         / M)
+        out.append(float(abs(left - factor * acc)))
+    return out
 
 
-def psi_t_residual(params, p):
-    """|LHS - RHS| of the T-law: the block at (tau + 1, ...) against
-    e^{2 pi i jk/M} times the block with eps -> eps + eps' mod 1."""
-    pr = params
-    tau = _mpc_any(p.tau)
-    z1 = _mpc_any(p.z1)
-    z2 = _mpc_any(p.z2)
-    t = _mpc_any(p.t)
-    lhs = psi_numeric(pr, tau + 1, z1, z2, t)
-    eps_new = (pr.eps + pr.eps_prime) % 1
-    blk = PsiParams(pr.M, pr.j, pr.k, eps_new, pr.eps_prime)
-    phase = mp.exp(2j * mp.pi * _mpfrac(pr.j * pr.k) / pr.M)
-    rhs = phase * psi_numeric(blk, tau, z1, z2, t)
-    return float(abs(lhs - rhs))
+def psi_t_residual(blocks, p):
+    """|LHS - RHS| of the T-law for each Psi block at one point: the
+    blocks at (tau + 1, ...) from one ThetaPass against e^{2 pi i jk/M}
+    times the blocks with eps -> eps + eps' mod 1 from another."""
+    tau, z1, z2, t = (_mpc_any(v) for v in (p.tau, p.z1, p.z2, p.t))
+    lhs = psi_values(blocks, tau + 1, z1, z2, t)
+    rhs = psi_values([PsiParams(pr.M, pr.j, pr.k, (pr.eps + pr.eps_prime) % 1,
+                                pr.eps_prime) for pr in blocks],
+                     tau, z1, z2, t)
+    return [float(abs(a - mp.exp(2j * mp.pi * _mpfrac(pr.j * pr.k) / pr.M)
+                      * b))
+            for pr, a, b in zip(blocks, lhs, rhs)]
 
 
 def denominator_numeric(sign, sector, tau, z):
     """R^{(eps)}_{eps'}(tau, z) as the three-thetas-over-one quotient, the
     one-denominator ThetaPass."""
     tp = ThetaPass((_mpc_any(tau), _mpc_any(z)), _DEN_REQUESTS)
-    return tp.to_mpc(_den_value(tp, sign, sector))
+    return to_mpc(_den_value(tp, sign, sector))
 
 
 # the ThetaPass requests of theta_ab(tau, z) at coordinates (tau, z)
@@ -270,18 +277,35 @@ def character_member_numeric(M, member, tau, z):
 def family_values(M, members, tau, z):
     """The members Psi_{j1,j2}/R at the diagonal point (tau, z), from one
     ThetaPass planned with every theta, eta and denominator they take."""
-    blocks = [(PsiParams(M, j1, j2, *block), _block_sign_sector(block))
-              for block, (j1, j2) in members]
-    requests = [r for p, _ in blocks for r in psi_requests(p, (1,), (1,))]
-    tp = ThetaPass((tau, z), requests + list(_DEN_REQUESTS))
-    dens = {}
-    out = []
-    for p, key in blocks:
-        psi = psi_value(tp, p, (1,), (1,))
-        if key not in dens:
-            dens[key] = _den_value(tp, *key)
-        out.append(tp.to_mpc(tp.div(psi, dens[key])))
-    return out
+    return [to_mpc(v) for v in FamilyPlan(M, members).values(tau, z)]
+
+
+class FamilyPlan:
+    """What the members Psi_{j1,j2}/R take at any point, found once: each
+    member's psi_plan and denominator, and the PassPlan of them all."""
+
+    def __init__(self, M, members):
+        self.blocks = [(psi_plan(PsiParams(M, j1, j2, *block), (1,), (1,)),
+                        _block_sign_sector(block))
+                       for block, (j1, j2) in members]
+        self.plan = PassPlan(
+            [r for (requests, _), _ in self.blocks for r in requests]
+            + list(_DEN_REQUESTS),
+            [x for (_, powers), _ in self.blocks for x in powers])
+
+    def values(self, tau, z, factor=None):
+        """The members at the diagonal point (tau, z), each divided by
+        factor (an mpc, 1 by default), as values of one ThetaPass."""
+        tp = ThetaPass((tau, z), self.plan)
+        f = ONE if factor is None else _from_mpc(factor._mpc_, tp.wp)
+        dens = {}
+        out = []
+        for plan, key in self.blocks:
+            psi = psi_value(tp, *plan)
+            if key not in dens:
+                dens[key] = tp.mul(_den_value(tp, *key), f)
+            out.append(tp.div(psi, dens[key]))
+        return out
 
 
 @dataclass(frozen=True)
@@ -314,26 +338,76 @@ class SpanCertificate:
         }
 
 
-def _lstsq_min_norm(A, B):
-    """Minimum-norm least squares via scaled normal equations.
+def _dot(xs, ys, f):
+    """sum x y over pairs of fixed-point complex ints (re, im) with f
+    fraction bits: one exact int sum, shifted back to f bits once."""
+    re = sum(a * c - b * d for (a, b), (c, d) in zip(xs, ys))
+    im = sum(a * d + b * c for (a, b), (c, d) in zip(xs, ys))
+    return re >> f, im >> f
 
-    Columns of A are scaled to unit max modulus, the Gram matrix is
-    diagonalized (Hermitian), eigenvalues below RANK_CUTOFF^2 relative
-    are dropped, and the retained condition number is checked.
-    Returns (C, max entrywise |A C - B|, retained rank, retained
-    condition number).
+
+def _conj(xs):
+    return [(a, -b) for a, b in xs]
+
+
+def _top(values):
+    """The binary magnitude bitlen + e of the largest of some ThetaPass
+    values, 0 if all are 0."""
+    return max(((abs(re) | abs(im)).bit_length() + e
+                for re, im, e in values if re or im), default=0)
+
+
+def _lstsq_min_norm(A, B):
+    """Minimum-norm least squares A C = B via scaled normal equations,
+    for A and B lists of rows of ThetaPass values (re, im, e).
+
+    Columns of A are scaled to unit max modulus (As), the Gram matrix
+    As^H As is diagonalized (mp.eighe at the working precision prec),
+    eigenvalues below RANK_CUTOFF^2 relative are dropped, and the
+    retained condition number is checked against COND_THRESHOLD;
+    IllConditionedError is raised for a zero matrix, no usable rank or a
+    condition above it.  Returns (C, max entrywise |A C - B|, retained
+    rank, retained condition number), C as rows of values.
+
+    Everything but the eigensolve runs on fixed-point complex ints with
+    F = prec + bitlen(rows + cols) + 10 fraction bits: As, each column of
+    B scaled by a power of two to modulus below 2 (exact), the
+    eigenvectors V, As^H As, As^H B, V^H (As^H B), V (...) / E and the
+    residual As Cs - B.  Every stored entry is within 2^(2 - F) of the
+    value it rounds (its parts are floored, and a column's scale s is
+    found to F + 1 bits), and every product entry is one exact int sum
+    shifted once, so an entry that sums n products of factors of modulus
+    at most X and Y is within 2^(2 - F) (n (X + Y + 1) + 1) of the exact
+    sum over the unrounded factors.  Carried through the solve to first
+    order, with the eigensolver's backward error, these leave A C within
+    2^(8 - prec) rows^2 cols cond^2 max|B| of the exact projection of B
+    onto the retained span, as they leave the same fit run on mpmath
+    matrices.
     """
-    rows, cols = A.rows, A.cols
-    scale = []
+    rows, cols = len(A), len(A[0])
+    f = mp.prec + (rows + cols).bit_length() + 10
+    # each column of A relative to its top bit at f + 2 bits, then over
+    # its largest modulus s = S 2^(top - f - 2)
+    a_cols, scale = [], []
     for c in range(cols):
-        m = max(abs(A[r, c]) for r in range(rows))
-        scale.append(m if m > 0 else mp.mpf(1))
-    As = mp.matrix(rows, cols)
-    for r in range(rows):
-        for c in range(cols):
-            As[r, c] = A[r, c] / scale[c]
-    G = As.H * As
-    Bp = As.H * B
+        col = [row[c] for row in A]
+        top = _top(col)
+        xs = [_fixed((re, im, e - top), f + 2) for re, im, e in col]
+        s = math.isqrt(max(re * re + im * im for re, im in xs))
+        a_cols.append([((re << f) // s, (im << f) // s) if s else (0, 0)
+                       for re, im in xs])
+        scale.append((s, top - f - 2) if s else (1, 0))
+    b_tops = [_top([row[c] for row in B]) for c in range(len(B[0]))]
+    b_cols = [[_fixed((re, im, e - top), f) for re, im, e in
+               (row[c] for row in B)] for c, top in enumerate(b_tops)]
+    ah_cols = [_conj(col) for col in a_cols]
+    G = mp.matrix(cols, cols)
+    for i in range(cols):
+        for j in range(i, cols):
+            re, im = _dot(ah_cols[i], a_cols[j], f)
+            G[i, j] = to_mpc((re, im, -f))
+            G[j, i] = to_mpc((re, -im, -f))
+    bp_cols = [[_dot(ah, col, f) for ah in ah_cols] for col in b_cols]
     E, V = mp.eighe(G)
     emax = max(abs(E[i]) for i in range(cols))
     if emax == 0:
@@ -347,19 +421,34 @@ def _lstsq_min_norm(A, B):
         raise IllConditionedError(
             "retained condition number %.3g above %g: pick other points"
             % (float(cond), COND_THRESHOLD))
-    VH_B = V.H * Bp
-    for i in range(cols):
-        inv = 1 / E[i] if i in kept else mp.mpf(0)
-        for c in range(VH_B.cols):
-            VH_B[i, c] *= inv
-    Cs = V * VH_B
-    R = As * Cs - B
-    resid = max(abs(R[r, c]) for r in range(R.rows) for c in range(R.cols))
-    C = mp.matrix(cols, Cs.cols)
-    for i in range(cols):
-        for c in range(Cs.cols):
-            C[i, c] = Cs[i, c] / scale[i]
+    v_rows = [[_fixed(_from_mpc(mp.mpc(V[k, i])._mpc_, f), f) for i in kept]
+              for k in range(cols)]
+    vh_cols = [_conj(col) for col in zip(*v_rows)]
+    # W = E^-1 V^H B' on the kept eigenvalues, then Cs = V W
+    cs_cols = []
+    for bp in bp_cols:
+        w = [_over(_dot(vh, bp, f), E[i]) for vh, i in zip(vh_cols, kept)]
+        cs_cols.append([_dot(vr, w, f) for vr in v_rows])
+    a_rows = list(zip(*a_cols))
+    resid = 0.0
+    C = [[None] * len(cs_cols) for _ in range(cols)]
+    for c, (cs, bs, top) in enumerate(zip(cs_cols, b_cols, b_tops)):
+        for ar, (br, bi) in zip(a_rows, bs):
+            re, im = _dot(ar, cs, f)
+            resid = max(resid, modulus((re - br, im - bi, top - f)))
+        for k, ((re, im), (s, e)) in enumerate(zip(cs, scale)):
+            t = s.bit_length()
+            C[k][c] = (re << t) // s, (im << t) // s, top - f - t - e
     return C, resid, len(kept), cond
+
+
+def _over(x, v):
+    """A fixed-point complex int over a positive mpf v = man 2^exp, to
+    the same fraction bits, by exact floor division."""
+    _, man, exp, _ = v._mpf_
+    if exp < 0:
+        return (x[0] << -exp) // man, (x[1] << -exp) // man
+    return x[0] // (man << exp), x[1] // (man << exp)
 
 
 def span_closure(M, statement, transform, points):
@@ -378,24 +467,19 @@ def span_closure(M, statement, transform, points):
     for p in pts:
         if not p.is_diagonal:
             raise ValueError("span points must have z1 = z2 and t = 0")
-    A = mp.matrix(len(pts), n)
-    B = mp.matrix(len(pts), n)
-    for r, p in enumerate(pts):
+    family = FamilyPlan(M, members)
+    A, B = [], []
+    for p in pts:
         tau = _mpc_any(p.tau)
         z = _mpc_any(p.z1)
+        A.append(family.values(tau, z))
         if transform == "S":
-            tau2, z2 = -1 / tau, z / tau
-            factor = mp.exp(2j * mp.pi * (mp.mpf(1) / M - 1)
-                            * z * z / tau)
+            B.append(family.values(-1 / tau, z / tau, mp.exp(
+                2j * mp.pi * (mp.mpf(1) / M - 1) * z * z / tau)))
         else:
-            tau2, z2 = tau + 1, z
-            factor = mp.mpc(1)
-        for c, value in enumerate(family_values(M, members, tau, z)):
-            A[r, c] = value
-        for c, value in enumerate(family_values(M, members, tau2, z2)):
-            B[r, c] = value / factor
+            B.append(family.values(tau + 1, z))
     C, resid, rank, cond = _lstsq_min_norm(A, B)
-    coeff_rows = tuple(tuple(complex(C[j, i]) for j in range(n))
+    coeff_rows = tuple(tuple(complex(to_mpc(C[j][i])) for j in range(n))
                        for i in range(n))
     return SpanCertificate(
         transform=transform, M=M, statement=statement,

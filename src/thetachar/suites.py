@@ -248,11 +248,6 @@ def _block_residuals(residuals, offset, M, q):
             for r in residuals(blocks, p)]
 
 
-def _each(residual, blocks, p):
-    # a one-block residual over the blocks
-    return [residual(pr, p) for pr in blocks]
-
-
 # (name, seed offset, index map, argument map, sign): the block at the
 # mapped arguments equals sign(eps) times the block at the mapped
 # indices, at t = 0
@@ -586,8 +581,7 @@ def _modular_cases():
     certs = {}
     # the S and T laws of the characteristic blocks
     cases = [("psi-%s-law/M%d" % (w, M),
-              _residual(partial(_block_residuals, partial(_each, law),
-                                offset, M)))
+              _residual(partial(_block_residuals, law, offset, M)))
              for w, law, offset in (("s", psi_s_residual, 100),
                                     ("t", psi_t_residual, 120))
              for M in (1, 2, 3)]

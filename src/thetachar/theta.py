@@ -40,9 +40,10 @@ anything is summed.  The sum walks outward by recurrence on fixed-point
 ints: each term is the previous one times a running ratio, and each
 ratio gains a factor q = e^{2 pi i tau} per step.  A ThetaPass
 evaluates every theta of one sample point this way from the point's
-shared exponentials: e^{+-pi i z}, e^{+-pi i tau/2} and the nome roots,
-multiplied on ints, with the walks' inputs as accurate as if each had
-been rounded once, so both bounds hold for arguments built as products.
+shared exponentials, one root per coordinate and the table of its
+powers that a PassPlan names once for every point, multiplied on ints,
+with the walks' inputs as accurate as if each had been rounded once, so
+both bounds hold for arguments built as products.
 theta_numeric is its one-theta case, and eta(m tau) (the pentagonal
 series) is walked as theta_01(3m tau, -m tau/2) (eta_request).
 """
@@ -52,7 +53,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from mpmath import mp
 from mpmath.libmp import (from_man_exp, from_rational, mpc_exp, mpf_mul,
@@ -400,7 +401,7 @@ def theta_numeric(label, tau, z, abs_err=None):
     _check_label(label)
     request = (int(label[0]), int(label[1]), 1, (0, 1), 0)
     tp = ThetaPass((mp.mpc(tau), mp.mpc(z)), [request], abs_err)
-    return tp.to_mpc(tp.theta(request))
+    return to_mpc(tp.theta(request))
 
 
 def eta_request(m, zs):
@@ -550,6 +551,106 @@ def _walk(n, t_pos, r_pos, t_neg, r_neg, q2, wp):
     return (ar, ai), (br, bi)
 
 
+class PassPlan:
+    """The point-free half of a ThetaPass, built once for every point of
+    a family: the lattice sums its requests take and the powers it reads,
+    all as powers of one root per coordinate.
+
+    A base (i, p, d) is e^{pi i (p/d) x_i}, and every base it reads is
+    r_i^(p D_i/d) for the root r_i = e^{pi i x_i/D_i}, D_i the lcm of
+    the d of coordinate i's bases: the lattice inputs' e^{pi i tau/2}
+    (0, 1, 2), e^{pi i z_j} (j, 1, 1) and nome roots (0, m, 4), and the
+    caller's powers (base, n), which ThetaPass.power reads.  So each
+    walk input, and each power, is a product of root powers r_i^n,
+    given as the factors (i, n):
+
+    inputs   {(a, m, w): the factors of the walk's four inputs and its
+             q^2, term(h) = N^{h^2} E^{2h} with E = e^{pi i v} and the
+             nome N = e^{pi i m tau} = (0, m, 4)^4};
+    units    {base: (i, p D_i/d)};
+    roots    {i: (D_i, whether a negative power is read, the steps
+             (n, a, b), r^n = r^a r^b in build order, that build every
+             power read from r and 1/r by binary powering)};
+    chain    the largest sum of |n| over the factors of an input or a
+             power: the L of ThetaPass's bound.
+    """
+
+    __slots__ = ("requests", "inputs", "units", "roots", "chain")
+
+    def __init__(self, requests, powers=()):
+        self.requests = tuple(requests)
+        keys = dict.fromkeys((a, m, w) for a, _, m, w, _ in self.requests)
+        powers = [(b, n) for b, n in powers if n]
+        bases = {b for b, _ in powers}
+        for _, m, w in keys:
+            bases.add((0, m, 4))
+            bases.update((i, 1, 2 if i == 0 else 1)
+                         for i, k in enumerate(w) if k)
+        dens = {}
+        for i, _, d in bases:
+            dens[i] = math.lcm(dens.get(i, 1), d)
+        self.units = {b: (b[0], b[1] * dens[b[0]] // b[2]) for b in bases}
+        self.inputs = {key: self._inputs(*key) for key in keys}
+        reads = [f for group in self.inputs.values() for f in group]
+        reads += [((self.units[b][0], n * self.units[b][1]),)
+                  for b, n in powers]
+        needed = {i: set() for i in dens}
+        chain = 0
+        for product in reads:
+            chain = max(chain, sum(abs(n) for _, n in product))
+            for i, n in product:
+                needed[i].add(n)
+        self.roots = {i: (d, min(needed[i], default=0) < 0,
+                          _power_steps(needed[i]))
+                      for i, d in dens.items()}
+        self.chain = chain
+
+    def _inputs(self, a, m, w):
+        """The factors of (t_pos, r_pos, t_neg, r_neg, q2) for _walk:
+        term(h0), term(h0 - 1), their ratios to the next term out, and
+        N^2 = q8^8 for the nome root q8 = (0, m, 4)."""
+        _, q = self.units[0, m, 4]
+        e = {}
+        for i, k in enumerate(w):
+            if k:
+                e[i] = k * self.units[i, 1, 2 if i == 0 else 1][1]
+
+        def product(qn, sign):
+            out = dict((i, sign * n) for i, n in e.items())
+            out[0] = out.get(0, 0) + qn
+            return tuple((i, n) for i, n in sorted(out.items()) if n)
+        if a:
+            return (product(q, 1), product(8 * q, 2), product(q, -1),
+                    product(8 * q, -2), ((0, 8 * q),))
+        return ((), product(4 * q, 2), product(4 * q, -2),
+                product(12 * q, -2), ((0, 8 * q),))
+
+
+def _power_steps(needed):
+    """The steps (n, a, b), x^n = x^a x^b with a and b of n's sign, in
+    build order, that give x^n for every n in needed from x^1 and x^-1:
+    n is the sum of the largest power built and another one where there
+    are such, else it is built by binary powering.  So x^n takes |n|
+    factors x or 1/x whichever way it is built."""
+    steps, built = [], {0, 1, -1}
+
+    def build(n):
+        if n not in built:
+            s = 1 if n > 0 else -1
+            a = next((a for a in sorted(built, key=abs, reverse=True)
+                      if 0 < a * s < n * s and n - a in built), None)
+            if a is None:
+                a = s * (s * n // 2)
+                build(a)
+                build(n - a)
+            steps.append((n, a, n - a))
+            built.add(n)
+
+    for n in sorted(needed, key=abs):
+        build(n)
+    return steps
+
+
 class ThetaPass:
     """The thetas of one sample point, all from its shared exponentials.
 
@@ -560,28 +661,34 @@ class ThetaPass:
     i^(b + e) of its exponential E = e^{pi i (v + (b + e)/2)} turns the
     terms with h - a/2 odd by -1 and all of them by i^a (b + e) times, so
     one walk per (a, m, w) gives every b and e from its even and odd
-    partial sums.
+    partial sums.  plan is a PassPlan, or the list of requests of one.
 
-    All requests are planned first: each walk takes _stop_step's count
-    and _guard_bits' g, and the pass runs at wp = prec + max g + c bits,
-    c = bitlen(32 L) for the largest chain L defined below.  The walk
-    inputs are then products of the bases e^{+-pi i c x} (power): the
-    nome roots e^{pi i m tau/4}, e^{+-pi i tau/2} and e^{+-pi i z_j}.
-    Each base is one exponential, within 2^(2 - wp) relative, or its
-    reciprocal, within 2^(3 - wp), and they are multiplied on ints as
-    complex floating point (ONE, _mul), each product rounding by at most
-    2^(2 - wp) relative.  An input that takes L bases in all
-    (L <= 12 + 2 sum |w|) is so within L 2^(5 - wp) of its value
-    relative, and within 2^(1 - wp) more absolute once it is made fixed
-    point: within 2^(1 - prec - g) max(1, |x|), as accurate as an input
-    rounded once at prec + g bits, which is what g assumes.  No quotient
-    is ever taken in fixed point, where a tiny divisor would lose its
-    digits.  So every theta carries the tail and rounding errors stated
-    in theta_numeric, whatever product built its argument.  Products of
-    the results (mul, div) round by 2^(2 - wp) relative.
+    Each walk takes _stop_step's count and _guard_bits' g, and the pass
+    runs at wp = prec + max g + c bits, c = bitlen(32 L) for the plan's
+    chain L.  Each coordinate x_i has one exponential per pass, its root
+    r_i = e^{pi i x_i/D_i} (within 2^(2 - wp) relative), and, if a
+    negative power is read, one reciprocal 1/r_i (one _div, within
+    2^(3 - wp)).  Its table holds every power r_i^n the plan reads,
+    built by binary powering on ints as complex floating point (ONE,
+    _mul), each product rounding by at most 2^(2 - wp) relative.
+    Relative errors add up through products, so a table entry r_i^n,
+    which takes |n| roots, is within |n| 2^(4 - wp) of its value, and a
+    walk input, a product of table entries that takes L roots in all
+    (L <= the plan's chain), is within L 2^(5 - wp) relative, and within
+    2^(1 - wp) more absolute once it is made fixed point: within
+    2^(1 - prec - g) max(1, |x|), as accurate as an input rounded once
+    at prec + g bits, which is what g assumes.  No quotient is ever
+    taken in fixed point, where a tiny divisor would lose its digits.
+    So every theta carries the tail and rounding errors stated in
+    theta_numeric, whatever product built its argument.  A power
+    (base, n) read by power() takes |n| p D_i/d roots and is within
+    that many times 2^(5 - wp) relative, and products of the results
+    (mul, div) round by 2^(2 - wp) relative.
     """
 
-    def __init__(self, coords, requests, abs_err=None):
+    def __init__(self, coords, plan, abs_err=None):
+        if not isinstance(plan, PassPlan):
+            plan = PassPlan(plan)
         tau = coords[0]
         if tau.imag <= 0:
             raise ValueError("tau must lie in the upper half plane")
@@ -593,41 +700,44 @@ class ThetaPass:
                 raise ValueError("abs_err must be positive")
             log_err = float(mp.log(abs_err))
         self.coords = coords
+        self.plan = plan
         self.prec = mp.prec
         y = to_float(tau._mpc_[1])
         ims = [y / 2] + [to_float(z._mpc_[1]) for z in coords[1:]]
         steps = {}
-        guard = chain = 0
-        for a, _, m, w, _ in requests:
-            if (a, m, w) not in steps:
-                u = math.fsum(k * v for k, v in zip(w, ims))
-                n = steps[a, m, w] = _stop_step(a, m * y, u, log_err)
-                guard = max(guard, _guard_bits(a, m * y, u, n))
-                chain = max(chain, 12 + 2 * sum(map(abs, w)))
-        self.wp = self.prec + guard + (32 * chain).bit_length()
-        self._powers = {}
-        self._sums = {key: self._lattice_sums(key, n)
-                      for key, n in steps.items()}
+        guard = 0
+        for a, m, w in plan.inputs:
+            u = math.fsum(k * v for k, v in zip(w, ims))
+            n = steps[a, m, w] = _stop_step(a, m * y, u, log_err)
+            guard = max(guard, _guard_bits(a, m * y, u, n))
+        self.wp = wp = self.prec + guard + (32 * plan.chain).bit_length()
+        self._tables = {i: self._table(i, *root)
+                        for i, root in plan.roots.items()}
+        self._sums = {
+            key: _walk(n, *(_fixed(self._product(f), wp)
+                            for f in plan.inputs[key]), wp)
+            for key, n in steps.items()}
 
-    def _lattice_sums(self, key, n):
-        a, m, w = key
-        # E = e^{pi i v} from e^{pi i tau/2} and e^{pi i z_j}
-        bases = [((i, 1, 2 if i == 0 else 1), k) for i, k in enumerate(w) if k]
-        e_pos = self.mul(*(self.power(base, k) for base, k in bases))
-        e_neg = self.mul(*(self.power(base, -k) for base, k in bases))
-        # term(h) = N^{h^2} E^{2h} with the nome N = q8^4 of m tau
-        q8 = partial(self.power, (0, m, 4))
-        if a:
-            inputs = (self.mul(q8(1), e_pos),
-                      self.mul(q8(8), e_pos, e_pos),
-                      self.mul(q8(1), e_neg),
-                      self.mul(q8(8), e_neg, e_neg))
-        else:
-            inputs = (ONE, self.mul(q8(4), e_pos, e_pos),
-                      self.mul(q8(4), e_neg, e_neg),
-                      self.mul(q8(12), e_neg, e_neg))
+    def _table(self, i, d, inverse, steps):
+        """{n: r^n} for the root r = e^{pi i x/d} of x = coords[i]: one
+        exponential, rounded to wp bits, 1/r if inverse, and the plan's
+        steps."""
         wp = self.wp
-        return _walk(n, *(_fixed(x, wp) for x in inputs + (q8(8),)), wp)
+        x = self.coords[i]._mpc_
+        wq = wp + 20
+        pc = mpf_mul(mpf_pi(wq), from_rational(1, d, wq), wq)
+        r = _from_mpc(mpc_exp((mpf_neg(mpf_mul(pc, x[1], wq)),
+                               mpf_mul(pc, x[0], wq)), wp), wp)
+        table = {0: ONE, 1: r}
+        if inverse:
+            table[-1] = _div(ONE, r, wp)
+        for n, a, b in steps:
+            table[n] = _mul(table[a], table[b], wp)
+        return table
+
+    def _product(self, factors):
+        """The product of the table entries r_i^n of factors (i, n)."""
+        return self.mul(*(self._tables[i][n] for i, n in factors))
 
     def theta(self, request):
         """theta_ab(m tau, v + e/2) of a planned request (a, b, m, w, e)."""
@@ -642,33 +752,11 @@ class ThetaPass:
             re, im = -im, re
         return re, im, -self.wp
 
-    def power(self, base, n):
-        """e^{pi i n c x} for base = (i, p, d), x = coords[i], c = p/d and
-        an int n: |n| factors of e^{pi i c x} (one exponential) or of its
-        reciprocal, by binary powering; each is kept."""
-        got = self._powers.get((base, n))
-        if got is None:
-            m = abs(n)
-            if n == 1:
-                i, p, d = base
-                x = self.coords[i]._mpc_
-                wq = self.wp + 20
-                pc = mpf_mul(mpf_pi(wq), from_rational(p, d, wq), wq)
-                got = _from_mpc(mpc_exp((mpf_neg(mpf_mul(pc, x[1], wq)),
-                                         mpf_mul(pc, x[0], wq)), self.wp),
-                                self.wp)
-            elif n == -1:
-                got = _div(ONE, self.power(base, 1), self.wp)
-            elif m == 0:
-                got = ONE
-            else:
-                unit = 1 if n > 0 else -1
-                half = self.power(base, unit * (m // 2))
-                got = _mul(half, half, self.wp)
-                if m % 2:
-                    got = _mul(got, self.power(base, unit), self.wp)
-            self._powers[base, n] = got
-        return got
+    def power(self, b, n):
+        """e^{pi i n c x} for a planned power (b, n) of the base
+        b = (i, p, d), x = coords[i] and c = p/d."""
+        i, k = self.plan.units[b]
+        return self._tables[i][n * k]
 
     def mul(self, *factors):
         """The product of values, ONE for none."""
@@ -682,11 +770,12 @@ class ThetaPass:
     def div(self, x, y):
         return _div(x, y, self.wp)
 
-    def to_mpc(self, x):
-        """x as an mpc rounded to the working precision."""
-        re, im, e = x
-        return mp.make_mpc((from_man_exp(re, e, self.prec, round_nearest),
-                            from_man_exp(im, e, self.prec, round_nearest)))
+
+def to_mpc(x):
+    """A ThetaPass value as an mpc rounded to the working precision."""
+    re, im, e = x
+    return mp.make_mpc((from_man_exp(re, e, mp.prec, round_nearest),
+                        from_man_exp(im, e, mp.prec, round_nearest)))
 
 
 def modulus(x):

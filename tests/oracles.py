@@ -19,6 +19,13 @@ mockpsi.phi_a11_numeric and qseries.eval_numeric ran before they took
 their exponentials once per call: two exponentials per Appell term, one
 per series term.  They share no running product with the package, so
 they are the oracles those are checked against.
+
+lstsq_min_norm_mp is the span fit as it ran on mpmath matrices before
+modular._lstsq_min_norm moved its products onto fixed-point ints.
+binary_power raises an mpmath exponential of its own by square and
+multiply, as ThetaPass raised each base per request before it built
+one power table per pass from one root per coordinate.  They are the
+oracles of the int fit and of the table.
 """
 
 import math
@@ -29,12 +36,15 @@ from mpmath import mp
 from thetachar.characters import BLOCK_SIGNS, dd_indices, sign_eps
 from thetachar.mockpsi import (HALF, POLE_THRESHOLD, PoleProximityError,
                                _mpfrac)
-from thetachar.modular import _mpc_any, family_values
+from thetachar.modular import (COND_THRESHOLD, RANK_CUTOFF,
+                               IllConditionedError, _mpc_any, family_values)
 from thetachar.qseries import (ONE, CoefficientRingError,
                                GaussianRational, JacobiSeries,
                                UntrustedOrderError, _lcm, mul,
                                restrict_window)
-from thetachar.theta import ThetaPass, eta_request
+from thetachar.theta import ONE as PASS_ONE
+from thetachar.theta import (PassPlan, ThetaPass, _div, _from_mpc, _mul,
+                             eta_request, to_mpc)
 
 
 def truncate(a, q_order):
@@ -81,9 +91,77 @@ def eta_numeric(tau):
     q^{1/24} sum_n (-1)^n q^{n(3n-1)/2}, which is
     e^{pi i tau/12} theta_01(3 tau, -tau/2) and is walked as that
     lattice sum, with theta_numeric's tail and rounding bounds."""
-    tp = ThetaPass((mp.mpc(tau),), [eta_request(1, 0)])
-    return tp.to_mpc(tp.mul(tp.power((0, 1, 12), 1),
-                            tp.theta(eta_request(1, 0))))
+    tp = ThetaPass((mp.mpc(tau),),
+                   PassPlan([eta_request(1, 0)], [((0, 1, 12), 1)]))
+    return to_mpc(tp.mul(tp.power((0, 1, 12), 1),
+                         tp.theta(eta_request(1, 0))))
+
+
+def binary_power(x, c, n, wp):
+    """e^{pi i n c x} for a Fraction c and an int n: the exponential
+    e^{pi i c x} (mpmath, at wp + 20 bits) rounded to wp bits, or its
+    reciprocal, raised to |n| by binary powering on ThetaPass values."""
+    with mp.workprec(wp + 20):
+        unit = _from_mpc(mp.exp(1j * mp.pi * _mpfrac(Fraction(c))
+                                * mp.mpc(x))._mpc_, wp)
+    if n < 0:
+        unit = _div(PASS_ONE, unit, wp)
+    out, m = PASS_ONE, abs(n)
+    while m:
+        if m & 1:
+            out = _mul(out, unit, wp)
+        unit = _mul(unit, unit, wp)
+        m >>= 1
+    return out
+
+
+def lstsq_min_norm_mp(A, B):
+    """Minimum-norm least squares via scaled normal equations, on
+    mpmath matrices A and B at the working precision.
+
+    Columns of A are scaled to unit max modulus, the Gram matrix is
+    diagonalized (Hermitian), eigenvalues below RANK_CUTOFF^2 relative
+    are dropped, and the retained condition number is checked.
+    Returns (C, max entrywise |A C - B|, retained rank, retained
+    condition number).
+    """
+    rows, cols = A.rows, A.cols
+    scale = []
+    for c in range(cols):
+        m = max(abs(A[r, c]) for r in range(rows))
+        scale.append(m if m > 0 else mp.mpf(1))
+    As = mp.matrix(rows, cols)
+    for r in range(rows):
+        for c in range(cols):
+            As[r, c] = A[r, c] / scale[c]
+    G = As.H * As
+    Bp = As.H * B
+    E, V = mp.eighe(G)
+    emax = max(abs(E[i]) for i in range(cols))
+    if emax == 0:
+        raise IllConditionedError("sample matrix is zero")
+    cut = emax * RANK_CUTOFF ** 2
+    kept = [i for i in range(cols) if E[i] > cut]
+    if not kept:
+        raise IllConditionedError("sample matrix has no usable rank")
+    cond = mp.sqrt(emax / min(E[i] for i in kept))
+    if cond > COND_THRESHOLD:
+        raise IllConditionedError(
+            "retained condition number %.3g above %g: pick other points"
+            % (float(cond), COND_THRESHOLD))
+    VH_B = V.H * Bp
+    for i in range(cols):
+        inv = 1 / E[i] if i in kept else mp.mpf(0)
+        for c in range(VH_B.cols):
+            VH_B[i, c] *= inv
+    Cs = V * VH_B
+    R = As * Cs - B
+    resid = max(abs(R[r, c]) for r in range(R.rows) for c in range(R.cols))
+    C = mp.matrix(cols, Cs.cols)
+    for i in range(cols):
+        for c in range(Cs.cols):
+            C[i, c] = Cs[i, c] / scale[i]
+    return C, resid, len(kept), cond
 
 
 def appell_terms(m, s, tau, z1, z2, j_cutoff):

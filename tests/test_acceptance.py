@@ -203,11 +203,11 @@ def test_acceptance_09_transform_laws():
     mp.dps = DEFAULT_DPS
     worst_psi = 0.0
     for M in (1, 2, 3):
-        for eps, eps_p in iproduct((F(0), HALF), (F(0), HALF)):
-            pr = PsiParams(M, eps_p + 1, eps_p, eps, eps_p)
-            for p in default_points(5, seed=M + 50):
-                worst_psi = max(worst_psi, psi_s_residual(pr, p),
-                                psi_t_residual(pr, p))
+        blocks = [PsiParams(M, eps_p + 1, eps_p, eps, eps_p)
+                  for eps, eps_p in iproduct((F(0), HALF), (F(0), HALF))]
+        for p in default_points(5, seed=M + 50):
+            worst_psi = max(worst_psi, *psi_s_residual(blocks, p),
+                            *psi_t_residual(blocks, p))
     assert worst_psi < 1e-9, "Psi transform residual %.3e" % worst_psi
     worst_den = 0.0
     for sign, sector in iproduct(("+", "-"), ("NS", "R")):

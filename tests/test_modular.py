@@ -1,11 +1,16 @@
 """Unit tests for numeric modular-transformation evidence."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
+from mpmath.libmp import mpc_mul
 
 import thetachar.mockpsi as mockpsi
+import thetachar.modular as modular
+import thetachar.theta as theta_module
 from thetachar.characters import CharacterSpec, character_ratio
 from thetachar.mockpsi import HALF, PoleProximityError, PsiParams
 from thetachar.modular import (
@@ -24,8 +29,9 @@ from thetachar.modular import (
     span_closure,
 )
 from thetachar.qseries import dumps_canonical, eval_numeric
+from thetachar.theta import _from_mpc, to_mpc
 
-from oracles import character_numeric
+from oracles import character_numeric, lstsq_min_norm_mp
 
 
 class TestNumericPoint:
@@ -75,7 +81,7 @@ class TestPsiTransformLaws:
         for M, eps, eps_p in [(1, F(0), F(0)), (2, HALF, HALF)]:
             pr = PsiParams(M, eps_p + 1, eps_p, eps, eps_p)
             for p in default_points(2, seed=M):
-                assert psi_s_residual(pr, p) < 1e-9
+                assert psi_s_residual([pr], p)[0] < 1e-9
 
     def test_s_law_takes_one_pass_per_side(self, monkeypatch):
         # the M^2 blocks of the right-hand side share one ThetaPass at
@@ -84,20 +90,44 @@ class TestPsiTransformLaws:
         passes = []
 
         class Counting(mockpsi.ThetaPass):
-            def __init__(self, coords, requests, abs_err=None):
-                passes.append(len(requests))
-                super().__init__(coords, requests, abs_err)
+            def __init__(self, coords, plan, abs_err=None):
+                passes.append(len(plan.requests))
+                super().__init__(coords, plan, abs_err)
 
         monkeypatch.setattr(mockpsi, "ThetaPass", Counting)
         pr = PsiParams(3, HALF + 1, HALF, F(0), HALF)
-        assert psi_s_residual(pr, default_points(1, seed=53)[0]) < 1e-9
+        assert psi_s_residual([pr], default_points(1, seed=53)[0])[0] < 1e-9
         assert passes == [4, 4 * 9]
+
+    def test_block_lists_take_one_pass_per_side(self, monkeypatch):
+        # four blocks of one level at one point: two passes for each law,
+        # with every block's residual the one it has alone
+        mp.dps = 40
+        blocks = [PsiParams(2, eps_p + 1, eps_p, eps, eps_p)
+                  for eps in (F(0), HALF) for eps_p in (F(0), HALF)]
+        p = default_points(1, seed=31)[0]
+        alone = [(psi_s_residual([pr], p)[0], psi_t_residual([pr], p)[0])
+                 for pr in blocks]
+        passes = []
+
+        class Counting(mockpsi.ThetaPass):
+            def __init__(self, coords, plan, abs_err=None):
+                passes.append(coords)
+                super().__init__(coords, plan, abs_err)
+
+        monkeypatch.setattr(mockpsi, "ThetaPass", Counting)
+        together = list(zip(psi_s_residual(blocks, p),
+                            psi_t_residual(blocks, p)))
+        assert len(passes) == 4
+        for (s1, t1), (s4, t4) in zip(alone, together):
+            assert s4 < 1e-9 and t4 < 1e-9
+            assert abs(s1 - s4) < 1e-30 and abs(t1 - t4) < 1e-30
 
     def test_t_law_residuals(self):
         mp.dps = 40
         pr = PsiParams(3, HALF, F(3, 2), F(0), HALF)
         for p in default_points(2, seed=17):
-            assert psi_t_residual(pr, p) < 1e-9
+            assert psi_t_residual([pr], p)[0] < 1e-9
 
 
 class TestDenominatorTransforms:
@@ -190,12 +220,174 @@ class TestSpanClosure:
         assert '"points":' in blob
 
 
+def values(matrix):
+    """An mpmath matrix as rows of ThetaPass values, exactly."""
+    return [[_from_mpc(mp.mpc(matrix[r, c])._mpc_, 4 * mp.prec)
+             for c in range(matrix.cols)] for r in range(matrix.rows)]
+
+
+def fit(A, B):
+    """_lstsq_min_norm on mpmath matrices: A and B go in as ThetaPass
+    values, C comes back as an mpmath matrix."""
+    C, resid, rank, cond = _lstsq_min_norm(values(A), values(B))
+    return mp.matrix([[to_mpc(x) for x in row] for row in C]), resid, \
+        rank, cond
+
+
+def fit_bound(A, B, cond):
+    """The docstring's bound on A C, 2^(8 - prec) rows^2 cols cond^2
+    max|B|, twice over: once for each of two fits."""
+    big = max(abs(B[r, c]) for r in range(B.rows) for c in range(B.cols))
+    return 2 * mp.ldexp(A.rows ** 2 * A.cols * cond ** 2 * big, 8 - mp.prec)
+
+
+def check_fit(A, B):
+    """The int fit against the mpmath one: the same rank, or the same
+    IllConditionedError; the condition number to 1e-20 relative; A C
+    and the residual within twice the stated bound."""
+    try:
+        want = lstsq_min_norm_mp(A, B)
+    except IllConditionedError:
+        with pytest.raises(IllConditionedError):
+            fit(A, B)
+        return None
+    C, resid, rank, cond = fit(A, B)
+    assert rank == want[2]
+    assert abs(cond - want[3]) < 1e-20 * want[3]
+    bound = fit_bound(A, B, want[3])
+    with mp.workprec(2 * mp.prec):
+        gap = mp.mnorm(A * C - A * want[0], 1)
+    assert gap < bound
+    # the residual comes back as a float
+    assert abs(resid - want[1]) < bound + want[1] * 2 ** -52
+    return rank
+
+
+def random_system(seed, rows, cols, dependent, rhs):
+    """A random complex A with columns scaled by 2^-20 .. 2^20, its last
+    dependent columns small int combinations of the others (exact at the
+    working precision), and a random B, its columns scaled likewise."""
+    rng = random.Random(seed)
+
+    def entry():
+        return mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+    A = mp.matrix(rows, cols)
+    free = cols - dependent
+    for c in range(cols):
+        if c < free:
+            size = mp.ldexp(1, rng.randint(-20, 20))
+            for r in range(rows):
+                A[r, c] = entry() * size
+        else:
+            ks = [rng.randint(-3, 3) for _ in range(free)]
+            for r in range(rows):
+                A[r, c] = sum(k * A[r, i] for i, k in enumerate(ks))
+    B = mp.matrix(rows, rhs)
+    for c in range(rhs):
+        size = mp.ldexp(1, rng.randint(-20, 20))
+        for r in range(rows):
+            B[r, c] = entry() * size
+    return A, B
+
+
+def side_passes(monkeypatch, transform, damage=None):
+    """Run span_closure(1, 1, transform) at six points, recording each
+    ThetaPass's coordinates and the arguments of its exponentials, and
+    check that each point takes exactly two passes, at (tau, z) and at
+    its own transformed coordinates, and that every exponential of a
+    pass is e^{pi i x/d} for one of that pass's coordinates x.  damage,
+    given the recorded exponential and the passes, returns a stand-in
+    for it."""
+    passes = []
+    init = theta_module.ThetaPass.__init__
+
+    def recorded_init(self, coords, plan, abs_err=None):
+        passes.append((coords, []))
+        init(self, coords, plan, abs_err)
+
+    exp = theta_module.mpc_exp
+
+    def recorded_exp(z, prec):
+        passes[-1][1].append(z)
+        return exp(z, prec)
+
+    monkeypatch.setattr(theta_module.ThetaPass, "__init__", recorded_init)
+    monkeypatch.setattr(theta_module, "mpc_exp",
+                        damage(recorded_exp, passes) if damage
+                        else recorded_exp)
+    mp.dps = 40
+    pts = default_points(6, diagonal=True, seed=3)
+    cert = span_closure(1, 1, transform, pts)
+    assert cert.residual < 1e-30
+    assert len(passes) == 2 * len(pts)
+    for r, p in enumerate(pts):
+        tau, z = mp.mpc(p.tau), mp.mpc(p.z1)
+        image = (-1 / tau, z / tau) if transform == "S" else (tau + 1, z)
+        for (coords, args), want in zip(passes[2 * r:2 * r + 2],
+                                        [(tau, z), image]):
+            assert coords == want
+            assert len(args) == len(coords)
+            for arg in args:
+                w = mp.make_mpc(arg) / (1j * mp.pi)
+                assert any(abs(w * d - x) < 1e-30 * abs(x)
+                           for x in coords for d in range(1, 49))
+
+
+def phases_from_the_a_side(recorded, passes):
+    """A T side whose tau roots are the A side's times e^{pi i/d}: the
+    same values, up to rounding, from the A side's exponentials."""
+    def damaged(z, prec):
+        if len(passes) % 2 == 0:
+            tau_a, tau_b = passes[-2][0][0], passes[-1][0][0]
+            with mp.workprec(prec + 20):
+                w = mp.make_mpc(z) / (1j * mp.pi)
+                d = int(mp.nint(abs(tau_b / w)))
+                if tau_b == tau_a + 1 and abs(w * d - tau_b) < 1e-30:
+                    r = recorded((mp.make_mpc(z) - 1j * mp.pi / d)._mpc_,
+                                 prec)
+                    return mpc_mul(r, mp.exp(1j * mp.pi / d)._mpc_, prec)
+        return recorded(z, prec)
+    return damaged
+
+
+class TestSidePasses:
+    @pytest.mark.parametrize("transform", ["S", "T"])
+    def test_two_passes_per_point_at_their_own_coordinates(self,
+                                                           monkeypatch,
+                                                           transform):
+        side_passes(monkeypatch, transform)
+
+    def test_b_side_from_a_side_exponentials_fails(self, monkeypatch):
+        # the T fit still closes, which is why the check must look at
+        # where each exponential was taken
+        with pytest.raises(AssertionError):
+            side_passes(monkeypatch, "T", phases_from_the_a_side)
+
+    def test_b_side_at_a_side_coordinates_fails(self, monkeypatch):
+        # every second call of a point is its B side: give it the A
+        # side's coordinates
+        real = modular.FamilyPlan.values
+        a_side = []
+
+        def at_a_side(self, tau, z, factor=None):
+            if a_side:
+                tau, z = a_side.pop()
+            else:
+                a_side.append((tau, z))
+            return real(self, tau, z, factor)
+
+        monkeypatch.setattr(modular.FamilyPlan, "values", at_a_side)
+        with pytest.raises(AssertionError):
+            side_passes(monkeypatch, "T")
+
+
 class TestLeastSquares:
     def test_recovers_exact_solution(self):
         mp.dps = 40
         A = mp.matrix([[1, 2], [3, 5], [7, 11], [13, 17]])
         C0 = mp.matrix([[2], [-3]])
-        C, resid, rank, _ = _lstsq_min_norm(A, A * C0)
+        C, resid, rank, _ = fit(A, A * C0)
         assert resid < mp.mpf("1e-30") and rank == 2
         assert abs(C[0, 0] - 2) < mp.mpf("1e-30")
         assert abs(C[1, 0] + 3) < mp.mpf("1e-30")
@@ -203,21 +395,47 @@ class TestLeastSquares:
     def test_zero_matrix_rejected(self):
         A = mp.matrix(3, 2)
         with pytest.raises(IllConditionedError):
-            _lstsq_min_norm(A, mp.matrix(3, 1))
+            fit(A, mp.matrix(3, 1))
 
     def test_retained_near_degeneracy_rejected(self):
         mp.dps = 40
         eps = mp.mpf("1e-9")
         A = mp.matrix([[1, 1], [1, 1], [1, 1], [1, 1 + eps]])
         with pytest.raises(IllConditionedError):
-            _lstsq_min_norm(A, mp.matrix(4, 1))
+            fit(A, mp.matrix(4, 1))
 
     def test_exact_rank_deficiency_is_dropped_not_fatal(self):
         mp.dps = 40
         A = mp.matrix([[1, 1], [2, 2], [3, 3], [4, 4]])
         B = mp.matrix([[1], [2], [3], [4]])
-        C, resid, rank, _ = _lstsq_min_norm(A, B)
+        C, resid, rank, _ = fit(A, B)
         assert resid < mp.mpf("1e-30") and rank == 1
+
+
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 10 ** 6), cols=st.integers(2, 10),
+           extra=st.integers(0, 10), dependent=st.integers(0, 3),
+           rhs=st.integers(1, 3))
+    def test_int_fit_matches_the_mpmath_fit(self, seed, cols, extra,
+                                            dependent, rhs):
+        # full-rank and exactly rank-deficient systems, 4 x 2 .. 30 x 10
+        mp.dps = 40
+        rows = min(30, max(4, 2 * cols) + extra)
+        dependent = min(dependent, cols - 1)
+        A, B = random_system(seed, rows, cols, dependent, rhs)
+        rank = check_fit(A, B)
+        assert rank in (None, cols - dependent)
+
+    def test_dropped_shift_bit_fails(self, monkeypatch):
+        # products shifted back by f - 1 bits, twice their value
+        mp.dps = 40
+        A, B = random_system(5, 12, 4, 1, 2)
+        assert check_fit(A, B) == 3
+        dot = modular._dot
+        monkeypatch.setattr(modular, "_dot",
+                            lambda xs, ys, f: dot(xs, ys, f - 1))
+        with pytest.raises(AssertionError):
+            check_fit(A, B)
 
 
 class TestCharacterNumeric:

@@ -166,3 +166,22 @@ def test_psi_suite_takes_one_pass_per_point_and_side(monkeypatch):
     report = run_suite("psi")
     assert report.ok
     assert len(passes) <= 185
+
+
+def test_psi_law_rows_take_one_pass_per_point_and_side(monkeypatch):
+    # each of the six psi-s-law and psi-t-law rows evaluates its four
+    # blocks at five points with two passes a point: 60 in all
+    passes = []
+    real = ThetaPass.__init__
+
+    def counting(self, *args, **kw):
+        passes.append(1)
+        real(self, *args, **kw)
+
+    rows = [(cid, case) for cid, case in suite_cases("modular")
+            if cid.startswith(("modular/psi-s-law/", "modular/psi-t-law/"))]
+    assert len(rows) == 6
+    monkeypatch.setattr(ThetaPass, "__init__", counting)
+    statuses = _run_rows(monkeypatch, rows)
+    assert {st for st, _ in statuses.values()} == {"pass"}
+    assert len(passes) == 60

@@ -23,12 +23,14 @@ from thetachar.qseries import (
     product,
     scale_monomial,
 )
-from thetachar.mockpsi import HALF, PsiParams, psi_numeric, psi_requests
-from thetachar.modular import (default_points, denominator_numeric,
-                               family_members, family_values)
+from thetachar.mockpsi import HALF, PsiParams, psi_numeric, psi_plan
+from thetachar.modular import (FamilyPlan, default_points,
+                               denominator_numeric, family_members,
+                               family_values)
 from thetachar.suites import _m2_closed_ratio
 from thetachar.theta import (
     DEFAULT_DPS,
+    PassPlan,
     TailBoundError,
     ThetaPass,
     ThetaQuotient,
@@ -37,11 +39,12 @@ from thetachar.theta import (
     theta_shifted,
     theta_sum,
     theta_valuation,
+    to_mpc,
 )
 
-from oracles import (eta_numeric, first_difference, mpf_stop_step,
-                     q_valuation_bound, shifted_theta_sum, subst_scale_tau,
-                     subst_scale_z, truncate)
+from oracles import (binary_power, eta_numeric, first_difference,
+                     mpf_stop_step, q_valuation_bound, shifted_theta_sum,
+                     subst_scale_tau, subst_scale_z, truncate)
 
 LABELS = ("00", "01", "10", "11")
 
@@ -443,7 +446,7 @@ def pass_excess(tp, request, prec):
     m tau and the argument to prec bits, as theta_numeric does, moves
     the value."""
     a, b, m, w, e = request
-    got = tp.to_mpc(tp.theta(request))
+    got = to_mpc(tp.theta(request))
     with mp.workprec(2 * prec):
         tau = tp.coords[0]
         v = (w[0] * tau / 2 + sum(k * z for k, z in zip(w[1:], tp.coords[1:]))
@@ -481,8 +484,8 @@ class TestThetaPass:
                   "T": (tau + 1, z)}[image]
         requests = [r for (eps, eps_p), (j1, j2)
                     in family_members(M, statement)
-                    for r in psi_requests(PsiParams(M, j1, j2, eps, eps_p),
-                                          (1,), (1,))]
+                    for r in psi_plan(PsiParams(M, j1, j2, eps, eps_p),
+                                      (1,), (1,))[0]]
         requests += [(int(lab[0]), int(lab[1]), 1, (0, 1), 0)
                      for lab in LABELS]
         check_pass(ThetaPass((tau, z), requests), requests)
@@ -496,7 +499,7 @@ class TestThetaPass:
         mp.dps = DEFAULT_DPS
         p = default_points(1, seed=seed)[0]
         params = PsiParams(M, eps_p + j, eps_p + k, eps, eps_p)
-        requests = psi_requests(params, (1, 0), (0, 1))
+        requests = psi_plan(params, (1, 0), (0, 1))[0]
         coords = (mpc(p.tau), mpc(p.z1), mpc(p.z2))
         check_pass(ThetaPass(coords, requests), requests)
         # the block itself, t included, against the closed form on
@@ -575,6 +578,54 @@ class TestThetaPass:
         walked.clear()
         psi_numeric(PsiParams(2, 1, 1, 0, 0), tau, z, z, 0)
         assert len(walked) == 3
+
+    @settings(deadline=None, max_examples=60)
+    @given(M=st.integers(1, 4), statement=st.sampled_from([1, 2]),
+           seed=st.integers(0, 200), n=st.integers(-64, 64),
+           kind=st.sampled_from(["nome", "tau", "z"]), m=st.integers(1, 12))
+    def test_power_table_matches_binary_powering(self, M, statement, seed,
+                                                 n, kind, m):
+        # a power read from the shared root's table against binary
+        # powering of its own mpmath exponential: both are within
+        # L 2^(4 - wp) of e^{pi i n c x} for the L = |n| p D/d roots the
+        # entry takes, so within L 2^(5 - wp) of each other
+        assume(n)
+        mp.dps = DEFAULT_DPS
+        p = default_points(1, diagonal=True, seed=seed)[0]
+        coords = (mpc(p.tau), mpc(p.z1))
+        b = {"nome": (0, m, 4), "tau": (0, 1, 2 * M),
+             "z": (1, 1, M)}[kind]
+        family = FamilyPlan(M, family_members(M, statement))
+        plan = PassPlan(family.plan.requests,
+                        [x for (_, powers), _ in family.blocks
+                         for x in powers] + [(b, n)])
+        tp = ThetaPass(coords, plan)
+        roots = abs(n) * plan.units[b][1]
+        got = tp.power(b, n)
+        want = binary_power(coords[b[0]], F(b[1], b[2]), n, tp.wp)
+        with mp.workprec(2 * tp.wp):
+            rel = abs(to_mpc(got) - to_mpc(want)) / abs(to_mpc(want))
+            assert rel < roots * mp.ldexp(1, 5 - tp.wp)
+            # and the table's entry is e^{pi i n c x} itself
+            exact = mp.exp(1j * mp.pi * n * b[1] * coords[b[0]] / b[2])
+            assert abs(to_mpc(got) / exact - 1) < \
+                roots * mp.ldexp(1, 4 - tp.wp)
+
+    def test_one_exponential_per_coordinate(self, monkeypatch):
+        # a family pass takes one exponential for tau and one for z,
+        # whatever bases its thetas and prefactors name
+        exp = theta_module.mpc_exp
+        taken = []
+
+        def counted(*args):
+            taken.append(args)
+            return exp(*args)
+
+        monkeypatch.setattr(theta_module, "mpc_exp", counted)
+        mp.dps = DEFAULT_DPS
+        family_values(4, family_members(4, 2), mpc("0.1", "1.1"),
+                      mpc("0.13", "0.01"))
+        assert len(taken) == 2
 
 
 # ---------------------------------------------------------------------
