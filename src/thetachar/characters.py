@@ -20,15 +20,16 @@ The quadruple product turns that into the equivalent three-thetas-over-
 one form, denominator_theta_form(); the characters suite checks the two
 forms against each other.
 
-The reduction bookkeeping (hearts I-IV, levels (k1, k2), weights m,
-m2) carries the conformal weight and spin tables, the equivalences
-between hearts, the vanishing predicate, and the translation from nice
-parameters (2k1 + k2 = M - 1) to the character label j.  The numerator
-builders return the signed Psi blocks whose quotients by R reproduce
-the characters; that consistency is enforced by the test suite through
-cross-multiplied identities.  Every builder here returns a
-ThetaQuotient and takes no order: the orders are computed when the
-quotient is compared or expanded.
+The reduction bookkeeping (hearts I-IV, levels (k1, k2) in the range
+HEART_RANGES gives each heart, weights m, m2) carries the conformal
+weight and spin tables, the equivalences between hearts, the vanishing
+predicate, and the translation from nice parameters (2k1 + k2 = M - 1)
+to the character label j.  The numerator builders return the signed
+Psi blocks whose quotients by R reproduce the characters; that
+consistency is enforced by the test suite through cross-multiplied
+identities.  Every builder here returns a ThetaQuotient and takes no
+order: the orders are computed when the quotient is compared or
+expanded.
 """
 
 from __future__ import annotations
@@ -43,7 +44,12 @@ from .theta import THETA_LABELS, ThetaQuotient, theta_key
 
 SECTORS = ("NS", "R")
 SIGNS = ("+", "-")
-HEARTS = ("I", "II", "III", "IV")
+# heart -> (smallest k1, smallest k2, d): the levels (k1, k2) of a reduced
+# module at level M are those at or above both smallest values with
+# 2k1 + k2 <= M + d (ReductionParams checks it, suites scans it)
+HEART_RANGES = {"I": (0, 0, -1), "II": (1, 1, 0), "III": (0, 1, -1),
+                "IV": (1, 0, 0)}
+HEARTS = tuple(HEART_RANGES)
 
 
 def _check_sector(sector):
@@ -227,14 +233,8 @@ class ReductionParams:
         if self.heart not in HEARTS:
             raise ValueError("heart must be one of %s" % (HEARTS,))
         k1, k2, M = self.k1, self.k2, self.M
-        tot = 2 * k1 + k2
-        ok = {
-            "I": k1 >= 0 and k2 >= 0 and tot <= M - 1,
-            "II": k1 >= 1 and k2 >= 1 and tot <= M,
-            "III": k1 >= 0 and k2 >= 1 and tot <= M - 1,
-            "IV": k1 >= 1 and k2 >= 0 and tot <= M,
-        }[self.heart]
-        if not ok:
+        k1_min, k2_min, d = HEART_RANGES[self.heart]
+        if k1 < k1_min or k2 < k2_min or 2 * k1 + k2 > M + d:
             raise ValueError("(k1, k2) = (%d, %d) out of range for heart %s "
                              "at M = %d" % (k1, k2, self.heart, M))
 

@@ -45,12 +45,12 @@ truncated at |j| <= J.  Its value carries two errors:
     rounding   at most 2^(2 - prec) |e^{-2 pi i m t}| sum_{|j| <= J}
                |term_j|.
 
-It walks the sum on theta's int complex floating point (ONE, _mul,
-_div), where every product and quotient rounds by at most 2^(2 - wp)
-relative and each of its eight bases is one exponential, as accurate.
-A numerator of |j| <= J carries at most (J + 1)^2 such roundings and
-an edge x1 q^j at most 2J + 1.  The pole check keeps
-|1 - x1 q^j| >= POLE_THRESHOLD |x1 q^j|, so the cancellation in
+It walks the sum on the int complex floating point of qseries (ONE,
+_mul, _div) that ThetaPass uses, where every product and quotient
+rounds by at most 2^(2 - wp) relative and each of its eight bases is
+one exponential, as accurate.  A numerator of |j| <= J carries at most
+(J + 1)^2 such roundings and an edge x1 q^j at most 2J + 1.  The pole
+check keeps |1 - x1 q^j| >= POLE_THRESHOLD |x1 q^j|, so the cancellation in
 1 - x1 q^j magnifies the edge's error by at most
 1/POLE_THRESHOLD < 2^20, and each term is within
 K = (J + 1)^2 + (4J + 3) 2^20 roundings, a count that also covers the
@@ -66,9 +66,9 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .theta import (ONE, PassPlan, TailBoundError, ThetaPass, ThetaQuotient,
-                    _div, _fixed, _from_mpc, _mul, eta_request, modulus,
-                    theta_key, to_mpc)
+from .qseries import ONE, _div, _from_mpc, _mul, to_mpc
+from .theta import (PassPlan, TailBoundError, ThetaPass, ThetaQuotient,
+                    _fixed, eta_request, modulus, theta_key)
 
 HALF = Fraction(1, 2)
 
@@ -212,7 +212,7 @@ def psi_pair_ratio(params):
 
 def phi_a11_numeric(m, s, tau, z1, z2, t, j_cutoff=40, tail_tol=1e-12):
     """Appell-type sum Phi1 with level m and rational shift s, truncated
-    at |j| <= J = j_cutoff, on theta's int complex floating point.
+    at |j| <= J = j_cutoff, on qseries' int complex floating point.
 
     Each side of the sum is walked outward, from j = 0 and from j = -1,
     by running products: the numerator e^{2 pi i (m j (z1 + z2) + s z1)}

@@ -52,8 +52,8 @@ from mpmath import mp
 from .characters import denominator_label, sector_eps_prime, sign_eps
 from .mockpsi import (HALF, PsiParams, _guard_pole, _mpc_any, _mpfrac,
                       psi_plan, psi_value, psi_values)
-from .theta import (ONE, THETA_LABELS, PassPlan, ThetaPass, _fixed,
-                    _from_mpc, modulus, to_mpc)
+from .qseries import ONE, _from_mpc, to_mpc
+from .theta import THETA_LABELS, PassPlan, ThetaPass, _fixed, modulus
 
 IM_TAU_FLOOR = 0.3
 COND_THRESHOLD = 1e8

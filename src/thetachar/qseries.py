@@ -37,6 +37,11 @@ factors are divided in the direction of descending x-powers (expand),
 which computes only the terms that can reach the window, and then
 follow the usual interval arithmetic: products shift the window,
 sums intersect, and comparisons are restricted to the window overlap.
+
+Numeric evaluation (eval_numeric) runs on complex floating point on
+ints, values (re, im, e) kept to a working precision by _mul and _div,
+with one exponential per variable; theta's ThetaPass computes on the
+same values, which it imports from here.
 """
 
 from __future__ import annotations
@@ -47,6 +52,9 @@ import math
 from fractions import Fraction
 from math import gcd
 from types import MappingProxyType
+
+from mpmath import mp
+from mpmath.libmp import from_man_exp, round_nearest
 
 
 class CoefficientRingError(ArithmeticError):
@@ -152,7 +160,6 @@ class GaussianRational:
 
 
 I_UNIT = GaussianRational(0, 1)
-ONE = GaussianRational(1, 0)
 
 
 class JacobiSeries:
@@ -210,7 +217,8 @@ class JacobiSeries:
     def one(q_order, q_den=1, x_den=1):
         q_order = Fraction(q_order)
         q_den = _lcm(q_den, q_order.denominator)
-        return JacobiSeries(q_den, x_den, q_order * q_den, {(0, 0): ONE})
+        return JacobiSeries(q_den, x_den, q_order * q_den,
+                            {(0, 0): GaussianRational(1)})
 
     # -- views --------------------------------------------------------
 
@@ -466,7 +474,7 @@ def expand(monomials, factors, q_order, x_window=None):
     # in lattice units from here on; the passes run relative to the lead
     lead_q = sum(p * int(e * q_den) for e, _, _, p in lead)
     lead_x = sum(p * int(k * x_den) for _, k, _, p in lead)
-    lead_c = ONE
+    lead_c = GaussianRational(1)
     for _, _, c, p in lead:
         lead_c = lead_c * (c if p > 0 else _unit_inverse(c))
     order_n = int(q_order * q_den)
@@ -611,52 +619,138 @@ def equal_to_order(a, b, q_order):
 # numerics and serialization
 # ---------------------------------------------------------------------
 
+# A value (re, im, e) stands for (re + i im) 2^e with int re, im: complex
+# floating point on ints, kept to wp bits by _mul, so every product and
+# quotient costs a relative rounding of at most 2^(2 - wp).  eval_numeric
+# and theta's ThetaPass both compute on it.
+ONE = (1, 0, 0)
+
+
+def _mul(x, y, wp):
+    a, b, e = x
+    c, d, f = y
+    re, im = a * c - b * d, a * d + b * c
+    k = (abs(re) | abs(im)).bit_length() - wp
+    if k > 0:
+        return re >> k, im >> k, e + f + k
+    return re, im, e + f
+
+
+def _div(x, y, wp):
+    a, b, e = x
+    c, d, f = y
+    den = c * c + d * d
+    re, im = a * c + b * d, b * c - a * d
+    k = max(0, wp + den.bit_length() - (abs(re) | abs(im)).bit_length())
+    return (re << k) // den, (im << k) // den, e - f - k
+
+
+def _from_mpc(c, wp):
+    (sr, mr, er, _), (si, mi, ei, _) = c
+    e = min(er if mr else ei, ei if mi else er)
+    re = (-mr if sr else mr) << (er - e) if mr else 0
+    im = (-mi if si else mi) << (ei - e) if mi else 0
+    return _mul((re, im, e), ONE, wp)
+
+
+def to_mpc(x):
+    """A value as an mpc rounded to the working precision."""
+    re, im, e = x
+    return mp.make_mpc((from_man_exp(re, e, mp.prec, round_nearest),
+                        from_man_exp(im, e, mp.prec, round_nearest)))
+
+
+def _sum(values, wp):
+    """The sum of values, each floored to a multiple of 2^s first, for
+    s = top - wp - bitlen(n), n values and top the largest
+    bitlen(max(|re|, |im|)) + e among them: n floors lose less than
+    2^(top - wp) per part, so the sum is within 2^(2 - wp) times the
+    largest modulus, which is at least 2^(top - 1)."""
+    top = max(((abs(re) | abs(im)).bit_length() + e
+               for re, im, e in values if re or im), default=None)
+    if top is None:
+        return 0, 0, 0
+    s = top - wp - len(values).bit_length()
+    out_re = out_im = 0
+    for re, im, e in values:
+        if e >= s:
+            out_re, out_im = out_re + (re << (e - s)), out_im + (im << (e - s))
+        else:
+            out_re, out_im = out_re + (re >> (s - e)), out_im + (im >> (s - e))
+    return out_re, out_im, s
+
+
 def eval_numeric(a, tau, z):
     """The stored terms summed at numeric (tau, z), an mpmath complex at
     the ambient precision prec; the discarded tail is
     O(|exp(2 pi i tau)|^q_order).
 
-    It takes two exponentials, Q = e^{2 pi i tau/q_den} and
-    X = e^{2 pi i z/x_den}, each within 2 roundings of 2^(1 - wp)
-    relative, and builds the powers of each that the terms use by
-    repeated squaring (_power_table), so Q^k and X^k are within 4 |k|
-    roundings.  With N terms and B the largest |exponent| on the
-    lattice, a term's coefficient, its products and the sums row by row
-    of q add N + 3 more, and at wp = prec + bitlen(16 B + 2 N + 6) + 1
-    the returned value is within 2^(1 - prec) sum |c q^e x^f| of the sum
-    of the stored terms.
+    The sum runs on values (ONE, _mul, _div), each product and quotient
+    rounding by at most rho = 2^(2 - wp) relative.
+    Q = e^{2 pi i tau/q_den} and X = e^{2 pi i z/x_den} take one
+    exponential each, rounded to wp bits (within rho), and 1/Q and 1/X
+    one _div each (within 2 rho), so the powers that _power_table builds
+    by repeated squaring, Q^k and X^k, are within (3 |k| - 1) rho, and
+    exact at k = 0.  A coefficient c is exact when its parts are ints
+    and within rho otherwise (one floor division per part), so each
+    c X^f is within (3 |f| + 1) rho.  Each q-row sums its c X^f (_sum,
+    within rho times the largest) and is multiplied by its Q^e, and the
+    rows are summed the same way.  With B the largest |exponent| on the
+    lattice and S = sum |c q^e x^f|, the total is then within
+    (6 B + 3) rho S of the sum of the stored terms, to first order.  At
+    wp = prec + bitlen(6 B + 3) + 3 that is below 2^(-1 - prec) S,
+    which leaves room for the second-order terms, and the one rounding
+    to mpc at prec bits adds at most 2^-prec S: the returned value is
+    within 2^(1 - prec) S of the sum of the stored terms.
     """
-    from mpmath import mp
     rows, xs = {}, set()
     for (qn, xn), v in a.c.items():
         rows.setdefault(qn, []).append((xn, v))
         xs.add(xn)
     span = max(map(abs, [*rows, *xs]), default=0)
-    with mp.workprec(mp.prec + (16 * span + 2 * len(a.c) + 6).bit_length()
-                     + 1):
-        q_pow = _power_table(mp.expjpi(2 * mp.mpc(tau) / a.q_den), rows)
-        x_pow = _power_table(mp.expjpi(2 * mp.mpc(z) / a.x_den), xs)
-        total = mp.mpc(0)
-        for qn, row in rows.items():
-            total += q_pow[qn] * sum(
-                mp.mpc(mp.mpf(v.re.numerator) / v.re.denominator,
-                       mp.mpf(v.im.numerator) / v.im.denominator) * x_pow[xn]
-                for xn, v in row)
-    return +total
+    wp = mp.prec + (6 * span + 3).bit_length() + 3
+    q_pow = _power_table(_root(tau, a.q_den, wp), rows, wp)
+    x_pow = _power_table(_root(z, a.x_den, wp), xs, wp)
+    return to_mpc(_sum([
+        _mul(q_pow[qn], _sum([_mul(_gaussian(v, wp), x_pow[xn], wp)
+                              for xn, v in row], wp), wp)
+        for qn, row in rows.items()], wp))
 
 
-def _power_table(w, ks):
+def _root(x, den, wp):
+    """e^{2 pi i x/den} as a value within 2^(2 - wp) relative: one
+    exponential at wp + 20 bits, rounded to wp."""
+    with mp.workprec(wp + 20):
+        w = mp.expjpi(2 * mp.mpc(x) / den)
+    return _from_mpc(w._mpc_, wp)
+
+
+def _gaussian(v, wp):
+    """A Gaussian rational as a value: exact when its parts are ints,
+    else (A + i B)/d for their common denominator d, one floor division
+    per part (_div), within 2^(2 - wp) relative."""
+    d = math.lcm(v.re.denominator, v.im.denominator)
+    x = ((v.re * d).numerator, (v.im * d).numerator, 0)
+    return x if d == 1 else _div(x, (d, 0, 0), wp)
+
+
+def _power_table(w, ks, wp):
     """{k: w^k} for the ints ks, and the halves that repeated squaring
-    needs on the way: w^k for k < 0 is a power of 1/w.  Each squaring
-    doubles the relative error of its half and adds one rounding, so
-    with w and 1/w within e roundings, w^k is within (e + 1) |k| - 1."""
-    table = {0: 1, 1: w, -1: 1 / w}
+    needs on the way, on values: w^k for k < 0 is a power of 1/w.  Each
+    squaring doubles the relative error of its half and adds one
+    rounding, so with w and 1/w within 2 roundings, w^k is within
+    3 |k| - 1."""
+    table = {0: ONE, 1: w}
+    if min(ks, default=0) < 0:
+        table[-1] = _div(ONE, w, wp)
 
     def power(k):
         if k not in table:
             unit = 1 if k > 0 else -1
             half = power(unit * (abs(k) // 2))
-            table[k] = half * half * table[unit] if k % 2 else half * half
+            table[k] = _mul(half, half, wp)
+            if k % 2:
+                table[k] = _mul(table[k], table[unit], wp)
         return table[k]
 
     for k in ks:

@@ -7,15 +7,18 @@ rows hand a function to one of three runners, with q = cfg.q_order:
 
     _exact     it yields, given q, (lhs, rhs) series equal below q;
     _quotient  it yields (a, b) theta.ThetaQuotient pairs, equal below q
-               cross-multiplied (ThetaQuotient.equals);
+               cross-multiplied with their shared factors cancelled
+               (ThetaQuotient.equals);
     _residual  it yields, given q, numeric differences under cfg.tol.
 
 The checks that are one of a kind (M = 2 leading rows, nice
 specialization, equivalence pairs, the vanishing scan, index sets, span
 closure and T phases) are case functions of their own.
 
-Quotient rows build their series at orders computed from q and the
-exact valuations, and all rows share the lru-cached builders in theta.
+Quotient rows build the series of the factors their two sides do not
+share, at orders computed from q and the exact valuations, and all rows
+share the lru-cached builders in theta.  The reduction rows scan only
+the in-range levels that characters.HEART_RANGES admits.
 The span and t-phases rows of the modular suite share certificates
 through one dict that each suite_cases("modular") call makes, keyed by
 (M, statement, transform, mp.prec); it lives as long as that tuple of
@@ -37,12 +40,12 @@ from .theta import (DEFAULT_DPS, THETA_LABELS, ThetaQuotient, eta_pow_scaled,
                     theta_shifted, theta_sum)
 from .mockpsi import (HALF, PsiParams, appell_tail, phi_a11_numeric,
                       psi_diag_ratio, psi_values)
-from .characters import (HEARTS, SECTORS, SIGNS, CharacterSpec,
-                         ReductionParams, central_charge, character_ratio,
-                         character_series, dd_numerator, denominator,
-                         denominator_theta_form, h_s_values, index_set,
-                         nice_k1_values, nice_numerator, nice_param_to_j,
-                         reduction_hs, vanishes)
+from .characters import (HEART_RANGES, HEARTS, SECTORS, SIGNS,
+                         CharacterSpec, ReductionParams, central_charge,
+                         character_ratio, character_series, dd_numerator,
+                         denominator, denominator_theta_form, h_s_values,
+                         index_set, nice_k1_values, nice_numerator,
+                         nice_param_to_j, reduction_hs, vanishes)
 from .modular import (default_points,
                       denominator_transform_residual, family_members,
                       predicted_t_matrix, psi_s_residual, psi_t_residual,
@@ -469,17 +472,17 @@ def _case_nice_specialization(M, cfg):
 
 
 def _reduction_params(M, ms):
-    """Every in-range ReductionParams at level M with m in ms and
-    0 <= k1, k2 <= M + 1."""
+    """Every ReductionParams at level M with m in ms, ordered by m, m2,
+    twisted, heart, k1 and k2: for each heart the levels that
+    HEART_RANGES admits, k1 and k2 each from its smallest value up to
+    2k1 + k2 = M + d, so every tuple built is in range."""
     for m in ms:
-        for m2, twisted, heart, k1, k2 in iproduct(
-                range(m + 1), (False, True), HEARTS, range(M + 2),
-                range(M + 2)):
-            try:
-                params = ReductionParams(M, m, m2, k1, k2, heart, twisted)
-            except ValueError:
-                continue
-            yield params
+        for m2, twisted, heart in iproduct(range(m + 1), (False, True),
+                                           HEARTS):
+            k1_min, k2_min, d = HEART_RANGES[heart]
+            for k1 in range(k1_min, (M + d - k2_min) // 2 + 1):
+                for k2 in range(k2_min, M + d - 2 * k1 + 1):
+                    yield ReductionParams(M, m, m2, k1, k2, heart, twisted)
 
 
 # hearts I and IV (k1 shifted by one) describe the same module, as do

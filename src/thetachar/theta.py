@@ -24,7 +24,9 @@ identity, is a ThetaQuotient: a monomial times a quotient of shifted
 thetas and eta powers.  Its expand is the one qseries.expand of its
 prefactors and two-term factors; each theta series (theta_shifted) and
 eta power (eta_pow_scaled) is the cached expand of a one-factor
-quotient.  Identities are compared cross-multiplied (equals), each side
+quotient.  Identities are compared cross-multiplied (equals), with the
+factors both sides share cancelled and the rest compared below q minus
+the shared factors' exact valuation, an equivalent check; each side is
 a product of cached factors built at orders computed from their exact
 valuations.  The lattice sums are kept as an independent cross-check
 (theta_sum).
@@ -41,8 +43,9 @@ ints: each term is the previous one times a running ratio, and each
 ratio gains a factor q = e^{2 pi i tau} per step.  A ThetaPass
 evaluates every theta of one sample point this way from the point's
 shared exponentials, one root per coordinate and the table of its
-powers that a PassPlan names once for every point, multiplied on ints,
-with the walks' inputs as accurate as if each had been rounded once, so
+powers that a PassPlan names once for every point, multiplied on ints
+as the complex floating point of qseries (ONE, _mul, _div), with the
+walks' inputs as accurate as if each had been rounded once, so
 both bounds hold for arguments built as products.
 theta_numeric is its one-theta case, and eta(m tau) (the pentagonal
 series) is walked as theta_01(3m tau, -m tau/2) (eta_request).
@@ -56,11 +59,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import mp
-from mpmath.libmp import (from_man_exp, from_rational, mpc_exp, mpf_mul,
-                          mpf_neg, mpf_pi, round_nearest, to_float)
+from mpmath.libmp import (from_rational, mpc_exp, mpf_mul, mpf_neg, mpf_pi,
+                          to_float)
 
-from .qseries import (CoefficientRingError, GaussianRational, JacobiSeries,
-                      equal_to_order, expand, product, scale_monomial)
+from .qseries import (ONE, CoefficientRingError, GaussianRational,
+                      JacobiSeries, _div, _from_mpc, _mul, equal_to_order,
+                      expand, product, scale_monomial, to_mpc)
 
 THETA_LABELS = ("00", "01", "10", "11")
 
@@ -248,8 +252,9 @@ class ThetaQuotient:
     num and den are Counters of the power of each factor key, built from
     a mapping of keys to powers or from a list of keys: a shifted theta
     (theta_key) or ("eta", m) for eta(m tau).  A product adds the powers
-    within num and within den and never cancels, so a comparison
-    multiplies the series its two sides name.  Every valuation is exact
+    within num and within den and never cancels; a comparison (equals)
+    cancels the factors its two cross-multiplied sides share and
+    multiplies the series of the rest.  Every valuation is exact
     (theta_valuation; m/24 for eta(m tau)), so the order each factor is
     built at is computed before anything is built, and nothing retries.
     """
@@ -310,17 +315,16 @@ class ThetaQuotient:
         top = max(q_order - self.lead[0], deficit) - deficit
         return {key: top + dip for key, dip in dips.items()}
 
-    def series(self, q_order, orders=None):
+    def series(self, q_order):
         """The quotient, which must have no denominator, as a series
         trusted below q_order: the cached factors, each built once below
-        its order (_orders; equals passes the larger orders of its two
-        sides), multiplied.  Its trust and its lowest exponent
-        (valuation()) are checked."""
+        its order (_orders), multiplied.  Its trust and its lowest
+        exponent (valuation()) are checked."""
         if self.den:
             raise ValueError("series() needs a quotient with no "
                              "denominator: compare with equals()")
         q_order = Fraction(q_order)
-        orders = orders or self._orders(q_order)
+        orders = self._orders(q_order)
         factors = []
         for key, n in self.num.items():
             if key[0] == "eta":
@@ -328,7 +332,7 @@ class ThetaQuotient:
             else:
                 factors += [theta_shifted(key[0], orders[key], *key[1:])] * n
         a, b, k = self.lead
-        out = product(factors) if factors else JacobiSeries.one(q_order)
+        out = product(factors) if factors else JacobiSeries.one(q_order - a)
         out = scale_monomial(out, a, b, GaussianRational(1).times_i_power(k))
         v = self.valuation()
         low = Fraction(min(out.c)[0], out.q_den) if out.c else None
@@ -339,17 +343,27 @@ class ThetaQuotient:
         return out
 
     def equals(self, other, q_order):
-        """self == other below q_order, cross-multiplied:
-        lead num other.den against other.lead other.num den.  A factor
-        on both sides is built once, below the larger of its orders."""
+        """self == other below q_order, cross-multiplied with the factors
+        both sides share cancelled.
+
+        Cross-multiplied, the two sides are A X and B X, where X holds
+        the factors that lead num other.den and other.lead other.num den
+        have in common (their Counters' intersection) and A and B what is
+        left.  Series in q^{1/N} over Z[i][x, 1/x] form an integral
+        domain, and the lowest term of (A - B) X is the product of the
+        lowest terms of A - B and of X, so v((A - B) X) = v(A - B) + v(X)
+        for X's exact valuation v(X) (theta_valuation; m/24 for
+        eta(m tau)).  So A X = B X below q_order exactly when A = B below
+        q_order - v(X), which is what is compared: an equivalent check,
+        not a weaker one.  No factor is left on both sides, so each is
+        built once, below the order its own side computes (_orders)."""
         q_order = Fraction(q_order)
-        lhs = ThetaQuotient(self.lead, self.num + other.den)
-        rhs = ThetaQuotient(other.lead, other.num + self.den)
-        orders = lhs._orders(q_order)
-        for key, o in rhs._orders(q_order).items():
-            orders[key] = max(o, orders.get(key, o))
-        return equal_to_order(lhs.series(q_order, orders),
-                              rhs.series(q_order, orders), q_order)
+        lhs, rhs = self.num + other.den, other.num + self.den
+        shared = lhs & rhs
+        q = q_order - ThetaQuotient(num=shared).valuation()
+        return equal_to_order(
+            ThetaQuotient(self.lead, lhs - shared).series(q),
+            ThetaQuotient(other.lead, rhs - shared).series(q), q)
 
     def expand(self, q_order, x_window=None):
         """The quotient as one qseries.expand, trusted below q_order: the
@@ -478,39 +492,6 @@ def _guard_bits(a, y, u, n):
                 -math.pi * y * (h0 - 1) ** 2 - 2 * math.pi * u * (h0 - 1))
     spread = math.pi * u * u / y - first
     return int(spread / math.log(2)) + 3 * (n + 2).bit_length() + 8
-
-
-# A value (re, im, e) stands for (re + i im) 2^e with int re, im: complex
-# floating point on ints, kept to wp bits by _mul, so every product and
-# quotient costs a relative rounding of at most 2^(2 - wp).
-ONE = (1, 0, 0)
-
-
-def _mul(x, y, wp):
-    a, b, e = x
-    c, d, f = y
-    re, im = a * c - b * d, a * d + b * c
-    k = (abs(re) | abs(im)).bit_length() - wp
-    if k > 0:
-        return re >> k, im >> k, e + f + k
-    return re, im, e + f
-
-
-def _div(x, y, wp):
-    a, b, e = x
-    c, d, f = y
-    den = c * c + d * d
-    re, im = a * c + b * d, b * c - a * d
-    k = max(0, wp + den.bit_length() - (abs(re) | abs(im)).bit_length())
-    return (re << k) // den, (im << k) // den, e - f - k
-
-
-def _from_mpc(c, wp):
-    (sr, mr, er, _), (si, mi, ei, _) = c
-    e = min(er if mr else ei, ei if mi else er)
-    re = (-mr if sr else mr) << (er - e) if mr else 0
-    im = (-mi if si else mi) << (ei - e) if mi else 0
-    return _mul((re, im, e), ONE, wp)
 
 
 def _fixed(x, wp):
@@ -769,13 +750,6 @@ class ThetaPass:
 
     def div(self, x, y):
         return _div(x, y, self.wp)
-
-
-def to_mpc(x):
-    """A ThetaPass value as an mpc rounded to the working precision."""
-    re, im, e = x
-    return mp.make_mpc((from_man_exp(re, e, mp.prec, round_nearest),
-                        from_man_exp(im, e, mp.prec, round_nearest)))
 
 
 def modulus(x):

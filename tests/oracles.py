@@ -20,6 +20,13 @@ their exponentials once per call: two exponentials per Appell term, one
 per series term.  They share no running product with the package, so
 they are the oracles those are checked against.
 
+cross_multiplied_equals is ThetaQuotient.equals as it ran before it
+cancelled the factors both sides share: each side the product of all
+the series it names.  reduction_params_scan is the reduction suite's
+scan as it ran before it read the heart ranges: every level tuple up to
+M + 1, kept where ReductionParams does not raise.  They are the oracles
+of the cancelling comparison and of the in-range scan.
+
 lstsq_min_norm_mp is the span fit as it ran on mpmath matrices before
 modular._lstsq_min_norm moved its products onto fixed-point ints.
 binary_power raises an mpmath exponential of its own by square and
@@ -30,21 +37,22 @@ oracles of the int fit and of the table.
 
 import math
 from fractions import Fraction
+from itertools import product as iproduct
 
 from mpmath import mp
 
-from thetachar.characters import BLOCK_SIGNS, dd_indices, sign_eps
+from thetachar.characters import (BLOCK_SIGNS, HEARTS, ReductionParams,
+                                  dd_indices, sign_eps)
 from thetachar.mockpsi import (HALF, POLE_THRESHOLD, PoleProximityError,
                                _mpfrac)
 from thetachar.modular import (COND_THRESHOLD, RANK_CUTOFF,
                                IllConditionedError, _mpc_any, family_values)
 from thetachar.qseries import (ONE, CoefficientRingError,
                                GaussianRational, JacobiSeries,
-                               UntrustedOrderError, _lcm, mul,
-                               restrict_window)
-from thetachar.theta import ONE as PASS_ONE
-from thetachar.theta import (PassPlan, ThetaPass, _div, _from_mpc, _mul,
-                             eta_request, to_mpc)
+                               UntrustedOrderError, _div, _from_mpc, _lcm,
+                               _mul, equal_to_order, mul, restrict_window,
+                               to_mpc)
+from thetachar.theta import PassPlan, ThetaPass, ThetaQuotient, eta_request
 
 
 def truncate(a, q_order):
@@ -105,8 +113,8 @@ def binary_power(x, c, n, wp):
         unit = _from_mpc(mp.exp(1j * mp.pi * _mpfrac(Fraction(c))
                                 * mp.mpc(x))._mpc_, wp)
     if n < 0:
-        unit = _div(PASS_ONE, unit, wp)
-    out, m = PASS_ONE, abs(n)
+        unit = _div(ONE, unit, wp)
+    out, m = ONE, abs(n)
     while m:
         if m & 1:
             out = _mul(out, unit, wp)
@@ -162,6 +170,29 @@ def lstsq_min_norm_mp(A, B):
         for c in range(Cs.cols):
             C[i, c] = Cs[i, c] / scale[i]
     return C, resid, len(kept), cond
+
+
+def cross_multiplied_equals(a, b, q_order):
+    """a == b below q_order for ThetaQuotients: a.lead a.num b.den
+    against b.lead b.num a.den, each the product of all its factors."""
+    q_order = Fraction(q_order)
+    lhs = ThetaQuotient(a.lead, a.num + b.den)
+    rhs = ThetaQuotient(b.lead, b.num + a.den)
+    return equal_to_order(lhs.series(q_order), rhs.series(q_order), q_order)
+
+
+def reduction_params_scan(M, ms):
+    """Every in-range ReductionParams at level M with m in ms and
+    0 <= k1, k2 <= M + 1, tried one by one."""
+    for m in ms:
+        for m2, twisted, heart, k1, k2 in iproduct(
+                range(m + 1), (False, True), HEARTS, range(M + 2),
+                range(M + 2)):
+            try:
+                params = ReductionParams(M, m, m2, k1, k2, heart, twisted)
+            except ValueError:
+                continue
+            yield params
 
 
 def appell_terms(m, s, tau, z1, z2, j_cutoff):
@@ -384,7 +415,7 @@ def invert_directed(a, x_window):
     c0inv = gaussian_inverse(c0)
     u = {x - e0: v * c0inv for x, v in a0.items() if x != e0}
     t0 = {-e0: c0inv}
-    powk = {0: ONE}
+    powk = {0: GaussianRational(1)}
     while True:
         powk = pmul(powk, {x: -v for x, v in u.items()}, t0_lo + e0)
         if not powk:

@@ -19,6 +19,7 @@ from thetachar.characters import (
     denominator_theta_form,
     h_s_values,
     index_set,
+    nice_k1_values,
     nice_numerator,
     nice_param_to_j,
     reduction_hs,
@@ -181,8 +182,10 @@ class TestSeriesControls:
         assert n == 120 and (info.hits, info.misses) == (0, 0)
 
     def test_cached_thetas_are_left_unchanged(self, monkeypatch):
-        # comparing character quotients reads the shared theta_shifted
-        # series and must not write to them
+        # comparing each character quotient with its Psi-block form (the
+        # two-index numerator over the denominator), which has other
+        # thetas, reads the shared theta_shifted series and must not
+        # write to them
         seen = []
         real = theta.theta_shifted
 
@@ -194,11 +197,16 @@ class TestSeriesControls:
         monkeypatch.setattr(theta, "theta_shifted", recording)
         unit = ThetaQuotient((0, 0, 1))
         for M in (1, 2, 4):
-            for sector in SECTORS:
-                for j in index_set(M, sector):
+            for twisted, heart in [(tw, h) for tw in (False, True)
+                                   for h in ("I", "III")]:
+                sector = "R" if twisted else "NS"
+                for k1 in nice_k1_values(M, heart):
+                    j = nice_param_to_j(M, k1, heart, twisted)
                     ratio = character_ratio(CharacterSpec(M, j, sector, "+"))
-                    assert (unit * ratio).equals(ratio * unit, 4)
-                    assert not ratio.equals(ratio * unit * unit, 4)
+                    other = (dd_numerator(M, k1, M - 1 - 2 * k1, heart, "+",
+                                          twisted) / denominator("+", sector))
+                    assert (unit * ratio).equals(other * unit, 4)
+                    assert not ratio.equals(other * unit * unit, 4)
         assert len(seen) > 8 * 14
         for ser, c, order_n, window_n in seen:
             assert (ser.c, ser.order_n, ser.window_n) == (c, order_n,
@@ -275,6 +283,25 @@ class TestReduction:
             ReductionParams(2, 1, 0, 1, 1, "I", False)   # 2k1+k2 > M-1
         with pytest.raises(ValueError):
             ReductionParams(2, 1, 0, 0, 1, "V", False)
+
+    @pytest.mark.parametrize("M", range(1, 9))
+    def test_heart_ranges(self, M):
+        # the levels (k1, k2) each heart admits at level M
+        want = {
+            "I": lambda k1, k2: k1 >= 0 and k2 >= 0 and 2 * k1 + k2 <= M - 1,
+            "II": lambda k1, k2: k1 >= 1 and k2 >= 1 and 2 * k1 + k2 <= M,
+            "III": lambda k1, k2: k1 >= 0 and k2 >= 1 and 2 * k1 + k2 <= M - 1,
+            "IV": lambda k1, k2: k1 >= 1 and k2 >= 0 and 2 * k1 + k2 <= M,
+        }
+        for heart, in_range in want.items():
+            for k1 in range(-1, M + 3):
+                for k2 in range(-1, M + 3):
+                    try:
+                        ReductionParams(M, 1, 0, k1, k2, heart, False)
+                        got = True
+                    except ValueError:
+                        got = False
+                    assert got == in_range(k1, k2), (heart, k1, k2)
 
     def test_h_s_pinned_untwisted(self):
         got = reduction_hs(ReductionParams(3, 1, 0, 0, 2, "I", False))

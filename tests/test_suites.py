@@ -13,6 +13,8 @@ from thetachar.modular import family_members, predicted_t_matrix
 from thetachar.suites import SuiteConfig, run_suite, suite_cases
 from thetachar.theta import ThetaPass, ThetaQuotient, theta_shifted
 
+from oracles import reduction_params_scan
+
 MINUS = ThetaQuotient((0, 0, 2))
 
 # count and sha256 of the newline-joined case ids of each suite; the ids
@@ -185,3 +187,12 @@ def test_psi_law_rows_take_one_pass_per_point_and_side(monkeypatch):
     statuses = _run_rows(monkeypatch, rows)
     assert {st for st, _ in statuses.values()} == {"pass"}
     assert len(passes) == 60
+
+
+def test_reduction_scan_matches_trying_every_tuple():
+    # the scan builds only in-range tuples, and the same ones in the
+    # same order as trying every level up to M + 1
+    for M in range(1, 9):
+        for m in (1, 2, 3):
+            assert (list(suites._reduction_params(M, (m,)))
+                    == list(reduction_params_scan(M, (m,))))

@@ -42,9 +42,10 @@ from thetachar.theta import (
     to_mpc,
 )
 
-from oracles import (binary_power, eta_numeric, first_difference,
-                     mpf_stop_step, q_valuation_bound, shifted_theta_sum,
-                     subst_scale_tau, subst_scale_z, truncate)
+from oracles import (binary_power, cross_multiplied_equals, eta_numeric,
+                     first_difference, mpf_stop_step, q_valuation_bound,
+                     shifted_theta_sum, subst_scale_tau, subst_scale_z,
+                     truncate)
 
 LABELS = ("00", "01", "10", "11")
 
@@ -157,6 +158,61 @@ def _reference(quotient, order):
                           GaussianRational(1).times_i_power(k))
 
 
+# (lhs, rhs) identities whose sides share no factor: the quadruple
+# product, theta_11(tau, z + 1/2) = -theta_10 and the doubling formula
+_IDENTITIES = (
+    (ThetaQuotient.eta(1, 3) * ThetaQuotient.theta("11", 1, 2),
+     ThetaQuotient(num=[theta_module.theta_key(lab) for lab in LABELS])),
+    (ThetaQuotient.theta("11", 1, 1, 0, HALF),
+     ThetaQuotient((0, 0, 2)) * ThetaQuotient.theta("10")),
+    (ThetaQuotient.theta("00") * ThetaQuotient.theta("01")
+     * ThetaQuotient.eta(2),
+     ThetaQuotient.eta(1, 2) * ThetaQuotient.theta("01", 2, 2)),
+)
+
+
+@st.composite
+def _pair_sharing_factors(draw):
+    """(a, b, d): quotients a and b that share factors across and within
+    their sides, with b = a D for a D = 1 + O(q^d) whose q^d term is
+    nonzero, or D = 1 and d None."""
+    a = ThetaQuotient((draw(st.sampled_from([F(-1, 2), F(0), F(3, 8)])),
+                       draw(st.sampled_from([F(-1), F(0), HALF])),
+                       draw(st.integers(0, 3))))
+    b = a
+    if draw(st.booleans()):
+        lhs, rhs = draw(st.sampled_from(_IDENTITIES))
+        a, b = (a * lhs, b * rhs) if draw(st.booleans()) else (a / lhs,
+                                                               b / rhs)
+    # a factor on both numerators, on both denominators, or over itself
+    # on one side: the values stay equal
+    for factor in draw(st.lists(_quotient_factor(), min_size=1,
+                                max_size=3)):
+        where = draw(st.integers(0, 3))
+        if where == 0:
+            a, b = a * factor, b * factor
+        elif where == 1:
+            a, b = a / factor, b / factor
+        elif where == 2:
+            a = a * factor / factor
+        else:
+            b = b * factor / factor
+    kind = draw(st.sampled_from(["none", "theta", "eta"]))
+    if kind == "none":
+        return a, b, None
+    if kind == "theta":
+        # theta_0b(ts tau, z) = 1 -+ (x + 1/x) q^{ts/2} + ...
+        ts = draw(st.integers(1, 2))
+        perturb, d = ThetaQuotient.theta(draw(st.sampled_from(["00", "01"])),
+                                         ts), F(ts, 2)
+    else:
+        # q^{-m/24} eta(m tau) = 1 - q^m + ...
+        m = draw(st.integers(1, 3))
+        perturb, d = (ThetaQuotient((F(-m, 24), 0, 0))
+                      * ThetaQuotient.eta(m), F(m))
+    return a, (b * perturb if draw(st.booleans()) else b / perturb), d
+
+
 class TestThetaQuotient:
     @settings(deadline=None, max_examples=60)
     @given(factors=st.lists(_quotient_factor(), min_size=1, max_size=3),
@@ -189,6 +245,25 @@ class TestThetaQuotient:
         assert not th("11", 1, 1, 0, HALF).equals(th("10"), 6)
         with pytest.raises(ValueError):
             (th("10") / th("11")).series(4)
+
+    @settings(deadline=None, max_examples=80)
+    @given(pair=_pair_sharing_factors(), at_shared=st.booleans(),
+           nudge=st.sampled_from([F(-1, 48), F(0), F(1, 48)]))
+    def test_cancelling_matches_cross_multiplying(self, pair, at_shared,
+                                                  nudge):
+        # cross-multiplied, a and b first differ at q^first; with X the
+        # factors both sides share, the cancelled sides first differ at
+        # first - v(X), which q puts just inside or just outside
+        # [q - v(X), q): at its ends q - v(X) and q when nudge is 0
+        a, b, d = pair
+        lhs, rhs = a.num + b.den, b.num + a.den
+        v_shared = ThetaQuotient(num=lhs & rhs).valuation()
+        first = ThetaQuotient(a.lead, lhs).valuation() + (d or 0)
+        q = first - (v_shared if at_shared else 0) + nudge
+        want = d is None or q <= first
+        assert cross_multiplied_equals(a, b, q) == want
+        assert a.equals(b, q) == want
+        assert b.equals(a, q) == want
 
     @pytest.mark.parametrize("label, pair", [
         ("11", lambda: (denominator("+", "NS"),
@@ -229,8 +304,9 @@ class TestThetaQuotient:
             return real(label, order, *key)
 
         monkeypatch.setattr(theta_module, "theta_shifted", recording)
-        # in these comparisons some theta is on both sides, and the two
-        # sides would build it at different orders
+        # in these comparisons some theta is on both sides, where the two
+        # sides would build it at different orders: it cancels, and each
+        # theta left is built once
         pairs = [(_m2_closed_ratio(c, j, s),
                   character_ratio(CharacterSpec(2, j, c, s)))
                  for c, j in (("NS", HALF), ("NS", -HALF), ("R", F(1)))

@@ -1,7 +1,12 @@
-"""Tests of the BENCH file verdicts in tools/bench_pairs.py."""
+"""Tests of tools/bench_pairs.py: its BENCH file verdicts and the
+environment of its runs."""
 
+import contextlib
 import importlib.util
+import io
+import json
 import pathlib
+import subprocess
 
 TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
 spec = importlib.util.spec_from_file_location("bench_pairs",
@@ -28,3 +33,43 @@ def test_verdicts():
     assert bench_pairs.verdict(_entry(parent, close), 0.24) == "held"
     slower = [p * 1.5 for p in parent]
     assert bench_pairs.verdict(_entry(parent, slower), 0.24) == "regressed"
+
+
+def test_each_side_starts_from_source(monkeypatch, tmp_path):
+    # every run of a side reads and writes bytecode only in that side's
+    # own directory, empty at its first run, outside both checkouts and
+    # gone when the tool ends
+    checkouts = {side: tmp_path / side for side in bench_pairs.SIDES}
+    for path in checkouts.values():
+        path.mkdir()
+    (checkouts["parent"] / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "run_s", "better": "lower",
+                         "bound": 0.24}]}))
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    seen = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        cache = pathlib.Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((cwd, cache, not any(cache.iterdir()),
+                     "PYTHONDONTWRITEBYTECODE" in env))
+        (cache / "compiled.pyc").write_text("")
+        line = {"attempted": 1, "failed": 0,
+                "metrics": {"run_s": {"value": 1.0, "unit": "s"}}}
+        return subprocess.CompletedProcess(
+            cmd, 0, "# loop\n%s\n" % json.dumps(line), "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    with contextlib.redirect_stderr(io.StringIO()):
+        bench_pairs.main(["--parent", str(checkouts["parent"]),
+                          "--change", str(checkouts["change"]),
+                          "--pairs", "verify=2", "--out",
+                          str(tmp_path / "out.json")])
+    caches = {}
+    for cwd, cache, empty, dont_write in seen:
+        side = pathlib.Path(cwd).name
+        assert empty == (side not in caches) and not dont_write
+        assert caches.setdefault(side, cache) == cache
+        assert not any(str(cache).startswith(str(path))
+                       for path in checkouts.values())
+    assert len(seen) == 4 and caches["parent"] != caches["change"]
+    assert not any(cache.exists() for cache in caches.values())

@@ -8,11 +8,14 @@
 Each pair runs `perfbench/run.py --workload W --seed S --seconds N
 --trace 0` once in each checkout, one after the other, with the side
 that goes first alternating from pair to pair so host drift lands on
-both.  Pair k of a workload uses seed S + k on both sides.  For every
-end-to-end metric the file holds each side's runs, median and quartiles,
-how many pairs the change won (lower is better for all of them; ties
-count for neither side), and a verdict read against the metric's bound
-in BENCHMARK.json:
+both.  Pair k of a workload uses seed S + k on both sides.  Each side
+compiles its bytecode into a fresh directory of its own
+(PYTHONPYCACHEPREFIX) on its first run and reads it from there after,
+so both start from source whatever __pycache__ their checkouts hold.
+For every end-to-end metric the file holds each side's runs, median and
+quartiles, how many pairs the change won (lower is better for all of
+them; ties count for neither side), and a verdict read against the
+metric's bound in BENCHMARK.json:
 
     improved    the change won at least nine tenths of the pairs, and its
                 median is lower than the parent's by more than the
@@ -42,19 +45,24 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 SIDES = ("parent", "change")
 
 
-def run_bench(checkout, workload, seed, seconds, trace):
+def run_bench(checkout, pycache, workload, seed, seconds, trace):
     """One perfbench run in `checkout`; its final JSON line and its
-    '#' information lines."""
+    '#' information lines.  The run reads and writes bytecode only under
+    `pycache` (PYTHONPYCACHEPREFIX, with writing on), so it never reads
+    a __pycache__ that the checkout holds."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds),
            "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
-                          check=True)
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=pycache)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True,
+                          text=True, check=True)
     lines = proc.stdout.strip().splitlines()
     out = json.loads(lines[-1])
     out["info"] = [ln[2:] for ln in lines[:-1] if ln.startswith("# ")]
@@ -93,12 +101,12 @@ def verdict(entry, bound):
     return "held"
 
 
-def measure_pairs(dirs, bounds, workload, pairs, seed, seconds):
+def measure_pairs(sides, bounds, workload, pairs, seed, seconds):
     runs = {side: [] for side in SIDES}
     for k in range(pairs):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
         for side in order:
-            res = run_bench(dirs[side], workload, seed + k, seconds, 0)
+            res = run_bench(*sides[side], workload, seed + k, seconds, 0)
             runs[side].append(res)
             print("%s pair %d %s: %s" % (
                 workload, k, side,
@@ -177,8 +185,6 @@ def main(argv=None):
 
 
 def run_pairs(args):
-    dirs = {"parent": os.path.abspath(args.parent),
-            "change": os.path.abspath(args.change)}
     report = {
         "command": "perfbench/run.py --seconds %g --trace 0" % args.seconds,
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
@@ -186,14 +192,23 @@ def run_pairs(args):
         "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "workloads": {}, "traced": {},
     }
-    bounds = load_bounds(dirs["parent"])
-    for workload, n in parse_pairs(args.pairs).items():
-        report["workloads"][workload] = measure_pairs(
-            dirs, bounds, workload, n, args.seed, args.seconds)
-    for workload in args.traced:
-        report["traced"][workload] = {
-            side: run_bench(dirs[side], workload, args.seed, args.seconds, 1)
-            for side in SIDES}
+    with tempfile.TemporaryDirectory(prefix="bench_pycache_") as tmp:
+        # each side's checkout and its own empty bytecode directory, so
+        # both start from source
+        sides = {}
+        for side in SIDES:
+            os.mkdir(os.path.join(tmp, side))
+            sides[side] = (os.path.abspath(getattr(args, side)),
+                           os.path.join(tmp, side))
+        bounds = load_bounds(sides["parent"][0])
+        for workload, n in parse_pairs(args.pairs).items():
+            report["workloads"][workload] = measure_pairs(
+                sides, bounds, workload, n, args.seed, args.seconds)
+        for workload in args.traced:
+            report["traced"][workload] = {
+                side: run_bench(*sides[side], workload, args.seed,
+                                args.seconds, 1)
+                for side in SIDES}
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
