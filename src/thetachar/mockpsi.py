@@ -25,12 +25,13 @@ psi_pair_ratio the general (j, k) quotient straight from the closed
 form, both as theta.ThetaQuotient.  Their agreement at j = k is a
 nontrivial internal cross-check exercised by the test suite.
 
-psi_values evaluates the closed form of several blocks at one point in
-one theta.ThetaPass (psi_plan, psi_value): their theta_11,
-eta(M tau) and prefactors, products of integer powers of
-e^{pi i tau/(2M)}, e^{pi i z/M} and the nome root e^{pi i M tau/4}, all
-come from the pass's power tables of its shared exponentials.
-psi_numeric is its one-block case.
+A PsiPlan finds once what several blocks take at any point (psi_plan)
+and evaluates their closed forms at each point in one theta.ThetaPass
+(psi_value): their theta_11, eta(M tau) and prefactors, products of
+integer powers of e^{pi i tau/(2M)}, e^{pi i z/M} and the nome root
+e^{pi i M tau/4}, all come from the pass's power tables of its shared
+exponentials.  psi_values is its one-shot view and psi_numeric the
+one-block case.
 
 phi_a11_numeric is the two-variable Appell-type sum
 
@@ -133,22 +134,39 @@ def psi_numeric(params, tau, z1, z2, t):
 
 
 def psi_values(blocks, tau, z1, z2, t):
-    """The blocks, all of one level M, at (tau, z1, z2, t) from one
-    ThetaPass at (tau, z1, z2).  Each of their thetas, and eta(M tau),
-    carries theta_numeric's tail and rounding errors, its argument being
-    a product of the pass's bases; the prefactor and the quotient add a
-    relative rounding of a few units of 2^-prec."""
-    tau, z1, z2, t = (_mpc_any(v) for v in (tau, z1, z2, t))
-    if z1 == z2:
-        coords, zw = (tau, z1), ((1,), (1,))
-    else:
-        coords, zw = (tau, z1, z2), ((1, 0), (0, 1))
-    plans = [psi_plan(p, *zw) for p in blocks]
-    tp = ThetaPass(coords, PassPlan(
-        [r for requests, _ in plans for r in requests],
-        [x for _, powers in plans for x in powers]))
-    phase = mp.exp(-2j * mp.pi * t / blocks[0].M) if t else 1
-    return [phase * to_mpc(psi_value(tp, *plan)) for plan in plans]
+    """The blocks, all of one level M, at (tau, z1, z2, t): the one-shot
+    PsiPlan, on the diagonal where z1 = z2."""
+    diagonal = _mpc_any(z1) == _mpc_any(z2)
+    return PsiPlan(blocks, diagonal).values(tau, z1, z2, t)
+
+
+class PsiPlan:
+    """What blocks, all of one level M, take at any point, found once:
+    each block's psi_plan and the PassPlan of them all, for points on the
+    diagonal z1 = z2 (one z-coordinate) or off it (two)."""
+
+    def __init__(self, blocks, diagonal):
+        self.M = blocks[0].M
+        self.diagonal = diagonal
+        zw = ((1,), (1,)) if diagonal else ((1, 0), (0, 1))
+        self.blocks = [psi_plan(p, *zw) for p in blocks]
+        self.plan = PassPlan(
+            [r for requests, _ in self.blocks for r in requests],
+            [x for _, powers in self.blocks for x in powers])
+
+    def values(self, tau, z1, z2, t):
+        """The blocks at (tau, z1, z2, t) from one ThetaPass at (tau, z1)
+        or (tau, z1, z2).  Each of their thetas, and eta(M tau), carries
+        theta_numeric's tail and rounding errors, its argument being a
+        product of the pass's bases; the prefactor and the quotient add a
+        relative rounding of a few units of 2^-prec."""
+        tau, z1, z2, t = (_mpc_any(v) for v in (tau, z1, z2, t))
+        if self.diagonal and z1 != z2:
+            raise ValueError("a diagonal PsiPlan needs z1 = z2")
+        tp = ThetaPass((tau, z1) if self.diagonal else (tau, z1, z2),
+                       self.plan)
+        phase = mp.exp(-2j * mp.pi * t / self.M) if t else 1
+        return [phase * to_mpc(psi_value(tp, *plan)) for plan in self.blocks]
 
 
 def psi_plan(p, zw1, zw2):

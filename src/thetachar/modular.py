@@ -20,14 +20,15 @@ sets are closed under the S swap (eps <-> eps') and the T map
 
 Fitting (_lstsq_min_norm) runs on the passes' values: the sample
 matrix is column-scaled and every product of the normal equations is
-an int sum on fixed-point complex ints, with its rounding stated; only
-the small Hermitian eigensolve runs on mpmath (mp.eighe).  Small
-eigenvalues are truncated, giving the minimum-norm least-squares
-solution.  Rank deficiency of a family (exactly degenerate members,
-e.g. every M = 1 character is the constant 1) is therefore handled
-quietly, while a retained-spectrum condition number above
-COND_THRESHOLD raises IllConditionedError: that signals bad point
-selection, not a failed identity.
+an int sum on fixed-point complex ints, with its rounding stated, and
+the small Hermitian eigensolve is cyclic Jacobi on the same ints
+(_eigh), with its backward error stated.  Small eigenvalues are
+truncated, giving the minimum-norm least-squares solution.  Rank
+deficiency of a family (exactly degenerate members, e.g. every M = 1
+character is the constant 1) is therefore handled quietly, while a
+retained-spectrum condition number above COND_THRESHOLD raises
+IllConditionedError: that signals bad point selection, not a failed
+identity.
 
 All evaluations use the ambient mpmath precision; callers scope it
 with mp.workdps.  span_closure plans its family once (FamilyPlan: the
@@ -362,30 +363,36 @@ def _lstsq_min_norm(A, B):
     for A and B lists of rows of ThetaPass values (re, im, e).
 
     Columns of A are scaled to unit max modulus (As), the Gram matrix
-    As^H As is diagonalized (mp.eighe at the working precision prec),
-    eigenvalues below RANK_CUTOFF^2 relative are dropped, and the
-    retained condition number is checked against COND_THRESHOLD;
+    As^H As is diagonalized (_eigh), eigenvalues E_i at or below
+    emax RANK_CUTOFF^2 are dropped (compared exactly), and the retained
+    condition number is checked against COND_THRESHOLD;
     IllConditionedError is raised for a zero matrix, no usable rank or a
     condition above it.  Returns (C, max entrywise |A C - B|, retained
     rank, retained condition number), C as rows of values.
 
-    Everything but the eigensolve runs on fixed-point complex ints with
-    F = prec + bitlen(rows + cols) + 10 fraction bits: As, each column of
-    B scaled by a power of two to modulus below 2 (exact), the
-    eigenvectors V, As^H As, As^H B, V^H (As^H B), V (...) / E and the
-    residual As Cs - B.  Every stored entry is within 2^(2 - F) of the
-    value it rounds (its parts are floored, and a column's scale s is
-    found to F + 1 bits), and every product entry is one exact int sum
-    shifted once, so an entry that sums n products of factors of modulus
-    at most X and Y is within 2^(2 - F) (n (X + Y + 1) + 1) of the exact
-    sum over the unrounded factors.  Carried through the solve to first
-    order, with the eigensolver's backward error, these leave A C within
+    Everything runs on fixed-point complex ints with
+    F = prec + bitlen(rows + cols) + bitlen(_SWEEPS cols^2) + 10 fraction
+    bits: As, each column of B scaled by a power of two to modulus below
+    2 (exact), As^H As and its eigensolve, As^H B, V^H (As^H B),
+    V (...) / E and the residual As Cs - B.  Every stored entry is within
+    2^(2 - F) of the value it rounds (its parts are floored, and a
+    column's scale s is found to F + 1 bits), and every product entry is
+    one exact int sum shifted once, so an entry that sums n products of
+    factors of modulus at most X and Y is within 2^(2 - F) (n (X + Y + 1)
+    + 1) of the exact sum over the unrounded factors.  The eigensolve's
+    backward error, at most (R + cols) cols 2^(8 - F) ||G|| after R
+    rotations (_eigh), is below 2^(-3 - prec) ||G||, since R + cols is
+    below _SWEEPS cols^2 / 2 and F spends bitlen(_SWEEPS cols^2) bits on
+    it: less than one rounding of G at the working precision, the
+    backward error an eigensolver on mpmath matrices has.  Carried
+    through the solve to first order, these leave A C within
     2^(8 - prec) rows^2 cols cond^2 max|B| of the exact projection of B
     onto the retained span, as they leave the same fit run on mpmath
     matrices.
     """
     rows, cols = len(A), len(A[0])
-    f = mp.prec + (rows + cols).bit_length() + 10
+    f = (mp.prec + (rows + cols).bit_length()
+         + (_SWEEPS * cols * cols).bit_length() + 10)
     # each column of A relative to its top bit at f + 2 bits, then over
     # its largest modulus s = S 2^(top - f - 2)
     a_cols, scale = [], []
@@ -401,33 +408,31 @@ def _lstsq_min_norm(A, B):
     b_cols = [[_fixed((re, im, e - top), f) for re, im, e in
                (row[c] for row in B)] for c, top in enumerate(b_tops)]
     ah_cols = [_conj(col) for col in a_cols]
-    G = mp.matrix(cols, cols)
+    G = [[None] * cols for _ in range(cols)]
     for i in range(cols):
         for j in range(i, cols):
             re, im = _dot(ah_cols[i], a_cols[j], f)
-            G[i, j] = to_mpc((re, im, -f))
-            G[j, i] = to_mpc((re, -im, -f))
+            G[i][j], G[j][i] = (re, im), (re, -im)
     bp_cols = [[_dot(ah, col, f) for ah in ah_cols] for col in b_cols]
-    E, V = mp.eighe(G)
-    emax = max(abs(E[i]) for i in range(cols))
+    E, V = _eigh(G, f)
+    emax = max(map(abs, E))
     if emax == 0:
         raise IllConditionedError("sample matrix is zero")
-    cut = emax * RANK_CUTOFF ** 2
+    cut = emax * Fraction(RANK_CUTOFF ** 2)
     kept = [i for i in range(cols) if E[i] > cut]
     if not kept:
         raise IllConditionedError("sample matrix has no usable rank")
-    cond = mp.sqrt(emax / min(E[i] for i in kept))
+    cond = mp.sqrt(mp.mpf(emax) / min(E[i] for i in kept))
     if cond > COND_THRESHOLD:
         raise IllConditionedError(
             "retained condition number %.3g above %g: pick other points"
             % (float(cond), COND_THRESHOLD))
-    v_rows = [[_fixed(_from_mpc(mp.mpc(V[k, i])._mpc_, f), f) for i in kept]
-              for k in range(cols)]
-    vh_cols = [_conj(col) for col in zip(*v_rows)]
+    v_rows = list(zip(*(V[i] for i in kept)))
+    vh_cols = [_conj(V[i]) for i in kept]
     # W = E^-1 V^H B' on the kept eigenvalues, then Cs = V W
     cs_cols = []
     for bp in bp_cols:
-        w = [_over(_dot(vh, bp, f), E[i]) for vh, i in zip(vh_cols, kept)]
+        w = [_over(_dot(vh, bp, f), E[i], f) for vh, i in zip(vh_cols, kept)]
         cs_cols.append([_dot(vr, w, f) for vr in v_rows])
     a_rows = list(zip(*a_cols))
     resid = 0.0
@@ -442,13 +447,105 @@ def _lstsq_min_norm(A, B):
     return C, resid, len(kept), cond
 
 
-def _over(x, v):
-    """A fixed-point complex int over a positive mpf v = man 2^exp, to
-    the same fraction bits, by exact floor division."""
-    _, man, exp, _ = v._mpf_
-    if exp < 0:
-        return (x[0] << -exp) // man, (x[1] << -exp) // man
-    return x[0] // (man << exp), x[1] // (man << exp)
+def _over(x, v, f):
+    """A fixed-point complex int over a positive int v, both with f
+    fraction bits, to f fraction bits by exact floor division."""
+    return (x[0] << f) // v, (x[1] << f) // v
+
+
+# the sweep cap of _eigh: counting the last one, which rotates nothing,
+# the span fit's Gram matrices take up to 9 sweeps at 10 members, 15 at
+# 30, 20 at 45 (M = 5) and 25 at 63 (M = 6)
+_SWEEPS = 60
+
+
+def _eigh(G, f):
+    """Eigenvalues E and eigenvectors V of a Hermitian G, given as rows of
+    fixed-point complex ints (re, im) with f fraction bits, by cyclic
+    Jacobi on the same ints: E as ints and V as columns of complex ints,
+    each with f fraction bits, so that G V = V diag(E) to within the
+    backward error below.
+
+    A sweep visits every pivot g = G[p][q], p < q, in row order.  A pivot
+    whose parts both lie below 2^4 units is set to 0 without a rotation;
+    any other is zeroed by the unitary Q = diag(1, u) R acting on indices
+    p and q: the phase u = conj(g)/|g| on index q, which makes the pivot
+    |g|, then the real rotation R of c = (1 + t^2)^(-1/2) and s = t c for
+    t = sgn(theta)/(|theta| + sqrt(theta^2 + 1)),
+    theta = (G_qq - G_pp)/(2 |g|).  Q acts on columns p and q of G and
+    of V, and its conjugate on rows p and q of G; the diagonal becomes
+    G_pp - t |g| and G_qq + t |g|.  |g| is taken at 2f bits, as
+    isqrt(|g|^2 2^(2f)), so however few units g has, u is within
+    2^(1 - f) of conj(g)/|g| and of unit modulus (from a floored f-bit
+    |g| it would be off by up to 1/|g| units, and V would not stay
+    unitary); c and s, from the same f-bit t, are within 2^(2 - f) of an
+    exact rotation.  So the entries Q is applied with are within
+    2^(3 - f) of an exactly unitary one, each entry written is one int
+    sum floored once, and the sweep that rotates nothing ends with G
+    exactly diag(E).  With R rotations in all and the Frobenius norm,
+    to first order
+
+        ||V^H V - I||            <= R n 2^(5 - f),
+        ||V^H G V - diag(E)||    <= (R + n) n 2^(8 - f) ||G||
+
+    for ||G|| >= 1: each rotation adds at most n 2^(3 - f) to V's
+    distance from a unitary matrix and at most n 2^(6 - f) ||G|| to G's
+    from its exact unitary image, and each zeroed pivot, of which there
+    are at most n^2/2 + 2 n R, at most 2^(5 - f).  Raises ArithmeticError
+    when _SWEEPS sweeps all rotate: V is never returned unconverged.
+    """
+    n = len(G)
+    f2 = 2 * f
+    # G by columns, gr[j][r] + i gi[j][r] = G[r][j], and V by columns
+    gr = [[re for re, _ in row] for row in G]
+    gi = [[-im for _, im in row] for row in G]
+    vr = [[1 << f if k == i else 0 for k in range(n)] for i in range(n)]
+    vi = [[0] * n for _ in range(n)]
+    for _ in range(_SWEEPS):
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                xr, xi = gr[q][p], gi[q][p]
+                if -16 < xr < 16 and -16 < xi < 16:
+                    gr[q][p] = gi[q][p] = gr[p][q] = gi[p][q] = 0
+                    continue
+                rotated = True
+                a, b = gr[p][p], gr[q][q]
+                g = math.isqrt((xr * xr + xi * xi) << f2)
+                ur, ui = (xr << f2) // g, (-xi << f2) // g
+                d = (b - a) << f
+                t = (g << (f + 1)) // (abs(d) + math.isqrt(d * d + 4 * g * g))
+                t = -t if d < 0 else t
+                c = math.isqrt((1 << 2 * f2) // ((1 << f2) + t * t))
+                s = (t * c) >> f
+                cr, ci, sr, si = ((c * ur) >> f, (c * ui) >> f,
+                                  (s * ur) >> f, (s * ui) >> f)
+                # columns p and q of G and of V: x' = c x - s u y and
+                # y' = s x + c u y for x, y their entries in one row
+                for mr, mi in ((gr, gi), (vr, vi)):
+                    pr, pi, qr, qi = mr[p], mi[p], mr[q], mi[q]
+                    mr[p] = [(c * x - sr * yr + si * yi) >> f
+                             for x, yr, yi in zip(pr, qr, qi)]
+                    mi[p] = [(c * x - sr * yi - si * yr) >> f
+                             for x, yr, yi in zip(pi, qr, qi)]
+                    mr[q] = [(s * x + cr * yr - ci * yi) >> f
+                             for x, yr, yi in zip(pr, qr, qi)]
+                    mi[q] = [(s * x + cr * yi + ci * yr) >> f
+                             for x, yr, yi in zip(pi, qr, qi)]
+                # rows p and q of G, the conjugates of its new columns
+                pr, pi, qr, qi = gr[p], gi[p], gr[q], gi[q]
+                for r in range(n):
+                    gr[r][p], gi[r][p] = pr[r], -pi[r]
+                    gr[r][q], gi[r][q] = qr[r], -qi[r]
+                tg = (t * g) >> f2
+                gr[p][p], gr[q][q] = a - tg, b + tg
+                gi[p][p] = gi[q][q] = 0
+                gr[q][p] = gi[q][p] = gr[p][q] = gi[p][q] = 0
+        if not rotated:
+            return ([gr[i][i] for i in range(n)],
+                    [list(zip(vr[i], vi[i])) for i in range(n)])
+    raise ArithmeticError("Jacobi eigensolve of a %d x %d Gram matrix "
+                          "still rotating after %d sweeps" % (n, n, _SWEEPS))
 
 
 def span_closure(M, statement, transform, points):

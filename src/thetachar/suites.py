@@ -38,8 +38,8 @@ from mpmath import mp
 from .qseries import JacobiSeries, add, equal_to_order, eval_numeric
 from .theta import (DEFAULT_DPS, THETA_LABELS, ThetaQuotient, eta_pow_scaled,
                     theta_shifted, theta_sum)
-from .mockpsi import (HALF, PsiParams, appell_tail, phi_a11_numeric,
-                      psi_diag_ratio, psi_values)
+from .mockpsi import (HALF, PsiParams, PsiPlan, appell_tail,
+                      phi_a11_numeric, psi_diag_ratio)
 from .characters import (HEART_RANGES, HEARTS, SECTORS, SIGNS,
                          CharacterSpec, ReductionParams, central_charge,
                          character_ratio, character_series, dd_numerator,
@@ -243,12 +243,16 @@ def _theta_cases():
 
 
 def _block_residuals(residuals, offset, M, q):
-    # residuals(blocks, point) of the four characteristic blocks at each
-    # of five generic points of seed M + offset
+    # residuals(blocks, points) of the four characteristic blocks at five
+    # generic points of seed M + offset
     blocks = [PsiParams(M, eps_p + 1, eps_p, eps, eps_p)
               for eps in (Fraction(0), HALF) for eps_p in (Fraction(0), HALF)]
-    return [r for p in default_points(5, seed=M + offset)
-            for r in residuals(blocks, p)]
+    return residuals(blocks, default_points(5, seed=M + offset))
+
+
+def _at_each_point(residuals, blocks, pts):
+    # residuals(blocks, point) over the points
+    return [r for p in pts for r in residuals(blocks, p)]
 
 
 # (name, seed offset, index map, argument map, sign): the block at the
@@ -271,26 +275,29 @@ _PSI_SYMMETRIES = (
 )
 
 
-def _psi_symmetry(index_map, arg_map, sign, blocks, p):
-    # the blocks at the mapped arguments from one pass, the blocks at the
-    # mapped indices from another
+def _psi_symmetry(index_map, arg_map, sign, blocks, pts):
+    # the blocks at the mapped arguments from one plan, the blocks at the
+    # mapped indices from another, each one pass per point
     mapped = [PsiParams(pr.M, *index_map(pr.M, pr.j, pr.k), pr.eps,
                         pr.eps_prime) for pr in blocks]
-    lhs = psi_values(blocks, p.tau, *arg_map(p.z1, p.z2), 0)
-    rhs = psi_values(mapped, p.tau, p.z1, p.z2, 0)
-    return [a - sign(pr.eps) * b for pr, a, b in zip(blocks, lhs, rhs)]
+    lhs_plan, rhs_plan = PsiPlan(blocks, False), PsiPlan(mapped, False)
+    return [a - sign(pr.eps) * b for p in pts for pr, a, b in zip(
+        blocks, lhs_plan.values(p.tau, *arg_map(p.z1, p.z2), 0),
+        rhs_plan.values(p.tau, p.z1, p.z2, 0))]
 
 
 def _diag_residuals(blocks, q, pts):
     # the exact four-theta series of each diagonal block, evaluated,
-    # against the closed forms of all of them from one pass per point
+    # against the closed forms of all of them from one plan, one pass
+    # per point
     parts = [[part.series(q) for part in psi_diag_ratio(pr).parts()]
              for pr in blocks]
+    plan = PsiPlan(blocks, True)
     return [eval_numeric(top, p.tau, p.z1) / eval_numeric(bottom, p.tau, p.z1)
             - closed
             for p in pts
             for (top, bottom), closed in zip(
-                parts, psi_values(blocks, p.tau, p.z1, p.z1, 0))]
+                parts, plan.values(p.tau, p.z1, p.z1, 0))]
 
 
 def _psi_diag_ratio(M, q):
@@ -584,7 +591,8 @@ def _modular_cases():
     certs = {}
     # the S and T laws of the characteristic blocks
     cases = [("psi-%s-law/M%d" % (w, M),
-              _residual(partial(_block_residuals, law, offset, M)))
+              _residual(partial(_block_residuals,
+                                partial(_at_each_point, law), offset, M)))
              for w, law, offset in (("s", psi_s_residual, 100),
                                     ("t", psi_t_residual, 120))
              for M in (1, 2, 3)]

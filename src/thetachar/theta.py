@@ -73,6 +73,11 @@ THETA_LABELS = ("00", "01", "10", "11")
 # double precision is not enough for 1e-9 residual targets
 DEFAULT_DPS = 40
 
+# entries each series cache below keeps: `verify --suite all` builds at
+# most 335 distinct series in one of them (theta_shifted's), and an
+# expand round none
+SERIES_CACHE_SIZE = 2048
+
 
 class TailBoundError(ArithmeticError):
     """A numeric lattice sum could not meet the requested tail bound."""
@@ -84,7 +89,7 @@ def _check_label(label):
                          % (label, THETA_LABELS))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SERIES_CACHE_SIZE)
 def theta_sum(label, q_order):
     """Lattice-sum theta_label, the independent cross-check form."""
     _check_label(label)
@@ -116,7 +121,7 @@ def theta_key(label, tau_scale=1, z_scale=1, r_tau=0, r_one=0):
     return (label, ts, zs, Fraction(r_tau), Fraction(r_one))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SERIES_CACHE_SIZE)
 def eta_pow_scaled(m, power, q_order):
     """eta(m tau)**power = q^{m power/24} prod (1 - q^{m n})^power,
     trusted below q_order, for positive integers m and power."""
@@ -134,7 +139,7 @@ def theta_shifted(label, q_order, tau_scale=1, z_scale=1, r_tau=0, r_one=0):
                           theta_key(label, tau_scale, z_scale, r_tau, r_one))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SERIES_CACHE_SIZE)
 def _theta_shifted(q_order, key):
     return ThetaQuotient(num={key: 1}).expand(q_order)
 
@@ -438,24 +443,34 @@ def _stop_step(a, y, u, log_err):
     stop at the first n at which both outward ratios s (of the first
     unsummed term to the next one out) lie below the gate 0.9 and the
     geometric majorants m/(1 - s) of the two tails, m the first unsummed
-    term, add up to less than abs_err = e^log_err.  The first gated step
-    has a closed form; the bound is tried from there on.  Each comparison
-    is made against a slack of 1e-9 times the size of the logs taken, far
-    above double rounding, so the rule never stops before the exact one.
-    Raises TailBoundError past the term budget.
+    term, add up to less than abs_err = e^log_err.  Two closed forms
+    bound that n from below, and the bound is tried from the larger of
+    them on: the first gated step, and for abs_err < 1 the first step at
+    which each first unsummed term, at h = h0 + n + 1 and at
+    h = h0 - n - 2, lies below abs_err, past the larger root of
+    pi y h^2 +- 2 pi u h + log_err (a step fewer, for the float
+    rounding of the roots).  Each comparison is made against a slack of
+    1e-9 times the size of the logs taken, far above double rounding,
+    so the rule never stops before the exact one.  Raises TailBoundError
+    past the term budget.
     """
     h0 = a / 2
     piy, piu = math.pi * y, math.pi * u
     # s_pos(n) = e^{-pi y (2n + 3 + 2 h0) - 2 pi u} and
     # s_neg(n) = e^{-pi y (2n + 5 - 2 h0) + 2 pi u} fall below the gate
-    # after first / 2 steps; their product e^{-pi y (4n + 8)} must too,
-    # which rules out a y too small for the budget (or underflowed to 0)
+    # past the larger of two steps, the first start; their product
+    # e^{-pi y (4n + 8)} must too, which rules out a y too small for the
+    # budget (or underflowed to 0)
     n = _N_CAP + 1
     if piy * (4 * _N_CAP + 8) > -2 * _GATE:
         lim = -_GATE / piy
-        first = max(lim - 2 * u / y - 3 - 2 * h0,
-                    lim + 2 * u / y - 5 + 2 * h0)
-        n = max(0, math.floor(min(first / 2, n)))
+        start = max(lim - 2 * u / y - 3 - 2 * h0,
+                    lim + 2 * u / y - 5 + 2 * h0) / 2
+        if log_err < 0:
+            root = math.sqrt(u * u - y * log_err / math.pi)
+            start = max(start, (root - u) / y - h0 - 1,
+                        (root + u) / y + h0 - 2)
+        n = max(0, math.floor(min(start, n)))
     while n <= _N_CAP:
         h_pos, h_neg = h0 + n + 1, h0 - n - 2
         ls_pos = -piy * (2 * h_pos + 1) - 2 * piu

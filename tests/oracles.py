@@ -9,7 +9,10 @@ no code with expand, which is why they are the oracle it is checked
 against.  shifted_theta_sum sums a shifted theta over its index lattice,
 with no product form, for the same reason.  mpf_stop_step is the stop
 rule that theta's lattice sum ran in mpf arithmetic before it found its
-step count from float logs, kept as the oracle of that count.
+step count from float logs, kept as the oracle of that count, and
+gated_stop_step the float-log rule as it ran before it started from the
+closed-form bound on the tails: from the first gated step, kept as the
+oracle of that start.
 truncate, q_valuation_bound, x_support and character_numeric are views
 that only the tests read, and eta_numeric a one-theta ThetaPass that
 only they call.
@@ -52,7 +55,8 @@ from thetachar.qseries import (ONE, CoefficientRingError,
                                UntrustedOrderError, _div, _from_mpc, _lcm,
                                _mul, equal_to_order, mul, restrict_window,
                                to_mpc)
-from thetachar.theta import PassPlan, ThetaPass, ThetaQuotient, eta_request
+from thetachar.theta import (_GATE, _N_CAP, PassPlan, TailBoundError,
+                             ThetaPass, ThetaQuotient, eta_request)
 
 
 def truncate(a, q_order):
@@ -315,6 +319,40 @@ def mpf_stop_step(label, tau, z, abs_err):
         s_pos *= g
         m_neg *= s_neg
         s_neg *= g
+
+
+def gated_stop_step(a, y, u, log_err):
+    """theta._stop_step's rule tried from the first gated step on: the
+    first n at which both outward ratios lie below the gate 0.9 and the
+    two tails' geometric majorants add up to less than e^log_err, each
+    compared against the slack of 1e-9 times the size of the logs taken.
+    Raises TailBoundError past the term budget."""
+    h0 = a / 2
+    piy, piu = math.pi * y, math.pi * u
+    n = _N_CAP + 1
+    if piy * (4 * _N_CAP + 8) > -2 * _GATE:
+        lim = -_GATE / piy
+        first = max(lim - 2 * u / y - 3 - 2 * h0,
+                    lim + 2 * u / y - 5 + 2 * h0)
+        n = max(0, math.floor(min(first / 2, n)))
+    while n <= _N_CAP:
+        h_pos, h_neg = h0 + n + 1, h0 - n - 2
+        ls_pos = -piy * (2 * h_pos + 1) - 2 * piu
+        ls_neg = -piy * (1 - 2 * h_neg) + 2 * piu
+        big = 1 - h_neg
+        slack = 1e-9 * (1 + abs(log_err) + piy * big * big
+                        + 2 * abs(piu) * big)
+        if max(ls_pos, ls_neg) < _GATE - slack:
+            b_pos = (-piy * h_pos * h_pos - 2 * piu * h_pos
+                     - math.log1p(-math.exp(ls_pos)))
+            b_neg = (-piy * h_neg * h_neg - 2 * piu * h_neg
+                     - math.log1p(-math.exp(ls_neg)))
+            hi, lo = max(b_pos, b_neg), min(b_pos, b_neg)
+            if hi + math.log1p(math.exp(lo - hi)) < log_err - slack:
+                return n
+        n += 1
+    raise TailBoundError("theta tail bound e^%.6g not reached within %d "
+                         "terms" % (log_err, _N_CAP))
 
 
 def first_difference(a, b, q_order):

@@ -14,9 +14,11 @@ import thetachar.theta as theta_module
 from thetachar.characters import CharacterSpec, character_ratio
 from thetachar.mockpsi import HALF, PoleProximityError, PsiParams
 from thetachar.modular import (
+    COND_THRESHOLD,
     IM_TAU_FLOOR,
     IllConditionedError,
     NumericPoint,
+    _eigh,
     _lstsq_min_norm,
     character_member_numeric,
     default_points,
@@ -394,7 +396,7 @@ class TestLeastSquares:
 
     def test_zero_matrix_rejected(self):
         A = mp.matrix(3, 2)
-        with pytest.raises(IllConditionedError):
+        with pytest.raises(IllConditionedError, match="sample matrix is zero"):
             fit(A, mp.matrix(3, 1))
 
     def test_retained_near_degeneracy_rejected(self):
@@ -426,6 +428,28 @@ class TestLeastSquares:
         rank = check_fit(A, B)
         assert rank in (None, cols - dependent)
 
+    @pytest.mark.parametrize("factor", [0.5, 0.9, 1.1, 2.0])
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_condition_either_side_of_the_threshold(self, factor, seed):
+        # one column another plus e times a random one: the condition
+        # number goes as 1/e, so e is set from a first fit to put it at
+        # factor times COND_THRESHOLD; both fits must decide alike
+        mp.dps = 40
+        rng = random.Random(seed)
+
+        def system(e):
+            A, B = random_system(seed, 12, 4, 0, 1)
+            for r in range(A.rows):
+                A[r, 3] = A[r, 0] + e * mp.mpc(rng.uniform(-1, 1),
+                                               rng.uniform(-1, 1))
+            return A, B
+
+        state = rng.getstate()
+        cond0 = lstsq_min_norm_mp(*system(mp.mpf("1e-6")))[3]
+        rng.setstate(state)
+        A, B = system(mp.mpf("1e-6") * cond0 / (factor * COND_THRESHOLD))
+        assert check_fit(A, B) == (None if factor > 1 else 4)
+
     def test_dropped_shift_bit_fails(self, monkeypatch):
         # products shifted back by f - 1 bits, twice their value
         mp.dps = 40
@@ -436,6 +460,95 @@ class TestLeastSquares:
                             lambda xs, ys, f: dot(xs, ys, f - 1))
         with pytest.raises(AssertionError):
             check_fit(A, B)
+
+
+def hermitian(seed, n, f, kind):
+    """A Hermitian G as rows of fixed-point complex ints with f fraction
+    bits: a Gram matrix As^H As of a random complex As with n + 1 .. 2n
+    rows, its columns scaled by 2^-12 .. 1 (kind "gram"), the same with
+    its last columns small int combinations of the others, so exactly
+    rank-deficient ("deficient"), c I ("scalar") or a diagonal with
+    repeated entries ("diagonal")."""
+    rng = random.Random(seed)
+    one = 1 << f
+    if kind in ("scalar", "diagonal"):
+        c = rng.randint(one, 100 * one)
+        diag = [c if kind == "scalar" else rng.choice((c, c // 3, one))
+                for _ in range(n)]
+        return [[(diag[i], 0) if i == j else (0, 0) for j in range(n)]
+                for i in range(n)]
+    free = n - rng.randint(1, n - 1) if kind == "deficient" and n > 1 else n
+    rows = rng.randint(n + 1, 2 * n)
+    cols = []
+    for c in range(n):
+        if c < free:
+            shift = rng.randint(0, 12)
+            cols.append([(rng.randint(-one, one) >> shift,
+                          rng.randint(-one, one) >> shift)
+                         for _ in range(rows)])
+        else:
+            ks = [rng.randint(-3, 3) for _ in range(free)]
+            cols.append([(sum(k * cols[i][r][0] for i, k in enumerate(ks)),
+                          sum(k * cols[i][r][1] for i, k in enumerate(ks)))
+                         for r in range(rows)])
+    return [[(sum(a * c + b * d for (a, b), (c, d) in zip(x, y)) >> f,
+              sum(a * d - b * c for (a, b), (c, d) in zip(x, y)) >> f)
+             for y in cols] for x in cols]
+
+
+def eigh_gaps(G, f):
+    """_eigh(G, f) against mpmath at twice the precision: the bounds of
+    its docstring for R at the sweep cap, and the largest gap between
+    its eigenvalues and mp.eighe's, ||V^H V - I|| and ||G V - V E||, each
+    over its bound (all must stay below 1)."""
+    n = len(G)
+    E, V = _eigh(G, f)
+    with mp.workprec(2 * f + 20):
+        def val(x):
+            return mp.mpc(mp.ldexp(x[0], -f), mp.ldexp(x[1], -f))
+        Gm = mp.matrix([[val(x) for x in row] for row in G])
+        Vm = mp.matrix([[val(V[i][k]) for i in range(n)] for k in range(n)])
+        Em = mp.diag([mp.ldexp(e, -f) for e in E])
+        norm = max(1, mp.mnorm(Gm, "F"))
+        # the rotation count at the sweep cap, plus one to keep the bounds
+        # above 0 at n = 1
+        rotations = modular._SWEEPS * n * (n - 1) // 2 + 1
+        unitary = rotations * n * mp.ldexp(1, 5 - f)
+        backward = (rotations + n) * n * mp.ldexp(1, 8 - f) * norm
+        # first order: G V - V E = V (V^H G V - E) + (I - V V^H) G V,
+        # and Weyl's bound plus V's distance from a unitary matrix for
+        # the eigenvalues
+        both = 2 * (backward + unitary * norm)
+        want = mp.eighe(Gm, eigvals_only=True)
+        got = sorted(mp.ldexp(e, -f) for e in E)
+        eig = max(abs(a - b) for a, b in zip(got, want))
+        unit = mp.mnorm(Vm.H * Vm - mp.eye(n), "F")
+        resid = mp.mnorm(Gm * Vm - Vm * Em, "F")
+        return E, V, (eig / both, unit / unitary, resid / both)
+
+
+class TestEigh:
+    @settings(deadline=None, max_examples=30)
+    @given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 12),
+           kind=st.sampled_from(["gram", "gram", "deficient", "scalar",
+                                 "diagonal"]))
+    def test_matches_eighe_within_the_stated_bound(self, seed, n, kind):
+        f = 150
+        G = hermitian(seed, n, f, kind)
+        E, V, gaps = eigh_gaps(G, f)
+        assert max(gaps) < 1, gaps
+        if kind in ("scalar", "diagonal"):
+            # nothing to rotate: E is the diagonal, V the identity
+            assert E == [G[i][i][0] for i in range(n)]
+            assert V == [[(1 << f if i == k else 0, 0) for k in range(n)]
+                         for i in range(n)]
+
+    def test_sweep_cap_raises(self, monkeypatch):
+        G = hermitian(1, 6, 150, "gram")
+        _eigh(G, 150)
+        monkeypatch.setattr(modular, "_SWEEPS", 2)
+        with pytest.raises(ArithmeticError, match="after 2 sweeps"):
+            _eigh(G, 150)
 
 
 class TestCharacterNumeric:

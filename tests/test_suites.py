@@ -8,10 +8,10 @@ import pytest
 
 from thetachar import suites
 from thetachar.characters import denominator
-from thetachar.mockpsi import HALF, PsiParams
+from thetachar.mockpsi import HALF, PsiParams, PsiPlan
 from thetachar.modular import family_members, predicted_t_matrix
 from thetachar.suites import SuiteConfig, run_suite, suite_cases
-from thetachar.theta import ThetaPass, ThetaQuotient, theta_shifted
+from thetachar.theta import PassPlan, ThetaPass, ThetaQuotient, theta_shifted
 
 from oracles import reduction_params_scan
 
@@ -132,23 +132,23 @@ def test_appell_cutoff_can_fail(monkeypatch):
 
 
 def test_batched_blocks_stay_paired(monkeypatch):
-    # each psi_values call evaluates the four characteristic blocks of a
-    # point; a batch that hands back the eps = 0 and eps = 1/2 blocks
-    # (results 0 and 2) swapped must fail the rows that read it
+    # each PsiPlan evaluates the four characteristic blocks of a point;
+    # a batch that hands back the eps = 0 and eps = 1/2 blocks (results
+    # 0 and 2) swapped must fail the rows that read it
     cases = dict(suite_cases("psi"))
     rows = [(cid, cases[cid])
             for cid in ("psi/periodicity/M2", "psi/diagonal-ratio/M2")]
     q = SuiteConfig().q_order
     assert {st for st, _ in _run_rows(monkeypatch, rows, q).values()} == \
         {"pass"}
-    real = suites.psi_values
+    real = PsiPlan.values
 
-    def swapped(blocks, *args):
-        out = real(blocks, *args)
+    def swapped(self, *args):
+        out = real(self, *args)
         out[0], out[2] = out[2], out[0]
         return out
 
-    monkeypatch.setattr(suites, "psi_values", swapped)
+    monkeypatch.setattr(PsiPlan, "values", swapped)
     for cid, (status, detail) in _run_rows(monkeypatch, rows, q).items():
         assert status == "fail" and detail.startswith("CaseFailure: "), cid
 
@@ -156,18 +156,39 @@ def test_batched_blocks_stay_paired(monkeypatch):
 def test_psi_suite_takes_one_pass_per_point_and_side(monkeypatch):
     # the symmetry rows take two passes per point, the diagonal rows one
     # for their closed forms: 16 x 5 x 2 + 4 x 5 + 5, and the Appell
-    # rows none
-    passes = []
-    real = ThetaPass.__init__
+    # rows none; a symmetry row plans its blocks and their mapped images
+    # once each, a diagonal row its blocks once, for all five points
+    passes, plans = [], {}
+    real_pass, real_plan = ThetaPass.__init__, PassPlan.__init__
+    cases = suite_cases("psi")
+    running = []
 
-    def counting(self, *args, **kw):
+    def passing(self, *args, **kw):
         passes.append(1)
-        real(self, *args, **kw)
+        real_pass(self, *args, **kw)
 
-    monkeypatch.setattr(ThetaPass, "__init__", counting)
+    def planning(self, *args, **kw):
+        plans[running[-1]] += 1
+        real_plan(self, *args, **kw)
+
+    def counted(cid, fn):
+        def run(cfg):
+            running.append(cid)
+            plans[cid] = 0
+            return fn(cfg)
+        return run
+
+    monkeypatch.setattr(ThetaPass, "__init__", passing)
+    monkeypatch.setattr(PassPlan, "__init__", planning)
+    monkeypatch.setattr(suites, "suite_cases", lambda name: tuple(
+        (cid, counted(cid, fn)) for cid, fn in cases))
     report = run_suite("psi")
     assert report.ok
-    assert len(passes) <= 185
+    assert len(passes) == 185
+    kinds = {"periodicity": 2, "reflect-swap": 2, "swap": 2, "reflect": 2,
+             "diagonal-ratio": 1, "m1-collapse": 1}
+    assert plans == {cid: kinds.get(cid.split("/")[1], 0)
+                     for cid, _ in cases}
 
 
 def test_psi_law_rows_take_one_pass_per_point_and_side(monkeypatch):

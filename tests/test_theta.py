@@ -43,9 +43,9 @@ from thetachar.theta import (
 )
 
 from oracles import (binary_power, cross_multiplied_equals, eta_numeric,
-                     first_difference, mpf_stop_step, q_valuation_bound,
-                     shifted_theta_sum, subst_scale_tau, subst_scale_z,
-                     truncate)
+                     first_difference, gated_stop_step, mpf_stop_step,
+                     q_valuation_bound, shifted_theta_sum, subst_scale_tau,
+                     subst_scale_z, truncate)
 
 LABELS = ("00", "01", "10", "11")
 
@@ -488,6 +488,20 @@ class TestRecurrenceSum:
         tau, z = _psi_theta_point(M, re_tau, im_tau, re_z, im_z, jk)
         check_stop_step(label, tau, z, abs_err)
 
+    @settings(deadline=None, max_examples=400)
+    @given(a=st.integers(0, 1), y=st.floats(1e-7, 20),
+           u=st.floats(-40, 40), log_err=st.floats(-400, 5))
+    def test_stop_step_matches_the_gated_start(self, a, y, u, log_err):
+        # the closed-form start never passes the step the rule stops at,
+        # and where y is too small for the term budget both raise
+        try:
+            want = gated_stop_step(a, y, u, log_err)
+        except TailBoundError:
+            with pytest.raises(TailBoundError):
+                theta_module._stop_step(a, y, u, log_err)
+            return
+        assert theta_module._stop_step(a, y, u, log_err) == want
+
     def test_error_must_be_positive(self):
         for abs_err in (0, "-1e-10"):
             with pytest.raises(ValueError):
@@ -839,6 +853,13 @@ class TestThetaShifted:
         c = theta_shifted("00", 4, tau_scale=1)
         assert a is b is c
         assert theta_shifted.cache_info().misses == 1
+
+    def test_series_caches_are_bounded(self):
+        # at least 4x the 335 misses `verify --suite all` makes in one
+        for cached in (theta_module.theta_sum, theta_module.eta_pow_scaled,
+                       theta_shifted):
+            assert (cached.cache_info().maxsize
+                    == theta_module.SERIES_CACHE_SIZE >= 4 * 335)
 
     def test_numeric_semantics(self):
         mp.dps = 35
