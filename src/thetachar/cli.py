@@ -439,7 +439,6 @@ def build_parser():
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--no-cache", action="store_true",
                    help="bypass the expansion cache")
-    p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("table",
                        help="parameter table (M, j, heart, k1, k2, c, h, s)")
@@ -449,7 +448,6 @@ def build_parser():
     p.add_argument("--twisted", action="store_true",
                    help="Ramond-sector (twisted) rows instead of NS")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run identity suites")
     p.add_argument("--suite", default="all",
@@ -463,7 +461,6 @@ def build_parser():
                    help="working precision in decimal digits (default %d)"
                         % DEFAULT_DPS)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("transform",
                        help="span-closure certificate for S or T")
@@ -485,19 +482,24 @@ def build_parser():
     p.add_argument("--output", default=None,
                    help="write the certificate JSON to this file instead "
                         "of stdout")
-    p.set_defaults(func=cmd_transform)
     return parser
 
 
+# built once per process; a parse keeps no state in it
+PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else (0 if code is None else 2)
+    # looked up per request, so a wrapped cmd_* is the one that runs
+    commands = {"expand": cmd_expand, "table": cmd_table,
+                "verify": cmd_verify, "transform": cmd_transform}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

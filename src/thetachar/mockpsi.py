@@ -30,8 +30,7 @@ and evaluates their closed forms at each point in one theta.ThetaPass
 (psi_value): their theta_11, eta(M tau) and prefactors, products of
 integer powers of e^{pi i tau/(2M)}, e^{pi i z/M} and the nome root
 e^{pi i M tau/4}, all come from the pass's power tables of its shared
-exponentials.  psi_values is its one-shot view and psi_numeric the
-one-block case.
+exponentials.  psi_numeric is its one-shot, one-block case.
 
 phi_a11_numeric is the two-variable Appell-type sum
 
@@ -129,15 +128,9 @@ def _mpc_any(v):
 
 def psi_numeric(params, tau, z1, z2, t):
     """Psi^{[M,1;eps]}_{j,k;eps'}(tau, z1, z2, t) from the closed form:
-    the one-block psi_values."""
-    return psi_values([params], tau, z1, z2, t)[0]
-
-
-def psi_values(blocks, tau, z1, z2, t):
-    """The blocks, all of one level M, at (tau, z1, z2, t): the one-shot
-    PsiPlan, on the diagonal where z1 = z2."""
+    the one-block, one-shot PsiPlan, on the diagonal where z1 = z2."""
     diagonal = _mpc_any(z1) == _mpc_any(z2)
-    return PsiPlan(blocks, diagonal).values(tau, z1, z2, t)
+    return PsiPlan([params], diagonal).values(tau, z1, z2, t)[0]
 
 
 class PsiPlan:

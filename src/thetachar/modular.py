@@ -51,8 +51,8 @@ from fractions import Fraction
 from mpmath import mp
 
 from .characters import denominator_label, sector_eps_prime, sign_eps
-from .mockpsi import (HALF, PsiParams, _guard_pole, _mpc_any, _mpfrac,
-                      psi_plan, psi_value, psi_values)
+from .mockpsi import (HALF, PsiParams, PsiPlan, _guard_pole, _mpc_any,
+                      _mpfrac, psi_plan, psi_value)
 from .qseries import ONE, _from_mpc, to_mpc
 from .theta import THETA_LABELS, PassPlan, ThetaPass, _fixed, modulus
 
@@ -134,44 +134,50 @@ def default_points(count, diagonal=False, seed=0):
     return pts
 
 
-def psi_s_residual(blocks, p):
-    """|LHS - RHS| of the S-law for each Psi block of one level at one
-    point: the blocks at (-1/tau, z1/tau, z2/tau, t) from one ThetaPass,
+def psi_s_residual(blocks, pts):
+    """|LHS - RHS| of the S-law for each Psi block of one level at each
+    point, point by point: the blocks at (-1/tau, z1/tau, z2/tau, t)
     against (tau/M) times the elliptic factor times the M^2-fold
-    phase-weighted sum of swapped blocks at (tau, z1, z2, t), those of
-    all the blocks from another."""
-    tau, z1, z2, t = (_mpc_any(v) for v in (p.tau, p.z1, p.z2, p.t))
+    phase-weighted sum of swapped blocks at (tau, z1, z2, t).  Each side
+    is planned (PsiPlan, off the diagonal, which serves any point) and
+    phased once, and takes one ThetaPass a point."""
     M = blocks[0].M
-    lhs = psi_values(blocks, -1 / tau, z1 / tau, z2 / tau, t)
     swapped = [[PsiParams(M, pr.eps + na, pr.eps + nb, pr.eps_prime, pr.eps)
                 for na in range(M) for nb in range(M)] for pr in blocks]
-    values = iter(psi_values([b for row in swapped for b in row],
-                             tau, z1, z2, t))
-    factor = (tau / M) * mp.exp(2j * mp.pi * z1 * z2 / (M * tau))
+    phases = [[mp.exp(-2j * mp.pi * (_mpfrac(blk.j) * _mpfrac(pr.k)
+                                     + _mpfrac(blk.k) * _mpfrac(pr.j)) / M)
+               for blk in row] for pr, row in zip(blocks, swapped)]
+    lhs_plan = PsiPlan(blocks, False)
+    rhs_plan = PsiPlan([b for row in swapped for b in row], False)
     out = []
-    for pr, row, left in zip(blocks, swapped, lhs):
-        j, k = _mpfrac(pr.j), _mpfrac(pr.k)
-        acc = mp.mpc(0)
-        for blk in row:
-            acc += next(values) * mp.exp(-2j * mp.pi * (_mpfrac(blk.j) * k
-                                                        + _mpfrac(blk.k) * j)
-                                         / M)
-        out.append(float(abs(left - factor * acc)))
+    for p in pts:
+        tau, z1, z2, t = (_mpc_any(v) for v in (p.tau, p.z1, p.z2, p.t))
+        lhs = lhs_plan.values(-1 / tau, z1 / tau, z2 / tau, t)
+        values = iter(rhs_plan.values(tau, z1, z2, t))
+        factor = (tau / M) * mp.exp(2j * mp.pi * z1 * z2 / (M * tau))
+        out += [float(abs(left - factor * sum(
+            (next(values) * phase for phase in row), mp.mpc(0))))
+            for row, left in zip(phases, lhs)]
     return out
 
 
-def psi_t_residual(blocks, p):
-    """|LHS - RHS| of the T-law for each Psi block at one point: the
-    blocks at (tau + 1, ...) from one ThetaPass against e^{2 pi i jk/M}
-    times the blocks with eps -> eps + eps' mod 1 from another."""
-    tau, z1, z2, t = (_mpc_any(v) for v in (p.tau, p.z1, p.z2, p.t))
-    lhs = psi_values(blocks, tau + 1, z1, z2, t)
-    rhs = psi_values([PsiParams(pr.M, pr.j, pr.k, (pr.eps + pr.eps_prime) % 1,
-                                pr.eps_prime) for pr in blocks],
-                     tau, z1, z2, t)
-    return [float(abs(a - mp.exp(2j * mp.pi * _mpfrac(pr.j * pr.k) / pr.M)
-                      * b))
-            for pr, a, b in zip(blocks, lhs, rhs)]
+def psi_t_residual(blocks, pts):
+    """|LHS - RHS| of the T-law for each Psi block at each point, point
+    by point: the blocks at (tau + 1, ...) against e^{2 pi i jk/M} times
+    the blocks with eps -> eps + eps' mod 1, each side planned once and
+    one ThetaPass a point."""
+    lhs_plan = PsiPlan(blocks, False)
+    rhs_plan = PsiPlan([PsiParams(pr.M, pr.j, pr.k, (pr.eps + pr.eps_prime)
+                                  % 1, pr.eps_prime) for pr in blocks], False)
+    phases = [mp.exp(2j * mp.pi * _mpfrac(pr.j * pr.k) / pr.M)
+              for pr in blocks]
+    out = []
+    for p in pts:
+        tau, z1, z2, t = (_mpc_any(v) for v in (p.tau, p.z1, p.z2, p.t))
+        out += [float(abs(a - phase * b)) for phase, a, b in zip(
+            phases, lhs_plan.values(tau + 1, z1, z2, t),
+            rhs_plan.values(tau, z1, z2, t))]
+    return out
 
 
 def denominator_numeric(sign, sector, tau, z):

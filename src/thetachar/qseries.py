@@ -18,7 +18,8 @@ inputs take the same loops, since Python mixes the two exactly.
 
 Every theta series, eta power and character the package expands is a
 monomial times two-term factors (1 + c x^k q^e)^{+-1}, and expand()
-builds each of them from that list in one call.
+builds each of them from that list in one call, its exponents given as
+ints on any lattice that holds them: the result lands on the coarsest.
 
 Fractional powers are defined through the exponential, never through a
 branch choice on q itself: q^e means exp(2 pi i tau e) and x^f means
@@ -241,13 +242,6 @@ class JacobiSeries:
                         self.c[(qn, xn)]))
         return out
 
-    def coefficient(self, q_exp, x_exp):
-        q_exp = Fraction(q_exp) * self.q_den
-        x_exp = Fraction(x_exp) * self.x_den
-        if q_exp.denominator != 1 or x_exp.denominator != 1:
-            return GaussianRational(0)
-        return self.c.get((int(q_exp), int(x_exp)), GaussianRational(0))
-
     def is_zero(self):
         return not self.c
 
@@ -417,11 +411,13 @@ def _unit_inverse(c):
     return GaussianRational(c.re, -c.im)
 
 
-def expand(monomials, factors, q_order, x_window=None):
+def expand(q_den, x_den, monomials, factors, order_n, window_n=None):
     """prod (c q^e x^k)^p * prod (1 + c x^k q^e)^p over the (e, k, c, p)
     of monomials and factors, p = 1 (multiply) or -1 (divide), expanded
     q-adically and, within each power of q, in descending powers of x;
-    trusted below q_order.
+    trusted below q^(order_n/q_den).  Each c is a GaussianRational and
+    each exponent an int: e and order_n in units of 1/q_den, k and the
+    ends of window_n in units of 1/x_den.
 
     A factor with e < 0, or e = 0 < k, is written c x^k q^e (1 + u) and
     its monomial joins the monomials with the same p; its c must be a
@@ -429,32 +425,32 @@ def expand(monomials, factors, q_order, x_window=None):
     monomial.  Every remaining factor is then small in q (e > 0) or in
     1/x (e = 0, k < 0), so the monomials' product, the lead, carries the
     exact valuation v of the result, and the result is exact below
-    q_order when the caller lists every factor with e < q_order - v
+    order_n when the caller lists every factor with e < order_n - v
     (those left out are 1 + O(q^e)).
 
+    Every lattice a caller lists on gives one result, on the coarsest
+    lattice that holds every exponent given: q_den and x_den over their
+    gcd with those exponents, the lcm of their denominators as
+    rationals.  The exponents are reduced first, and the passes run on
+    that lattice.
+
     The expansion starts from 1 and runs one pass per factor below
-    q_order - v: first every multiplied factor, adding c x^k q^e times
+    order_n - v: first every multiplied factor, adding c x^k q^e times
     the series it is given, then every divided one, applying
     out[q, x] = acc[q, x] - c out[q - e, x - k] in (q ascending,
-    x descending) order.  Divided factors need the inclusive x_window,
+    x descending) order.  Divided factors need the inclusive window_n,
     which the result then carries: the divided factors from pass i on
-    move a term at level q at most (q_order - q) * rise up and
-    (q_order - q) * fall down in x, with rise the largest k/e for k > 0
+    move a term at level q at most (order_n - q) * rise up and
+    (order_n - q) * fall down in x, with rise the largest k/e for k > 0
     and fall the largest -k/e for k < 0 (unbounded while a factor with
     e = 0 remains), so pass i keeps, at each level, only the x-range
     from which the window can still be reached.  Divided factors with
     e = 0 run first, then the rising ones, then the rest, each steepest
     first, so that these ranges narrow pass by pass.
-
-    The lattice is the lcm of the denominators of every exponent given:
-    each monomial's, each factor's, q_order's and the window's.
     """
-    q_order = Fraction(q_order)
-    lead = [(Fraction(e), Fraction(k), GaussianRational.coerce(c), p)
-            for e, k, c, p in monomials]
+    lead = list(monomials)
     kept = []
     for e, k, c, p in factors:
-        e, k, c = Fraction(e), Fraction(k), GaussianRational.coerce(c)
         if e < 0 or (e == 0 and k > 0):
             lead.append((e, k, c, p))
             e, k, c = -e, -k, _unit_inverse(c)
@@ -462,43 +458,42 @@ def expand(monomials, factors, q_order, x_window=None):
             raise ValueError("constant factor 1 + %r has no directed "
                              "expansion" % (c,))
         kept.append((e, k, c, p))
-    ends = [Fraction(end) for end in x_window or ()]
-    if not ends and any(p < 0 for *_, p in kept):
+    if window_n is None and any(p < 0 for *_, p in kept):
         raise ValueError("divided factors need an x_window")
-    q_den, x_den = q_order.denominator, 1
-    for e, k, _, _ in lead + kept:
-        q_den, x_den = _lcm(q_den, e.denominator), _lcm(x_den, k.denominator)
-    for end in ends:
-        x_den = _lcm(x_den, end.denominator)
+    gq = gcd(q_den, order_n, *(f[0] for f in lead + kept))
+    gx = gcd(x_den, *(f[1] for f in lead + kept), *(window_n or ()))
+    q_den, x_den, order_n = q_den // gq, x_den // gx, order_n // gq
+    window = window_n and (window_n[0] // gx, window_n[1] // gx)
+    lead = [(e // gq, k // gx, c, p) for e, k, c, p in lead]
+    kept = [(e // gq, k // gx, c, p) for e, k, c, p in kept]
 
-    # in lattice units from here on; the passes run relative to the lead
-    lead_q = sum(p * int(e * q_den) for e, _, _, p in lead)
-    lead_x = sum(p * int(k * x_den) for _, k, _, p in lead)
+    # the passes run relative to the lead
+    lead_q = sum(p * e for e, _, _, p in lead)
+    lead_x = sum(p * k for _, k, _, p in lead)
     lead_c = GaussianRational(1)
     for _, _, c, p in lead:
         lead_c = lead_c * (c if p > 0 else _unit_inverse(c))
-    order_n = int(q_order * q_den)
     top = order_n - lead_q
-    window = tuple(int(end * x_den) for end in ends) or None
     seen = window and (window[0] - lead_x, window[1] - lead_x)
-    kept = [(int(e * q_den), int(k * x_den), c, p) for e, k, c, p in kept]
     acc = {0: {0: (1, 0)}} if top > 0 else {}
     for e, k, c, p in kept:
         if p > 0:
             _times_pass(acc, (e, k, c), top)
-    divided = sorted(((e, k, c) for e, k, c, p in kept if p < 0),
-                     key=_pass_order)
+    divided = [(e, k, c) for e, k, c, p in kept if p < 0]
+    # slopes k/e as ints in units of 1/span, for span the lcm of the e
+    span = math.lcm(*(e for e, _, _ in divided if e))
+    divided.sort(key=lambda f: _pass_order(f, span))
     # slopes[i] = (rise, fall) of the divided factors from pass i on
     slopes = []
-    rise = fall = Fraction(0)
+    rise = fall = 0
     for e, k, _ in reversed(divided):
         if k > 0:
-            rise = max(rise, Fraction(k, e))
+            rise = max(rise, k * (span // e))
         elif k < 0 and fall is not None:
-            fall = max(fall, Fraction(-k, e)) if e else None
+            fall = max(fall, -k * (span // e)) if e else None
         slopes.insert(0, (rise, fall))
     for factor, (rise, fall) in zip(divided, slopes):
-        acc = _divide_pass(acc, factor, top, seen, rise, fall)
+        acc = _divide_pass(acc, factor, top, seen, rise, fall, span)
     cr, ci = lead_c.re, lead_c.im
     terms = {(qn + lead_q, xn + lead_x):
              GaussianRational(cr * re - ci * im, cr * im + ci * re)
@@ -526,21 +521,22 @@ def _times_pass(acc, factor, order_n):
             dst[x + k] = (re, im)
 
 
-def _pass_order(factor):
+def _pass_order(factor, span):
     """Factors with e = 0 first, then the rising ones, then the others,
-    each group steepest first."""
+    each group steepest first, for span a multiple of every e."""
     e, k, _ = factor
     if e == 0:
         return (0, 0)
-    return (1, -Fraction(k, e)) if k > 0 else (2, Fraction(k, e))
+    slope = k * (span // e)
+    return (1, -slope) if k > 0 else (2, slope)
 
 
-def _divide_pass(acc, factor, order_n, window, rise, fall):
+def _divide_pass(acc, factor, order_n, window, rise, fall, span):
     """acc / (1 + c x^k q^e) on {level: {x: (re, im)}} in lattice units,
     below order_n.  Levels that no term e levels lower reaches pass
     unchanged; elsewhere only the x-range that can still reach the
-    window, moving at most rise up and fall down (None: without bound)
-    per level, is kept."""
+    window, moving at most rise/span up and fall/span down (None:
+    without bound) per level, is kept."""
     e, k, c = factor
     cr, ci = -c.re, -c.im
     out = {}
@@ -548,9 +544,8 @@ def _divide_pass(acc, factor, order_n, window, rise, fall):
     for qn in sorted(levels):
         row = acc.get(qn, {})
         d = order_n - qn
-        floor = window[0] + (-d * rise.numerator // rise.denominator)
-        top = (math.inf if fall is None
-               else window[1] - (-d * fall.numerator // fall.denominator))
+        floor = window[0] + (-d * rise // span)
+        top = math.inf if fall is None else window[1] - (-d * fall // span)
         new = {}
         if e:
             src = out.get(qn - e)

@@ -250,11 +250,6 @@ def _block_residuals(residuals, offset, M, q):
     return residuals(blocks, default_points(5, seed=M + offset))
 
 
-def _at_each_point(residuals, blocks, pts):
-    # residuals(blocks, point) over the points
-    return [r for p in pts for r in residuals(blocks, p)]
-
-
 # (name, seed offset, index map, argument map, sign): the block at the
 # mapped arguments equals sign(eps) times the block at the mapped
 # indices, at t = 0
@@ -591,8 +586,7 @@ def _modular_cases():
     certs = {}
     # the S and T laws of the characteristic blocks
     cases = [("psi-%s-law/M%d" % (w, M),
-              _residual(partial(_block_residuals,
-                                partial(_at_each_point, law), offset, M)))
+              _residual(partial(_block_residuals, law, offset, M)))
              for w, law, offset in (("s", psi_s_residual, 100),
                                     ("t", psi_t_residual, 120))
              for M in (1, 2, 3)]

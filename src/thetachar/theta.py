@@ -22,7 +22,8 @@ with n >= 1, and eta = q^{1/24} prod (1 - q^n).  Every exact quotient
 the package states, a character, a Psi block, a denominator or a theta
 identity, is a ThetaQuotient: a monomial times a quotient of shifted
 thetas and eta powers.  Its expand is the one qseries.expand of its
-prefactors and two-term factors; each theta series (theta_shifted) and
+prefactors and two-term factors, each listed with int exponents on its
+factor's own lattice; each theta series (theta_shifted) and
 eta power (eta_pow_scaled) is the cached expand of a one-factor
 quotient.  Identities are compared cross-multiplied (equals), with the
 factors both sides share cancelled and the rest compared below q minus
@@ -153,15 +154,12 @@ def theta_valuation(label, tau_scale=1, z_scale=1, r_tau=0, r_one=0):
     r_tau, r_one) at every q above it, found without building it.
 
     It is the prefactor's q-exponent plus the sum of min(0, e) over the
-    two-term factors of theta_factors, in closed form, and it is exact:
-    the q^v coefficient is the product of the lowest terms of the
-    factors, a nonzero Laurent polynomial in x.
+    two-term factors of its listing (_listing), in closed form,
+    and it is exact: the q^v coefficient is the product of the lowest
+    terms of the factors, a nonzero Laurent polynomial in x.
     """
     label, ts, _, r_tau, _ = theta_key(label, tau_scale, z_scale, r_tau,
                                        r_one)
-    # in units of 1/(8d), d the denominator of r_tau: the prefactor's
-    # exponent is a (ts/8 + r_tau/2), and the two-term factors' e are
-    # ts n + r_tau - h and ts n - ts + h - r_tau, n >= 1, h = (1 - a) ts/2
     a, d, r = int(label[0]), r_tau.denominator, r_tau.numerator
     step, h = 8 * d * ts, 4 * d * ts * (1 - a)
     return Fraction(a * (d * ts + 4 * r) + _negative_sum(step, 8 * r - h)
@@ -175,74 +173,73 @@ def _negative_sum(step, start):
     return step * n * (n + 1) // 2 + start * n
 
 
-def theta_factors(label, below, tau_scale=1, z_scale=1, r_tau=0, r_one=0):
-    """The Jacobi triple product of theta_shifted(label, ., tau_scale,
-    z_scale, r_tau, r_one) as ((pre_q, pre_x, pre_c), factors): the
-    prefactor pre_c q^pre_q x^pre_x, and the (e, k, c) of every two-term
-    factor (1 + c x^k q^e) with e < below.  Every factor with e < 0 is
-    listed once below > 0.
-
-    With x' = e^{2 pi i (z_scale*z + r_tau*tau + r_one)} the factor
-    (1 + s x' q^{tau_scale e}) becomes
-    (1 + s zeta x^{z_scale} q^{tau_scale e + r_tau}) for the phase
-    zeta = e^{2 pi i r_one}, which must be a power of i (and for the
-    half-characteristic prefactor x'^{1/2}, a power of -1), otherwise
-    CoefficientRingError is raised; so each pre_c and c is a power of i.
-    """
-    label, ts, zs, r_tau, r_one = theta_key(label, tau_scale, z_scale,
-                                             r_tau, r_one)
-    if (4 * r_one).denominator != 1:
-        raise CoefficientRingError(
-            "z-shift constant %s is not a multiple of 1/4" % (r_one,))
-    k4 = int(4 * r_one)
-    a, b = int(label[0]), int(label[1])
-    sx = -1 if b else 1
-    c_fwd = GaussianRational(sx).times_i_power(k4)
-    c_bwd = GaussianRational(sx).times_i_power(-k4)
-    c_pure = GaussianRational(-1)
-    if a == 1:
-        if k4 % 2:
-            raise CoefficientRingError(
-                "half-power phase exp(pi i %s) is not a power of i"
-                % (r_one,))
-        pre_q = Fraction(ts, 8) + r_tau / 2
-        pre_x = Fraction(zs, 2)
-        pre_c = GaussianRational(1).times_i_power((1 if b else 0) + k4 // 2)
-    else:
-        pre_q = Fraction(0)
-        pre_x = Fraction(0)
-        pre_c = GaussianRational(1)
-
-    # every exponent grows with n, so the first row with nothing below
-    # the bound ends the list
-    factors = []
-    n = 1
-    while True:
-        if a == 0:
-            e_fwd = e_bwd = Fraction(ts * (2 * n - 1), 2)
-        else:
-            e_fwd, e_bwd = Fraction(ts * n), Fraction(ts * (n - 1))
-        row = ((ts * n, 0, c_pure), (e_fwd + r_tau, zs, c_fwd),
-               (e_bwd - r_tau, -zs, c_bwd))
-        live = [f for f in row if f[0] < below]
-        if not live:
-            return (pre_q, pre_x, pre_c), factors
-        factors.extend(live)
-        n += 1
-
-
 # ---------------------------------------------------------------------
 # exact theta quotients
 # ---------------------------------------------------------------------
 
 def _listing(key, below):
-    """The prefactor and the two-term factors (e < below) of a factor
-    key: a theta's (theta_factors) or eta(m tau)'s."""
+    """(q_den, (pre_q, pre_x, pre_c), factors) of a factor key: its
+    prefactor pre_c q^pre_q x^pre_x and the (e, k, c) of each two-term
+    factor (1 + c x^k q^e) with e < below (all e < 0 once below > 0), on
+    the key's own int lattice: q in units of 1/q_den, 24 for ("eta", m)
+    and 8d for a theta with r_tau = r/d, and x in units of 1/2.
+
+    eta(m tau) = q^{m/24} prod (1 - q^{m n}).  A theta's is its Jacobi
+    triple product: with x' = e^{2 pi i (z_scale*z + r_tau*tau + r_one)}
+    the factor (1 + s x' q^{tau_scale e}) becomes
+    (1 + s zeta x^{z_scale} q^{tau_scale e + r_tau}) for the phase
+    zeta = e^{2 pi i r_one}, which must be a power of i (and for the
+    half-characteristic prefactor x'^{1/2}, a power of -1), otherwise
+    CoefficientRingError is raised; so each pre_c and c is a power of i.
+    Its prefactor's exponent is a (d ts + 4 r), and its factors' e are
+    step n, step n + 8 r - h and step n - step + h - 8 r, n >= 1, for
+    step = 8 d ts and h = 4 d ts (1 - a): what theta_valuation sums.
+    """
+    minus = GaussianRational(-1)
+    q_den = 24 if key[0] == "eta" else 8 * key[3].denominator
+    below_n = -(-below.numerator * q_den // below.denominator)
     if key[0] == "eta":
-        m = key[1]
-        return ((Fraction(m, 24), 0, 1),
-                [(m * n, 0, -1) for n in range(1, math.ceil(below / m))])
-    return theta_factors(key[0], below, *key[1:])
+        m = 24 * key[1]
+        return (q_den, (key[1], 0, GaussianRational(1)),
+                [(m * n, 0, minus) for n in range(1, -(-below_n // m))])
+    label, ts, zs, r_tau, r_one = key
+    if 4 % r_one.denominator:
+        raise CoefficientRingError(
+            "z-shift constant %s is not a multiple of 1/4" % (r_one,))
+    k4 = r_one.numerator * (4 // r_one.denominator)
+    a, b = int(label[0]), int(label[1])
+    d, r = r_tau.denominator, r_tau.numerator
+    c_fwd = GaussianRational(-1 if b else 1).times_i_power(k4)
+    c_bwd = GaussianRational(-1 if b else 1).times_i_power(-k4)
+    if a == 1:
+        if k4 % 2:
+            raise CoefficientRingError(
+                "half-power phase exp(pi i %s) is not a power of i"
+                % (r_one,))
+        pre = (d * ts + 4 * r, zs,
+               GaussianRational(1).times_i_power(b + k4 // 2))
+    else:
+        pre = (0, 0, GaussianRational(1))
+
+    # every exponent grows with n, so the first row with nothing below
+    # the bound ends the list
+    step, h = 8 * d * ts, 4 * d * ts * (1 - a)
+    factors = []
+    n = step
+    while True:
+        row = ((n, 0, minus), (n + 8 * r - h, 2 * zs, c_fwd),
+               (n - step + h - 8 * r, -2 * zs, c_bwd))
+        live = [f for f in row if f[0] < below_n]
+        if not live:
+            return q_den, pre, factors
+        factors.extend(live)
+        n += step
+
+
+def _units(r, den):
+    """The rational r as an int in units of 1/den, a multiple of its
+    denominator."""
+    return r.numerator * (den // r.denominator)
 
 
 @lru_cache(maxsize=1024)
@@ -372,23 +369,35 @@ class ThetaQuotient:
 
     def expand(self, q_order, x_window=None):
         """The quotient as one qseries.expand, trusted below q_order: the
-        lead and every factor's prefactor and two-term factors,
-        multiplied for num and divided for den (which needs x_window).
-        With v = valuation(), each factor is listed below
-        max(1, q_order - v), which lists every factor with e < 0 too;
-        a stored result must start at q^v."""
+        lead and every factor's listing (_listing), multiplied for num
+        and divided for den (which needs x_window), each listed below
+        max(1, q_order - v) for v = valuation(), so every e < 0 too.  The
+        listings are scaled from their keys' lattices to the lcm of those
+        and of the lead's, q_order's and the window's denominators, and
+        expand reduces that to the coarsest lattice holding every
+        exponent listed.  The result must start at q^v."""
         q_order = Fraction(q_order)
         v = self.valuation()
         below = max(1, q_order - v)
+        ends = [Fraction(end) for end in x_window or ()]
+        listings = [(_listing(key, below), n, p)
+                    for part, p in ((self.num, 1), (self.den, -1))
+                    for key, n in part.items()]
         a, b, k = self.lead
-        monomials = [(a, b, GaussianRational(1).times_i_power(k), 1)]
+        q_den = math.lcm(a.denominator, q_order.denominator,
+                         *(lst[0] for lst, _, _ in listings))
+        x_den = math.lcm(2, b.denominator, *(end.denominator for end in ends))
+        monomials = [(_units(a, q_den), _units(b, x_den),
+                      GaussianRational(1).times_i_power(k), 1)]
         factors = []
-        for part, p in ((self.num, 1), (self.den, -1)):
-            for key, n in part.items():
-                pre, more = _listing(key, below)
-                monomials += [pre + (p,)] * n
-                factors += [f + (p,) for f in more] * n
-        ser = expand(monomials, factors, q_order, x_window)
+        sx = x_den // 2
+        for (lq, pre, more), n, p in listings:
+            sq = q_den // lq
+            monomials += [(pre[0] * sq, pre[1] * sx, pre[2], p)] * n
+            factors += [(e * sq, kx * sx, c, p) for e, kx, c in more] * n
+        ser = expand(q_den, x_den, monomials, factors,
+                     _units(q_order, q_den),
+                     tuple(_units(end, x_den) for end in ends) or None)
         low = Fraction(min(ser.c)[0], ser.q_den) if ser.c else v
         if low != v:
             raise AssertionError("expansion starts at q^%s, not at its "

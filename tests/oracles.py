@@ -36,6 +36,14 @@ binary_power raises an mpmath exponential of its own by square and
 multiply, as ThetaPass raised each base per request before it built
 one power table per pass from one root per coordinate.  They are the
 oracles of the int fit and of the table.
+
+theta_factors, expand_rational and quotient_expand are the listing and
+the expansion front as they ran before ThetaQuotient.expand listed each
+factor on its key's int lattice: the triple product with Fraction
+exponents, the lattice as the lcm of the exponents' denominators, and
+the quotient listed with both.  They are the oracles of the int listing
+and of expand's gcd reduction.  coefficient reads one coefficient at
+rational exponents, a view that only the tests read.
 """
 
 import math
@@ -53,10 +61,11 @@ from thetachar.modular import (COND_THRESHOLD, RANK_CUTOFF,
 from thetachar.qseries import (ONE, CoefficientRingError,
                                GaussianRational, JacobiSeries,
                                UntrustedOrderError, _div, _from_mpc, _lcm,
-                               _mul, equal_to_order, mul, restrict_window,
-                               to_mpc)
+                               _mul, equal_to_order, expand, mul,
+                               restrict_window, to_mpc)
 from thetachar.theta import (_GATE, _N_CAP, PassPlan, TailBoundError,
-                             ThetaPass, ThetaQuotient, eta_request)
+                             ThetaPass, ThetaQuotient, eta_request,
+                             theta_key)
 
 
 def truncate(a, q_order):
@@ -84,6 +93,109 @@ def x_support(a):
         return None
     xs = [xn for (_, xn) in a.c]
     return (Fraction(min(xs), a.x_den), Fraction(max(xs), a.x_den))
+
+
+def coefficient(a, q_exp, x_exp):
+    """The coefficient of q^q_exp x^x_exp in the series a, 0 off its
+    lattice."""
+    q_exp = Fraction(q_exp) * a.q_den
+    x_exp = Fraction(x_exp) * a.x_den
+    if q_exp.denominator != 1 or x_exp.denominator != 1:
+        return GaussianRational(0)
+    return a.c.get((int(q_exp), int(x_exp)), GaussianRational(0))
+
+
+def theta_factors(label, below, tau_scale=1, z_scale=1, r_tau=0, r_one=0):
+    """The Jacobi triple product of theta_shifted(label, ., tau_scale,
+    z_scale, r_tau, r_one) as ((pre_q, pre_x, pre_c), factors) with
+    Fraction exponents: the prefactor pre_c q^pre_q x^pre_x, and the
+    (e, k, c) of every two-term factor (1 + c x^k q^e) with e < below.
+    Raises CoefficientRingError where a phase is not a power of i."""
+    label, ts, zs, r_tau, r_one = theta_key(label, tau_scale, z_scale,
+                                             r_tau, r_one)
+    if (4 * r_one).denominator != 1:
+        raise CoefficientRingError(
+            "z-shift constant %s is not a multiple of 1/4" % (r_one,))
+    k4 = int(4 * r_one)
+    a, b = int(label[0]), int(label[1])
+    sx = -1 if b else 1
+    c_fwd = GaussianRational(sx).times_i_power(k4)
+    c_bwd = GaussianRational(sx).times_i_power(-k4)
+    c_pure = GaussianRational(-1)
+    if a == 1:
+        if k4 % 2:
+            raise CoefficientRingError(
+                "half-power phase exp(pi i %s) is not a power of i"
+                % (r_one,))
+        pre_q = Fraction(ts, 8) + r_tau / 2
+        pre_x = Fraction(zs, 2)
+        pre_c = GaussianRational(1).times_i_power((1 if b else 0) + k4 // 2)
+    else:
+        pre_q = Fraction(0)
+        pre_x = Fraction(0)
+        pre_c = GaussianRational(1)
+    factors = []
+    n = 1
+    while True:
+        if a == 0:
+            e_fwd = e_bwd = Fraction(ts * (2 * n - 1), 2)
+        else:
+            e_fwd, e_bwd = Fraction(ts * n), Fraction(ts * (n - 1))
+        row = ((ts * n, 0, c_pure), (e_fwd + r_tau, zs, c_fwd),
+               (e_bwd - r_tau, -zs, c_bwd))
+        live = [f for f in row if f[0] < below]
+        if not live:
+            return (pre_q, pre_x, pre_c), factors
+        factors.extend(live)
+        n += 1
+
+
+def expand_rational(monomials, factors, q_order, x_window=None):
+    """qseries.expand with rational exponents and coefficients: the
+    lattice is the lcm of the denominators of every exponent given, each
+    monomial's, each factor's, q_order's and the window's."""
+    q_order = Fraction(q_order)
+    groups = [[(Fraction(e), Fraction(k), GaussianRational.coerce(c), p)
+               for e, k, c, p in group] for group in (monomials, factors)]
+    ends = [Fraction(end) for end in x_window or ()]
+    q_den = math.lcm(q_order.denominator,
+                     *(f[0].denominator for g in groups for f in g))
+    x_den = math.lcm(*(f[1].denominator for g in groups for f in g),
+                     *(end.denominator for end in ends))
+    monomials, factors = ([(int(e * q_den), int(k * x_den), c, p)
+                           for e, k, c, p in g] for g in groups)
+    return expand(q_den, x_den, monomials, factors, int(q_order * q_den),
+                  tuple(int(end * x_den) for end in ends) or None)
+
+
+def quotient_expand(quotient, q_order, x_window=None):
+    """ThetaQuotient.expand listed with Fraction exponents: theta_factors
+    for a theta, q^{m/24} and the (m n, 0, -1) for eta(m tau), each below
+    max(1, q_order - v), through expand_rational; the result must start
+    at q^v."""
+    q_order = Fraction(q_order)
+    v = quotient.valuation()
+    below = max(1, q_order - v)
+    a, b, k = quotient.lead
+    monomials = [(a, b, GaussianRational(1).times_i_power(k), 1)]
+    factors = []
+    for part, p in ((quotient.num, 1), (quotient.den, -1)):
+        for key, n in part.items():
+            if key[0] == "eta":
+                m = key[1]
+                pre, more = ((Fraction(m, 24), 0, 1),
+                             [(m * i, 0, -1)
+                              for i in range(1, math.ceil(below / m))])
+            else:
+                pre, more = theta_factors(key[0], below, *key[1:])
+            monomials += [pre + (p,)] * n
+            factors += [f + (p,) for f in more] * n
+    ser = expand_rational(monomials, factors, q_order, x_window)
+    low = Fraction(min(ser.c)[0], ser.q_den) if ser.c else v
+    if low != v:
+        raise AssertionError("expansion starts at q^%s, not at its "
+                             "valuation %s" % (low, v))
+    return ser
 
 
 def character_numeric(M, k1, k2, heart, sign, twisted, p):

@@ -205,9 +205,9 @@ def test_acceptance_09_transform_laws():
     for M in (1, 2, 3):
         blocks = [PsiParams(M, eps_p + 1, eps_p, eps, eps_p)
                   for eps, eps_p in iproduct((F(0), HALF), (F(0), HALF))]
-        for p in default_points(5, seed=M + 50):
-            worst_psi = max(worst_psi, *psi_s_residual(blocks, p),
-                            *psi_t_residual(blocks, p))
+        pts = default_points(5, seed=M + 50)
+        worst_psi = max(worst_psi, *psi_s_residual(blocks, pts),
+                        *psi_t_residual(blocks, pts))
     assert worst_psi < 1e-9, "Psi transform residual %.3e" % worst_psi
     worst_den = 0.0
     for sign, sector in iproduct(("+", "-"), ("NS", "R")):

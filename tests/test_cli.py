@@ -348,3 +348,41 @@ class TestTopLevel:
     def test_in_process_version_exit_code(self, capsys):
         assert cli.main(["--version"]) == 0
         assert capsys.readouterr().out.strip() == "thetachar 0.1.0"
+
+    def test_one_parser_serves_every_request(self, tmp_path, monkeypatch,
+                                             capsys):
+        # the module's parser parses each request in one process: a
+        # usage error, --version and a verify between two identical
+        # expands change neither the exit codes a fresh process gives
+        # nor the expand's bytes
+        expand = ["expand", "--M", "2", "--j=-1/2", "--sector", "NS",
+                  "--sign", "+", "--q-order", "3", "--format", "json"]
+        requests = [expand,
+                    ["expand", "--M", "2", "--j=7/3", "--sector", "NS",
+                     "--sign", "+"],
+                    ["--version"],
+                    ["verify", "--suite", "theta", "--format", "json"],
+                    expand]
+        monkeypatch.setenv("THETACHAR_CACHE_DIR", str(tmp_path / "shared"))
+        codes, outs = [], []
+        for argv in requests:
+            codes.append(cli.main(list(argv)))
+            outs.append(capsys.readouterr().out)
+        fresh = [run_cli(argv, tmp_path / ("fresh%d" % i))
+                 for i, argv in enumerate(requests)]
+        assert codes == [cp.returncode for cp in fresh] == [0, 2, 0, 0, 0]
+        assert outs[0].encode() == outs[4].encode() == fresh[0].stdout
+
+    def test_commands_are_looked_up_per_request(self, tmp_path,
+                                                monkeypatch, capsys):
+        # the parser is built once, and a request still runs the
+        # cmd_expand the module holds when it arrives
+        seen = []
+        real = cli.cmd_expand
+        monkeypatch.setattr(cli, "cmd_expand",
+                            lambda args: seen.append(args.M) or real(args))
+        monkeypatch.setenv("THETACHAR_CACHE_DIR", str(tmp_path))
+        assert cli.main(["expand", "--M", "1", "--j", "1/2", "--sector",
+                         "NS", "--sign", "+"]) == 0
+        assert seen == [1]
+        assert capsys.readouterr().out.startswith('{"q_den":')

@@ -17,8 +17,8 @@ from thetachar.qseries import (
     add,
     dumps_canonical,
     equal_to_order,
-    expand,
     eval_numeric,
+    expand,
     from_json_dict,
     mul,
     product,
@@ -30,9 +30,10 @@ from thetachar.qseries import (
 from thetachar.characters import (SECTORS, SIGNS, CharacterSpec,
                                   character_series, index_set)
 
-from oracles import (as_series, eval_numeric_per_term, first_difference,
-                     gaussian_inverse, invert_directed, q_valuation_bound,
-                     subst_scale_tau, subst_scale_z, truncate, x_support)
+from oracles import (as_series, coefficient, eval_numeric_per_term,
+                     expand_rational, first_difference, gaussian_inverse,
+                     invert_directed, q_valuation_bound, subst_scale_tau,
+                     subst_scale_z, truncate, x_support)
 
 
 def mono(qe, xe, coeff, order):
@@ -143,8 +144,8 @@ class TestConstruction:
     def test_monomial_and_views(self):
         s = mono(F(3, 2), F(-1, 2), GaussianRational(0, 1), 4)
         assert s.q_order == F(4)
-        assert s.coefficient(F(3, 2), F(-1, 2)) == I_UNIT
-        assert s.coefficient(F(3, 2), F(1, 3)) == 0
+        assert coefficient(s, F(3, 2), F(-1, 2)) == I_UNIT
+        assert coefficient(s, F(3, 2), F(1, 3)) == 0
         assert x_support(s) == (F(-1, 2), F(-1, 2))
         assert q_valuation_bound(s) == F(3, 2)
 
@@ -323,7 +324,7 @@ class TestTrustPropagation:
         fs = [poly(9, (0, 0, 1), (1, 1, 1)) for _ in range(3)]
         p = product(fs)
         assert p.q_order == F(9)
-        assert p.coefficient(2, 2) == 3
+        assert coefficient(p, 2, 2) == 3
 
     def test_windowed_times_windowed_rejected(self):
         a = restrict_window(poly(5, (0, 0, 1)), (F(-1), F(1)))
@@ -361,8 +362,8 @@ class TestSubstitutions:
         s = poly(5, (1, 0, 1), (2, 1, 3))
         t = scale_monomial(s, F(1, 2), F(-1), GaussianRational(0, 2))
         assert t.q_order == F(5) + F(1, 2)
-        assert t.coefficient(F(3, 2), F(-1)) == GaussianRational(0, 2)
-        assert t.coefficient(F(5, 2), F(0)) == GaussianRational(0, 6)
+        assert coefficient(t, F(3, 2), F(-1)) == GaussianRational(0, 2)
+        assert coefficient(t, F(5, 2), F(0)) == GaussianRational(0, 6)
 
 
 # ---------------------------------------------------------------------
@@ -421,7 +422,7 @@ class TestInversion:
         assert equal_to_order(prod, JacobiSeries.one(4), 4)
         # classic expansion x^-1 + x^-2 + ...
         for k in range(1, 5):
-            assert inv.coefficient(0, -k) == 1
+            assert coefficient(inv, 0, -k) == 1
 
     def test_invert_with_q_mixing(self):
         s = poly(6, (0, 1, 1), (1, -1, 2), (F(1, 2), 0, 1))
@@ -517,7 +518,7 @@ class TestExpand:
         # of the divided side is trusted past q, and the divided side
         # keeps its lead term
         order = max(q - min(v[1], -v[-1], v[1] - v[-1]), v[-1]) + 1
-        got = expand(monomials, factors, q, window)
+        got = expand_rational(monomials, factors, q, window)
         want = as_series(_multiplied_out(monomials, factors, 1, order),
                          _multiplied_out(monomials, factors, -1, order),
                          q, window)
@@ -526,7 +527,7 @@ class TestExpand:
 
     def test_descending_geometric(self):
         # 1/(1 - x) = -x^-1 / (1 - x^-1) = -x^-1 - x^-2 - ...
-        got = expand([], [(0, 1, -1, -1)], 4, (F(-5), F(0)))
+        got = expand_rational([], [(0, 1, -1, -1)], 4, (F(-5), F(0)))
         assert got.terms() == [(0, F(-k), GaussianRational(-1))
                                for k in range(5, 0, -1)]
 
@@ -536,23 +537,42 @@ class TestExpand:
         # and what stays of it is (1 + u/c), whichever its power
         for p in (1, -1):
             with pytest.raises(CoefficientRingError):
-                expand([], [(F(-1, 2), 1, two, p)], 2, (-2, 2))
+                expand_rational([], [(F(-1, 2), 1, two, p)], 2, (-2, 2))
         with pytest.raises(CoefficientRingError):
-            expand([(0, 0, two, -1)], [], 2, (-2, 2))
+            expand_rational([(0, 0, two, -1)], [], 2, (-2, 2))
         # the same coefficient on a factor that stays, or on a multiplied
         # monomial, needs no inverse
-        got = expand([(0, 0, two, 1)], [(F(1, 2), 1, two, -1)], 1,
-                     (-2, 2))
+        got = expand_rational([(0, 0, two, 1)], [(F(1, 2), 1, two, -1)],
+                              1, (-2, 2))
         assert got.terms() == [(0, 0, two),
                                (F(1, 2), 1, GaussianRational(-4))]
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_monomial(), max_size=2),
+           st.lists(_factor(), min_size=1, max_size=4),
+           st.integers(1, 6), st.integers(1, 4))
+    def test_any_listing_lattice_gives_one_result(self, monomials, factors,
+                                                  sq, sx):
+        # the same product listed on a lattice sq x sx times finer lands
+        # on the coarsest lattice that holds its exponents
+        q, window = F(5, 2), (F(-3), F(2))
+        want = expand_rational(monomials, factors, q, window)
+        q_den, x_den = 4 * sq, 2 * sx
+        fine = [[(int(e * q_den), int(k * x_den), GaussianRational.coerce(c),
+                  p) for e, k, c, p in group] for group in (monomials,
+                                                             factors)]
+        got = expand(q_den, x_den, *fine, int(q * q_den),
+                     (int(window[0] * x_den), int(window[1] * x_den)))
+        assert (got.q_den, got.x_den, got.order_n, got.window_n, got.c) == (
+            want.q_den, want.x_den, want.order_n, want.window_n, want.c)
+
     def test_constant_factor_and_windowless_division_rejected(self):
         with pytest.raises(ValueError):
-            expand([], [(0, 0, 1, 1)], 2)
+            expand_rational([], [(0, 0, 1, 1)], 2)
         with pytest.raises(ValueError):
-            expand([], [(1, 1, 1, -1)], 2)
+            expand_rational([], [(1, 1, 1, -1)], 2)
         # a product needs no window
-        assert expand([], [(1, 1, 1, 1)], 2).terms() == [
+        assert expand_rational([], [(1, 1, 1, 1)], 2).terms() == [
             (0, 0, GaussianRational(1)), (1, 1, GaussianRational(1))]
 
 

@@ -193,21 +193,27 @@ def test_psi_suite_takes_one_pass_per_point_and_side(monkeypatch):
 
 def test_psi_law_rows_take_one_pass_per_point_and_side(monkeypatch):
     # each of the six psi-s-law and psi-t-law rows evaluates its four
-    # blocks at five points with two passes a point: 60 in all
-    passes = []
-    real = ThetaPass.__init__
+    # blocks at five points with two passes a point, 60 in all, and plans
+    # each side once for all five points, 12 in all
+    passes, plans = [], []
+    real_pass, real_plan = ThetaPass.__init__, PassPlan.__init__
 
-    def counting(self, *args, **kw):
+    def passing(self, *args, **kw):
         passes.append(1)
-        real(self, *args, **kw)
+        real_pass(self, *args, **kw)
+
+    def planning(self, *args, **kw):
+        plans.append(1)
+        real_plan(self, *args, **kw)
 
     rows = [(cid, case) for cid, case in suite_cases("modular")
             if cid.startswith(("modular/psi-s-law/", "modular/psi-t-law/"))]
     assert len(rows) == 6
-    monkeypatch.setattr(ThetaPass, "__init__", counting)
+    monkeypatch.setattr(ThetaPass, "__init__", passing)
+    monkeypatch.setattr(PassPlan, "__init__", planning)
     statuses = _run_rows(monkeypatch, rows)
     assert {st for st, _ in statuses.values()} == {"pass"}
-    assert len(passes) == 60
+    assert (len(passes), len(plans)) == (60, 12)
 
 
 def test_reduction_scan_matches_trying_every_tuple():

@@ -42,10 +42,11 @@ from thetachar.theta import (
     to_mpc,
 )
 
-from oracles import (binary_power, cross_multiplied_equals, eta_numeric,
-                     first_difference, gated_stop_step, mpf_stop_step,
-                     q_valuation_bound, shifted_theta_sum, subst_scale_tau,
-                     subst_scale_z, truncate)
+from oracles import (binary_power, coefficient, cross_multiplied_equals,
+                     eta_numeric, first_difference, gated_stop_step,
+                     mpf_stop_step, q_valuation_bound, quotient_expand,
+                     shifted_theta_sum, subst_scale_tau, subst_scale_z,
+                     theta_factors, truncate)
 
 LABELS = ("00", "01", "10", "11")
 
@@ -76,18 +77,18 @@ class TestExactSeries:
 
     def test_theta_01_signs(self):
         s = theta_shifted("01", 3, 1, 1, 0, 0)
-        assert s.coefficient(HALF, 1) == -1
-        assert s.coefficient(2, 2) == 1
+        assert coefficient(s, HALF, 1) == -1
+        assert coefficient(s, 2, 2) == 1
 
     def test_theta_10_prefactor_trust(self):
         # the q^{1/8} prefactor costs no trust: the build is truncated to
         # exactly the requested order, with every term below it present
         s = theta_shifted("10", 3, 1, 1, 0, 0)
         assert s.q_order == F(3)
-        assert s.coefficient(F(1, 8), HALF) == 1
-        assert s.coefficient(F(1, 8), -HALF) == 1
-        assert s.coefficient(F(9, 8), F(3, 2)) == 1
-        assert s.coefficient(F(9, 8), F(-3, 2)) == 1
+        assert coefficient(s, F(1, 8), HALF) == 1
+        assert coefficient(s, F(1, 8), -HALF) == 1
+        assert coefficient(s, F(9, 8), F(3, 2)) == 1
+        assert coefficient(s, F(9, 8), F(-3, 2)) == 1
 
     @pytest.mark.parametrize("label", LABELS)
     def test_product_equals_sum(self, label):
@@ -108,14 +109,14 @@ class TestEta:
         adj = F(1, 24)
         expected = {0: 1, 1: -1, 2: -1, 5: 1, 7: 1, 12: -1}
         for n in range(13):
-            assert s.coefficient(n + adj, 0) == expected.get(n, 0)
+            assert coefficient(s, n + adj, 0) == expected.get(n, 0)
 
     def test_eta_cubed_scaled(self):
         s = eta_pow_scaled(2, 3, 9)
         # eta^3 = sum (-1)^m (2m+1) q^{m(m+1)/2 + 1/8}, here at 2*tau
-        assert s.coefficient(F(2, 8), 0) == 1
-        assert s.coefficient(2 + F(2, 8), 0) == -3
-        assert s.coefficient(6 + F(2, 8), 0) == 5
+        assert coefficient(s, F(2, 8), 0) == 1
+        assert coefficient(s, 2 + F(2, 8), 0) == -3
+        assert coefficient(s, 6 + F(2, 8), 0) == 5
         e = eta_pow_scaled(1, 1, F(9, 2))
         manual = truncate(subst_scale_tau(mul(mul(e, e), e), 2), 9)
         assert first_difference(s, manual, 9) is None
@@ -338,6 +339,93 @@ class TestThetaQuotient:
 # ---------------------------------------------------------------------
 # numeric oracles
 # ---------------------------------------------------------------------
+
+
+# ---------------------------------------------------------------------
+# the int listing against the Fraction listing
+# ---------------------------------------------------------------------
+
+
+@st.composite
+def _listed_key(draw, valid=False):
+    """("eta", m), or a theta key: labels x tau_scale 1-5 x z_scale 1-3
+    x r_tau = p/d for d in 1, 2, 3, 4, 8 x r_one in quarters (in halves
+    for a = 1 if valid, where a quarter raises)."""
+    if draw(st.integers(0, 4)) == 0:
+        return ("eta", draw(st.integers(1, 4)))
+    label = draw(st.sampled_from(LABELS))
+    d = draw(st.sampled_from([1, 2, 3, 4, 8]))
+    quarters = draw(st.integers(0, 3))
+    if valid and label[0] == "1":
+        quarters -= quarters % 2
+    return theta_module.theta_key(
+        label, draw(st.integers(1, 5)), draw(st.integers(1, 3)),
+        F(draw(st.integers(-2 * d, 2 * d)), d), F(quarters, 4))
+
+
+def _expansion(expand, quotient, q, window):
+    """expand(quotient, q, window) with every part of its lattice, or the
+    type of what it raised."""
+    try:
+        ser = expand(quotient, q, window)
+    except (CoefficientRingError, AssertionError) as exc:
+        return type(exc)
+    return ser.q_den, ser.x_den, ser.order_n, ser.window_n, dict(ser.c)
+
+
+def _lead_x(quotient, q):
+    """The x-exponent of the lead of quotient.expand(q, .): the
+    quotient's, its thetas' prefactors' and their factors' that lead
+    (e < 0, or e = 0 < k)."""
+    below = max(1, q - quotient.valuation())
+    x = quotient.lead[1]
+    for part, p in ((quotient.num, 1), (quotient.den, -1)):
+        for key, n in part.items():
+            if key[0] != "eta":
+                (_, pre_x, _), more = theta_factors(key[0], below, *key[1:])
+                x += p * n * (pre_x + sum(k for e, k, _ in more
+                                          if e < 0 or (e == 0 and k > 0)))
+    return x
+
+
+# orders as offsets above the valuation, so that most draws have terms
+_ABOVE = st.sampled_from([F(1, 2), F(1), F(5, 2), F(4)])
+
+
+class TestIntListing:
+    @settings(deadline=None, max_examples=80)
+    @given(key=_listed_key(), dq=_ABOVE)
+    def test_one_factor_matches_the_fraction_listing(self, key, dq):
+        quotient = ThetaQuotient(num={key: 1})
+        q = theta_module._key_valuation(key) + dq
+        got = _expansion(ThetaQuotient.expand, quotient, q, None)
+        assert got == _expansion(quotient_expand, quotient, q, None)
+        if got is CoefficientRingError:
+            return
+        # the prefactor and the factors that dip below q^0 carry the
+        # exact valuation
+        q_den, pre, factors = theta_module._listing(key, 1)
+        assert (F(pre[0] + sum(min(0, e) for e, _, _ in factors), q_den)
+                == theta_module._key_valuation(key))
+        if key[0] != "eta":
+            assert theta_module._key_valuation(key) == theta_valuation(*key)
+
+    @settings(deadline=None, max_examples=60)
+    @given(num=st.lists(_listed_key(valid=True), min_size=1, max_size=3),
+           den=st.lists(_listed_key(valid=True), min_size=1, max_size=2),
+           a=st.sampled_from([F(-1, 3), F(0), F(3, 8)]),
+           b=st.sampled_from([F(-1), F(0), F(1, 3)]), k=st.integers(0, 3),
+           dq=_ABOVE, dlo=st.sampled_from([F(-5, 2), F(-1), F(0)]),
+           width=st.sampled_from([F(5, 2), F(4), F(6)]))
+    def test_quotients_match_the_fraction_listing(self, num, den, a, b, k,
+                                                  dq, dlo, width):
+        # the window holds the lead's x-exponent
+        quotient = ThetaQuotient((a, b, k), num, den)
+        q = quotient.valuation() + dq
+        lo = _lead_x(quotient, q) + dlo
+        window = (lo, lo + width)
+        got = _expansion(ThetaQuotient.expand, quotient, q, window)
+        assert got == _expansion(quotient_expand, quotient, q, window)
 
 
 class TestNumericOracles:
