@@ -65,36 +65,33 @@ def parse_fraction(text, what):
                          "got %r" % (what, text))
 
 
-def parse_q_order(text):
-    if text == "default":
-        return DEFAULT_Q_ORDER
-    return parse_fraction(text, "--q-order")
+# each numeric flag that also takes the literal "default": (parse, what
+# its text must be, default, check, what the check demands).  A q-order
+# must be positive: below q^0 there is no term, and a check there passes
+# whatever the code computes.
+FLAGS = {
+    "--q-order": (Fraction, "a rational like 3, 1/2 or -5/8",
+                  DEFAULT_Q_ORDER, lambda v: v > 0, "must be positive"),
+    "--tol": (float, "a float or 'default'", DEFAULT_TOL,
+              lambda v: v > 0, "must be positive"),
+    "--precision": (int, "decimal digits or 'default'", DEFAULT_DPS,
+                    lambda v: v >= 15,
+                    "below 15 digits cannot meet the default tolerances"),
+}
 
 
-def parse_tol(text):
+def parse_flag(flag, text):
+    """The value of a numeric flag (FLAGS): its default for "default",
+    else its text parsed and checked; UsageError when either fails."""
+    parse, kind, default, check, demand = FLAGS[flag]
     if text == "default":
-        return DEFAULT_TOL
+        return default
     try:
-        v = float(text)
-    except ValueError:
-        raise UsageError("--tol must be a float or 'default'; got %r"
-                         % (text,))
-    if not v > 0:
-        raise UsageError("--tol must be positive")
-    return v
-
-
-def parse_precision(text):
-    if text == "default":
-        return DEFAULT_DPS
-    try:
-        v = int(text)
-    except ValueError:
-        raise UsageError("--precision must be decimal digits or 'default';"
-                         " got %r" % (text,))
-    if v < 15:
-        raise UsageError("--precision below 15 digits cannot meet the "
-                         "default tolerances")
+        v = parse(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError("%s must be %s; got %r" % (flag, kind, text))
+    if not check(v):
+        raise UsageError("%s %s" % (flag, demand))
     return v
 
 
@@ -129,10 +126,6 @@ def parse_m_range(text):
     if lo < 1 or hi < lo:
         raise UsageError("--M-range needs 1 <= LO <= HI; got %r" % (text,))
     return lo, hi
-
-
-def frac_str(v):
-    return str(Fraction(v))
 
 
 # ---------------------------------------------------------------------
@@ -209,11 +202,9 @@ def cache_dir():
 
 
 def _expand_cache_path(spec, q_order, window):
-    win = "default" if window is None else "%s:%s" % (frac_str(window[0]),
-                                                      frac_str(window[1]))
+    win = "default" if window is None else "%s:%s" % window
     key = "thetachar|%s|expand|M=%d|j=%s|sector=%s|sign=%s|q=%s|win=%s" % (
-        __version__, spec.M, frac_str(spec.j), spec.sector, spec.sign,
-        frac_str(q_order), win)
+        __version__, spec.M, spec.j, spec.sector, spec.sign, q_order, win)
     digest = hashlib.sha256(key.encode("ascii")).hexdigest()
     return os.path.join(cache_dir(), digest + ".json")
 
@@ -266,7 +257,7 @@ def cmd_expand(args):
     j = parse_fraction(args.j, "--j")
     sector = parse_sector(args.sector)
     sign = parse_sign(args.sign)
-    q_order = parse_q_order(args.q_order)
+    q_order = parse_flag("--q-order", args.q_order)
     window = None
     if args.x_window is not None:
         parts = str(args.x_window).split(":")
@@ -283,7 +274,7 @@ def cmd_expand(args):
         spec = CharacterSpec(args.M, j, sector, sign)
     except ValueError as exc:
         try:
-            adm = ", ".join(frac_str(v) for v in index_set(args.M, sector))
+            adm = ", ".join(map(str, index_set(args.M, sector)))
         except ValueError:
             raise UsageError(str(exc))
         raise UsageError("%s; admissible j for M=%d sector %s: %s"
@@ -310,12 +301,11 @@ def cmd_expand(args):
     else:
         header = [
             "# expand M=%d j=%s sector=%s sign=%s" % (
-                spec.M, frac_str(spec.j), spec.sector, spec.sign),
-            "# trusted below q^%s" % (frac_str(ser.q_order),),
+                spec.M, spec.j, spec.sector, spec.sign),
+            "# trusted below q^%s" % (ser.q_order,),
         ]
         if ser.x_window is not None:
-            header.append("# x window [%s, %s]" % (
-                frac_str(ser.x_window[0]), frac_str(ser.x_window[1])))
+            header.append("# x window [%s, %s]" % ser.x_window)
         sys.stdout.write(render_series_text(ser, header))
     return 0
 
@@ -334,8 +324,8 @@ def cmd_table(args):
                     continue
                 j = nice_param_to_j(M, k1, heart, twisted)
                 h, s = h_s_values(CharacterSpec(M, j, sector, "+"))
-                rows.append((M, frac_str(j), heart, k1, k2,
-                             frac_str(c), frac_str(h), frac_str(s)))
+                rows.append((M, str(j), heart, k1, k2,
+                             str(c), str(h), str(s)))
     if args.format == "json":
         payload = {"rows": [
             {"M": r[0], "j": r[1], "heart": r[2], "k1": r[3], "k2": r[4],
@@ -356,9 +346,9 @@ def cmd_verify(args):
     else:
         raise UsageError("--suite must be one of %s or all"
                          % (", ".join(SUITE_NAMES),))
-    cfg = SuiteConfig(q_order=parse_q_order(args.q_order),
-                      tol=parse_tol(args.tol),
-                      dps=parse_precision(args.precision))
+    cfg = SuiteConfig(q_order=parse_flag("--q-order", args.q_order),
+                      tol=parse_flag("--tol", args.tol),
+                      dps=parse_flag("--precision", args.precision))
     reports = [run_suite(name, cfg) for name in names]
     if args.format == "json":
         print(dumps_canonical(
@@ -377,8 +367,8 @@ def cmd_transform(args):
     which = str(args.which).strip().upper()
     if which not in ("S", "T"):
         raise UsageError("--which must be S or T")
-    tol = parse_tol(args.tol)
-    dps = parse_precision(args.precision)
+    tol = parse_flag("--tol", args.tol)
+    dps = parse_flag("--precision", args.precision)
     members = family_members(args.M, args.statement)
     count = args.points if args.points else 3 * len(members)
     if count < 2 * len(members):

@@ -45,18 +45,19 @@ truncated at |j| <= J.  Its value carries two errors:
     rounding   at most 2^(2 - prec) |e^{-2 pi i m t}| sum_{|j| <= J}
                |term_j|.
 
-It walks the sum on the int complex floating point of qseries (ONE,
-_mul, _div) that ThetaPass uses, where every product and quotient
-rounds by at most 2^(2 - wp) relative and each of its eight bases is
-one exponential, as accurate.  A numerator of |j| <= J carries at most
+It walks the sum on the complex floating point that qseries owns and
+ThetaPass uses, where every product and quotient rounds by at most
+2^(2 - wp) relative and each of its eight bases is one exponential
+(_root), as accurate.  A numerator of |j| <= J carries at most
 (J + 1)^2 such roundings and an edge x1 q^j at most 2J + 1.  The pole
 check keeps |1 - x1 q^j| >= POLE_THRESHOLD |x1 q^j|, so the cancellation in
 1 - x1 q^j magnifies the edge's error by at most
 1/POLE_THRESHOLD < 2^20, and each term is within
-K = (J + 1)^2 + (4J + 3) 2^20 roundings, a count that also covers the
-2J + 1 truncations of the fixed-point sum.  At wp = prec + bitlen(K) + 4 the
-truncated sum is so within 2^(-2 - prec) sum |term_j|; rounding it to
-prec bits and the factor e^{-2 pi i m t} add the rest.
+K = (J + 1)^2 + (4J + 3) 2^20 roundings.  The terms are added by _sum,
+which rounds once relative to the largest term, so by at most one
+rounding of sum |term_j|.  At wp = prec + bitlen(K) + 4 the K + 1
+roundings keep the truncated sum within 2^(-2 - prec) sum |term_j|;
+rounding it to prec bits and the factor e^{-2 pi i m t} add the rest.
 """
 
 from __future__ import annotations
@@ -66,9 +67,9 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .qseries import ONE, _div, _from_mpc, _mul, to_mpc
+from .qseries import ONE, _div, _mul, _root, _sum, modulus, to_mpc
 from .theta import (PassPlan, TailBoundError, ThetaPass, ThetaQuotient,
-                    _fixed, eta_request, modulus, theta_key)
+                    eta_request, theta_key)
 
 HALF = Fraction(1, 2)
 
@@ -228,8 +229,8 @@ def phi_a11_numeric(m, s, tau, z1, z2, t, j_cutoff=40, tail_tol=1e-12):
     Each side of the sum is walked outward, from j = 0 and from j = -1,
     by running products: the numerator e^{2 pi i (m j (z1 + z2) + s z1)}
     q^{m j^2 + s j} times a ratio that gains q^{2m} per step, and the
-    edge x1 q^j times q or 1/q.  The eight bases are one exponential
-    each, at wp = prec + bitlen(K) + 4 bits for
+    edge x1 q^j times q or 1/q.  The eight bases are one _root each,
+    at wp = prec + bitlen(K) + 4 bits for
     K = (J + 1)^2 + (4J + 3) 2^20, and the factor e^{-2 pi i m t} is one
     more: the module docstring states the rounding this leaves.  Raises
     PoleProximityError where |1 - x1 q^j| < POLE_THRESHOLD
@@ -244,7 +245,7 @@ def phi_a11_numeric(m, s, tau, z1, z2, t, j_cutoff=40, tail_tol=1e-12):
     with mp.workprec(wp + 10):
         s_mp, mz = _mpfrac(s), m * (z1 + z2)
         n0, r_pos, r_neg, q2m, x1, q, x1_q, q_inv = (
-            _from_mpc(mp.exp(2j * mp.pi * v)._mpc_, wp) for v in (
+            _root(2 * v, 1, wp) for v in (
                 s_mp * z1, mz + (m + s_mp) * tau, (m - s_mp) * tau - mz,
                 2 * m * tau, z1, tau, z1 - tau, -tau))
     # (numerator, its ratio to the next, edge x1 q^j, the edge's step)
@@ -263,12 +264,7 @@ def phi_a11_numeric(m, s, tau, z1, z2, t, j_cutoff=40, tail_tol=1e-12):
     if tail > tail_tol:
         raise TailBoundError("Appell tail majorant %.3g above %g; raise "
                              "j_cutoff" % (float(tail), tail_tol))
-    # summed in fixed point, wp bits below the largest term's top bit
-    low = max((abs(re) | abs(im)).bit_length() + e
-              for re, im, e in terms) - wp
-    parts = [_fixed(x, -low) for x in terms]
-    total = mp.mpc(mp.ldexp(sum(re for re, _ in parts), low),
-                   mp.ldexp(sum(im for _, im in parts), low))
+    total = to_mpc(_sum(terms, wp))
     return mp.exp(-2j * mp.pi * m * t) * total if t else total
 
 

@@ -18,7 +18,8 @@ block is symmetric in its indices.  Statement 1 spans the blocks
 sets are closed under the S swap (eps <-> eps') and the T map
 (eps -> eps + eps' mod 1).
 
-Fitting (_lstsq_min_norm) runs on the passes' values: the sample
+Fitting (_lstsq_min_norm) runs on the passes' values, in the format
+qseries owns (its _top, _fixed and modulus): the sample
 matrix is column-scaled and every product of the normal equations is
 an int sum on fixed-point complex ints, with its rounding stated, and
 the small Hermitian eigensolve is cyclic Jacobi on the same ints
@@ -38,8 +39,9 @@ theta.ThetaPass at that side's own coordinates: every theta, eta and
 prefactor of its members comes from the pass's own exponentials, one
 per coordinate, each distinct lattice sum is walked once, and the S
 side divides out its elliptic factor as one pass value.
-family_values, denominator_numeric and character_member_numeric are
-the same evaluation converted to mpmath.
+family_values, denominator_numeric (on one plan, _DEN_PLAN, built at
+import) and character_member_numeric are the same evaluation converted
+to mpmath.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ from mpmath import mp
 from .characters import denominator_label, sector_eps_prime, sign_eps
 from .mockpsi import (HALF, PsiParams, PsiPlan, _guard_pole, _mpc_any,
                       _mpfrac, psi_plan, psi_value)
-from .qseries import ONE, _from_mpc, to_mpc
-from .theta import THETA_LABELS, PassPlan, ThetaPass, _fixed, modulus
+from .qseries import ONE, _fixed, _from_mpc, _top, modulus, to_mpc
+from .theta import THETA_LABELS, PassPlan, ThetaPass
 
 IM_TAU_FLOOR = 0.3
 COND_THRESHOLD = 1e8
@@ -183,18 +185,19 @@ def psi_t_residual(blocks, pts):
 def denominator_numeric(sign, sector, tau, z):
     """R^{(eps)}_{eps'}(tau, z) as the three-thetas-over-one quotient, the
     one-denominator ThetaPass."""
-    tp = ThetaPass((_mpc_any(tau), _mpc_any(z)), _DEN_REQUESTS)
+    tp = ThetaPass((_mpc_any(tau), _mpc_any(z)), _DEN_PLAN)
     return to_mpc(_den_value(tp, sign, sector))
 
 
-# the ThetaPass requests of theta_ab(tau, z) at coordinates (tau, z)
-_DEN_REQUESTS = tuple((int(lab[0]), int(lab[1]), 1, (0, 1), 0)
-                      for lab in THETA_LABELS)
+# the plan of the four theta_ab(tau, z) at coordinates (tau, z), built
+# once for every denominator_numeric
+_DEN_PLAN = PassPlan((int(lab[0]), int(lab[1]), 1, (0, 1), 0)
+                     for lab in THETA_LABELS)
 
 
 def _den_value(tp, sign, sector):
     d = denominator_label(sign, sector)
-    thetas = dict(zip(THETA_LABELS, map(tp.theta, _DEN_REQUESTS)))
+    thetas = dict(zip(THETA_LABELS, map(tp.theta, _DEN_PLAN.requests)))
     den = _guard_pole(thetas.pop(d), "theta_%s" % d)
     re, im, e = tp.div(tp.mul(*thetas.values()), den)
     return (im, -re, e) if sign == "+" else (-im, re, e)
@@ -297,7 +300,7 @@ class FamilyPlan:
                        for block, (j1, j2) in members]
         self.plan = PassPlan(
             [r for (requests, _), _ in self.blocks for r in requests]
-            + list(_DEN_REQUESTS),
+            + list(_DEN_PLAN.requests),
             [x for (_, powers), _ in self.blocks for x in powers])
 
     def values(self, tau, z, factor=None):
@@ -355,13 +358,6 @@ def _dot(xs, ys, f):
 
 def _conj(xs):
     return [(a, -b) for a, b in xs]
-
-
-def _top(values):
-    """The binary magnitude bitlen + e of the largest of some ThetaPass
-    values, 0 if all are 0."""
-    return max(((abs(re) | abs(im)).bit_length() + e
-                for re, im, e in values if re or im), default=0)
 
 
 def _lstsq_min_norm(A, B):

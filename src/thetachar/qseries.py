@@ -41,8 +41,12 @@ sums intersect, and comparisons are restricted to the window overlap.
 
 Numeric evaluation (eval_numeric) runs on complex floating point on
 ints, values (re, im, e) kept to a working precision by _mul and _div,
-with one exponential per variable; theta's ThetaPass computes on the
-same values, which it imports from here.
+with one exponential per variable.  This module owns that value format
+and the tools every numeric path of the package (theta's ThetaPass,
+mockpsi's Appell sum, modular's span fit) computes with: the products
+(_mul, _div), the exponential (_root), the power table (_power_steps,
+_powers), the sum (_sum) and the conversions (_from_mpc, to_mpc,
+_fixed).
 """
 
 from __future__ import annotations
@@ -55,7 +59,8 @@ from math import gcd
 from types import MappingProxyType
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import (from_man_exp, from_rational, mpc_exp, mpf_mul,
+                          mpf_neg, mpf_pi, round_nearest)
 
 
 class CoefficientRingError(ArithmeticError):
@@ -616,8 +621,8 @@ def equal_to_order(a, b, q_order):
 
 # A value (re, im, e) stands for (re + i im) 2^e with int re, im: complex
 # floating point on ints, kept to wp bits by _mul, so every product and
-# quotient costs a relative rounding of at most 2^(2 - wp).  eval_numeric
-# and theta's ThetaPass both compute on it.
+# quotient costs a relative rounding of at most 2^(2 - wp).  Every
+# numeric path of the package computes on it with the tools below.
 ONE = (1, 0, 0)
 
 
@@ -640,6 +645,52 @@ def _div(x, y, wp):
     return (re << k) // den, (im << k) // den, e - f - k
 
 
+def _root(x, d, wp):
+    """e^{pi i x/d} for an mpc x and an int d > 0, as a value within
+    2^(2 - wp) relative: one exponential (mpc_exp) of pi i x/d formed at
+    wp + 20 bits, rounded to wp."""
+    (xr, xi), wq = x._mpc_, wp + 20
+    pc = mpf_mul(mpf_pi(wq), from_rational(1, d, wq), wq)
+    return _from_mpc(mpc_exp((mpf_neg(mpf_mul(pc, xi, wq)),
+                              mpf_mul(pc, xr, wq)), wp), wp)
+
+
+def _power_steps(needed):
+    """The steps (n, a, b), x^n = x^a x^b with a and b of n's sign, in
+    build order, that give x^n for every n in needed from x^1 and x^-1:
+    n is the sum of the largest power built and another one where there
+    are such, else it is built by binary powering.  So x^n takes |n|
+    factors x or 1/x, with |n| - 1 products, whichever way it is built."""
+    steps, built = [], {0, 1, -1}
+
+    def build(n):
+        if n not in built:
+            s = 1 if n > 0 else -1
+            a = next((a for a in sorted(built, key=abs, reverse=True)
+                      if 0 < a * s < n * s and n - a in built), None)
+            if a is None:
+                a = s * (s * n // 2)
+                build(a)
+                build(n - a)
+            steps.append((n, a, n - a))
+            built.add(n)
+
+    for n in sorted(needed, key=abs):
+        build(n)
+    return steps
+
+
+def _powers(r, inverse, steps, wp):
+    """{n: r^n} for a root r: 1/r (one _div) if inverse, then one _mul
+    per step (n, a, b) of _power_steps."""
+    table = {0: ONE, 1: r}
+    if inverse:
+        table[-1] = _div(ONE, r, wp)
+    for n, a, b in steps:
+        table[n] = _mul(table[a], table[b], wp)
+    return table
+
+
 def _from_mpc(c, wp):
     (sr, mr, er, _), (si, mi, ei, _) = c
     e = min(er if mr else ei, ei if mi else er)
@@ -655,17 +706,36 @@ def to_mpc(x):
                         from_man_exp(im, e, mp.prec, round_nearest)))
 
 
+def _fixed(x, wp):
+    """A value as a pair of fixed-point ints with wp fraction bits."""
+    re, im, e = x
+    s = e + wp
+    if s >= 0:
+        return re << s, im << s
+    return re >> -s, im >> -s
+
+
+def modulus(x):
+    """|x| of a value as a float (0.0 below its range)."""
+    re, im, e = x
+    k = max(0, (abs(re) | abs(im)).bit_length() - 60)
+    return math.ldexp(math.hypot(re >> k, im >> k), e + k)
+
+
+def _top(values):
+    """The binary magnitude bitlen(max(|re|, |im|)) + e of the largest of
+    some values, 0 if all are 0: their moduli lie below 2^(top + 1), and
+    the largest is at least 2^(top - 1)."""
+    return max(((abs(re) | abs(im)).bit_length() + e
+                for re, im, e in values if re or im), default=0)
+
+
 def _sum(values, wp):
-    """The sum of values, each floored to a multiple of 2^s first, for
-    s = top - wp - bitlen(n), n values and top the largest
-    bitlen(max(|re|, |im|)) + e among them: n floors lose less than
-    2^(top - wp) per part, so the sum is within 2^(2 - wp) times the
-    largest modulus, which is at least 2^(top - 1)."""
-    top = max(((abs(re) | abs(im)).bit_length() + e
-               for re, im, e in values if re or im), default=None)
-    if top is None:
-        return 0, 0, 0
-    s = top - wp - len(values).bit_length()
+    """The sum of n values, each floored to a multiple of 2^s first, for
+    s = top - wp - bitlen(n) and top = _top(values): n floors lose less
+    than 2^(top - wp) per part, so the sum is within 2^(2 - wp) times the
+    largest modulus, one rounding of the largest value."""
+    s = _top(values) - wp - len(values).bit_length()
     out_re = out_im = 0
     for re, im, e in values:
         if e >= s:
@@ -682,11 +752,11 @@ def eval_numeric(a, tau, z):
 
     The sum runs on values (ONE, _mul, _div), each product and quotient
     rounding by at most rho = 2^(2 - wp) relative.
-    Q = e^{2 pi i tau/q_den} and X = e^{2 pi i z/x_den} take one
-    exponential each, rounded to wp bits (within rho), and 1/Q and 1/X
-    one _div each (within 2 rho), so the powers that _power_table builds
-    by repeated squaring, Q^k and X^k, are within (3 |k| - 1) rho, and
-    exact at k = 0.  A coefficient c is exact when its parts are ints
+    Q = e^{2 pi i tau/q_den} and X = e^{2 pi i z/x_den} take one _root
+    each (within rho), and 1/Q and 1/X one _div each (within 2 rho).
+    _powers builds Q^k from |k| factors Q or 1/Q with |k| - 1 products
+    (_power_steps), so Q^k and X^k are within (3 |k| - 1) rho, and exact
+    at k = 0.  A coefficient c is exact when its parts are ints
     and within rho otherwise (one floor division per part), so each
     c X^f is within (3 |f| + 1) rho.  Each q-row sums its c X^f (_sum,
     within rho times the largest) and is multiplied by its Q^e, and the
@@ -704,20 +774,14 @@ def eval_numeric(a, tau, z):
         xs.add(xn)
     span = max(map(abs, [*rows, *xs]), default=0)
     wp = mp.prec + (6 * span + 3).bit_length() + 3
-    q_pow = _power_table(_root(tau, a.q_den, wp), rows, wp)
-    x_pow = _power_table(_root(z, a.x_den, wp), xs, wp)
+    q_pow, x_pow = (
+        _powers(_root(2 * mp.mpc(x), den, wp), min(ks, default=0) < 0,
+                _power_steps(ks), wp)
+        for x, den, ks in ((tau, a.q_den, rows), (z, a.x_den, xs)))
     return to_mpc(_sum([
         _mul(q_pow[qn], _sum([_mul(_gaussian(v, wp), x_pow[xn], wp)
                               for xn, v in row], wp), wp)
         for qn, row in rows.items()], wp))
-
-
-def _root(x, den, wp):
-    """e^{2 pi i x/den} as a value within 2^(2 - wp) relative: one
-    exponential at wp + 20 bits, rounded to wp."""
-    with mp.workprec(wp + 20):
-        w = mp.expjpi(2 * mp.mpc(x) / den)
-    return _from_mpc(w._mpc_, wp)
 
 
 def _gaussian(v, wp):
@@ -729,50 +793,21 @@ def _gaussian(v, wp):
     return x if d == 1 else _div(x, (d, 0, 0), wp)
 
 
-def _power_table(w, ks, wp):
-    """{k: w^k} for the ints ks, and the halves that repeated squaring
-    needs on the way, on values: w^k for k < 0 is a power of 1/w.  Each
-    squaring doubles the relative error of its half and adds one
-    rounding, so with w and 1/w within 2 roundings, w^k is within
-    3 |k| - 1."""
-    table = {0: ONE, 1: w}
-    if min(ks, default=0) < 0:
-        table[-1] = _div(ONE, w, wp)
-
-    def power(k):
-        if k not in table:
-            unit = 1 if k > 0 else -1
-            half = power(unit * (abs(k) // 2))
-            table[k] = _mul(half, half, wp)
-            if k % 2:
-                table[k] = _mul(table[k], table[unit], wp)
-        return table[k]
-
-    for k in ks:
-        power(k)
-    return table
-
-
-def _frac_str(f):
-    return str(Fraction(f))
-
-
 def to_json_dict(a):
     """Canonical JSON form: integer lattice exponents, rational strings."""
     d = {
         "q_den": a.q_den,
         "x_den": a.x_den,
-        "q_order": _frac_str(a.q_order),
+        "q_order": str(a.q_order),
         "terms": [
             {"q": qn, "x": xn,
-             "re": _frac_str(a.c[(qn, xn)].re),
-             "im": _frac_str(a.c[(qn, xn)].im)}
+             "re": str(a.c[(qn, xn)].re),
+             "im": str(a.c[(qn, xn)].im)}
             for (qn, xn) in sorted(a.c)
         ],
     }
     if a.window_n is not None:
-        d["x_window"] = [_frac_str(Fraction(a.window_n[0], a.x_den)),
-                         _frac_str(Fraction(a.window_n[1], a.x_den))]
+        d["x_window"] = [str(end) for end in a.x_window]
     return d
 
 

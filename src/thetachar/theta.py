@@ -34,18 +34,17 @@ valuations.  The lattice sums are kept as an independent cross-check
 
 Numerics use mpmath at the caller's working precision prec: direct
 lattice summation with an explicit geometric tail bound.  A returned
-value carries two errors: the tail, below the requested absolute error,
-and rounding, at most 2^-prec (|theta| + max(1, T)) for the largest
-term T <= e^{pi Im(z)^2 / Im(tau)}, so a large value is accurate
-relative to T, not to the requested error.  The step count and the
-guard bits are found from float logs of the term magnitudes before
-anything is summed.  The sum walks outward by recurrence on fixed-point
+value carries two errors: the tail, below 2^-prec, and rounding, at
+most 2^-prec (|theta| + max(1, T)) for the largest term
+T <= e^{pi Im(z)^2 / Im(tau)}, so a large value is accurate relative
+to T.  The step count and the guard bits are found from float logs of
+the term magnitudes before anything is summed.  The sum walks outward by recurrence on fixed-point
 ints: each term is the previous one times a running ratio, and each
 ratio gains a factor q = e^{2 pi i tau} per step.  A ThetaPass
 evaluates every theta of one sample point this way from the point's
 shared exponentials, one root per coordinate and the table of its
-powers that a PassPlan names once for every point, multiplied on ints
-as the complex floating point of qseries (ONE, _mul, _div), with the
+powers that a PassPlan names once for every point, on the complex
+floating point that qseries owns (_root, _powers, _mul, _div), with the
 walks' inputs as accurate as if each had been rounded once, so
 both bounds hold for arguments built as products.
 theta_numeric is its one-theta case, and eta(m tau) (the pentagonal
@@ -60,12 +59,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import mp
-from mpmath.libmp import (from_rational, mpc_exp, mpf_mul, mpf_neg, mpf_pi,
-                          to_float)
+from mpmath.libmp import to_float
 
 from .qseries import (ONE, CoefficientRingError, GaussianRational,
-                      JacobiSeries, _div, _from_mpc, _mul, equal_to_order,
-                      expand, product, scale_monomial, to_mpc)
+                      JacobiSeries, _div, _fixed, _mul, _power_steps,
+                      _powers, _root, equal_to_order, expand, product,
+                      scale_monomial, to_mpc)
 
 THETA_LABELS = ("00", "01", "10", "11")
 
@@ -409,26 +408,27 @@ class ThetaQuotient:
 # validated numerics
 # ---------------------------------------------------------------------
 
-def theta_numeric(label, tau, z, abs_err=None):
+def theta_numeric(label, tau, z):
     """theta_label(tau, z) by direct lattice summation.
 
     Terms are added symmetrically outward until a geometric majorant
-    bounds both remaining tails below abs_err (default 2^-prec, the
-    rounding level of the working precision).  Raises TailBoundError
-    when the bound cannot be met within a fixed term budget, before
-    summing.  The returned value carries two errors:
+    bounds both remaining tails below 2^-prec, the rounding level of the
+    working precision.  Raises TailBoundError when the bound cannot be
+    met within a fixed term budget, before summing.  The returned value
+    carries two errors:
 
-        tail       below abs_err;
+        tail       below 2^-prec;
         rounding   at most 2^-prec (|theta| + max(1, T)), where
                    T = e^{pi Im(z)^2 / Im(tau)} bounds every term.
 
     Rounding scales with the largest term, so a large theta value is
-    not accurate to abs_err.  This is the one-theta ThetaPass: one
-    exponential e^{pi i z}, taken with its reciprocal, besides the nome.
+    accurate relative to T, not absolutely.  This is the one-theta
+    ThetaPass: one exponential e^{pi i z}, taken with its reciprocal,
+    besides the nome.
     """
     _check_label(label)
     request = (int(label[0]), int(label[1]), 1, (0, 1), 0)
-    tp = ThetaPass((mp.mpc(tau), mp.mpc(z)), [request], abs_err)
+    tp = ThetaPass((mp.mpc(tau), mp.mpc(z)), PassPlan([request]))
     return to_mpc(tp.theta(request))
 
 
@@ -516,15 +516,6 @@ def _guard_bits(a, y, u, n):
                 -math.pi * y * (h0 - 1) ** 2 - 2 * math.pi * u * (h0 - 1))
     spread = math.pi * u * u / y - first
     return int(spread / math.log(2)) + 3 * (n + 2).bit_length() + 8
-
-
-def _fixed(x, wp):
-    """x as a pair of fixed-point ints with wp fraction bits."""
-    re, im, e = x
-    s = e + wp
-    if s >= 0:
-        return re << s, im << s
-    return re >> -s, im >> -s
 
 
 def _walk(n, t_pos, r_pos, t_neg, r_neg, q2, wp):
@@ -631,31 +622,6 @@ class PassPlan:
                 product(12 * q, -2), ((0, 8 * q),))
 
 
-def _power_steps(needed):
-    """The steps (n, a, b), x^n = x^a x^b with a and b of n's sign, in
-    build order, that give x^n for every n in needed from x^1 and x^-1:
-    n is the sum of the largest power built and another one where there
-    are such, else it is built by binary powering.  So x^n takes |n|
-    factors x or 1/x whichever way it is built."""
-    steps, built = [], {0, 1, -1}
-
-    def build(n):
-        if n not in built:
-            s = 1 if n > 0 else -1
-            a = next((a for a in sorted(built, key=abs, reverse=True)
-                      if 0 < a * s < n * s and n - a in built), None)
-            if a is None:
-                a = s * (s * n // 2)
-                build(a)
-                build(n - a)
-            steps.append((n, a, n - a))
-            built.add(n)
-
-    for n in sorted(needed, key=abs):
-        build(n)
-    return steps
-
-
 class ThetaPass:
     """The thetas of one sample point, all from its shared exponentials.
 
@@ -666,16 +632,17 @@ class ThetaPass:
     i^(b + e) of its exponential E = e^{pi i (v + (b + e)/2)} turns the
     terms with h - a/2 odd by -1 and all of them by i^a (b + e) times, so
     one walk per (a, m, w) gives every b and e from its even and odd
-    partial sums.  plan is a PassPlan, or the list of requests of one.
+    partial sums.  plan is the PassPlan that names them.
 
-    Each walk takes _stop_step's count and _guard_bits' g, and the pass
-    runs at wp = prec + max g + c bits, c = bitlen(32 L) for the plan's
-    chain L.  Each coordinate x_i has one exponential per pass, its root
-    r_i = e^{pi i x_i/D_i} (within 2^(2 - wp) relative), and, if a
-    negative power is read, one reciprocal 1/r_i (one _div, within
-    2^(3 - wp)).  Its table holds every power r_i^n the plan reads,
-    built by binary powering on ints as complex floating point (ONE,
-    _mul), each product rounding by at most 2^(2 - wp) relative.
+    Each walk takes _stop_step's count for a tail below 2^-prec and
+    _guard_bits' g, and the pass runs at wp = prec + max g + c bits,
+    c = bitlen(32 L) for the plan's chain L.  Each coordinate x_i has
+    one exponential per pass, its root r_i = e^{pi i x_i/D_i}
+    (qseries._root, within 2^(2 - wp) relative), and, if a negative
+    power is read, one reciprocal 1/r_i (one _div, within 2^(3 - wp)).
+    Its table (qseries._powers) holds every power r_i^n the plan reads,
+    built by the plan's steps, each product rounding by at most
+    2^(2 - wp) relative.
     Relative errors add up through products, so a table entry r_i^n,
     which takes |n| roots, is within |n| 2^(4 - wp) of its value, and a
     walk input, a product of table entries that takes L roots in all
@@ -691,19 +658,11 @@ class ThetaPass:
     (mul, div) round by 2^(2 - wp) relative.
     """
 
-    def __init__(self, coords, plan, abs_err=None):
-        if not isinstance(plan, PassPlan):
-            plan = PassPlan(plan)
+    def __init__(self, coords, plan):
         tau = coords[0]
         if tau.imag <= 0:
             raise ValueError("tau must lie in the upper half plane")
-        if abs_err is None:
-            log_err = -mp.prec * math.log(2)
-        else:
-            abs_err = mp.mpf(abs_err)
-            if abs_err <= 0:
-                raise ValueError("abs_err must be positive")
-            log_err = float(mp.log(abs_err))
+        log_err = -mp.prec * math.log(2)
         self.coords = coords
         self.plan = plan
         self.prec = mp.prec
@@ -716,29 +675,12 @@ class ThetaPass:
             n = steps[a, m, w] = _stop_step(a, m * y, u, log_err)
             guard = max(guard, _guard_bits(a, m * y, u, n))
         self.wp = wp = self.prec + guard + (32 * plan.chain).bit_length()
-        self._tables = {i: self._table(i, *root)
-                        for i, root in plan.roots.items()}
+        self._tables = {i: _powers(_root(coords[i], d, wp), *table, wp)
+                        for i, (d, *table) in plan.roots.items()}
         self._sums = {
             key: _walk(n, *(_fixed(self._product(f), wp)
                             for f in plan.inputs[key]), wp)
             for key, n in steps.items()}
-
-    def _table(self, i, d, inverse, steps):
-        """{n: r^n} for the root r = e^{pi i x/d} of x = coords[i]: one
-        exponential, rounded to wp bits, 1/r if inverse, and the plan's
-        steps."""
-        wp = self.wp
-        x = self.coords[i]._mpc_
-        wq = wp + 20
-        pc = mpf_mul(mpf_pi(wq), from_rational(1, d, wq), wq)
-        r = _from_mpc(mpc_exp((mpf_neg(mpf_mul(pc, x[1], wq)),
-                               mpf_mul(pc, x[0], wq)), wp), wp)
-        table = {0: ONE, 1: r}
-        if inverse:
-            table[-1] = _div(ONE, r, wp)
-        for n, a, b in steps:
-            table[n] = _mul(table[a], table[b], wp)
-        return table
 
     def _product(self, factors):
         """The product of the table entries r_i^n of factors (i, n)."""
@@ -774,10 +716,3 @@ class ThetaPass:
 
     def div(self, x, y):
         return _div(x, y, self.wp)
-
-
-def modulus(x):
-    """|x| of a ThetaPass value as a float (0.0 below its range)."""
-    re, im, e = x
-    k = max(0, (abs(re) | abs(im)).bit_length() - 60)
-    return math.ldexp(math.hypot(re >> k, im >> k), e + k)

@@ -139,6 +139,21 @@ class TestExpand:
         assert cp.stderr.startswith(b"error:")
 
 
+    @pytest.mark.parametrize("command", [
+        ["expand", "--M", "1", "--j", "1/2", "--sector", "NS", "--sign", "+",
+         "--no-cache"],
+        ["verify", "--suite", "theta"],
+    ])
+    @pytest.mark.parametrize("q_order", ["--q-order=0", "--q-order=-1"])
+    def test_non_positive_q_order_is_a_usage_error(self, capsys, command,
+                                                   q_order):
+        # below q^0 there is no term: such a verify would pass every row
+        assert cli.main(command + [q_order]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: --q-order must be positive")
+
+
 class TestExpandCache:
     ARGS = ["expand", "--M", "2", "--j", "1", "--sector", "R", "--sign", "-",
             "--q-order", "3/2"]

@@ -10,6 +10,7 @@ from mpmath.libmp import mpc_mul
 
 import thetachar.mockpsi as mockpsi
 import thetachar.modular as modular
+import thetachar.qseries as qseries_module
 import thetachar.theta as theta_module
 from thetachar.characters import CharacterSpec, character_ratio
 from thetachar.mockpsi import HALF, PoleProximityError, PsiParams
@@ -30,8 +31,7 @@ from thetachar.modular import (
     psi_t_residual,
     span_closure,
 )
-from thetachar.qseries import dumps_canonical, eval_numeric
-from thetachar.theta import _from_mpc, to_mpc
+from thetachar.qseries import _from_mpc, dumps_canonical, eval_numeric, to_mpc
 
 from oracles import character_numeric, lstsq_min_norm_mp
 
@@ -92,9 +92,9 @@ class TestPsiTransformLaws:
         passes = []
 
         class Counting(mockpsi.ThetaPass):
-            def __init__(self, coords, plan, abs_err=None):
+            def __init__(self, coords, plan):
                 passes.append(len(plan.requests))
-                super().__init__(coords, plan, abs_err)
+                super().__init__(coords, plan)
 
         monkeypatch.setattr(mockpsi, "ThetaPass", Counting)
         pr = PsiParams(3, HALF + 1, HALF, F(0), HALF)
@@ -113,9 +113,9 @@ class TestPsiTransformLaws:
         passes = []
 
         class Counting(mockpsi.ThetaPass):
-            def __init__(self, coords, plan, abs_err=None):
+            def __init__(self, coords, plan):
                 passes.append(coords)
-                super().__init__(coords, plan, abs_err)
+                super().__init__(coords, plan)
 
         monkeypatch.setattr(mockpsi, "ThetaPass", Counting)
         together = list(zip(psi_s_residual(blocks, pts),
@@ -303,18 +303,18 @@ def side_passes(monkeypatch, transform, damage=None):
     passes = []
     init = theta_module.ThetaPass.__init__
 
-    def recorded_init(self, coords, plan, abs_err=None):
+    def recorded_init(self, coords, plan):
         passes.append((coords, []))
-        init(self, coords, plan, abs_err)
+        init(self, coords, plan)
 
-    exp = theta_module.mpc_exp
+    exp = qseries_module.mpc_exp
 
     def recorded_exp(z, prec):
         passes[-1][1].append(z)
         return exp(z, prec)
 
     monkeypatch.setattr(theta_module.ThetaPass, "__init__", recorded_init)
-    monkeypatch.setattr(theta_module, "mpc_exp",
+    monkeypatch.setattr(qseries_module, "mpc_exp",
                         damage(recorded_exp, passes) if damage
                         else recorded_exp)
     mp.dps = 40

@@ -650,6 +650,19 @@ class TestSerialization:
         assert t.x_window == s.x_window
         assert to_json_dict(t) == d
 
+    def test_json_literal(self):
+        # int and Fraction parts, negative ones, and a window, as text
+        s = restrict_window(
+            poly(F(7, 2), (F(1, 2), F(-3, 2), GaussianRational(F(1, 3), -2)),
+                 (1, 1, GaussianRational(F(-5, 4), F(7, 3))), (3, 0, 5)),
+            (F(-5, 2), F(3, 2)))
+        assert dumps_canonical(to_json_dict(s)) == (
+            '{"q_den":2,"x_den":2,"q_order":"7/2","terms":['
+            '{"q":1,"x":-3,"re":"1/3","im":"-2"},'
+            '{"q":2,"x":2,"re":"-5/4","im":"7/3"},'
+            '{"q":6,"x":0,"re":"5","im":"0"}],'
+            '"x_window":["-5/2","3/2"]}')
+
     def test_canonical_dump_is_deterministic(self):
         s = poly(4, (0, 0, 1), (1, 2, GaussianRational(0, F(1, 2))))
         assert dumps_canonical(to_json_dict(s)) == \

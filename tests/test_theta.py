@@ -7,6 +7,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp, mpc
 
+import thetachar.mockpsi as mockpsi_module
+import thetachar.qseries as qseries_module
 import thetachar.theta as theta_module
 
 from thetachar.characters import (CharacterSpec, character_ratio,
@@ -23,7 +25,8 @@ from thetachar.qseries import (
     product,
     scale_monomial,
 )
-from thetachar.mockpsi import HALF, PsiParams, psi_numeric, psi_plan
+from thetachar.mockpsi import (HALF, PsiParams, phi_a11_numeric, psi_numeric,
+                               psi_plan)
 from thetachar.modular import (FamilyPlan, default_points,
                                denominator_numeric, family_members,
                                family_values)
@@ -523,16 +526,6 @@ class TestRecurrenceSum:
         assert rounding_excess(label, mpc(re_tau, im_tau),
                                mpc(re_z, im_z)) < 1
 
-    @settings(deadline=None, max_examples=40)
-    @given(**theta_args)
-    def test_tail_bound_holds_at_a_loose_error(self, label, re_tau, im_tau,
-                                               re_z, im_z):
-        mp.dps = 30
-        tau, z = mpc(re_tau, im_tau), mpc(re_z, im_z)
-        loose = mp.mpf("1e-8")
-        assert abs(theta_numeric(label, tau, z, loose)
-                   - theta_numeric(label, tau, z)) < loose
-
     @settings(deadline=None, max_examples=60)
     @given(**psi_theta_args)
     def test_matches_mpmath_jtheta_at_psi_arguments(self, label, M, re_tau,
@@ -589,11 +582,6 @@ class TestRecurrenceSum:
                 theta_module._stop_step(a, y, u, log_err)
             return
         assert theta_module._stop_step(a, y, u, log_err) == want
-
-    def test_error_must_be_positive(self):
-        for abs_err in (0, "-1e-10"):
-            with pytest.raises(ValueError):
-                theta_numeric("00", mpc(0, 1), 0, abs_err)
 
     def test_term_cap_raises(self):
         # the ratio gate alone needs about 1.7e7 terms here, so the cap
@@ -666,7 +654,7 @@ class TestThetaPass:
                                       (1,), (1,))[0]]
         requests += [(int(lab[0]), int(lab[1]), 1, (0, 1), 0)
                      for lab in LABELS]
-        check_pass(ThetaPass((tau, z), requests), requests)
+        check_pass(ThetaPass((tau, z), PassPlan(requests)), requests)
 
     @settings(deadline=None, max_examples=40)
     @given(M=st.integers(1, 6), eps=st.sampled_from([F(0), HALF]),
@@ -679,7 +667,7 @@ class TestThetaPass:
         params = PsiParams(M, eps_p + j, eps_p + k, eps, eps_p)
         requests = psi_plan(params, (1, 0), (0, 1))[0]
         coords = (mpc(p.tau), mpc(p.z1), mpc(p.z2))
-        check_pass(ThetaPass(coords, requests), requests)
+        check_pass(ThetaPass(coords, PassPlan(requests)), requests)
         # the block itself, t included, against the closed form on
         # mp.jtheta and mp.qp at twice the precision
         got = psi_numeric(params, p.tau, p.z1, p.z2, p.t)
@@ -712,7 +700,7 @@ class TestThetaPass:
         mp.dps = DEFAULT_DPS
         tau, z = mpc("0.1", "1.2"), mpc("0.13", "0.004")
         request = (1, 1, 6, (10, 1), 0)        # theta_11(6 tau, z + 5 tau)
-        assert pass_excess(ThetaPass((tau, z), [request]), request,
+        assert pass_excess(ThetaPass((tau, z), PassPlan([request])), request,
                            mp.prec)[0] < 1
         walk = theta_module._walk
 
@@ -727,7 +715,7 @@ class TestThetaPass:
                         mul(inward, q2), q2, wp)
 
         monkeypatch.setattr(theta_module, "_walk", quotient_walk)
-        assert pass_excess(ThetaPass((tau, z), [request]), request,
+        assert pass_excess(ThetaPass((tau, z), PassPlan([request])), request,
                            mp.prec)[0] > 1
 
     def test_each_distinct_theta_is_walked_once(self, monkeypatch):
@@ -792,18 +780,45 @@ class TestThetaPass:
     def test_one_exponential_per_coordinate(self, monkeypatch):
         # a family pass takes one exponential for tau and one for z,
         # whatever bases its thetas and prefactors name
-        exp = theta_module.mpc_exp
+        exp = qseries_module.mpc_exp
         taken = []
 
         def counted(*args):
             taken.append(args)
             return exp(*args)
 
-        monkeypatch.setattr(theta_module, "mpc_exp", counted)
+        monkeypatch.setattr(qseries_module, "mpc_exp", counted)
         mp.dps = DEFAULT_DPS
         family_values(4, family_members(4, 2), mpc("0.1", "1.1"),
                       mpc("0.13", "0.01"))
         assert len(taken) == 2
+
+    def test_every_exponential_is_one_root(self, monkeypatch):
+        # qseries._root takes the exponentials of every numeric path: Q and
+        # X in eval_numeric, one per coordinate in a pass, and the eight
+        # bases of the Appell sum
+        root = qseries_module._root
+        calls = []
+
+        def counted(x, d, wp):
+            calls.append(d)
+            return root(x, d, wp)
+
+        for module in (qseries_module, theta_module, mockpsi_module):
+            monkeypatch.setattr(module, "_root", counted)
+        mp.dps = DEFAULT_DPS
+        p = default_points(1, seed=13)[0]
+        tau, z = mpc(p.tau), mpc(p.z1)
+        counts = []
+        for run in (lambda: eval_numeric(theta_shifted("10", 4), tau, z),
+                    lambda: family_values(4, family_members(4, 2), tau, z),
+                    lambda: psi_numeric(PsiParams(2, 1, 1, 0, 0), p.tau,
+                                        p.z1, p.z2, 0),
+                    lambda: phi_a11_numeric(1, 1, p.tau, p.z1, p.z2, p.t)):
+            calls.clear()
+            run()
+            counts.append(len(calls))
+        assert counts == [2, 2, 3, 8]
 
 
 # ---------------------------------------------------------------------
