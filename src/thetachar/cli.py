@@ -70,7 +70,7 @@ def parse_fraction(text, what):
 # must be positive: below q^0 there is no term, and a check there passes
 # whatever the code computes.
 FLAGS = {
-    "--q-order": (Fraction, "a rational like 3, 1/2 or -5/8",
+    "--q-order": (Fraction, "a positive rational like 3, 1/2 or 5/8",
                   DEFAULT_Q_ORDER, lambda v: v > 0, "must be positive"),
     "--tol": (float, "a float or 'default'", DEFAULT_TOL,
               lambda v: v > 0, "must be positive"),

@@ -20,6 +20,9 @@ Every theta series, eta power and character the package expands is a
 monomial times two-term factors (1 + c x^k q^e)^{+-1}, and expand()
 builds each of them from that list in one call, its exponents given as
 ints on any lattice that holds them: the result lands on the coarsest.
+Identical factors of opposite power cancel before any pass runs: a
+character's numerator and denominator share most of their factors, and
+at M = 1 all of them.
 
 Fractional powers are defined through the exponential, never through a
 branch choice on q itself: q^e means exp(2 pi i tau e) and x^f means
@@ -54,6 +57,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from types import MappingProxyType
@@ -436,12 +440,15 @@ def expand(q_den, x_den, monomials, factors, order_n, window_n=None):
     Every lattice a caller lists on gives one result, on the coarsest
     lattice that holds every exponent given: q_den and x_den over their
     gcd with those exponents, the lcm of their denominators as
-    rationals.  The exponents are reduced first, and the passes run on
-    that lattice.
+    rationals.  The exponents are reduced first, those of factors that
+    cancel too, and the passes run on that lattice.
 
-    The expansion starts from 1 and runs one pass per factor below
-    order_n - v: first every multiplied factor, adding c x^k q^e times
-    the series it is given, then every divided one, applying
+    The expansion starts from 1 and runs one pass per factor left after
+    identical factors of opposite power cancel (a pass pair F / F is 1,
+    and the lead keeps both monomials, so this is exact; a listing that
+    divides nothing has nothing to cancel and is not counted): first
+    every multiplied factor, adding c x^k q^e times the series it is
+    given, then every divided one, applying
     out[q, x] = acc[q, x] - c out[q - e, x - k] in (q ascending,
     x descending) order.  Divided factors need the inclusive window_n,
     which the result then carries: the divided factors from pass i on
@@ -463,7 +470,8 @@ def expand(q_den, x_den, monomials, factors, order_n, window_n=None):
             raise ValueError("constant factor 1 + %r has no directed "
                              "expansion" % (c,))
         kept.append((e, k, c, p))
-    if window_n is None and any(p < 0 for *_, p in kept):
+    divides = any(p < 0 for *_, p in kept)
+    if window_n is None and divides:
         raise ValueError("divided factors need an x_window")
     gq = gcd(q_den, order_n, *(f[0] for f in lead + kept))
     gx = gcd(x_den, *(f[1] for f in lead + kept), *(window_n or ()))
@@ -471,6 +479,13 @@ def expand(q_den, x_den, monomials, factors, order_n, window_n=None):
     window = window_n and (window_n[0] // gx, window_n[1] // gx)
     lead = [(e // gq, k // gx, c, p) for e, k, c, p in lead]
     kept = [(e // gq, k // gx, c, p) for e, k, c, p in kept]
+    if divides:
+        # F / F = 1: each (e, k, c) runs |net power| passes
+        net = Counter()
+        for e, k, c, p in kept:
+            net[e, k, c] += p
+        kept = [(e, k, c, 1 if n > 0 else -1)
+                for (e, k, c), n in net.items() for _ in range(abs(n))]
 
     # the passes run relative to the lead
     lead_q = sum(p * e for e, _, _, p in lead)

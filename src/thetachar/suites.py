@@ -8,8 +8,11 @@ rows hand a function to one of three runners, with q = cfg.q_order:
     _exact     it yields, given q, (lhs, rhs) series equal below q;
     _quotient  it yields (a, b) theta.ThetaQuotient pairs, equal below q
                cross-multiplied with their shared factors cancelled
-               (ThetaQuotient.equals);
+               (ThetaQuotient.sides);
     _residual  it yields, given q, numeric differences under cfg.tol.
+
+A pair whose two compared series hold no term below their bound fails
+too, since it would pass whatever the code computes.
 
 The checks that are one of a kind (M = 2 leading rows, nice
 specialization, equivalence pairs, the vanishing scan, index sets, span
@@ -130,26 +133,37 @@ def _require(cond, msg):
 # row runners
 
 
-def _pair_row(equal, pairs):
-    """Row runner: equal(a, b, q) holds for each pair that pairs(q)
-    yields."""
+def _has_term_below(s, q):
+    bound = q * s.q_den
+    return any(qn < bound for qn, _ in s.c)
+
+
+def _pair_row(sides, pairs):
+    """Row runner: for each pair that pairs(q) yields, sides(a, b, q)
+    gives two series and a bound below which they are equal and one of
+    them has a term, so that the pair compares something."""
     def run(cfg):
         q = Fraction(cfg.q_order)
         n = 0
         for n, (a, b) in enumerate(pairs(q), 1):
-            _require(equal(a, b, q), "pair %d differs below q^%s" % (n, q))
+            lhs, rhs, bound = sides(a, b, q)
+            _require(equal_to_order(lhs, rhs, bound),
+                     "pair %d differs below q^%s" % (n, q))
+            _require(_has_term_below(lhs, bound)
+                     or _has_term_below(rhs, bound),
+                     "pair %d compares no term below q^%s" % (n, q))
         _require(n > 0, "no pairs to compare")
         return "exact below q^%s over %d pair(s)" % (q, n)
     return run
 
 
-_exact = partial(_pair_row, equal_to_order)
+_exact = partial(_pair_row, lambda a, b, q: (a, b, q))
 
 
 def _quotient(pairs):
     """Row runner: each ThetaQuotient pair that pairs() yields is equal
-    below q."""
-    return _pair_row(ThetaQuotient.equals, lambda q: pairs())
+    below q (ThetaQuotient.sides)."""
+    return _pair_row(ThetaQuotient.sides, lambda q: pairs())
 
 
 def _residual(residuals):

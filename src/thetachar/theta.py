@@ -345,7 +345,13 @@ class ThetaQuotient:
 
     def equals(self, other, q_order):
         """self == other below q_order, cross-multiplied with the factors
-        both sides share cancelled.
+        both sides share cancelled: the series of sides() compared."""
+        return equal_to_order(*self.sides(other, q_order))
+
+    def sides(self, other, q_order):
+        """(A, B, q'): self == other below q_order exactly when the
+        series A and B are equal below q', and A or B has a term below q'
+        exactly when the cross-multiplied sides have one below q_order.
 
         Cross-multiplied, the two sides are A X and B X, where X holds
         the factors that lead num other.den and other.lead other.num den
@@ -355,16 +361,16 @@ class ThetaQuotient:
         lowest terms of A - B and of X, so v((A - B) X) = v(A - B) + v(X)
         for X's exact valuation v(X) (theta_valuation; m/24 for
         eta(m tau)).  So A X = B X below q_order exactly when A = B below
-        q_order - v(X), which is what is compared: an equivalent check,
-        not a weaker one.  No factor is left on both sides, so each is
-        built once, below the order its own side computes (_orders)."""
+        q' = q_order - v(X), an equivalent check, not a weaker one, and
+        likewise A X has a term below q_order exactly when A has one
+        below q'.  No factor is left on both sides, so each is built
+        once, below the order its own side computes (_orders)."""
         q_order = Fraction(q_order)
         lhs, rhs = self.num + other.den, other.num + self.den
         shared = lhs & rhs
         q = q_order - ThetaQuotient(num=shared).valuation()
-        return equal_to_order(
-            ThetaQuotient(self.lead, lhs - shared).series(q),
-            ThetaQuotient(other.lead, rhs - shared).series(q), q)
+        return (ThetaQuotient(self.lead, lhs - shared).series(q),
+                ThetaQuotient(other.lead, rhs - shared).series(q), q)
 
     def expand(self, q_order, x_window=None):
         """The quotient as one qseries.expand, trusted below q_order: the

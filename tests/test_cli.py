@@ -153,6 +153,23 @@ class TestExpand:
         assert out == ""
         assert err.startswith("error: --q-order must be positive")
 
+    def test_q_order_parse_message_offers_positive_examples(self, capsys):
+        # every example the --q-order message gives is accepted; --j
+        # keeps the shared wording, where -5/8 is a valid value
+        base = ["expand", "--M", "1", "--j", "1/2", "--sector", "NS",
+                "--sign", "+", "--no-cache"]
+        assert cli.main(base + ["--q-order=x"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: --q-order must be a positive rational like "
+                       "3, 1/2 or 5/8; got 'x'\n")
+        for example in ("3", "1/2", "5/8"):
+            assert cli.main(base + ["--q-order", example]) == 0
+        capsys.readouterr()
+        assert cli.main(["expand", "--M", "1", "--j=y", "--sector", "NS",
+                         "--sign", "+", "--no-cache"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --j must be a rational like 3, 1/2 or -5/8; got 'y'\n")
+
 
 class TestExpandCache:
     ARGS = ["expand", "--M", "2", "--j", "1", "--sector", "R", "--sign", "-",
@@ -239,6 +256,14 @@ class TestVerify:
         (report,) = d["reports"]
         assert report["suite"] == "theta"
         assert all(c["status"] == "pass" for c in report["cases"])
+
+    def test_q_order_below_every_valuation_fails(self, capsys):
+        # rows that compare no term below the q-order fail, not pass
+        assert cli.main(["verify", "--suite", "characters",
+                         "--q-order", "1/100"]) == 1
+        out = capsys.readouterr().out
+        assert "compares no term below q^1/100" in out
+        assert "4 pass, 23 fail" in out
 
     def test_unknown_suite(self, tmp_path):
         cp = run_cli(["verify", "--suite", "bogus"], tmp_path)

@@ -1,6 +1,7 @@
 """Unit tests for the exact two-variable series kernel."""
 
 import json
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -27,13 +28,15 @@ from thetachar.qseries import (
     to_json_dict,
 )
 
+from thetachar import qseries
 from thetachar.characters import (SECTORS, SIGNS, CharacterSpec,
-                                  character_series, index_set)
+                                  character_ratio, character_series,
+                                  index_set)
 
 from oracles import (as_series, coefficient, eval_numeric_per_term,
                      expand_rational, first_difference, gaussian_inverse,
                      invert_directed, q_valuation_bound, subst_scale_tau,
-                     subst_scale_z, truncate, x_support)
+                     subst_scale_z, theta_factors, truncate, x_support)
 
 
 def mono(qe, xe, coeff, order):
@@ -498,32 +501,123 @@ def _multiplied_out(monomials, factors, p, order):
     return out
 
 
+def _check_against_the_generic_inverse(monomials, factors, dq, dlo, width):
+    """expand of the listing equals the as_series oracle, under an order
+    and a window drawn around the quotient's lead monomial, so that most
+    draws have terms in the window."""
+    lead = monomials + [f for f in factors
+                        if f[0] < 0 or (f[0] == 0 and f[1] > 0)]
+    v = {p: sum(e for e, _, _, fp in lead if fp == p) for p in (1, -1)}
+    lo = dlo + sum(p * k for _, k, _, p in lead)
+    q, window = v[1] - v[-1] + dq, (lo, lo + width)
+    # each side multiplied out far enough that the generic inverse of
+    # the divided side is trusted past q, and the divided side keeps its
+    # lead term
+    order = max(q - min(v[1], -v[-1], v[1] - v[-1]), v[-1]) + 1
+    got = expand_rational(monomials, factors, q, window)
+    want = as_series(_multiplied_out(monomials, factors, 1, order),
+                     _multiplied_out(monomials, factors, -1, order),
+                     q, window)
+    assert got.terms() == want.terms()
+    assert (got.q_order, got.x_window) == (q, window)
+    return q
+
+
+_order_offsets = st.sampled_from([F(5, 2), F(3, 4), F(2), F(-1, 2)])
+_window_lows = st.sampled_from([F(-2), F(-1, 2), F(-3), F(0)])
+_window_widths = st.sampled_from([F(3), F(5, 2), F(4), F(0)])
+
+
+def _passes_run(monkeypatch):
+    """A list that each pass of expand appends its kind to."""
+    ran = []
+    for kind in ("_times_pass", "_divide_pass"):
+        def counted(*args, kind=kind, run=getattr(qseries, kind)):
+            ran.append(kind)
+            return run(*args)
+        monkeypatch.setattr(qseries, kind, counted)
+    return ran
+
+
+def _net_power_sum(quotient, q_order):
+    """The sum of |net power| over the normalised two-term factors that
+    quotient.expand(q_order) lists, from the Fraction listing."""
+    below = max(1, F(q_order) - quotient.valuation())
+    net = Counter()
+    for part, p in ((quotient.num, 1), (quotient.den, -1)):
+        for key, n in part.items():
+            for e, k, c in theta_factors(key[0], below, *key[1:])[1]:
+                if e < 0 or (e == 0 and k > 0):
+                    e, k, c = -e, -k, gaussian_inverse(c)
+                net[e, k, c] += p * n
+    return sum(abs(n) for n in net.values())
+
+
 class TestExpand:
     @settings(max_examples=80, deadline=None)
     @given(st.lists(_monomial(), max_size=2),
            st.lists(_factor(), min_size=1, max_size=5),
-           st.sampled_from([F(5, 2), F(3, 4), F(2), F(-1, 2)]),
-           st.sampled_from([F(-2), F(-1, 2), F(-3), F(0)]),
-           st.sampled_from([F(3), F(5, 2), F(4), F(0)]))
+           _order_offsets, _window_lows, _window_widths)
     def test_equals_the_generic_inverse(self, monomials, factors, dq, dlo,
                                         width):
-        # the order and window are drawn around the quotient's lead
-        # monomial, so that most draws have terms in the window
-        lead = monomials + [f for f in factors
-                            if f[0] < 0 or (f[0] == 0 and f[1] > 0)]
-        v = {p: sum(e for e, _, _, fp in lead if fp == p) for p in (1, -1)}
-        lo = dlo + sum(p * k for _, k, _, p in lead)
-        q, window = v[1] - v[-1] + dq, (lo, lo + width)
-        # each side multiplied out far enough that the generic inverse
-        # of the divided side is trusted past q, and the divided side
-        # keeps its lead term
-        order = max(q - min(v[1], -v[-1], v[1] - v[-1]), v[-1]) + 1
-        got = expand_rational(monomials, factors, q, window)
-        want = as_series(_multiplied_out(monomials, factors, 1, order),
-                         _multiplied_out(monomials, factors, -1, order),
-                         q, window)
-        assert got.terms() == want.terms()
-        assert (got.q_order, got.x_window) == (q, window)
+        _check_against_the_generic_inverse(monomials, factors, dq, dlo,
+                                           width)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(_monomial(), max_size=2),
+           st.lists(_factor(), min_size=1, max_size=4),
+           st.data(), _order_offsets, _window_lows, _window_widths)
+    def test_mirrored_factors_cancel(self, monomials, factors, data, dq, dlo,
+                                     width):
+        # each mirror (the same e, k and c with the opposite power)
+        # cancels a drawn factor, those moved into the lead (e < 0 or
+        # e = 0 < k) too; the oracle multiplies and divides both
+        picked = data.draw(st.lists(st.sampled_from(factors), min_size=1,
+                                    max_size=3))
+        mirrored = factors + [(e, k, c, -p) for e, k, c, p in picked]
+        mirrored = data.draw(st.permutations(mirrored))
+        q = _check_against_the_generic_inverse(monomials, mirrored, dq, dlo,
+                                               width)
+        # a mirror divides, so without a window the listing is refused
+        # even where every divided factor cancels
+        with pytest.raises(ValueError, match="need an x_window"):
+            expand_rational(monomials, mirrored, q)
+
+    def test_cancelled_division_still_needs_a_window_and_a_unit(self):
+        # the checks run before anything cancels: a divided factor and
+        # its mirror need a window, and a moved factor a unit c
+        pair = [(1, 1, 1, -1), (1, 1, 1, 1)]
+        with pytest.raises(ValueError, match="need an x_window"):
+            expand_rational([], pair, 2)
+        assert expand_rational([], pair, 2, (-2, 2)).terms() == [
+            (0, 0, GaussianRational(1))]
+        # the lattice still holds the exponents of the factors that
+        # cancel
+        half = [(F(1, 2), F(-1, 2), 1, p) for p in (1, -1)]
+        got = expand_rational([], half, 2, (-2, 2))
+        assert (got.q_den, got.x_den, got.c) == (
+            2, 2, {(0, 0): GaussianRational(1)})
+        two = GaussianRational(2)
+        with pytest.raises(CoefficientRingError):
+            expand_rational([], [(F(-1, 2), 1, two, 1),
+                                 (F(-1, 2), 1, two, -1)], 2, (-2, 2))
+
+    def test_characters_run_one_pass_per_net_power(self, monkeypatch):
+        # a character's numerator and denominator thetas share most of
+        # their two-term factors; every M = 1 character is a constant,
+        # and all of its factors cancel
+        ran = _passes_run(monkeypatch)
+        for M in (1, 2, 3, 4):
+            for sector in SECTORS:
+                for sign in SIGNS:
+                    for j in index_set(M, sector):
+                        spec = CharacterSpec(M, j, sector, sign)
+                        ran.clear()
+                        character_series(spec, F(6))
+                        want = _net_power_sum(character_ratio(spec), F(6))
+                        assert len(ran) == want, spec
+                        if M == 1:
+                            assert want == 0
 
     def test_descending_geometric(self):
         # 1/(1 - x) = -x^-1 / (1 - x^-1) = -x^-1 - x^-2 - ...

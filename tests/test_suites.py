@@ -79,6 +79,32 @@ def test_every_runner_can_fail(monkeypatch):
         assert statuses[cid][1].startswith("CaseFailure: ")
 
 
+def test_a_pair_that_compares_no_term_fails(monkeypatch):
+    # theta_10 starts at q^(1/8): below q^(1/100) the pair holds no term
+    # and would pass whatever the code computed
+    row = ("exact/below-valuation", suites._exact(
+        lambda q: [(_theta("10", q), _theta("10", q))]))
+    for q, status in ((F(1, 100), "fail"), (F(1, 4), "pass")):
+        assert _run_rows(monkeypatch, [row], q)[row[0]][0] == status
+    (detail,) = {d for st, d in _run_rows(monkeypatch, [row], F(1, 100))
+                 .values()}
+    assert detail == "CaseFailure: pair 1 compares no term below q^1/100"
+
+
+def test_characters_below_every_valuation_fail():
+    # at q-order 1/100 the cross-multiplied sides of every quotient row
+    # start above the bound; only the m2-leading rows, which expand
+    # their characters to their own orders, compare terms
+    report = run_suite("characters", SuiteConfig(q_order=F(1, 100)))
+    failed = {c.case_id: c.detail for c in report.cases
+              if c.status == "fail"}
+    assert len(failed) == 23
+    assert set(failed.values()) == {
+        "CaseFailure: pair 1 compares no term below q^1/100"}
+    assert all("/m2-leading/" in c.case_id for c in report.cases
+               if c.status == "pass")
+
+
 def test_t_certificates_are_shared(monkeypatch):
     # the t-phases rows read the T certificates the span rows computed
     calls = []

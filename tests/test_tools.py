@@ -73,3 +73,36 @@ def test_each_side_starts_from_source(monkeypatch, tmp_path):
                        for path in checkouts.values())
     assert len(seen) == 4 and caches["parent"] != caches["change"]
     assert not any(cache.exists() for cache in caches.values())
+
+
+def test_round_counts_are_recorded(monkeypatch, tmp_path):
+    # each run's '# N rounds' line lands in the BENCH file, pair by pair
+    # and side by side, so a peak_rss_mb rise can be read against them
+    for side in bench_pairs.SIDES:
+        (tmp_path / side).mkdir()
+    (tmp_path / "parent" / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "peak_rss_mb", "better": "lower",
+                         "bound": 0.05}]}))
+    counts = iter([161, 231, 202, 144])
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        line = {"attempted": 1, "failed": 0,
+                "metrics": {"peak_rss_mb": {"value": 27.0, "unit": "MB"}}}
+        return subprocess.CompletedProcess(cmd, 0, (
+            "# workload expand, seed 1, 60 requests per round\n"
+            "# %d rounds, run_s per round: 0.100 0.101\n"
+            "# reference_loop_s 0.0400 before, 0.0410 after\n%s\n"
+            % (next(counts), json.dumps(line))), "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    out = tmp_path / "out.json"
+    with contextlib.redirect_stderr(io.StringIO()):
+        bench_pairs.main(["--parent", str(tmp_path / "parent"),
+                          "--change", str(tmp_path / "change"),
+                          "--pairs", "expand=2", "--out", str(out)])
+    # pair 0 runs parent first, pair 1 change first
+    rounds = json.loads(out.read_text())["workloads"]["expand"]["rounds"]
+    assert rounds == {"parent": [161, 144], "change": [231, 202]}
+    assert bench_pairs.rounds_of({"info": ["tracing overhead_s 0.010: "
+                                           "medians of 3 and 3 rounds"]}) \
+        is None

@@ -12,6 +12,9 @@ both.  Pair k of a workload uses seed S + k on both sides.  Each side
 compiles its bytecode into a fresh directory of its own
 (PYTHONPYCACHEPREFIX) on its first run and reads it from there after,
 so both start from source whatever __pycache__ their checkouts hold.
+Each workload records how many rounds every run completed (perfbench's
+`# N rounds` line): peak_rss_mb grows with the rounds a run keeps, so a
+faster side can read a little higher on it for that reason alone.
 For every end-to-end metric the file holds each side's runs, median and
 quartiles, how many pairs the change won (lower is better for all of
 them; ties count for neither side), and a verdict read against the
@@ -69,6 +72,16 @@ def run_bench(checkout, pycache, workload, seed, seconds, trace):
     return out
 
 
+def rounds_of(run):
+    """The number of rounds an untraced run completed, read from its
+    '# N rounds, run_s per round: ...' line; None if it has none."""
+    for line in run["info"]:
+        count, sep, _ = line.partition(" rounds, ")
+        if sep and count.isdigit():
+            return int(count)
+    return None
+
+
 def summary(values):
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"runs": values, "median": q2, "q1": q1, "q3": q3}
@@ -108,14 +121,16 @@ def measure_pairs(sides, bounds, workload, pairs, seed, seconds):
         for side in order:
             res = run_bench(*sides[side], workload, seed + k, seconds, 0)
             runs[side].append(res)
-            print("%s pair %d %s: %s" % (
+            print("%s pair %d %s: %s rounds=%s" % (
                 workload, k, side,
                 " ".join("%s=%.4g" % (m, res["metrics"][m]["value"])
-                         for m in bounds)), file=sys.stderr, flush=True)
+                         for m in bounds), rounds_of(res)),
+                  file=sys.stderr, flush=True)
     out = {"pairs": pairs, "seeds": [seed, seed + pairs - 1],
            "attempted": {s: sum(r["attempted"] for r in runs[s])
                          for s in SIDES},
            "failed": {s: sum(r["failed"] for r in runs[s]) for s in SIDES},
+           "rounds": {s: [rounds_of(r) for r in runs[s]] for s in SIDES},
            "metrics": {}}
     for m, bound in bounds.items():
         vals = {s: [r["metrics"][m]["value"] for r in runs[s]] for s in SIDES}
