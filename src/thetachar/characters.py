@@ -188,9 +188,9 @@ def character_series(spec, q_order, x_window=None):
     The window defaults to (s - 4, s + 2) around the leading x-exponent
     s.  The character is its quotient's expand: one qseries.expand of
     the numerator thetas' factors multiplied and the denominator thetas'
-    divided, so no theta series is built.  The quotient's valuation is
-    asserted to equal -c/24 + h, and expand asserts that the expansion
-    starts there, before the window is restricted to the request.
+    divided, so no theta series is built.  expand asserts that the
+    expansion starts at the quotient's valuation, which is asserted to
+    equal -c/24 + h, before the window is restricted to the request.
     """
     q_order = Fraction(q_order)
     if q_order <= 0:
@@ -202,12 +202,10 @@ def character_series(spec, q_order, x_window=None):
     lo, hi = Fraction(x_window[0]), Fraction(x_window[1])
     if lo > hi:
         raise ValueError("empty x window")
-    quotient = character_ratio(spec)
-    v = quotient.valuation()
+    ser, v = character_ratio(spec).expand(q_order, (min(lo, s), max(hi, s)))
     if v != lead_q:
         raise AssertionError("character valuation %s, expected -c/24+h = %s"
                              % (v, lead_q))
-    ser = quotient.expand(q_order, (min(lo, s), max(hi, s)))
     return restrict_window(ser, (lo, hi))
 
 

@@ -12,25 +12,13 @@ starting with a dash are passed as --flag=value, e.g. --j=-1/2.
 
 Exit codes: 0 success, 1 failing case or residual above tolerance,
 2 usage or configuration error.
-
-Expansions are cached as canonical JSON under $THETACHAR_CACHE_DIR
-(default $XDG_CACHE_HOME/thetachar, falling back to ~/.cache/thetachar);
-keys hash the full request plus the package version, and writes go
-through a temp file and atomic rename.  Reads are integrity-checked by
-the serialize/deserialize round trip and must carry exactly the
-requested order and window; anything else is treated as a cache miss.
---no-cache bypasses the cache entirely.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
-import json
-import os
 import sys
-import tempfile
 from fractions import Fraction
 
 from mpmath import mp
@@ -41,7 +29,7 @@ from .characters import (CharacterSpec, central_charge, character_series,
                          nice_param_to_j)
 from .modular import (IllConditionedError, default_points, family_members,
                       span_closure)
-from .qseries import dumps_canonical, from_json_dict, to_json_dict
+from .qseries import dumps_canonical, to_json_dict
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
 from .theta import DEFAULT_DPS
 
@@ -189,67 +177,6 @@ def render_series_text(ser, header_lines):
 
 
 # ---------------------------------------------------------------------
-# expansion cache
-# ---------------------------------------------------------------------
-
-def cache_dir():
-    env = os.environ.get("THETACHAR_CACHE_DIR")
-    if env:
-        return env
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = xdg if xdg else os.path.join(os.path.expanduser("~"), ".cache")
-    return os.path.join(base, "thetachar")
-
-
-def _expand_cache_path(spec, q_order, window):
-    win = "default" if window is None else "%s:%s" % window
-    key = "thetachar|%s|expand|M=%d|j=%s|sector=%s|sign=%s|q=%s|win=%s" % (
-        __version__, spec.M, spec.j, spec.sector, spec.sign, q_order, win)
-    digest = hashlib.sha256(key.encode("ascii")).hexdigest()
-    return os.path.join(cache_dir(), digest + ".json")
-
-
-def _cache_read(path, q_order, window):
-    """Load a cached canonical-JSON series; None on any defect.
-
-    An entry is served only if it survives a decode/re-encode byte
-    round-trip AND carries exactly the requested trusted order and
-    window -- a well-formed entry describing some other series is as
-    useless as a corrupt one.
-    """
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-        ser = from_json_dict(json.loads(text))
-        if dumps_canonical(to_json_dict(ser)) != text.strip():
-            return None
-        if ser.q_order != q_order or ser.x_window != window:
-            return None
-        return ser
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-
-
-def _cache_write(path, text):
-    d = os.path.dirname(path)
-    try:
-        os.makedirs(d, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".json")
-        try:
-            with os.fdopen(fd, "w", encoding="ascii") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-    except OSError:
-        pass  # a cold cache is never an error
-
-
-# ---------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------
 
@@ -280,24 +207,9 @@ def cmd_expand(args):
         raise UsageError("%s; admissible j for M=%d sector %s: %s"
                          % (exc, args.M, sector, adm))
 
-    _h, lead_x = h_s_values(spec)
-    effective_window = window if window is not None \
-        else (lead_x - 4, lead_x + 2)
-    ser = None
-    path = None
-    if not args.no_cache:
-        path = _expand_cache_path(spec, q_order, window)
-        ser = _cache_read(path, q_order, effective_window)
-    if ser is None:
-        ser = character_series(spec, q_order, window)
-        text = dumps_canonical(to_json_dict(ser))
-        if path is not None:
-            _cache_write(path, text)
-    else:
-        text = dumps_canonical(to_json_dict(ser))
-
+    ser = character_series(spec, q_order, window)
     if args.format == "json":
-        print(text)
+        print(dumps_canonical(to_json_dict(ser)))
     else:
         header = [
             "# expand M=%d j=%s sector=%s sign=%s" % (
@@ -427,8 +339,6 @@ def build_parser():
                         "e.g. --x-window=-5/2:-1/2 (default: 6 lattice "
                         "units around the leading exponent)")
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--no-cache", action="store_true",
-                   help="bypass the expansion cache")
 
     p = sub.add_parser("table",
                        help="parameter table (M, j, heart, k1, k2, c, h, s)")

@@ -39,9 +39,8 @@ theta.ThetaPass at that side's own coordinates: every theta, eta and
 prefactor of its members comes from the pass's own exponentials, one
 per coordinate, each distinct lattice sum is walked once, and the S
 side divides out its elliptic factor as one pass value.
-family_values, denominator_numeric (on one plan, _DEN_PLAN, built at
-import) and character_member_numeric are the same evaluation converted
-to mpmath.
+family_values and denominator_numeric (on one plan, _DEN_PLAN, built
+at import) are the same evaluation converted to mpmath.
 """
 
 from __future__ import annotations
@@ -277,11 +276,6 @@ def member_id(member):
 def _block_sign_sector(block):
     eps, eps_p = block
     return ("+" if eps == HALF else "-", "NS" if eps_p == HALF else "R")
-
-
-def character_member_numeric(M, member, tau, z):
-    """One family member Psi_{j1,j2}/R at a diagonal point."""
-    return family_values(M, [member], _mpc_any(tau), _mpc_any(z))[0]
 
 
 def family_values(M, members, tau, z):

@@ -826,22 +826,6 @@ def to_json_dict(a):
     return d
 
 
-def from_json_dict(d):
-    q_den = int(d["q_den"])
-    x_den = int(d["x_den"])
-    order_n = Fraction(d["q_order"]) * q_den
-    if order_n.denominator != 1:
-        raise ValueError("q_order not on the stated lattice")
-    terms = {(int(t["q"]), int(t["x"])):
-             GaussianRational(Fraction(t["re"]), Fraction(t["im"]))
-             for t in d["terms"]}
-    win = None
-    if "x_window" in d:
-        win = (int(Fraction(d["x_window"][0]) * x_den),
-               int(Fraction(d["x_window"][1]) * x_den))
-    return JacobiSeries(q_den, x_den, int(order_n), terms, win)
-
-
 def dumps_canonical(obj):
     """Deterministic JSON bytes: fixed key order as built, no whitespace."""
     return json.dumps(obj, separators=(",", ":"), allow_nan=False)

@@ -642,8 +642,8 @@ def suite_cases(name):
             out.extend(_BUILDERS[n]())
         return tuple(out)
     if name not in _BUILDERS:
-        raise ValueError("unknown suite %r, want one of %s or 'all'"
-                         % (name, (SUITE_NAMES,)))
+        raise ValueError("unknown suite %r, want one of %s or all"
+                         % (name, ", ".join(SUITE_NAMES)))
     return _BUILDERS[name]()
 
 

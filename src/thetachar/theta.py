@@ -125,7 +125,7 @@ def theta_key(label, tau_scale=1, z_scale=1, r_tau=0, r_one=0):
 def eta_pow_scaled(m, power, q_order):
     """eta(m tau)**power = q^{m power/24} prod (1 - q^{m n})^power,
     trusted below q_order, for positive integers m and power."""
-    return ThetaQuotient.eta(m, power).expand(q_order)
+    return ThetaQuotient.eta(m, power).expand(q_order)[0]
 
 
 def theta_shifted(label, q_order, tau_scale=1, z_scale=1, r_tau=0, r_one=0):
@@ -141,7 +141,7 @@ def theta_shifted(label, q_order, tau_scale=1, z_scale=1, r_tau=0, r_one=0):
 
 @lru_cache(maxsize=SERIES_CACHE_SIZE)
 def _theta_shifted(q_order, key):
-    return ThetaQuotient(num={key: 1}).expand(q_order)
+    return ThetaQuotient(num={key: 1}).expand(q_order)[0]
 
 
 theta_shifted.cache_info = _theta_shifted.cache_info
@@ -373,14 +373,15 @@ class ThetaQuotient:
                 ThetaQuotient(other.lead, rhs - shared).series(q), q)
 
     def expand(self, q_order, x_window=None):
-        """The quotient as one qseries.expand, trusted below q_order: the
+        """(series, v): the quotient as one qseries.expand, trusted below
+        q_order, and its valuation v = valuation().  The series is the
         lead and every factor's listing (_listing), multiplied for num
         and divided for den (which needs x_window), each listed below
-        max(1, q_order - v) for v = valuation(), so every e < 0 too.  The
-        listings are scaled from their keys' lattices to the lcm of those
-        and of the lead's, q_order's and the window's denominators, and
-        expand reduces that to the coarsest lattice holding every
-        exponent listed.  The result must start at q^v."""
+        max(1, q_order - v), so every e < 0 too.  The listings are scaled
+        from their keys' lattices to the lcm of those and of the lead's,
+        q_order's and the window's denominators, and expand reduces that
+        to the coarsest lattice holding every exponent listed.  The
+        series must start at q^v."""
         q_order = Fraction(q_order)
         v = self.valuation()
         below = max(1, q_order - v)
@@ -407,7 +408,7 @@ class ThetaQuotient:
         if low != v:
             raise AssertionError("expansion starts at q^%s, not at its "
                                  "valuation %s" % (low, v))
-        return ser
+        return ser, v
 
 
 # ---------------------------------------------------------------------

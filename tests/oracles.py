@@ -44,6 +44,9 @@ exponents, the lattice as the lcm of the exponents' denominators, and
 the quotient listed with both.  They are the oracles of the int listing
 and of expand's gcd reduction.  coefficient reads one coefficient at
 rational exponents, a view that only the tests read.
+
+from_json_dict reads qseries.to_json_dict's canonical JSON back into a
+series, the inverse that the serialization round-trip tests check.
 """
 
 import math
@@ -103,6 +106,23 @@ def coefficient(a, q_exp, x_exp):
     if q_exp.denominator != 1 or x_exp.denominator != 1:
         return GaussianRational(0)
     return a.c.get((int(q_exp), int(x_exp)), GaussianRational(0))
+
+
+def from_json_dict(d):
+    """The series whose canonical JSON form (to_json_dict) is d."""
+    q_den = int(d["q_den"])
+    x_den = int(d["x_den"])
+    order_n = Fraction(d["q_order"]) * q_den
+    if order_n.denominator != 1:
+        raise ValueError("q_order not on the stated lattice")
+    terms = {(int(t["q"]), int(t["x"])):
+             GaussianRational(Fraction(t["re"]), Fraction(t["im"]))
+             for t in d["terms"]}
+    win = None
+    if "x_window" in d:
+        win = (int(Fraction(d["x_window"][0]) * x_den),
+               int(Fraction(d["x_window"][1]) * x_den))
+    return JacobiSeries(q_den, x_den, int(order_n), terms, win)
 
 
 def theta_factors(label, below, tau_scale=1, z_scale=1, r_tau=0, r_one=0):

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import thetachar.characters as characters
 import thetachar.theta as theta
 from thetachar.characters import (
     SECTORS,
@@ -163,6 +164,28 @@ class TestSeriesControls:
         ser = character_series(CharacterSpec(M, j, sector, "+"), F(2))
         assert ser.q_order == F(2)
         assert len(expansions) == 1
+
+    @pytest.mark.parametrize("q,has_terms", [(F(1, 4), False),
+                                             (F(2), True)])
+    def test_valuation_is_summed_once_and_checked(self, monkeypatch, q,
+                                                  has_terms):
+        # the lowest exponent of M = 2, j = 1 R+ is h - c/24 = 1/4, so
+        # below q^1/4 the series has no term and is still checked
+        spec = CharacterSpec(2, F(1), "R", "+")
+        calls = []
+        real = ThetaQuotient.valuation
+
+        def counting(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(ThetaQuotient, "valuation", counting)
+        ser = character_series(spec, q)
+        assert len(calls) == 1 and bool(ser.c) == has_terms
+        monkeypatch.setattr(characters, "central_charge",
+                            lambda M: central_charge(M) + 24)
+        with pytest.raises(AssertionError, match="expected -c/24"):
+            character_series(spec, q)
 
     def test_each_ratio_is_built_once(self):
         # the character is expanded from its thetas' factors, so no theta

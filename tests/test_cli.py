@@ -48,84 +48,82 @@ TABLE_TWISTED_JSON = (
 )
 
 
-def run_cli(args, cache_dir):
-    env = dict(os.environ)
-    env["THETACHAR_CACHE_DIR"] = str(cache_dir)
+def run_cli(args, env=None):
     return subprocess.run([sys.executable, "-m", "thetachar", *args],
                           capture_output=True, env=env)
 
 
 class TestExpand:
-    def test_level_one_text_golden(self, tmp_path):
+    def test_level_one_text_golden(self):
         cp = run_cli(["expand", "--M", "1", "--j", "1/2", "--sector", "NS",
-                      "--sign", "+", "--format", "text"], tmp_path)
+                      "--sign", "+", "--format", "text"])
         assert cp.returncode == 0
         assert cp.stdout == EXPAND_M1_TEXT
 
-    def test_level_two_text_golden(self, tmp_path):
+    def test_level_two_text_golden(self):
         cp = run_cli(["expand", "--M", "2", "--j=-1/2", "--sector", "ns",
                       "--sign", "plus", "--q-order", "7/8",
-                      "--format", "text"], tmp_path)
+                      "--format", "text"])
         assert cp.returncode == 0
         assert cp.stdout == EXPAND_M2_TEXT
 
-    def test_json_golden_and_deterministic(self, tmp_path):
+    def test_json_golden_and_deterministic(self):
         args = ["expand", "--M", "1", "--j", "1/2", "--sector", "NS",
                 "--sign", "+", "--q-order", "2"]
-        first = run_cli(args, tmp_path)
-        second = run_cli(args, tmp_path)
+        first = run_cli(args)
+        second = run_cli(args)
         assert first.returncode == second.returncode == 0
         assert first.stdout == EXPAND_M1_JSON
         assert second.stdout == first.stdout
 
-    def test_fractional_q_order_reaches_negative_exponents(self, tmp_path):
+    def test_fractional_q_order_reaches_negative_exponents(self):
         cp = run_cli(["expand", "--M", "2", "--j", "1/2", "--sector", "NS",
-                      "--sign", "-", "--q-order", "5/8"], tmp_path)
+                      "--sign", "-", "--q-order", "5/8"])
         assert cp.returncode == 0
         d = json.loads(cp.stdout)
         lowest = min(F(t["q"], d["q_den"]) for t in d["terms"])
         assert lowest == F(-1, 8)
         assert F(d["q_order"]) == F(5, 8)
 
-    def test_order_at_or_below_the_lead_gives_no_terms(self, tmp_path):
+    def test_order_at_or_below_the_lead_gives_no_terms(self):
         # the lowest exponent of this character is h - c/24 = 1/4
         cp = run_cli(["expand", "--M", "2", "--j", "1", "--sector", "R",
-                      "--sign", "+", "--q-order", "1/4"], tmp_path)
+                      "--sign", "+", "--q-order", "1/4"])
         assert cp.returncode == 0
         assert b'"terms":[]' in cp.stdout
 
-    def test_default_q_order_is_eight(self, tmp_path):
+    def test_default_q_order_is_eight(self):
         cp = run_cli(["expand", "--M", "1", "--j", "1/2", "--sector", "NS",
-                      "--sign", "+"], tmp_path)
+                      "--sign", "+"])
         assert json.loads(cp.stdout)["q_order"] == "8"
 
-    def test_custom_window_is_respected(self, tmp_path):
+    def test_custom_window_is_respected(self):
         cp = run_cli(["expand", "--M", "2", "--j", "1/2", "--sector", "NS",
                       "--sign", "+", "--q-order", "1",
-                      "--x-window=-5/2:-1/2"], tmp_path)
+                      "--x-window=-5/2:-1/2"])
         assert cp.returncode == 0
         d = json.loads(cp.stdout)
         assert d["x_window"] == ["-5/2", "-1/2"]
         xs = {F(t["x"], d["x_den"]) for t in d["terms"]}
         assert xs and all(F(-5, 2) <= x <= F(-1, 2) for x in xs)
 
-    def test_malformed_window_syntax(self, tmp_path):
+    def test_malformed_window_syntax(self):
         cp = run_cli(["expand", "--M", "1", "--j", "1/2", "--sector", "NS",
-                      "--sign", "+", "--x-window", "1"], tmp_path)
+                      "--sign", "+", "--x-window", "1"])
         assert cp.returncode == 2
         assert b"LO:HI" in cp.stderr
 
-    def test_inadmissible_j_lists_the_index_set(self, tmp_path):
+    def test_inadmissible_j_lists_the_index_set(self):
         cp = run_cli(["expand", "--M", "2", "--j", "1/4", "--sector", "NS",
-                      "--sign", "+"], tmp_path)
+                      "--sign", "+"])
         assert cp.returncode == 2
         err = cp.stderr.decode()
         assert err.startswith("error:")
         assert "admissible j for M=2 sector NS: -1/2, 1/2" in err
 
-    def test_bad_window_order(self, tmp_path):
+    def test_bad_window_order(self):
         cp = run_cli(["expand", "--M", "1", "--j", "1/2", "--sector", "NS",
-                      "--sign", "+", "--x-window", "1:0"], tmp_path)
+                      "--sign", "+", "--x-window", "1:0"])
         assert cp.returncode == 2
         assert b"LO <= HI" in cp.stderr
 
@@ -133,15 +131,28 @@ class TestExpand:
         ["--sector", "XY", "--sign", "+"],
         ["--sector", "NS", "--sign", "*"],
     ])
-    def test_bad_enum_values(self, tmp_path, bad):
-        cp = run_cli(["expand", "--M", "1", "--j", "1/2", *bad], tmp_path)
+    def test_bad_enum_values(self, bad):
+        cp = run_cli(["expand", "--M", "1", "--j", "1/2", *bad])
         assert cp.returncode == 2
         assert cp.stderr.startswith(b"error:")
 
+    def test_repeated_runs_compute_and_write_no_files(self, tmp_path):
+        # every place a cache could live is an empty directory, and two
+        # runs print the same bytes and leave all of them empty
+        homes = {name: tmp_path / name for name in
+                 ("HOME", "XDG_CACHE_HOME", "THETACHAR_CACHE_DIR")}
+        for path in homes.values():
+            path.mkdir()
+        env = dict(os.environ, **{k: str(v) for k, v in homes.items()})
+        args = ["expand", "--M", "2", "--j", "1", "--sector", "R",
+                "--sign", "-", "--q-order", "3/2"]
+        first, second = run_cli(args, env), run_cli(args, env)
+        assert first.returncode == second.returncode == 0
+        assert first.stdout == second.stdout
+        assert all(list(path.iterdir()) == [] for path in homes.values())
 
     @pytest.mark.parametrize("command", [
-        ["expand", "--M", "1", "--j", "1/2", "--sector", "NS", "--sign", "+",
-         "--no-cache"],
+        ["expand", "--M", "1", "--j", "1/2", "--sector", "NS", "--sign", "+"],
         ["verify", "--suite", "theta"],
     ])
     @pytest.mark.parametrize("q_order", ["--q-order=0", "--q-order=-1"])
@@ -157,7 +168,7 @@ class TestExpand:
         # every example the --q-order message gives is accepted; --j
         # keeps the shared wording, where -5/8 is a valid value
         base = ["expand", "--M", "1", "--j", "1/2", "--sector", "NS",
-                "--sign", "+", "--no-cache"]
+                "--sign", "+"]
         assert cli.main(base + ["--q-order=x"]) == 2
         err = capsys.readouterr().err
         assert err == ("error: --q-order must be a positive rational like "
@@ -166,82 +177,39 @@ class TestExpand:
             assert cli.main(base + ["--q-order", example]) == 0
         capsys.readouterr()
         assert cli.main(["expand", "--M", "1", "--j=y", "--sector", "NS",
-                         "--sign", "+", "--no-cache"]) == 2
+                         "--sign", "+"]) == 2
         assert capsys.readouterr().err == (
             "error: --j must be a rational like 3, 1/2 or -5/8; got 'y'\n")
 
 
-class TestExpandCache:
-    ARGS = ["expand", "--M", "2", "--j", "1", "--sector", "R", "--sign", "-",
-            "--q-order", "3/2"]
-
-    def test_cold_and_warm_runs_are_byte_identical(self, tmp_path):
-        cold = run_cli(self.ARGS, tmp_path)
-        files = list(tmp_path.rglob("*.json"))
-        assert len(files) == 1
-        warm = run_cli(self.ARGS, tmp_path)
-        assert cold.stdout == warm.stdout
-        assert cold.returncode == warm.returncode == 0
-
-    def test_corrupt_cache_entry_is_rebuilt(self, tmp_path):
-        good = run_cli(self.ARGS, tmp_path)
-        entry = list(tmp_path.rglob("*.json"))[0]
-        entry.write_bytes(b'{"q_den": "mangled"')
-        again = run_cli(self.ARGS, tmp_path)
-        assert again.returncode == 0
-        assert again.stdout == good.stdout
-        # and the entry was healed on the way through
-        rebuilt = run_cli(self.ARGS, tmp_path)
-        assert rebuilt.stdout == good.stdout
-
-    def test_well_formed_entry_for_wrong_request_is_rebuilt(self, tmp_path):
-        # a cache file that decodes fine but describes a different
-        # series (other trusted order) must not be served
-        good = run_cli(self.ARGS, tmp_path)
-        entry = list(tmp_path.rglob("*.json"))[0]
-        blob = json.loads(entry.read_text())
-        blob["terms"] = blob["terms"][:1]
-        blob["q_order"] = "1000"
-        entry.write_text(json.dumps(blob, separators=(",", ":")))
-        again = run_cli(self.ARGS, tmp_path)
-        assert again.returncode == 0
-        assert again.stdout == good.stdout
-
-    def test_no_cache_leaves_directory_empty(self, tmp_path):
-        cp = run_cli([*self.ARGS, "--no-cache"], tmp_path)
-        assert cp.returncode == 0
-        assert list(tmp_path.rglob("*")) == []
-
-
 class TestTable:
-    def test_csv_golden(self, tmp_path):
-        cp = run_cli(["table", "--M-range", "1:2"], tmp_path)
+    def test_csv_golden(self):
+        cp = run_cli(["table", "--M-range", "1:2"])
         assert cp.returncode == 0
         assert cp.stdout == TABLE_CSV
 
-    def test_twisted_json_golden(self, tmp_path):
+    def test_twisted_json_golden(self):
         cp = run_cli(["table", "--M-range", "2", "--twisted",
-                      "--format", "json"], tmp_path)
+                      "--format", "json"])
         assert cp.returncode == 0
         assert cp.stdout == TABLE_TWISTED_JSON
 
-    def test_single_level_range(self, tmp_path):
-        cp = run_cli(["table", "--M-range", "3"], tmp_path)
+    def test_single_level_range(self):
+        cp = run_cli(["table", "--M-range", "3"])
         rows = cp.stdout.decode().strip().split("\n")[1:]
         assert len(rows) == 3
         assert all(r.startswith("3,") for r in rows)
 
     @pytest.mark.parametrize("rng", ["4:2", "0:1", "x", "1:2:3"])
-    def test_bad_ranges(self, tmp_path, rng):
-        cp = run_cli(["table", "--M-range", rng], tmp_path)
+    def test_bad_ranges(self, rng):
+        cp = run_cli(["table", "--M-range", rng])
         assert cp.returncode == 2
         assert cp.stderr.startswith(b"error:")
 
 
 class TestVerify:
-    def test_single_suite_text(self, tmp_path):
-        cp = run_cli(["verify", "--suite", "theta", "--q-order", "3"],
-                     tmp_path)
+    def test_single_suite_text(self):
+        cp = run_cli(["verify", "--suite", "theta", "--q-order", "3"])
         assert cp.returncode == 0
         out = cp.stdout.decode()
         assert "[pass] theta/sum-vs-product/00" in out
@@ -249,9 +217,9 @@ class TestVerify:
         assert "0 fail" in out
         assert out.endswith("\n")
 
-    def test_json_format(self, tmp_path):
+    def test_json_format(self):
         cp = run_cli(["verify", "--suite", "theta", "--q-order", "3",
-                      "--format", "json"], tmp_path)
+                      "--format", "json"])
         d = json.loads(cp.stdout)
         (report,) = d["reports"]
         assert report["suite"] == "theta"
@@ -265,8 +233,8 @@ class TestVerify:
         assert "compares no term below q^1/100" in out
         assert "4 pass, 23 fail" in out
 
-    def test_unknown_suite(self, tmp_path):
-        cp = run_cli(["verify", "--suite", "bogus"], tmp_path)
+    def test_unknown_suite(self):
+        cp = run_cli(["verify", "--suite", "bogus"])
         assert cp.returncode == 2
         assert b"--suite must be one of" in cp.stderr
 
@@ -305,31 +273,31 @@ class TestVerify:
 
 
 class TestTransform:
-    def test_closure_certificate(self, tmp_path):
+    def test_closure_certificate(self):
         args = ["transform", "--M", "1", "--which", "S", "--statement", "2",
                 "--precision", "30"]
-        cp = run_cli(args, tmp_path)
+        cp = run_cli(args)
         assert cp.returncode == 0
         cert = json.loads(cp.stdout)
         assert cert["transform"] == "S"
         assert cert["M"] == 1
         assert cert["residual"] < 1e-9
         assert len(cert["points"]) == 3 * len(cert["family"])
-        again = run_cli(args, tmp_path)
+        again = run_cli(args)
         assert again.stdout == cp.stdout
 
     def test_output_file(self, tmp_path):
         out = tmp_path / "cert.json"
         cp = run_cli(["transform", "--M", "1", "--which", "T",
                       "--statement", "2", "--precision", "30",
-                      "--output", str(out)], tmp_path)
+                      "--output", str(out)])
         assert cp.returncode == 0
         assert json.loads(out.read_text())["transform"] == "T"
 
-    def test_residual_above_tolerance_exits_one(self, tmp_path):
+    def test_residual_above_tolerance_exits_one(self):
         cp = run_cli(["transform", "--M", "1", "--which", "S",
                       "--statement", "2", "--precision", "30",
-                      "--tol", "1e-40"], tmp_path)
+                      "--tol", "1e-40"])
         assert cp.returncode == 1
         assert b"exceeds tolerance" in cp.stderr
         # the certificate is still printed for inspection
@@ -346,9 +314,9 @@ class TestTransform:
         cert = json.loads(capsys.readouterr().out)
         assert cert["precision_bits"] == want_bits
 
-    def test_too_few_points(self, tmp_path):
+    def test_too_few_points(self):
         cp = run_cli(["transform", "--M", "1", "--which", "S",
-                      "--statement", "2", "--points", "1"], tmp_path)
+                      "--statement", "2", "--points", "1"])
         assert cp.returncode == 2
         assert b"below the minimum" in cp.stderr
 
@@ -358,8 +326,8 @@ class TestTransform:
         ["--which", "S", "--tol", "-1"],
         ["--which", "S", "--precision", "2"],
     ])
-    def test_bad_arguments(self, tmp_path, bad):
-        cp = run_cli(["transform", "--M", "1", *bad], tmp_path)
+    def test_bad_arguments(self, bad):
+        cp = run_cli(["transform", "--M", "1", *bad])
         assert cp.returncode == 2
         assert cp.stderr.startswith(b"error:")
 
@@ -376,21 +344,20 @@ class TestTransform:
 
 
 class TestTopLevel:
-    def test_version(self, tmp_path):
-        cp = run_cli(["--version"], tmp_path)
+    def test_version(self):
+        cp = run_cli(["--version"])
         assert cp.returncode == 0
         assert cp.stdout.strip() == b"thetachar 0.1.0"
 
-    def test_no_subcommand_is_usage_error(self, tmp_path):
-        cp = run_cli([], tmp_path)
+    def test_no_subcommand_is_usage_error(self):
+        cp = run_cli([])
         assert cp.returncode == 2
 
     def test_in_process_version_exit_code(self, capsys):
         assert cli.main(["--version"]) == 0
         assert capsys.readouterr().out.strip() == "thetachar 0.1.0"
 
-    def test_one_parser_serves_every_request(self, tmp_path, monkeypatch,
-                                             capsys):
+    def test_one_parser_serves_every_request(self, capsys):
         # the module's parser parses each request in one process: a
         # usage error, --version and a verify between two identical
         # expands change neither the exit codes a fresh process gives
@@ -403,25 +370,21 @@ class TestTopLevel:
                     ["--version"],
                     ["verify", "--suite", "theta", "--format", "json"],
                     expand]
-        monkeypatch.setenv("THETACHAR_CACHE_DIR", str(tmp_path / "shared"))
         codes, outs = [], []
         for argv in requests:
             codes.append(cli.main(list(argv)))
             outs.append(capsys.readouterr().out)
-        fresh = [run_cli(argv, tmp_path / ("fresh%d" % i))
-                 for i, argv in enumerate(requests)]
+        fresh = [run_cli(argv) for argv in requests]
         assert codes == [cp.returncode for cp in fresh] == [0, 2, 0, 0, 0]
         assert outs[0].encode() == outs[4].encode() == fresh[0].stdout
 
-    def test_commands_are_looked_up_per_request(self, tmp_path,
-                                                monkeypatch, capsys):
+    def test_commands_are_looked_up_per_request(self, monkeypatch, capsys):
         # the parser is built once, and a request still runs the
         # cmd_expand the module holds when it arrives
         seen = []
         real = cli.cmd_expand
         monkeypatch.setattr(cli, "cmd_expand",
                             lambda args: seen.append(args.M) or real(args))
-        monkeypatch.setenv("THETACHAR_CACHE_DIR", str(tmp_path))
         assert cli.main(["expand", "--M", "1", "--j", "1/2", "--sector",
                          "NS", "--sign", "+"]) == 0
         assert seen == [1]

@@ -21,10 +21,10 @@ from thetachar.modular import (
     NumericPoint,
     _eigh,
     _lstsq_min_norm,
-    character_member_numeric,
     default_points,
     denominator_transform_residual,
     family_members,
+    family_values,
     member_id,
     predicted_t_matrix,
     psi_s_residual,
@@ -209,7 +209,7 @@ class TestSpanClosure:
         member = ((F(0), F(0)), (F(1), F(2)))
         with pytest.raises(PoleProximityError,
                            match=r"theta_11\(z1 \+ j tau \+ eps\)"):
-            character_member_numeric(2, member, tau, -tau)
+            family_values(2, [member], tau, -tau)
 
     def test_certificate_serializes(self):
         mp.dps = 30

@@ -20,7 +20,6 @@ from thetachar.qseries import (
     equal_to_order,
     eval_numeric,
     expand,
-    from_json_dict,
     mul,
     product,
     restrict_window,
@@ -34,9 +33,10 @@ from thetachar.characters import (SECTORS, SIGNS, CharacterSpec,
                                   index_set)
 
 from oracles import (as_series, coefficient, eval_numeric_per_term,
-                     expand_rational, first_difference, gaussian_inverse,
-                     invert_directed, q_valuation_bound, subst_scale_tau,
-                     subst_scale_z, theta_factors, truncate, x_support)
+                     expand_rational, first_difference, from_json_dict,
+                     gaussian_inverse, invert_directed, q_valuation_bound,
+                     subst_scale_tau, subst_scale_z, theta_factors,
+                     truncate, x_support)
 
 
 def mono(qe, xe, coeff, order):

@@ -41,6 +41,13 @@ def test_case_registry_is_pinned(name):
     assert hashlib.sha256("\n".join(ids).encode()).hexdigest() == digest
 
 
+def test_unknown_suite_lists_the_names():
+    with pytest.raises(ValueError) as err:
+        suite_cases("nope")
+    assert str(err.value) == ("unknown suite 'nope', want one of theta, "
+                              "psi, characters, reduction, modular or all")
+
+
 def _run_rows(monkeypatch, rows, q_order=F(4)):
     monkeypatch.setattr(suites, "suite_cases", lambda name: tuple(rows))
     report = run_suite("theta", SuiteConfig(q_order=q_order, tol=1e-9,
