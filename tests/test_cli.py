@@ -136,21 +136,6 @@ class TestExpand:
         assert cp.returncode == 2
         assert cp.stderr.startswith(b"error:")
 
-    def test_repeated_runs_compute_and_write_no_files(self, tmp_path):
-        # every place a cache could live is an empty directory, and two
-        # runs print the same bytes and leave all of them empty
-        homes = {name: tmp_path / name for name in
-                 ("HOME", "XDG_CACHE_HOME", "THETACHAR_CACHE_DIR")}
-        for path in homes.values():
-            path.mkdir()
-        env = dict(os.environ, **{k: str(v) for k, v in homes.items()})
-        args = ["expand", "--M", "2", "--j", "1", "--sector", "R",
-                "--sign", "-", "--q-order", "3/2"]
-        first, second = run_cli(args, env), run_cli(args, env)
-        assert first.returncode == second.returncode == 0
-        assert first.stdout == second.stdout
-        assert all(list(path.iterdir()) == [] for path in homes.values())
-
     @pytest.mark.parametrize("command", [
         ["expand", "--M", "1", "--j", "1/2", "--sector", "NS", "--sign", "+"],
         ["verify", "--suite", "theta"],
@@ -180,6 +165,35 @@ class TestExpand:
                          "--sign", "+"]) == 2
         assert capsys.readouterr().err == (
             "error: --j must be a rational like 3, 1/2 or -5/8; got 'y'\n")
+
+
+class TestExpandCache:
+    """expand keeps no cache: every run computes, and none writes a file."""
+
+    ARGS = ["expand", "--M", "2", "--j", "1", "--sector", "R", "--sign", "-",
+            "--q-order", "3/2"]
+
+    @staticmethod
+    def cache_homes(tmp_path):
+        # every place a cache could live, as an empty directory
+        homes = {name: tmp_path / name for name in
+                 ("HOME", "XDG_CACHE_HOME", "THETACHAR_CACHE_DIR")}
+        for path in homes.values():
+            path.mkdir()
+        env = dict(os.environ, **{k: str(v) for k, v in homes.items()})
+        return homes, env
+
+    def test_cold_and_warm_runs_are_byte_identical(self, tmp_path):
+        _, env = self.cache_homes(tmp_path)
+        cold, warm = run_cli(self.ARGS, env), run_cli(self.ARGS, env)
+        assert cold.returncode == warm.returncode == 0
+        assert cold.stdout == warm.stdout
+
+    def test_no_cache_leaves_directory_empty(self, tmp_path):
+        homes, env = self.cache_homes(tmp_path)
+        for _ in range(2):
+            assert run_cli(self.ARGS, env).returncode == 0
+        assert all(list(path.iterdir()) == [] for path in homes.values())
 
 
 class TestTable:
