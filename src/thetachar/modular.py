@@ -3,8 +3,8 @@
 Truncated q-series cannot see tau -> -1/tau, so the S and T laws for
 the Psi blocks, the denominators, and the character families are
 checked numerically: residuals of the stated identities at generic
-points, and least-squares certificates that the span of a character
-family is carried into itself.
+points, and certificates that the span of a character family is
+carried into itself by the predicted S and T matrices.
 
 The span families pair a half-characteristic block (eps, eps') with
 index pairs (j1, j2) drawn from
@@ -18,18 +18,14 @@ block is symmetric in its indices.  Statement 1 spans the blocks
 sets are closed under the S swap (eps <-> eps') and the T map
 (eps -> eps + eps' mod 1).
 
-Fitting (_lstsq_min_norm) runs on the passes' values, in the format
-qseries owns (its _top, _fixed and modulus): the sample
-matrix is column-scaled and every product of the normal equations is
-an int sum on fixed-point complex ints, with its rounding stated, and
-the small Hermitian eigensolve is cyclic Jacobi on the same ints
-(_eigh), with its backward error stated.  Small eigenvalues are
-truncated, giving the minimum-norm least-squares solution.  Rank
-deficiency of a family (exactly degenerate members, e.g. every M = 1
-character is the constant 1) is therefore handled quietly, while a
-retained-spectrum condition number above COND_THRESHOLD raises
-IllConditionedError: that signals bad point selection, not a failed
-identity.
+span_closure certifies closure with the predicted matrices
+(predicted_s_matrix, predicted_t_matrix), which follow from the S and T
+laws of the blocks and the denominators: it sums the residual
+|B - A P| of each transformed member against its predicted row P on the
+passes' values, in the format qseries owns, with its rounding stated.
+No fit enters, so a family that is not independent (every M = 1
+character is the constant 1) is certified like any other.
+t_law_on_series checks the T law exactly on the members' series.
 
 All evaluations use the ambient mpmath precision; callers scope it
 with mp.workdps.  span_closure plans its family once (FamilyPlan: the
@@ -51,19 +47,15 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .characters import denominator_label, sector_eps_prime, sign_eps
+from .characters import (denominator, denominator_label, sector_eps_prime,
+                         sign_eps)
 from .mockpsi import (HALF, PsiParams, PsiPlan, _guard_pole, _mpc_any,
-                      _mpfrac, psi_plan, psi_value)
-from .qseries import ONE, _fixed, _from_mpc, _top, modulus, to_mpc
+                      _mpfrac, psi_pair_ratio, psi_plan, psi_value)
+from .qseries import (ONE, JacobiSeries, _fixed, _from_mpc, _top, modulus,
+                      to_mpc)
 from .theta import THETA_LABELS, PassPlan, ThetaPass
 
 IM_TAU_FLOOR = 0.3
-COND_THRESHOLD = 1e8
-RANK_CUTOFF = 1e-10
-
-
-class IllConditionedError(ArithmeticError):
-    """The span-fit sample matrix is too ill-conditioned to trust."""
 
 
 @dataclass(frozen=True)
@@ -312,11 +304,123 @@ class FamilyPlan:
         return out
 
 
+
+
+def _s_image(M, member):
+    """The terms (target, sign, r) of member (eps, eps'), (j, k) at
+    (-1/tau, z/tau), its elliptic factor divided out: M times it is the
+    sum of sign e^{-2 pi i r/(4M)} times the members target
+    (predicted_s_matrix)."""
+    (eps, eps_p), (j, k) = member
+    for na in range(M):
+        for nb in range(M):
+            a, b = eps + na, eps + nb
+            sign = -1 if eps == eps_p == HALF else 1
+            if eps_p == HALF and (a == 0) != (b == 0):
+                sign = -sign
+            yield (((eps_p, eps), tuple(sorted((a or M, b or M)))), sign,
+                   int(4 * (a * k + b * j)) % (4 * M))
+
+
+def _t_image(M, member):
+    """The one term (target, 1, r) of member (eps, eps'), (j1, j2) at
+    tau + 1: e^{-2 pi i r/(4M)} = e^{2 pi i j1 j2/M} e^{pi i eps'} times
+    the member at block (eps + eps' mod 1, eps'), same indices."""
+    (eps, eps_p), (j1, j2) = member
+    yield (((eps + eps_p) % 1, eps_p), (j1, j2)), 1, \
+        -int(4 * j1 * j2 + 2 * M * eps_p) % (4 * M)
+
+
+def _predicted(M, statement, image, scale):
+    """The rows of the members' images, each entry the sum of its terms
+    sign e^{-2 pi i r/(4M)} over scale, from the 4M roots computed once
+    at the working precision."""
+    members = family_members(M, statement)
+    index = {m: i for i, m in enumerate(members)}
+    roots = [mp.expjpi(mp.mpf(-r) / (2 * M)) for r in range(4 * M)]
+    rows = []
+    for member in members:
+        row = [mp.mpc(0)] * len(members)
+        for target, sign, r in image(M, member):
+            row[index[target]] += sign * roots[r]
+        rows.append(tuple(x / scale for x in row))
+    return tuple(rows)
+
+
+def predicted_s_matrix(M, statement):
+    """The S action on the family, as rows of mpc at the working
+    precision: row i holds the coefficients of member i at
+    (-1/tau, z/tau), divided by e^{2 pi i (1/M - 1) z^2/tau}, over the
+    members at (tau, z).
+
+    It comes from the two S-laws the modular suite checks.  The blocks'
+    (psi_s_residual) sends Psi^{(eps)}_{eps'; j,k} to
+    (tau/M) e^{2 pi i z1 z2/(M tau)} times the sum over na, nb in 0..M-1
+    of e^{-2 pi i (a k + b j)/M} Psi^{(eps')}_{eps; a,b}, with a = eps + na
+    and b = eps + nb; the denominators' (denominator_transform_residual)
+    sends R^{(eps)}_{eps'} to (-1)^{4 eps eps'} tau e^{2 pi i z^2/tau}
+    R^{(eps')}_{eps}.  On the diagonal their quotient sends member
+    (eps, eps'), (j, k) to (-1)^{4 eps eps'}/M times that phase sum of
+    the members of block (eps', eps).  Those members' indices run over
+    1/2..M - 1/2 for eps = 1/2, which holds every a and b, and over 1..M
+    for eps = 0, where an index 0 is folded to M: theta_11's
+    quasi-periodicity gives Psi^{(eps')}_{a + M, b} = (-1)^{2 eps'}
+    Psi^{(eps')}_{a, b}.  Psi_{a,b} = Psi_{b,a} on the diagonal, so each
+    pair is sorted (_s_image).  Each phase is a power of e^{-2 pi i/(4M)},
+    4 (a k + b j) being an integer, so the entries are sums of the 4M
+    roots e^{-2 pi i r/(4M)} over M (Kac-Peterson 1984, Kac-Wakimoto
+    1988)."""
+    return _predicted(M, statement, _s_image, M)
+
+
+def predicted_t_matrix(M, statement):
+    """The T action on the family, as rows of mpc at the working
+    precision: member (eps, eps'), (j1, j2) at tau + 1 is
+    e^{2 pi i j1 j2/M} e^{pi i eps'} times the member at block
+    (eps + eps' mod 1, eps'), same indices (_t_image).  This is the
+    blocks' T-law (psi_t_residual: e^{2 pi i jk/M} and
+    eps -> eps + eps') over the denominators'
+    (denominator_transform_residual: e^{-pi i eps'}), and each phase is
+    one of the 4M roots e^{-2 pi i r/(4M)}."""
+    return _predicted(M, statement, _t_image, 1)
+
+
+def t_law_on_series(M, statement):
+    """The T law exactly on the member series, with no numerics: each
+    member Psi_{j1,j2}/R, as an exact ThetaQuotient expanded below q^6 in
+    the x-window (-3, 3), has its coefficient at q^n times e^{2 pi i n}
+    over its phase e^{-2 pi i r/(4M)} (_t_image), that is times
+    i^(4 n + r/M), equal to its target's coefficient at the same
+    monomial, and the two supports agree.  Returns (terms compared, ids
+    of the members whose law fails)."""
+    members = family_members(M, statement)
+    series = {}
+    for member in members:
+        block, (j1, j2) = member
+        quotient = (psi_pair_ratio(PsiParams(M, j1, j2, *block))
+                    / denominator(*_block_sign_sector(block)))
+        series[member] = quotient.expand(6, (-3, 3))[0]
+    terms, bad = 0, []
+    for member in members:
+        ((target, _, r),) = _t_image(M, member)
+        a, b = JacobiSeries._aligned(series[member], series[target])
+        ok = a.c.keys() == b.c.keys()
+        for (qn, xn), c in a.c.items():
+            k = Fraction(4 * qn, a.q_den) + Fraction(r, M)
+            ok = ok and k.denominator == 1 and \
+                c.times_i_power(int(k)) == b.c[qn, xn]
+        terms += len(a.c)
+        if not ok:
+            bad.append(member_id(member))
+    return terms, bad
+
+
 @dataclass(frozen=True)
 class SpanCertificate:
-    """Least-squares evidence that a transform maps the family span
-    into itself: per-member coefficient rows and the max residual, with
-    the fit's retained rank and condition number (not serialized)."""
+    """Evidence that a transform maps the family span into itself: the
+    predicted matrix P as coefficient rows, row i the image of member i
+    over the members, and the largest |B - A P| over the sample points
+    (span_closure)."""
     transform: str
     M: int
     statement: int
@@ -325,8 +429,6 @@ class SpanCertificate:
     residual: float
     points: tuple
     precision_bits: int
-    rank: int
-    condition: float
 
     def to_json_dict(self):
         return {
@@ -342,212 +444,50 @@ class SpanCertificate:
         }
 
 
-def _dot(xs, ys, f):
-    """sum x y over pairs of fixed-point complex ints (re, im) with f
-    fraction bits: one exact int sum, shifted back to f bits once."""
-    re = sum(a * c - b * d for (a, b), (c, d) in zip(xs, ys))
-    im = sum(a * d + b * c for (a, b), (c, d) in zip(xs, ys))
-    return re >> f, im >> f
-
-
-def _conj(xs):
-    return [(a, -b) for a, b in xs]
-
-
-def _lstsq_min_norm(A, B):
-    """Minimum-norm least squares A C = B via scaled normal equations,
-    for A and B lists of rows of ThetaPass values (re, im, e).
-
-    Columns of A are scaled to unit max modulus (As), the Gram matrix
-    As^H As is diagonalized (_eigh), eigenvalues E_i at or below
-    emax RANK_CUTOFF^2 are dropped (compared exactly), and the retained
-    condition number is checked against COND_THRESHOLD;
-    IllConditionedError is raised for a zero matrix, no usable rank or a
-    condition above it.  Returns (C, max entrywise |A C - B|, retained
-    rank, retained condition number), C as rows of values.
-
-    Everything runs on fixed-point complex ints with
-    F = prec + bitlen(rows + cols) + bitlen(_SWEEPS cols^2) + 10 fraction
-    bits: As, each column of B scaled by a power of two to modulus below
-    2 (exact), As^H As and its eigensolve, As^H B, V^H (As^H B),
-    V (...) / E and the residual As Cs - B.  Every stored entry is within
-    2^(2 - F) of the value it rounds (its parts are floored, and a
-    column's scale s is found to F + 1 bits), and every product entry is
-    one exact int sum shifted once, so an entry that sums n products of
-    factors of modulus at most X and Y is within 2^(2 - F) (n (X + Y + 1)
-    + 1) of the exact sum over the unrounded factors.  The eigensolve's
-    backward error, at most (R + cols) cols 2^(8 - F) ||G|| after R
-    rotations (_eigh), is below 2^(-3 - prec) ||G||, since R + cols is
-    below _SWEEPS cols^2 / 2 and F spends bitlen(_SWEEPS cols^2) bits on
-    it: less than one rounding of G at the working precision, the
-    backward error an eigensolver on mpmath matrices has.  Carried
-    through the solve to first order, these leave A C within
-    2^(8 - prec) rows^2 cols cond^2 max|B| of the exact projection of B
-    onto the retained span, as they leave the same fit run on mpmath
-    matrices.
-    """
-    rows, cols = len(A), len(A[0])
-    f = (mp.prec + (rows + cols).bit_length()
-         + (_SWEEPS * cols * cols).bit_length() + 10)
-    # each column of A relative to its top bit at f + 2 bits, then over
-    # its largest modulus s = S 2^(top - f - 2)
-    a_cols, scale = [], []
-    for c in range(cols):
-        col = [row[c] for row in A]
-        top = _top(col)
-        xs = [_fixed((re, im, e - top), f + 2) for re, im, e in col]
-        s = math.isqrt(max(re * re + im * im for re, im in xs))
-        a_cols.append([((re << f) // s, (im << f) // s) if s else (0, 0)
-                       for re, im in xs])
-        scale.append((s, top - f - 2) if s else (1, 0))
-    b_tops = [_top([row[c] for row in B]) for c in range(len(B[0]))]
-    b_cols = [[_fixed((re, im, e - top), f) for re, im, e in
-               (row[c] for row in B)] for c, top in enumerate(b_tops)]
-    ah_cols = [_conj(col) for col in a_cols]
-    G = [[None] * cols for _ in range(cols)]
-    for i in range(cols):
-        for j in range(i, cols):
-            re, im = _dot(ah_cols[i], a_cols[j], f)
-            G[i][j], G[j][i] = (re, im), (re, -im)
-    bp_cols = [[_dot(ah, col, f) for ah in ah_cols] for col in b_cols]
-    E, V = _eigh(G, f)
-    emax = max(map(abs, E))
-    if emax == 0:
-        raise IllConditionedError("sample matrix is zero")
-    cut = emax * Fraction(RANK_CUTOFF ** 2)
-    kept = [i for i in range(cols) if E[i] > cut]
-    if not kept:
-        raise IllConditionedError("sample matrix has no usable rank")
-    cond = mp.sqrt(mp.mpf(emax) / min(E[i] for i in kept))
-    if cond > COND_THRESHOLD:
-        raise IllConditionedError(
-            "retained condition number %.3g above %g: pick other points"
-            % (float(cond), COND_THRESHOLD))
-    v_rows = list(zip(*(V[i] for i in kept)))
-    vh_cols = [_conj(V[i]) for i in kept]
-    # W = E^-1 V^H B' on the kept eigenvalues, then Cs = V W
-    cs_cols = []
-    for bp in bp_cols:
-        w = [_over(_dot(vh, bp, f), E[i], f) for vh, i in zip(vh_cols, kept)]
-        cs_cols.append([_dot(vr, w, f) for vr in v_rows])
-    a_rows = list(zip(*a_cols))
-    resid = 0.0
-    C = [[None] * len(cs_cols) for _ in range(cols)]
-    for c, (cs, bs, top) in enumerate(zip(cs_cols, b_cols, b_tops)):
-        for ar, (br, bi) in zip(a_rows, bs):
-            re, im = _dot(ar, cs, f)
-            resid = max(resid, modulus((re - br, im - bi, top - f)))
-        for k, ((re, im), (s, e)) in enumerate(zip(cs, scale)):
-            t = s.bit_length()
-            C[k][c] = (re << t) // s, (im << t) // s, top - f - t - e
-    return C, resid, len(kept), cond
-
-
-def _over(x, v, f):
-    """A fixed-point complex int over a positive int v, both with f
-    fraction bits, to f fraction bits by exact floor division."""
-    return (x[0] << f) // v, (x[1] << f) // v
-
-
-# the sweep cap of _eigh: counting the last one, which rotates nothing,
-# the span fit's Gram matrices take up to 9 sweeps at 10 members, 15 at
-# 30, 20 at 45 (M = 5) and 25 at 63 (M = 6)
-_SWEEPS = 60
-
-
-def _eigh(G, f):
-    """Eigenvalues E and eigenvectors V of a Hermitian G, given as rows of
-    fixed-point complex ints (re, im) with f fraction bits, by cyclic
-    Jacobi on the same ints: E as ints and V as columns of complex ints,
-    each with f fraction bits, so that G V = V diag(E) to within the
-    backward error below.
-
-    A sweep visits every pivot g = G[p][q], p < q, in row order.  A pivot
-    whose parts both lie below 2^4 units is set to 0 without a rotation;
-    any other is zeroed by the unitary Q = diag(1, u) R acting on indices
-    p and q: the phase u = conj(g)/|g| on index q, which makes the pivot
-    |g|, then the real rotation R of c = (1 + t^2)^(-1/2) and s = t c for
-    t = sgn(theta)/(|theta| + sqrt(theta^2 + 1)),
-    theta = (G_qq - G_pp)/(2 |g|).  Q acts on columns p and q of G and
-    of V, and its conjugate on rows p and q of G; the diagonal becomes
-    G_pp - t |g| and G_qq + t |g|.  |g| is taken at 2f bits, as
-    isqrt(|g|^2 2^(2f)), so however few units g has, u is within
-    2^(1 - f) of conj(g)/|g| and of unit modulus (from a floored f-bit
-    |g| it would be off by up to 1/|g| units, and V would not stay
-    unitary); c and s, from the same f-bit t, are within 2^(2 - f) of an
-    exact rotation.  So the entries Q is applied with are within
-    2^(3 - f) of an exactly unitary one, each entry written is one int
-    sum floored once, and the sweep that rotates nothing ends with G
-    exactly diag(E).  With R rotations in all and the Frobenius norm,
-    to first order
-
-        ||V^H V - I||            <= R n 2^(5 - f),
-        ||V^H G V - diag(E)||    <= (R + n) n 2^(8 - f) ||G||
-
-    for ||G|| >= 1: each rotation adds at most n 2^(3 - f) to V's
-    distance from a unitary matrix and at most n 2^(6 - f) ||G|| to G's
-    from its exact unitary image, and each zeroed pivot, of which there
-    are at most n^2/2 + 2 n R, at most 2^(5 - f).  Raises ArithmeticError
-    when _SWEEPS sweeps all rotate: V is never returned unconverged.
-    """
-    n = len(G)
-    f2 = 2 * f
-    # G by columns, gr[j][r] + i gi[j][r] = G[r][j], and V by columns
-    gr = [[re for re, _ in row] for row in G]
-    gi = [[-im for _, im in row] for row in G]
-    vr = [[1 << f if k == i else 0 for k in range(n)] for i in range(n)]
-    vi = [[0] * n for _ in range(n)]
-    for _ in range(_SWEEPS):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                xr, xi = gr[q][p], gi[q][p]
-                if -16 < xr < 16 and -16 < xi < 16:
-                    gr[q][p] = gi[q][p] = gr[p][q] = gi[p][q] = 0
-                    continue
-                rotated = True
-                a, b = gr[p][p], gr[q][q]
-                g = math.isqrt((xr * xr + xi * xi) << f2)
-                ur, ui = (xr << f2) // g, (-xi << f2) // g
-                d = (b - a) << f
-                t = (g << (f + 1)) // (abs(d) + math.isqrt(d * d + 4 * g * g))
-                t = -t if d < 0 else t
-                c = math.isqrt((1 << 2 * f2) // ((1 << f2) + t * t))
-                s = (t * c) >> f
-                cr, ci, sr, si = ((c * ur) >> f, (c * ui) >> f,
-                                  (s * ur) >> f, (s * ui) >> f)
-                # columns p and q of G and of V: x' = c x - s u y and
-                # y' = s x + c u y for x, y their entries in one row
-                for mr, mi in ((gr, gi), (vr, vi)):
-                    pr, pi, qr, qi = mr[p], mi[p], mr[q], mi[q]
-                    mr[p] = [(c * x - sr * yr + si * yi) >> f
-                             for x, yr, yi in zip(pr, qr, qi)]
-                    mi[p] = [(c * x - sr * yi - si * yr) >> f
-                             for x, yr, yi in zip(pi, qr, qi)]
-                    mr[q] = [(s * x + cr * yr - ci * yi) >> f
-                             for x, yr, yi in zip(pr, qr, qi)]
-                    mi[q] = [(s * x + cr * yi + ci * yr) >> f
-                             for x, yr, yi in zip(pi, qr, qi)]
-                # rows p and q of G, the conjugates of its new columns
-                pr, pi, qr, qi = gr[p], gi[p], gr[q], gi[q]
-                for r in range(n):
-                    gr[r][p], gi[r][p] = pr[r], -pi[r]
-                    gr[r][q], gi[r][q] = qr[r], -qi[r]
-                tg = (t * g) >> f2
-                gr[p][p], gr[q][q] = a - tg, b + tg
-                gi[p][p] = gi[q][q] = 0
-                gr[q][p] = gi[q][p] = gr[p][q] = gi[p][q] = 0
-        if not rotated:
-            return ([gr[i][i] for i in range(n)],
-                    [list(zip(vr[i], vi[i])) for i in range(n)])
-    raise ArithmeticError("Jacobi eigensolve of a %d x %d Gram matrix "
-                          "still rotating after %d sweeps" % (n, n, _SWEEPS))
+def _residual(rows, a, b, wp):
+    """max_i |b_i - sum_j P_ij a_j| at one point, for a and b lists of
+    values and rows of the nonzero (j, P_ij), each P_ij a fixed-point
+    complex int with wp fraction bits.  The a_j and b_i are floored to
+    multiples of 2^(top - wp), top = _top(a + b), and each row is one
+    exact int sum, so with k nonzeros it is within
+    2^(top + 1 - wp) (sum_j |P_ij| + 2 k + 1) of the same sum over the
+    unfloored a, b and P."""
+    s = wp - _top(a + b)
+    fixed = [_fixed(v, s) for v in a]
+    out = 0.0
+    for row, v in zip(rows, b):
+        re, im = _fixed(v, s)
+        re, im = re << wp, im << wp
+        for j, (pr, pi) in row:
+            ar, ai = fixed[j]
+            re -= pr * ar - pi * ai
+            im -= pr * ai + pi * ar
+        out = max(out, modulus((re, im, -s - wp)))
+    return out
 
 
 def span_closure(M, statement, transform, points):
-    """Fit each transformed family member inside the family and return
-    the SpanCertificate.  The S side divides out the elliptic factor
+    """Certify that the transform carries the family span into itself
+    with the predicted matrix P (predicted_s_matrix, predicted_t_matrix):
+    the SpanCertificate holds P's rows as its coefficients and, as its
+    residual, the largest |b_i - sum_j P_ij a_j| over the points and
+    members, a_j the members at (tau, z) and b_i member i transformed.
+    The S side divides out the elliptic factor
     e^{2 pi i (1/M - 1) z^2 / tau} first; T transforms tau -> tau + 1.
+    No fit enters: P is exhibited, so a small residual shows closure
+    whether or not the members are independent.
+
+    The sums run on the passes' values (_residual) with
+    wp = prec + bitlen(18 M + 2 n + 1) + 20 fraction bits, n members, and
+    P computed at wp bits: 19 bits more than the bound below needs, so
+    that the residual shows the passes' own rounding.  Taking each of the 4M roots within
+    2^(3 - wp), an entry that sums c of them over M is within
+    (c + 1) 2^(3 - wp)/M, and a row's c sum to at most M^2, so its
+    entries are within M 2^(4 - wp) in all, and sum_j |P_ij| <= 2 M.  With
+    _residual's floors, each residual is then within
+    2^(top + 1 - wp) (18 M + 2 n + 1) <= 2^(top - prec - 19) of the exact
+    P's over the same pass values, where 2^(top - 1) is at most the
+    point's largest value.
     """
     if transform not in ("S", "T"):
         raise ValueError("transform must be 'S' or 'T'")
@@ -560,46 +500,29 @@ def span_closure(M, statement, transform, points):
     for p in pts:
         if not p.is_diagonal:
             raise ValueError("span points must have z1 = z2 and t = 0")
+    predicted = predicted_s_matrix if transform == "S" else predicted_t_matrix
+    wp = mp.prec + (18 * M + 2 * n + 1).bit_length() + 20
+    with mp.workprec(wp):
+        P = predicted(M, statement)
+        rows = [[(j, _fixed(_from_mpc(c._mpc_, wp), wp))
+                 for j, c in enumerate(row) if c] for row in P]
     family = FamilyPlan(M, members)
-    A, B = [], []
+    resid = 0.0
     for p in pts:
         tau = _mpc_any(p.tau)
         z = _mpc_any(p.z1)
-        A.append(family.values(tau, z))
+        a = family.values(tau, z)
         if transform == "S":
-            B.append(family.values(-1 / tau, z / tau, mp.exp(
-                2j * mp.pi * (mp.mpf(1) / M - 1) * z * z / tau)))
+            b = family.values(-1 / tau, z / tau, mp.exp(
+                2j * mp.pi * (mp.mpf(1) / M - 1) * z * z / tau))
         else:
-            B.append(family.values(tau + 1, z))
-    C, resid, rank, cond = _lstsq_min_norm(A, B)
-    coeff_rows = tuple(tuple(complex(to_mpc(C[j][i])) for j in range(n))
-                       for i in range(n))
+            b = family.values(tau + 1, z)
+        resid = max(resid, _residual(rows, a, b, wp))
     return SpanCertificate(
         transform=transform, M=M, statement=statement,
         family=tuple(member_id(m) for m in members),
-        coefficients=coeff_rows,
-        residual=float(resid),
+        coefficients=tuple(tuple(complex(c) for c in row) for row in P),
+        residual=resid,
         points=tuple(pts),
         precision_bits=mp.prec,
-        rank=rank,
-        condition=float(cond),
     )
-
-
-def predicted_t_matrix(M, statement):
-    """The exact T action when the family is linearly independent:
-    member (eps, eps'), (j, k) maps to e^{2 pi i jk/M} e^{pi i eps'}
-    times the member at block (eps + eps' mod 1, eps'), same indices."""
-    members = family_members(M, statement)
-    index = {mem: i for i, mem in enumerate(members)}
-    n = len(members)
-    rows = []
-    for mem in members:
-        (eps, eps_p), (j1, j2) = mem
-        target = (((eps + eps_p) % 1, eps_p), (j1, j2))
-        phase = complex(mp.exp(2j * mp.pi * _mpfrac(j1 * j2) / M)
-                        * mp.exp(1j * mp.pi * _mpfrac(eps_p)))
-        row = [0j] * n
-        row[index[target]] = phase
-        rows.append(tuple(row))
-    return tuple(rows)

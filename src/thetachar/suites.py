@@ -22,10 +22,9 @@ Quotient rows build the series of the factors their two sides do not
 share, at orders computed from q and the exact valuations, and all rows
 share the lru-cached builders in theta.  The reduction rows scan only
 the in-range levels that characters.HEART_RANGES admits.
-The span and t-phases rows of the modular suite share certificates
-through one dict that each suite_cases("modular") call makes, keyed by
-(M, statement, transform, mp.prec); it lives as long as that tuple of
-cases, which run_suite drops when it returns.  run_suite runs the cases
+The modular suite's span rows certify each family once per transform
+with the predicted matrix, and its t-phases rows check the predicted T
+phases and targets exactly on the member series below q^6.  run_suite runs the cases
 one after another in registry order, so reports are deterministic.
 """
 
@@ -49,10 +48,9 @@ from .characters import (HEART_RANGES, HEARTS, SECTORS, SIGNS,
                          denominator, denominator_theta_form, h_s_values,
                          index_set, nice_k1_values, nice_numerator,
                          nice_param_to_j, reduction_hs, vanishes)
-from .modular import (default_points,
-                      denominator_transform_residual, family_members,
-                      predicted_t_matrix, psi_s_residual, psi_t_residual,
-                      span_closure)
+from .modular import (default_points, denominator_transform_residual,
+                      family_members, psi_s_residual, psi_t_residual,
+                      span_closure, t_law_on_series)
 
 
 class CaseFailure(AssertionError):
@@ -567,37 +565,24 @@ def _reduction_cases():
 # modular suite: residual rows and span certificates
 
 
-def _certificate(certs, M, statement, transform):
-    """The span certificate of one family at 3n points of seed 0, made
-    once per certs dict and working precision."""
-    key = (M, statement, transform, mp.prec)
-    if key not in certs:
-        n = len(family_members(M, statement))
-        certs[key] = span_closure(M, statement, transform,
-                                  default_points(3 * n, diagonal=True,
-                                                 seed=0))
-    return certs[key]
-
-
-def _case_span(certs, M, statement, transform, cfg):
-    cert = _certificate(certs, M, statement, transform)
+def _case_span(M, statement, transform, cfg):
+    n = len(family_members(M, statement))
+    cert = span_closure(M, statement, transform,
+                        default_points(3 * n, diagonal=True, seed=0))
     _require(cert.residual < cfg.tol, "span residual %.3e" % cert.residual)
     return ("family of %d, residual %.1e at %d points"
             % (len(cert.family), cert.residual, len(cert.points)))
 
 
-def _case_t_phases(certs, M, statement, cfg):
-    # the fitted T matrix must be the predicted permutation of phases
-    cert = _certificate(certs, M, statement, "T")
-    dev = max(abs(c - w) for row, want in zip(cert.coefficients,
-                                              predicted_t_matrix(M, statement))
-              for c, w in zip(row, want))
-    _require(dev < 1e-6, "fitted T matrix off by %.3e" % dev)
-    return "fit matches predicted phases to %.1e" % dev
+def _case_t_phases(M, statement, cfg):
+    # predicted_t_matrix's phases and targets, exactly on the series
+    terms, bad = t_law_on_series(M, statement)
+    _require(terms > 0, "no term below q^6")
+    _require(not bad, "T law fails on the series of %s" % ", ".join(bad))
+    return "predicted phases exact on %d terms below q^6" % terms
 
 
 def _modular_cases():
-    certs = {}
     # the S and T laws of the characteristic blocks
     cases = [("psi-%s-law/M%d" % (w, M),
               _residual(partial(_block_residuals, law, offset, M)))
@@ -611,10 +596,10 @@ def _modular_cases():
         for p in default_points(5, diagonal=True, seed=140)]))
         for w in "ST"]
     cases += [("span/%s/statement%d/M%d" % (t, s, M),
-               partial(_case_span, certs, M, s, t))
+               partial(_case_span, M, s, t))
               for M in (1, 2, 3) for s in (1, 2) for t in "ST"]
     cases += [("t-phases/statement%d/M%d" % (s, M),
-               partial(_case_t_phases, certs, M, s))
+               partial(_case_t_phases, M, s))
               for M in (2, 3) for s in (1, 2)]
     return tuple(("modular/" + cid, case) for cid, case in cases)
 

@@ -30,12 +30,15 @@ scan as it ran before it read the heart ranges: every level tuple up to
 M + 1, kept where ReductionParams does not raise.  They are the oracles
 of the cancelling comparison and of the in-range scan.
 
-lstsq_min_norm_mp is the span fit as it ran on mpmath matrices before
-modular._lstsq_min_norm moved its products onto fixed-point ints.
+lstsq_min_norm_mp is the least-squares fit that span_closure ran
+before it certified with the predicted matrices, on mpmath matrices,
+with its rank cut, condition bound and IllConditionedError: it finds
+the transform's matrix from the sample values alone, so it is the
+oracle that rediscovers predicted_s_matrix and predicted_t_matrix.
 binary_power raises an mpmath exponential of its own by square and
 multiply, as ThetaPass raised each base per request before it built
-one power table per pass from one root per coordinate.  They are the
-oracles of the int fit and of the table.
+one power table per pass from one root per coordinate, the oracle of
+the table.
 
 theta_factors, expand_rational and quotient_expand are the listing and
 the expansion front as they ran before ThetaQuotient.expand listed each
@@ -59,8 +62,7 @@ from thetachar.characters import (BLOCK_SIGNS, HEARTS, ReductionParams,
                                   dd_indices, sign_eps)
 from thetachar.mockpsi import (HALF, POLE_THRESHOLD, PoleProximityError,
                                _mpfrac)
-from thetachar.modular import (COND_THRESHOLD, RANK_CUTOFF,
-                               IllConditionedError, _mpc_any, family_values)
+from thetachar.modular import _mpc_any, family_values
 from thetachar.qseries import (ONE, CoefficientRingError,
                                GaussianRational, JacobiSeries,
                                UntrustedOrderError, _div, _from_mpc, _lcm,
@@ -257,6 +259,15 @@ def binary_power(x, c, n, wp):
         unit = _mul(unit, unit, wp)
         m >>= 1
     return out
+
+
+# the fit's rank cut and its bound on the retained condition number
+RANK_CUTOFF = 1e-10
+COND_THRESHOLD = 1e8
+
+
+class IllConditionedError(ArithmeticError):
+    """The fit's sample matrix is too ill-conditioned to trust."""
 
 
 def lstsq_min_norm_mp(A, B):

@@ -10,7 +10,6 @@ import pytest
 from mpmath import mp
 
 from thetachar import cli, suites, theta
-from thetachar.modular import IllConditionedError
 from thetachar.suites import CaseResult, SuiteConfig, SuiteReport
 
 EXPAND_M1_TEXT = (
@@ -345,16 +344,14 @@ class TestTransform:
         assert cp.returncode == 2
         assert cp.stderr.startswith(b"error:")
 
-    def test_ill_conditioned_fit_advises(self, monkeypatch, capsys):
-        def boom(M, statement, which, pts):
-            raise IllConditionedError("synthetic degeneracy")
-        monkeypatch.setattr(cli, "span_closure", boom)
-        code = cli.main(["transform", "--M", "1", "--which", "S",
-                         "--statement", "2"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "synthetic degeneracy" in err
-        assert "raise --points, change --seed, or raise --precision" in err
+    def test_m5_s_certificate_closes(self, capsys):
+        # 45 members: the family the least-squares fit could not certify
+        code = cli.main(["transform", "--M", "5", "--which", "S",
+                         "--tol", "1e-25", "--precision", "30"])
+        assert code == 0
+        cert = json.loads(capsys.readouterr().out)
+        assert len(cert["family"]) == 45
+        assert cert["residual"] < 1e-25
 
 
 class TestTopLevel:

@@ -4,7 +4,6 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
 from mpmath import mp
 from mpmath.libmp import mpc_mul
 
@@ -15,25 +14,26 @@ import thetachar.theta as theta_module
 from thetachar.characters import CharacterSpec, character_ratio
 from thetachar.mockpsi import HALF, PoleProximityError, PsiParams
 from thetachar.modular import (
-    COND_THRESHOLD,
     IM_TAU_FLOOR,
-    IllConditionedError,
+    FamilyPlan,
     NumericPoint,
-    _eigh,
-    _lstsq_min_norm,
     default_points,
     denominator_transform_residual,
     family_members,
     family_values,
     member_id,
+    predicted_s_matrix,
     predicted_t_matrix,
     psi_s_residual,
     psi_t_residual,
     span_closure,
+    t_law_on_series,
 )
-from thetachar.qseries import _from_mpc, dumps_canonical, eval_numeric, to_mpc
+from thetachar.qseries import dumps_canonical, eval_numeric, to_mpc
+from thetachar.suites import CaseFailure, SuiteConfig, _case_t_phases
 
-from oracles import character_numeric, lstsq_min_norm_mp
+from oracles import (COND_THRESHOLD, IllConditionedError, character_numeric,
+                     lstsq_min_norm_mp)
 
 
 class TestNumericPoint:
@@ -184,22 +184,30 @@ class TestSpanClosure:
         assert cert.precision_bits == mp.prec
 
     def test_fit_matches_predicted_t_action(self):
+        # the oracle fit finds the T matrix from the sample values alone
         mp.dps = 40
         pts = default_points(9, diagonal=True, seed=4)
         cert = span_closure(2, 2, "T", pts)
         assert cert.residual < 1e-9
-        predicted = predicted_t_matrix(2, 2)
-        for got_row, want_row in zip(cert.coefficients, predicted):
-            for g, w in zip(got_row, want_row):
-                assert abs(g - w) < 1e-8
+        C, resid, rank, _ = lstsq_min_norm_mp(*sample_matrices(2, 2, "T",
+                                                               pts))
+        assert rank == 3 and resid < 1e-30
+        for i, want_row in enumerate(predicted_t_matrix(2, 2)):
+            for j, w in enumerate(want_row):
+                assert abs(C[j, i] - w) < 1e-25
+                assert abs(cert.coefficients[i][j] - w) < 1e-15
 
     def test_rank_deficient_family_reports_its_rank(self):
         # every M = 1 character is the constant 1: three members, rank 1
+        # for the oracle fit, and a certificate all the same
         mp.dps = 40
-        cert = span_closure(1, 1, "T", default_points(6, diagonal=True,
-                                                      seed=2))
-        assert len(cert.family) == 3 and cert.rank == 1
-        assert 1 <= cert.condition < 1e8
+        pts = default_points(6, diagonal=True, seed=2)
+        _, resid, rank, cond = lstsq_min_norm_mp(*sample_matrices(1, 1, "T",
+                                                                  pts))
+        assert rank == 1 and resid < 1e-30
+        assert 1 <= cond < 1e8
+        cert = span_closure(1, 1, "T", pts)
+        assert len(cert.family) == 3 and cert.residual < 1e-30
         assert "rank" not in cert.to_json_dict()
 
     def test_point_on_a_theta_zero_raises(self):
@@ -219,77 +227,6 @@ class TestSpanClosure:
         assert '"transform":"T"' in blob
         assert '"residual":' in blob
         assert '"points":' in blob
-
-
-def values(matrix):
-    """An mpmath matrix as rows of ThetaPass values, exactly."""
-    return [[_from_mpc(mp.mpc(matrix[r, c])._mpc_, 4 * mp.prec)
-             for c in range(matrix.cols)] for r in range(matrix.rows)]
-
-
-def fit(A, B):
-    """_lstsq_min_norm on mpmath matrices: A and B go in as ThetaPass
-    values, C comes back as an mpmath matrix."""
-    C, resid, rank, cond = _lstsq_min_norm(values(A), values(B))
-    return mp.matrix([[to_mpc(x) for x in row] for row in C]), resid, \
-        rank, cond
-
-
-def fit_bound(A, B, cond):
-    """The docstring's bound on A C, 2^(8 - prec) rows^2 cols cond^2
-    max|B|, twice over: once for each of two fits."""
-    big = max(abs(B[r, c]) for r in range(B.rows) for c in range(B.cols))
-    return 2 * mp.ldexp(A.rows ** 2 * A.cols * cond ** 2 * big, 8 - mp.prec)
-
-
-def check_fit(A, B):
-    """The int fit against the mpmath one: the same rank, or the same
-    IllConditionedError; the condition number to 1e-20 relative; A C
-    and the residual within twice the stated bound."""
-    try:
-        want = lstsq_min_norm_mp(A, B)
-    except IllConditionedError:
-        with pytest.raises(IllConditionedError):
-            fit(A, B)
-        return None
-    C, resid, rank, cond = fit(A, B)
-    assert rank == want[2]
-    assert abs(cond - want[3]) < 1e-20 * want[3]
-    bound = fit_bound(A, B, want[3])
-    with mp.workprec(2 * mp.prec):
-        gap = mp.mnorm(A * C - A * want[0], 1)
-    assert gap < bound
-    # the residual comes back as a float
-    assert abs(resid - want[1]) < bound + want[1] * 2 ** -52
-    return rank
-
-
-def random_system(seed, rows, cols, dependent, rhs):
-    """A random complex A with columns scaled by 2^-20 .. 2^20, its last
-    dependent columns small int combinations of the others (exact at the
-    working precision), and a random B, its columns scaled likewise."""
-    rng = random.Random(seed)
-
-    def entry():
-        return mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
-
-    A = mp.matrix(rows, cols)
-    free = cols - dependent
-    for c in range(cols):
-        if c < free:
-            size = mp.ldexp(1, rng.randint(-20, 20))
-            for r in range(rows):
-                A[r, c] = entry() * size
-        else:
-            ks = [rng.randint(-3, 3) for _ in range(free)]
-            for r in range(rows):
-                A[r, c] = sum(k * A[r, i] for i, k in enumerate(ks))
-    B = mp.matrix(rows, rhs)
-    for c in range(rhs):
-        size = mp.ldexp(1, rng.randint(-20, 20))
-        for r in range(rows):
-            B[r, c] = entry() * size
-    return A, B
 
 
 def side_passes(monkeypatch, transform, damage=None):
@@ -383,12 +320,59 @@ class TestSidePasses:
             side_passes(monkeypatch, "T")
 
 
+def sample_matrices(M, statement, transform, pts):
+    """(A, B) as mpmath matrices: the members at each point, and the
+    members transformed, the S side over its elliptic factor, as
+    span_closure samples them."""
+    family = FamilyPlan(M, family_members(M, statement))
+    A, B = [], []
+    for p in pts:
+        tau, z = mp.mpc(p.tau), mp.mpc(p.z1)
+        A.append([to_mpc(v) for v in family.values(tau, z)])
+        side = ((-1 / tau, z / tau, mp.exp(2j * mp.pi * (mp.mpf(1) / M - 1)
+                                          * z * z / tau))
+                if transform == "S" else (tau + 1, z))
+        B.append([to_mpc(v) for v in family.values(*side)])
+    return mp.matrix(A), mp.matrix(B)
+
+
+def random_system(seed, rows, cols, dependent, rhs):
+    """A random complex A with columns scaled by 2^-20 .. 2^20, its last
+    dependent columns small int combinations of the others (exact at the
+    working precision), and a random B, its columns scaled likewise."""
+    rng = random.Random(seed)
+
+    def entry():
+        return mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+    A = mp.matrix(rows, cols)
+    free = cols - dependent
+    for c in range(cols):
+        if c < free:
+            size = mp.ldexp(1, rng.randint(-20, 20))
+            for r in range(rows):
+                A[r, c] = entry() * size
+        else:
+            ks = [rng.randint(-3, 3) for _ in range(free)]
+            for r in range(rows):
+                A[r, c] = sum(k * A[r, i] for i, k in enumerate(ks))
+    B = mp.matrix(rows, rhs)
+    for c in range(rhs):
+        size = mp.ldexp(1, rng.randint(-20, 20))
+        for r in range(rows):
+            B[r, c] = entry() * size
+    return A, B
+
+
 class TestLeastSquares:
+    """The oracle fit (tests/oracles.lstsq_min_norm_mp) that the
+    predicted matrices are rediscovered with."""
+
     def test_recovers_exact_solution(self):
         mp.dps = 40
         A = mp.matrix([[1, 2], [3, 5], [7, 11], [13, 17]])
         C0 = mp.matrix([[2], [-3]])
-        C, resid, rank, _ = fit(A, A * C0)
+        C, resid, rank, _ = lstsq_min_norm_mp(A, A * C0)
         assert resid < mp.mpf("1e-30") and rank == 2
         assert abs(C[0, 0] - 2) < mp.mpf("1e-30")
         assert abs(C[1, 0] + 3) < mp.mpf("1e-30")
@@ -396,43 +380,28 @@ class TestLeastSquares:
     def test_zero_matrix_rejected(self):
         A = mp.matrix(3, 2)
         with pytest.raises(IllConditionedError, match="sample matrix is zero"):
-            fit(A, mp.matrix(3, 1))
+            lstsq_min_norm_mp(A, mp.matrix(3, 1))
 
     def test_retained_near_degeneracy_rejected(self):
         mp.dps = 40
         eps = mp.mpf("1e-9")
         A = mp.matrix([[1, 1], [1, 1], [1, 1], [1, 1 + eps]])
         with pytest.raises(IllConditionedError):
-            fit(A, mp.matrix(4, 1))
+            lstsq_min_norm_mp(A, mp.matrix(4, 1))
 
     def test_exact_rank_deficiency_is_dropped_not_fatal(self):
         mp.dps = 40
         A = mp.matrix([[1, 1], [2, 2], [3, 3], [4, 4]])
         B = mp.matrix([[1], [2], [3], [4]])
-        C, resid, rank, _ = fit(A, B)
+        C, resid, rank, _ = lstsq_min_norm_mp(A, B)
         assert resid < mp.mpf("1e-30") and rank == 1
-
-
-    @settings(deadline=None, max_examples=40)
-    @given(seed=st.integers(0, 10 ** 6), cols=st.integers(2, 10),
-           extra=st.integers(0, 10), dependent=st.integers(0, 3),
-           rhs=st.integers(1, 3))
-    def test_int_fit_matches_the_mpmath_fit(self, seed, cols, extra,
-                                            dependent, rhs):
-        # full-rank and exactly rank-deficient systems, 4 x 2 .. 30 x 10
-        mp.dps = 40
-        rows = min(30, max(4, 2 * cols) + extra)
-        dependent = min(dependent, cols - 1)
-        A, B = random_system(seed, rows, cols, dependent, rhs)
-        rank = check_fit(A, B)
-        assert rank in (None, cols - dependent)
 
     @pytest.mark.parametrize("factor", [0.5, 0.9, 1.1, 2.0])
     @pytest.mark.parametrize("seed", [3, 4])
     def test_condition_either_side_of_the_threshold(self, factor, seed):
         # one column another plus e times a random one: the condition
         # number goes as 1/e, so e is set from a first fit to put it at
-        # factor times COND_THRESHOLD; both fits must decide alike
+        # factor times COND_THRESHOLD, which the fit must refuse past 1
         mp.dps = 40
         rng = random.Random(seed)
 
@@ -447,108 +416,165 @@ class TestLeastSquares:
         cond0 = lstsq_min_norm_mp(*system(mp.mpf("1e-6")))[3]
         rng.setstate(state)
         A, B = system(mp.mpf("1e-6") * cond0 / (factor * COND_THRESHOLD))
-        assert check_fit(A, B) == (None if factor > 1 else 4)
-
-    def test_dropped_shift_bit_fails(self, monkeypatch):
-        # products shifted back by f - 1 bits, twice their value
-        mp.dps = 40
-        A, B = random_system(5, 12, 4, 1, 2)
-        assert check_fit(A, B) == 3
-        dot = modular._dot
-        monkeypatch.setattr(modular, "_dot",
-                            lambda xs, ys, f: dot(xs, ys, f - 1))
-        with pytest.raises(AssertionError):
-            check_fit(A, B)
-
-
-def hermitian(seed, n, f, kind):
-    """A Hermitian G as rows of fixed-point complex ints with f fraction
-    bits: a Gram matrix As^H As of a random complex As with n + 1 .. 2n
-    rows, its columns scaled by 2^-12 .. 1 (kind "gram"), the same with
-    its last columns small int combinations of the others, so exactly
-    rank-deficient ("deficient"), c I ("scalar") or a diagonal with
-    repeated entries ("diagonal")."""
-    rng = random.Random(seed)
-    one = 1 << f
-    if kind in ("scalar", "diagonal"):
-        c = rng.randint(one, 100 * one)
-        diag = [c if kind == "scalar" else rng.choice((c, c // 3, one))
-                for _ in range(n)]
-        return [[(diag[i], 0) if i == j else (0, 0) for j in range(n)]
-                for i in range(n)]
-    free = n - rng.randint(1, n - 1) if kind == "deficient" and n > 1 else n
-    rows = rng.randint(n + 1, 2 * n)
-    cols = []
-    for c in range(n):
-        if c < free:
-            shift = rng.randint(0, 12)
-            cols.append([(rng.randint(-one, one) >> shift,
-                          rng.randint(-one, one) >> shift)
-                         for _ in range(rows)])
+        if factor > 1:
+            with pytest.raises(IllConditionedError, match="condition"):
+                lstsq_min_norm_mp(A, B)
         else:
-            ks = [rng.randint(-3, 3) for _ in range(free)]
-            cols.append([(sum(k * cols[i][r][0] for i, k in enumerate(ks)),
-                          sum(k * cols[i][r][1] for i, k in enumerate(ks)))
-                         for r in range(rows)])
-    return [[(sum(a * c + b * d for (a, b), (c, d) in zip(x, y)) >> f,
-              sum(a * d - b * c for (a, b), (c, d) in zip(x, y)) >> f)
-             for y in cols] for x in cols]
+            assert lstsq_min_norm_mp(A, B)[2] == 4
 
 
-def eigh_gaps(G, f):
-    """_eigh(G, f) against mpmath at twice the precision: the bounds of
-    its docstring for R at the sweep cap, and the largest gap between
-    its eigenvalues and mp.eighe's, ||V^H V - I|| and ||G V - V E||, each
-    over its bound (all must stay below 1)."""
-    n = len(G)
-    E, V = _eigh(G, f)
-    with mp.workprec(2 * f + 20):
-        def val(x):
-            return mp.mpc(mp.ldexp(x[0], -f), mp.ldexp(x[1], -f))
-        Gm = mp.matrix([[val(x) for x in row] for row in G])
-        Vm = mp.matrix([[val(V[i][k]) for i in range(n)] for k in range(n)])
-        Em = mp.diag([mp.ldexp(e, -f) for e in E])
-        norm = max(1, mp.mnorm(Gm, "F"))
-        # the rotation count at the sweep cap, plus one to keep the bounds
-        # above 0 at n = 1
-        rotations = modular._SWEEPS * n * (n - 1) // 2 + 1
-        unitary = rotations * n * mp.ldexp(1, 5 - f)
-        backward = (rotations + n) * n * mp.ldexp(1, 8 - f) * norm
-        # first order: G V - V E = V (V^H G V - E) + (I - V V^H) G V,
-        # and Weyl's bound plus V's distance from a unitary matrix for
-        # the eigenvalues
-        both = 2 * (backward + unitary * norm)
-        want = mp.eighe(Gm, eigvals_only=True)
-        got = sorted(mp.ldexp(e, -f) for e in E)
-        eig = max(abs(a - b) for a, b in zip(got, want))
-        unit = mp.mnorm(Vm.H * Vm - mp.eye(n), "F")
-        resid = mp.mnorm(Gm * Vm - Vm * Em, "F")
-        return E, V, (eig / both, unit / unitary, resid / both)
+def sparse(P):
+    """A matrix's rows as {column: complex} of their nonzero entries."""
+    return [{j: complex(x) for j, x in enumerate(row) if x} for row in P]
 
 
-class TestEigh:
-    @settings(deadline=None, max_examples=30)
-    @given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 12),
-           kind=st.sampled_from(["gram", "gram", "deficient", "scalar",
-                                 "diagonal"]))
-    def test_matches_eighe_within_the_stated_bound(self, seed, n, kind):
-        f = 150
-        G = hermitian(seed, n, f, kind)
-        E, V, gaps = eigh_gaps(G, f)
-        assert max(gaps) < 1, gaps
-        if kind in ("scalar", "diagonal"):
-            # nothing to rotate: E is the diagonal, V the identity
-            assert E == [G[i][i][0] for i in range(n)]
-            assert V == [[(1 << f if i == k else 0, 0) for k in range(n)]
-                         for i in range(n)]
+def times(X, Y):
+    out = []
+    for row in X:
+        acc = {}
+        for k, x in row.items():
+            for j, y in Y[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append(acc)
+    return out
 
-    def test_sweep_cap_raises(self, monkeypatch):
-        G = hermitian(1, 6, 150, "gram")
-        _eigh(G, 150)
-        monkeypatch.setattr(modular, "_SWEEPS", 2)
-        with pytest.raises(ArithmeticError, match="after 2 sweeps"):
-            _eigh(G, 150)
 
+def distance(X, Y):
+    return max(abs(x.get(j, 0) - y.get(j, 0))
+               for x, y in zip(X, Y) for j in x.keys() | y.keys())
+
+
+def relation_gaps(M, statement, S):
+    """How far S, with T = predicted_t_matrix, is from each group
+    relation: S^4 = I, (S T)^3 = S^2, S^H W S = W for
+    W = diag(1 if j1 = j2 else 2), S^2 monomial (one entry of modulus 1
+    per row and per column, the rest 0) and S^2 T = T S^2."""
+    T = sparse(predicted_t_matrix(M, statement))
+    W = [1 if j1 == j2 else 2 for _, (j1, j2) in family_members(M, statement)]
+    n = len(S)
+    S2 = times(S, S)
+    ST = times(S, T)
+    hws = [{} for _ in range(n)]
+    for k, row in enumerate(S):
+        for i, x in row.items():
+            for j, y in row.items():
+                hws[i][j] = hws[i].get(j, 0) + x.conjugate() * W[k] * y
+    big = [max(row, key=lambda j: abs(row[j])) for row in S2]
+    monomial = 0.0 if len(set(big)) == n else 1.0
+    for row, b in zip(S2, big):
+        monomial = max(monomial, abs(abs(row[b]) - 1),
+                       *(abs(v) for j, v in row.items() if j != b))
+    return {"S^4 = I": distance(times(S2, S2), [{i: 1} for i in range(n)]),
+            "(ST)^3 = S^2": distance(times(times(ST, ST), ST), S2),
+            "S^H W S = W": distance(hws, [{i: w} for i, w in enumerate(W)]),
+            "S^2 monomial": monomial,
+            "S^2 T = T S^2": distance(times(S2, T), times(T, S2))}
+
+
+def dropped_fold_sign(M, P):
+    """P as if Psi_{a + M, b} = Psi_{a, b} in every block: the rows of
+    block (0, 1/2), whose images fold index 0 to M with a sign, negated
+    at the pairs holding exactly one folded index."""
+    members = family_members(M, 1)
+    return [[-x if block == (0, HALF) and (j1 == M) != (j2 == M) else x
+             for x, (_, (j1, j2)) in zip(row, members)]
+            for row, (block, _) in zip(P, members)]
+
+
+def one_entry_conjugated(M, P):
+    """P with its first entry of nonzero imaginary part conjugated."""
+    P = [list(row) for row in P]
+    i, j = next((i, j) for i, row in enumerate(P)
+                for j, x in enumerate(row) if abs(x.imag) > 1e-3)
+    P[i][j] = mp.conj(P[i][j])
+    return P
+
+
+class TestPredictedMatrices:
+    @pytest.mark.parametrize("statement", [1, 2])
+    @pytest.mark.parametrize("M", range(1, 9))
+    def test_group_relations(self, M, statement):
+        # complex doubles: every product entry sums at most M^2 products
+        # of entries of modulus at most 1, so rounding stays below 1e-12
+        mp.dps = 30
+        gaps = relation_gaps(M, statement,
+                             sparse(predicted_s_matrix(M, statement)))
+        assert max(gaps.values()) < 1e-12, gaps
+
+    @pytest.mark.parametrize("damage", [dropped_fold_sign,
+                                        one_entry_conjugated])
+    def test_damaged_s_fails(self, monkeypatch, damage):
+        # a damaged S breaks the relations and the certificate both
+        mp.dps = 30
+        M = 3
+        good = predicted_s_matrix(M, 1)
+        bad = damage(M, good)
+        assert bad != [list(row) for row in good]
+        gaps = relation_gaps(M, 1, sparse(bad))
+        assert max(gaps.values()) > 0.1, gaps
+        monkeypatch.setattr(modular, "predicted_s_matrix",
+                            lambda M, statement: damage(
+                                M, predicted_s_matrix(M, statement)))
+        cert = span_closure(M, 1, "S",
+                            default_points(54, diagonal=True, seed=0))
+        assert cert.residual > 1e-7
+
+    @pytest.mark.parametrize("statement,M", [(1, 2), (1, 3), (2, 1),
+                                             (2, 2), (2, 3)])
+    @pytest.mark.parametrize("transform", ["S", "T"])
+    def test_oracle_fit_rediscovers_p(self, statement, M, transform):
+        # the full-rank families at M <= 3: the fit, which sees only the
+        # sample values, lands on P; A (C - P) is within the two
+        # residuals, so C - P within them times the condition number
+        mp.dps = 30
+        n = len(family_members(M, statement))
+        pts = default_points(3 * n, diagonal=True, seed=0)
+        C, resid, rank, cond = lstsq_min_norm_mp(
+            *sample_matrices(M, statement, transform, pts))
+        assert rank == n
+        P = (predicted_s_matrix if transform == "S"
+             else predicted_t_matrix)(M, statement)
+        direct = span_closure(M, statement, transform, pts).residual
+        gap = max(abs(C[j, i] - P[i][j]) for i in range(n) for j in range(n))
+        assert gap < cond * (resid + direct), (gap, cond, resid, direct)
+
+
+class TestTLawOnSeries:
+    @pytest.mark.parametrize("statement", [1, 2])
+    @pytest.mark.parametrize("M", range(1, 7))
+    def test_exact_for_every_member(self, M, statement):
+        terms, bad = t_law_on_series(M, statement)
+        assert bad == [] and terms > 0
+
+    def phase_off_by_i(self, image):
+        def damaged(M, member):
+            for target, sign, r in image(M, member):
+                yield target, sign, (r + M) % (4 * M)
+        return damaged
+
+    def target_off_by_one_block(self, image):
+        # (1/2, 1/2) and (0, 1/2) swapped: the other block of the
+        # target's index lattice
+        def damaged(M, member):
+            for ((eps, eps_p), pair), sign, r in image(M, member):
+                yield ((((eps + eps_p) % 1, eps_p), pair), sign, r)
+        return damaged
+
+    @pytest.mark.parametrize("damage", ["phase_off_by_i",
+                                        "target_off_by_one_block"])
+    def test_damaged_t_fails(self, monkeypatch, damage):
+        # the series check, the suite's t-phases row and the certificate
+        # all read the one T image
+        mp.dps = 30
+        monkeypatch.setattr(modular, "_t_image",
+                            getattr(self, damage)(modular._t_image))
+        terms, bad = t_law_on_series(2, 1)
+        assert terms > 0 and len(bad) > 0
+        with pytest.raises(CaseFailure, match="T law fails"):
+            _case_t_phases(2, 1, SuiteConfig())
+        cert = span_closure(2, 1, "T", default_points(18, diagonal=True,
+                                                      seed=0))
+        assert cert.residual > 1e-7
 
 class TestCharacterNumeric:
     def test_matches_exact_series(self):

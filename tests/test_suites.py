@@ -113,7 +113,8 @@ def test_characters_below_every_valuation_fail():
 
 
 def test_t_certificates_are_shared(monkeypatch):
-    # the t-phases rows read the T certificates the span rows computed
+    # each family is certified once per transform, by its span row; the
+    # t-phases rows check the T law on the series and take no certificate
     calls = []
 
     def fake_span_closure(M, statement, transform, points):
