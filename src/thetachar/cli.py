@@ -32,9 +32,6 @@ from .qseries import dumps_canonical, to_json_dict
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
 from .theta import DEFAULT_DPS
 
-DEFAULT_Q_ORDER = Fraction(8)
-DEFAULT_TOL = 1e-9
-
 
 class UsageError(Exception):
     """Bad flag values or inadmissible parameters; exits with code 2."""
@@ -53,15 +50,15 @@ def parse_fraction(text, what):
 
 
 # each numeric flag that also takes the literal "default": (parse, what
-# its text must be, default, check, what the check demands).  A q-order
-# must be positive: below q^0 there is no term, and a check there passes
-# whatever the code computes.
+# its text must be, default (SuiteConfig's), check, what the check
+# demands).  A q-order must be positive: below q^0 there is no term, and
+# a check there passes whatever the code computes.
 FLAGS = {
     "--q-order": (Fraction, "a positive rational like 3, 1/2 or 5/8",
-                  DEFAULT_Q_ORDER, lambda v: v > 0, "must be positive"),
-    "--tol": (float, "a float or 'default'", DEFAULT_TOL,
+                  SuiteConfig.q_order, lambda v: v > 0, "must be positive"),
+    "--tol": (float, "a float or 'default'", SuiteConfig.tol,
               lambda v: v > 0, "must be positive"),
-    "--precision": (int, "decimal digits or 'default'", DEFAULT_DPS,
+    "--precision": (int, "decimal digits or 'default'", SuiteConfig.dps,
                     lambda v: v >= 15,
                     "below 15 digits cannot meet the default tolerances"),
 }

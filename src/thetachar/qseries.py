@@ -30,26 +30,26 @@ exp(2 pi i z f).
 
 Every series carries q_order, a strict upper bound on the q-exponents it
 is trusted to.  Coefficients at exponents below q_order are exact;
-everything at or above q_order has been discarded.  Binary operations
-propagate q_order so that the result is again exact below its own bound,
-which for products of series with negative q-valuation can be smaller
-than the minimum of the operand bounds.
+everything at or above q_order has been discarded.  Products propagate
+q_order so that the result is again exact below its own bound, which
+for factors with negative q-valuation can be smaller than the minimum
+of the operand bounds.
 
 A series may in addition carry an x_window, a closed interval of
 x-exponents outside of which terms are unknown.  Windows appear when
 factors are divided in the direction of descending x-powers (expand),
 which computes only the terms that can reach the window, and then
-follow the usual interval arithmetic: products shift the window,
-sums intersect, and comparisons are restricted to the window overlap.
+follow the usual interval arithmetic: products shift the window, and
+comparisons are restricted to the window overlap.
 
 Numeric evaluation (eval_numeric) runs on complex floating point on
 ints, values (re, im, e) kept to a working precision by _mul and _div,
 with one exponential per variable.  This module owns that value format
 and the tools every numeric path of the package (theta's ThetaPass,
-mockpsi's Appell sum, modular's span fit) computes with: the products
-(_mul, _div), the exponential (_root), the power table (_power_steps,
-_powers), the sum (_sum) and the conversions (_from_mpc, to_mpc,
-_fixed).
+mockpsi's Appell sum, modular's span certificate) computes with: the
+products (_mul, _div), the exponential (_root), the power table
+(_power_steps, _powers), the sum (_sum) and the conversions (_from_mpc,
+to_mpc, _fixed).
 """
 
 from __future__ import annotations
@@ -206,24 +206,6 @@ class JacobiSeries:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def zero(q_order, q_den=1, x_den=1):
-        q_order = Fraction(q_order)
-        q_den = _lcm(q_den, q_order.denominator)
-        return JacobiSeries(q_den, x_den, q_order * q_den, {})
-
-    @staticmethod
-    def monomial(q_exp, x_exp, coeff, q_order):
-        """The single term coeff * q^q_exp x^x_exp trusted below q_order."""
-        q_exp = Fraction(q_exp)
-        x_exp = Fraction(x_exp)
-        q_order = Fraction(q_order)
-        q_den = _lcm(q_exp.denominator, q_order.denominator)
-        x_den = x_exp.denominator
-        return JacobiSeries(q_den, x_den, q_order * q_den,
-                            {(q_exp * q_den, x_exp * x_den):
-                             GaussianRational.coerce(coeff)})
-
-    @staticmethod
     def one(q_order, q_den=1, x_den=1):
         q_order = Fraction(q_order)
         q_den = _lcm(q_den, q_order.denominator)
@@ -286,23 +268,6 @@ class JacobiSeries:
 # ---------------------------------------------------------------------
 # ring operations
 # ---------------------------------------------------------------------
-
-def add(a, b):
-    """Sum, trusted below min(q_order); windows intersect."""
-    a, b = JacobiSeries._aligned(a, b)
-    order_n = min(a.order_n, b.order_n)
-    win = a.window_n
-    if b.window_n is not None:
-        if win is None:
-            win = b.window_n
-        else:
-            win = (max(win[0], b.window_n[0]), min(win[1], b.window_n[1]))
-    terms = dict(a.c)
-    for key, v in b.c.items():
-        w = terms.get(key)
-        terms[key] = v if w is None else w + v
-    return JacobiSeries(a.q_den, a.x_den, order_n, terms, win)
-
 
 def _mul_order(a, b):
     """Trust bound for a*b in the common lattice, in lattice units.

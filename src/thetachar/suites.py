@@ -37,9 +37,9 @@ from itertools import product as iproduct
 
 from mpmath import mp
 
-from .qseries import JacobiSeries, add, equal_to_order, eval_numeric
-from .theta import (DEFAULT_DPS, THETA_LABELS, ThetaQuotient, eta_pow_scaled,
-                    theta_shifted, theta_sum)
+from .qseries import JacobiSeries, equal_to_order, eval_numeric
+from .theta import (DEFAULT_DPS, THETA_LABELS, ThetaQuotient, theta_shifted,
+                    theta_sum)
 from .mockpsi import (HALF, PsiParams, PsiPlan, appell_tail,
                       phi_a11_numeric, psi_diag_ratio)
 from .characters import (HEART_RANGES, HEARTS, SECTORS, SIGNS,
@@ -197,14 +197,12 @@ def _half_period_shift(s, label):
 
 
 def _eta_pentagonal(q):
-    # eta = q^{1/24} sum_k (-1)^k q^{k(3k-1)/2}
-    s = JacobiSeries.zero(q)
+    # eta = q^{1/24} sum_k (-1)^k q^{k(3k-1)/2}, on a q-lattice holding q
+    den = math.lcm(24, q.denominator)
     k_max = math.isqrt(int(q) + 2) + 2
-    for k in range(-k_max, k_max + 1):
-        e = Fraction(k * (3 * k - 1), 2) + Fraction(1, 24)
-        if e < q:
-            s = add(s, JacobiSeries.monomial(e, 0, (-1) ** (k % 2), q))
-    return [(eta_pow_scaled(1, 1, q), s)]
+    terms = {((12 * k * (3 * k - 1) + 1) * den // 24, 0): (-1) ** (k % 2)
+             for k in range(-k_max, k_max + 1)}
+    return [(eta(1).series(q), JacobiSeries(den, 1, q * den, terms))]
 
 
 def _theta_cases():
@@ -608,8 +606,6 @@ def _modular_cases():
 # registry and runner
 
 
-SUITE_NAMES = ("theta", "psi", "characters", "reduction", "modular")
-
 _BUILDERS = {
     "theta": _theta_cases,
     "psi": _psi_cases,
@@ -618,16 +614,13 @@ _BUILDERS = {
     "modular": _modular_cases,
 }
 
+SUITE_NAMES = tuple(_BUILDERS)
+
 
 def suite_cases(name):
-    """The ordered (case id, callable) tuple of one suite or of all."""
-    if name == "all":
-        out = []
-        for n in SUITE_NAMES:
-            out.extend(_BUILDERS[n]())
-        return tuple(out)
+    """The ordered (case id, callable) tuple of one suite."""
     if name not in _BUILDERS:
-        raise ValueError("unknown suite %r, want one of %s or all"
+        raise ValueError("unknown suite %r, want one of %s"
                          % (name, ", ".join(SUITE_NAMES)))
     return _BUILDERS[name]()
 

@@ -23,14 +23,14 @@ the package states, a character, a Psi block, a denominator or a theta
 identity, is a ThetaQuotient: a monomial times a quotient of shifted
 thetas and eta powers.  Its expand is the one qseries.expand of its
 prefactors and two-term factors, each listed with int exponents on its
-factor's own lattice; each theta series (theta_shifted) and
-eta power (eta_pow_scaled) is the cached expand of a one-factor
-quotient.  Identities are compared cross-multiplied (equals), with the
-factors both sides share cancelled and the rest compared below q minus
-the shared factors' exact valuation, an equivalent check; each side is
-a product of cached factors built at orders computed from their exact
-valuations.  The lattice sums are kept as an independent cross-check
-(theta_sum).
+factor's own lattice (_listing); each factor's series (_factor_series)
+is the cached expand of a one-factor quotient, and its exact valuation
+(_key_valuation) is read from the same listing.  Identities are
+compared cross-multiplied (equals), with the factors both sides share
+cancelled and the rest compared below q minus the shared factors' exact
+valuation, an equivalent check; each side is a product of cached
+factors built at orders computed from their exact valuations.  The
+lattice sums are kept as an independent cross-check (theta_sum).
 
 Numerics use mpmath at the caller's working precision prec: direct
 lattice summation with an explicit geometric tail bound.  A returned
@@ -74,7 +74,7 @@ THETA_LABELS = ("00", "01", "10", "11")
 DEFAULT_DPS = 40
 
 # entries each series cache below keeps: `verify --suite all` builds at
-# most 335 distinct series in one of them (theta_shifted's), and an
+# most 372 distinct series in one of them (_factor_series'), and an
 # expand round none
 SERIES_CACHE_SIZE = 2048
 
@@ -121,13 +121,6 @@ def theta_key(label, tau_scale=1, z_scale=1, r_tau=0, r_one=0):
     return (label, ts, zs, Fraction(r_tau), Fraction(r_one))
 
 
-@lru_cache(maxsize=SERIES_CACHE_SIZE)
-def eta_pow_scaled(m, power, q_order):
-    """eta(m tau)**power = q^{m power/24} prod (1 - q^{m n})^power,
-    trusted below q_order, for positive integers m and power."""
-    return ThetaQuotient.eta(m, power).expand(q_order)[0]
-
-
 def theta_shifted(label, q_order, tau_scale=1, z_scale=1, r_tau=0, r_one=0):
     """theta_label(tau_scale*tau, z_scale*z + r_tau*tau + r_one) as an
     exact series trusted below q_order: the cached expand of the
@@ -135,41 +128,19 @@ def theta_shifted(label, q_order, tau_scale=1, z_scale=1, r_tau=0, r_one=0):
     first, so every spelling of one series is one cache entry;
     cache_info() and cache_clear() reach that cache.
     """
-    return _theta_shifted(Fraction(q_order),
+    return _factor_series(Fraction(q_order),
                           theta_key(label, tau_scale, z_scale, r_tau, r_one))
 
 
 @lru_cache(maxsize=SERIES_CACHE_SIZE)
-def _theta_shifted(q_order, key):
+def _factor_series(q_order, key):
+    """The series of one factor key (ThetaQuotient), a shifted theta or
+    ("eta", m), trusted below q_order: its one-factor expand."""
     return ThetaQuotient(num={key: 1}).expand(q_order)[0]
 
 
-theta_shifted.cache_info = _theta_shifted.cache_info
-theta_shifted.cache_clear = _theta_shifted.cache_clear
-
-
-def theta_valuation(label, tau_scale=1, z_scale=1, r_tau=0, r_one=0):
-    """The q-valuation of theta_shifted(label, q, tau_scale, z_scale,
-    r_tau, r_one) at every q above it, found without building it.
-
-    It is the prefactor's q-exponent plus the sum of min(0, e) over the
-    two-term factors of its listing (_listing), in closed form,
-    and it is exact: the q^v coefficient is the product of the lowest
-    terms of the factors, a nonzero Laurent polynomial in x.
-    """
-    label, ts, _, r_tau, _ = theta_key(label, tau_scale, z_scale, r_tau,
-                                       r_one)
-    a, d, r = int(label[0]), r_tau.denominator, r_tau.numerator
-    step, h = 8 * d * ts, 4 * d * ts * (1 - a)
-    return Fraction(a * (d * ts + 4 * r) + _negative_sum(step, 8 * r - h)
-                    + _negative_sum(step, h - step - 8 * r), 8 * d)
-
-
-def _negative_sum(step, start):
-    """The sum over n >= 1 of min(0, step n + start), for ints step > 0
-    and start: its terms are negative for the n below -start/step."""
-    n = max(0, -(start // step) - 1)
-    return step * n * (n + 1) // 2 + start * n
+theta_shifted.cache_info = _factor_series.cache_info
+theta_shifted.cache_clear = _factor_series.cache_clear
 
 
 # ---------------------------------------------------------------------
@@ -192,7 +163,7 @@ def _listing(key, below):
     CoefficientRingError is raised; so each pre_c and c is a power of i.
     Its prefactor's exponent is a (d ts + 4 r), and its factors' e are
     step n, step n + 8 r - h and step n - step + h - 8 r, n >= 1, for
-    step = 8 d ts and h = 4 d ts (1 - a): what theta_valuation sums.
+    step = 8 d ts and h = 4 d ts (1 - a).
     """
     minus = GaussianRational(-1)
     q_den = 24 if key[0] == "eta" else 8 * key[3].denominator
@@ -243,8 +214,13 @@ def _units(r, den):
 
 @lru_cache(maxsize=1024)
 def _key_valuation(key):
-    """The exact q-valuation of a factor key."""
-    return Fraction(key[1], 24) if key[0] == "eta" else theta_valuation(*key)
+    """The exact q-valuation of a factor key: its prefactor's q-exponent
+    plus the e of each two-term factor below q^0 (_listing), so
+    CoefficientRingError where the listing raises.  The q^v coefficient
+    is the product of the factors' lowest terms, a nonzero Laurent
+    polynomial in x."""
+    q_den, pre, factors = _listing(key, 0)
+    return Fraction(pre[0] + sum(e for e, _, _ in factors), q_den)
 
 
 class ThetaQuotient:
@@ -256,8 +232,8 @@ class ThetaQuotient:
     within num and within den and never cancels; a comparison (equals)
     cancels the factors its two cross-multiplied sides share and
     multiplies the series of the rest.  Every valuation is exact
-    (theta_valuation; m/24 for eta(m tau)), so the order each factor is
-    built at is computed before anything is built, and nothing retries.
+    (_key_valuation), so the order each factor is built at is computed
+    before anything is built, and nothing retries.
     """
 
     __slots__ = ("lead", "num", "den")
@@ -304,14 +280,13 @@ class ThetaQuotient:
         """{key: order} each factor of series(q_order) is built below.
 
         A product is trusted below min(Qa + min(0, vb), Qb + min(0, va))
-        (qseries.mul).  So with S the sum of min(0, v) over the factors
-        (a theta once per power; an eta power is one series, v >= 0),
-        each factor built below q' - a - S + min(0, v) leaves the
-        product times q^a trusted below q' = max(q_order, a + S), and
-        below a + S it has no term.
+        (qseries.mul).  So with S the sum of min(0, v) over the factors,
+        each once per power (an eta's v = m/24 is positive), each factor
+        built below q' - a - S + min(0, v) leaves the product times q^a
+        trusted below q' = max(q_order, a + S), and below a + S it has
+        no term.
         """
-        dips = {key: 0 if key[0] == "eta" else min(0, _key_valuation(key))
-                for key in self.num}
+        dips = {key: min(0, _key_valuation(key)) for key in self.num}
         deficit = sum(n * dips[key] for key, n in self.num.items())
         top = max(q_order - self.lead[0], deficit) - deficit
         return {key: top + dip for key, dip in dips.items()}
@@ -326,12 +301,8 @@ class ThetaQuotient:
                              "denominator: compare with equals()")
         q_order = Fraction(q_order)
         orders = self._orders(q_order)
-        factors = []
-        for key, n in self.num.items():
-            if key[0] == "eta":
-                factors.append(eta_pow_scaled(key[1], n, orders[key]))
-            else:
-                factors += [theta_shifted(key[0], orders[key], *key[1:])] * n
+        factors = [ser for key, n in self.num.items()
+                   for ser in [_factor_series(orders[key], key)] * n]
         a, b, k = self.lead
         out = product(factors) if factors else JacobiSeries.one(q_order - a)
         out = scale_monomial(out, a, b, GaussianRational(1).times_i_power(k))
@@ -359,12 +330,12 @@ class ThetaQuotient:
         left.  Series in q^{1/N} over Z[i][x, 1/x] form an integral
         domain, and the lowest term of (A - B) X is the product of the
         lowest terms of A - B and of X, so v((A - B) X) = v(A - B) + v(X)
-        for X's exact valuation v(X) (theta_valuation; m/24 for
-        eta(m tau)).  So A X = B X below q_order exactly when A = B below
-        q' = q_order - v(X), an equivalent check, not a weaker one, and
-        likewise A X has a term below q_order exactly when A has one
-        below q'.  No factor is left on both sides, so each is built
-        once, below the order its own side computes (_orders)."""
+        for X's exact valuation v(X) (valuation()).  So A X = B X below
+        q_order exactly when A = B below q' = q_order - v(X), an
+        equivalent check, not a weaker one, and likewise A X has a term
+        below q_order exactly when A has one below q'.  No factor is
+        left on both sides, so each is built once, below the order its
+        own side computes (_orders)."""
         q_order = Fraction(q_order)
         lhs, rhs = self.num + other.den, other.num + self.den
         shared = lhs & rhs

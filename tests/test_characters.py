@@ -207,17 +207,17 @@ class TestSeriesControls:
     def test_cached_thetas_are_left_unchanged(self, monkeypatch):
         # comparing each character quotient with its Psi-block form (the
         # two-index numerator over the denominator), which has other
-        # thetas, reads the shared theta_shifted series and must not
+        # thetas, reads the shared cached factor series and must not
         # write to them
         seen = []
-        real = theta.theta_shifted
+        real = theta._factor_series
 
         def recording(*args):
             ser = real(*args)
             seen.append((ser, dict(ser.c), ser.order_n, ser.window_n))
             return ser
 
-        monkeypatch.setattr(theta, "theta_shifted", recording)
+        monkeypatch.setattr(theta, "_factor_series", recording)
         unit = ThetaQuotient((0, 0, 1))
         for M in (1, 2, 4):
             for twisted, heart in [(tw, h) for tw in (False, True)

@@ -261,6 +261,21 @@ class TestVerify:
         assert info.currsize > 0
         assert info.misses == info.currsize
 
+    def test_every_cache_empties_as_perfbench_empties_them(self, capsys):
+        # perfbench empties the program's caches before each request by
+        # calling every module-level cache_clear in the package; the
+        # factor series and their valuations must be reached that way
+        assert cli.main(["verify", "--suite", "theta"]) == 0
+        capsys.readouterr()
+        caches = (theta.theta_shifted, theta._key_valuation)
+        assert all(c.cache_info().currsize > 0 for c in caches)
+        for name, mod in list(sys.modules.items()):
+            if name == "thetachar" or name.startswith("thetachar."):
+                for obj in vars(mod).values():
+                    if callable(getattr(obj, "cache_clear", None)):
+                        obj.cache_clear()
+        assert all(c.cache_info().currsize == 0 for c in caches)
+
     def test_run_suite_scopes_precision(self, monkeypatch):
         seen = []
         monkeypatch.setattr(suites, "suite_cases", lambda name: (

@@ -45,7 +45,7 @@ def test_unknown_suite_lists_the_names():
     with pytest.raises(ValueError) as err:
         suite_cases("nope")
     assert str(err.value) == ("unknown suite 'nope', want one of theta, "
-                              "psi, characters, reduction, modular or all")
+                              "psi, characters, reduction, modular")
 
 
 def _run_rows(monkeypatch, rows, q_order=F(4)):

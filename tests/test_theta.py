@@ -37,11 +37,9 @@ from thetachar.theta import (
     TailBoundError,
     ThetaPass,
     ThetaQuotient,
-    eta_pow_scaled,
     theta_numeric,
     theta_shifted,
     theta_sum,
-    theta_valuation,
     to_mpc,
 )
 
@@ -108,19 +106,19 @@ class TestExactSeries:
 
 class TestEta:
     def test_pentagonal_coefficients(self):
-        s = eta_pow_scaled(1, 1, 13)
+        s = ThetaQuotient.eta(1).series(13)
         adj = F(1, 24)
         expected = {0: 1, 1: -1, 2: -1, 5: 1, 7: 1, 12: -1}
         for n in range(13):
             assert coefficient(s, n + adj, 0) == expected.get(n, 0)
 
     def test_eta_cubed_scaled(self):
-        s = eta_pow_scaled(2, 3, 9)
+        s = ThetaQuotient.eta(2, 3).series(9)
         # eta^3 = sum (-1)^m (2m+1) q^{m(m+1)/2 + 1/8}, here at 2*tau
         assert coefficient(s, F(2, 8), 0) == 1
         assert coefficient(s, 2 + F(2, 8), 0) == -3
         assert coefficient(s, 6 + F(2, 8), 0) == 5
-        e = eta_pow_scaled(1, 1, F(9, 2))
+        e = ThetaQuotient.eta(1).series(F(9, 2))
         manual = truncate(subst_scale_tau(mul(mul(e, e), e), 2), 9)
         assert first_difference(s, manual, 9) is None
 
@@ -151,12 +149,8 @@ def _quotient_factor(draw):
 
 def _reference(quotient, order):
     """The den-free quotient multiplied out from factors built at order."""
-    factors = []
-    for key, n in quotient.num.items():
-        if key[0] == "eta":
-            factors.append(eta_pow_scaled(key[1], n, order))
-        else:
-            factors += [theta_shifted(key[0], order, *key[1:])] * n
+    factors = [ser for key, n in quotient.num.items()
+               for ser in [theta_module._factor_series(order, key)] * n]
     a, b, k = quotient.lead
     return scale_monomial(product(factors), a, b,
                           GaussianRational(1).times_i_power(k))
@@ -279,38 +273,35 @@ class TestThetaQuotient:
     def test_wrong_valuation_raises(self, monkeypatch, label, pair):
         # a valuation 1/8 too high on one label misplaces every order the
         # comparison computes; it must raise, never compare
-        real = theta_module.theta_valuation
+        real = theta_module._key_valuation
         compared = []
         monkeypatch.setattr(
-            theta_module, "theta_valuation",
-            lambda lab, *args: real(lab, *args) + (F(1, 8) if lab == label
-                                                   else 0))
+            theta_module, "_key_valuation",
+            lambda key: real(key) + (F(1, 8) if key[0] == label else 0))
         monkeypatch.setattr(theta_module, "equal_to_order",
                             lambda *args: compared.append(args))
-        theta_module._key_valuation.cache_clear()
         theta_shifted.cache_clear()
         try:
             lhs, rhs = pair()
             with pytest.raises(AssertionError):
                 lhs.equals(rhs, F(6))
         finally:
-            theta_module._key_valuation.cache_clear()
             theta_shifted.cache_clear()
         assert compared == []
 
     def test_each_theta_is_built_at_one_order_per_comparison(self,
                                                             monkeypatch):
         built = []
-        real = theta_module.theta_shifted
+        real = theta_module._factor_series
 
-        def recording(label, order, *key):
-            built.append(((label,) + key, order))
-            return real(label, order, *key)
+        def recording(order, key):
+            built.append((key, order))
+            return real(order, key)
 
-        monkeypatch.setattr(theta_module, "theta_shifted", recording)
-        # in these comparisons some theta is on both sides, where the two
+        monkeypatch.setattr(theta_module, "_factor_series", recording)
+        # in these comparisons some factor is on both sides, where the two
         # sides would build it at different orders: it cancels, and each
-        # theta left is built once
+        # factor left is built once
         pairs = [(_m2_closed_ratio(c, j, s),
                   character_ratio(CharacterSpec(2, j, c, s)))
                  for c, j in (("NS", HALF), ("NS", -HALF), ("R", F(1)))
@@ -330,7 +321,8 @@ class TestThetaQuotient:
 
     def test_cached_series_are_read_only(self):
         for ser in (theta_shifted("11", 4, 2, 1, HALF),
-                    eta_pow_scaled(2, 3, 5), theta_sum("00", 4),
+                    theta_module._factor_series(F(5), ("eta", 2)),
+                    theta_sum("00", 4),
                     JacobiSeries.one(3)):
             key = next(iter(ser.c))
             with pytest.raises(TypeError):
@@ -406,18 +398,24 @@ class TestIntListing:
     @given(key=_listed_key(), dq=_ABOVE)
     def test_one_factor_matches_the_fraction_listing(self, key, dq):
         quotient = ThetaQuotient(num={key: 1})
-        q = theta_module._key_valuation(key) + dq
-        got = _expansion(_quotient_series, quotient, q, None)
-        assert got == _expansion(quotient_expand, quotient, q, None)
-        if got is CoefficientRingError:
+        try:
+            v = theta_module._key_valuation(key)
+        except CoefficientRingError:
+            # a key outside Q(i) has no valuation and no expansion
+            assert _expansion(_quotient_series, quotient, dq,
+                              None) is CoefficientRingError
+            with pytest.raises(CoefficientRingError):
+                theta_factors(key[0], 1, *key[1:])
             return
-        # the prefactor and the factors that dip below q^0 carry the
-        # exact valuation
-        q_den, pre, factors = theta_module._listing(key, 1)
-        assert (F(pre[0] + sum(min(0, e) for e, _, _ in factors), q_den)
-                == theta_module._key_valuation(key))
-        if key[0] != "eta":
-            assert theta_module._key_valuation(key) == theta_valuation(*key)
+        got = _expansion(_quotient_series, quotient, v + dq, None)
+        assert got == _expansion(quotient_expand, quotient, v + dq, None)
+        # the Fraction listing's prefactor and the factors that dip below
+        # q^0 carry the exact valuation
+        if key[0] == "eta":
+            assert v == F(key[1], 24)
+        else:
+            (pre_q, _, _), more = theta_factors(key[0], 1, *key[1:])
+            assert v == pre_q + sum(min(0, e) for e, _, _ in more)
 
     @settings(deadline=None, max_examples=60)
     @given(num=st.lists(_listed_key(valid=True), min_size=1, max_size=3),
@@ -466,7 +464,7 @@ class TestNumericOracles:
     def test_eta_series_evaluates_to_numeric_eta(self):
         mp.dps = 35
         tau = mpc("0.11", "1.5")
-        got = eval_numeric(eta_pow_scaled(1, 1, 10), tau, 0)
+        got = eval_numeric(ThetaQuotient.eta(1).series(10), tau, 0)
         assert abs(got - eta_numeric(tau)) < mp.mpf("1e-28")
 
 
@@ -951,7 +949,7 @@ class TestThetaShifted:
         assume(label[0] == "0" or ro4 % 2 == 0)
         rt, ro = F(rt2, 2), F(ro4, 4)
         built = theta_shifted(label, 3, ts, zs, rt, ro)
-        assert (theta_valuation(label, ts, zs, rt, ro)
+        assert (ThetaQuotient.theta(label, ts, zs, rt, ro).valuation()
                 == q_valuation_bound(built))
 
     def test_cache_key_is_the_value(self):
@@ -964,11 +962,10 @@ class TestThetaShifted:
         assert theta_shifted.cache_info().misses == 1
 
     def test_series_caches_are_bounded(self):
-        # at least 4x the 335 misses `verify --suite all` makes in one
-        for cached in (theta_module.theta_sum, theta_module.eta_pow_scaled,
-                       theta_shifted):
+        # at least 4x the 372 misses `verify --suite all` makes in one
+        for cached in (theta_module.theta_sum, theta_shifted):
             assert (cached.cache_info().maxsize
-                    == theta_module.SERIES_CACHE_SIZE >= 4 * 335)
+                    == theta_module.SERIES_CACHE_SIZE >= 4 * 372)
 
     def test_numeric_semantics(self):
         mp.dps = 35
