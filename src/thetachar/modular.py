@@ -18,13 +18,18 @@ block is symmetric in its indices.  Statement 1 spans the blocks
 sets are closed under the S swap (eps <-> eps') and the T map
 (eps -> eps + eps' mod 1).
 
-span_closure certifies closure with the predicted matrices
-(predicted_s_matrix, predicted_t_matrix), which follow from the S and T
-laws of the blocks and the denominators: it sums the residual
-|B - A P| of each transformed member against its predicted row P on the
-passes' values, in the format qseries owns, with its rounding stated.
-No fit enters, so a family that is not independent (every M = 1
-character is the constant 1) is certified like any other.
+Each law is written once, as a table row whose terms are
+(target, indices, r) at the phase e^{-2 pi i r/(4M)}, one of the 4M
+roots: _BLOCK_LAWS holds the S and T laws and the symmetries of the
+blocks, which block_law_residual checks, and _den_image the S and T
+laws of the denominators, which denominator_transform_residual checks.
+The predicted matrices (predicted_s_matrix, predicted_t_matrix) read
+the same rows: a member's image is its block's over its denominator's
+(_member_image).  span_closure certifies closure with them: it sums the
+residual |B - A P| of each transformed member against its predicted
+row P on the passes' values, in the format qseries owns, with its
+rounding stated.  No fit enters, so a family that is not independent
+(every M = 1 character is the constant 1) is certified like any other.
 t_law_on_series checks the T law exactly on the members' series.
 
 All evaluations use the ambient mpmath precision; callers scope it
@@ -35,8 +40,8 @@ theta.ThetaPass at that side's own coordinates: every theta, eta and
 prefactor of its members comes from the pass's own exponentials, one
 per coordinate, each distinct lattice sum is walked once, and the S
 side divides out its elliptic factor as one pass value.
-family_values and denominator_numeric (on one plan, _DEN_PLAN, built
-at import) are the same evaluation converted to mpmath.
+denominator_numeric (on one plan, _DEN_PLAN, built at import) is the
+same evaluation converted to mpmath.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from mpmath import mp
 from .characters import (denominator, denominator_label, sector_eps_prime,
                          sign_eps)
 from .mockpsi import (HALF, PsiParams, PsiPlan, _guard_pole, _mpc_any,
-                      _mpfrac, psi_pair_ratio, psi_plan, psi_value)
+                      psi_pair_ratio, psi_plan, psi_value)
 from .qseries import (ONE, JacobiSeries, _fixed, _from_mpc, _top, modulus,
                       to_mpc)
 from .theta import THETA_LABELS, PassPlan, ThetaPass
@@ -127,49 +132,75 @@ def default_points(count, diagonal=False, seed=0):
     return pts
 
 
-def psi_s_residual(blocks, pts):
-    """|LHS - RHS| of the S-law for each Psi block of one level at each
-    point, point by point: the blocks at (-1/tau, z1/tau, z2/tau, t)
-    against (tau/M) times the elliptic factor times the M^2-fold
-    phase-weighted sum of swapped blocks at (tau, z1, z2, t).  Each side
-    is planned (PsiPlan, off the diagonal, which serves any point) and
-    phased once, and takes one ThetaPass a point."""
+def _roots(M, rs=None):
+    """The roots e^{-2 pi i r/(4M)} by r, for the r in rs (all 4M by
+    default), at the working precision: exact at +-1 and +-i."""
+    return {r: mp.expjpi(mp.mpf(-r) / (2 * M)) for r in rs or range(4 * M)}
+
+
+# law -> (coordinates, factor, image): a block Psi^{(eps)}_{eps'; j,k} of
+# level M at coordinates(tau, z1, z2, t) is factor(M, tau, z1, z2) (1 if
+# None) times the sum of e^{-2 pi i r/(4M)} Psi^{target}_{indices} at
+# (tau, z1, z2) and the same t, over the terms (target, indices, r) of
+# image(M, eps, eps', j, k)
+_BLOCK_LAWS = {
+    # the M^2 blocks (eps', eps) at (a, b) = (eps + na, eps + nb), at the
+    # phases e^{-2 pi i (ak + bj)/M}
+    "S": (lambda tau, z1, z2, t: (-1 / tau, z1 / tau, z2 / tau, t),
+          lambda M, tau, z1, z2: (tau / M) * mp.exp(
+              2j * mp.pi * z1 * z2 / (M * tau)),
+          lambda M, eps, eps_p, j, k: (
+              ((eps_p, eps), (eps + na, eps + nb),
+               int(4 * ((eps + na) * k + (eps + nb) * j)) % (4 * M))
+              for na in range(M) for nb in range(M))),
+    # eps -> eps + eps' mod 1 at the phase e^{2 pi i jk/M}
+    "T": (lambda tau, z1, z2, t: (tau + 1, z1, z2, t), None,
+          lambda M, eps, eps_p, j, k: [(((eps + eps_p) % 1, eps_p), (j, k),
+                                        -int(4 * j * k) % (4 * M))]),
+    # the symmetries, at t = 0: an index shift by (M, 0) costs the phase
+    # e^{2 pi i eps}
+    "periodicity": (lambda tau, z1, z2, t: (tau, z1, z2, 0), None,
+                    lambda M, eps, eps_p, j, k: [
+                        ((eps, eps_p), (j + M, k), int(4 * M * eps))]),
+    # negating both z and swapping them maps (j, k) to (-k, -j) with a
+    # global minus sign
+    "reflect-swap": (lambda tau, z1, z2, t: (tau, -z2, -z1, 0), None,
+                     lambda M, eps, eps_p, j, k: [
+                         ((eps, eps_p), (-k, -j), 2 * M)]),
+    # swapping z1, z2 swaps the indices
+    "swap": (lambda tau, z1, z2, t: (tau, z2, z1, 0), None,
+             lambda M, eps, eps_p, j, k: [((eps, eps_p), (k, j), 0)]),
+    # negating both z negates the block at (-j, -k)
+    "reflect": (lambda tau, z1, z2, t: (tau, -z1, -z2, 0), None,
+                lambda M, eps, eps_p, j, k: [((eps, eps_p), (-j, -k), 2 * M)]),
+}
+
+
+def block_law_residual(blocks, law, pts):
+    """|LHS - RHS| of one law of _BLOCK_LAWS for each Psi block, all of
+    one level, at each point, point by point: the blocks at the law's
+    coordinates against its factor times the phase-weighted sum of their
+    images at the point.  Each side is planned once (PsiPlan, off the
+    diagonal, which serves any point) and takes one ThetaPass a point,
+    the left side's first; the phases are the 4M roots, taken once."""
+    coordinates, factor, image = _BLOCK_LAWS[law]
     M = blocks[0].M
-    swapped = [[PsiParams(M, pr.eps + na, pr.eps + nb, pr.eps_prime, pr.eps)
-                for na in range(M) for nb in range(M)] for pr in blocks]
-    phases = [[mp.exp(-2j * mp.pi * (_mpfrac(blk.j) * _mpfrac(pr.k)
-                                     + _mpfrac(blk.k) * _mpfrac(pr.j)) / M)
-               for blk in row] for pr, row in zip(blocks, swapped)]
+    terms = [list(image(M, pr.eps, pr.eps_prime, pr.j, pr.k))
+             for pr in blocks]
+    roots = _roots(M, {r for row in terms for _, _, r in row})
     lhs_plan = PsiPlan(blocks, False)
-    rhs_plan = PsiPlan([b for row in swapped for b in row], False)
+    rhs_plan = PsiPlan([PsiParams(M, *pair, *target)
+                        for row in terms for target, pair, _ in row], False)
     out = []
     for p in pts:
         tau, z1, z2, t = (_mpc_any(v) for v in (p.tau, p.z1, p.z2, p.t))
-        lhs = lhs_plan.values(-1 / tau, z1 / tau, z2 / tau, t)
+        *side, t = coordinates(tau, z1, z2, t)
+        lhs = lhs_plan.values(*side, t)
         values = iter(rhs_plan.values(tau, z1, z2, t))
-        factor = (tau / M) * mp.exp(2j * mp.pi * z1 * z2 / (M * tau))
-        out += [float(abs(left - factor * sum(
-            (next(values) * phase for phase in row), mp.mpc(0))))
-            for row, left in zip(phases, lhs)]
-    return out
-
-
-def psi_t_residual(blocks, pts):
-    """|LHS - RHS| of the T-law for each Psi block at each point, point
-    by point: the blocks at (tau + 1, ...) against e^{2 pi i jk/M} times
-    the blocks with eps -> eps + eps' mod 1, each side planned once and
-    one ThetaPass a point."""
-    lhs_plan = PsiPlan(blocks, False)
-    rhs_plan = PsiPlan([PsiParams(pr.M, pr.j, pr.k, (pr.eps + pr.eps_prime)
-                                  % 1, pr.eps_prime) for pr in blocks], False)
-    phases = [mp.exp(2j * mp.pi * _mpfrac(pr.j * pr.k) / pr.M)
-              for pr in blocks]
-    out = []
-    for p in pts:
-        tau, z1, z2, t = (_mpc_any(v) for v in (p.tau, p.z1, p.z2, p.t))
-        out += [float(abs(a - phase * b)) for phase, a, b in zip(
-            phases, lhs_plan.values(tau + 1, z1, z2, t),
-            rhs_plan.values(tau, z1, z2, t))]
+        f = factor(M, tau, z1, z2) if factor else 1
+        for row, left in zip(terms, lhs):
+            first, *rest = (next(values) * roots[r] for _, _, r in row)
+            out.append(float(abs(left - f * sum(rest, first))))
     return out
 
 
@@ -194,39 +225,35 @@ def _den_value(tp, sign, sector):
     return (im, -re, e) if sign == "+" else (-im, re, e)
 
 
-def _swap_sign_sector(sign, sector):
-    new_sign = "+" if sector == "NS" else "-"
-    new_sector = "NS" if sign == "+" else "R"
-    return new_sign, new_sector
-
-
-def _t_image_sign(sign, sector):
-    eps = sign_eps(sign) + sector_eps_prime(sector)
-    return "+" if eps % 1 == HALF else "-"
+def _den_image(block, which):
+    """(target, sign, r) of the denominator R^{(eps)}_{eps'} of block
+    (eps, eps') under the transform which: S swaps eps and eps' at the
+    sign (-1)^{4 eps eps'}, T maps eps to eps + eps' mod 1 at the phase
+    e^{-pi i eps'} = e^{-2 pi i r/4}."""
+    eps, eps_p = block
+    if which == "S":
+        return (eps_p, eps), -1 if eps == eps_p == HALF else 1, 0
+    if which == "T":
+        return ((eps + eps_p) % 1, eps_p), 1, int(2 * eps_p)
+    raise ValueError("which must be 'S' or 'T'")
 
 
 def denominator_transform_residual(sign, sector, which, p):
-    """|LHS - RHS| of the denominator S-law (swap eps <-> eps', factor
-    (-1)^{4 eps eps'} tau e^{2 pi i z^2/tau}) or T-law (phase
-    e^{-pi i eps'}, eps -> eps + eps')."""
-    tau = _mpc_any(p.tau)
-    z = _mpc_any(p.z1)
-    eps = sign_eps(sign)
-    eps_p = sector_eps_prime(sector)
+    """|LHS - RHS| of the denominator S-law (factor tau e^{2 pi i z^2/tau})
+    or T-law at the diagonal point p, with _den_image's target, sign and
+    phase."""
+    target, parity, r = _den_image(
+        (sign_eps(sign), sector_eps_prime(sector)), which)
+    tau, z = _mpc_any(p.tau), _mpc_any(p.z1)
     if which == "S":
         lhs = denominator_numeric(sign, sector, -1 / tau, z / tau)
-        s2, c2 = _swap_sign_sector(sign, sector)
-        parity = -1 if (4 * eps * eps_p) % 2 == 1 else 1
-        rhs = (parity * tau * mp.exp(2j * mp.pi * z * z / tau)
-               * denominator_numeric(s2, c2, tau, z))
-        return float(abs(lhs - rhs))
-    if which == "T":
+        factor = parity * tau * mp.exp(2j * mp.pi * z * z / tau)
+    else:
         lhs = denominator_numeric(sign, sector, tau + 1, z)
-        rhs = (mp.exp(-1j * mp.pi * _mpfrac(eps_p))
-               * denominator_numeric(_t_image_sign(sign, sector), sector,
-                                     tau, z))
-        return float(abs(lhs - rhs))
-    raise ValueError("which must be 'S' or 'T'")
+        factor = parity
+    rhs = factor * _roots(1, [r])[r] * denominator_numeric(
+        *_block_sign_sector(target), tau, z)
+    return float(abs(lhs - rhs))
 
 
 _STATEMENT_BLOCKS = {
@@ -270,12 +297,6 @@ def _block_sign_sector(block):
     return ("+" if eps == HALF else "-", "NS" if eps_p == HALF else "R")
 
 
-def family_values(M, members, tau, z):
-    """The members Psi_{j1,j2}/R at the diagonal point (tau, z), from one
-    ThetaPass planned with every theta, eta and denominator they take."""
-    return [to_mpc(v) for v in FamilyPlan(M, members).values(tau, z)]
-
-
 class FamilyPlan:
     """What the members Psi_{j1,j2}/R take at any point, found once: each
     member's psi_plan and denominator, and the PassPlan of them all."""
@@ -304,44 +325,33 @@ class FamilyPlan:
         return out
 
 
+def _member_image(M, member, which):
+    """The terms (target, sign, r) of member (eps, eps'), (j1, j2) under
+    the transform which: its block's image (_BLOCK_LAWS) over its
+    denominator's (_den_image), so sign is the denominator's sign and r
+    the block's r less M times the denominator's.  A target index 0 is
+    folded to M at the sign (-1)^{2 eps} of the target's eps, by
+    theta_11's quasi-periodicity (the periodicity law), and each pair is
+    sorted, since Psi_{a,b} = Psi_{b,a} on the diagonal."""
+    block, pair = member
+    _, sign, r_den = _den_image(block, which)
+    for (eps, eps_p), (a, b), r in _BLOCK_LAWS[which][2](M, *block, *pair):
+        fold = -1 if eps == HALF and (a == 0) != (b == 0) else 1
+        yield (((eps, eps_p), tuple(sorted((a or M, b or M)))),
+               sign * fold, (r - M * r_den) % (4 * M))
 
 
-def _s_image(M, member):
-    """The terms (target, sign, r) of member (eps, eps'), (j, k) at
-    (-1/tau, z/tau), its elliptic factor divided out: M times it is the
-    sum of sign e^{-2 pi i r/(4M)} times the members target
-    (predicted_s_matrix)."""
-    (eps, eps_p), (j, k) = member
-    for na in range(M):
-        for nb in range(M):
-            a, b = eps + na, eps + nb
-            sign = -1 if eps == eps_p == HALF else 1
-            if eps_p == HALF and (a == 0) != (b == 0):
-                sign = -sign
-            yield (((eps_p, eps), tuple(sorted((a or M, b or M)))), sign,
-                   int(4 * (a * k + b * j)) % (4 * M))
-
-
-def _t_image(M, member):
-    """The one term (target, 1, r) of member (eps, eps'), (j1, j2) at
-    tau + 1: e^{-2 pi i r/(4M)} = e^{2 pi i j1 j2/M} e^{pi i eps'} times
-    the member at block (eps + eps' mod 1, eps'), same indices."""
-    (eps, eps_p), (j1, j2) = member
-    yield (((eps + eps_p) % 1, eps_p), (j1, j2)), 1, \
-        -int(4 * j1 * j2 + 2 * M * eps_p) % (4 * M)
-
-
-def _predicted(M, statement, image, scale):
-    """The rows of the members' images, each entry the sum of its terms
-    sign e^{-2 pi i r/(4M)} over scale, from the 4M roots computed once
-    at the working precision."""
+def _predicted(M, statement, which, scale):
+    """The rows of the members' images under the transform which, each
+    entry the sum of its terms sign e^{-2 pi i r/(4M)} over scale, from
+    the 4M roots computed once at the working precision."""
     members = family_members(M, statement)
     index = {m: i for i, m in enumerate(members)}
-    roots = [mp.expjpi(mp.mpf(-r) / (2 * M)) for r in range(4 * M)]
+    roots = _roots(M)
     rows = []
     for member in members:
         row = [mp.mpc(0)] * len(members)
-        for target, sign, r in image(M, member):
+        for target, sign, r in _member_image(M, member, which):
             row[index[target]] += sign * roots[r]
         rows.append(tuple(x / scale for x in row))
     return tuple(rows)
@@ -353,46 +363,38 @@ def predicted_s_matrix(M, statement):
     (-1/tau, z/tau), divided by e^{2 pi i (1/M - 1) z^2/tau}, over the
     members at (tau, z).
 
-    It comes from the two S-laws the modular suite checks.  The blocks'
-    (psi_s_residual) sends Psi^{(eps)}_{eps'; j,k} to
-    (tau/M) e^{2 pi i z1 z2/(M tau)} times the sum over na, nb in 0..M-1
-    of e^{-2 pi i (a k + b j)/M} Psi^{(eps')}_{eps; a,b}, with a = eps + na
-    and b = eps + nb; the denominators' (denominator_transform_residual)
-    sends R^{(eps)}_{eps'} to (-1)^{4 eps eps'} tau e^{2 pi i z^2/tau}
-    R^{(eps')}_{eps}.  On the diagonal their quotient sends member
-    (eps, eps'), (j, k) to (-1)^{4 eps eps'}/M times that phase sum of
-    the members of block (eps', eps).  Those members' indices run over
-    1/2..M - 1/2 for eps = 1/2, which holds every a and b, and over 1..M
-    for eps = 0, where an index 0 is folded to M: theta_11's
-    quasi-periodicity gives Psi^{(eps')}_{a + M, b} = (-1)^{2 eps'}
-    Psi^{(eps')}_{a, b}.  Psi_{a,b} = Psi_{b,a} on the diagonal, so each
-    pair is sorted (_s_image).  Each phase is a power of e^{-2 pi i/(4M)},
-    4 (a k + b j) being an integer, so the entries are sums of the 4M
-    roots e^{-2 pi i r/(4M)} over M (Kac-Peterson 1984, Kac-Wakimoto
-    1988)."""
-    return _predicted(M, statement, _s_image, M)
+    Member (eps, eps'), (j, k) goes to (-1)^{4 eps eps'}/M times the
+    sum over na, nb in 0..M-1 of e^{-2 pi i (ak + bj)/M} times the member
+    of block (eps', eps) at (a, b) = (eps + na, eps + nb): the blocks'
+    S-law over the denominators' (_member_image), whose factors
+    (tau/M) e^{2 pi i z1 z2/(M tau)} and tau e^{2 pi i z^2/tau} leave 1/M
+    and the elliptic factor on the diagonal.  The members of block
+    (eps', eps) have indices 1/2..M - 1/2 for eps = 1/2, which holds
+    every a and b, and 1..M for eps = 0, where an index 0 is folded to
+    M.  The entries are sums of the 4M roots over M (Kac-Peterson 1984,
+    Kac-Wakimoto 1988)."""
+    return _predicted(M, statement, "S", M)
 
 
 def predicted_t_matrix(M, statement):
     """The T action on the family, as rows of mpc at the working
     precision: member (eps, eps'), (j1, j2) at tau + 1 is
     e^{2 pi i j1 j2/M} e^{pi i eps'} times the member at block
-    (eps + eps' mod 1, eps'), same indices (_t_image).  This is the
-    blocks' T-law (psi_t_residual: e^{2 pi i jk/M} and
-    eps -> eps + eps') over the denominators'
-    (denominator_transform_residual: e^{-pi i eps'}), and each phase is
-    one of the 4M roots e^{-2 pi i r/(4M)}."""
-    return _predicted(M, statement, _t_image, 1)
+    (eps + eps' mod 1, eps'), same indices: the blocks' T-law
+    (e^{2 pi i jk/M} and eps -> eps + eps') over the denominators'
+    (e^{-pi i eps'}), read by _member_image, each phase one of the 4M
+    roots."""
+    return _predicted(M, statement, "T", 1)
 
 
 def t_law_on_series(M, statement):
     """The T law exactly on the member series, with no numerics: each
     member Psi_{j1,j2}/R, as an exact ThetaQuotient expanded below q^6 in
     the x-window (-3, 3), has its coefficient at q^n times e^{2 pi i n}
-    over its phase e^{-2 pi i r/(4M)} (_t_image), that is times
-    i^(4 n + r/M), equal to its target's coefficient at the same
-    monomial, and the two supports agree.  Returns (terms compared, ids
-    of the members whose law fails)."""
+    over its term sign e^{-2 pi i r/(4M)} (_member_image), that is
+    times i^(4 n + r/M + 1 - sign), equal to its target's coefficient at
+    the same monomial, and the two supports agree.  Returns (terms
+    compared, ids of the members whose law fails)."""
     members = family_members(M, statement)
     series = {}
     for member in members:
@@ -402,11 +404,11 @@ def t_law_on_series(M, statement):
         series[member] = quotient.expand(6, (-3, 3))[0]
     terms, bad = 0, []
     for member in members:
-        ((target, _, r),) = _t_image(M, member)
+        ((target, sign, r),) = _member_image(M, member, "T")
         a, b = JacobiSeries._aligned(series[member], series[target])
         ok = a.c.keys() == b.c.keys()
         for (qn, xn), c in a.c.items():
-            k = Fraction(4 * qn, a.q_den) + Fraction(r, M)
+            k = Fraction(4 * qn, a.q_den) + Fraction(r, M) + 1 - sign
             ok = ok and k.denominator == 1 and \
                 c.times_i_power(int(k)) == b.c[qn, xn]
         terms += len(a.c)

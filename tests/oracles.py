@@ -14,8 +14,9 @@ gated_stop_step the float-log rule as it ran before it started from the
 closed-form bound on the tails: from the first gated step, kept as the
 oracle of that start.
 truncate, q_valuation_bound, x_support and character_numeric are views
-that only the tests read, and eta_numeric a one-theta ThetaPass that
-only they call.
+that only the tests read, and eta_numeric a one-theta ThetaPass and
+family_values a family's FamilyPlan pass converted to mpmath, both of
+which only they call.
 
 appell_terms and eval_numeric_per_term are the mpmath loops that
 mockpsi.phi_a11_numeric and qseries.eval_numeric ran before they took
@@ -62,7 +63,7 @@ from thetachar.characters import (BLOCK_SIGNS, HEARTS, ReductionParams,
                                   dd_indices, sign_eps)
 from thetachar.mockpsi import (HALF, POLE_THRESHOLD, PoleProximityError,
                                _mpfrac)
-from thetachar.modular import _mpc_any, family_values
+from thetachar.modular import FamilyPlan, _mpc_any
 from thetachar.qseries import (ONE, CoefficientRingError,
                                GaussianRational, JacobiSeries,
                                UntrustedOrderError, _div, _from_mpc, _lcm,
@@ -218,6 +219,12 @@ def quotient_expand(quotient, q_order, x_window=None):
         raise AssertionError("expansion starts at q^%s, not at its "
                              "valuation %s" % (low, v))
     return ser
+
+
+def family_values(M, members, tau, z):
+    """The members Psi_{j1,j2}/R at the diagonal point (tau, z), from one
+    ThetaPass planned with every theta, eta and denominator they take."""
+    return [to_mpc(v) for v in FamilyPlan(M, members).values(tau, z)]
 
 
 def character_numeric(M, k1, k2, heart, sign, twisted, p):

@@ -29,9 +29,8 @@ from thetachar.mockpsi import HALF, PsiParams, psi_diag_ratio, psi_numeric
 from thetachar.modular import (
     default_points,
     denominator_transform_residual,
+    block_law_residual,
     family_members,
-    psi_s_residual,
-    psi_t_residual,
     span_closure,
 )
 from thetachar.qseries import equal_to_order, eval_numeric
@@ -206,8 +205,8 @@ def test_acceptance_09_transform_laws():
         blocks = [PsiParams(M, eps_p + 1, eps_p, eps, eps_p)
                   for eps, eps_p in iproduct((F(0), HALF), (F(0), HALF))]
         pts = default_points(5, seed=M + 50)
-        worst_psi = max(worst_psi, *psi_s_residual(blocks, pts),
-                        *psi_t_residual(blocks, pts))
+        worst_psi = max(worst_psi, *block_law_residual(blocks, "S", pts),
+                        *block_law_residual(blocks, "T", pts))
     assert worst_psi < 1e-9, "Psi transform residual %.3e" % worst_psi
     worst_den = 0.0
     for sign, sector in iproduct(("+", "-"), ("NS", "R")):

@@ -17,23 +17,22 @@ from thetachar.modular import (
     IM_TAU_FLOOR,
     FamilyPlan,
     NumericPoint,
+    block_law_residual,
     default_points,
     denominator_transform_residual,
     family_members,
-    family_values,
     member_id,
     predicted_s_matrix,
     predicted_t_matrix,
-    psi_s_residual,
-    psi_t_residual,
     span_closure,
     t_law_on_series,
 )
 from thetachar.qseries import dumps_canonical, eval_numeric, to_mpc
-from thetachar.suites import CaseFailure, SuiteConfig, _case_t_phases
+from thetachar.suites import (CaseFailure, SuiteConfig, _case_t_phases,
+                              suite_cases)
 
 from oracles import (COND_THRESHOLD, IllConditionedError, character_numeric,
-                     lstsq_min_norm_mp)
+                     family_values, lstsq_min_norm_mp)
 
 
 class TestNumericPoint:
@@ -82,8 +81,8 @@ class TestPsiTransformLaws:
         mp.dps = 40
         for M, eps, eps_p in [(1, F(0), F(0)), (2, HALF, HALF)]:
             pr = PsiParams(M, eps_p + 1, eps_p, eps, eps_p)
-            assert max(psi_s_residual([pr], default_points(2, seed=M))) \
-                < 1e-9
+            assert max(block_law_residual([pr], "S",
+                                          default_points(2, seed=M))) < 1e-9
 
     def test_s_law_takes_one_pass_per_side(self, monkeypatch):
         # the M^2 blocks of the right-hand side share one ThetaPass at
@@ -98,7 +97,8 @@ class TestPsiTransformLaws:
 
         monkeypatch.setattr(mockpsi, "ThetaPass", Counting)
         pr = PsiParams(3, HALF + 1, HALF, F(0), HALF)
-        assert psi_s_residual([pr], default_points(1, seed=53))[0] < 1e-9
+        assert block_law_residual([pr], "S",
+                                  default_points(1, seed=53))[0] < 1e-9
         assert passes == [4, 4 * 9]
 
     def test_block_lists_take_one_pass_per_side(self, monkeypatch):
@@ -108,8 +108,8 @@ class TestPsiTransformLaws:
         blocks = [PsiParams(2, eps_p + 1, eps_p, eps, eps_p)
                   for eps in (F(0), HALF) for eps_p in (F(0), HALF)]
         pts = default_points(1, seed=31)
-        alone = [(psi_s_residual([pr], pts)[0], psi_t_residual([pr], pts)[0])
-                 for pr in blocks]
+        alone = [(block_law_residual([pr], "S", pts)[0],
+                  block_law_residual([pr], "T", pts)[0]) for pr in blocks]
         passes = []
 
         class Counting(mockpsi.ThetaPass):
@@ -118,8 +118,8 @@ class TestPsiTransformLaws:
                 super().__init__(coords, plan)
 
         monkeypatch.setattr(mockpsi, "ThetaPass", Counting)
-        together = list(zip(psi_s_residual(blocks, pts),
-                            psi_t_residual(blocks, pts)))
+        together = list(zip(block_law_residual(blocks, "S", pts),
+                            block_law_residual(blocks, "T", pts)))
         assert len(passes) == 4
         for (s1, t1), (s4, t4) in zip(alone, together):
             assert s4 < 1e-9 and t4 < 1e-9
@@ -128,7 +128,8 @@ class TestPsiTransformLaws:
     def test_t_law_residuals(self):
         mp.dps = 40
         pr = PsiParams(3, HALF, F(3, 2), F(0), HALF)
-        assert max(psi_t_residual([pr], default_points(2, seed=17))) < 1e-9
+        assert max(block_law_residual([pr], "T",
+                                      default_points(2, seed=17))) < 1e-9
 
 
 class TestDenominatorTransforms:
@@ -547,16 +548,16 @@ class TestTLawOnSeries:
         assert bad == [] and terms > 0
 
     def phase_off_by_i(self, image):
-        def damaged(M, member):
-            for target, sign, r in image(M, member):
+        def damaged(M, member, which):
+            for target, sign, r in image(M, member, which):
                 yield target, sign, (r + M) % (4 * M)
         return damaged
 
     def target_off_by_one_block(self, image):
         # (1/2, 1/2) and (0, 1/2) swapped: the other block of the
         # target's index lattice
-        def damaged(M, member):
-            for ((eps, eps_p), pair), sign, r in image(M, member):
+        def damaged(M, member, which):
+            for ((eps, eps_p), pair), sign, r in image(M, member, which):
                 yield ((((eps + eps_p) % 1, eps_p), pair), sign, r)
         return damaged
 
@@ -564,10 +565,10 @@ class TestTLawOnSeries:
                                         "target_off_by_one_block"])
     def test_damaged_t_fails(self, monkeypatch, damage):
         # the series check, the suite's t-phases row and the certificate
-        # all read the one T image
+        # all read the one member image
         mp.dps = 30
-        monkeypatch.setattr(modular, "_t_image",
-                            getattr(self, damage)(modular._t_image))
+        monkeypatch.setattr(modular, "_member_image",
+                            getattr(self, damage)(modular._member_image))
         terms, bad = t_law_on_series(2, 1)
         assert terms > 0 and len(bad) > 0
         with pytest.raises(CaseFailure, match="T law fails"):
@@ -575,6 +576,99 @@ class TestTLawOnSeries:
         cert = span_closure(2, 1, "T", default_points(18, diagonal=True,
                                                       seed=0))
         assert cert.residual > 1e-7
+
+
+def run_case(case_id):
+    """Run one suite row at the default config; its detail, or
+    CaseFailure."""
+    with mp.workdps(SuiteConfig().dps):
+        return dict(suite_cases(case_id.split("/")[0]))[case_id](
+            SuiteConfig())
+
+
+def damage_block_law(monkeypatch, law, damage):
+    """Replace the image of one _BLOCK_LAWS row by damage(image)."""
+    coordinates, factor, image = modular._BLOCK_LAWS[law]
+    monkeypatch.setitem(modular._BLOCK_LAWS, law,
+                        (coordinates, factor, damage(image)))
+
+
+def first_term_off_by_quarter_turn(image):
+    def damaged(M, *args):
+        for n, (target, pair, r) in enumerate(image(M, *args)):
+            yield target, pair, (r + M * (n == 0)) % (4 * M)
+    return damaged
+
+
+def damage_den_image(monkeypatch, which, damage):
+    """Replace _den_image's (target, sign, r) for the transform which by
+    damage(target, sign, r)."""
+    den_image = modular._den_image
+
+    def damaged(block, w):
+        out = den_image(block, w)
+        return damage(*out) if w == which else out
+    monkeypatch.setattr(modular, "_den_image", damaged)
+
+
+class TestDamagedLawTables:
+    """Each law is written once, and every row and matrix that reads it
+    fails when it is damaged."""
+
+    def test_block_s_term_off_by_a_quarter_turn(self, monkeypatch):
+        damage_block_law(monkeypatch, "S", first_term_off_by_quarter_turn)
+        with pytest.raises(CaseFailure, match="max residual"):
+            run_case("modular/psi-s-law/M2")
+        with mp.workdps(40):
+            cert = span_closure(2, 1, "S", default_points(27, diagonal=True,
+                                                          seed=0))
+        assert cert.residual > 1e-7
+
+    def test_block_t_term_off_by_a_quarter_turn(self, monkeypatch):
+        damage_block_law(monkeypatch, "T", first_term_off_by_quarter_turn)
+        with pytest.raises(CaseFailure, match="max residual"):
+            run_case("modular/psi-t-law/M3")
+        with pytest.raises(CaseFailure, match="T law fails"):
+            run_case("modular/t-phases/statement1/M3")
+
+    def test_denominator_s_sign_dropped(self, monkeypatch):
+        damage_den_image(monkeypatch, "S",
+                         lambda target, sign, r: (target, 1, r))
+        with pytest.raises(CaseFailure, match="max residual"):
+            run_case("modular/denominator-s")
+        with mp.workdps(40):
+            cert = span_closure(2, 1, "S", default_points(27, diagonal=True,
+                                                          seed=0))
+        assert cert.residual > 1e-7
+
+    def test_denominator_t_phase_off_by_i(self, monkeypatch):
+        damage_den_image(monkeypatch, "T",
+                         lambda target, sign, r: (target, sign, r + 1))
+        with pytest.raises(CaseFailure, match="max residual"):
+            run_case("modular/denominator-t")
+        with pytest.raises(CaseFailure, match="T law fails"):
+            run_case("modular/t-phases/statement1/M2")
+        with mp.workdps(40):
+            cert = span_closure(2, 1, "T", default_points(27, diagonal=True,
+                                                          seed=0))
+        assert cert.residual > 1e-7
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 4])
+    @pytest.mark.parametrize("law", ["periodicity", "reflect-swap", "swap",
+                                     "reflect"])
+    def test_symmetry_sign_flipped(self, monkeypatch, law, M):
+        assert "max residual" in run_case("psi/%s/M%d" % (law, M))
+
+        def flipped(image):
+            def damaged(M, *args):
+                for target, pair, r in image(M, *args):
+                    yield target, pair, (r + 2 * M) % (4 * M)
+            return damaged
+
+        damage_block_law(monkeypatch, law, flipped)
+        with pytest.raises(CaseFailure, match="max residual"):
+            run_case("psi/%s/M%d" % (law, M))
+
 
 class TestCharacterNumeric:
     def test_matches_exact_series(self):

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 from types import SimpleNamespace
 
 import pytest
+from mpmath import mp
 
 from thetachar import suites
 from thetachar.characters import denominator
@@ -161,6 +162,19 @@ def test_appell_cutoff_can_fail(monkeypatch):
     real = suites.appell_tail
     monkeypatch.setattr(suites, "appell_tail",
                         lambda *args, **kw: real(*args, **kw) / 10 ** 6)
+    status, detail = _run_rows(monkeypatch, [("damaged", row)])["damaged"]
+    assert status == "fail" and detail.startswith("CaseFailure: ")
+
+
+def test_appell_prefactor_can_fail(monkeypatch):
+    # the row holds Phi1 at t to its terms summed directly; a prefactor
+    # e^{-2 pi i t} that drops m must fail it at m = 2
+    row = dict(suite_cases("psi"))["psi/appell-prefactor"]
+    assert _run_rows(monkeypatch, [("true", row)])["true"][0] == "pass"
+    real = suites.phi_a11_numeric
+    monkeypatch.setattr(
+        suites, "phi_a11_numeric", lambda m, s, tau, z1, z2, t: mp.exp(
+            -2j * mp.pi * mp.mpc(t)) * real(m, s, tau, z1, z2, 0))
     status, detail = _run_rows(monkeypatch, [("damaged", row)])["damaged"]
     assert status == "fail" and detail.startswith("CaseFailure: ")
 

@@ -28,8 +28,7 @@ from thetachar.qseries import (
 from thetachar.mockpsi import (HALF, PsiParams, phi_a11_numeric, psi_numeric,
                                psi_plan)
 from thetachar.modular import (FamilyPlan, default_points,
-                               denominator_numeric, family_members,
-                               family_values)
+                               denominator_numeric, family_members)
 from thetachar.suites import _m2_closed_ratio
 from thetachar.theta import (
     DEFAULT_DPS,
@@ -44,7 +43,8 @@ from thetachar.theta import (
 )
 
 from oracles import (binary_power, coefficient, cross_multiplied_equals,
-                     eta_numeric, first_difference, gated_stop_step,
+                     eta_numeric, family_values, first_difference,
+                     gated_stop_step,
                      mpf_stop_step, q_valuation_bound, quotient_expand,
                      shifted_theta_sum, subst_scale_tau, subst_scale_z,
                      theta_factors, truncate)
