@@ -238,30 +238,29 @@ class ReductionParams:
 
 
 def reduction_hs(params):
-    """Exact (h, s) of the reduced module, by heart and twist."""
+    """Exact (h, s) of the reduced module, by heart and twist: h in units
+    of 1/(4M) and s in units of 1/M, on ints, made Fractions last."""
     p = params
-    mM = Fraction(p.m, p.M)
-    k1, k2, m2 = p.k1, p.k2, p.m2
+    M, m, k1, k2, m2 = p.M, p.m, p.k1, p.k2, p.m2
     if not p.twisted:
         if p.heart in ("I", "IV"):
-            s = -mM * k2 + m2
+            s = m2 * M - m * k2
         else:
-            s = mM * k2 - m2 - 2
-        if p.heart in ("I", "III"):
-            a, b = k1 + HALF, k1 + k2 + HALF
-        else:
-            a, b = k1 - HALF, k1 + k2 - HALF
-        h = -mM * a * b + (m2 + 1) * a - (-mM + 2) / 4
-        return (h, s)
+            s = m * k2 - (m2 + 2) * M
+        # a = A/2 and b = B/2, half-integers
+        d = 1 if p.heart in ("I", "III") else -1
+        A, B = 2 * k1 + d, 2 * (k1 + k2) + d
+        h = 2 * M * (m2 + 1) * A - m * A * B + m - 2 * M
+        return Fraction(h, 4 * M), Fraction(s, M)
     if p.heart in ("I", "IV"):
-        s = mM * (k2 + 1) - m2 - 1
+        s = m * (k2 + 1) - (m2 + 1) * M
     else:
-        s = -mM * (k2 - 1) + m2 + 1
+        s = (m2 + 1) * M - m * (k2 - 1)
     a = {"I": k1, "II": k1, "III": k1 + 1, "IV": k1 - 1}[p.heart]
     b = {"I": k1 + k2 + 1, "II": k1 + k2 - 1,
          "III": k1 + k2, "IV": k1 + k2}[p.heart]
-    h = -mM * a * b + (m2 + 1) * a - (-mM + 1) / 4
-    return (h, s)
+    h = 4 * M * (m2 + 1) * a - 4 * m * a * b + m - M
+    return Fraction(h, 4 * M), Fraction(s, M)
 
 
 def vanishes(params):

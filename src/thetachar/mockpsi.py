@@ -27,10 +27,13 @@ nontrivial internal cross-check exercised by the test suite.
 
 A PsiPlan finds once what several blocks take at any point (psi_plan)
 and evaluates their closed forms at each point in one theta.ThetaPass
-(psi_value): their theta_11, eta(M tau) and prefactors, products of
-integer powers of e^{pi i tau/(2M)}, e^{pi i z/M} and the nome root
-e^{pi i M tau/4}, all come from the pass's power tables of its shared
-exponentials.  psi_numeric is its one-shot, one-block case.
+(psi_value): their theta_11, eta(M tau) and prefactors all come from
+the pass's power tables of its shared exponentials.  A prefactor, a
+product of integer powers of e^{pi i tau/(2M)}, e^{pi i z/M} and the
+nome root e^{pi i M tau/4}, is folded by the plan into one table read
+per coordinate, and the blocks, all of one level, share one eta(M tau)
+walk whose cube the pass takes once.  psi_numeric is its one-shot,
+one-block case.
 
 phi_a11_numeric is the two-variable Appell-type sum
 
@@ -136,17 +139,23 @@ def psi_numeric(params, tau, z1, z2, t):
 
 class PsiPlan:
     """What blocks, all of one level M, take at any point, found once:
-    each block's psi_plan and the PassPlan of them all, for points on the
-    diagonal z1 = z2 (one z-coordinate) or off it (two)."""
+    each block's psi_plan, compiled into the PassPlan of them all, for
+    points on the diagonal z1 = z2 (one z-coordinate) or off it (two).
+    blocks holds each block's (num, den1, den2) requests and folded
+    prefactor, and eta the request of their shared eta(M tau)."""
 
     def __init__(self, blocks, diagonal):
         self.M = blocks[0].M
+        if any(p.M != self.M for p in blocks):
+            raise ValueError("a PsiPlan's blocks must share one level M")
         self.diagonal = diagonal
         zw = ((1,), (1,)) if diagonal else ((1, 0), (0, 1))
-        self.blocks = [psi_plan(p, *zw) for p in blocks]
-        self.plan = PassPlan(
-            [r for requests, _ in self.blocks for r in requests],
-            [x for _, powers in self.blocks for x in powers])
+        plans = [psi_plan(p, *zw) for p in blocks]
+        self.plan = PassPlan([r for requests, _ in plans for r in requests],
+                             [powers for _, powers in plans])
+        self.eta = plans[0][0][3]
+        self.blocks = [(requests[:3], read) for (requests, _), read
+                       in zip(plans, self.plan.prefactors)]
 
     def values(self, tau, z1, z2, t):
         """The blocks at (tau, z1, z2, t) from one ThetaPass at (tau, z1)
@@ -159,8 +168,10 @@ class PsiPlan:
             raise ValueError("a diagonal PsiPlan needs z1 = z2")
         tp = ThetaPass((tau, z1) if self.diagonal else (tau, z1, z2),
                        self.plan)
+        cube = eta_cube(tp, self.eta)
         phase = mp.exp(-2j * mp.pi * t / self.M) if t else 1
-        return [phase * to_mpc(psi_value(tp, *plan)) for plan in self.blocks]
+        return [phase * to_mpc(psi_value(tp, requests, read, cube))
+                for requests, read in self.blocks]
 
 
 def psi_plan(p, zw1, zw2):
@@ -182,17 +193,24 @@ def psi_plan(p, zw1, zw2):
     return requests, tuple((b, n) for b, n in powers if n)
 
 
-def psi_value(tp, requests, powers):
+def eta_cube(tp, request):
+    """eta(M tau)^3 e^{-pi i M tau/4} of a ThetaPass: the cube of its
+    walk of eta_request(M, .), which the prefactor's nome root makes
+    eta(M tau)^3."""
+    eta = tp.theta(request)
+    return _mul(_mul(eta, eta, tp.wp), eta, tp.wp)
+
+
+def psi_value(tp, requests, prefactor, cube):
     """A block at t = 0 from a ThetaPass planned with its psi_plan: -i
-    times its prefactor powers of the pass's bases, the cube of the eta
-    walk and the theta quotient."""
-    num, den1, den2, eta = (tp.theta(r) for r in requests)
+    times its folded prefactor read, the pass's eta cube (eta_cube) and
+    the quotient of the thetas of requests (num, den1, den2)."""
+    num, den1, den2 = (tp.theta(r) for r in requests)
     _guard_pole(den1, "theta_11(z1 + j tau + eps)")
     _guard_pole(den2, "theta_11(z2 + k tau - eps)")
-    ratio = tp.div(tp.mul(*(tp.power(b, n) for b, n in powers),
-                          eta, eta, eta, num),
-                   tp.mul(den1, den2))
-    re, im, e = ratio
+    wp = tp.wp
+    re, im, e = _div(_mul(_mul(tp.read(prefactor), cube, wp), num, wp),
+                     _mul(den1, den2, wp), wp)
     return im, -re, e
 
 

@@ -34,12 +34,13 @@ t_law_on_series checks the T law exactly on the members' series.
 
 All evaluations use the ambient mpmath precision; callers scope it
 with mp.workdps.  span_closure plans its family once (FamilyPlan: the
-blocks, their requests, distinct lattice sums and prefactor powers) and
-evaluates it at each sample point and each side of the transform in one
-theta.ThetaPass at that side's own coordinates: every theta, eta and
-prefactor of its members comes from the pass's own exponentials, one
-per coordinate, each distinct lattice sum is walked once, and the S
-side divides out its elliptic factor as one pass value.
+blocks, their requests and folded prefactors, compiled into one
+theta.PassPlan) and evaluates it at each sample point and each side of
+the transform in one theta.ThetaPass at that side's own coordinates:
+every theta, eta and prefactor of its members comes from the pass's own
+exponentials, one per coordinate, each distinct lattice sum is walked
+once, the members share one eta cube, and the S side divides out its
+elliptic factor as one pass value.
 denominator_numeric (on one plan, _DEN_PLAN, built at import) is the
 same evaluation converted to mpmath.
 """
@@ -55,10 +56,10 @@ from mpmath import mp
 from .characters import (denominator, denominator_label, sector_eps_prime,
                          sign_eps)
 from .mockpsi import (HALF, PsiParams, PsiPlan, _guard_pole, _mpc_any,
-                      psi_pair_ratio, psi_plan, psi_value)
-from .qseries import (ONE, JacobiSeries, _fixed, _from_mpc, _top, modulus,
-                      to_mpc)
-from .theta import THETA_LABELS, PassPlan, ThetaPass
+                      eta_cube, psi_pair_ratio, psi_plan, psi_value)
+from .qseries import (ONE, JacobiSeries, _div, _fixed, _from_mpc, _mul, _top,
+                      modulus, to_mpc)
+from .theta import THETA_LABELS, PassPlan, ThetaPass, eta_request
 
 IM_TAU_FLOOR = 0.3
 
@@ -221,7 +222,8 @@ def _den_value(tp, sign, sector):
     d = denominator_label(sign, sector)
     thetas = dict(zip(THETA_LABELS, map(tp.theta, _DEN_PLAN.requests)))
     den = _guard_pole(thetas.pop(d), "theta_%s" % d)
-    re, im, e = tp.div(tp.mul(*thetas.values()), den)
+    x, y, z = thetas.values()
+    re, im, e = _div(_mul(_mul(x, y, tp.wp), z, tp.wp), den, tp.wp)
     return (im, -re, e) if sign == "+" else (-im, re, e)
 
 
@@ -299,29 +301,37 @@ def _block_sign_sector(block):
 
 class FamilyPlan:
     """What the members Psi_{j1,j2}/R take at any point, found once: each
-    member's psi_plan and denominator, and the PassPlan of them all."""
+    member's psi_plan and denominator, compiled into the PassPlan of
+    them all.  blocks holds each member's (num, den1, den2) requests,
+    folded prefactor and denominator, and eta the request of the
+    members' shared eta(M tau)."""
 
     def __init__(self, M, members):
-        self.blocks = [(psi_plan(PsiParams(M, j1, j2, *block), (1,), (1,)),
-                        _block_sign_sector(block))
-                       for block, (j1, j2) in members]
+        plans = [psi_plan(PsiParams(M, j1, j2, *block), (1,), (1,))
+                 for block, (j1, j2) in members]
         self.plan = PassPlan(
-            [r for (requests, _), _ in self.blocks for r in requests]
+            [r for requests, _ in plans for r in requests]
             + list(_DEN_PLAN.requests),
-            [x for (_, powers), _ in self.blocks for x in powers])
+            [powers for _, powers in plans])
+        self.eta = eta_request(M, 1)
+        self.blocks = [(requests[:3], read, _block_sign_sector(block))
+                       for (requests, _), read, (block, _)
+                       in zip(plans, self.plan.prefactors, members)]
 
     def values(self, tau, z, factor=None):
         """The members at the diagonal point (tau, z), each divided by
         factor (an mpc, 1 by default), as values of one ThetaPass."""
         tp = ThetaPass((tau, z), self.plan)
-        f = ONE if factor is None else _from_mpc(factor._mpc_, tp.wp)
+        wp = tp.wp
+        f = ONE if factor is None else _from_mpc(factor._mpc_, wp)
+        cube = eta_cube(tp, self.eta)
         dens = {}
         out = []
-        for plan, key in self.blocks:
-            psi = psi_value(tp, *plan)
+        for requests, read, key in self.blocks:
+            psi = psi_value(tp, requests, read, cube)
             if key not in dens:
-                dens[key] = tp.mul(_den_value(tp, *key), f)
-            out.append(tp.div(psi, dens[key]))
+                dens[key] = _mul(_den_value(tp, *key), f, wp)
+            out.append(_div(psi, dens[key], wp))
         return out
 
 

@@ -42,9 +42,10 @@ which computes only the terms that can reach the window, and then
 follow the usual interval arithmetic: products shift the window, and
 comparisons are restricted to the window overlap.
 
-Numeric evaluation (eval_numeric) runs on complex floating point on
-ints, values (re, im, e) kept to a working precision by _mul and _div,
-with one exponential per variable.  This module owns that value format
+Numeric evaluation (eval_numeric, eval_points) runs on complex
+floating point on ints, values (re, im, e) kept to a working precision
+by _mul and _div, with one exponential per variable.  This module owns
+that value format
 and the tools every numeric path of the package (theta's ThetaPass,
 mockpsi's Appell sum, modular's span certificate) computes with: the
 products (_mul, _div), the exponential (_root), the power table
@@ -728,7 +729,15 @@ def _sum(values, wp):
 def eval_numeric(a, tau, z):
     """The stored terms summed at numeric (tau, z), an mpmath complex at
     the ambient precision prec; the discarded tail is
-    O(|exp(2 pi i tau)|^q_order).
+    O(|exp(2 pi i tau)|^q_order).  The one-point case of eval_points,
+    which states its rounding."""
+    return eval_points(a, [(tau, z)])[0]
+
+
+def eval_points(a, points):
+    """eval_numeric of a at each (tau, z) of points: the rows grouped,
+    the coefficients converted and the power steps found once for the
+    series, and then only what depends on the point taken at each.
 
     The sum runs on values (ONE, _mul, _div), each product and quotient
     rounding by at most rho = 2^(2 - wp) relative.
@@ -745,23 +754,29 @@ def eval_numeric(a, tau, z):
     (6 B + 3) rho S of the sum of the stored terms, to first order.  At
     wp = prec + bitlen(6 B + 3) + 3 that is below 2^(-1 - prec) S,
     which leaves room for the second-order terms, and the one rounding
-    to mpc at prec bits adds at most 2^-prec S: the returned value is
+    to mpc at prec bits adds at most 2^-prec S: each returned value is
     within 2^(1 - prec) S of the sum of the stored terms.
     """
-    rows, xs = {}, set()
+    grouped, xs = {}, set()
     for (qn, xn), v in a.c.items():
-        rows.setdefault(qn, []).append((xn, v))
+        grouped.setdefault(qn, []).append((xn, v))
         xs.add(xn)
-    span = max(map(abs, [*rows, *xs]), default=0)
+    span = max(map(abs, [*grouped, *xs]), default=0)
     wp = mp.prec + (6 * span + 3).bit_length() + 3
-    q_pow, x_pow = (
-        _powers(_root(2 * mp.mpc(x), den, wp), min(ks, default=0) < 0,
-                _power_steps(ks), wp)
-        for x, den, ks in ((tau, a.q_den, rows), (z, a.x_den, xs)))
-    return to_mpc(_sum([
-        _mul(q_pow[qn], _sum([_mul(_gaussian(v, wp), x_pow[xn], wp)
-                              for xn, v in row], wp), wp)
-        for qn, row in rows.items()], wp))
+    rows = [(qn, [(xn, _gaussian(v, wp)) for xn, v in row])
+            for qn, row in grouped.items()]
+    tables = [(a.q_den, min(grouped, default=0) < 0, _power_steps(grouped)),
+              (a.x_den, min(xs, default=0) < 0, _power_steps(xs))]
+    out = []
+    for point in points:
+        q_pow, x_pow = (_powers(_root(2 * mp.mpc(x), den, wp), inverse,
+                                steps, wp)
+                        for x, (den, inverse, steps) in zip(point, tables))
+        out.append(to_mpc(_sum([
+            _mul(q_pow[qn], _sum([_mul(c, x_pow[xn], wp) for xn, c in row],
+                                 wp), wp)
+            for qn, row in rows], wp)))
+    return out
 
 
 def _gaussian(v, wp):

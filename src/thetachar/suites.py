@@ -40,7 +40,7 @@ from itertools import product as iproduct
 
 from mpmath import mp
 
-from .qseries import JacobiSeries, equal_to_order, eval_numeric
+from .qseries import JacobiSeries, equal_to_order, eval_points
 from .theta import (DEFAULT_DPS, THETA_LABELS, ThetaQuotient, theta_shifted,
                     theta_sum)
 from .mockpsi import (HALF, PsiParams, PsiPlan, appell_tail,
@@ -268,14 +268,17 @@ def _diag_residuals(blocks, q, pts):
     # the exact four-theta series of each diagonal block, evaluated,
     # against the closed forms of all of them from one plan, one pass
     # per point
-    parts = [[part.series(q) for part in psi_diag_ratio(pr).parts()]
-             for pr in blocks]
+    at = [(p.tau, p.z1) for p in pts]
+    ratios = []
+    for pr in blocks:
+        top, bottom = (eval_points(part.series(q), at)
+                       for part in psi_diag_ratio(pr).parts())
+        ratios.append([t / b for t, b in zip(top, bottom)])
     plan = PsiPlan(blocks, True)
-    return [eval_numeric(top, p.tau, p.z1) / eval_numeric(bottom, p.tau, p.z1)
-            - closed
-            for p in pts
-            for (top, bottom), closed in zip(
-                parts, plan.values(p.tau, p.z1, p.z1, 0))]
+    return [ratio[i] - closed
+            for i, p in enumerate(pts)
+            for ratio, closed in zip(ratios, plan.values(p.tau, p.z1, p.z1,
+                                                         0))]
 
 
 def _psi_diag_ratio(M, q):

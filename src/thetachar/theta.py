@@ -43,10 +43,13 @@ ints: each term is the previous one times a running ratio, and each
 ratio gains a factor q = e^{2 pi i tau} per step.  A ThetaPass
 evaluates every theta of one sample point this way from the point's
 shared exponentials, one root per coordinate and the table of its
-powers that a PassPlan names once for every point, on the complex
-floating point that qseries owns (_root, _powers, _mul, _div), with the
-walks' inputs as accurate as if each had been rounded once, so
-both bounds hold for arguments built as products.
+powers, on the complex floating point that qseries owns (_root,
+_powers, _mul, _div).  A PassPlan compiles, once for every point, what
+does not depend on it: the distinct input products and which walk
+takes which, how each theta reads its walk, and each prefactor as one
+table entry per coordinate.  The walks' inputs are as accurate as if
+each had been rounded once, so both bounds hold for arguments built as
+products.
 theta_numeric is its one-theta case, and eta(m tau) (the pentagonal
 series) is walked as theta_01(3m tau, -m tau/2) (eta_request).
 """
@@ -62,8 +65,8 @@ from mpmath import mp
 from mpmath.libmp import to_float
 
 from .qseries import (ONE, CoefficientRingError, GaussianRational,
-                      JacobiSeries, _div, _fixed, _mul, _power_steps,
-                      _powers, _root, equal_to_order, expand, product,
+                      JacobiSeries, _fixed, _mul, _power_steps, _powers,
+                      _root, equal_to_order, expand, product,
                       scale_monomial, to_mpc)
 
 THETA_LABELS = ("00", "01", "10", "11")
@@ -526,51 +529,78 @@ def _walk(n, t_pos, r_pos, t_neg, r_neg, q2, wp):
 
 
 class PassPlan:
-    """The point-free half of a ThetaPass, built once for every point of
-    a family: the lattice sums its requests take and the powers it reads,
-    all as powers of one root per coordinate.
+    """The point-free half of a ThetaPass, compiled once for every point
+    of a family: the lattice sums its requests take, the distinct
+    products that feed them, how each request reads its sum, and the
+    caller's prefactors, all as powers of one root per coordinate.
 
     A base (i, p, d) is e^{pi i (p/d) x_i}, and every base it reads is
     r_i^(p D_i/d) for the root r_i = e^{pi i x_i/D_i}, D_i the lcm of
     the d of coordinate i's bases: the lattice inputs' e^{pi i tau/2}
     (0, 1, 2), e^{pi i z_j} (j, 1, 1) and nome roots (0, m, 4), and the
-    caller's powers (base, n), which ThetaPass.power reads.  So each
-    walk input, and each power, is a product of root powers r_i^n,
-    given as the factors (i, n):
+    bases of the caller's prefactors, each a list of powers (base, n)
+    whose product it is.  So each walk input, and each prefactor, is a
+    product of root powers r_i^n, given as the factors (i, n):
 
-    inputs   {(a, m, w): the factors of the walk's four inputs and its
-             q^2, term(h) = N^{h^2} E^{2h} with E = e^{pi i v} and the
-             nome N = e^{pi i m tau} = (0, m, 4)^4};
-    units    {base: (i, p D_i/d)};
-    roots    {i: (D_i, whether a negative power is read, the steps
-             (n, a, b), r^n = r^a r^b in build order, that build every
-             power read from r and 1/r by binary powering)};
-    chain    the largest sum of |n| over the factors of an input or a
-             power: the L of ThetaPass's bound.
+    walks       the distinct (a, m, w) of the requests, in request
+                order, each one lattice sum, term(h) = N^{h^2} E^{2h}
+                with E = e^{pi i v} and the nome
+                N = e^{pi i m tau} = (0, m, 4)^4;
+    products    the distinct factor tuples of the walks' inputs, each
+                multiplied in its listed order;
+    inputs      for each walk, the indices in products of its four
+                inputs and its q^2 (_inputs);
+    thetas      {request: (walk index, odd, turns)}: request
+                (a, b, m, w, e) is the walk's even partial sum plus
+                (minus, if odd) its odd one, turned by i^turns;
+    prefactors  for each of the caller's prefactors, its factors, one
+                per coordinate read: its powers' exponents summed in
+                root units;
+    roots       {i: (D_i, whether a negative power is read, the steps
+                (n, a, b), r^n = r^a r^b in build order, that build
+                every power read from r and 1/r by binary powering)};
+    chain       the largest sum of |n| over the factors of an input or
+                a prefactor: the L of ThetaPass's bound.
     """
 
-    __slots__ = ("requests", "inputs", "units", "roots", "chain")
+    __slots__ = ("requests", "walks", "products", "inputs", "thetas",
+                 "prefactors", "roots", "chain")
 
-    def __init__(self, requests, powers=()):
+    def __init__(self, requests, prefactors=()):
         self.requests = tuple(requests)
-        keys = dict.fromkeys((a, m, w) for a, _, m, w, _ in self.requests)
-        powers = [(b, n) for b, n in powers if n]
-        bases = {b for b, _ in powers}
-        for _, m, w in keys:
+        self.walks = list(dict.fromkeys((a, m, w)
+                                        for a, _, m, w, _ in self.requests))
+        prefactors = [[(b, n) for b, n in powers if n]
+                      for powers in prefactors]
+        bases = {b for powers in prefactors for b, _ in powers}
+        for _, m, w in self.walks:
             bases.add((0, m, 4))
             bases.update((i, 1, 2 if i == 0 else 1)
                          for i, k in enumerate(w) if k)
         dens = {}
         for i, _, d in bases:
             dens[i] = math.lcm(dens.get(i, 1), d)
-        self.units = {b: (b[0], b[1] * dens[b[0]] // b[2]) for b in bases}
-        self.inputs = {key: self._inputs(*key) for key in keys}
-        reads = [f for group in self.inputs.values() for f in group]
-        reads += [((self.units[b][0], n * self.units[b][1]),)
-                  for b, n in powers]
+        units = {b: b[1] * dens[b[0]] // b[2] for b in bases}
+        products = {}
+        self.inputs = [tuple(products.setdefault(f, len(products))
+                             for f in _inputs(units, *key))
+                       for key in self.walks]
+        self.products = list(products)
+        index = {key: k for k, key in enumerate(self.walks)}
+        self.thetas = {(a, b, m, w, e): (index[a, m, w], (b + e) % 2,
+                                         a * ((b + e) % 4))
+                       for a, b, m, w, e in self.requests}
+        folded = []
+        for powers in prefactors:
+            sums = {}
+            for b, n in powers:
+                sums[b[0]] = sums.get(b[0], 0) + n * units[b]
+            folded.append(tuple((i, n) for i, n in sorted(sums.items())
+                                if n))
+        self.prefactors = tuple(folded)
         needed = {i: set() for i in dens}
         chain = 0
-        for product in reads:
+        for product in self.products + folded:
             chain = max(chain, sum(abs(n) for _, n in product))
             for i, n in product:
                 needed[i].add(n)
@@ -579,25 +609,25 @@ class PassPlan:
                       for i, d in dens.items()}
         self.chain = chain
 
-    def _inputs(self, a, m, w):
-        """The factors of (t_pos, r_pos, t_neg, r_neg, q2) for _walk:
-        term(h0), term(h0 - 1), their ratios to the next term out, and
-        N^2 = q8^8 for the nome root q8 = (0, m, 4)."""
-        _, q = self.units[0, m, 4]
-        e = {}
-        for i, k in enumerate(w):
-            if k:
-                e[i] = k * self.units[i, 1, 2 if i == 0 else 1][1]
 
-        def product(qn, sign):
-            out = dict((i, sign * n) for i, n in e.items())
-            out[0] = out.get(0, 0) + qn
-            return tuple((i, n) for i, n in sorted(out.items()) if n)
-        if a:
-            return (product(q, 1), product(8 * q, 2), product(q, -1),
-                    product(8 * q, -2), ((0, 8 * q),))
-        return ((), product(4 * q, 2), product(4 * q, -2),
-                product(12 * q, -2), ((0, 8 * q),))
+def _inputs(units, a, m, w):
+    """The factors of (t_pos, r_pos, t_neg, r_neg, q2) for _walk:
+    term(h0), term(h0 - 1), their ratios to the next term out, and
+    N^2 = q8^8 for the nome root q8 = (0, m, 4), over a plan's root
+    units {base: p D_i/d}."""
+    q = units[0, m, 4]
+    e = {i: k * units[i, 1, 2 if i == 0 else 1]
+         for i, k in enumerate(w) if k}
+
+    def product(qn, sign):
+        out = dict((i, sign * n) for i, n in e.items())
+        out[0] = out.get(0, 0) + qn
+        return tuple((i, n) for i, n in sorted(out.items()) if n)
+    if a:
+        return (product(q, 1), product(8 * q, 2), product(q, -1),
+                product(8 * q, -2), ((0, 8 * q),))
+    return ((), product(4 * q, 2), product(4 * q, -2),
+            product(12 * q, -2), ((0, 8 * q),))
 
 
 class ThetaPass:
@@ -610,7 +640,10 @@ class ThetaPass:
     i^(b + e) of its exponential E = e^{pi i (v + (b + e)/2)} turns the
     terms with h - a/2 odd by -1 and all of them by i^a (b + e) times, so
     one walk per (a, m, w) gives every b and e from its even and odd
-    partial sums.  plan is the PassPlan that names them.
+    partial sums.  plan is the PassPlan that names them, and the pass
+    does only what depends on the point: it evaluates each of the plan's
+    distinct products once, walks each sum, and reads every request's
+    theta from its sum.
 
     Each walk takes _stop_step's count for a tail below 2^-prec and
     _guard_bits' g, and the pass runs at wp = prec + max g + c bits,
@@ -630,10 +663,12 @@ class ThetaPass:
     at prec + g bits, which is what g assumes.  No quotient is ever
     taken in fixed point, where a tiny divisor would lose its digits.
     So every theta carries the tail and rounding errors stated in
-    theta_numeric, whatever product built its argument.  A power
-    (base, n) read by power() takes |n| p D_i/d roots and is within
-    that many times 2^(5 - wp) relative, and products of the results
-    (mul, div) round by 2^(2 - wp) relative.
+    theta_numeric, whatever product built its argument.  A prefactor
+    read by read() is one table entry per coordinate, its powers'
+    exponents summed first, so it takes at most the sum over its powers
+    (base, n) of |n| p D_i/d roots, at most L, and is within L 2^(5 - wp)
+    relative, as a walk input is; products and quotients of the results
+    (qseries._mul, _div at the pass's wp) round by 2^(2 - wp) relative.
     """
 
     def __init__(self, coords, plan):
@@ -646,51 +681,54 @@ class ThetaPass:
         self.prec = mp.prec
         y = to_float(tau._mpc_[1])
         ims = [y / 2] + [to_float(z._mpc_[1]) for z in coords[1:]]
-        steps = {}
+        steps = []
         guard = 0
-        for a, m, w in plan.inputs:
+        for a, m, w in plan.walks:
             u = math.fsum(k * v for k, v in zip(w, ims))
-            n = steps[a, m, w] = _stop_step(a, m * y, u, log_err)
+            n = _stop_step(a, m * y, u, log_err)
+            steps.append(n)
             guard = max(guard, _guard_bits(a, m * y, u, n))
         self.wp = wp = self.prec + guard + (32 * plan.chain).bit_length()
-        self._tables = {i: _powers(_root(coords[i], d, wp), *table, wp)
-                        for i, (d, *table) in plan.roots.items()}
-        self._sums = {
-            key: _walk(n, *(_fixed(self._product(f), wp)
-                            for f in plan.inputs[key]), wp)
-            for key, n in steps.items()}
-
-    def _product(self, factors):
-        """The product of the table entries r_i^n of factors (i, n)."""
-        return self.mul(*(self._tables[i][n] for i, n in factors))
+        self._tables = tables = {
+            i: _powers(_root(coords[i], d, wp), *table, wp)
+            for i, (d, *table) in plan.roots.items()}
+        fixed = []
+        for product in plan.products:
+            x = ONE
+            if product:
+                (i, n), *rest = product
+                x = tables[i][n]
+                for i, n in rest:
+                    x = _mul(x, tables[i][n], wp)
+            fixed.append(_fixed(x, wp))
+        self._sums = sums = []
+        for n, (t_pos, r_pos, t_neg, r_neg, q2) in zip(steps, plan.inputs):
+            sums.append(_walk(n, fixed[t_pos], fixed[r_pos], fixed[t_neg],
+                              fixed[r_neg], fixed[q2], wp))
+        self._thetas = thetas = {}
+        for request, (k, odd, turns) in plan.thetas.items():
+            (re, im), (odd_re, odd_im) = sums[k]
+            if odd:
+                re, im = re - odd_re, im - odd_im
+            else:
+                re, im = re + odd_re, im + odd_im
+            if turns % 2:
+                re, im = -im, re
+            if turns > 1:
+                re, im = -re, -im
+            thetas[request] = (re, im, -wp)
 
     def theta(self, request):
         """theta_ab(m tau, v + e/2) of a planned request (a, b, m, w, e)."""
-        a, b, m, w, e = request
-        (er, ei), (odd_r, odd_i) = self._sums[a, m, w]
-        p = (b + e) % 4
-        if p % 2:
-            re, im = er - odd_r, ei - odd_i
-        else:
-            re, im = er + odd_r, ei + odd_i
-        for _ in range(a * p):
-            re, im = -im, re
-        return re, im, -self.wp
+        return self._thetas[request]
 
-    def power(self, b, n):
-        """e^{pi i n c x} for a planned power (b, n) of the base
-        b = (i, p, d), x = coords[i] and c = p/d."""
-        i, k = self.plan.units[b]
-        return self._tables[i][n * k]
-
-    def mul(self, *factors):
-        """The product of values, ONE for none."""
+    def read(self, factors):
+        """The product of the table entries r_i^n of factors (i, n), one
+        of the plan's prefactors: ONE for none."""
         if not factors:
             return ONE
-        out = factors[0]
-        for x in factors[1:]:
-            out = _mul(out, x, self.wp)
-        return out
-
-    def div(self, x, y):
-        return _div(x, y, self.wp)
+        (i, n), *rest = factors
+        x = self._tables[i][n]
+        for i, n in rest:
+            x = _mul(x, self._tables[i][n], self.wp)
+        return x

@@ -30,6 +30,9 @@ the series it names.  reduction_params_scan is the reduction suite's
 scan as it ran before it read the heart ranges: every level tuple up to
 M + 1, kept where ReductionParams does not raise.  They are the oracles
 of the cancelling comparison and of the in-range scan.
+reduction_hs_fractions is characters.reduction_hs on Fractions, term by
+term, as it ran before it computed h and s on ints: the oracle of the
+int form.
 
 lstsq_min_norm_mp is the least-squares fit that span_closure ran
 before it certified with the predicted matrices, on mpmath matrices,
@@ -39,7 +42,11 @@ oracle that rediscovers predicted_s_matrix and predicted_t_matrix.
 binary_power raises an mpmath exponential of its own by square and
 multiply, as ThetaPass raised each base per request before it built
 one power table per pass from one root per coordinate, the oracle of
-the table.
+the table.  walk_sums feeds each walk of a pass its inputs one walk at
+a time, each the product of its table entries in factor order, and
+theta_read reads a request's theta from its walk by parity and quarter
+turns, both as ThetaPass did before its PassPlan was compiled: the
+oracles of the compiled products and reads.
 
 theta_factors, expand_rational and quotient_expand are the listing and
 the expansion front as they ran before ThetaQuotient.expand listed each
@@ -58,6 +65,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from mpmath import mp
+from mpmath.libmp import to_float
 
 from thetachar.characters import (BLOCK_SIGNS, HEARTS, ReductionParams,
                                   dd_indices, sign_eps)
@@ -66,12 +74,12 @@ from thetachar.mockpsi import (HALF, POLE_THRESHOLD, PoleProximityError,
 from thetachar.modular import FamilyPlan, _mpc_any
 from thetachar.qseries import (ONE, CoefficientRingError,
                                GaussianRational, JacobiSeries,
-                               UntrustedOrderError, _div, _from_mpc, _lcm,
-                               _mul, equal_to_order, expand, mul,
+                               UntrustedOrderError, _div, _fixed, _from_mpc,
+                               _lcm, _mul, equal_to_order, expand, mul,
                                restrict_window, to_mpc)
 from thetachar.theta import (_GATE, _N_CAP, PassPlan, TailBoundError,
-                             ThetaPass, ThetaQuotient, eta_request,
-                             theta_key)
+                             ThetaPass, ThetaQuotient, _stop_step, _walk,
+                             eta_request, theta_key)
 
 
 def truncate(a, q_order):
@@ -244,10 +252,71 @@ def eta_numeric(tau):
     q^{1/24} sum_n (-1)^n q^{n(3n-1)/2}, which is
     e^{pi i tau/12} theta_01(3 tau, -tau/2) and is walked as that
     lattice sum, with theta_numeric's tail and rounding bounds."""
-    tp = ThetaPass((mp.mpc(tau),),
-                   PassPlan([eta_request(1, 0)], [((0, 1, 12), 1)]))
-    return to_mpc(tp.mul(tp.power((0, 1, 12), 1),
-                         tp.theta(eta_request(1, 0))))
+    plan = PassPlan([eta_request(1, 0)], [[((0, 1, 12), 1)]])
+    tp = ThetaPass((mp.mpc(tau),), plan)
+    return to_mpc(_mul(tp.read(plan.prefactors[0]),
+                       tp.theta(eta_request(1, 0)), tp.wp))
+
+
+def walk_inputs(roots, a, m, w):
+    """The factors (i, n) of the four inputs and the q^2 of walk
+    (a, m, w), over the roots r_i = e^{pi i x_i/D_i}, D_i = roots[i][0],
+    listed per walk as PassPlan listed them before it compiled the
+    distinct products."""
+    dens = {i: d for i, (d, *_) in roots.items()}
+    q = m * dens[0] // 4
+    e = {i: k * (dens[0] // 2 if i == 0 else dens[i])
+         for i, k in enumerate(w) if k}
+
+    def product(qn, sign):
+        out = {i: sign * n for i, n in e.items()}
+        out[0] = out.get(0, 0) + qn
+        return tuple((i, n) for i, n in sorted(out.items()) if n)
+    if a:
+        return (product(q, 1), product(8 * q, 2), product(q, -1),
+                product(8 * q, -2), ((0, 8 * q),))
+    return ((), product(4 * q, 2), product(4 * q, -2),
+            product(12 * q, -2), ((0, 8 * q),))
+
+
+def walk_sums(tp):
+    """The (even, odd) partial sums of each walk of tp's plan, in its
+    order, fed as ThetaPass fed them before its plan was compiled: per
+    walk, each input the product of tp's table entries in factor order
+    (walk_inputs), made fixed point, at the pass's step counts."""
+    log_err = -tp.prec * math.log(2)
+    y = to_float(tp.coords[0]._mpc_[1])
+    ims = [y / 2] + [to_float(z._mpc_[1]) for z in tp.coords[1:]]
+    out = []
+    for a, m, w in tp.plan.walks:
+        u = math.fsum(k * v for k, v in zip(w, ims))
+        inputs = []
+        for factors in walk_inputs(tp.plan.roots, a, m, w):
+            x = ONE
+            if factors:
+                x = tp._tables[factors[0][0]][factors[0][1]]
+                for i, n in factors[1:]:
+                    x = _mul(x, tp._tables[i][n], tp.wp)
+            inputs.append(_fixed(x, tp.wp))
+        out.append(_walk(_stop_step(a, m * y, u, log_err), *inputs, tp.wp))
+    return out
+
+
+def theta_read(sums, request):
+    """theta_ab(m tau, v + e/2) of request (a, b, m, w, e) from its
+    walk's (even, odd) sums, as ThetaPass.theta read it before the plan
+    resolved each request: the odd sum added or, for b + e odd,
+    subtracted, then turned a (b + e) mod 4 times by i."""
+    a, b, _, _, e = request
+    (er, ei), (odd_r, odd_i) = sums
+    p = (b + e) % 4
+    if p % 2:
+        re, im = er - odd_r, ei - odd_i
+    else:
+        re, im = er + odd_r, ei + odd_i
+    for _ in range(a * p):
+        re, im = -im, re
+    return re, im
 
 
 def binary_power(x, c, n, wp):
@@ -347,6 +416,34 @@ def reduction_params_scan(M, ms):
             except ValueError:
                 continue
             yield params
+
+
+def reduction_hs_fractions(params):
+    """characters.reduction_hs as it ran before it computed on ints:
+    each term a Fraction, with m/M and the half-integers a, b."""
+    p = params
+    mM = Fraction(p.m, p.M)
+    k1, k2, m2 = p.k1, p.k2, p.m2
+    if not p.twisted:
+        if p.heart in ("I", "IV"):
+            s = -mM * k2 + m2
+        else:
+            s = mM * k2 - m2 - 2
+        if p.heart in ("I", "III"):
+            a, b = k1 + HALF, k1 + k2 + HALF
+        else:
+            a, b = k1 - HALF, k1 + k2 - HALF
+        h = -mM * a * b + (m2 + 1) * a - (-mM + 2) / 4
+        return (h, s)
+    if p.heart in ("I", "IV"):
+        s = mM * (k2 + 1) - m2 - 1
+    else:
+        s = -mM * (k2 - 1) + m2 + 1
+    a = {"I": k1, "II": k1, "III": k1 + 1, "IV": k1 - 1}[p.heart]
+    b = {"I": k1 + k2 + 1, "II": k1 + k2 - 1,
+         "III": k1 + k2, "IV": k1 + k2}[p.heart]
+    h = -mM * a * b + (m2 + 1) * a - (-mM + 1) / 4
+    return (h, s)
 
 
 def appell_terms(m, s, tau, z1, z2, j_cutoff):

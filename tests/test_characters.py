@@ -26,8 +26,10 @@ from thetachar.characters import (
     reduction_hs,
     vanishes,
 )
-from thetachar.suites import _m2_closed_ratio
+from thetachar.suites import _m2_closed_ratio, _reduction_params
 from thetachar.theta import ThetaQuotient, theta_shifted
+
+from oracles import reduction_hs_fractions
 
 HALF = F(1, 2)
 
@@ -333,6 +335,15 @@ class TestReduction:
     def test_h_s_pinned_twisted(self):
         got = reduction_hs(ReductionParams(2, 1, 0, 0, 1, "III", True))
         assert got == (F(3, 8), F(1))
+
+    def test_h_s_match_the_fraction_form(self):
+        # every in-range tuple up to M = 11, m = 5: 20,240 of them
+        n = 0
+        for M in range(1, 12):
+            for p in _reduction_params(M, range(1, 6)):
+                assert reduction_hs(p) == reduction_hs_fractions(p), p
+                n += 1
+        assert n == 20240
 
     def test_heart_equivalences(self):
         # shifting k1 by one trades heart I for IV and III for II

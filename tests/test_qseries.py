@@ -19,6 +19,7 @@ from thetachar.qseries import (
     dumps_canonical,
     equal_to_order,
     eval_numeric,
+    eval_points,
     expand,
     mul,
     product,
@@ -718,6 +719,38 @@ class TestEvalNumeric:
 
     def test_empty_series_is_zero(self):
         assert eval_numeric(poly(3), mpc(0, 1), 0) == 0
+
+    @settings(max_examples=20, deadline=None)
+    @given(q_den=st.sampled_from([1, 2, 8, 24]),
+           x_den=st.sampled_from([1, 2, 6]),
+           terms=st.dictionaries(
+               st.tuples(st.integers(-12, 200), st.integers(-40, 40)),
+               st.tuples(st.fractions(-9, 9, max_denominator=7),
+                         st.integers(-3, 3)),
+               min_size=1, max_size=30),
+           points=st.lists(st.tuples(
+               st.tuples(st.floats(-0.5, 0.5), st.floats(0.3, 1.5)),
+               st.tuples(st.floats(-0.5, 0.5), st.floats(-1.5, 1.5))),
+               min_size=1, max_size=4))
+    def test_points_match_the_per_term_oracle(self, q_den, x_den, terms,
+                                              points):
+        # a series planned once and evaluated at several points: each
+        # value is the one-point call's, bit for bit, and within the
+        # stated 2^(1 - prec) sum |c q^e x^f| of the per-term oracle
+        mp.dps = 40
+        s = JacobiSeries(q_den, x_den, 200,
+                         {k: GaussianRational(*v) for k, v in terms.items()})
+        points = [(mpc(*tau), mpc(*z)) for tau, z in points]
+        got = eval_points(s, points)
+        assert len(got) == len(points)
+        for value, (tau, z) in zip(got, points):
+            assert value == eval_numeric(s, tau, z)
+            with mp.workprec(2 * mp.prec):
+                want = eval_numeric_per_term(s, tau, z)
+                size = sum(abs(complex(v.re, v.im)) * abs(mp.exp(
+                    2j * mp.pi * (tau * qn / q_den + z * xn / x_den)))
+                    for (qn, xn), v in s.c.items())
+            assert abs(value - want) <= mp.mpf(2) ** (1 - mp.prec) * size
 
 
 class TestSerialization:

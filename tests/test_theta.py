@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp, mpc
 
 import thetachar.mockpsi as mockpsi_module
+import thetachar.modular as modular_module
 import thetachar.qseries as qseries_module
 import thetachar.theta as theta_module
 
@@ -25,8 +26,8 @@ from thetachar.qseries import (
     product,
     scale_monomial,
 )
-from thetachar.mockpsi import (HALF, PsiParams, phi_a11_numeric, psi_numeric,
-                               psi_plan)
+from thetachar.mockpsi import (HALF, PsiParams, PsiPlan, phi_a11_numeric,
+                               psi_numeric, psi_plan)
 from thetachar.modular import (FamilyPlan, default_points,
                                denominator_numeric, family_members)
 from thetachar.suites import _m2_closed_ratio
@@ -47,7 +48,7 @@ from oracles import (binary_power, coefficient, cross_multiplied_equals,
                      gated_stop_step,
                      mpf_stop_step, q_valuation_bound, quotient_expand,
                      shifted_theta_sum, subst_scale_tau, subst_scale_z,
-                     theta_factors, truncate)
+                     theta_factors, theta_read, truncate, walk_sums)
 
 LABELS = ("00", "01", "10", "11")
 
@@ -765,13 +766,15 @@ class TestThetaPass:
         coords = (mpc(p.tau), mpc(p.z1))
         b = {"nome": (0, m, 4), "tau": (0, 1, 2 * M),
              "z": (1, 1, M)}[kind]
-        family = FamilyPlan(M, family_members(M, statement))
-        plan = PassPlan(family.plan.requests,
-                        [x for (_, powers), _ in family.blocks
-                         for x in powers] + [(b, n)])
+        members = family_members(M, statement)
+        plan = PassPlan(FamilyPlan(M, members).plan.requests,
+                        [psi_plan(PsiParams(M, j1, j2, *block), (1,),
+                                  (1,))[1]
+                         for block, (j1, j2) in members] + [[(b, n)]])
         tp = ThetaPass(coords, plan)
-        roots = abs(n) * plan.units[b][1]
-        got = tp.power(b, n)
+        (_, k), = plan.prefactors[-1]
+        roots = abs(k)
+        got = tp.read(plan.prefactors[-1])
         want = binary_power(coords[b[0]], F(b[1], b[2]), n, tp.wp)
         with mp.workprec(2 * tp.wp):
             rel = abs(to_mpc(got) - to_mpc(want)) / abs(to_mpc(want))
@@ -780,6 +783,37 @@ class TestThetaPass:
             exact = mp.exp(1j * mp.pi * n * b[1] * coords[b[0]] / b[2])
             assert abs(to_mpc(got) / exact - 1) < \
                 roots * mp.ldexp(1, 4 - tp.wp)
+
+    def test_compiled_walks_match_per_walk_inputs(self):
+        # each distinct product evaluated once and shared by the walks
+        # that take it gives every walk the sums it has when fed its own
+        # five inputs, bit for bit: the six benchmark families, the
+        # denominators' plan and an off-diagonal block, at three points
+        mp.dps = DEFAULT_DPS
+        plans = [(FamilyPlan(M, family_members(M, st)).plan, True)
+                 for M, st in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 2),
+                               (4, 2))]
+        plans += [(modular_module._DEN_PLAN, True),
+                  (PsiPlan([PsiParams(3, HALF + 1, -HALF, HALF, HALF)],
+                           False).plan, False)]
+        for plan, diagonal in plans:
+            assert len(plan.products) < sum(map(len, plan.inputs))
+            for p in default_points(3, diagonal=diagonal, seed=5):
+                coords = (mpc(p.tau), mpc(p.z1))
+                tp = ThetaPass(coords if diagonal else coords + (mpc(p.z2),),
+                               plan)
+                assert tp._sums == walk_sums(tp)
+
+    def test_each_read_matches_parity_and_quarter_turns(self):
+        # every a, b and e, read from the pass's own walk sums
+        mp.dps = DEFAULT_DPS
+        requests = [(a, b, m, (w, 1), e) for a in (0, 1) for b in (0, 1)
+                    for m, w in ((1, 0), (3, 2)) for e in range(-5, 6)]
+        tp = ThetaPass((mpc("0.1", "1.1"), mpc("0.13", "0.2")),
+                       PassPlan(requests))
+        for r in requests:
+            walk = tp.plan.walks.index((r[0], r[2], r[3]))
+            assert tp.theta(r) == theta_read(tp._sums[walk], r) + (-tp.wp,)
 
     def test_one_exponential_per_coordinate(self, monkeypatch):
         # a family pass takes one exponential for tau and one for z,
