@@ -689,18 +689,9 @@ class ThetaPass:
             steps.append(n)
             guard = max(guard, _guard_bits(a, m * y, u, n))
         self.wp = wp = self.prec + guard + (32 * plan.chain).bit_length()
-        self._tables = tables = {
-            i: _powers(_root(coords[i], d, wp), *table, wp)
-            for i, (d, *table) in plan.roots.items()}
-        fixed = []
-        for product in plan.products:
-            x = ONE
-            if product:
-                (i, n), *rest = product
-                x = tables[i][n]
-                for i, n in rest:
-                    x = _mul(x, tables[i][n], wp)
-            fixed.append(_fixed(x, wp))
+        self._tables = {i: _powers(_root(coords[i], d, wp), *table, wp)
+                        for i, (d, *table) in plan.roots.items()}
+        fixed = [_fixed(self.read(product), wp) for product in plan.products]
         self._sums = sums = []
         for n, (t_pos, r_pos, t_neg, r_neg, q2) in zip(steps, plan.inputs):
             sums.append(_walk(n, fixed[t_pos], fixed[r_pos], fixed[t_neg],
@@ -723,8 +714,9 @@ class ThetaPass:
         return self._thetas[request]
 
     def read(self, factors):
-        """The product of the table entries r_i^n of factors (i, n), one
-        of the plan's prefactors: ONE for none."""
+        """The product of the table entries r_i^n of factors (i, n), in
+        their order, of one of the plan's products or prefactors: ONE
+        for none."""
         if not factors:
             return ONE
         (i, n), *rest = factors
