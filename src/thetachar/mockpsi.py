@@ -25,15 +25,15 @@ psi_pair_ratio the general (j, k) quotient straight from the closed
 form, both as theta.ThetaQuotient.  Their agreement at j = k is a
 nontrivial internal cross-check exercised by the test suite.
 
-A PsiPlan finds once what several blocks take at any point (psi_plan)
-and evaluates their closed forms at each point in one theta.ThetaPass
-(psi_value): their theta_11, eta(M tau) and prefactors all come from
-the pass's power tables of its shared exponentials.  A prefactor, a
-product of integer powers of e^{pi i tau/(2M)}, e^{pi i z/M} and the
-nome root e^{pi i M tau/4}, is folded by the plan into one table read
-per coordinate, and the blocks, all of one level, share one eta(M tau)
-walk whose cube the pass takes once.  psi_numeric is its one-shot,
-one-block case.
+A PsiPlan, the one evaluation of the blocks (psi_numeric is its
+one-block case), finds once what blocks of one level take at any point
+(psi_plan) and evaluates them at each point in one theta.ThetaPass:
+their theta_11, eta(M tau), prefactors and, if planned, denominators
+R^{(eps)}_{eps'}(tau, z) all come from the pass's power tables of its
+shared exponentials.  A prefactor, a product of integer powers of
+e^{pi i tau/(2M)}, e^{pi i z/M} and the nome root e^{pi i M tau/4}, is
+folded into one table read per coordinate, and the blocks share one
+eta(M tau) walk whose cube the pass takes once.
 
 phi_a11_numeric is the two-variable Appell-type sum
 
@@ -70,9 +70,9 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .qseries import ONE, _div, _mul, _root, _sum, modulus, to_mpc
-from .theta import (PassPlan, TailBoundError, ThetaPass, ThetaQuotient,
-                    eta_request, theta_key)
+from .qseries import ONE, _div, _from_mpc, _mul, _root, _sum, modulus, to_mpc
+from .theta import (THETA_LABELS, PassPlan, TailBoundError, ThetaPass,
+                    ThetaQuotient, eta_request, theta_key)
 
 HALF = Fraction(1, 2)
 
@@ -112,6 +112,12 @@ class PsiParams:
 
 
 def _guard_pole(value, what):
+    # a nonzero value of binary magnitude bitlen(|re| | |im|) + e >= -18
+    # has modulus >= 2^-19 > POLE_THRESHOLD: only smaller ones take a float
+    re, im, e = value
+    top = (abs(re) | abs(im)).bit_length()
+    if top and top + e >= -18:
+        return value
     size = modulus(value)
     if size < POLE_THRESHOLD:
         raise PoleProximityError(
@@ -132,46 +138,83 @@ def _mpc_any(v):
 
 def psi_numeric(params, tau, z1, z2, t):
     """Psi^{[M,1;eps]}_{j,k;eps'}(tau, z1, z2, t) from the closed form:
-    the one-block, one-shot PsiPlan, on the diagonal where z1 = z2."""
-    diagonal = _mpc_any(z1) == _mpc_any(z2)
-    return PsiPlan([params], diagonal).values(tau, z1, z2, t)[0]
+    the one-block PsiPlan, on the diagonal where z1 = z2, at t = 0, times
+    e^{-2 pi i t/M}."""
+    tau, z1, z2, t = (_mpc_any(v) for v in (tau, z1, z2, t))
+    coords = (tau, z1) if z1 == z2 else (tau, z1, z2)
+    value, = PsiPlan([params], z1 == z2).values(coords)
+    return (mp.exp(-2j * mp.pi * t / params.M) if t else 1) * to_mpc(value)
+
+
+# the four theta_ab(tau, z) at coordinates (tau, z), in THETA_LABELS order:
+# the denominators of a PsiPlan, and one on its own for denominator_numeric
+_DEN_PLAN = PassPlan((int(lab[0]), int(lab[1]), 1, (0, 1), 0)
+                     for lab in THETA_LABELS)
+
+
+def _den_value(tp, d, sign):
+    """R^{(eps)}_{eps'}(tau, z): -i (sign +) or +i (sign -) times the
+    three theta_ab(tau, z) of _DEN_PLAN other than theta_d over theta_d."""
+    thetas = dict(zip(THETA_LABELS, map(tp.theta, _DEN_PLAN.requests)))
+    den = _guard_pole(thetas.pop(d), "theta_%s" % d)
+    x, y, z = thetas.values()
+    re, im, e = _div(_mul(_mul(x, y, tp.wp), z, tp.wp), den, tp.wp)
+    return (im, -re, e) if sign == "+" else (-im, re, e)
 
 
 class PsiPlan:
     """What blocks, all of one level M, take at any point, found once:
     each block's psi_plan, compiled into the PassPlan of them all, for
-    points on the diagonal z1 = z2 (one z-coordinate) or off it (two).
-    blocks holds each block's (num, den1, den2) requests and folded
-    prefactor, and eta the request of their shared eta(M tau)."""
+    points on the diagonal z1 = z2 or off it.  dens, on the diagonal,
+    names the R each block is divided by (_den_value), one (d, sign) per
+    block, and appends _DEN_PLAN's requests.  blocks holds each block's
+    (num, den1, den2) requests, folded prefactor and (d, sign) or None,
+    and eta the request of their shared eta(M tau)."""
 
-    def __init__(self, blocks, diagonal):
+    def __init__(self, blocks, diagonal, dens=None):
         self.M = blocks[0].M
         if any(p.M != self.M for p in blocks):
             raise ValueError("a PsiPlan's blocks must share one level M")
         self.diagonal = diagonal
         zw = ((1,), (1,)) if diagonal else ((1, 0), (0, 1))
         plans = [psi_plan(p, *zw) for p in blocks]
-        self.plan = PassPlan([r for requests, _ in plans for r in requests],
-                             [powers for _, powers in plans])
+        self.plan = PassPlan(
+            [r for requests, _ in plans for r in requests]
+            + list(_DEN_PLAN.requests if dens is not None else ()),
+            [powers for _, powers in plans])
         self.eta = plans[0][0][3]
-        self.blocks = [(requests[:3], read) for (requests, _), read
-                       in zip(plans, self.plan.prefactors)]
+        self.blocks = [(requests[:3], read, den) for (requests, _), read, den
+                       in zip(plans, self.plan.prefactors,
+                              dens or [None] * len(blocks))]
 
-    def values(self, tau, z1, z2, t):
-        """The blocks at (tau, z1, z2, t) from one ThetaPass at (tau, z1)
-        or (tau, z1, z2).  Each of their thetas, and eta(M tau), carries
+    def values(self, coords, factor=None):
+        """The blocks at t = 0, each over its R if planned and over factor
+        (an mpc) if given, from one ThetaPass at coords, (tau, z) or
+        (tau, z1, z2).  Each theta, eta(M tau) included, carries
         theta_numeric's tail and rounding errors, its argument being a
-        product of the pass's bases; the prefactor and the quotient add a
-        relative rounding of a few units of 2^-prec."""
-        tau, z1, z2, t = (_mpc_any(v) for v in (tau, z1, z2, t))
-        if self.diagonal and z1 != z2:
-            raise ValueError("a diagonal PsiPlan needs z1 = z2")
-        tp = ThetaPass((tau, z1) if self.diagonal else (tau, z1, z2),
-                       self.plan)
-        cube = eta_cube(tp, self.eta)
-        phase = mp.exp(-2j * mp.pi * t / self.M) if t else 1
-        return [phase * to_mpc(psi_value(tp, requests, read, cube))
-                for requests, read in self.blocks]
+        product of the pass's bases; the prefactor, the quotients and
+        factor add a relative rounding of a few units of 2^-prec."""
+        if len(coords) != 3 - self.diagonal:
+            raise ValueError("a PsiPlan takes (tau, z) on the diagonal, "
+                             "(tau, z1, z2) off it")
+        tp = ThetaPass(coords, self.plan)
+        wp = tp.wp
+        f = ONE if factor is None else _from_mpc(factor._mpc_, wp)
+        eta = tp.theta(self.eta)
+        cube = _mul(_mul(eta, eta, wp), eta, wp)
+        dens = {} if factor is None else {None: f}
+        out = []
+        for requests, read, key in self.blocks:
+            num, den1, den2 = (tp.theta(r) for r in requests)
+            _guard_pole(den1, "theta_11(z1 + j tau + eps)")
+            _guard_pole(den2, "theta_11(z2 + k tau - eps)")
+            re, im, e = _div(_mul(_mul(tp.read(read), cube, wp), num, wp),
+                             _mul(den1, den2, wp), wp)
+            if key is not None and key not in dens:
+                dens[key] = _mul(_den_value(tp, *key), f, wp)
+            out.append(_div((im, -re, e), dens[key], wp) if key in dens
+                       else (im, -re, e))
+        return out
 
 
 def psi_plan(p, zw1, zw2):
@@ -179,8 +222,9 @@ def psi_plan(p, zw1, zw2):
     ThetaPass requests, theta_11(M tau, .) at z1 + z2 + (j + k) tau,
     z1 + j tau + eps and z2 + k tau - eps, and eta(M tau); and the
     nonzero powers (base, n) whose product is its prefactor
-    e^{2 pi i (tau jk + k z1 + j z2)/M} e^{pi i M tau/4}.  zw1 and zw2
-    give z1 and z2 over the pass's z-coordinates."""
+    e^{2 pi i (tau jk + k z1 + j z2)/M} e^{pi i M tau/4}, which makes
+    the cube of the eta walk eta(M tau)^3.  zw1 and zw2 give z1 and z2
+    over the pass's z-coordinates."""
     j2, k2, e2 = int(2 * p.j), int(2 * p.k), int(2 * p.eps)
     both = tuple(a + b for a, b in zip(zw1, zw2))
     requests = ((1, 1, p.M, (j2 + k2,) + both, 0),
@@ -191,27 +235,6 @@ def psi_plan(p, zw1, zw2):
     powers += [((i, 1, p.M), k2 * a + j2 * b)
                for i, (a, b) in enumerate(zip(zw1, zw2), 1)]
     return requests, tuple((b, n) for b, n in powers if n)
-
-
-def eta_cube(tp, request):
-    """eta(M tau)^3 e^{-pi i M tau/4} of a ThetaPass: the cube of its
-    walk of eta_request(M, .), which the prefactor's nome root makes
-    eta(M tau)^3."""
-    eta = tp.theta(request)
-    return _mul(_mul(eta, eta, tp.wp), eta, tp.wp)
-
-
-def psi_value(tp, requests, prefactor, cube):
-    """A block at t = 0 from a ThetaPass planned with its psi_plan: -i
-    times its folded prefactor read, the pass's eta cube (eta_cube) and
-    the quotient of the thetas of requests (num, den1, den2)."""
-    num, den1, den2 = (tp.theta(r) for r in requests)
-    _guard_pole(den1, "theta_11(z1 + j tau + eps)")
-    _guard_pole(den2, "theta_11(z2 + k tau - eps)")
-    wp = tp.wp
-    re, im, e = _div(_mul(_mul(tp.read(prefactor), cube, wp), num, wp),
-                     _mul(den1, den2, wp), wp)
-    return im, -re, e
 
 
 def psi_diag_ratio(params):

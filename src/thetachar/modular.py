@@ -33,16 +33,13 @@ rounding stated.  No fit enters, so a family that is not independent
 t_law_on_series checks the T law exactly on the members' series.
 
 All evaluations use the ambient mpmath precision; callers scope it
-with mp.workdps.  span_closure plans its family once (FamilyPlan: the
-blocks, their requests and folded prefactors, compiled into one
-theta.PassPlan) and evaluates it at each sample point and each side of
-the transform in one theta.ThetaPass at that side's own coordinates:
-every theta, eta and prefactor of its members comes from the pass's own
-exponentials, one per coordinate, each distinct lattice sum is walked
-once, the members share one eta cube, and the S side divides out its
-elliptic factor as one pass value.
-denominator_numeric (on one plan, _DEN_PLAN, built at import) is the
-same evaluation converted to mpmath.
+with mp.workdps.  mockpsi.PsiPlan evaluates every block.  span_closure
+plans its family once, the members' blocks each over its denominator R,
+and evaluates it at each sample point and each side of the transform in
+one theta.ThetaPass at that side's own coordinates: every theta, eta,
+prefactor and R of its members comes from the pass's own exponentials,
+one per coordinate, and the S side divides out its elliptic factor as
+one pass value.  denominator_numeric is one R on its own.
 """
 
 from __future__ import annotations
@@ -55,11 +52,10 @@ from mpmath import mp
 
 from .characters import (denominator, denominator_label, sector_eps_prime,
                          sign_eps)
-from .mockpsi import (HALF, PsiParams, PsiPlan, _guard_pole, _mpc_any,
-                      eta_cube, psi_pair_ratio, psi_plan, psi_value)
-from .qseries import (ONE, JacobiSeries, _div, _fixed, _from_mpc, _mul, _top,
-                      modulus, to_mpc)
-from .theta import THETA_LABELS, PassPlan, ThetaPass, eta_request
+from .mockpsi import (_DEN_PLAN, HALF, PsiParams, PsiPlan, _den_value,
+                      _mpc_any, psi_pair_ratio)
+from .qseries import JacobiSeries, _fixed, _from_mpc, _top, modulus, to_mpc
+from .theta import ThetaPass
 
 IM_TAU_FLOOR = 0.3
 
@@ -196,8 +192,9 @@ def block_law_residual(blocks, law, pts):
     for p in pts:
         tau, z1, z2, t = (_mpc_any(v) for v in (p.tau, p.z1, p.z2, p.t))
         *side, t = coordinates(tau, z1, z2, t)
-        lhs = lhs_plan.values(*side, t)
-        values = iter(rhs_plan.values(tau, z1, z2, t))
+        phase = mp.exp(-2j * mp.pi * t / M) if t else 1
+        lhs = [phase * to_mpc(v) for v in lhs_plan.values(tuple(side))]
+        values = (phase * to_mpc(v) for v in rhs_plan.values((tau, z1, z2)))
         f = factor(M, tau, z1, z2) if factor else 1
         for row, left in zip(terms, lhs):
             first, *rest = (next(values) * roots[r] for _, _, r in row)
@@ -206,25 +203,10 @@ def block_law_residual(blocks, law, pts):
 
 
 def denominator_numeric(sign, sector, tau, z):
-    """R^{(eps)}_{eps'}(tau, z) as the three-thetas-over-one quotient, the
-    one-denominator ThetaPass."""
+    """R^{(eps)}_{eps'}(tau, z) as the three-thetas-over-one quotient
+    (mockpsi._den_value): one denominator, from one pass of _DEN_PLAN."""
     tp = ThetaPass((_mpc_any(tau), _mpc_any(z)), _DEN_PLAN)
-    return to_mpc(_den_value(tp, sign, sector))
-
-
-# the plan of the four theta_ab(tau, z) at coordinates (tau, z), built
-# once for every denominator_numeric
-_DEN_PLAN = PassPlan((int(lab[0]), int(lab[1]), 1, (0, 1), 0)
-                     for lab in THETA_LABELS)
-
-
-def _den_value(tp, sign, sector):
-    d = denominator_label(sign, sector)
-    thetas = dict(zip(THETA_LABELS, map(tp.theta, _DEN_PLAN.requests)))
-    den = _guard_pole(thetas.pop(d), "theta_%s" % d)
-    x, y, z = thetas.values()
-    re, im, e = _div(_mul(_mul(x, y, tp.wp), z, tp.wp), den, tp.wp)
-    return (im, -re, e) if sign == "+" else (-im, re, e)
+    return to_mpc(_den_value(tp, denominator_label(sign, sector), sign))
 
 
 def _den_image(block, which):
@@ -297,42 +279,6 @@ def member_id(member):
 def _block_sign_sector(block):
     eps, eps_p = block
     return ("+" if eps == HALF else "-", "NS" if eps_p == HALF else "R")
-
-
-class FamilyPlan:
-    """What the members Psi_{j1,j2}/R take at any point, found once: each
-    member's psi_plan and denominator, compiled into the PassPlan of
-    them all.  blocks holds each member's (num, den1, den2) requests,
-    folded prefactor and denominator, and eta the request of the
-    members' shared eta(M tau)."""
-
-    def __init__(self, M, members):
-        plans = [psi_plan(PsiParams(M, j1, j2, *block), (1,), (1,))
-                 for block, (j1, j2) in members]
-        self.plan = PassPlan(
-            [r for requests, _ in plans for r in requests]
-            + list(_DEN_PLAN.requests),
-            [powers for _, powers in plans])
-        self.eta = eta_request(M, 1)
-        self.blocks = [(requests[:3], read, _block_sign_sector(block))
-                       for (requests, _), read, (block, _)
-                       in zip(plans, self.plan.prefactors, members)]
-
-    def values(self, tau, z, factor=None):
-        """The members at the diagonal point (tau, z), each divided by
-        factor (an mpc, 1 by default), as values of one ThetaPass."""
-        tp = ThetaPass((tau, z), self.plan)
-        wp = tp.wp
-        f = ONE if factor is None else _from_mpc(factor._mpc_, wp)
-        cube = eta_cube(tp, self.eta)
-        dens = {}
-        out = []
-        for requests, read, key in self.blocks:
-            psi = psi_value(tp, requests, read, cube)
-            if key not in dens:
-                dens[key] = _mul(_den_value(tp, *key), f, wp)
-            out.append(_div(psi, dens[key], wp))
-        return out
 
 
 def _member_image(M, member, which):
@@ -489,6 +435,8 @@ def span_closure(M, statement, transform, points):
     No fit enters: P is exhibited, so a small residual shows closure
     whether or not the members are independent.
 
+    The members are one PsiPlan, each block over its R, named by its
+    theta label d and sign, and take one ThetaPass per point and side.
     The sums run on the passes' values (_residual) with
     wp = prec + bitlen(18 M + 2 n + 1) + 20 fraction bits, n members, and
     P computed at wp bits: 19 bits more than the bound below needs, so
@@ -518,17 +466,20 @@ def span_closure(M, statement, transform, points):
         P = predicted(M, statement)
         rows = [[(j, _fixed(_from_mpc(c._mpc_, wp), wp))
                  for j, c in enumerate(row) if c] for row in P]
-    family = FamilyPlan(M, members)
+    sign_sectors = [_block_sign_sector(block) for block, _ in members]
+    family = PsiPlan([PsiParams(M, *pair, *block) for block, pair in members],
+                     True, [(denominator_label(*ss), ss[0])
+                            for ss in sign_sectors])
     resid = 0.0
     for p in pts:
         tau = _mpc_any(p.tau)
         z = _mpc_any(p.z1)
-        a = family.values(tau, z)
+        a = family.values((tau, z))
         if transform == "S":
-            b = family.values(-1 / tau, z / tau, mp.exp(
+            b = family.values((-1 / tau, z / tau), mp.exp(
                 2j * mp.pi * (mp.mpf(1) / M - 1) * z * z / tau))
         else:
-            b = family.values(tau + 1, z)
+            b = family.values((tau + 1, z))
         resid = max(resid, _residual(rows, a, b, wp))
     return SpanCertificate(
         transform=transform, M=M, statement=statement,

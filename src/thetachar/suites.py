@@ -40,7 +40,7 @@ from itertools import product as iproduct
 
 from mpmath import mp
 
-from .qseries import JacobiSeries, equal_to_order, eval_points
+from .qseries import JacobiSeries, equal_to_order, eval_points, to_mpc
 from .theta import (DEFAULT_DPS, THETA_LABELS, ThetaQuotient, theta_shifted,
                     theta_sum)
 from .mockpsi import (HALF, PsiParams, PsiPlan, appell_tail,
@@ -275,10 +275,10 @@ def _diag_residuals(blocks, q, pts):
                        for part in psi_diag_ratio(pr).parts())
         ratios.append([t / b for t, b in zip(top, bottom)])
     plan = PsiPlan(blocks, True)
-    return [ratio[i] - closed
+    return [ratio[i] - to_mpc(closed)
             for i, p in enumerate(pts)
-            for ratio, closed in zip(ratios, plan.values(p.tau, p.z1, p.z1,
-                                                         0))]
+            for ratio, closed in zip(ratios, plan.values((mp.mpc(p.tau),
+                                                          mp.mpc(p.z1))))]
 
 
 def _psi_diag_ratio(M, q):

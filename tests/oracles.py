@@ -14,9 +14,10 @@ gated_stop_step the float-log rule as it ran before it started from the
 closed-form bound on the tails: from the first gated step, kept as the
 oracle of that start.
 truncate, q_valuation_bound, x_support and character_numeric are views
-that only the tests read, and eta_numeric a one-theta ThetaPass and
-family_values a family's FamilyPlan pass converted to mpmath, both of
-which only they call.
+that only the tests read, eta_numeric a one-theta ThetaPass,
+family_dens and family_plan the denominators and the PsiPlan that
+span_closure builds for a family, and family_values one pass of it
+converted to mpmath, all of which only they call.
 
 appell_terms and eval_numeric_per_term are the mpmath loops that
 mockpsi.phi_a11_numeric and qseries.eval_numeric ran before they took
@@ -68,10 +69,10 @@ from mpmath import mp
 from mpmath.libmp import to_float
 
 from thetachar.characters import (BLOCK_SIGNS, HEARTS, ReductionParams,
-                                  dd_indices, sign_eps)
+                                  dd_indices, denominator_label, sign_eps)
 from thetachar.mockpsi import (HALF, POLE_THRESHOLD, PoleProximityError,
-                               _mpfrac)
-from thetachar.modular import FamilyPlan, _mpc_any
+                               PsiParams, PsiPlan, _mpfrac)
+from thetachar.modular import _block_sign_sector, _mpc_any
 from thetachar.qseries import (ONE, CoefficientRingError,
                                GaussianRational, JacobiSeries,
                                UntrustedOrderError, _div, _fixed, _from_mpc,
@@ -229,10 +230,24 @@ def quotient_expand(quotient, q_order, x_window=None):
     return ser
 
 
+def family_dens(members):
+    """The (theta label d, sign) of each member's denominator R."""
+    sign_sectors = [_block_sign_sector(block) for block, _ in members]
+    return [(denominator_label(*ss), ss[0]) for ss in sign_sectors]
+
+
+def family_plan(M, members):
+    """The PsiPlan of the members Psi_{j1,j2}/R of a family, as
+    span_closure plans it: their blocks on the diagonal, each over its
+    denominator R."""
+    return PsiPlan([PsiParams(M, *pair, *block) for block, pair in members],
+                   True, family_dens(members))
+
+
 def family_values(M, members, tau, z):
     """The members Psi_{j1,j2}/R at the diagonal point (tau, z), from one
     ThetaPass planned with every theta, eta and denominator they take."""
-    return [to_mpc(v) for v in FamilyPlan(M, members).values(tau, z)]
+    return [to_mpc(v) for v in family_plan(M, members).values((tau, z))]
 
 
 def character_numeric(M, k1, k2, heart, sign, twisted, p):

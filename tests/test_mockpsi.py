@@ -1,15 +1,19 @@
 """Unit tests for the two-variable building blocks Psi and Phi."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp, mpc
 
+import thetachar.mockpsi as mockpsi_module
 from thetachar.mockpsi import (
     HALF,
+    POLE_THRESHOLD,
     PoleProximityError,
     PsiParams,
+    _guard_pole,
     appell_tail,
     phi_a11_numeric,
     psi_diag_ratio,
@@ -213,6 +217,44 @@ class TestPoleGuards:
         mp.dps = 40
         with pytest.raises(PoleProximityError):
             phi_a11_numeric(1, 0, mpc(0, 1), 0, mpc("0.2", "0.1"), 0)
+
+    def test_pole_guard_raises_below_the_threshold_only(self, monkeypatch):
+        # the bit-length test settles every value of modulus >= 2^-18
+        # without a float modulus, and raises on the same values as the
+        # float comparison: both sides of 1e-6 at several exponents, real,
+        # imaginary and complex, zero at any exponent, and random values
+        real_modulus = mockpsi_module.modulus
+        values = [(0, 0, e) for e in (-300, -19, 0, 40)]
+        for wp in (24, 64, 150):
+            for a, b in ((1, 0), (0, -1), (0.6, -0.8), (-0.28, 0.96)):
+                re, im = (round(c * POLE_THRESHOLD * 2 ** wp) for c in (a, b))
+                for d in (-2, -1, 0, 1, 2):
+                    values.append((re + d * (a != 0), im + d * (b != 0), -wp))
+        values += [(1, 0, e) for e in range(-24, -12)]
+        rng = random.Random(5)
+        for _ in range(400):
+            values.append((rng.randrange(-2 ** 40, 2 ** 40),
+                           rng.randrange(-2 ** 40, 2 ** 40),
+                           rng.randrange(-70, -40)))
+        calls = []
+
+        def counted(value):
+            calls.append(value)
+            return real_modulus(value)
+
+        monkeypatch.setattr(mockpsi_module, "modulus", counted)
+        raised = floats = 0
+        for value in values:
+            calls.clear()
+            if real_modulus(value) < POLE_THRESHOLD:
+                with pytest.raises(PoleProximityError):
+                    _guard_pole(value, "v")
+                raised += 1
+            else:
+                assert _guard_pole(value, "v") is value
+            assert not (calls and real_modulus(value) >= 2 ** -18)
+            floats += bool(calls)
+        assert 10 < raised < floats < len(values) - 10
 
     @pytest.mark.parametrize("shift", [0, -1, 2])
     @pytest.mark.parametrize("offset", ["0", "1.5e-7", "1.7e-7", "1e-6"])

@@ -12,13 +12,14 @@ import thetachar.modular as modular
 import thetachar.qseries as qseries_module
 import thetachar.theta as theta_module
 from thetachar.characters import CharacterSpec, character_ratio
-from thetachar.mockpsi import HALF, PoleProximityError, PsiParams
+from thetachar.mockpsi import HALF, PoleProximityError, PsiParams, PsiPlan
 from thetachar.modular import (
     IM_TAU_FLOOR,
-    FamilyPlan,
     NumericPoint,
+    _block_sign_sector,
     block_law_residual,
     default_points,
+    denominator_numeric,
     denominator_transform_residual,
     family_members,
     member_id,
@@ -32,7 +33,8 @@ from thetachar.suites import (CaseFailure, SuiteConfig, _case_t_phases,
                               suite_cases)
 
 from oracles import (COND_THRESHOLD, IllConditionedError, character_numeric,
-                     family_values, lstsq_min_norm_mp)
+                     family_dens, family_plan, family_values,
+                     lstsq_min_norm_mp)
 
 
 class TestNumericPoint:
@@ -162,6 +164,44 @@ class TestFamilies:
     def test_bad_statement(self):
         with pytest.raises(ValueError):
             family_members(2, 3)
+
+
+def den_units(M, members, dens):
+    """The largest relative distance, in units of 2^-prec, between each
+    member of PsiPlan(blocks, True, dens) and the same block of the plan
+    without dens over denominator_numeric of its own denominator, at
+    three diagonal points."""
+    blocks = [PsiParams(M, *pair, *block) for block, pair in members]
+    over, bare = PsiPlan(blocks, True, dens), PsiPlan(blocks, True)
+    worst = 0
+    for p in default_points(3, diagonal=True, seed=17):
+        tau, z = mp.mpc(p.tau), mp.mpc(p.z1)
+        for (block, _), v, b in zip(members, over.values((tau, z)),
+                                    bare.values((tau, z))):
+            want = to_mpc(b) / denominator_numeric(
+                *_block_sign_sector(block), tau, z)
+            worst = max(worst, abs(to_mpc(v) / want - 1))
+    return worst * 2 ** mp.prec
+
+
+class TestPlannedDenominators:
+    @pytest.mark.parametrize("M, statement", [(2, 1), (3, 2)])
+    def test_members_are_blocks_over_their_denominators(self, M, statement):
+        # the four theta_ab(tau, z) share the members' pass and its
+        # precision, so each member is its block over its R to a few
+        # roundings
+        mp.dps = 40
+        members = family_members(M, statement)
+        assert den_units(M, members, family_dens(members)) < 16
+
+    def test_swapped_denominators_fail(self):
+        # statement 1 at M = 2 has three denominators: swap two members'
+        mp.dps = 40
+        members = family_members(2, 1)
+        dens = family_dens(members)
+        i = next(i for i, d in enumerate(dens) if d != dens[0])
+        dens[0], dens[i] = dens[i], dens[0]
+        assert den_units(2, members, dens) > 2 ** (mp.prec - 10)
 
 
 class TestSpanClosure:
@@ -306,17 +346,17 @@ class TestSidePasses:
     def test_b_side_at_a_side_coordinates_fails(self, monkeypatch):
         # every second call of a point is its B side: give it the A
         # side's coordinates
-        real = modular.FamilyPlan.values
+        real = mockpsi.PsiPlan.values
         a_side = []
 
-        def at_a_side(self, tau, z, factor=None):
+        def at_a_side(self, coords, factor=None):
             if a_side:
-                tau, z = a_side.pop()
+                coords = a_side.pop()
             else:
-                a_side.append((tau, z))
-            return real(self, tau, z, factor)
+                a_side.append(coords)
+            return real(self, coords, factor)
 
-        monkeypatch.setattr(modular.FamilyPlan, "values", at_a_side)
+        monkeypatch.setattr(mockpsi.PsiPlan, "values", at_a_side)
         with pytest.raises(AssertionError):
             side_passes(monkeypatch, "T")
 
@@ -325,14 +365,14 @@ def sample_matrices(M, statement, transform, pts):
     """(A, B) as mpmath matrices: the members at each point, and the
     members transformed, the S side over its elliptic factor, as
     span_closure samples them."""
-    family = FamilyPlan(M, family_members(M, statement))
+    family = family_plan(M, family_members(M, statement))
     A, B = [], []
     for p in pts:
         tau, z = mp.mpc(p.tau), mp.mpc(p.z1)
-        A.append([to_mpc(v) for v in family.values(tau, z)])
-        side = ((-1 / tau, z / tau, mp.exp(2j * mp.pi * (mp.mpf(1) / M - 1)
-                                          * z * z / tau))
-                if transform == "S" else (tau + 1, z))
+        A.append([to_mpc(v) for v in family.values((tau, z))])
+        side = (((-1 / tau, z / tau), mp.exp(2j * mp.pi * (mp.mpf(1) / M - 1)
+                                            * z * z / tau))
+                if transform == "S" else ((tau + 1, z),))
         B.append([to_mpc(v) for v in family.values(*side)])
     return mp.matrix(A), mp.matrix(B)
 

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp, mpc
 
 import thetachar.mockpsi as mockpsi_module
-import thetachar.modular as modular_module
 import thetachar.qseries as qseries_module
 import thetachar.theta as theta_module
 
@@ -28,8 +27,8 @@ from thetachar.qseries import (
 )
 from thetachar.mockpsi import (HALF, PsiParams, PsiPlan, phi_a11_numeric,
                                psi_numeric, psi_plan)
-from thetachar.modular import (FamilyPlan, default_points,
-                               denominator_numeric, family_members)
+from thetachar.modular import (default_points, denominator_numeric,
+                               family_members)
 from thetachar.suites import _m2_closed_ratio
 from thetachar.theta import (
     DEFAULT_DPS,
@@ -44,7 +43,8 @@ from thetachar.theta import (
 )
 
 from oracles import (binary_power, coefficient, cross_multiplied_equals,
-                     eta_numeric, family_values, first_difference,
+                     eta_numeric, family_plan, family_values,
+                     first_difference,
                      gated_stop_step,
                      mpf_stop_step, q_valuation_bound, quotient_expand,
                      shifted_theta_sum, subst_scale_tau, subst_scale_z,
@@ -767,7 +767,7 @@ class TestThetaPass:
         b = {"nome": (0, m, 4), "tau": (0, 1, 2 * M),
              "z": (1, 1, M)}[kind]
         members = family_members(M, statement)
-        plan = PassPlan(FamilyPlan(M, members).plan.requests,
+        plan = PassPlan(family_plan(M, members).plan.requests,
                         [psi_plan(PsiParams(M, j1, j2, *block), (1,),
                                   (1,))[1]
                          for block, (j1, j2) in members] + [[(b, n)]])
@@ -790,10 +790,10 @@ class TestThetaPass:
         # five inputs, bit for bit: the six benchmark families, the
         # denominators' plan and an off-diagonal block, at three points
         mp.dps = DEFAULT_DPS
-        plans = [(FamilyPlan(M, family_members(M, st)).plan, True)
+        plans = [(family_plan(M, family_members(M, st)).plan, True)
                  for M, st in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 2),
                                (4, 2))]
-        plans += [(modular_module._DEN_PLAN, True),
+        plans += [(mockpsi_module._DEN_PLAN, True),
                   (PsiPlan([PsiParams(3, HALF + 1, -HALF, HALF, HALF)],
                            False).plan, False)]
         for plan, diagonal in plans:
