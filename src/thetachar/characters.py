@@ -4,7 +4,7 @@ Characters ch^{(+/-)} in the NS and Ramond sectors are quotients: a
 prefactor sgn(j) q^{j^2/M} x^{2j/M}, three rescaled thetas at
 (M tau, z + j tau) over the fourth, and one plain theta at (tau, z)
 over the other three.  character_ratio is that theta.ThetaQuotient,
-the one object behind both the cross-multiplied checks (equals) and
+the one object behind both the cross-multiplied checks (sides) and
 the expansion (character_series, its expand).
 The sign convention sets sgn(j) = 1 for j > 0 and -1 for j <= 0, which
 matters exactly once, at Ramond j = 0.

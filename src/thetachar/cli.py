@@ -148,8 +148,6 @@ def _term_str(xe, c):
 def render_series_text(ser, header_lines):
     rows = {}
     for qe, xe, c in ser.terms():
-        if c.is_zero():
-            continue
         rows.setdefault(qe, []).append((xe, c))
     lines = list(header_lines)
     if not rows:

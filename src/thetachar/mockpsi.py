@@ -25,15 +25,15 @@ psi_pair_ratio the general (j, k) quotient straight from the closed
 form, both as theta.ThetaQuotient.  Their agreement at j = k is a
 nontrivial internal cross-check exercised by the test suite.
 
-A PsiPlan, the one evaluation of the blocks (psi_numeric is its
-one-block case), finds once what blocks of one level take at any point
-(psi_plan) and evaluates them at each point in one theta.ThetaPass:
-their theta_11, eta(M tau), prefactors and, if planned, denominators
-R^{(eps)}_{eps'}(tau, z) all come from the pass's power tables of its
-shared exponentials.  A prefactor, a product of integer powers of
-e^{pi i tau/(2M)}, e^{pi i z/M} and the nome root e^{pi i M tau/4}, is
-folded into one table read per coordinate, and the blocks share one
-eta(M tau) walk whose cube the pass takes once.
+A PsiPlan, the one evaluation of the blocks, finds once what blocks of
+one level take at any point (psi_plan) and evaluates them at each
+point in one theta.ThetaPass: their theta_11, eta(M tau), prefactors
+and, if planned, denominators R^{(eps)}_{eps'}(tau, z) all come from
+the pass's power tables of its shared exponentials.  A prefactor, a
+product of integer powers of e^{pi i tau/(2M)}, e^{pi i z/M} and the
+nome root e^{pi i M tau/4}, is folded into one table read per
+coordinate, and the blocks share one eta(M tau) walk whose cube the
+pass takes once.
 
 phi_a11_numeric is the two-variable Appell-type sum
 
@@ -136,16 +136,6 @@ def _mpc_any(v):
     return mp.mpc(v)
 
 
-def psi_numeric(params, tau, z1, z2, t):
-    """Psi^{[M,1;eps]}_{j,k;eps'}(tau, z1, z2, t) from the closed form:
-    the one-block PsiPlan, on the diagonal where z1 = z2, at t = 0, times
-    e^{-2 pi i t/M}."""
-    tau, z1, z2, t = (_mpc_any(v) for v in (tau, z1, z2, t))
-    coords = (tau, z1) if z1 == z2 else (tau, z1, z2)
-    value, = PsiPlan([params], z1 == z2).values(coords)
-    return (mp.exp(-2j * mp.pi * t / params.M) if t else 1) * to_mpc(value)
-
-
 # the four theta_ab(tau, z) at coordinates (tau, z), in THETA_LABELS order:
 # the denominators of a PsiPlan, and one on its own for denominator_numeric
 _DEN_PLAN = PassPlan((int(lab[0]), int(lab[1]), 1, (0, 1), 0)
@@ -191,7 +181,7 @@ class PsiPlan:
         """The blocks at t = 0, each over its R if planned and over factor
         (an mpc) if given, from one ThetaPass at coords, (tau, z) or
         (tau, z1, z2).  Each theta, eta(M tau) included, carries
-        theta_numeric's tail and rounding errors, its argument being a
+        ThetaPass's tail and rounding errors, its argument being a
         product of the pass's bases; the prefactor, the quotients and
         factor add a relative rounding of a few units of 2^-prec."""
         if len(coords) != 3 - self.diagonal:

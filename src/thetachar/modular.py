@@ -78,10 +78,6 @@ class NumericPoint:
             raise ValueError("Im tau = %g below the floor %g"
                              % (self.tau.imag, IM_TAU_FLOOR))
 
-    @staticmethod
-    def diagonal(tau, z, t=0):
-        return NumericPoint(tau, z, z, t)
-
     @property
     def is_diagonal(self):
         return self.z1 == self.z2 and self.t == 0
@@ -440,11 +436,11 @@ def span_closure(M, statement, transform, points):
     The sums run on the passes' values (_residual) with
     wp = prec + bitlen(18 M + 2 n + 1) + 20 fraction bits, n members, and
     P computed at wp bits: 19 bits more than the bound below needs, so
-    that the residual shows the passes' own rounding.  Taking each of the 4M roots within
-    2^(3 - wp), an entry that sums c of them over M is within
-    (c + 1) 2^(3 - wp)/M, and a row's c sum to at most M^2, so its
-    entries are within M 2^(4 - wp) in all, and sum_j |P_ij| <= 2 M.  With
-    _residual's floors, each residual is then within
+    that the residual shows the passes' own rounding.  Taking each of the
+    4M roots within 2^(3 - wp), an entry that sums c of them over M is
+    within (c + 1) 2^(3 - wp)/M, and a row's c sum to at most M^2, so
+    its entries are within M 2^(4 - wp) in all, and sum_j |P_ij| <= 2 M.
+    With _residual's floors, each residual is then within
     2^(top + 1 - wp) (18 M + 2 n + 1) <= 2^(top - prec - 19) of the exact
     P's over the same pass values, where 2^(top - 1) is at most the
     point's largest value.

@@ -42,10 +42,9 @@ which computes only the terms that can reach the window, and then
 follow the usual interval arithmetic: products shift the window, and
 comparisons are restricted to the window overlap.
 
-Numeric evaluation (eval_numeric, eval_points) runs on complex
-floating point on ints, values (re, im, e) kept to a working precision
-by _mul and _div, with one exponential per variable.  This module owns
-that value format
+Numeric evaluation (eval_points) runs on complex floating point on
+ints, values (re, im, e) kept to a working precision by _mul and _div,
+with one exponential per variable.  This module owns that value format
 and the tools every numeric path of the package (theta's ThetaPass,
 mockpsi's Appell sum, modular's span certificate) computes with: the
 products (_mul, _div), the exponential (_root), the power table
@@ -170,9 +169,6 @@ class GaussianRational:
         return "GaussianRational(%s, %s)" % (self.re, self.im)
 
 
-I_UNIT = GaussianRational(0, 1)
-
-
 class JacobiSeries:
     """Truncated two-variable series with exact coefficients.
 
@@ -195,7 +191,8 @@ class JacobiSeries:
         for (qn, xn), v in terms.items():
             qi, xi = int(qn), int(xn)
             if qi != qn or xi != xn:
-                raise ValueError("exponent (%s, %s) off the lattice" % (qn, xn))
+                raise ValueError("exponent (%s, %s) off the lattice"
+                                 % (qn, xn))
             v = GaussianRational.coerce(v)
             if v.is_zero() or qi >= order_n:
                 continue
@@ -233,9 +230,6 @@ class JacobiSeries:
             out.append((Fraction(qn, self.q_den), Fraction(xn, self.x_den),
                         self.c[(qn, xn)]))
         return out
-
-    def is_zero(self):
-        return not self.c
 
     def __repr__(self):
         head = sorted(self.c)[:4]
@@ -726,18 +720,12 @@ def _sum(values, wp):
     return out_re, out_im, s
 
 
-def eval_numeric(a, tau, z):
-    """The stored terms summed at numeric (tau, z), an mpmath complex at
-    the ambient precision prec; the discarded tail is
-    O(|exp(2 pi i tau)|^q_order).  The one-point case of eval_points,
-    which states its rounding."""
-    return eval_points(a, [(tau, z)])[0]
-
-
 def eval_points(a, points):
-    """eval_numeric of a at each (tau, z) of points: the rows grouped,
-    the coefficients converted and the power steps found once for the
-    series, and then only what depends on the point taken at each.
+    """The stored terms of a summed at each numeric (tau, z) of points,
+    an mpmath complex at the ambient precision prec; the discarded tail
+    is O(|exp(2 pi i tau)|^q_order).  The rows are grouped, the
+    coefficients converted and the power steps found once for the
+    series, and then only what depends on the point is taken at each.
 
     The sum runs on values (ONE, _mul, _div), each product and quotient
     rounding by at most rho = 2^(2 - wp) relative.

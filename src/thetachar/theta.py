@@ -26,7 +26,7 @@ prefactors and two-term factors, each listed with int exponents on its
 factor's own lattice (_listing); each factor's series (_factor_series)
 is the cached expand of a one-factor quotient, and its exact valuation
 (_key_valuation) is read from the same listing.  Identities are
-compared cross-multiplied (equals), with the factors both sides share
+compared cross-multiplied (sides), with the factors both sides share
 cancelled and the rest compared below q minus the shared factors' exact
 valuation, an equivalent check; each side is a product of cached
 factors built at orders computed from their exact valuations.  The
@@ -38,20 +38,19 @@ value carries two errors: the tail, below 2^-prec, and rounding, at
 most 2^-prec (|theta| + max(1, T)) for the largest term
 T <= e^{pi Im(z)^2 / Im(tau)}, so a large value is accurate relative
 to T.  The step count and the guard bits are found from float logs of
-the term magnitudes before anything is summed.  The sum walks outward by recurrence on fixed-point
-ints: each term is the previous one times a running ratio, and each
-ratio gains a factor q = e^{2 pi i tau} per step.  A ThetaPass
-evaluates every theta of one sample point this way from the point's
-shared exponentials, one root per coordinate and the table of its
-powers, on the complex floating point that qseries owns (_root,
-_powers, _mul, _div).  A PassPlan compiles, once for every point, what
-does not depend on it: the distinct input products and which walk
-takes which, how each theta reads its walk, and each prefactor as one
-table entry per coordinate.  The walks' inputs are as accurate as if
-each had been rounded once, so both bounds hold for arguments built as
-products.
-theta_numeric is its one-theta case, and eta(m tau) (the pentagonal
-series) is walked as theta_01(3m tau, -m tau/2) (eta_request).
+the term magnitudes before anything is summed.  The sum walks outward
+by recurrence on fixed-point ints: each term is the previous one times
+a running ratio, and each ratio gains a factor q = e^{2 pi i tau} per
+step.  A ThetaPass evaluates every theta of one sample point this way
+from the point's shared exponentials, one root per coordinate and the
+table of its powers, on the complex floating point that qseries owns
+(_root, _powers, _mul, _div).  A PassPlan compiles, once for every
+point, what does not depend on it: the distinct input products and
+which walk takes which, how each theta reads its walk, and each
+prefactor as one table entry per coordinate.  The walks' inputs are as
+accurate as if each had been rounded once, so both bounds hold for
+arguments built as products.  eta(m tau) (the pentagonal series) is
+walked as theta_01(3m tau, -m tau/2) (eta_request).
 """
 
 from __future__ import annotations
@@ -66,8 +65,7 @@ from mpmath.libmp import to_float
 
 from .qseries import (ONE, CoefficientRingError, GaussianRational,
                       JacobiSeries, _fixed, _mul, _power_steps, _powers,
-                      _root, equal_to_order, expand, product,
-                      scale_monomial, to_mpc)
+                      _root, expand, product, scale_monomial)
 
 THETA_LABELS = ("00", "01", "10", "11")
 
@@ -76,9 +74,9 @@ THETA_LABELS = ("00", "01", "10", "11")
 # double precision is not enough for 1e-9 residual targets
 DEFAULT_DPS = 40
 
-# entries each series cache below keeps: `verify --suite all` builds at
-# most 372 distinct series in one of them (_factor_series'), and an
-# expand round none
+# entries the factor series cache keeps: `verify --suite all` builds at
+# most 372 distinct series in it (_factor_series), and an expand round
+# none
 SERIES_CACHE_SIZE = 2048
 
 
@@ -92,7 +90,6 @@ def _check_label(label):
                          % (label, THETA_LABELS))
 
 
-@lru_cache(maxsize=SERIES_CACHE_SIZE)
 def theta_sum(label, q_order):
     """Lattice-sum theta_label, the independent cross-check form."""
     _check_label(label)
@@ -232,7 +229,7 @@ class ThetaQuotient:
     num and den are Counters of the power of each factor key, built from
     a mapping of keys to powers or from a list of keys: a shifted theta
     (theta_key) or ("eta", m) for eta(m tau).  A product adds the powers
-    within num and within den and never cancels; a comparison (equals)
+    within num and within den and never cancels; a comparison (sides)
     cancels the factors its two cross-multiplied sides share and
     multiplies the series of the rest.  Every valuation is exact
     (_key_valuation), so the order each factor is built at is computed
@@ -301,7 +298,7 @@ class ThetaQuotient:
         exponent (valuation()) are checked."""
         if self.den:
             raise ValueError("series() needs a quotient with no "
-                             "denominator: compare with equals()")
+                             "denominator: compare with sides()")
         q_order = Fraction(q_order)
         orders = self._orders(q_order)
         factors = [ser for key, n in self.num.items()
@@ -316,11 +313,6 @@ class ThetaQuotient:
                                  "at q^%s, not at its valuation %s"
                                  % (out.q_order, q_order, low, v))
         return out
-
-    def equals(self, other, q_order):
-        """self == other below q_order, cross-multiplied with the factors
-        both sides share cancelled: the series of sides() compared."""
-        return equal_to_order(*self.sides(other, q_order))
 
     def sides(self, other, q_order):
         """(A, B, q'): self == other below q_order exactly when the
@@ -388,30 +380,6 @@ class ThetaQuotient:
 # ---------------------------------------------------------------------
 # validated numerics
 # ---------------------------------------------------------------------
-
-def theta_numeric(label, tau, z):
-    """theta_label(tau, z) by direct lattice summation.
-
-    Terms are added symmetrically outward until a geometric majorant
-    bounds both remaining tails below 2^-prec, the rounding level of the
-    working precision.  Raises TailBoundError when the bound cannot be
-    met within a fixed term budget, before summing.  The returned value
-    carries two errors:
-
-        tail       below 2^-prec;
-        rounding   at most 2^-prec (|theta| + max(1, T)), where
-                   T = e^{pi Im(z)^2 / Im(tau)} bounds every term.
-
-    Rounding scales with the largest term, so a large theta value is
-    accurate relative to T, not absolutely.  This is the one-theta
-    ThetaPass: one exponential e^{pi i z}, taken with its reciprocal,
-    besides the nome.
-    """
-    _check_label(label)
-    request = (int(label[0]), int(label[1]), 1, (0, 1), 0)
-    tp = ThetaPass((mp.mpc(tau), mp.mpc(z)), PassPlan([request]))
-    return to_mpc(tp.theta(request))
-
 
 def eta_request(m, zs):
     """The ThetaPass request of theta_01(3 m tau, -m tau/2), which is
@@ -662,13 +630,17 @@ class ThetaPass:
     2^(1 - prec - g) max(1, |x|), as accurate as an input rounded once
     at prec + g bits, which is what g assumes.  No quotient is ever
     taken in fixed point, where a tiny divisor would lose its digits.
-    So every theta carries the tail and rounding errors stated in
-    theta_numeric, whatever product built its argument.  A prefactor
-    read by read() is one table entry per coordinate, its powers'
-    exponents summed first, so it takes at most the sum over its powers
-    (base, n) of |n| p D_i/d roots, at most L, and is within L 2^(5 - wp)
-    relative, as a walk input is; products and quotients of the results
-    (qseries._mul, _div at the pass's wp) round by 2^(2 - wp) relative.
+    So every theta carries two errors, whatever product built its
+    argument: the tail, below 2^-prec, and rounding, at most
+    2^-prec (|theta| + max(1, T)), where T = e^{pi Im(v)^2 / Im(m tau)}
+    bounds every term of its sum.  Rounding scales with the largest
+    term, so a large theta value is accurate relative to T, not
+    absolutely.  A prefactor read by read() is one table entry per
+    coordinate, its powers' exponents summed first, so it takes at most
+    the sum over its powers (base, n) of |n| p D_i/d roots, at most L,
+    and is within L 2^(5 - wp) relative, as a walk input is; products
+    and quotients of the results (qseries._mul, _div at the pass's wp)
+    round by 2^(2 - wp) relative.
     """
 
     def __init__(self, coords, plan):

@@ -14,20 +14,23 @@ gated_stop_step the float-log rule as it ran before it started from the
 closed-form bound on the tails: from the first gated step, kept as the
 oracle of that start.
 truncate, q_valuation_bound, x_support and character_numeric are views
-that only the tests read, eta_numeric a one-theta ThetaPass,
-family_dens and family_plan the denominators and the PsiPlan that
-span_closure builds for a family, and family_values one pass of it
-converted to mpmath, all of which only they call.
+that only the tests read.  theta_numeric and eta_numeric are one-theta
+ThetaPasses and psi_numeric a one-block PsiPlan, the one-shot cases of
+the package's evaluation paths; family_dens and family_plan are the
+denominators and the PsiPlan that span_closure builds for a family,
+and family_values one pass of it converted to mpmath.  sides_equal
+compares the two series of ThetaQuotient.sides.  Only the tests call
+any of these.
 
 appell_terms and eval_numeric_per_term are the mpmath loops that
-mockpsi.phi_a11_numeric and qseries.eval_numeric ran before they took
+mockpsi.phi_a11_numeric and qseries.eval_points ran before they took
 their exponentials once per call: two exponentials per Appell term, one
 per series term.  They share no running product with the package, so
 they are the oracles those are checked against.
 
-cross_multiplied_equals is ThetaQuotient.equals as it ran before it
-cancelled the factors both sides share: each side the product of all
-the series it names.  reduction_params_scan is the reduction suite's
+cross_multiplied_equals is sides_equal as it ran before the factors
+both sides share were cancelled: each side the product of all the
+series it names.  reduction_params_scan is the reduction suite's
 scan as it ran before it read the heart ranges: every level tuple up to
 M + 1, kept where ReductionParams does not raise.  They are the oracles
 of the cancelling comparison and of the in-range scan.
@@ -79,8 +82,8 @@ from thetachar.qseries import (ONE, CoefficientRingError,
                                _lcm, _mul, equal_to_order, expand, mul,
                                restrict_window, to_mpc)
 from thetachar.theta import (_GATE, _N_CAP, PassPlan, TailBoundError,
-                             ThetaPass, ThetaQuotient, _stop_step, _walk,
-                             eta_request, theta_key)
+                             ThetaPass, ThetaQuotient, _check_label,
+                             _stop_step, _walk, eta_request, theta_key)
 
 
 def truncate(a, q_order):
@@ -262,11 +265,31 @@ def character_numeric(M, k1, k2, heart, sign, twisted, p):
     return BLOCK_SIGNS[(heart, sign, twisted)] * val
 
 
+def theta_numeric(label, tau, z):
+    """theta_label(tau, z) from the one-theta ThetaPass: one
+    exponential e^{pi i z}, taken with its reciprocal, besides the
+    nome.  It carries ThetaPass's tail and rounding errors."""
+    _check_label(label)
+    request = (int(label[0]), int(label[1]), 1, (0, 1), 0)
+    tp = ThetaPass((mp.mpc(tau), mp.mpc(z)), PassPlan([request]))
+    return to_mpc(tp.theta(request))
+
+
+def psi_numeric(params, tau, z1, z2, t):
+    """Psi^{[M,1;eps]}_{j,k;eps'}(tau, z1, z2, t) from the closed form:
+    the one-block PsiPlan, on the diagonal where z1 = z2, at t = 0, times
+    e^{-2 pi i t/M}."""
+    tau, z1, z2, t = (_mpc_any(v) for v in (tau, z1, z2, t))
+    coords = (tau, z1) if z1 == z2 else (tau, z1, z2)
+    value, = PsiPlan([params], z1 == z2).values(coords)
+    return (mp.exp(-2j * mp.pi * t / params.M) if t else 1) * to_mpc(value)
+
+
 def eta_numeric(tau):
     """Dedekind eta by its pentagonal series
     q^{1/24} sum_n (-1)^n q^{n(3n-1)/2}, which is
     e^{pi i tau/12} theta_01(3 tau, -tau/2) and is walked as that
-    lattice sum, with theta_numeric's tail and rounding bounds."""
+    lattice sum, with ThetaPass's tail and rounding bounds."""
     plan = PassPlan([eta_request(1, 0)], [[((0, 1, 12), 1)]])
     tp = ThetaPass((mp.mpc(tau),), plan)
     return to_mpc(_mul(tp.read(plan.prefactors[0]),
@@ -408,6 +431,13 @@ def lstsq_min_norm_mp(A, B):
         for c in range(Cs.cols):
             C[i, c] = Cs[i, c] / scale[i]
     return C, resid, len(kept), cond
+
+
+def sides_equal(a, b, q_order):
+    """a == b below q_order for ThetaQuotients, cross-multiplied with
+    the factors both sides share cancelled: the series of a.sides(b)
+    compared."""
+    return equal_to_order(*a.sides(b, q_order))
 
 
 def cross_multiplied_equals(a, b, q_order):

@@ -28,7 +28,7 @@ from thetachar.modular import (
     span_closure,
     t_law_on_series,
 )
-from thetachar.qseries import dumps_canonical, eval_numeric, to_mpc
+from thetachar.qseries import dumps_canonical, eval_points, to_mpc
 from thetachar.suites import (CaseFailure, SuiteConfig, _case_t_phases,
                               suite_cases)
 
@@ -44,7 +44,7 @@ class TestNumericPoint:
         NumericPoint(0.1 + IM_TAU_FLOOR * 1j, 0.2, 0.3, 0)
 
     def test_diagonal_constructor(self):
-        p = NumericPoint.diagonal(1j, 0.2 + 0.1j)
+        p = NumericPoint(1j, 0.2 + 0.1j, 0.2 + 0.1j, 0)
         assert p.is_diagonal
         assert p.z1 == p.z2 == 0.2 + 0.1j
         q = NumericPoint(1j, 0.2, 0.3, 0)
@@ -717,8 +717,8 @@ class TestCharacterNumeric:
         num, den = (part.series(F(8))
                     for part in character_ratio(spec).parts())
         p = default_points(1, diagonal=True, seed=12)[0]
-        want = (eval_numeric(num, p.tau, p.z1)
-                / eval_numeric(den, p.tau, p.z1))
+        want = (eval_points(num, [(p.tau, p.z1)])[0]
+                / eval_points(den, [(p.tau, p.z1)])[0])
         got = character_numeric(2, 0, 1, "I", "+", False, p)
         assert abs(got - want) < 1e-9
 

@@ -135,8 +135,9 @@ def test_t_certificates_are_shared(monkeypatch):
 
 
 def test_m1_collapse_can_fail(monkeypatch):
-    # the row checks psi_numeric against the exact diagonal series; the
-    # negated series and the block of the other eps must fail it
+    # the row checks the PsiPlan block against the exact diagonal
+    # series; the negated series and the block of the other eps must
+    # fail it
     row = dict(suite_cases("psi"))["psi/m1-collapse"]
     real = suites.psi_diag_ratio
     damages = {
