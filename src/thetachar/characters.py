@@ -108,9 +108,11 @@ class CharacterSpec:
         object.__setattr__(self, "j", Fraction(self.j))
         _check_sector(self.sector)
         _check_sign(self.sign)
-        if self.M < 1:
+        if self.M < 1 or int(self.M) != self.M:
             raise ValueError("M must be a positive integer")
-        if self.j not in index_set(self.M, self.sector):
+        # j in index_set(M, sector), without building the set
+        if (self.j - sector_eps_prime(self.sector)).denominator != 1 \
+                or not 1 - self.M <= 2 * self.j <= self.M:
             raise ValueError("j = %s outside the level-%d %s index set"
                              % (self.j, self.M, self.sector))
 

@@ -13,7 +13,7 @@ otherwise, and the kernel never divides two coefficients: expand()
 multiplies by the conjugates of powers of i and rejects any other
 divisor.  Theta products have Gaussian integer coefficients and unit
 leading terms, so their products and quotients stay in Z[i] and the
-kernel loops (mul and the passes of expand) run on ints; rational
+kernel loops (product and the passes of expand) run on ints; rational
 inputs take the same loops, since Python mixes the two exactly.
 
 Every theta series, eta power and character the package expands is a
@@ -30,16 +30,17 @@ exp(2 pi i z f).
 
 Every series carries q_order, a strict upper bound on the q-exponents it
 is trusted to.  Coefficients at exponents below q_order are exact;
-everything at or above q_order has been discarded.  Products propagate
-q_order so that the result is again exact below its own bound, which
-for factors with negative q-valuation can be smaller than the minimum
-of the operand bounds.
+everything at or above q_order has been discarded.  A product
+(product()) of any number of series and a monomial is one pass over
+their level tables, its bound computed once from every operand's bound
+and lowest exponent, so the result is again exact below its own bound,
+which for factors with negative q-valuation can be smaller than the
+minimum of the operand bounds.
 
 A series may in addition carry an x_window, a closed interval of
 x-exponents outside of which terms are unknown.  Windows appear when
 factors are divided in the direction of descending x-powers (expand),
-which computes only the terms that can reach the window, and then
-follow the usual interval arithmetic: products shift the window, and
+which computes only the terms that can reach the window, and
 comparisons are restricted to the window overlap.
 
 Numeric evaluation (eval_points) runs on complex floating point on
@@ -54,7 +55,6 @@ to_mpc, _fixed).
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from collections import Counter
@@ -201,15 +201,6 @@ class JacobiSeries:
             c[(qi, xi)] = v
         self.c = MappingProxyType(c)
 
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def one(q_order, q_den=1, x_den=1):
-        q_order = Fraction(q_order)
-        q_den = _lcm(q_den, q_order.denominator)
-        return JacobiSeries(q_den, x_den, q_order * q_den,
-                            {(0, 0): GaussianRational(1)})
-
     # -- views --------------------------------------------------------
 
     @property
@@ -264,98 +255,66 @@ class JacobiSeries:
 # ring operations
 # ---------------------------------------------------------------------
 
-def _mul_order(a, b):
-    """Trust bound for a*b in the common lattice, in lattice units.
+def product(factors, lead, q_order):
+    """i^k q^a x^b times the product of the unwindowed factors, for
+    lead = (a, b, k), trusted below q_order or below the factors' own
+    bound if that is lower, on the lcm of the factors', a's, b's and
+    q_order's lattices.  An empty product is the lead alone.
 
-    Missing terms of a live at exponents >= Qa and multiply stored or
-    missing terms of b at exponents >= vb, contributing only at or above
-    Qa + vb (symmetrically Qb + va), where va, vb are valuation lower
-    bounds.  The result is also capped at min(Qa, Qb), which is the
-    binding constraint whenever both valuations are nonnegative.
+    Each missing term of factor i lies at or above its Q_i and meets
+    terms of every other factor j at or above its v_j, the lowest
+    exponent it stores (Q_j if none), so the product is exact below
+    Q_i + S - min(0, v_i) for S the sum of every min(0, v_j).  The
+    bound top is the least of these and q_order - a, and the factors are
+    multiplied smallest first on level tables {q: {x: (re, im)}}: after
+    each one only the partial terms below top minus the dips min(0, v_j)
+    of the factors still to come can reach the result, and a partial
+    term that has cancelled to 0 is not multiplied on.
     """
-    va = min(min(qn for (qn, _) in a.c), a.order_n) if a.c else a.order_n
-    vb = min(min(qn for (qn, _) in b.c), b.order_n) if b.c else b.order_n
-    return min(a.order_n, b.order_n, a.order_n + vb, b.order_n + va)
-
-
-def mul(a, b):
-    """Product, trusted below min(Qa, Qb, Qa+vb, Qb+va); at most one
-    operand may carry an x_window."""
-    a, b = JacobiSeries._aligned(a, b)
-    if a.window_n is not None and b.window_n is not None:
-        raise ValueError("cannot multiply two windowed series")
-    if b.window_n is not None:
-        a, b = b, a
-    order_n = _mul_order(a, b)
-
-    win = None
-    if a.window_n is not None:
-        if b.c:
-            xs = [xn for (_, xn) in b.c]
-            win = (a.window_n[0] + max(xs), a.window_n[1] + min(xs))
-        else:
-            win = a.window_n
-
-    # group by q-level, ascending, so the inner loop can stop early;
-    # each term is unpacked once into (x, re, im)
-    la = _levels(a.c)
-    lb = _levels(b.c)
-    qb_sorted = sorted(lb)
-
-    sums = {}
-    for qa in sorted(la):
-        rem = order_n - qa
-        pa = la[qa]
-        for qb in qb_sorted:
-            if qb >= rem:
-                break
-            row = sums.setdefault(qa + qb, {})
-            for xa, ar, ai in pa:
-                for xb, br, bi in lb[qb]:
-                    x = xa + xb
-                    if win is not None and not win[0] <= x <= win[1]:
+    a, b, k = lead
+    q_den = math.lcm(a.denominator, q_order.denominator,
+                     *(f.q_den for f in factors))
+    x_den = math.lcm(b.denominator, *(f.x_den for f in factors))
+    tables = []
+    for f in sorted(factors, key=lambda s: len(s.c)):
+        if f.window_n is not None:
+            raise ValueError("product() takes unwindowed factors")
+        kq, kx = q_den // f.q_den, x_den // f.x_den
+        levels = {}
+        for (qn, xn), v in f.c.items():
+            levels.setdefault(qn * kq, []).append((xn * kx, v.re, v.im))
+        order = f.order_n * kq
+        tables.append((order, min(0, min(levels, default=order)),
+                       sorted(levels.items())))
+    rest = sum(dip for _, dip, _ in tables)
+    lead_q, lead_x = int(a * q_den), int(b * x_den)
+    top = min([int(q_order * q_den) - lead_q] +
+              [order + rest - dip for order, dip, _ in tables])
+    acc = {0: {0: (1, 0)}}
+    for _, dip, levels in tables:
+        rest -= dip
+        bound = top - rest
+        out = {}
+        for qa, row_a in acc.items():
+            for qb, row_b in levels:
+                if qa + qb >= bound:
+                    break
+                row = out.setdefault(qa + qb, {})
+                for xa, (ar, ai) in row_a.items():
+                    if not (ar or ai):
                         continue
-                    acc = row.get(x)
-                    if acc is None:
-                        row[x] = [ar * br - ai * bi, ar * bi + ai * br]
-                    else:
-                        acc[0] += ar * br - ai * bi
-                        acc[1] += ar * bi + ai * br
-    terms = {(q, x): GaussianRational(re, im)
-             for q, row in sums.items() for x, (re, im) in row.items()
+                    for xb, br, bi in row_b:
+                        re, im = row.get(xa + xb, (0, 0))
+                        row[xa + xb] = (re + ar * br - ai * bi,
+                                        im + ar * bi + ai * br)
+        acc = out
+    unit = ((1, 0), (0, 1), (-1, 0), (0, -1))[k % 4]
+    terms = {(qn + lead_q, xn + lead_x):
+             GaussianRational(unit[0] * re - unit[1] * im,
+                              unit[0] * im + unit[1] * re)
+             for qn, row in acc.items() for xn, (re, im) in row.items()
              if re or im}
-    return JacobiSeries(a.q_den, a.x_den, order_n, terms, win)
-
-
-def _levels(c):
-    """{qn: [(xn, re, im), ...]} of a coefficient dict."""
-    out = {}
-    for (qn, xn), v in c.items():
-        out.setdefault(qn, []).append((xn, v.re, v.im))
-    return out
-
-
-def product(factors):
-    """Fold a nonempty product smallest-first to keep intermediates
-    compact."""
-    return functools.reduce(mul, sorted(factors, key=lambda s: len(s.c)))
-
-
-def scale_monomial(a, a_q, a_x, coeff=1):
-    """Multiply by coeff * q^a_q x^a_x exactly; q_order shifts by a_q."""
-    a_q = Fraction(a_q)
-    a_x = Fraction(a_x)
-    coeff = GaussianRational.coerce(coeff)
-    q_den = _lcm(a.q_den, a_q.denominator)
-    x_den = _lcm(a.x_den, a_x.denominator)
-    s = a._with_lattice(q_den, x_den)
-    dq = int(a_q * q_den)
-    dx = int(a_x * x_den)
-    terms = {(qn + dq, xn + dx): v * coeff for (qn, xn), v in s.c.items()}
-    win = None
-    if s.window_n is not None:
-        win = (s.window_n[0] + dx, s.window_n[1] + dx)
-    return JacobiSeries(q_den, x_den, s.order_n + dq, terms, win)
+    return JacobiSeries(q_den, x_den, top + lead_q, terms)
 
 
 def restrict_window(a, x_window):
@@ -570,7 +529,7 @@ def equal_to_order(a, b, q_order):
             "comparison to order %s exceeds trusted orders %s, %s"
             % (q_order, a.q_order, b.q_order))
     a, b = JacobiSeries._aligned(a, b)
-    bound = q_order * a.q_den
+    bound = math.ceil(q_order * a.q_den)
     win = None
     for w in (a.window_n, b.window_n):
         if w is not None:

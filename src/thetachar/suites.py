@@ -131,7 +131,7 @@ def _require(cond, msg):
 
 
 def _has_term_below(s, q):
-    bound = q * s.q_den
+    bound = math.ceil(q * s.q_den)
     return any(qn < bound for qn, _ in s.c)
 
 

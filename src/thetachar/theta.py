@@ -28,9 +28,11 @@ is the cached expand of a one-factor quotient, and its exact valuation
 (_key_valuation) is read from the same listing.  Identities are
 compared cross-multiplied (sides), with the factors both sides share
 cancelled and the rest compared below q minus the shared factors' exact
-valuation, an equivalent check; each side is a product of cached
-factors built at orders computed from their exact valuations.  The
-lattice sums are kept as an independent cross-check (theta_sum).
+valuation, an equivalent check.  Each side (series) is one
+qseries.product of its lead and its cached factors, each built at a
+whole order computed from the exact valuations (_orders) and the
+product cut at the side's order.  The lattice sums are kept as an
+independent cross-check (theta_sum).
 
 Numerics use mpmath at the caller's working precision prec: direct
 lattice summation with an explicit geometric tail bound.  A returned
@@ -65,7 +67,7 @@ from mpmath.libmp import to_float
 
 from .qseries import (ONE, CoefficientRingError, GaussianRational,
                       JacobiSeries, _fixed, _mul, _power_steps, _powers,
-                      _root, expand, product, scale_monomial)
+                      _root, expand, product)
 
 THETA_LABELS = ("00", "01", "10", "11")
 
@@ -74,9 +76,8 @@ THETA_LABELS = ("00", "01", "10", "11")
 # double precision is not enough for 1e-9 residual targets
 DEFAULT_DPS = 40
 
-# entries the factor series cache keeps: `verify --suite all` builds at
-# most 372 distinct series in it (_factor_series), and an expand round
-# none
+# entries the factor series cache keeps: `verify --suite all` builds
+# 223 distinct series in it (_factor_series), and an expand round none
 SERIES_CACHE_SIZE = 2048
 
 
@@ -110,15 +111,18 @@ def theta_sum(label, q_order):
 
 
 def theta_key(label, tau_scale=1, z_scale=1, r_tau=0, r_one=0):
-    """The ThetaQuotient factor key (label, tau_scale, z_scale, r_tau,
-    r_one) of theta_label(tau_scale tau, z_scale z + r_tau tau + r_one):
-    scales as ints, shifts as Fractions, so every spelling of one theta
-    is one key."""
+    """The ThetaQuotient factor key of theta_label(tau_scale tau,
+    z_scale z + r_tau tau + r_one): (label, tau_scale, z_scale, r_tau's
+    numerator and denominator, r_one's numerator and denominator), all
+    ints, each shift normalized through Fraction once, so every spelling
+    of one theta is one key."""
     _check_label(label)
     ts, zs = int(tau_scale), int(z_scale)
     if ts < 1 or zs < 1:
         raise ValueError("tau_scale and z_scale must be positive integers")
-    return (label, ts, zs, Fraction(r_tau), Fraction(r_one))
+    r_tau, r_one = Fraction(r_tau), Fraction(r_one)
+    return (label, ts, zs, r_tau.numerator, r_tau.denominator,
+            r_one.numerator, r_one.denominator)
 
 
 def theta_shifted(label, q_order, tau_scale=1, z_scale=1, r_tau=0, r_one=0):
@@ -152,7 +156,8 @@ def _listing(key, below):
     prefactor pre_c q^pre_q x^pre_x and the (e, k, c) of each two-term
     factor (1 + c x^k q^e) with e < below (all e < 0 once below > 0), on
     the key's own int lattice: q in units of 1/q_den, 24 for ("eta", m)
-    and 8d for a theta with r_tau = r/d, and x in units of 1/2.
+    and 8d for a theta key (label, ts, zs, r, d, k, f), that is with
+    r_tau = r/d and r_one = k/f, and x in units of 1/2.
 
     eta(m tau) = q^{m/24} prod (1 - q^{m n}).  A theta's is its Jacobi
     triple product: with x' = e^{2 pi i (z_scale*z + r_tau*tau + r_one)}
@@ -166,26 +171,25 @@ def _listing(key, below):
     step = 8 d ts and h = 4 d ts (1 - a).
     """
     minus = GaussianRational(-1)
-    q_den = 24 if key[0] == "eta" else 8 * key[3].denominator
+    q_den = 24 if key[0] == "eta" else 8 * key[4]
     below_n = -(-below.numerator * q_den // below.denominator)
     if key[0] == "eta":
         m = 24 * key[1]
         return (q_den, (key[1], 0, GaussianRational(1)),
                 [(m * n, 0, minus) for n in range(1, -(-below_n // m))])
-    label, ts, zs, r_tau, r_one = key
-    if 4 % r_one.denominator:
+    label, ts, zs, r, d, k, f = key
+    if 4 % f:
         raise CoefficientRingError(
-            "z-shift constant %s is not a multiple of 1/4" % (r_one,))
-    k4 = r_one.numerator * (4 // r_one.denominator)
+            "z-shift constant %d/%d is not a multiple of 1/4" % (k, f))
+    k4 = k * (4 // f)
     a, b = int(label[0]), int(label[1])
-    d, r = r_tau.denominator, r_tau.numerator
     c_fwd = GaussianRational(-1 if b else 1).times_i_power(k4)
     c_bwd = GaussianRational(-1 if b else 1).times_i_power(-k4)
     if a == 1:
         if k4 % 2:
             raise CoefficientRingError(
-                "half-power phase exp(pi i %s) is not a power of i"
-                % (r_one,))
+                "half-power phase exp(pi i %d/%d) is not a power of i"
+                % (k, f))
         pre = (d * ts + 4 * r, zs,
                GaussianRational(1).times_i_power(b + k4 // 2))
     else:
@@ -277,25 +281,30 @@ class ThetaQuotient:
         return v
 
     def _orders(self, q_order):
-        """{key: order} each factor of series(q_order) is built below.
+        """{key: order} each factor of series(q_order) is built below, a
+        whole number.
 
-        A product is trusted below min(Qa + min(0, vb), Qb + min(0, va))
-        (qseries.mul).  So with S the sum of min(0, v) over the factors,
-        each once per power (an eta's v = m/24 is positive), each factor
-        built below q' - a - S + min(0, v) leaves the product times q^a
-        trusted below q' = max(q_order, a + S), and below a + S it has
-        no term.
+        A product of factors with bounds Q and exact valuations v is
+        trusted below the least Q + S - min(0, v) (qseries.product), for
+        S the sum of min(0, v) over the factors, each once per power (an
+        eta's v = m/24 is positive).  So each factor built at or above
+        q' - a - S + min(0, v) leaves the product times q^a trusted below
+        q' = max(q_order, a + S), and below a + S it has no term.  Each
+        order is rounded up to a whole number, so that the orders a
+        factor is asked at fall on few cache entries; product() cuts the
+        result at q_order.
         """
         dips = {key: min(0, _key_valuation(key)) for key in self.num}
         deficit = sum(n * dips[key] for key, n in self.num.items())
         top = max(q_order - self.lead[0], deficit) - deficit
-        return {key: top + dip for key, dip in dips.items()}
+        return {key: math.ceil(top + dip) for key, dip in dips.items()}
 
     def series(self, q_order):
         """The quotient, which must have no denominator, as a series
-        trusted below q_order: the cached factors, each built once below
-        its order (_orders), multiplied.  Its trust and its lowest
-        exponent (valuation()) are checked."""
+        trusted below q_order: the cached factors, each built once at
+        its whole order (_orders), and the lead in one qseries.product
+        cut at q_order.  Its trust and its lowest exponent (valuation())
+        are checked."""
         if self.den:
             raise ValueError("series() needs a quotient with no "
                              "denominator: compare with sides()")
@@ -303,9 +312,7 @@ class ThetaQuotient:
         orders = self._orders(q_order)
         factors = [ser for key, n in self.num.items()
                    for ser in [_factor_series(orders[key], key)] * n]
-        a, b, k = self.lead
-        out = product(factors) if factors else JacobiSeries.one(q_order - a)
-        out = scale_monomial(out, a, b, GaussianRational(1).times_i_power(k))
+        out = product(factors, self.lead, q_order)
         v = self.valuation()
         low = Fraction(min(out.c)[0], out.q_den) if out.c else None
         if out.q_order < q_order or low != (v if v < out.q_order else None):

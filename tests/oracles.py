@@ -62,10 +62,21 @@ rational exponents, a view that only the tests read.
 
 from_json_dict reads qseries.to_json_dict's canonical JSON back into a
 series, the inverse that the serialization round-trip tests check.
+theta_args reads a theta key's ints back as theta_shifted's arguments.
+
+one, mul, product_fold and scale_monomial are the pairwise product that
+ThetaQuotient.series ran before qseries.product fused it: the factors
+multiplied two at a time, smallest first, each product trusted below
+min(Qa + min(0, vb), Qb + min(0, va)), and the lead applied after;
+fold_times_lead is that fold with its lead, and fold_series is series()
+as it ran then, each factor expanded at its exact order, not rounded up
+to a whole one.  They are the oracles of the fused product and of the
+whole-order rule.
 """
 
 import math
 from fractions import Fraction
+import functools
 from itertools import product as iproduct
 
 from mpmath import mp
@@ -79,11 +90,12 @@ from thetachar.modular import _block_sign_sector, _mpc_any
 from thetachar.qseries import (ONE, CoefficientRingError,
                                GaussianRational, JacobiSeries,
                                UntrustedOrderError, _div, _fixed, _from_mpc,
-                               _lcm, _mul, equal_to_order, expand, mul,
+                               _lcm, _mul, equal_to_order, expand,
                                restrict_window, to_mpc)
 from thetachar.theta import (_GATE, _N_CAP, PassPlan, TailBoundError,
                              ThetaPass, ThetaQuotient, _check_label,
-                             _stop_step, _walk, eta_request, theta_key)
+                             _key_valuation, _stop_step, _walk, eta_request,
+                             theta_key)
 
 
 def truncate(a, q_order):
@@ -146,8 +158,8 @@ def theta_factors(label, below, tau_scale=1, z_scale=1, r_tau=0, r_one=0):
     Fraction exponents: the prefactor pre_c q^pre_q x^pre_x, and the
     (e, k, c) of every two-term factor (1 + c x^k q^e) with e < below.
     Raises CoefficientRingError where a phase is not a power of i."""
-    label, ts, zs, r_tau, r_one = theta_key(label, tau_scale, z_scale,
-                                             r_tau, r_one)
+    label, ts, zs, r_tau, r_one = theta_args(
+        theta_key(label, tau_scale, z_scale, r_tau, r_one))
     if (4 * r_one).denominator != 1:
         raise CoefficientRingError(
             "z-shift constant %s is not a multiple of 1/4" % (r_one,))
@@ -183,6 +195,13 @@ def theta_factors(label, below, tau_scale=1, z_scale=1, r_tau=0, r_one=0):
             return (pre_q, pre_x, pre_c), factors
         factors.extend(live)
         n += 1
+
+
+def theta_args(key):
+    """The (label, tau_scale, z_scale, r_tau, r_one) of a theta key, the
+    shifts as Fractions: the arguments theta_shifted takes."""
+    label, ts, zs, r, d, k, f = key
+    return label, ts, zs, Fraction(r, d), Fraction(k, f)
 
 
 def expand_rational(monomials, factors, q_order, x_window=None):
@@ -222,7 +241,8 @@ def quotient_expand(quotient, q_order, x_window=None):
                              [(m * i, 0, -1)
                               for i in range(1, math.ceil(below / m))])
             else:
-                pre, more = theta_factors(key[0], below, *key[1:])
+                label, *args = theta_args(key)
+                pre, more = theta_factors(label, below, *args)
             monomials += [pre + (p,)] * n
             factors += [f + (p,) for f in more] * n
     ser = expand_rational(monomials, factors, q_order, x_window)
@@ -794,3 +814,128 @@ def as_series(num, den, q_order, x_window):
             "ratio expansion trusted only below %s < %s"
             % (out.q_order, Fraction(q_order)))
     return truncate(out, q_order)
+
+
+def one(q_order, q_den=1, x_den=1):
+    """The series 1 trusted below q_order."""
+    q_order = Fraction(q_order)
+    q_den = _lcm(q_den, q_order.denominator)
+    return JacobiSeries(q_den, x_den, q_order * q_den,
+                        {(0, 0): GaussianRational(1)})
+
+
+def _mul_order(a, b):
+    """Trust bound for a*b in the common lattice, in lattice units.
+
+    Missing terms of a live at exponents >= Qa and multiply stored or
+    missing terms of b at exponents >= vb, contributing only at or above
+    Qa + vb (symmetrically Qb + va), where va, vb are valuation lower
+    bounds.  The result is also capped at min(Qa, Qb), which is the
+    binding constraint whenever both valuations are nonnegative.
+    """
+    va = min(min(qn for (qn, _) in a.c), a.order_n) if a.c else a.order_n
+    vb = min(min(qn for (qn, _) in b.c), b.order_n) if b.c else b.order_n
+    return min(a.order_n, b.order_n, a.order_n + vb, b.order_n + va)
+
+
+def mul(a, b):
+    """Product, trusted below min(Qa, Qb, Qa+vb, Qb+va); at most one
+    operand may carry an x_window."""
+    a, b = JacobiSeries._aligned(a, b)
+    if a.window_n is not None and b.window_n is not None:
+        raise ValueError("cannot multiply two windowed series")
+    if b.window_n is not None:
+        a, b = b, a
+    order_n = _mul_order(a, b)
+
+    win = None
+    if a.window_n is not None:
+        if b.c:
+            xs = [xn for (_, xn) in b.c]
+            win = (a.window_n[0] + max(xs), a.window_n[1] + min(xs))
+        else:
+            win = a.window_n
+
+    # group by q-level, ascending, so the inner loop can stop early;
+    # each term is unpacked once into (x, re, im)
+    la = _levels(a.c)
+    lb = _levels(b.c)
+    qb_sorted = sorted(lb)
+
+    sums = {}
+    for qa in sorted(la):
+        rem = order_n - qa
+        pa = la[qa]
+        for qb in qb_sorted:
+            if qb >= rem:
+                break
+            row = sums.setdefault(qa + qb, {})
+            for xa, ar, ai in pa:
+                for xb, br, bi in lb[qb]:
+                    x = xa + xb
+                    if win is not None and not win[0] <= x <= win[1]:
+                        continue
+                    acc = row.get(x)
+                    if acc is None:
+                        row[x] = [ar * br - ai * bi, ar * bi + ai * br]
+                    else:
+                        acc[0] += ar * br - ai * bi
+                        acc[1] += ar * bi + ai * br
+    terms = {(q, x): GaussianRational(re, im)
+             for q, row in sums.items() for x, (re, im) in row.items()
+             if re or im}
+    return JacobiSeries(a.q_den, a.x_den, order_n, terms, win)
+
+
+def _levels(c):
+    """{qn: [(xn, re, im), ...]} of a coefficient dict."""
+    out = {}
+    for (qn, xn), v in c.items():
+        out.setdefault(qn, []).append((xn, v.re, v.im))
+    return out
+
+
+def product_fold(factors):
+    """Fold a nonempty product smallest-first to keep intermediates
+    compact."""
+    return functools.reduce(mul, sorted(factors, key=lambda s: len(s.c)))
+
+
+def scale_monomial(a, a_q, a_x, coeff=1):
+    """Multiply by coeff * q^a_q x^a_x exactly; q_order shifts by a_q."""
+    a_q = Fraction(a_q)
+    a_x = Fraction(a_x)
+    coeff = GaussianRational.coerce(coeff)
+    q_den = _lcm(a.q_den, a_q.denominator)
+    x_den = _lcm(a.x_den, a_x.denominator)
+    s = a._with_lattice(q_den, x_den)
+    dq = int(a_q * q_den)
+    dx = int(a_x * x_den)
+    terms = {(qn + dq, xn + dx): v * coeff for (qn, xn), v in s.c.items()}
+    win = None
+    if s.window_n is not None:
+        win = (s.window_n[0] + dx, s.window_n[1] + dx)
+    return JacobiSeries(q_den, x_den, s.order_n + dq, terms, win)
+
+
+def fold_times_lead(factors, lead, q_order):
+    """i^k q^a x^b times the product of factors, lead = (a, b, k): the
+    pairwise fold, or 1 below q_order - a when there is no factor, times
+    the lead monomial."""
+    a, b, k = lead
+    out = product_fold(factors) if factors else one(Fraction(q_order) - a)
+    return scale_monomial(out, a, b, GaussianRational(1).times_i_power(k))
+
+
+def fold_series(quotient, q_order):
+    """ThetaQuotient.series as it ran before the fused product: each
+    factor expanded below its exact order q_order - a - S + min(0, v),
+    with no rounding up, for S the sum of min(0, v) over the factors,
+    then folded (fold_times_lead)."""
+    q_order = Fraction(q_order)
+    dips = {key: min(0, _key_valuation(key)) for key in quotient.num}
+    deficit = sum(n * dips[key] for key, n in quotient.num.items())
+    top = max(q_order - quotient.lead[0], deficit) - deficit
+    factors = [ThetaQuotient(num={key: 1}).expand(top + dips[key])[0]
+               for key, n in quotient.num.items() for _ in range(n)]
+    return fold_times_lead(factors, quotient.lead, q_order)

@@ -70,6 +70,27 @@ class TestIndexBookkeeping:
         with pytest.raises(ValueError):
             CharacterSpec(2, HALF, "ns", "+")
 
+    @pytest.mark.parametrize("M", range(1, 9))
+    def test_spec_accepts_exactly_the_index_set(self, M):
+        # every quarter-integer j in [-M, M], both sectors: a spec is made
+        # exactly when j is in index_set, and the error names j otherwise
+        for sector in SECTORS:
+            allowed = set(index_set(M, sector))
+            for j in (F(n, 4) for n in range(-4 * M, 4 * M + 1)):
+                if j in allowed:
+                    assert CharacterSpec(M, j, sector, "-").j == j
+                    continue
+                with pytest.raises(ValueError) as err:
+                    CharacterSpec(M, j, sector, "-")
+                assert str(err.value) == (
+                    "j = %s outside the level-%d %s index set"
+                    % (j, M, sector))
+
+    def test_spec_rejects_a_level_that_is_not_a_positive_integer(self):
+        for M in (0, -1, F(3, 2)):
+            with pytest.raises(ValueError, match="M must be a positive"):
+                CharacterSpec(M, HALF, "NS", "+")
+
     @pytest.mark.parametrize("M,j,sector,h,s", [
         (1, HALF, "NS", F(0), F(0)),
         (2, HALF, "NS", F(-1, 4), F(-1, 2)),

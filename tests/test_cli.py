@@ -261,6 +261,23 @@ class TestVerify:
         assert info.currsize > 0
         assert info.misses == info.currsize
 
+    def test_factor_series_are_cached_at_whole_orders(self, monkeypatch):
+        # each factor is built at its order rounded up to a whole number,
+        # so the characters suite takes at most 201 builds (310 when
+        # each factor was built at its exact order)
+        orders = []
+        real = theta._factor_series
+
+        def recording(order, key):
+            orders.append(order)
+            return real(order, key)
+
+        monkeypatch.setattr(theta, "_factor_series", recording)
+        theta.theta_shifted.cache_clear()
+        assert suites.run_suite("characters").ok
+        assert theta.theta_shifted.cache_info().misses <= 201
+        assert orders and all(F(order).denominator == 1 for order in orders)
+
     def test_every_cache_empties_as_perfbench_empties_them(self, capsys):
         # perfbench empties the program's caches before each request by
         # calling every module-level cache_clear in the package; the

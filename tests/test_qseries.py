@@ -1,12 +1,13 @@
 """Unit tests for the exact two-variable series kernel."""
 
+import inspect
 import json
 import math
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc
 
@@ -19,10 +20,8 @@ from thetachar.qseries import (
     equal_to_order,
     eval_points,
     expand,
-    mul,
     product,
     restrict_window,
-    scale_monomial,
     to_json_dict,
 )
 
@@ -32,10 +31,11 @@ from thetachar.characters import (SECTORS, SIGNS, CharacterSpec,
                                   index_set)
 
 from oracles import (as_series, coefficient, eval_numeric_per_term,
-                     expand_rational, first_difference, from_json_dict,
-                     gaussian_inverse, invert_directed, q_valuation_bound,
-                     subst_scale_tau, subst_scale_z, theta_factors,
-                     truncate, x_support)
+                     expand_rational, first_difference, fold_times_lead,
+                     from_json_dict, gaussian_inverse, invert_directed, mul,
+                     one, product_fold, q_valuation_bound, scale_monomial,
+                     subst_scale_tau, subst_scale_z, theta_args,
+                     theta_factors, truncate, x_support)
 
 
 def poly(order, *terms):
@@ -162,7 +162,7 @@ class TestConstruction:
         assert q_valuation_bound(z) == F(5, 2)
 
     def test_one(self):
-        s = JacobiSeries.one(6)
+        s = one(6)
         assert s.terms() == [(F(0), F(0), GaussianRational(1))]
         assert s.q_order == 6
 
@@ -287,7 +287,7 @@ class TestRingAxioms:
     @settings(max_examples=50, deadline=None)
     @given(_series())
     def test_one_is_identity(self, a):
-        assert _same(mul(a, JacobiSeries.one(a.q_order)), a)
+        assert _same(mul(a, one(a.q_order)), a)
 
 
 class TestTrustPropagation:
@@ -311,7 +311,7 @@ class TestTrustPropagation:
 
     def test_product_fold(self):
         fs = [poly(9, (0, 0, 1), (1, 1, 1)) for _ in range(3)]
-        p = product(fs)
+        p = product_fold(fs)
         assert p.q_order == F(9)
         assert coefficient(p, 2, 2) == 3
 
@@ -326,6 +326,96 @@ class TestTrustPropagation:
         b = poly(6, (0, -1, 1), (0, 2, 1))      # x-support [-1, 2]
         w = mul(a, b).x_window
         assert w == (F(-4) + F(2), F(4) + F(-1))
+
+
+# ---------------------------------------------------------------------
+# the fused product against the pairwise fold
+# ---------------------------------------------------------------------
+
+@st.composite
+def _product_case(draw):
+    """(factors, lead, q_order): up to four factors on the q-lattices
+    1/1 .. 1/4 and x-lattices 1/1, 1/2, some with terms below q^0 or
+    with none, a lead i^k q^a x^b on finer lattices, and a q_order
+    drawn around the factors' bounds, so that it is above the trust
+    bound in some draws and below it in others."""
+    factors = []
+    for _ in range(draw(st.integers(0, 4))):
+        order_n = draw(st.integers(-2, 9))
+        terms = {(draw(st.integers(order_n - 8, order_n - 1)),
+                  draw(st.integers(-3, 3))):
+                 GaussianRational(draw(_mixed_parts), draw(_mixed_parts))
+                 for _ in range(draw(st.integers(0, 5)))}
+        factors.append(JacobiSeries(draw(st.integers(1, 4)),
+                                    draw(st.integers(1, 2)), order_n, terms))
+    a = F(draw(st.integers(-8, 8)), draw(st.sampled_from([1, 3, 8])))
+    b = F(draw(st.integers(-3, 3)), draw(st.sampled_from([1, 2, 3])))
+    q_order = a + F(draw(st.integers(-4, 24)), draw(st.sampled_from([1, 2,
+                                                                    3])))
+    return factors, (a, b, draw(st.integers(0, 7))), q_order
+
+
+def _matches_the_fold(fused, factors, lead, q_order):
+    """fused(factors, lead, q_order) is trusted below q_order, or below
+    the least Q + S - min(0, v) over the factors plus a if that is lower
+    (v a factor's lowest exponent, Q if none, and S the sum of every
+    min(0, v)), which the fold trusts too, and holds the fold's terms
+    below that bound."""
+    got = fused(factors, lead, q_order)
+    want = fold_times_lead(factors, lead, q_order)
+    lows = [min((q for q, _, _ in f.terms()), default=f.q_order)
+            for f in factors]
+    dips = sum(min(0, v) for v in lows)
+    bound = min([q_order] + [lead[0] + f.q_order + dips - min(0, v)
+                             for f, v in zip(factors, lows)])
+    return (got.q_order == bound <= want.q_order
+            and got.terms() == truncate(want, bound).terms())
+
+
+def _final_top_product():
+    """qseries.product with every partial product cut at the final bound
+    top, not at top minus the dips of the factors still to come."""
+    source = inspect.getsource(qseries.product)
+    assert source.count("bound = top - rest") == 1
+    space = dict(vars(qseries))
+    exec(source.replace("bound = top - rest", "bound = top"), space)
+    return space["product"]
+
+
+class TestFusedProduct:
+    @settings(max_examples=150, deadline=None)
+    @given(_product_case())
+    def test_matches_the_fold(self, case):
+        assert _matches_the_fold(product, *case)
+
+    def test_a_product_cut_at_the_final_bound_fails(self):
+        # the later factor dips to q^-2, so the earlier one's q^5 term
+        # reaches q^3, below the bound 5; a product that cuts each
+        # partial product at 5 loses it, and the check finds a case of
+        # the same kind by itself
+        damaged = _final_top_product()
+        case = ([poly(7, (0, 0, 1), (5, 0, 1)),
+                 poly(6, (-2, 0, 1), (0, 1, 1), (1, 0, 1))],
+                (F(0), F(0), 0), F(6))
+        assert _matches_the_fold(product, *case)
+        assert not _matches_the_fold(damaged, *case)
+        factors, _, _ = find(
+            _product_case(),
+            lambda case: not _matches_the_fold(damaged, *case),
+            settings=settings(max_examples=2000, deadline=None,
+                              database=None, phases=[Phase.generate]))
+        assert min(q for f in factors for q, _, _ in f.terms()) < 0
+
+    def test_empty_product_is_the_lead(self):
+        got = product([], (F(1, 2), F(-1, 3), 1), F(7, 4))
+        assert got.terms() == [(F(1, 2), F(-1, 3), GaussianRational(0, 1))]
+        assert (got.q_den, got.x_den, got.q_order) == (4, 3, F(7, 4))
+        assert not product([], (F(2), F(0), 0), F(2)).c
+
+    def test_rejects_a_windowed_factor(self):
+        a = restrict_window(poly(5, (0, 0, 1)), (F(-1), F(1)))
+        with pytest.raises(ValueError):
+            product([a], (F(0), F(0), 0), F(5))
 
 
 # ---------------------------------------------------------------------
@@ -384,6 +474,16 @@ class TestTruncateAndCompare:
         # both extra terms live outside the window intersection [-1, 1]
         assert equal_to_order(a, b, 5)
 
+    @pytest.mark.parametrize("q, qn, below", [
+        (F(7, 3), 18, True), (F(7, 3), 19, False),
+        (F(9, 4), 17, True), (F(9, 4), 18, False)])
+    def test_equal_to_order_bound_between_lattice_points(self, q, qn, below):
+        # q = 7/3 lies between q^(18/8) and q^(19/8); at q = 9/4 = 18/8
+        # the term at the bound itself is not compared
+        a = JacobiSeries(8, 1, 24, {(0, 0): 1})
+        b = JacobiSeries(8, 1, 24, {(0, 0): 1, (qn, 0): 1})
+        assert equal_to_order(a, b, q) is not below
+
     def test_first_difference(self):
         a = poly(6, (1, 0, 1), (2, 1, 3))
         b = poly(6, (1, 0, 1), (2, 1, 4), (3, 0, 1))
@@ -408,7 +508,7 @@ class TestInversion:
         s = poly(4, (0, 1, 1), (0, 0, -1))
         inv = invert_directed(s, (F(-5), F(0)))
         prod = mul(s, inv)
-        assert equal_to_order(prod, JacobiSeries.one(4), 4)
+        assert equal_to_order(prod, one(4), 4)
         # classic expansion x^-1 + x^-2 + ...
         for k in range(1, 5):
             assert coefficient(inv, 0, -k) == 1
@@ -416,7 +516,7 @@ class TestInversion:
     def test_invert_with_q_mixing(self):
         s = poly(6, (0, 1, 1), (1, -1, 2), (F(1, 2), 0, 1))
         inv = invert_directed(s, (F(-8), F(-1)))
-        assert equal_to_order(mul(s, inv), JacobiSeries.one(6), 6)
+        assert equal_to_order(mul(s, inv), one(6), 6)
 
     def test_invert_rejects_zero_leading_column(self):
         with pytest.raises(ZeroDivisionError):
@@ -477,7 +577,7 @@ def _monomial(draw):
 def _multiplied_out(monomials, factors, p, order):
     """The monomials and factors of power p multiplied out, trusted below
     order plus the product's valuation."""
-    out = JacobiSeries.one(order)
+    out = one(order)
     for e, k, c, fp in monomials:
         if fp == p:
             out = mul(out, mono(e, k, c, order))
@@ -532,7 +632,8 @@ def _net_power_sum(quotient, q_order):
     net = Counter()
     for part, p in ((quotient.num, 1), (quotient.den, -1)):
         for key, n in part.items():
-            for e, k, c in theta_factors(key[0], below, *key[1:])[1]:
+            label, *args = theta_args(key)
+            for e, k, c in theta_factors(label, below, *args)[1]:
                 if e < 0 or (e == 0 and k > 0):
                     e, k, c = -e, -k, gaussian_inverse(c)
                 net[e, k, c] += p * n

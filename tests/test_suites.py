@@ -10,6 +10,7 @@ from mpmath import mp
 from thetachar import suites
 from thetachar.characters import denominator
 from thetachar.mockpsi import HALF, PsiParams, PsiPlan
+from thetachar.qseries import JacobiSeries
 from thetachar.modular import family_members, predicted_t_matrix
 from thetachar.suites import SuiteConfig, run_suite, suite_cases
 from thetachar.theta import PassPlan, ThetaPass, ThetaQuotient, theta_shifted
@@ -97,6 +98,16 @@ def test_a_pair_that_compares_no_term_fails(monkeypatch):
     (detail,) = {d for st, d in _run_rows(monkeypatch, [row], F(1, 100))
                  .values()}
     assert detail == "CaseFailure: pair 1 compares no term below q^1/100"
+
+
+@pytest.mark.parametrize("q, qn, below", [
+    (F(7, 3), 18, True), (F(7, 3), 19, False),
+    (F(9, 4), 17, True), (F(9, 4), 18, False)])
+def test_term_below_a_bound_between_lattice_points(q, qn, below):
+    # q = 7/3 lies between q^(18/8) and q^(19/8); at q = 9/4 = 18/8 the
+    # term at the bound itself is not below it
+    s = JacobiSeries(8, 1, 24, {(qn, 0): 1})
+    assert suites._has_term_below(s, q) is below
 
 
 def test_characters_below_every_valuation_fail():

@@ -20,17 +20,17 @@ from thetachar.qseries import (
     GaussianRational,
     JacobiSeries,
     equal_to_order,
+    dumps_canonical,
     eval_points,
-    mul,
     product,
-    scale_monomial,
+    to_json_dict,
     to_mpc,
 )
 from thetachar.mockpsi import (HALF, PsiParams, PsiPlan, phi_a11_numeric,
                                psi_plan)
 from thetachar.modular import (default_points, denominator_numeric,
                                family_members)
-from thetachar.suites import _m2_closed_ratio
+from thetachar.suites import _m2_closed_ratio, run_suite
 from thetachar.theta import (
     DEFAULT_DPS,
     PassPlan,
@@ -43,12 +43,13 @@ from thetachar.theta import (
 
 from oracles import (binary_power, coefficient, cross_multiplied_equals,
                      eta_numeric, family_plan, family_values,
-                     first_difference,
+                     first_difference, fold_times_lead,
                      gated_stop_step,
-                     mpf_stop_step, psi_numeric, q_valuation_bound,
-                     quotient_expand, shifted_theta_sum, sides_equal,
-                     subst_scale_tau, subst_scale_z, theta_factors,
-                     theta_numeric, theta_read, truncate, walk_sums)
+                     mpf_stop_step, mul, psi_numeric, q_valuation_bound,
+                     quotient_expand, scale_monomial, shifted_theta_sum,
+                     sides_equal, subst_scale_tau, subst_scale_z,
+                     theta_factors, theta_numeric, theta_read, truncate,
+                     walk_sums)
 
 LABELS = ("00", "01", "10", "11")
 
@@ -153,9 +154,7 @@ def _reference(quotient, order):
     """The den-free quotient multiplied out from factors built at order."""
     factors = [ser for key, n in quotient.num.items()
                for ser in [theta_module._factor_series(order, key)] * n]
-    a, b, k = quotient.lead
-    return scale_monomial(product(factors), a, b,
-                          GaussianRational(1).times_i_power(k))
+    return fold_times_lead(factors, quotient.lead, order)
 
 
 # (lhs, rhs) identities whose sides share no factor: the quadruple
@@ -321,11 +320,33 @@ class TestThetaQuotient:
                 orders.setdefault(key, set()).add(order)
             assert orders and all(len(o) == 1 for o in orders.values())
 
+    def test_series_match_the_fold_over_the_suites(self, monkeypatch):
+        # every series the theta, psi and characters suites take, from
+        # factors built at whole orders and multiplied in one product, is
+        # canonical-JSON identical to the fold of factors built at their
+        # exact orders
+        asked = []
+        real = ThetaQuotient.series
+
+        def recording(quotient, q_order):
+            asked.append((quotient, q_order))
+            return real(quotient, q_order)
+
+        monkeypatch.setattr(ThetaQuotient, "series", recording)
+        for name in ("theta", "psi", "characters"):
+            assert run_suite(name).ok
+        monkeypatch.undo()
+        assert len(asked) == 289
+        for quotient, q_order in asked:
+            assert (dumps_canonical(to_json_dict(quotient.series(q_order)))
+                    == dumps_canonical(to_json_dict(
+                        oracles.fold_series(quotient, q_order))))
+
     def test_cached_series_are_read_only(self):
         for ser in (theta_shifted("11", 4, 2, 1, HALF),
                     theta_module._factor_series(F(5), ("eta", 2)),
                     theta_sum("00", 4),
-                    JacobiSeries.one(3)):
+                    product([], (F(0), F(0), 0), F(3))):
             key = next(iter(ser.c))
             with pytest.raises(TypeError):
                 ser.c[key] = GaussianRational(7)
@@ -360,6 +381,12 @@ def _listed_key(draw, valid=False):
         F(draw(st.integers(-2 * d, 2 * d)), d), F(quarters, 4))
 
 
+def _key_factors(key, below):
+    """theta_factors of a theta key."""
+    label, *args = oracles.theta_args(key)
+    return theta_factors(label, below, *args)
+
+
 def _expansion(expand, quotient, q, window):
     """expand(quotient, q, window) with every part of its lattice, or the
     type of what it raised."""
@@ -385,7 +412,7 @@ def _lead_x(quotient, q):
     for part, p in ((quotient.num, 1), (quotient.den, -1)):
         for key, n in part.items():
             if key[0] != "eta":
-                (_, pre_x, _), more = theta_factors(key[0], below, *key[1:])
+                (_, pre_x, _), more = _key_factors(key, below)
                 x += p * n * (pre_x + sum(k for e, k, _ in more
                                           if e < 0 or (e == 0 and k > 0)))
     return x
@@ -407,7 +434,7 @@ class TestIntListing:
             assert _expansion(_quotient_series, quotient, dq,
                               None) is CoefficientRingError
             with pytest.raises(CoefficientRingError):
-                theta_factors(key[0], 1, *key[1:])
+                _key_factors(key, 1)
             return
         got = _expansion(_quotient_series, quotient, v + dq, None)
         assert got == _expansion(quotient_expand, quotient, v + dq, None)
@@ -416,7 +443,7 @@ class TestIntListing:
         if key[0] == "eta":
             assert v == F(key[1], 24)
         else:
-            (pre_q, _, _), more = theta_factors(key[0], 1, *key[1:])
+            (pre_q, _, _), more = _key_factors(key, 1)
             assert v == pre_q + sum(min(0, e) for e, _, _ in more)
 
     @settings(deadline=None, max_examples=60)
